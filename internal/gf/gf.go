@@ -27,7 +27,10 @@ type Field struct {
 	// GF(P) used for reduction, stored as coefficients c[0..N] (c[N] = 1).
 	irreducible []int
 
-	// exp[i] = xi^i for i in [0, q-1); log[exp[i]] = i. log[0] is unused.
+	// exp[i] = xi^i for i in [0, 2(q-1)): the q-1 powers stored twice over,
+	// so a sum of two logs (or log a plus q-1 minus log b) indexes it
+	// without a reduction mod q-1. log[exp[i]] = i for i < q-1; log[0] is
+	// unused.
 	exp []int
 	log []int
 
@@ -195,7 +198,7 @@ func (f *Field) polyMulMod(a, b int) int {
 func (f *Field) buildLogTables() error {
 	q := f.Q
 	order := q - 1
-	f.exp = make([]int, order)
+	f.exp = make([]int, 2*order)
 	f.log = make([]int, q)
 	for g := 2; g < q; g++ {
 		if !f.isGenerator(g, order) {
@@ -203,14 +206,14 @@ func (f *Field) buildLogTables() error {
 		}
 		v := 1
 		for i := 0; i < order; i++ {
-			f.exp[i] = v
+			f.exp[i], f.exp[order+i] = v, v
 			f.log[v] = i
 			v = f.polyMulMod(v, g)
 		}
 		return nil
 	}
 	if q == 2 {
-		f.exp[0] = 1
+		f.exp[0], f.exp[1] = 1, 1
 		f.log[1] = 0
 		return nil
 	}
@@ -331,20 +334,26 @@ func polyDivides(div, poly []int, p int) bool {
 }
 
 // Add returns a + b in the field.
+//
+//sf:hotpath
 func (f *Field) Add(a, b int) int { return f.addTable[a*f.Q+b] }
 
 // Neg returns the additive inverse of a.
 func (f *Field) Neg(a int) int { return f.negTable[a] }
 
 // Sub returns a - b in the field.
+//
+//sf:hotpath
 func (f *Field) Sub(a, b int) int { return f.addTable[a*f.Q+f.negTable[b]] }
 
 // Mul returns a * b in the field.
+//
+//sf:hotpath
 func (f *Field) Mul(a, b int) int {
 	if a == 0 || b == 0 {
 		return 0
 	}
-	return f.exp[(f.log[a]+f.log[b])%(f.Q-1)]
+	return f.exp[f.log[a]+f.log[b]]
 }
 
 // Inv returns the multiplicative inverse of a. It panics on a == 0.
@@ -352,11 +361,21 @@ func (f *Field) Inv(a int) int {
 	if a == 0 {
 		panic("gf: inverse of zero")
 	}
-	return f.exp[(f.Q-1-f.log[a])%(f.Q-1)]
+	return f.exp[f.Q-1-f.log[a]]
 }
 
 // Div returns a / b. It panics on b == 0.
-func (f *Field) Div(a, b int) int { return f.Mul(a, f.Inv(b)) }
+//
+//sf:hotpath
+func (f *Field) Div(a, b int) int {
+	if b == 0 {
+		panic("gf: inverse of zero")
+	}
+	if a == 0 {
+		return 0
+	}
+	return f.exp[f.log[a]+f.Q-1-f.log[b]]
+}
 
 // Pow returns a^e (e >= 0, with a^0 = 1; 0^e = 0 for e > 0).
 func (f *Field) Pow(a, e int) int {

@@ -86,6 +86,8 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
+//
+//sf:hotpath
 func (g *Graph) Neighbors(u int) []int32 { return g.adj[u] }
 
 // Degree returns the degree of u.

@@ -112,10 +112,9 @@ func Compute(t topo.Topology, rackOf func(r int) int, nRacks int, electricOnly b
 func For(t topo.Topology) Layout {
 	switch tt := t.(type) {
 	case *slimfly.SlimFly:
-		// Section VI-A: column x of subgraph 0 merges with column m = x of
-		// subgraph 1; q racks of 2q routers, 2q cables between rack pairs.
-		q := tt.Q
-		return Compute(t, func(r int) int { _, a, _ := tt.RouterLabel(r); return a }, q, false)
+		return slimFlyRacks(t, tt)
+	case *slimfly.Augmented:
+		return slimFlyRacks(t, tt.SF) // shortcuts add cables, not racks
 	case *dragonfly.Dragonfly:
 		return Compute(t, tt.Group, tt.Gn, false)
 	case *fattree.FatTree:
@@ -152,6 +151,13 @@ func For(t topo.Topology) Layout {
 	default:
 		return rackBlocks(t, 32, false)
 	}
+}
+
+// slimFlyRacks is the Section VI-A layout of t's routers by their labels
+// in sf: column x of subgraph 0 merges with column m = x of subgraph 1; q
+// racks of 2q routers, 2q cables between rack pairs.
+func slimFlyRacks(t topo.Topology, sf *slimfly.SlimFly) Layout {
+	return Compute(t, func(r int) int { _, a, _ := sf.RouterLabel(r); return a }, sf.Q, false)
 }
 
 // rackBlocks groups consecutive router ids into racks of the given size.

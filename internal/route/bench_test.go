@@ -8,8 +8,10 @@ package route_test
 // construction on each backend: at q=43 the tables variant is dominated
 // by the BFS build, while the computed variant only pays generator-set
 // membership setup, which is where the >=5x sim.New acceptance claim is
-// measured. CI runs these with -benchtime 1x and publishes best-of-3 as
-// BENCH_route.json alongside BENCH_engine.json.
+// measured. BenchmarkNextPort prices one lookup through the Router
+// interface on each backend: an array load on tables, the MMS closed form
+// on computed, flat in q. CI runs these with -benchtime 1x and publishes
+// best-of-3 as BENCH_route.json alongside BENCH_engine.json.
 
 import (
 	"fmt"
@@ -17,6 +19,7 @@ import (
 
 	"slimfly/internal/route"
 	"slimfly/internal/sim"
+	"slimfly/internal/stats"
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/traffic"
 )
@@ -78,6 +81,44 @@ func BenchmarkSimNew(b *testing.B) {
 						b.Fatal(err)
 					}
 					s.Close()
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkNextPort times Router.NextPort over seeded router pairs. One
+// op is a batch of 65536 lookups -- enough distinct pairs that the tables
+// are read from memory, not from a cache-resident corner -- and the
+// per-lookup cost is reported as ns/lookup, so the -benchtime 1x CI run
+// still averages over a batch.
+func BenchmarkNextPort(b *testing.B) {
+	const batch = 1 << 16
+	for _, q := range []int{19, 43} {
+		sf := benchSF(b, q)
+		g := sf.Graph()
+		rng := stats.NewRNG(uint64(q))
+		pairs := make([][2]int32, batch)
+		for i := range pairs {
+			pairs[i] = [2]int32{int32(rng.Intn(g.N())), int32(rng.Intn(g.N()))}
+		}
+		for _, backend := range []route.Policy{route.PolicyTables, route.PolicyComputed} {
+			b.Run(fmt.Sprintf("%s/q%d", backend, q), func(b *testing.B) {
+				rt, err := route.Select(g, sf, backend, route.EstimateTableBytes(g.N())+1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				var sink int32
+				for i := 0; i < b.N; i++ {
+					for _, p := range pairs {
+						sink += rt.NextPort(int(p[0]), int(p[1]))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/lookup")
+				if sink == -int32(b.N*batch) {
+					b.Fatal("every lookup answered -1")
 				}
 			})
 		}

@@ -76,21 +76,37 @@ type Oracle interface {
 	RouterDiameter() int
 }
 
+// PortOracle is the optional capability of an Oracle whose construction
+// also yields the next port in closed form (Slim Fly: the middle router of
+// every 2-hop path follows from Eqs. 1-3). Computed then answers NextPort
+// in O(1) instead of scanning u's neighbours with one RouterDistance
+// each. It comes with the parity obligation: the port must be the one the
+// scan would find.
+type PortOracle interface {
+	Oracle
+	// RouterNextPort returns the index, in u's sorted adjacency list, of
+	// the lowest-id neighbour of u one step closer to d (-1 if u == d).
+	RouterNextPort(u, d int) int32
+}
+
 // Computed is the algebraic routing backend: distances come from the
-// topology's Oracle, and next hops are derived on demand by scanning the
-// sorted adjacency list for the first neighbour one step closer -- exactly
-// the BFS tie-break, so answers are byte-equal to Build(g) with no n*n
-// state. The only memory it touches is the graph's own adjacency.
+// topology's Oracle, and next ports from its PortOracle closed form where
+// it has one, else by scanning the sorted adjacency list for the first
+// neighbour one step closer. Both are exactly the BFS tie-break, so
+// answers are byte-equal to Build(g) with no n*n state. The only memory
+// it touches is the graph's own adjacency and the oracle's.
 type Computed struct {
-	g *graph.Graph
-	o Oracle
+	g  *graph.Graph
+	o  Oracle
+	po PortOracle // o's closed-form next port, nil when it has none
 }
 
 // NewComputed builds a computed backend for g answering from oracle o.
 // The caller asserts that o describes exactly g (the scenario layer does
 // this by construction: the oracle IS the topology that built the graph).
 func NewComputed(g *graph.Graph, o Oracle) *Computed {
-	return &Computed{g: g, o: o}
+	po, _ := o.(PortOracle)
+	return &Computed{g: g, o: o, po: po}
 }
 
 // Graph implements Router.
@@ -105,10 +121,16 @@ func (c *Computed) Distance(u, d int) int {
 }
 
 // NextPort implements Router: the first (lowest-id) neighbour one step
-// closer to d, by its index in u's sorted adjacency list. The distance-1
-// case short-circuits to a binary search for d itself -- the only router
-// at distance 0.
+// closer to d, by its index in u's sorted adjacency list -- from the
+// oracle's closed form when it has one. The generic scan short-circuits
+// the distance-1 case to a binary search for d itself, the only router at
+// distance 0.
+//
+//sf:hotpath
 func (c *Computed) NextPort(u, d int) int32 {
+	if c.po != nil {
+		return c.po.RouterNextPort(u, d)
+	}
 	if u == d {
 		return -1
 	}

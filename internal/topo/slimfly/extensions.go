@@ -5,10 +5,23 @@ import (
 	"math"
 
 	"slimfly/internal/stats"
+	"slimfly/internal/topo"
 )
 
 // Extensions from Section VII of the paper ("Discussion"), implemented as
 // the future work the authors outline.
+
+// Augmented is a Slim Fly whose spare router ports carry random shortcut
+// channels (Section VII-A). It is its own type, not a *SlimFly, because
+// the MMS closed forms (RouterDistance, RouterNextPort) describe the
+// un-augmented graph: an augmented network must not satisfy route.Oracle,
+// so every routing policy resolves it to BFS tables.
+type Augmented struct {
+	topo.Base
+	// SF is the MMS network the shortcuts were added to, untouched: its
+	// labels still name the routers (and their racks).
+	SF *SlimFly
+}
 
 // NewWithRandomShortcuts builds a Slim Fly and then fills `extra` unused
 // ports per router with random shortcut channels (Section VII-A: "add
@@ -17,7 +30,7 @@ import (
 // added edges are drawn uniformly, capped so no router exceeds k' + extra
 // network ports; the result keeps diameter <= 2 and improves average
 // distance.
-func NewWithRandomShortcuts(q, extra int, seed uint64) (*SlimFly, error) {
+func NewWithRandomShortcuts(q, extra int, seed uint64) (*Augmented, error) {
 	if extra < 1 {
 		return nil, fmt.Errorf("slimfly: extra=%d shortcuts must be >= 1", extra)
 	}
@@ -25,7 +38,7 @@ func NewWithRandomShortcuts(q, extra int, seed uint64) (*SlimFly, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := sf.G
+	g := sf.G.Clone()
 	cap := sf.Kp + extra
 	rng := stats.NewRNG(seed)
 	n := g.N()
@@ -44,12 +57,14 @@ func NewWithRandomShortcuts(q, extra int, seed uint64) (*SlimFly, error) {
 		misses = 0
 	}
 	g.SortAdjacency()
-	sf.Kp = g.MaxDegree()
-	sf.TopoName = "SF+rand"
-	if err := sf.Base.Validate(); err != nil {
+	aug := &Augmented{
+		Base: topo.Base{TopoName: "SF+rand", G: g, N: sf.N, P: sf.P, Kp: g.MaxDegree(), Diam: sf.Diam},
+		SF:   sf,
+	}
+	if err := aug.Base.Validate(); err != nil {
 		return nil, err
 	}
-	return sf, nil
+	return aug, nil
 }
 
 // SpectralGap estimates the expansion of the router graph (the paper's

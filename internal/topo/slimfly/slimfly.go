@@ -44,7 +44,27 @@ type SlimFly struct {
 	// a subgraph is generator-set membership of the label difference, so
 	// distances never touch the O(n^2) tables.
 	inX, inXp []bool
+
+	// The closed-form next-port state (RouterNextPort), O(q^2) = O(n) in
+	// all and built once by NewWithConcentration -- like inX/inXp it
+	// belongs to the topology, not to a routing backend.
+	//
+	// lab[id] is router id's label (a, b); the subgraph is id >= q*q. A
+	// load here keeps the two div/mod pairs of the dense-id arithmetic
+	// off the per-lookup path.
+	//
+	// linePort[s][b*q+b'] is the port, counted within the block of
+	// same-line neighbours, that a subgraph-s router at offset b uses
+	// toward offset b' of its own line (column x for s=0, slope m for
+	// s=1): the rank of b' among b's line-neighbours when the two are
+	// adjacent, else the rank of their lowest common line-neighbour; -1
+	// on the diagonal.
+	lab      []label
+	linePort [2][]int32
 }
+
+// label is a router's position (x, y) or (m, c) within its subgraph.
+type label struct{ a, b uint16 }
 
 // Params reports the analytic parameters for a Slim Fly with the given q:
 // network radix k' and router count Nr. ok is false if q is not a valid MMS
@@ -122,7 +142,55 @@ func NewWithConcentration(q, p int) (*SlimFly, error) {
 	if err := sf.Base.Validate(); err != nil {
 		return nil, err
 	}
+	sf.lab = make([]label, nr)
+	for id := range sf.lab {
+		rem := id % (q * q)
+		sf.lab[id] = label{a: uint16(rem / q), b: uint16(rem % q)}
+	}
+	if sf.linePort[0], err = linePorts(f, x, sf.inX); err != nil {
+		return nil, err
+	}
+	if sf.linePort[1], err = linePorts(f, xp, sf.inXp); err != nil {
+		return nil, err
+	}
 	return sf, nil
+}
+
+// linePorts builds one subgraph's linePort table from its generator set.
+// Offset b's line-neighbours are {b + d : d in gen}; sorted adjacency
+// orders them by offset, so a neighbour's port within the block is its
+// rank in that order, and the lowest common line-neighbour of a
+// non-adjacent pair is the first of b's neighbours that is also adjacent
+// to b'. One must exist for the graph to have diameter 2 (two routers of
+// one line share no neighbour outside it).
+func linePorts(f *gf.Field, gen []int, inGen []bool) ([]int32, error) {
+	q := f.Q
+	ports := make([]int32, q*q)
+	nbr := make([]int, len(gen))
+	for b := 0; b < q; b++ {
+		for i, d := range gen {
+			nbr[i] = f.Add(b, d)
+		}
+		sort.Ints(nbr)
+		row := ports[b*q : (b+1)*q]
+		for bp := range row {
+			row[bp] = -1
+			if bp == b {
+				continue
+			}
+			adjacent := inGen[f.Sub(bp, b)]
+			for rank, v := range nbr {
+				if (adjacent && v == bp) || (!adjacent && inGen[f.Sub(bp, v)]) {
+					row[bp] = int32(rank)
+					break
+				}
+			}
+			if row[bp] < 0 {
+				return nil, fmt.Errorf("slimfly: offsets %d and %d of one line share no neighbour (q=%d): generator set breaks diameter 2", b, bp, q)
+			}
+		}
+	}
+	return ports, nil
 }
 
 // MustNew is New but panics on error.
@@ -228,10 +296,11 @@ func (sf *SlimFly) RouterID(s, a, b int) int {
 
 // RouterLabel is the inverse of RouterID.
 func (sf *SlimFly) RouterLabel(id int) (s, a, b int) {
-	q := sf.Q
-	s = id / (q * q)
-	rem := id % (q * q)
-	return s, rem / q, rem % q
+	if id >= sf.Q*sf.Q {
+		s = 1
+	}
+	l := sf.lab[id]
+	return s, int(l.a), int(l.b)
 }
 
 func buildGraph(f *gf.Field, x, xp []int) *graph.Graph {
@@ -317,6 +386,8 @@ func (s *SlimFly) WorstCase(rt route.Router, seed uint64) traffic.Pattern {
 // Eqs. 1-3), else 2. Adjacency is decided from the labels alone --
 // generator-set membership of the intra-subgraph difference, or the line
 // incidence y = m*x + c across subgraphs.
+//
+//sf:hotpath
 func (s *SlimFly) RouterDistance(u, d int) int {
 	if u == d {
 		return 0
@@ -350,3 +421,62 @@ func (s *SlimFly) RouterDistance(u, d int) int {
 
 // RouterDiameter implements route.Oracle: MMS graphs have diameter 2.
 func (s *SlimFly) RouterDiameter() int { return 2 }
+
+// RouterNextPort implements route.PortOracle: u's output port toward d --
+// the index, in u's sorted adjacency, of d itself when the two are
+// adjacent and otherwise of their lowest-id common neighbour, which is the
+// BFS tie-break -- in O(1) from the labels (-1 if u == d).
+//
+// Sorted adjacency puts a router's subgraph-0 neighbours before its
+// subgraph-1 ones. (0,x,y) sees its |X| column neighbours by offset, then
+// one router (1,m,y-m*x) per slope m at port |X|+m; (1,m,c) sees one
+// router (0,x,m*x+c) per column x at port x, then its |X'| line
+// neighbours by offset from port q. The middle router of a 2-hop path
+// follows from Eqs. 1-3:
+//
+//   - same column or slope: no common neighbour lies outside the line
+//     (it would put both offsets on one point), so linePort answers;
+//   - two columns of subgraph 0: the one line through both points,
+//     m = (y-y')/(x-x'); two slopes of subgraph 1: the one point on both
+//     lines, x = (c'-c)/(m-m');
+//   - across subgraphs, with t = y-(m*x+c): t = 0 is the direct link;
+//     t in X makes (0,x,m*x+c) a common neighbour, the lowest one because
+//     subgraph-0 ids sort first; otherwise t is in X' and (1,m,y-m*x) is
+//     the only one.
+//
+//sf:hotpath
+func (s *SlimFly) RouterNextPort(u, d int) int32 {
+	if u == d {
+		return -1
+	}
+	q, f := s.Q, s.F
+	lu, ld := s.lab[u], s.lab[d]
+	au, bu, ad, bd := int(lu.a), int(lu.b), int(ld.a), int(ld.b)
+	switch su, sd := u >= q*q, d >= q*q; {
+	case !su && !sd: // (0,x,y) -> (0,x',y')
+		if au == ad {
+			return s.linePort[0][bu*q+bd]
+		}
+		return int32(len(s.X) + f.Div(f.Sub(bu, bd), f.Sub(au, ad)))
+	case su && sd: // (1,m,c) -> (1,m',c')
+		if au == ad {
+			return int32(q) + s.linePort[1][bu*q+bd]
+		}
+		return int32(f.Div(f.Sub(bd, bu), f.Sub(au, ad)))
+	case !su: // (0,x,y) -> (1,m,c)
+		on := f.Add(f.Mul(ad, au), bd) // m*x + c
+		if s.inX[f.Sub(bu, on)] {
+			return s.linePort[0][bu*q+on]
+		}
+		// The direct link (t = 0) and the detour via (1,m,y-m*x) both
+		// leave through slope m's port.
+		return int32(len(s.X) + ad)
+	default: // (1,m,c) -> (0,x,y)
+		mx := f.Mul(au, ad)
+		on := f.Add(mx, bu) // m*x + c
+		if on == bd || s.inX[f.Sub(bd, on)] {
+			return int32(ad) // column x's port: d itself, or (0,x,m*x+c)
+		}
+		return int32(q) + s.linePort[1][bu*q+f.Sub(bd, mx)]
+	}
+}

@@ -127,24 +127,41 @@ func (sh Shift) Dest(src int, rng *stats.RNG) int {
 // endpoints at Rx (and symmetrically via Rx toward Ry), maximising the load
 // on the link. Remaining endpoints are paired randomly so the permutation
 // is total.
+//
+// The build is link-local: a router whose next hop toward x is y is by
+// definition adjacent to y, so only y's neighbours are asked. It requires
+// sorted adjacency (graph.SortAdjacency) -- the pattern is defined by
+// visiting those routers in ascending id order.
 func WorstCaseSF(t topo.Topology, rt route.Router, seed uint64) *Permutation {
 	n := t.Endpoints()
 	dests := make([]int32, n)
 	for i := range dests {
 		dests[i] = -1
 	}
+	g := t.Graph()
 	srcUsed := make([]bool, n)
 	dstUsed := make([]bool, n)
-	pair := func(s, d int) bool {
+	// srcLeft[r]/dstLeft[r] count router r's endpoints still unused as a
+	// source/destination: a router with none left cannot take part in a
+	// pairing, so it is skipped before any routing query or pair attempt.
+	srcLeft := make([]int, g.N())
+	dstLeft := make([]int, g.N())
+	for r := range srcLeft {
+		srcLeft[r] = len(t.RouterEndpoints(r))
+		dstLeft[r] = srcLeft[r]
+	}
+	// pair routes endpoint s (on router rs) to endpoint d (on router rd).
+	pair := func(s, rs, d, rd int) bool {
 		if s == d || srcUsed[s] || dstUsed[d] {
 			return false
 		}
 		dests[s] = int32(d)
 		srcUsed[s] = true
 		dstUsed[d] = true
+		srcLeft[rs]--
+		dstLeft[rd]--
 		return true
 	}
-	g := t.Graph()
 	// For every directed link y->x, gather routers whose minimal route to
 	// x enters through y, then pair their endpoints against x's endpoints
 	// (both directions, "send and receive").
@@ -152,14 +169,18 @@ func WorstCaseSF(t topo.Topology, rt route.Router, seed uint64) *Permutation {
 		for _, dir := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
 			x, y := int(dir[0]), int(dir[1])
 			xEps := t.RouterEndpoints(x)
-			for r := 0; r < g.N(); r++ {
-				if rt.Distance(r, x) != 2 || rt.NextHop(r, x) != int32(y) {
+			for _, nb := range g.Neighbors(y) {
+				if dstLeft[x] == 0 {
+					break // x can receive nothing more, over this link or any other
+				}
+				r := int(nb)
+				if srcLeft[r] == 0 || rt.Distance(r, x) != 2 || rt.NextHop(r, x) != int32(y) {
 					continue
 				}
 				for _, es := range t.RouterEndpoints(r) {
 					for _, ed := range xEps {
-						if pair(es, ed) {
-							pair(ed, es)
+						if pair(es, r, ed, x) {
+							pair(ed, x, es, r)
 							break
 						}
 					}

@@ -1,10 +1,17 @@
 package traffic_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"slimfly/internal/route"
 	"slimfly/internal/stats"
+	"slimfly/internal/topo"
 	"slimfly/internal/topo/dragonfly"
 	"slimfly/internal/topo/fattree"
 	"slimfly/internal/topo/slimfly"
@@ -144,6 +151,162 @@ func TestWorstCaseSF(t *testing.T) {
 	// hottest link carries about p+1 flows (p = 4 for q = 5).
 	if max < sf.Concentration() {
 		t.Errorf("hottest link carries %d flows, want >= p = %d", max, sf.Concentration())
+	}
+}
+
+// worstCaseSFNaive is the reference the link-local build replaced: the
+// Section V-C pairing with every router asked, for every directed link,
+// whether its minimal route to x enters through y -- n*2E routing queries.
+func worstCaseSFNaive(t topo.Topology, rt route.Router, seed uint64) *traffic.Permutation {
+	n := t.Endpoints()
+	dests := make([]int32, n)
+	for i := range dests {
+		dests[i] = -1
+	}
+	srcUsed := make([]bool, n)
+	dstUsed := make([]bool, n)
+	pair := func(s, d int) bool {
+		if s == d || srcUsed[s] || dstUsed[d] {
+			return false
+		}
+		dests[s] = int32(d)
+		srcUsed[s] = true
+		dstUsed[d] = true
+		return true
+	}
+	g := t.Graph()
+	for _, e := range g.Edges() {
+		for _, dir := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
+			x, y := int(dir[0]), int(dir[1])
+			xEps := t.RouterEndpoints(x)
+			for r := 0; r < g.N(); r++ {
+				if rt.Distance(r, x) != 2 || rt.NextHop(r, x) != int32(y) {
+					continue
+				}
+				for _, es := range t.RouterEndpoints(r) {
+					for _, ed := range xEps {
+						if pair(es, ed) {
+							pair(ed, es)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	rng := stats.NewRNG(seed)
+	var freeSrc, freeDst []int
+	for i := 0; i < n; i++ {
+		if !srcUsed[i] {
+			freeSrc = append(freeSrc, i)
+		}
+		if !dstUsed[i] {
+			freeDst = append(freeDst, i)
+		}
+	}
+	rng.Shuffle(freeDst)
+	for i, s := range freeSrc {
+		d := freeDst[i]
+		if s == d {
+			j := (i + 1) % len(freeDst)
+			freeDst[i], freeDst[j] = freeDst[j], freeDst[i]
+			d = freeDst[i]
+			if s == d {
+				continue
+			}
+		}
+		dests[s] = int32(d)
+	}
+	return &traffic.Permutation{PatternName: "worstcase-sf", Dests: dests}
+}
+
+// sfBackends returns the two routing backends of one Slim Fly.
+func sfBackends(sf *slimfly.SlimFly) map[string]route.Router {
+	return map[string]route.Router{
+		"tables":   route.Build(sf.Graph()),
+		"computed": route.NewComputed(sf.Graph(), sf),
+	}
+}
+
+func TestWorstCaseSFMatchesNaive(t *testing.T) {
+	for _, q := range []int{5, 7, 8, 9, 13} {
+		sf := slimfly.MustNew(q)
+		for name, rt := range sfBackends(sf) {
+			for _, seed := range []uint64{3, 42} {
+				got := traffic.WorstCaseSF(sf, rt, seed)
+				want := worstCaseSFNaive(sf, rt, seed)
+				if !slices.Equal(got.Dests, want.Dests) {
+					t.Errorf("q=%d %s seed %d: link-local Dests differ from the all-routers reference", q, name, seed)
+				}
+			}
+		}
+	}
+}
+
+// destsDigest is the first 8 bytes of SHA-256 over Dests as little-endian
+// int32s.
+func destsDigest(p *traffic.Permutation) string {
+	buf := make([]byte, 4*len(p.Dests))
+	for i, d := range p.Dests {
+		binary.LittleEndian.PutUint32(buf[4*i:], uint32(d))
+	}
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:8])
+}
+
+// TestWorstCaseSFPinned pins the pattern itself (seed 42, balanced
+// concentration): the simulator's worst-case results and the cache keys'
+// meaning hang off these bytes, on either backend.
+func TestWorstCaseSFPinned(t *testing.T) {
+	for q, want := range map[int]string{
+		5:  "da18ad7e0d323804",
+		7:  "98b5f7ea5aee58d4",
+		13: "ee4e26442bdc5b05",
+		19: "024d3dc18c18a16d",
+	} {
+		sf := slimfly.MustNew(q)
+		for name, rt := range sfBackends(sf) {
+			if got := destsDigest(traffic.WorstCaseSF(sf, rt, 42)); got != want {
+				t.Errorf("q=%d %s: Dests digest %s, want %s", q, name, got, want)
+			}
+		}
+	}
+}
+
+// TestWorstCaseSFQ43 builds the pattern where computed is the only
+// backend: 3698 routers and 122 034 endpoints. The all-routers loop made
+// ~890 million scan-backed queries here and did not finish in minutes.
+func TestWorstCaseSFQ43(t *testing.T) {
+	sf := slimfly.MustNew(43)
+	start := time.Now()
+	p := traffic.WorstCaseSF(sf, route.NewComputed(sf.Graph(), sf), 1)
+	if el := time.Since(start); el > 5*time.Second {
+		t.Errorf("q=43 worst-case build took %v, want under 5s", el)
+	}
+	if err := traffic.Validate(p); err != nil {
+		t.Fatal(err)
+	}
+	active := 0
+	for _, d := range p.Dests {
+		if d >= 0 {
+			active++
+		}
+	}
+	if active < sf.Endpoints()*9/10 {
+		t.Errorf("only %d/%d endpoints active", active, sf.Endpoints())
+	}
+}
+
+func BenchmarkWorstCaseSF(b *testing.B) {
+	sf := slimfly.MustNew(19)
+	backends := sfBackends(sf)
+	for _, name := range []string{"tables", "computed"} {
+		rt := backends[name]
+		b.Run(fmt.Sprintf("%s/q19", name), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				traffic.WorstCaseSF(sf, rt, 42)
+			}
+		})
 	}
 }
 
