@@ -139,7 +139,7 @@ func main() {
 	// or the tail of a resumed sweep where most points are already cached)
 	// shards each simulation instead of idling cores. Cached jobs cost
 	// milliseconds and don't need cores, so the split counts cache misses
-	// only. The sharded engine is bit-identical to the serial one, so the
+	// only. Results are bit-identical at every shard count, so the
 	// split never affects results or cache keys.
 	// The pool keeps its full width either way -- cache hits drain in
 	// parallel, and workers beyond the pending count just idle out.

@@ -1,6 +1,6 @@
 // Package hotalloc enforces the engine's zero-allocation hot-path
 // contract at the line that would break it. Functions marked //sf:hotpath
-// (the engine step, the phased decide/commit halves, the collector
+// (the engine step, the allocator's decide and commit, the collector
 // observer hooks, the RNG draws) and everything they statically call must
 // contain no heap-allocating construct; TestStepZeroAlloc then only has
 // to confirm what the tree already proves.
@@ -47,7 +47,7 @@ const HotpathFact = "hotpath"
 
 // allowedPkgs are standard-library packages whose functions the hot path
 // may call freely: pure bit twiddling and the non-allocating
-// synchronisation primitives the phased engine's barrier uses.
+// synchronisation primitives the decide-phase barrier uses.
 var allowedPkgs = map[string]bool{
 	"math/bits":   true,
 	"sync":        true,

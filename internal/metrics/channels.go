@@ -2,9 +2,7 @@ package metrics
 
 // ChannelLoad is the exported per-directed-channel load record: the flits
 // forwarded on router's network output port during the measurement window
-// and the resulting utilisation (flits per measured cycle). It replaces
-// the anonymous (Router, Port, Flits) structs the old
-// DetailedResult.HottestChannels leaked.
+// and the resulting utilisation (flits per measured cycle).
 type ChannelLoad struct {
 	Router int32   `json:"router"`
 	Port   int32   `json:"port"`

@@ -53,8 +53,7 @@ type LatencyStats struct {
 }
 
 // LatencyHist is a streaming log-bucketed latency histogram: fixed
-// footprint, one increment per delivery, exact integer merge. It replaces
-// the append-every-latency-then-sort collection of the old RunDetailed.
+// footprint, one increment per delivery, exact integer merge.
 type LatencyHist struct {
 	buckets []int64
 	count   int64

@@ -2,20 +2,20 @@
 // small Collector interface with fixed-signature observe hooks, a registry
 // of named stock collectors, and a structured, mergeable Summary.
 //
-// Collectors replace the old Result/DetailedResult split: instead of the
-// engine appending one float per delivered packet and sorting at the end,
-// every collector keeps a fixed-footprint streaming aggregate (histogram
+// Instead of the engine appending one float per delivered packet and
+// sorting at the end, every collector keeps a fixed-footprint streaming aggregate (histogram
 // buckets, per-channel counters, per-interval counters, per-source
 // counters) that is allocated once at Attach time and only incremented
 // during the run -- the observe hooks are zero-allocation by construction,
-// which is what lets the engines keep their steady-state zero-alloc
+// which is what lets the engine keep its steady-state zero-alloc
 // contract (sim.TestStepZeroAlloc) with collectors enabled.
 //
 // # Shard-merge determinism
 //
-// The sharded engine (sim.Config.Workers > 0) gives every shard its own
-// collector instances and folds them with Merge when the run ends. Merged
-// summaries are bit-identical to a serial run's because every stock
+// The engine gives every router shard (sim.Config.Workers of them, at
+// least one) its own collector instances and folds them with Merge when
+// the run ends. Merged summaries are bit-identical to a single shard's
+// because every stock
 // collector's state is a partition-insensitive aggregate -- counter sums,
 // bucket counts, elementwise series sums and maxima -- and the engine
 // assigns each observation to the shard owning the router it occurred at,

@@ -168,7 +168,7 @@ func TestMergeAssociativeCommutative(t *testing.T) {
 				set.Attach(m)
 				return set
 			}
-			// One instance observing all three streams: the serial engine.
+			// One instance observing all three streams: a single shard.
 			all := mk()
 			for seed := int64(1); seed <= 3; seed++ {
 				observeRandom(all, seed, 500)

@@ -114,8 +114,7 @@ func (e TraceEvent) Birth() int64 { return int64(uint32(e.ID)) }
 // Trace records sampled per-packet event streams into a bounded ring
 // buffer. Sampling is deterministic in the packet id -- a packet is
 // traced iff the low shift bits of a mixed hash of its id are zero -- so
-// the serial engine and every sharding of the parallel engine trace the
-// identical packet set, and Merge is a concatenation whose canonical
+// every sharding of the engine traces the identical packet set, and Merge is a concatenation whose canonical
 // re-sort (Summarize orders by cycle, id, kind) is partition-insensitive.
 // When the ring fills, the oldest events are overwritten and counted in
 // Dropped; parity across worker counts is exact whenever Dropped is 0

@@ -177,8 +177,8 @@ func WithPattern(name string) Option { return func(s *Spec) { s.Pattern = name }
 // WithSim overrides the simulator knobs wholesale.
 func WithSim(p SimParams) Option { return func(s *Spec) { s.Sim = p } }
 
-// WithWorkers overrides intra-simulation parallelism (the sharded engine's
-// worker count; 0 = serial). Results are bit-identical either way, and the
+// WithWorkers overrides intra-simulation parallelism (the engine's decide
+// worker count; 0 or 1 = inline). Results are bit-identical either way, and the
 // knob does not enter the scenario's cache key.
 func WithWorkers(n int) Option { return func(s *Spec) { s.Sim.Workers = n } }
 

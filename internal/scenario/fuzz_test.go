@@ -35,8 +35,8 @@ func envFor(seed uint64) *scenario.Env {
 // load, worker count) tuples through the registry and runs a short
 // simulation on each. The engine checks every TargetPort answer against
 // [0, deg) and panics with the descriptive misroute diagnostic on a
-// violation -- on the serial path, at the static reveal, and inside the
-// parallel decide phase alike -- so a registry algorithm can never write
+// violation -- on the inline schedule, at the static reveal, and inside
+// the parallel decide phase alike -- so a registry algorithm can never write
 // out of range into the allocator scratch or the per-shard grant records
 // silently. The fuzz asserts that no registered combination trips that
 // diagnostic (a misroute here is a real routing bug) and that no other

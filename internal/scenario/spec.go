@@ -114,8 +114,8 @@ type SimParams struct {
 	Metrics string `json:"metrics,omitempty"`
 
 	// Workers is intra-simulation parallelism (sim.Config.Workers). It is
-	// an execution knob, not part of the scenario's identity: the sharded
-	// engine is bit-identical to the serial one for every worker count, so
+	// an execution knob, not part of the scenario's identity: the engine's
+	// results are bit-identical for every worker count, so
 	// Workers is excluded from the JSON encoding and therefore from
 	// Spec.Key -- cached results stay valid whatever parallelism computed
 	// them, and a sweep resumed on a different machine hits the same cache

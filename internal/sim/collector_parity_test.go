@@ -56,7 +56,7 @@ func TestCollectorParityParallel(t *testing.T) {
 						workers, gotRes, c.want)
 				}
 				if gotSum != wantSum {
-					t.Errorf("Workers=%d summary diverged from serial:\n got  %s\n want %s",
+					t.Errorf("Workers=%d summary diverged from Workers=0:\n got  %s\n want %s",
 						workers, gotSum, wantSum)
 				}
 			}
@@ -158,72 +158,10 @@ func TestRunSummary(t *testing.T) {
 	}
 }
 
-// TestRunDetailedMatchesCollectors pins that the deprecated RunDetailed
-// view is exactly the collector pipeline's numbers.
-func TestRunDetailedMatchesCollectors(t *testing.T) {
-	c := goldenCases(t)[0]
-	mk := func() *Sim {
-		s, err := New(goldenConfig(c, 0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	d := mk().RunDetailed()
-
-	cfg := goldenConfig(c, 0)
-	cfg.Metrics = "latency,channels"
-	_, sum, err := RunSummary(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.LatencyP50 != sum.Latency.P50 || d.LatencyP95 != sum.Latency.P95 || d.LatencyP99 != sum.Latency.P99 {
-		t.Errorf("RunDetailed percentiles %v/%v/%v != collector %v/%v/%v",
-			d.LatencyP50, d.LatencyP95, d.LatencyP99, sum.Latency.P50, sum.Latency.P95, sum.Latency.P99)
-	}
-	if d.MaxChannelUtil != sum.Channels.MaxUtil {
-		t.Errorf("RunDetailed max util %v != collector %v", d.MaxChannelUtil, sum.Channels.MaxUtil)
-	}
-	hot := d.HottestChannels(3)
-	if len(hot) != 3 {
-		t.Fatalf("hottest channels: %d", len(hot))
-	}
-	for i, h := range hot {
-		if h != sum.Channels.Hottest[i] {
-			t.Errorf("hottest[%d] = %+v != collector %+v", i, h, sum.Channels.Hottest[i])
-		}
-	}
-}
-
-// TestRunDetailedWithOtherCollectors pins that RunDetailed tops up the
-// collectors it reads when the Config selected a set without them: the
-// percentiles and channel data must be real, and the configured
-// collectors must keep working.
-func TestRunDetailedWithOtherCollectors(t *testing.T) {
-	c := goldenCases(t)[0]
-	cfg := goldenConfig(c, 0)
-	cfg.Metrics = "fairness"
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := s.RunDetailed()
-	if d.Result != c.want {
-		t.Errorf("Result drifted from golden: %#v", d.Result)
-	}
-	if d.LatencyP50 <= 0 || d.MaxChannelUtil <= 0 {
-		t.Errorf("detailed view empty despite deliveries: p50=%v maxUtil=%v", d.LatencyP50, d.MaxChannelUtil)
-	}
-	sum := s.MetricsSummary()
-	if sum.Fairness == nil || sum.Fairness.Active == 0 {
-		t.Errorf("configured fairness collector lost by RunDetailed: %+v", sum)
-	}
-}
-
 // TestCollectorParityUndrained covers summaries when the run ends
 // saturated: drain deliveries past the window must still enter the
 // histogram (the AvgLatency population) while the series ignores them,
-// identically on both engines.
+// identically at every shard count.
 func TestCollectorParityUndrained(t *testing.T) {
 	c := goldenCases(t)[0]
 	run := func(workers int) string {

@@ -13,8 +13,8 @@ import (
 // newSteadySim builds a SlimFly simulation at 70% uniform load and
 // advances it past warm-up so the network is in steady state: queues
 // populated, wheel slots and staging buffers at their working sizes.
-// workers selects the engine: 0 the serial path, >= 1 the sharded
-// decide/commit path (callers must Close sims they step manually).
+// workers is Config.Workers: 0 the inline single-shard schedule, >= 2 the
+// shard-parallel one (callers must Close sims they step manually).
 // metricsSel optionally attaches streaming collectors by registry name;
 // the measurement window is forced open so manually stepped cycles
 // exercise the full observe path (Hop and Cycle included).
@@ -53,12 +53,11 @@ func newSteadySimRouted(tb testing.TB, q, warm int, algo Algo, workers int, metr
 // BenchmarkEngineStep measures the steady-state cost of one simulated
 // cycle on a SlimFly q=17 network (578 routers, ~5200 endpoints) at load
 // 0.7 — the sweep engine's unit of work — under minimal routing and under
-// the paper's headline adaptive scheme. w0 is the serial engine; w1/w2/w4
-// the sharded decide/commit engine at that worker count (w1 isolates the
-// phase-split overhead, w4 is the CI speedup gate). MIN+hist attaches
-// the latency histogram -- the configuration that replaces RunDetailed's
-// per-packet latency appends -- and CI gates its overhead over plain MIN
-// at <5% per cycle. MIN+trace attaches the sampled packet trace at its
+// the paper's headline adaptive scheme. w0 is the inline single-shard
+// schedule (Workers 1 is the same path); w2/w4 the shard-parallel decide
+// plus ordered commit at that worker count (w4 is the CI speedup gate).
+// MIN+hist attaches the latency histogram and CI gates its overhead over
+// plain MIN at <5% per cycle. MIN+trace attaches the sampled packet trace at its
 // default 1-in-1024 sampling; CI gates its overhead over plain MIN at
 // <5% too (the hot cost is one hash per measured grant). MIN+metrics
 // runs the full stock collector set (channel counters, series and
@@ -94,7 +93,7 @@ func BenchmarkEngineStep(b *testing.B) {
 			return rt
 		}},
 	} {
-		for _, workers := range []int{0, 1, 2, 4} {
+		for _, workers := range []int{0, 2, 4} {
 			c, workers := c, workers
 			b.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(b *testing.B) {
 				s := newSteadySimRouted(b, 17, 2000, c.algo, workers, c.metrics, c.router)
@@ -110,9 +109,9 @@ func BenchmarkEngineStep(b *testing.B) {
 
 // TestStepZeroAlloc asserts the engine's zero-allocation contract: once a
 // simulation reaches steady state, step() must not touch the heap at all
-// — the allocation scratch, event-wheel rings, queue buffers and (for the
-// sharded engine) per-shard grant records are all preallocated at
-// construction and reused every cycle. Any regression (a fresh slice in
+// — the per-shard allocation scratch and grant records, event-wheel rings
+// and queue buffers are all preallocated at construction and reused every
+// cycle. Any regression (a fresh slice in
 // the allocator, a growing wheel slot, a regrown grant buffer) fails this
 // test before it shows up as GC pressure in sweeps. The parallel variants
 // also pin that worker wake-ups and phase barriers stay allocation-free,
@@ -122,7 +121,7 @@ func BenchmarkEngineStep(b *testing.B) {
 // increments, not allocations.
 func TestStepZeroAlloc(t *testing.T) {
 	for _, sel := range []string{"", allCollectors} {
-		for _, workers := range []int{0, 1, 4} {
+		for _, workers := range []int{0, 4} {
 			sel, workers := sel, workers
 			name := fmt.Sprintf("w%d", workers)
 			if sel != "" {
@@ -164,7 +163,7 @@ func TestStepZeroAlloc(t *testing.T) {
 	// packet id ever matches, so every hot-path call is hash + mask +
 	// return -- which must stay allocation-free just like the warm path
 	// above (the ring is preallocated at Attach either way).
-	for _, workers := range []int{0, 1, 4} {
+	for _, workers := range []int{0, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("w%d+trace-cold", workers), func(t *testing.T) {
 			s := newSteadySim(t, 9, 2000, MIN{}, workers, "")

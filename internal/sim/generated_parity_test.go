@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"slimfly/internal/metrics"
@@ -160,9 +161,9 @@ var generatedParityWant = [...]string{
 func TestGeneratedScenarioParity(t *testing.T) {
 	scs := generatedScenarios()
 	if len(scs) != len(generatedParityWant) {
-		t.Errorf("%d scenarios, %d pinned hashes", len(scs), len(generatedParityWant))
+		t.Fatalf("%d scenarios, %d pinned hashes", len(scs), len(generatedParityWant))
 	}
-	run := func(cfg Config, workers int) (Result, []byte) {
+	run := func(t *testing.T, cfg Config, workers int) (Result, []byte) {
 		cfg.Workers = workers
 		res, sum, err := RunSummary(cfg)
 		if err != nil {
@@ -177,25 +178,34 @@ func TestGeneratedScenarioParity(t *testing.T) {
 		}
 		return res, data
 	}
-	saturated := 0
-	for i, sc := range scs {
-		res, want := run(sc.cfg, 0)
-		if res.Saturated {
-			saturated++
+	// The scenarios run as parallel subtests (they share only immutable
+	// topologies, routing backends and patterns); the group returns once
+	// all of them have.
+	var nSat atomic.Int32
+	t.Run("scenarios", func(t *testing.T) {
+		for i, sc := range scs {
+			t.Run(sc.name, func(t *testing.T) {
+				t.Parallel()
+				res, want := run(t, sc.cfg, 0)
+				if res.Saturated {
+					nSat.Add(1)
+				}
+				if res.Accepted == 0 {
+					t.Error("no flit delivered inside the window")
+				}
+				sum := sha256.Sum256(want)
+				if got := hex.EncodeToString(sum[:]); got != generatedParityWant[i] {
+					t.Errorf("hash %q differs from the pinned literal", got)
+				}
+				for _, w := range []int{2, 3, 8} {
+					if _, got := run(t, sc.cfg, w); string(got) != string(want) {
+						t.Errorf("Workers=%d diverged from Workers=0:\n got  %s\n want %s", w, got, want)
+					}
+				}
+			})
 		}
-		if res.Accepted == 0 {
-			t.Errorf("%s: no flit delivered inside the window", sc.name)
-		}
-		sum := sha256.Sum256(want)
-		if got := hex.EncodeToString(sum[:]); i >= len(generatedParityWant) || got != generatedParityWant[i] {
-			t.Errorf("%s: hash %q differs from the pinned literal", sc.name, got)
-		}
-		for _, w := range []int{2, 3, 8} {
-			if _, got := run(sc.cfg, w); string(got) != string(want) {
-				t.Errorf("%s: Workers=%d diverged from Workers=0:\n got  %s\n want %s", sc.name, w, got, want)
-			}
-		}
-	}
+	})
+	saturated := int(nSat.Load())
 	if saturated*3 < len(scs) {
 		t.Errorf("only %d of %d scenarios end saturated; want at least a third", saturated, len(scs))
 	}

@@ -100,13 +100,13 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
-// TestGoldenResultsParallel is the parity wall for the sharded engine:
-// every pinned scenario re-runs at Workers = 1 (phase machinery, no
-// concurrency), 2, 3 (uneven shard boundaries on the 50-router SlimFly)
-// and 8, and must reproduce the serial goldens byte for byte. Any
-// divergence between the decide/commit split and the fused serial
-// allocator -- a reordered grant, a drifted RNG stream, a stale delta --
-// lands here as a drifted field.
+// TestGoldenResultsParallel is the parity wall across schedules: every
+// pinned scenario re-runs at Workers = 1 (the same inline single shard as
+// 0 -- this is the one place that pins 0 == 1), 2, 3 (uneven shard
+// boundaries on the 50-router SlimFly) and 8, and must reproduce the
+// goldens byte for byte. Any divergence between committing router by
+// router and committing after the barrier -- a reordered grant, a drifted
+// RNG stream, a miscounted credit -- lands here as a drifted field.
 func TestGoldenResultsParallel(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		for _, c := range goldenCases(t) {
@@ -119,7 +119,7 @@ func TestGoldenResultsParallel(t *testing.T) {
 				}
 				got := s.Run()
 				if got != c.want {
-					t.Errorf("Workers=%d diverged from the serial golden:\n got  %#v\n want %#v", workers, got, c.want)
+					t.Errorf("Workers=%d diverged from the golden:\n got  %#v\n want %#v", workers, got, c.want)
 				}
 			})
 		}

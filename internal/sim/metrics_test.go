@@ -8,32 +8,36 @@ import (
 	"slimfly/internal/traffic"
 )
 
-func TestRunDetailed(t *testing.T) {
+// TestSummaryDistribution checks the distribution data a run reports
+// through the latency and channel collectors: percentile ordering against
+// the aggregate Result, and the hot-channel ranking.
+func TestSummaryDistribution(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
-	s, err := New(Config{
+	res, sum, err := RunSummary(Config{
 		Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
 		Load: 0.3, Warmup: 400, Measure: 1200, Drain: 6000, Seed: 3,
+		Metrics: "latency,channels",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := s.RunDetailed()
-	if d.Delivered == 0 {
+	if res.Delivered == 0 {
 		t.Fatal("nothing delivered")
 	}
-	// Percentiles ordered and consistent with the mean.
-	if !(d.LatencyP50 <= d.LatencyP95 && d.LatencyP95 <= d.LatencyP99) {
-		t.Errorf("percentiles not ordered: %v %v %v", d.LatencyP50, d.LatencyP95, d.LatencyP99)
+	// Percentiles ordered and consistent with the maximum.
+	lat := sum.Latency
+	if !(lat.P50 <= lat.P95 && lat.P95 <= lat.P99) {
+		t.Errorf("percentiles not ordered: %v %v %v", lat.P50, lat.P95, lat.P99)
 	}
-	if float64(d.MaxLatency) < d.LatencyP99 {
-		t.Errorf("max latency %v below p99 %v", d.MaxLatency, d.LatencyP99)
+	if float64(res.MaxLatency) < lat.P99 {
+		t.Errorf("max latency %v below p99 %v", res.MaxLatency, lat.P99)
 	}
 	// Channel utilisation in (0, 1].
-	if d.MaxChannelUtil <= 0 || d.MaxChannelUtil > 1.0001 {
-		t.Errorf("max channel util = %v", d.MaxChannelUtil)
+	if u := sum.Channels.MaxUtil; u <= 0 || u > 1.0001 {
+		t.Errorf("max channel util = %v", u)
 	}
-	hot := d.HottestChannels(5)
+	hot := sum.Channels.Hottest
 	if len(hot) == 0 {
 		t.Fatal("no hot channels recorded")
 	}
@@ -51,20 +55,20 @@ func TestDetailedWorstCaseHotspot(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
 	wc := traffic.WorstCaseSF(sf, tb, 7)
-	mk := func(p traffic.Pattern) DetailedResult {
-		s, err := New(Config{
+	maxUtil := func(p traffic.Pattern) float64 {
+		_, sum, err := RunSummary(Config{
 			Topo: sf, Router: tb, Algo: MIN{}, Pattern: p,
 			Load: 0.15, Warmup: 400, Measure: 1200, Drain: 6000, Seed: 4,
+			Metrics: "channels",
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.RunDetailed()
+		return sum.Channels.MaxUtil
 	}
-	adv := mk(wc)
-	uni := mk(traffic.Uniform{N: sf.Endpoints()})
-	if adv.MaxChannelUtil <= uni.MaxChannelUtil {
-		t.Errorf("worst-case max util %v <= uniform %v", adv.MaxChannelUtil, uni.MaxChannelUtil)
+	adv, uni := maxUtil(wc), maxUtil(traffic.Uniform{N: sf.Endpoints()})
+	if adv <= uni {
+		t.Errorf("worst-case max util %v <= uniform %v", adv, uni)
 	}
 }
 

@@ -1,82 +1,76 @@
 package sim
 
-// Deterministic sharded execution: Config.Workers > 0 partitions the
-// routers into contiguous shards and restructures each cycle into
+// The switch/VC allocator and its two schedules. Every cycle runs
 //
-//	credits -> injection -> DECIDE (parallel) -> COMMIT (ordered) -> link
+//	credits -> injection -> DECIDE -> COMMIT -> link
 //
-// The decide phase runs the switch/VC-allocation logic of every shard
-// concurrently against the frozen pre-allocation state, recording grants
-// into per-shard scratch; the commit phase then applies them serially in
-// ascending router-id order: dequeues, ReadyAt-stamped downstream
-// delivery, credit returns and measurement. Results are bit-identical to
-// the serial engine because, within one cycle, a router's allocation
-// decisions depend only on its own frozen state:
+// over max(Config.Workers, 1) contiguous router shards. decideRouter runs
+// one router's allocation logic against the pre-allocation state and
+// records grants into shard scratch; commitGrant applies one record:
+// dequeue, ReadyAt-stamped downstream delivery, credit return and
+// measurement. With one shard, step decides and immediately commits router
+// by router in ascending id order, on the stepping goroutine. With more,
+// all shards decide concurrently against the frozen state and the records
+// are then committed in ascending router-id order. Both schedules mutate
+// state in the same order and produce bit-identical results because,
+// within one cycle, a router's allocation decisions depend only on its own
+// frozen state:
 //
 //   - flits delivered downstream this cycle carry ReadyAt stamps in the
 //     future, so they are invisible to every allocator scan;
 //   - credits move through a delay wheel and surface at cycle starts;
-//   - credit and staging consumption is router-local (tracked as decide
-//     deltas, replayed by commit);
+//   - credit and staging consumption is router-local (counted from the
+//     grants already recorded for the output, replayed by commit);
 //   - round-robin pointers are only ever read by their own router;
 //   - adaptive algorithms draw from per-router RNG streams (PortRNG),
 //     derived from the seed by stats.RNG jumps, so no draw depends on the
 //     visit order or the worker count; injection stays serial on the main
 //     stream.
 //
-// TestGoldenResultsParallel and TestCrossWorkerDeterminism pin the
-// equivalence; TestStepZeroAlloc covers the phased path's steady-state
-// zero-allocation contract.
+// TestGoldenResultsParallel, TestGeneratedScenarioParity and
+// TestCrossWorkerDeterminism pin the equivalence; TestStepZeroAlloc covers
+// the steady-state zero-allocation contract of both schedules.
 
 import (
 	"math/bits"
-	"slices"
 	"sync"
 
 	"slimfly/internal/obs"
 )
 
-// obsBarrierWaits counts decide-phase barrier synchronisations of the
-// phased engine: one per multi-worker cycle. A single atomic add on the
-// stepping goroutine, so the hot path stays allocation-free.
+// obsBarrierWaits counts decide-phase barrier synchronisations: one per
+// multi-shard cycle. A single atomic add on the stepping goroutine, so the
+// hot path stays allocation-free.
 var obsBarrierWaits = obs.NewCounter("sim.barrier_waits")
 
-// grantRec is one recorded allocation grant: input queue qi moves through
-// output port out (an ejection port when out >= degree) on next-hop VC vc.
+// grantRec is one recorded allocation grant: router's input queue qi moves
+// through output port out (an ejection port when out >= degree) on next-hop
+// VC vc.
 type grantRec struct {
-	qi  int32
-	out int32
-	vc  int8
-}
-
-// grantHdr groups a router's grant records within a shard's record list.
-type grantHdr struct {
 	router int32
-	n      int32
+	qi     int32
+	out    int32
+	vc     int8
 }
 
 // shardState is one shard's decide-phase working set: a contiguous
-// router-id range, the recorded grants, and private scratch mirroring the
-// serial allocator's. Only the shard that owns it ever touches it.
+// router-id range, the recorded grants, and the allocation scratch. Only
+// the shard that owns it ever touches it.
 type shardState struct {
 	lo, hi int32 // router-id range [lo, hi)
 
-	// Decide output, replayed by the commit phase in shard order (shard
-	// ranges and per-shard iteration are both ascending, so the
-	// concatenation is globally ascending in router id).
-	hdr  []grantHdr
+	// Decide output, replayed by commit in shard order (shard ranges and
+	// per-shard iteration are both ascending, so the concatenation is
+	// globally ascending in router id).
 	recs []grantRec
 
-	// Allocation scratch (the per-shard copy of Sim.scrQ etc).
+	// Switch-allocation scratch, sized once to the widest router and
+	// reused every cycle (allocation-free steady state). Requests are
+	// bucketed by output with a stable counting sort: scrQ/scrOut hold
+	// the first-pass (queue, output) pairs, scrCnt/scrOff the per-output
+	// counts and offsets, scrBkt the queue indices grouped by output.
 	scrQ, scrOut, scrBkt []int32
 	scrCnt, scrOff       []int32
-
-	// Same-cycle consumption deltas: later grants of one router must see
-	// the credits and staging slots its earlier grants consumed, but the
-	// frozen shared state may not be written during decide, so the deltas
-	// live here and the touched entries are zeroed after each router.
-	credDelta  []int16 // [outPort*numVCs + vc]
-	stageDelta []int16 // [outPort]
 
 	// The shard's segment of the sorted active worklist this cycle.
 	activeLo, activeHi int
@@ -87,10 +81,10 @@ type shardState struct {
 	panicVal any
 }
 
-// parEngine holds the sharded engine's worker pool. Workers are started
-// lazily on the first phased step and stopped by Close (Run does this
-// automatically); each worker owns one fixed shard, woken per cycle
-// through its own buffered channel.
+// parEngine holds the shards and, for two or more of them, the decide
+// worker pool. Workers are started lazily on the first multi-shard step
+// and stopped by Close (Run does this automatically); each worker owns
+// one fixed shard, woken per cycle through its own buffered channel.
 type parEngine struct {
 	shards  []shardState
 	start   []chan struct{}
@@ -100,17 +94,16 @@ type parEngine struct {
 	started bool
 }
 
-// newParEngine partitions the routers into min(workers, nRouters)
+// newParEngine partitions the routers into min(max(workers, 1), nRouters)
 // contiguous shards and presizes every per-shard buffer so steady-state
-// phased steps never allocate: the grant-record capacity is each shard's
-// per-cycle grant bound (Speedup per network output plus one per
-// endpoint), the same bound the credit wheel is sized with.
+// steps never allocate. A router grants at most Speedup flits per network
+// output plus one per endpoint (the bound the credit wheel is sized with);
+// the record capacity is that bound summed over the shard when records
+// wait for the barrier, and the widest router's when the single shard
+// commits them router by router.
 func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
 	n := s.nRouters
-	ns := workers
-	if ns > n {
-		ns = n
-	}
+	ns := min(max(workers, 1), n)
 	cfg := &s.cfg
 	pe := &parEngine{
 		shards: make([]shardState, ns),
@@ -123,17 +116,19 @@ func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
 		grantCap := 0
 		for r := sh.lo; r < sh.hi; r++ {
 			rt := &s.routers[r]
-			grantCap += len(rt.nbr)*cfg.Speedup + len(rt.eps)
+			g := len(rt.nbr)*cfg.Speedup + len(rt.eps)
+			if ns == 1 {
+				grantCap = max(grantCap, g)
+			} else {
+				grantCap += g
+			}
 		}
-		sh.hdr = make([]grantHdr, 0, sh.hi-sh.lo)
 		sh.recs = make([]grantRec, 0, grantCap)
 		sh.scrQ = make([]int32, maxQ)
 		sh.scrOut = make([]int32, maxQ)
 		sh.scrBkt = make([]int32, maxQ)
 		sh.scrCnt = make([]int32, maxOutputs)
 		sh.scrOff = make([]int32, maxOutputs)
-		sh.credDelta = make([]int16, maxOutputs*cfg.NumVCs)
-		sh.stageDelta = make([]int16, maxOutputs)
 		pe.start[k] = make(chan struct{}, 1)
 	}
 	return pe
@@ -170,12 +165,12 @@ func (s *Sim) decideWorker(w int) {
 }
 
 // Close stops the decide-phase workers. It is idempotent, a no-op on
-// serial simulators, and restartable (the next phased step relaunches the
-// pool). Run closes on exit; only callers stepping a parallel simulator
+// single-shard simulators, and restartable (the next step relaunches the
+// pool). Run closes on exit; only callers stepping a multi-shard simulator
 // manually (benchmarks, tests) need to call it.
 func (s *Sim) Close() {
 	pe := s.par
-	if pe == nil || !pe.started {
+	if !pe.started {
 		return
 	}
 	close(pe.quit)
@@ -183,19 +178,13 @@ func (s *Sim) Close() {
 	pe.started = false
 }
 
-// stepPhased advances one cycle on the sharded engine. Credits, injection,
-// link traversal and worklist pruning are the serial phases unchanged;
-// only switch allocation is split into parallel decide + ordered commit.
+// decideSharded runs the decide phase of a multi-shard cycle: every shard
+// against the frozen state, shard 0 on the stepping goroutine, with a
+// barrier before the caller commits.
 //
 //sf:hotpath
-func (s *Sim) stepPhased(inject bool) {
+func (s *Sim) decideSharded() {
 	pe := s.par
-	s.applyCredits()
-	if inject {
-		s.injectPhase()
-	}
-	slices.Sort(s.active)
-
 	// Hand each shard its contiguous segment of the sorted worklist
 	// (shard ranges tile [0, nRouters), so one forward scan suffices).
 	pos, n := 0, len(s.active)
@@ -211,45 +200,23 @@ func (s *Sim) stepPhased(inject bool) {
 		sh.activeHi = pos
 	}
 
-	// Decide phase: all shards against the frozen state.
-	if nw := len(pe.shards); nw > 1 {
-		if !pe.started {
-			s.startWorkers()
-		}
-		pe.phaseWG.Add(nw - 1)
-		for w := 1; w < nw; w++ {
-			pe.start[w] <- struct{}{}
-		}
-		s.decideShard(&pe.shards[0])
-		pe.phaseWG.Wait()
-		obsBarrierWaits.Inc()
-	} else {
-		s.decideShard(&pe.shards[0])
+	if !pe.started {
+		s.startWorkers()
 	}
+	nw := len(pe.shards)
+	pe.phaseWG.Add(nw - 1)
+	for w := 1; w < nw; w++ {
+		pe.start[w] <- struct{}{}
+	}
+	s.decideShard(&pe.shards[0])
+	pe.phaseWG.Wait()
+	obsBarrierWaits.Inc()
 	for k := range pe.shards {
 		if p := pe.shards[k].panicVal; p != nil {
 			pe.shards[k].panicVal = nil
 			panic(p)
 		}
 	}
-
-	// Commit phase: apply every shard's grants in ascending router-id
-	// order -- the exact order the serial allocator mutates state in.
-	for k := range pe.shards {
-		sh := &pe.shards[k]
-		i := 0
-		for _, h := range sh.hdr {
-			rt := &s.routers[h.router]
-			for j := int32(0); j < h.n; j++ {
-				s.commitGrant(h.router, rt, sh.recs[i])
-				i++
-			}
-		}
-	}
-
-	s.linkPhase()
-	s.observeCycle()
-	s.pruneActive()
 }
 
 // decideShard runs the allocation decision logic for every active router
@@ -264,7 +231,6 @@ func (s *Sim) decideShard(sh *shardState) {
 			sh.panicVal = p
 		}
 	}()
-	sh.hdr = sh.hdr[:0]
 	sh.recs = sh.recs[:0]
 	for _, r := range s.active[sh.activeLo:sh.activeHi] {
 		rt := &s.routers[r]
@@ -275,22 +241,23 @@ func (s *Sim) decideShard(sh *shardState) {
 	}
 }
 
-// decideRouter is the read-only twin of allocate: the identical request
-// scan, bucketing and round-robin grant selection, but grants are recorded
-// instead of applied. It mutates nothing another shard could observe --
-// queue contents, occupancy, head caches, credits, staging and measurement
-// state are all commit-phase writes; the only in-place updates are the
-// router's own round-robin pointers and (for adaptive algorithms) draws
-// from its private PortRNG stream, neither visible outside the router.
-// TargetPort runs here, against the frozen state: implementations must be
-// read-only apart from idempotent mutations of the probed packet.
+// decideRouter performs combined switch/VC allocation for one router
+// without applying it: each output grants up to Speedup requests among
+// eligible input heads, round-robin for fairness, and every grant is
+// appended to sh.recs for commitGrant. Requests are gathered into
+// per-output buckets on the shard's preallocated scratch (a stable counting
+// sort by output port), so the hot loop performs no heap allocation.
 //
-// This is the serial allocate (sim.go) in two halves; policy changes must
-// be mirrored between the two in lockstep -- the bit-parity wall
-// (TestGoldenResultsParallel and friends) enforces it. cmd/sfvet's
-// decidepure pass proves the read-only contract statically: writes may
-// target only the shard scratch, the router's rr pointers and the probed
-// packet's idempotent fields.
+// It mutates nothing another shard could observe -- queue contents,
+// occupancy, head caches, credits, staging and measurement state are all
+// commit-phase writes; the only in-place updates are the router's own
+// round-robin pointers and (for adaptive algorithms) draws from its
+// private PortRNG stream, neither visible outside the router. TargetPort
+// runs here, against the frozen state: implementations must be read-only
+// apart from idempotent mutations of the probed packet. cmd/sfvet's
+// decidepure pass proves the contract statically: writes may target only
+// the shard scratch, the router's rr pointers and the probed packet's
+// idempotent fields.
 //
 //sf:hotpath
 //sf:decide
@@ -299,13 +266,19 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	deg := len(rt.nbr)
 	outputs := deg + len(rt.eps)
 
-	// Pass 1: one request per eligible input-queue head (see allocate).
+	// Pass 1: one request per eligible input-queue head, tagged with its
+	// output port (the ejection port for local traffic, the algorithm's
+	// TargetPort answer otherwise). The occupancy bitmask walks exactly
+	// the non-empty queues in ascending index order (the same order a
+	// full scan would visit them), so idle queues cost nothing.
 	cnt := sh.scrCnt[:outputs]
 	for i := range cnt {
 		cnt[i] = 0
 	}
 	nreq := 0
 	if s.staticPorts {
+		// Static algorithms: the head caches already hold every decision,
+		// so the scan reads two compact arrays and never touches a packet.
 		cycle32 := int32(s.cycle)
 		for w, m := range rt.occ {
 			base := w << 6
@@ -324,6 +297,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 			}
 		}
 	} else {
+		// Adaptive algorithms (queue state, RNG) decide afresh each cycle.
 		for w, m := range rt.occ {
 			base := w << 6
 			for m != 0 {
@@ -366,9 +340,12 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 		off[o]++
 	}
 
-	// Pass 2: per-output round-robin grant selection, with credit and
-	// staging consumption tracked as shard-local deltas.
-	recStart := len(sh.recs)
+	// Pass 2: per-output round-robin grant selection. off[out] is now the
+	// bucket end; the start is off[out]-cnt[out]. Later grants of an output
+	// must see the staging slots and credits its earlier grants consumed,
+	// and the router's state may not be written here: granted is the
+	// staging consumed so far, and the output's last granted records name
+	// the credits.
 	for out := 0; out < outputs; out++ {
 		ncand := int(cnt[out])
 		if ncand == 0 {
@@ -384,25 +361,31 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 		granted := 0
 		for i := 0; i < ncand && granted < grants; i++ {
 			qi := int(cand[idx])
-			q := &rt.inQ[qi]
 			idx++
 			if idx == ncand {
 				idx = 0
 			}
 			if out >= deg {
-				sh.recs = append(sh.recs, grantRec{qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries grantCap, the shard's per-cycle grant bound, from newParEngine)
+				sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
 				granted++
 				continue
 			}
-			if int(rt.outStaged[out])+int(sh.stageDelta[out]) >= cfg.Speedup {
+			// Network hop: need staging space and a downstream credit for
+			// the next-hop VC.
+			if int(rt.outStaged[out])+granted >= cfg.Speedup {
 				break // output staging exhausted this cycle
 			}
+			// VC allocation. Default: hop-indexed (Gopal's scheme,
+			// Section IV-D) -- hop k travels on VC k. Algorithms with
+			// acyclic routing may instead spread across VCs, choosing the
+			// one with the most credits.
+			mine := sh.recs[len(sh.recs)-granted:]
 			var nextVC int8
 			if s.spreadVCs {
 				base := out * cfg.NumVCs
 				best := int16(-1)
 				for v := 0; v < cfg.NumVCs; v++ {
-					if c := rt.credits[base+v] - sh.credDelta[base+v]; c > best {
+					if c := rt.credits[base+v] - vcTaken(mine, int8(v)); c > best {
 						best = c
 						nextVC = int8(v)
 					}
@@ -411,65 +394,48 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					continue
 				}
 			} else {
-				nextVC = q.peek().Hops
+				nextVC = rt.inQ[qi].peek().Hops
 				if int(nextVC) >= cfg.NumVCs {
 					nextVC = int8(cfg.NumVCs - 1)
 				}
-				if rt.credits[out*cfg.NumVCs+int(nextVC)]-sh.credDelta[out*cfg.NumVCs+int(nextVC)] == 0 {
+				if rt.credits[out*cfg.NumVCs+int(nextVC)]-vcTaken(mine, nextVC) == 0 {
 					continue
 				}
 			}
-			sh.credDelta[out*cfg.NumVCs+int(nextVC)]++
-			sh.stageDelta[out]++
-			sh.recs = append(sh.recs, grantRec{qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries grantCap, the shard's per-cycle grant bound, from newParEngine)
+			sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
 			granted++
 		}
 		rt.rr[out] = (rt.rr[out] + 1) % int32(ncand)
 	}
-
-	// Zero the touched deltas (bounded by the grants just recorded) and
-	// emit the router's header; no grants, no header.
-	nrec := len(sh.recs) - recStart
-	for i := recStart; i < len(sh.recs); i++ {
-		rec := sh.recs[i]
-		if int(rec.out) < deg {
-			sh.credDelta[int(rec.out)*cfg.NumVCs+int(rec.vc)] = 0
-			sh.stageDelta[rec.out] = 0
-		}
-	}
-	if nrec > 0 {
-		sh.hdr = append(sh.hdr, grantHdr{router: r, n: int32(nrec)}) //sf:allow(append: hdr carries capacity hi-lo, one per shard router, from newParEngine)
-	}
 }
 
-// commitGrant applies one recorded grant exactly as the serial allocator
-// would have: dequeue and head-cache maintenance, upstream credit return,
-// then either endpoint delivery (ejection) or ReadyAt-stamped delivery
-// into the downstream input queue. Invoked in ascending router-id order
-// with grants in each router's decide order, it reproduces the serial
-// engine's state evolution bit for bit; the ReadyAt stamp regrows from
-// the replayed outStaged increments, matching the decide-phase deltas.
+// vcTaken counts the grants among recs that consumed a credit of next-hop
+// VC vc. decideRouter passes one output's grants of the current cycle, at
+// most Speedup-1 records.
+func vcTaken(recs []grantRec, vc int8) int16 {
+	n := int16(0)
+	for i := range recs {
+		if recs[i].vc == vc {
+			n++
+		}
+	}
+	return n
+}
+
+// commitGrant applies one recorded grant: dequeue and head-cache
+// maintenance, upstream credit return, then either endpoint delivery
+// (ejection) or ReadyAt-stamped delivery into the downstream input queue.
+// Grants are committed in ascending router-id order, each router's in
+// decide order; the ReadyAt stamp regrows from the replayed outStaged
+// increments, matching the staging decideRouter counted.
 //
 //sf:hotpath
-func (s *Sim) commitGrant(r int32, rt *router, rec grantRec) {
+func (s *Sim) commitGrant(rec grantRec) {
 	cfg := &s.cfg
-	deg := len(rt.nbr)
-	qi := int(rec.qi)
+	r := rec.router
+	rt := &s.routers[r]
+	qi, out := int(rec.qi), int(rec.out)
 	q := &rt.inQ[qi]
-	out := int(rec.out)
-	if out >= deg {
-		// Eject: deliver to endpoint.
-		p := q.pop()
-		if q.empty() {
-			rt.clearOcc(qi)
-		} else {
-			s.setHead(rt, r, qi, q.peek())
-		}
-		rt.flits--
-		s.deliver(r, &p)
-		s.returnCredit(r, rt, qi)
-		return
-	}
 	p := q.pop()
 	if q.empty() {
 		rt.clearOcc(qi)
@@ -478,15 +444,21 @@ func (s *Sim) commitGrant(r int32, rt *router, rec grantRec) {
 	}
 	rt.flits--
 	s.returnCredit(r, rt, qi)
+	if out >= len(rt.nbr) {
+		s.deliver(r, &p) // ejection port
+		return
+	}
 	p.VC = rec.vc
 	p.Hops++
 	rt.credits[out*cfg.NumVCs+int(rec.vc)]--
 	if s.colPkt && p.Measured {
-		// Mirrors the serial allocator's PacketHop site: commits replay in
-		// ascending router-id order, so the traced event stream is the
-		// same multiset at the same cycle stamps as the serial engine's.
 		s.colFor(r).PacketHop(pktID(p.Src, p.Birth), r, int32(out), rec.vc, s.cycle)
 	}
+	// Deliver downstream immediately. The flit departs onto the link only
+	// after the flits already staged on this output (one per cycle), and
+	// then pays the channel and pipeline delays; ReadyAt encodes all of it,
+	// and the head is invisible to the downstream allocator until then.
+	// The buffer slot is reserved by the credit taken above.
 	depart := s.cycle + int64(rt.outStaged[out])
 	p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
 	rt.outStaged[out]++

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"slimfly/internal/metrics"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/fattree"
@@ -28,7 +29,7 @@ func runAt(t *testing.T, cfg Config, workers int) Result {
 // and whatever order the runs execute in. Each worker count runs twice --
 // once in ascending and once in descending sweep order, with the OS free
 // to schedule the decide goroutines differently every time -- and every
-// Result must equal the serial one, for a static-port algorithm under
+// Result must equal the inline single-shard one, for a static-port algorithm under
 // congestion (UGAL-L) and for an adaptive RNG-drawing one (ANCA).
 func TestCrossWorkerDeterminism(t *testing.T) {
 	sf := slimfly.MustNew(5)
@@ -75,7 +76,7 @@ func TestCrossWorkerDeterminism(t *testing.T) {
 // cases: a prime router count (53, indivisible by any worker count, so
 // every shard split is uneven), worker counts equal to and exceeding the
 // router count (clamped to one router per shard), and a worker count just
-// below the router count. All must match the serial result exactly.
+// below the router count. All must match the single-shard result exactly.
 func TestParallelShardBoundaries(t *testing.T) {
 	dln := random.MustNew(53, 3, 2, 7) // 53 routers: prime
 	sf := slimfly.MustNew(5)           // 50 routers
@@ -107,33 +108,34 @@ func TestParallelShardBoundaries(t *testing.T) {
 	}
 }
 
-// TestParallelRunDetailed pins that the detailed-collection path (latency
-// histogram, per-channel flit counts) survives the decide/commit split:
-// percentiles and channel utilisation must be identical to the serial
-// engine's, not just the aggregate Result.
-func TestParallelRunDetailed(t *testing.T) {
+// TestParallelRunSummary pins that distribution data (latency histogram,
+// per-channel flit counts) survives the decide/commit split across shards:
+// percentiles and channel utilisation must be identical to the inline
+// schedule's, not just the aggregate Result.
+func TestParallelRunSummary(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
-	mk := func(workers int) DetailedResult {
-		s, err := New(Config{
+	mk := func(workers int) (Result, *metrics.Summary) {
+		res, sum, err := RunSummary(Config{
 			Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
 			Load: 0.3, Warmup: 300, Measure: 900, Drain: 6000, Seed: 3, Workers: workers,
+			Metrics: "latency,channels",
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s.RunDetailed()
+		return res, sum
 	}
-	want, got := mk(0), mk(3)
-	if want.Result != got.Result {
-		t.Fatalf("detailed parallel Result diverged:\n got  %#v\n want %#v", got.Result, want.Result)
+	wantRes, want := mk(0)
+	gotRes, got := mk(3)
+	if wantRes != gotRes {
+		t.Fatalf("parallel Result diverged:\n got  %#v\n want %#v", gotRes, wantRes)
 	}
-	if want.LatencyP50 != got.LatencyP50 || want.LatencyP95 != got.LatencyP95 || want.LatencyP99 != got.LatencyP99 {
-		t.Errorf("percentiles diverged: got %v/%v/%v want %v/%v/%v",
-			got.LatencyP50, got.LatencyP95, got.LatencyP99, want.LatencyP50, want.LatencyP95, want.LatencyP99)
+	if w, g := want.Latency, got.Latency; w.P50 != g.P50 || w.P95 != g.P95 || w.P99 != g.P99 {
+		t.Errorf("percentiles diverged: got %v/%v/%v want %v/%v/%v", g.P50, g.P95, g.P99, w.P50, w.P95, w.P99)
 	}
-	if want.MaxChannelUtil != got.MaxChannelUtil {
-		t.Errorf("max channel util diverged: got %v want %v", got.MaxChannelUtil, want.MaxChannelUtil)
+	if want.Channels.MaxUtil != got.Channels.MaxUtil {
+		t.Errorf("max channel util diverged: got %v want %v", got.Channels.MaxUtil, want.Channels.MaxUtil)
 	}
 }
 
@@ -149,9 +151,9 @@ func TestNegativeWorkersRejected(t *testing.T) {
 	}
 }
 
-// TestCloseIdempotent pins the worker-pool lifecycle: Close on a serial
-// sim is a no-op, Close twice is safe, and a closed parallel sim restarts
-// its pool on the next step.
+// TestCloseIdempotent pins the worker-pool lifecycle: Close on a
+// single-shard sim is a no-op, Close twice is safe, and a closed
+// multi-shard sim restarts its pool on the next step.
 func TestCloseIdempotent(t *testing.T) {
 	s := newSteadySim(t, 5, 50, MIN{}, 3, "")
 	s.Close()
@@ -160,7 +162,7 @@ func TestCloseIdempotent(t *testing.T) {
 	s.cycle++
 	s.Close()
 
-	serial := newSteadySim(t, 5, 50, MIN{}, 0, "")
-	serial.Close() // no-op
-	_ = fmt.Sprint(serial.cycle)
+	inline := newSteadySim(t, 5, 50, MIN{}, 0, "")
+	inline.Close() // no-op
+	_ = fmt.Sprint(inline.cycle)
 }

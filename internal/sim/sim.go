@@ -6,9 +6,15 @@
 // stages, internal crossbar speedup of 2 over the channel rate, and a
 // configurable total buffering per port (64 flits by default).
 //
+// There is one engine: every cycle decides each router's switch/VC grants
+// against its pre-allocation state (decideRouter) and applies them
+// (commitGrant), router by router on the calling goroutine for
+// Config.Workers <= 1 and shard-parallel decide plus ordered commit above
+// that, with bit-identical results either way (see parallel.go).
+//
 // The engine is port-indexed and allocation-free in steady state: routing
 // algorithms answer with output-port indices straight from the precomputed
-// route.Tables port table, switch allocation runs on per-sim scratch
+// route.Tables port table, switch allocation runs on per-shard scratch
 // buffers reused every cycle and walks per-router occupancy bitmasks so
 // empty queues cost nothing, the credit event wheel is a fixed-capacity
 // ring sized at construction, granted flits are delivered straight into
@@ -22,7 +28,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"slimfly/internal/metrics"
@@ -67,23 +72,23 @@ type Config struct {
 	Measure int // measured cycles
 	Drain   int // extra cycles to let measured packets drain
 
-	// Workers selects intra-simulation parallelism: routers are
-	// partitioned into that many contiguous shards and each cycle runs a
+	// Workers selects intra-simulation parallelism. 0 or 1: one inline
+	// shard -- each router's grants are decided and committed in turn on
+	// the calling goroutine. >= 2: that many decide goroutines -- routers
+	// are partitioned into contiguous shards and each cycle runs a
 	// parallel read-only decide phase (per-shard switch allocation against
 	// the frozen state) followed by an ordered commit phase. Results are
-	// bit-identical to the serial engine for every seed and every worker
-	// count (TestGoldenResultsParallel pins this). 0 keeps the serial
-	// path unchanged; 1 runs the phased engine on a single shard without
-	// spawning goroutines (the machinery minus the concurrency).
+	// bit-identical for every seed at every worker count
+	// (TestGoldenResultsParallel pins this).
 	Workers int
 
 	// Metrics selects streaming collectors by comma-separated registry
 	// name (internal/metrics, e.g. "latency,channels"); empty attaches
 	// none. Collectors observe the run with zero steady-state allocation
 	// and never change Result; read their output with MetricsSummary (or
-	// RunSummary). On the sharded engine every shard gets its own
-	// instances, merged exactly at the end of the run, so summaries are
-	// bit-identical at every worker count.
+	// RunSummary). Every shard gets its own instances, merged exactly at
+	// the end of the run, so summaries are bit-identical at every worker
+	// count.
 	Metrics string
 
 	Seed uint64
@@ -183,7 +188,8 @@ type creditEvt struct {
 // backing array once steady state is reached.
 const injQueueCap = 64
 
-// Sim is a single-threaded deterministic simulator instance.
+// Sim is a deterministic simulator instance. All of its state is mutated
+// on the goroutine that calls Run (or step); decide workers only read it.
 type Sim struct {
 	cfg       Config
 	rng       *stats.RNG
@@ -202,12 +208,13 @@ type Sim struct {
 	// (non-static) algorithms' allocation-time draws, derived from the
 	// seed by repeated RNG jumps. Keying the streams by router id -- not
 	// by worker or shard -- makes every draw independent of the worker
-	// count and of allocation order across routers, which is what lets
-	// the parallel decide phase reproduce the serial engine bit for bit.
+	// count and of allocation order across routers, which is what makes
+	// the inline and the shard-parallel schedule agree bit for bit.
 	// nil for static-port algorithms (they never draw during allocation).
 	allocRNG []stats.RNG
 
-	// par is the sharded parallel engine state; nil when cfg.Workers == 0.
+	// par holds the router shards (max(cfg.Workers, 1) of them, never nil)
+	// with their allocation scratch, and the decide worker pool.
 	par *parEngine
 
 	// Routing backend plus its hot-path cache: when the backend exposes
@@ -226,17 +233,6 @@ type Sim struct {
 	// ascending scan exactly.
 	active   []int32
 	inActive []bool
-
-	// Switch-allocation scratch, sized once to the widest router and
-	// reused every cycle (allocation-free steady state). Requests are
-	// bucketed by output with a stable counting sort: scrQ/scrOut hold
-	// the first-pass (queue, output) pairs, scrCnt/scrOff the per-output
-	// counts and offsets, scrBkt the queue indices grouped by output.
-	scrQ   []int32
-	scrOut []int32
-	scrCnt []int32
-	scrOff []int32
-	scrBkt []int32
 
 	// Credit event wheel indexed by cycle modulo its length. Slot capacity
 	// is fixed at construction to the per-cycle event bound, so
@@ -258,11 +254,11 @@ type Sim struct {
 	inFlight   int64 // measured packets not yet delivered
 
 	// Streaming metrics pipeline (internal/metrics): nil when no
-	// collectors are configured. cols[0] is the home instance set; the
-	// sharded engine adds one set per shard, with colOf routing each
-	// observation to the set owned by the shard of the router it occurred
-	// at (nil when a single set serves everything). The sets fold via
-	// Merge exactly once, in MetricsSummary.
+	// collectors are configured. cols[0] is the home instance set; every
+	// further shard adds one set, with colOf routing each observation to
+	// the set owned by the shard of the router it occurred at (nil when a
+	// single set serves everything). The sets fold via Merge exactly once,
+	// in MetricsSummary.
 	cols       []*metrics.Set
 	colOf      []int32
 	colHop     bool // any collector observes hops (link-phase fast-path gate)
@@ -374,11 +370,6 @@ func New(cfg Config) (*Sim, error) {
 			s.routers[r].revPort[i] = s.PortToward(nb, int32(r))
 		}
 	}
-	s.scrQ = make([]int32, maxQ)
-	s.scrOut = make([]int32, maxQ)
-	s.scrBkt = make([]int32, maxQ)
-	s.scrCnt = make([]int32, maxOutputs)
-	s.scrOff = make([]int32, maxOutputs)
 	wheel := cfg.CreditDelay + 1
 	s.credWheel = make([][]creditEvt, wheel)
 	for i := 0; i < wheel; i++ {
@@ -396,9 +387,7 @@ func New(cfg Config) (*Sim, error) {
 			s.allocRNG[r] = *jr
 		}
 	}
-	if cfg.Workers > 0 {
-		s.par = newParEngine(s, cfg.Workers, maxQ, maxOutputs)
-	}
+	s.par = newParEngine(s, cfg.Workers, maxQ, maxOutputs)
 	if cfg.Metrics != "" {
 		set, err := metrics.NewSet(cfg.Metrics)
 		if err != nil {
@@ -410,16 +399,16 @@ func New(cfg Config) (*Sim, error) {
 }
 
 // initMetrics attaches a collector set to the simulator: the home set,
-// plus one clone per shard on the sharded engine, with observations
-// routed by the router they occur at (see colFor) and the sets folded
-// back together in MetricsSummary. Today every hook fires from a serial
-// phase (injection, the ordered commit loop, link traversal), so the
-// sharding is not protecting against concurrent observation -- it is the
-// pipeline's architecture: the routing is deterministic by router id, the
-// fold is exact for the stock collectors' partition-insensitive state
-// (TestCollectorParityParallel pins both), and any future parallelised
-// observation phase (e.g. per-shard link traversal) inherits instances
-// that are already shard-private instead of a set that would need locks.
+// plus one clone per further shard, with observations routed by the router
+// they occur at (see colFor) and the sets folded back together in
+// MetricsSummary. Today every hook fires from a serial phase (injection,
+// commit, link traversal), so the sharding is not protecting against
+// concurrent observation -- it is the pipeline's architecture: the routing
+// is deterministic by router id, the fold is exact for the stock
+// collectors' partition-insensitive state (TestCollectorParityParallel
+// pins both), and any future parallelised observation phase (e.g.
+// per-shard link traversal) inherits instances that are already
+// shard-private instead of a set that would need locks.
 func (s *Sim) initMetrics(set *metrics.Set) {
 	meta := metrics.Meta{
 		Routers:   s.nRouters,
@@ -432,10 +421,7 @@ func (s *Sim) initMetrics(set *metrics.Set) {
 	for r := range s.routers {
 		meta.Degrees[r] = int32(len(s.routers[r].nbr))
 	}
-	ns := 1
-	if s.par != nil {
-		ns = len(s.par.shards)
-	}
+	ns := len(s.par.shards)
 	s.cols = make([]*metrics.Set, ns)
 	s.cols[0] = set
 	for k := 1; k < ns; k++ {
@@ -462,7 +448,7 @@ func (s *Sim) initMetrics(set *metrics.Set) {
 // pktID packs a packet's engine-invariant identity for the per-packet
 // trace hooks: an endpoint injects at most one packet per cycle, so
 // (src, birth) is unique, and both fields are part of the packet itself
-// -- no engine needs to thread a separate id through its pipeline.
+// -- nothing threads a separate id through the pipeline.
 func pktID(src, birth int32) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(birth))
 }
@@ -630,35 +616,49 @@ func (s *Sim) Run() Result {
 //
 // step and everything it statically calls is the engine's zero-allocation
 // steady state: cmd/sfvet's hotalloc pass proves the absence of
-// allocating constructs at compile time (the //sf:allow annotations below
+// allocating constructs at compile time (the //sf:allow annotations
 // document the reviewed amortised exceptions), and TestStepZeroAlloc
 // re-confirms it at runtime on the real workload.
 //
 //sf:hotpath
 func (s *Sim) step(inject bool) {
-	if s.par != nil {
-		s.stepPhased(inject)
-		return
-	}
 	s.applyCredits()
 	if inject {
 		s.injectPhase()
 	}
 
 	// The worklist accumulates routers in delivery/injection order; sort
-	// it so steps 3-4 visit routers in ascending id order, exactly like
-	// the full scan they replace (the order is observable through
-	// round-robin state and the RNG draws adaptive algorithms make during
-	// allocation).
+	// it so both schedules visit and commit routers in ascending id order:
+	// shards are contiguous id ranges, and whatever is order-sensitive (a
+	// trace ring that overflows, say) sees one order at every worker count.
 	slices.Sort(s.active)
 
-	// 3. Switch allocation + VC allocation per active router.
-	for _, r := range s.active {
-		rt := &s.routers[r]
-		if rt.flits == 0 {
-			continue
+	// Switch allocation + VC allocation per active router.
+	if shards := s.par.shards; len(shards) == 1 {
+		// One shard: commit each router's grants as soon as they are
+		// decided, while its queues are hot in cache. Routers touched by
+		// a commit join the worklist behind the range bound and are not
+		// visited this cycle (their new heads are not ready before the
+		// next one anyway).
+		sh := &shards[0]
+		for _, r := range s.active {
+			rt := &s.routers[r]
+			if rt.flits == 0 {
+				continue
+			}
+			sh.recs = sh.recs[:0]
+			s.decideRouter(r, rt, sh)
+			for _, rec := range sh.recs {
+				s.commitGrant(rec)
+			}
 		}
-		s.allocate(r, rt)
+	} else {
+		s.decideSharded()
+		for k := range shards {
+			for _, rec := range shards[k].recs {
+				s.commitGrant(rec)
+			}
+		}
 	}
 
 	s.linkPhase()
@@ -749,7 +749,7 @@ func (s *Sim) injectPhase() {
 
 // linkPhase performs step 4 of a cycle -- link traversal: one flit departs
 // per staged network output per cycle. The packets themselves were
-// delivered downstream at grant time (allocate) with ReadyAt stamps
+// delivered downstream at grant time (commitGrant) with ReadyAt stamps
 // encoding exactly this serialisation plus the channel and pipeline
 // delays, so departure is pure counter bookkeeping here.
 func (s *Sim) linkPhase() {
@@ -810,205 +810,6 @@ func (s *Sim) badTargetPort(r int32, p *Packet, port int32, deg int) {
 	panic(fmt.Sprintf(
 		"sim: algorithm %s returned invalid output port %d at router %d (degree %d): packet src=%d dst=%d dstRouter=%d interm=%d phase=%d hops=%d",
 		s.cfg.Algo.Name(), port, r, deg, p.Src, p.Dst, p.DstRouter, p.Interm, p.Phase, p.Hops))
-}
-
-// allocate performs combined switch/VC allocation for one router: each
-// output grants up to Speedup requests among eligible input heads,
-// round-robin for fairness. Requests are gathered into per-output buckets
-// on the simulator's preallocated scratch (a stable counting sort by
-// output port), so the hot loop performs no heap allocation.
-//
-// The sharded engine runs this same logic split into decideRouter +
-// commitGrant (parallel.go). Any change to the allocation policy here --
-// eligibility, bucketing, grant order, VC selection, credit accounting --
-// must be mirrored there, and will otherwise fail the bit-parity wall
-// (TestGoldenResultsParallel and friends).
-func (s *Sim) allocate(r int32, rt *router) {
-	cfg := &s.cfg
-	deg := len(rt.nbr)
-	outputs := deg + len(rt.eps)
-
-	// Pass 1: one request per eligible input-queue head, tagged with its
-	// output port (the ejection port for local traffic, the algorithm's
-	// TargetPort answer otherwise). The occupancy bitmask walks exactly
-	// the non-empty queues in ascending index order (the same order a
-	// full scan would visit them), so idle queues cost nothing.
-	cnt := s.scrCnt[:outputs]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	nreq := 0
-	if s.staticPorts {
-		// Static algorithms: the head caches already hold every decision,
-		// so the scan reads two compact arrays and never touches a packet.
-		cycle32 := int32(s.cycle)
-		for w, m := range rt.occ {
-			base := w << 6
-			for m != 0 {
-				q := base + bits.TrailingZeros64(m)
-				m &= m - 1
-				st := rt.headState[q]
-				if int32(uint32(st)) > cycle32 {
-					continue
-				}
-				out := int32(st >> 32)
-				s.scrQ[nreq] = int32(q)
-				s.scrOut[nreq] = out
-				cnt[out]++
-				nreq++
-			}
-		}
-	} else {
-		// Adaptive algorithms (queue state, RNG) decide afresh each cycle.
-		for w, m := range rt.occ {
-			base := w << 6
-			for m != 0 {
-				q := base + bits.TrailingZeros64(m)
-				m &= m - 1
-				pkt := rt.inQ[q].peek()
-				if int64(pkt.ReadyAt) > s.cycle {
-					continue
-				}
-				var out int32
-				if pkt.DstRouter == r {
-					out = int32(deg + int(s.epIdx[pkt.Dst]))
-				} else {
-					out = cfg.Algo.TargetPort(s, pkt, r)
-					if out < 0 || int(out) >= deg {
-						s.badTargetPort(r, pkt, out, deg)
-					}
-				}
-				s.scrQ[nreq] = int32(q)
-				s.scrOut[nreq] = out
-				cnt[out]++
-				nreq++
-			}
-		}
-	}
-	if nreq == 0 {
-		return
-	}
-
-	// Bucket by output, stable in input-queue order.
-	off := s.scrOff[:outputs]
-	sum := int32(0)
-	for i := 0; i < outputs; i++ {
-		off[i] = sum
-		sum += cnt[i]
-	}
-	for k := 0; k < nreq; k++ {
-		o := s.scrOut[k]
-		s.scrBkt[off[o]] = s.scrQ[k]
-		off[o]++
-	}
-
-	// Pass 2: per-output round-robin grants. off[out] is now the bucket
-	// end; the start is off[out]-cnt[out].
-	for out := 0; out < outputs; out++ {
-		ncand := int(cnt[out])
-		if ncand == 0 {
-			continue
-		}
-		bktStart := off[out] - cnt[out]
-		cand := s.scrBkt[bktStart:off[out]]
-		grants := cfg.Speedup
-		if out >= deg {
-			grants = 1 // ejection channel: one flit per cycle
-		}
-		idx := int(rt.rr[out]) % ncand
-		granted := 0
-		for i := 0; i < ncand && granted < grants; i++ {
-			qi := int(cand[idx])
-			q := &rt.inQ[qi]
-			idx++
-			if idx == ncand {
-				idx = 0
-			}
-			if out >= deg {
-				// Eject: deliver to endpoint.
-				p := q.pop()
-				if q.empty() {
-					rt.clearOcc(qi)
-				} else {
-					s.setHead(rt, r, qi, q.peek())
-				}
-				rt.flits--
-				s.deliver(r, &p)
-				s.returnCredit(r, rt, qi)
-				granted++
-				continue
-			}
-			// Network hop: need staging space and a downstream credit for
-			// the next-hop VC (hop-indexed, Gopal's scheme, Section IV-D).
-			if int(rt.outStaged[out]) >= cfg.Speedup {
-				break // output staging exhausted this cycle
-			}
-			// VC allocation. Default: hop-indexed (Gopal's scheme,
-			// Section IV-D) -- hop k travels on VC k. Algorithms with
-			// acyclic routing may instead spread across VCs, choosing the
-			// one with the most credits.
-			var nextVC int8
-			if s.spreadVCs {
-				base := out * cfg.NumVCs
-				best := int16(-1)
-				for v := 0; v < cfg.NumVCs; v++ {
-					if c := rt.credits[base+v]; c > best {
-						best = c
-						nextVC = int8(v)
-					}
-				}
-				if best == 0 {
-					continue
-				}
-			} else {
-				nextVC = q.peek().Hops
-				if int(nextVC) >= cfg.NumVCs {
-					nextVC = int8(cfg.NumVCs - 1)
-				}
-				if rt.credits[out*cfg.NumVCs+int(nextVC)] == 0 {
-					continue
-				}
-			}
-			p := q.pop()
-			if q.empty() {
-				rt.clearOcc(qi)
-			} else {
-				s.setHead(rt, r, qi, q.peek())
-			}
-			rt.flits--
-			s.returnCredit(r, rt, qi)
-			p.VC = nextVC
-			p.Hops++
-			rt.credits[out*cfg.NumVCs+int(nextVC)]--
-			if s.colPkt && p.Measured {
-				s.colFor(r).PacketHop(pktID(p.Src, p.Birth), r, int32(out), nextVC, s.cycle)
-			}
-			// Deliver downstream immediately. The flit departs onto the
-			// link only after the flits already staged on this output
-			// (one per cycle), and then pays the channel and pipeline
-			// delays; ReadyAt encodes all of it, and the head is invisible
-			// to the downstream allocator until then. The buffer slot is
-			// reserved by the credit taken above.
-			depart := s.cycle + int64(rt.outStaged[out])
-			p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
-			rt.outStaged[out]++
-			rt.staged++
-			dst := rt.nbr[out]
-			drt := &s.routers[dst]
-			dqi := int(rt.revPort[out])*cfg.NumVCs + int(nextVC)
-			dq := &drt.inQ[dqi]
-			wasEmpty := dq.empty()
-			dq.push(p)
-			if wasEmpty {
-				drt.markOcc(dqi)
-				s.setHead(drt, dst, dqi, dq.peek())
-			}
-			drt.flits++
-			s.touch(dst)
-			granted++
-		}
-		rt.rr[out] = (rt.rr[out] + 1) % int32(ncand)
-	}
 }
 
 // returnCredit frees the input buffer slot of queue q at router r,

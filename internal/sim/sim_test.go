@@ -223,19 +223,3 @@ func TestBufferSizeTradeoff(t *testing.T) {
 			smallLo.AvgLatency, bigLo.AvgLatency)
 	}
 }
-
-func BenchmarkSimCycleSFQ5(b *testing.B) {
-	sf := slimfly.MustNew(5)
-	tb := route.Build(sf.Graph())
-	s, err := New(Config{
-		Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
-		Load: 0.5, Warmup: 1, Measure: 1, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.step(true)
-	}
-}

@@ -67,10 +67,10 @@ type Options struct {
 	// Workers is the pool width; 0 means one per available core.
 	Workers int
 	// SimWorkers is the intra-simulation worker count applied to jobs
-	// whose config does not already request one (sim.Config.Workers): the
-	// sharded engine is bit-identical to the serial one, so raising it
+	// whose config does not already request one (sim.Config.Workers):
+	// results are bit-identical at every shard count, so raising it
 	// never changes results or cache keys, only wall-clock. 0 or 1 leaves
-	// jobs on the serial engine. See SplitParallelism for the heuristic
+	// jobs on one inline shard. See SplitParallelism for the heuristic
 	// that balances this against the pool width.
 	SimWorkers int
 	// Store, when non-nil, short-circuits jobs whose key is already
