@@ -31,7 +31,7 @@ type ChannelStats struct {
 
 // ChannelLoads counts flits per directed network channel: one int64 per
 // (router, output port), flattened over per-router offsets. Fixed
-// footprint, one increment per hop observation, exact integer merge.
+// footprint, one increment per hop observation.
 type ChannelLoads struct {
 	topK    int // summary truncation; <= 0 reports every loaded channel
 	offsets []int32
@@ -64,19 +64,6 @@ func (c *ChannelLoads) Attach(m Meta) {
 func (c *ChannelLoads) Hop(router, port int32, _ int64) {
 	c.flits[c.offsets[router]+port]++
 }
-
-// Merge folds another instance in: elementwise counter sums.
-func (c *ChannelLoads) Merge(other Collector) {
-	o, ok := other.(*ChannelLoads)
-	if !ok {
-		panic(mismatch(c.Name(), other))
-	}
-	for i, n := range o.flits {
-		c.flits[i] += n
-	}
-}
-
-func (c *ChannelLoads) Clone() Collector { return NewChannelLoads(c.topK) }
 
 // Loads returns every loaded channel, hottest first. It allocates; call
 // it after the run, not from a hook.

@@ -19,7 +19,7 @@ type FairnessStats struct {
 }
 
 // Fairness tracks per-source injected/delivered counts and latency sums:
-// three int64 per endpoint, allocated at Attach, exact integer merge.
+// three int64 per endpoint, allocated at Attach.
 type Fairness struct {
 	injected  []int64
 	delivered []int64
@@ -50,21 +50,6 @@ func (f *Fairness) Deliver(src, _ int32, latency, _ int64) {
 	f.delivered[src]++
 	f.latSum[src] += latency
 }
-
-// Merge folds another instance in: elementwise counter sums.
-func (f *Fairness) Merge(other Collector) {
-	o, ok := other.(*Fairness)
-	if !ok {
-		panic(mismatch(f.Name(), other))
-	}
-	for i := range o.injected {
-		f.injected[i] += o.injected[i]
-		f.delivered[i] += o.delivered[i]
-		f.latSum[i] += o.latSum[i]
-	}
-}
-
-func (f *Fairness) Clone() Collector { return NewFairness() }
 
 // Summarize fills the Fairness section. The Jain index runs over sources
 // that injected during the window (idle sources in a partial pattern are

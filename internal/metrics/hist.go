@@ -53,7 +53,7 @@ type LatencyStats struct {
 }
 
 // LatencyHist is a streaming log-bucketed latency histogram: fixed
-// footprint, one increment per delivery, exact integer merge.
+// footprint, one increment per delivery.
 type LatencyHist struct {
 	buckets []int64
 	count   int64
@@ -91,27 +91,6 @@ func (h *LatencyHist) Deliver(_, _ int32, latency, _ int64) {
 		h.max = latency
 	}
 }
-
-// Merge folds another histogram in: bucketwise sums, min/max extrema.
-func (h *LatencyHist) Merge(other Collector) {
-	o, ok := other.(*LatencyHist)
-	if !ok {
-		panic(mismatch(h.Name(), other))
-	}
-	for i, n := range o.buckets {
-		h.buckets[i] += n
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
-func (h *LatencyHist) Clone() Collector { return NewLatencyHist() }
 
 // Quantile returns the nearest-rank p-quantile (0 < p <= 1): the smallest
 // recorded value v such that at least ceil(p*count) observations are <= v,

@@ -1,6 +1,6 @@
 // Package metrics is the simulator's streaming measurement pipeline: a
 // small Collector interface with fixed-signature observe hooks, a registry
-// of named stock collectors, and a structured, mergeable Summary.
+// of named stock collectors, and a structured Summary.
 //
 // Instead of the engine appending one float per delivered packet and
 // sorting at the end, every collector keeps a fixed-footprint streaming aggregate (histogram
@@ -10,20 +10,16 @@
 // which is what lets the engine keep its steady-state zero-alloc
 // contract (sim.TestStepZeroAlloc) with collectors enabled.
 //
-// # Shard-merge determinism
+// # Worker-count determinism
 //
-// The engine gives every router shard (sim.Config.Workers of them, at
-// least one) its own collector instances and folds them with Merge when
-// the run ends. Merged summaries are bit-identical to a single shard's
-// because every stock
-// collector's state is a partition-insensitive aggregate -- counter sums,
-// bucket counts, elementwise series sums and maxima -- and the engine
-// assigns each observation to the shard owning the router it occurred at,
-// so the multiset of observations per instance is deterministic and their
-// fold is exact integer arithmetic (no float accumulation order to drift).
-// Custom collectors must preserve that property: Merge must be associative
-// and commutative, and Summarize must depend only on the merged state
-// (sim.TestCollectorParityParallel pins it for the stock set).
+// A simulation owns exactly one Set, and the engine calls its hooks from
+// the stepping goroutine in one order -- endpoint order for injections,
+// ascending router id for grants, deliveries and link departures --
+// whatever sim.Config.Workers is: only the read-only decide phase is
+// sharded. A collector therefore sees the same call sequence at every
+// worker count and needs to do nothing to keep its summary bit-identical
+// across them, order-sensitive state (a ring that overflows) included
+// (sim.TestCollectorParityParallel and sim.TestTraceOverflowParity pin it).
 //
 // # Hook contract
 //
@@ -38,12 +34,10 @@
 //     latency aggregates cover exactly the population behind
 //     Result.AvgLatency.
 //   - Cycle(cycle): once per measurement-window cycle, after link
-//     traversal, on the home instance only (it must therefore not feed
-//     per-shard state; the stock collectors derive time axes from the
-//     cycle stamps of the other hooks instead).
+//     traversal.
 //
-// All hooks run on the simulator's stepping goroutine in both engines;
-// collectors need no internal locking.
+// All hooks run on the simulator's stepping goroutine; collectors need no
+// internal locking.
 package metrics
 
 import (
@@ -75,16 +69,11 @@ func (m Meta) WindowEnd() int64 { return m.Warmup + m.Measure }
 // fans each observation out only to its observers, so a hook nobody
 // watches costs nothing in the engine hot path (~10^4 observations per
 // cycle make per-call dispatch the dominant pipeline cost). Hook bodies
-// must not allocate. Merge folds another instance of the same concrete
-// type in (panicking on a type mismatch) and must be associative and
-// commutative; Clone returns a fresh, unattached instance of the same
-// configuration (the sharded engine clones one instance per shard);
-// Summarize writes the collector's section of the shared Summary.
+// must not allocate. Summarize writes the collector's section of the
+// shared Summary.
 type Collector interface {
 	Name() string
 	Attach(m Meta)
-	Merge(other Collector)
-	Clone() Collector
 	Summarize(out *Summary)
 }
 
@@ -105,8 +94,7 @@ type DeliverObserver interface {
 	Deliver(src, hops int32, latency, cycle int64)
 }
 
-// CycleObserver receives one call per measurement-window cycle, on the
-// home instance only.
+// CycleObserver receives one call per measurement-window cycle.
 type CycleObserver interface {
 	Cycle(cycle int64)
 }
@@ -116,9 +104,7 @@ type CycleObserver interface {
 // injection-time path decision), one PacketHop per switch allocation
 // grant onto a network channel (port is the granted output, vc the
 // next-hop virtual channel) and one PacketDeliver per delivery (drain
-// included). The id packs src<<32 | birth-cycle, identical in both
-// engines; observations are routed to the shard instance owning the
-// router they occur at, like every other hook. Unlike HopObserver --
+// included). The id packs src<<32 | birth-cycle. Unlike HopObserver --
 // which counts flits at link departure -- PacketHop fires at grant time,
 // one cycle earlier in a packet's life at each switch.
 type PacketObserver interface {
@@ -131,7 +117,7 @@ type PacketObserver interface {
 // every event whose traceHash(id) has a bit in common with their mask
 // (hashed-id subsampling, like the trace collector's 1-in-2^k). When all
 // of a Set's packet observers declare masks, the Set hoists their
-// intersection in front of the fan-out: the engines call the packet hooks
+// intersection in front of the fan-out: the engine calls the packet hooks
 // once per allocation grant (~10^4/cycle at scale), so the not-sampled
 // path must cost a hash and a compare, not an interface call per
 // observer. A mask of 0 means "observes every packet" and disables the
@@ -219,7 +205,7 @@ func (s *Set) Collectors() []Collector { return s.cs }
 func (s *Set) ObservesHops() bool { return len(s.hop) > 0 }
 
 // ObservesPackets reports whether any collector consumes per-packet
-// events; the engines skip the per-grant trace sites entirely (a single
+// events; the engine skips the per-grant trace sites entirely (a single
 // flag test) when nothing would listen.
 func (s *Set) ObservesPackets() bool { return len(s.pkt) > 0 }
 
@@ -302,26 +288,6 @@ func (s *Set) PacketDeliver(id uint64, router, hops int32, latency, cycle int64)
 	}
 }
 
-// Clone returns a set of fresh, unattached instances mirroring this one.
-func (s *Set) Clone() *Set {
-	cs := make([]Collector, len(s.cs))
-	for i, c := range s.cs {
-		cs[i] = c.Clone()
-	}
-	return SetOf(cs...)
-}
-
-// Merge folds other's collectors into this set's, pairwise in order. The
-// sets must be clones of one another.
-func (s *Set) Merge(other *Set) {
-	if len(s.cs) != len(other.cs) {
-		panic(fmt.Sprintf("metrics: merging sets of %d and %d collectors", len(s.cs), len(other.cs)))
-	}
-	for i, c := range s.cs {
-		c.Merge(other.cs[i])
-	}
-}
-
 // Summary builds the set's structured summary.
 func (s *Set) Summary() Summary {
 	var out Summary
@@ -329,11 +295,6 @@ func (s *Set) Summary() Summary {
 		c.Summarize(&out)
 	}
 	return out
-}
-
-// mismatch reports a Merge across concrete collector types.
-func mismatch(name string, other Collector) string {
-	return fmt.Sprintf("metrics: merging %s with %s (%T)", name, other.Name(), other)
 }
 
 // --- registry ---------------------------------------------------------

@@ -150,75 +150,6 @@ func summaryJSON(t *testing.T, s *Set) string {
 	return string(data)
 }
 
-// TestMergeAssociativeCommutative is the merge-algebra unit: for every
-// stock collector, three independently observed instances must fold to
-// the same summary whatever the association or order, and that summary
-// must equal one instance that saw all observations -- the property the
-// sharded engine's parity rests on.
-func TestMergeAssociativeCommutative(t *testing.T) {
-	for _, name := range Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			m := testMeta()
-			mk := func() *Set {
-				set, err := NewSet(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				set.Attach(m)
-				return set
-			}
-			// One instance observing all three streams: a single shard.
-			all := mk()
-			for seed := int64(1); seed <= 3; seed++ {
-				observeRandom(all, seed, 500)
-			}
-			want := summaryJSON(t, all)
-
-			// Three shard instances folded in different shapes.
-			shards := func() [3]*Set {
-				var sh [3]*Set
-				for i := range sh {
-					sh[i] = mk()
-					observeRandom(sh[i], int64(i+1), 500)
-				}
-				return sh
-			}
-			left := shards()
-			left[0].Merge(left[1])
-			left[0].Merge(left[2]) // (a+b)+c
-			right := shards()
-			right[1].Merge(right[2])
-			right[0].Merge(right[1]) // a+(b+c)
-			rev := shards()
-			rev[2].Merge(rev[1])
-			rev[2].Merge(rev[0]) // (c+b)+a
-
-			for i, got := range []string{summaryJSON(t, left[0]), summaryJSON(t, right[0]), summaryJSON(t, rev[2])} {
-				if got != want {
-					t.Errorf("fold %d diverged from the single-instance summary:\n got  %s\n want %s", i, got, want)
-				}
-			}
-		})
-	}
-}
-
-// TestMergeTypeMismatchPanics pins the Merge type check.
-func TestMergeTypeMismatchPanics(t *testing.T) {
-	h := NewLatencyHist()
-	h.Attach(testMeta())
-	f := NewFairness()
-	f.Attach(testMeta())
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("cross-type Merge did not panic")
-		} else if !strings.Contains(r.(string), "latency") {
-			t.Errorf("panic message missing collector name: %v", r)
-		}
-	}()
-	h.Merge(f)
-}
-
 // TestChannelLoads pins counting, utilisation, ordering and top-K
 // truncation.
 func TestChannelLoads(t *testing.T) {
@@ -405,25 +336,4 @@ func errorsAs(err error, target **UnknownError) bool {
 		*target = ue
 	}
 	return ok
-}
-
-// TestSetCloneIndependence: a cloned set must share no state with its
-// original.
-func TestSetCloneIndependence(t *testing.T) {
-	set, err := NewSet("latency,channels,series,fairness")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := testMeta()
-	set.Attach(m)
-	clone := set.Clone()
-	clone.Attach(m)
-	observeRandom(set, 7, 200)
-	empty := clone.Summary()
-	if empty.Latency.Count != 0 {
-		t.Error("clone shares histogram state with original")
-	}
-	if empty.Channels.Loaded != 0 {
-		t.Error("clone shares channel counters with original")
-	}
 }

@@ -5,8 +5,7 @@ package metrics
 // delivered measured-packet counts per interval and the in-flight
 // occupancy at each interval's end (derived exactly as cumulative
 // injections minus cumulative deliveries -- both count measured packets,
-// so the gauge equals the engine's in-flight counter without any shared
-// mutable gauge to shard).
+// so the gauge equals the engine's in-flight counter without reading it).
 type SeriesStats struct {
 	Interval  int64   `json:"interval"` // cycles per sample
 	Injected  []int64 `json:"injected"`
@@ -56,8 +55,8 @@ func (s *Series) Attach(m Meta) {
 	s.windowEnd = m.WindowEnd()
 	s.injected = make([]int64, n)
 	s.delivered = make([]int64, n)
-	// Record the resolved interval so clones attach identically and the
-	// summary is self-describing.
+	// Record the resolved interval: slot divides by it and the summary
+	// reports it.
 	s.interval = iv
 }
 
@@ -90,23 +89,6 @@ func (s *Series) Deliver(_, _ int32, _, cycle int64) {
 		s.delivered[i]++
 	}
 }
-
-// Merge folds another sampler in: elementwise interval sums. Clones share
-// the interval resolved at Attach, so the axes line up by construction.
-func (s *Series) Merge(other Collector) {
-	o, ok := other.(*Series)
-	if !ok {
-		panic(mismatch(s.Name(), other))
-	}
-	for i, n := range o.injected {
-		s.injected[i] += n
-	}
-	for i, n := range o.delivered {
-		s.delivered[i] += n
-	}
-}
-
-func (s *Series) Clone() Collector { return NewSeries(s.interval) }
 
 // Summarize fills the Series section, deriving the occupancy gauge from
 // the cumulative injected/delivered difference.

@@ -6,14 +6,14 @@ import (
 )
 
 // Trace collector defaults: sample 1 in 2^DefaultTraceShift packets (by
-// hashed id), keep at most DefaultTraceCap events per instance. These are
+// hashed id), keep at most DefaultTraceCap events per run. These are
 // compile-time constants on purpose -- the registry's "trace" name alone
 // then fully determines the collector's payload, so cached sweep entries
 // keyed on a Metrics selection containing "trace" can never silently hold
 // a differently-configured stream (see scenario.SimParams.Metrics).
 const (
 	DefaultTraceShift = 10      // 1-in-1024 sampling
-	DefaultTraceCap   = 1 << 14 // events per instance before overwrite
+	DefaultTraceCap   = 1 << 14 // events kept before the oldest are overwritten
 )
 
 // TraceKind distinguishes the three per-packet event types.
@@ -87,7 +87,7 @@ func (t *TraceTag) UnmarshalJSON(b []byte) error {
 
 // TraceEvent is one sampled per-packet event. ID packs the packet's
 // identity as src<<32 | birth-cycle (an endpoint injects at most one
-// packet per cycle, so the pair is unique and identical across engines).
+// packet per cycle, so the pair is unique and identical at every worker count).
 // Fields that do not apply to a kind hold -1 (ints) or 0 (Latency):
 // inject events carry Dst and Tag; hop events carry Port (the granted
 // output) and VC (the next-hop virtual channel); deliver events carry
@@ -114,18 +114,15 @@ func (e TraceEvent) Birth() int64 { return int64(uint32(e.ID)) }
 // Trace records sampled per-packet event streams into a bounded ring
 // buffer. Sampling is deterministic in the packet id -- a packet is
 // traced iff the low shift bits of a mixed hash of its id are zero -- so
-// every sharding of the engine traces the identical packet set, and Merge is a concatenation whose canonical
-// re-sort (Summarize orders by cycle, id, kind) is partition-insensitive.
+// the traced packet set depends only on the run, not on the ring size.
 // When the ring fills, the oldest events are overwritten and counted in
-// Dropped; parity across worker counts is exact whenever Dropped is 0
-// (per-shard rings fill at different points otherwise).
+// Dropped; Summarize reports the survivors ordered by cycle, id, kind.
 type Trace struct {
 	shift uint
 	cap   int
 
 	buf     []TraceEvent // ring storage, allocated at Attach
 	head, n int
-	extra   []TraceEvent // events folded in by Merge (post-run, may allocate)
 
 	recorded int64 // events offered to the ring
 	dropped  int64 // oldest events overwritten
@@ -148,7 +145,6 @@ func (t *Trace) Name() string { return "trace" }
 func (t *Trace) Attach(m Meta) {
 	t.buf = make([]TraceEvent, t.cap)
 	t.head, t.n = 0, 0
-	t.extra = nil
 	t.recorded, t.dropped = 0, 0
 }
 
@@ -241,28 +237,10 @@ func (t *Trace) ordered() []TraceEvent {
 	return out
 }
 
-// Merge implements Collector: the other shard's events join the overflow
-// slice (Merge runs after the simulation, so allocation is fine here) and
-// the counters sum. Concatenation order is irrelevant because Summarize
-// re-sorts canonically.
-func (t *Trace) Merge(other Collector) {
-	o, ok := other.(*Trace)
-	if !ok {
-		panic(mismatch(t.Name(), other))
-	}
-	t.extra = append(t.extra, o.ordered()...)
-	t.extra = append(t.extra, o.extra...)
-	t.recorded += o.recorded
-	t.dropped += o.dropped
-}
-
-// Clone implements Collector.
-func (t *Trace) Clone() Collector { return NewTrace(t.shift, t.cap) }
-
 // sortTraceEvents puts events in canonical order: by cycle, then packet
 // id, then kind. A packet produces at most one event of each kind per
-// cycle, so the order is total and independent of how observations were
-// partitioned across shard instances.
+// cycle, so the order is total and independent of the order the engine
+// visits routers within a cycle.
 func sortTraceEvents(evs []TraceEvent) {
 	sort.Slice(evs, func(i, j int) bool {
 		if evs[i].Cycle != evs[j].Cycle {
@@ -277,7 +255,7 @@ func sortTraceEvents(evs []TraceEvent) {
 
 // Summarize implements Collector.
 func (t *Trace) Summarize(out *Summary) {
-	evs := append(t.ordered(), t.extra...)
+	evs := t.ordered()
 	sortTraceEvents(evs)
 	ids := make(map[uint64]struct{})
 	for _, e := range evs {
@@ -295,9 +273,8 @@ func (t *Trace) Summarize(out *Summary) {
 
 // TraceStats is the trace collector's summary section: the canonically
 // ordered sampled event stream plus its bookkeeping. Recorded counts
-// events offered across all shard instances; Dropped counts ring
-// overwrites (when non-zero the stream is a suffix per instance, and
-// byte-parity across worker counts no longer holds).
+// events offered to the ring; Dropped counts ring overwrites (when
+// non-zero, Events holds the newest Capacity events of the run).
 type TraceStats struct {
 	SampleEvery int64        `json:"sample_every"`
 	Capacity    int          `json:"capacity"`

@@ -50,63 +50,31 @@ func TestTraceRingOverwrite(t *testing.T) {
 	}
 }
 
-// TestTraceMergeCanonical pins the shard-merge contract: however events
-// are partitioned across instances, the merged summary is identical.
-func TestTraceMergeCanonical(t *testing.T) {
-	type ev struct {
+// TestTraceSummaryCanonical pins the summary's event order: whatever order
+// events were recorded in, Summarize lists them by cycle, then id, then kind.
+func TestTraceSummaryCanonical(t *testing.T) {
+	tr := NewTrace(0, 64)
+	tr.Attach(testMeta())
+	tr.PacketDeliver(1, 2, 1, 1, 2)
+	tr.PacketHop(1, 2, 0, 0, 2)
+	for _, e := range []struct {
 		id    uint64
 		cycle int64
+	}{{5, 3}, {1, 1}, {9, 3}, {7, 1}, {2, 4}} {
+		tr.PacketInject(e.id, 1, 2, TagMinimal, e.cycle)
 	}
-	evs := []ev{{5, 3}, {1, 1}, {9, 3}, {1, 2}, {7, 1}, {2, 4}}
-	feed := func(tr *Trace, es []ev) {
-		for _, e := range es {
-			tr.PacketInject(e.id, 1, 2, TagMinimal, e.cycle)
-		}
+	var sum Summary
+	tr.Summarize(&sum)
+	evs := sum.Trace.Events
+	if len(evs) != 7 {
+		t.Fatalf("events = %d, want 7", len(evs))
 	}
-	single := NewTrace(0, 64)
-	single.Attach(testMeta())
-	feed(single, evs)
-	var want Summary
-	single.Summarize(&want)
-
-	// Two-way split, merged in both orders.
-	for _, flip := range []bool{false, true} {
-		a := NewTrace(0, 64)
-		b := NewTrace(0, 64)
-		a.Attach(testMeta())
-		b.Attach(testMeta())
-		feed(a, evs[:3])
-		feed(b, evs[3:])
-		if flip {
-			a, b = b, a
-		}
-		a.Merge(b)
-		var got Summary
-		a.Summarize(&got)
-		gj, _ := json.Marshal(got.Trace)
-		wj, _ := json.Marshal(want.Trace)
-		if string(gj) != string(wj) {
-			t.Errorf("merged summary (flip=%v) diverged:\n got  %s\n want %s", flip, gj, wj)
-		}
-	}
-
-	// Canonical order: cycle, then id, then kind.
-	for i := 1; i < len(want.Trace.Events); i++ {
-		p, c := want.Trace.Events[i-1], want.Trace.Events[i]
-		if p.Cycle > c.Cycle || (p.Cycle == c.Cycle && p.ID > c.ID) {
+	for i := 1; i < len(evs); i++ {
+		p, c := evs[i-1], evs[i]
+		if p.Cycle > c.Cycle || (p.Cycle == c.Cycle && (p.ID > c.ID || (p.ID == c.ID && p.Kind >= c.Kind))) {
 			t.Fatalf("events not in canonical order: %+v before %+v", p, c)
 		}
 	}
-}
-
-func TestTraceMergeTypeMismatch(t *testing.T) {
-	tr := NewTrace(0, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("merging a trace with a histogram did not panic")
-		}
-	}()
-	tr.Merge(NewLatencyHist())
 }
 
 func TestTracePaths(t *testing.T) {
@@ -191,8 +159,5 @@ func TestTraceRegistered(t *testing.T) {
 	tr.Summarize(&sum)
 	if sum.Trace.SampleEvery != 1<<DefaultTraceShift || sum.Trace.Capacity != DefaultTraceCap {
 		t.Errorf("registry defaults: %+v", sum.Trace)
-	}
-	if tr.Clone().(*Trace).shift != tr.shift {
-		t.Error("clone dropped the sampling shift")
 	}
 }

@@ -34,23 +34,16 @@ func checkParity(t *testing.T, g *graph.Graph, o route.Oracle) {
 		t.Fatalf("MaxDistance: computed %d, tables %d", got, want)
 	}
 	n := g.N()
-	rowT := make([]int32, n)
-	rowC := make([]int32, n)
 	for u := 0; u < n; u++ {
-		tb.NextPortRowInto(u, rowT)
-		c.NextPortRowInto(u, rowC)
 		for d := 0; d < n; d++ {
 			if gd, wd := c.Distance(u, d), tb.Distance(u, d); gd != wd {
 				t.Fatalf("Distance(%d,%d): computed %d, tables %d", u, d, gd, wd)
 			}
-			if rowC[d] != rowT[d] {
-				t.Fatalf("NextPort(%d,%d): computed %d, tables %d", u, d, rowC[d], rowT[d])
+			if gp, wp := c.NextPort(u, d), tb.NextPort(u, d); gp != wp {
+				t.Fatalf("NextPort(%d,%d): computed %d, tables %d", u, d, gp, wp)
 			}
 			if gh, wh := c.NextHop(u, d), tb.NextHop(u, d); gh != wh {
 				t.Fatalf("NextHop(%d,%d): computed %d, tables %d", u, d, gh, wh)
-			}
-			if c.NextPort(u, d) != rowT[d] {
-				t.Fatalf("NextPort(%d,%d) point lookup disagrees with row", u, d)
 			}
 		}
 	}
@@ -149,11 +142,9 @@ func TestComputedUsesPortOracle(t *testing.T) {
 	if got := c.NextHop(u, d); got != want.NextHop(u, d) {
 		t.Fatalf("NextHop(%d,%d) = %d, tables %d", u, d, got, want.NextHop(u, d))
 	}
-	row := make([]int32, g.N())
-	c.NextPortRowInto(u, row)
-	if co.distCalls != 0 || co.portCalls != 2+g.N() {
-		t.Fatalf("closed form made %d RouterDistance and %d RouterNextPort calls, want 0 and %d",
-			co.distCalls, co.portCalls, 2+g.N())
+	if co.distCalls != 0 || co.portCalls != 2 {
+		t.Fatalf("closed form made %d RouterDistance and %d RouterNextPort calls, want 0 and 2",
+			co.distCalls, co.portCalls)
 	}
 
 	so := &countingOracle{sf: sf}

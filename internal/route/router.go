@@ -31,18 +31,10 @@ type Router interface {
 	// unreachable). For any neighbour v of u, NextPort(u, v) is the port
 	// of the direct link.
 	NextPort(u, d int) int32
-	// PortNeighbor returns the neighbour of u behind output port index
-	// port.
-	PortNeighbor(u int, port int32) int32
 	// ValiantLen returns the length in hops of the Valiant path s -> r -> d.
 	ValiantLen(s, r, d int) int
 	// MaxDistance returns the diameter of the graph.
 	MaxDistance() int
-	// NextPortRowInto fills row (length >= n) with router u's ports toward
-	// every destination: row[d] = NextPort(u, d). The bulk form exists for
-	// consumers that stream a whole row (exports, prefetchers) without
-	// paying a virtual call per destination.
-	NextPortRowInto(u int, row []int32)
 	// TableBytes reports the backend's materialized routing state in
 	// bytes -- what this backend costs beyond the graph itself. ~9*n*n for
 	// tables, 0 for computed backends.
@@ -168,9 +160,6 @@ func (c *Computed) NextHop(u, d int) int32 {
 	return c.g.Neighbors(u)[p]
 }
 
-// PortNeighbor implements Router.
-func (c *Computed) PortNeighbor(u int, port int32) int32 { return c.g.Neighbors(u)[port] }
-
 // ValiantLen implements Router.
 func (c *Computed) ValiantLen(s, r, d int) int {
 	return c.Distance(s, r) + c.Distance(d, r)
@@ -178,14 +167,6 @@ func (c *Computed) ValiantLen(s, r, d int) int {
 
 // MaxDistance implements Router.
 func (c *Computed) MaxDistance() int { return c.o.RouterDiameter() }
-
-// NextPortRowInto implements Router.
-func (c *Computed) NextPortRowInto(u int, row []int32) {
-	n := c.g.N()
-	for d := 0; d < n; d++ {
-		row[d] = c.NextPort(u, d)
-	}
-}
 
 // TableBytes implements Router: the computed backend materializes
 // nothing beyond the graph.

@@ -131,19 +131,9 @@ func (t *Tables) NextHop(u, d int) int32 { return t.Next[d][u] }
 // NextPort(u, v) is the port connecting u to v.
 func (t *Tables) NextPort(u, d int) int32 { return t.nextPort[u*t.n+d] }
 
-// NextPortRow returns router u's flat port row [d] -> port toward d. The
-// simulator caches the full flat table; row views keep callers from
-// recomputing the u*n offset per lookup.
-func (t *Tables) NextPortRow(u int) []int32 { return t.nextPort[u*t.n : (u+1)*t.n] }
-
 // NextPortFlat exposes the whole flat [u*n+d] (source-major) port table
 // plus n for hot loops that index it directly (the simulator engine).
 func (t *Tables) NextPortFlat() ([]int32, int) { return t.nextPort, t.n }
-
-// PortNeighbor returns the neighbour of u behind output port index port.
-// Together with NextPort it lets path walks (UGAL-G's global cost probe)
-// advance router-by-router without ever searching an adjacency list.
-func (t *Tables) PortNeighbor(u int, port int32) int32 { return t.G.Neighbors(u)[port] }
 
 // Path returns the deterministic minimal path from u to d inclusive of both
 // endpoints (nil if unreachable).
@@ -177,11 +167,6 @@ func (t *Tables) MaxDistance() int { return t.maxDist }
 
 // Graph returns the router graph the tables were built for.
 func (t *Tables) Graph() *graph.Graph { return t.G }
-
-// NextPortRowInto copies router u's port row into row (length >= n).
-func (t *Tables) NextPortRowInto(u int, row []int32) {
-	copy(row, t.nextPort[u*t.n:(u+1)*t.n])
-}
 
 // TableBytes reports the materialized routing state: the three flat n*n
 // backings (1-byte Dist, 4-byte Next, 4-byte NextPort).

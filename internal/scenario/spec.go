@@ -115,7 +115,9 @@ type SimParams struct {
 
 	// Workers is intra-simulation parallelism (sim.Config.Workers). It is
 	// an execution knob, not part of the scenario's identity: the engine's
-	// results are bit-identical for every worker count, so
+	// results, collector summaries included (one collector set per
+	// simulation; sim.TestTraceOverflowParity pins the order-sensitive
+	// case), are bit-identical for every worker count, so
 	// Workers is excluded from the JSON encoding and therefore from
 	// Spec.Key -- cached results stay valid whatever parallelism computed
 	// them, and a sweep resumed on a different machine hits the same cache

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"slimfly/internal/metrics"
@@ -13,37 +14,71 @@ import (
 // allCollectors is the full stock set, attached by name exactly as a
 // sweep spec or -metrics flag would. It includes the sampled packet
 // trace, so every parity test below also pins that the traced event
-// stream is byte-identical across worker counts (deterministic id
-// sampling + canonical sort; the golden scenarios stay far below the
-// ring capacity, so no events are dropped).
+// stream is byte-identical across worker counts.
 const allCollectors = "latency,channels,series,fairness,trace"
+
+// hookHash is an order-sensitive collector: a running FNV-1a hash over
+// every hook call and its arguments, in call order. Two runs agree on it
+// only if the engine made the same calls in the same sequence.
+type hookHash struct{ h uint64 }
+
+func (c *hookHash) mix(vs ...int64) {
+	for _, v := range vs {
+		c.h = (c.h ^ uint64(v)) * 1099511628211
+	}
+}
+
+func (c *hookHash) Name() string               { return "hookhash" }
+func (c *hookHash) Attach(metrics.Meta)        { c.h = 14695981039346656037 }
+func (c *hookHash) Summarize(*metrics.Summary) {}
+
+func (c *hookHash) Inject(src int32, cycle int64) { c.mix(1, int64(src), cycle) }
+func (c *hookHash) Hop(router, port int32, cycle int64) {
+	c.mix(2, int64(router), int64(port), cycle)
+}
+func (c *hookHash) Deliver(src, hops int32, latency, cycle int64) {
+	c.mix(3, int64(src), int64(hops), latency, cycle)
+}
+func (c *hookHash) Cycle(cycle int64) { c.mix(4, cycle) }
+func (c *hookHash) PacketInject(id uint64, dst, router int32, tag metrics.TraceTag, cycle int64) {
+	c.mix(5, int64(id), int64(dst), int64(router), int64(tag), cycle)
+}
+func (c *hookHash) PacketHop(id uint64, router, port int32, vc int8, cycle int64) {
+	c.mix(6, int64(id), int64(router), int64(port), int64(vc), cycle)
+}
+func (c *hookHash) PacketDeliver(id uint64, router, hops int32, latency, cycle int64) {
+	c.mix(7, int64(id), int64(router), int64(hops), latency, cycle)
+}
 
 // TestCollectorParityParallel is the metrics half of the parity wall:
 // on every golden scenario, the full stock collector set must produce a
-// byte-identical JSON summary at Workers 1, 2, 3 and 8 (per-shard
-// instances folded by Merge) as at Workers 0 (a single instance observing
-// everything) -- and attaching collectors must not perturb Result itself.
-// This is the "shard-merge determinism" contract of internal/metrics: the
-// engine partitions observations by router shard, and every stock
-// collector's state folds with exact integer arithmetic.
+// byte-identical JSON summary at Workers 1, 2, 3 and 8 as at Workers 0,
+// and attaching collectors must not perturb Result itself. The hookHash
+// riding along pins the stronger property the stock summaries rest on:
+// the engine makes the same hook calls in the same order at every worker
+// count, not merely the same multiset of them.
 func TestCollectorParityParallel(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			run := func(workers int) (Result, string) {
-				cfg := goldenConfig(c, workers)
-				cfg.Metrics = allCollectors
-				s, err := New(cfg)
+				s, err := New(goldenConfig(c, workers))
 				if err != nil {
 					t.Fatal(err)
 				}
+				stock, err := metrics.NewSet(allCollectors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				seq := &hookHash{}
+				s.initMetrics(metrics.SetOf(append(stock.Collectors(), seq)...))
 				res := s.Run()
 				data, err := json.Marshal(s.MetricsSummary())
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, string(data)
+				return res, fmt.Sprintf("%s hooks=%016x", data, seq.h)
 			}
 			wantRes, wantSum := run(0)
 			if wantRes != c.want {
@@ -117,7 +152,7 @@ func TestMetricsSummaryContents(t *testing.T) {
 	if sum.Fairness.Jain <= 0 || sum.Fairness.Jain > 1 {
 		t.Errorf("jain = %v", sum.Fairness.Jain)
 	}
-	// A second MetricsSummary call must not re-merge (idempotence).
+	// MetricsSummary is repeatable.
 	again := s.MetricsSummary()
 	if again.Latency.Count != sum.Latency.Count {
 		t.Errorf("second MetricsSummary drifted: %d != %d", again.Latency.Count, sum.Latency.Count)
@@ -193,8 +228,8 @@ func TestCollectorParityUndrained(t *testing.T) {
 // TestCollectorShardBoundaries reruns the summary parity on the prime
 // 53-router DLN whose shard splits are always uneven (the same geometry
 // TestParallelShardBoundaries uses for Result parity), including worker
-// counts at and above the router count -- the colOf routing table's edge
-// cases.
+// counts at and above the router count, where shards are single routers
+// or empty and the ordered commit replays the most record lists.
 func TestCollectorShardBoundaries(t *testing.T) {
 	dln := random.MustNew(53, 3, 2, 7)
 	tb := route.Build(dln.Graph())

@@ -452,7 +452,7 @@ func (s *Sim) commitGrant(rec grantRec) {
 	p.Hops++
 	rt.credits[out*cfg.NumVCs+int(rec.vc)]--
 	if s.colPkt && p.Measured {
-		s.colFor(r).PacketHop(pktID(p.Src, p.Birth), r, int32(out), rec.vc, s.cycle)
+		s.col.PacketHop(pktID(p.Src, p.Birth), r, int32(out), rec.vc, s.cycle)
 	}
 	// Deliver downstream immediately. The flit departs onto the link only
 	// after the flits already staged on this output (one per cycle), and

@@ -86,9 +86,9 @@ type Config struct {
 	// name (internal/metrics, e.g. "latency,channels"); empty attaches
 	// none. Collectors observe the run with zero steady-state allocation
 	// and never change Result; read their output with MetricsSummary (or
-	// RunSummary). Every shard gets its own instances, merged exactly at
-	// the end of the run, so summaries are bit-identical at every worker
-	// count.
+	// RunSummary). A run has one set of instances and calls their hooks in
+	// one order whatever Workers is, so summaries are bit-identical at every
+	// worker count.
 	Metrics string
 
 	Seed uint64
@@ -253,17 +253,12 @@ type Sim struct {
 	maxLat     int64
 	inFlight   int64 // measured packets not yet delivered
 
-	// Streaming metrics pipeline (internal/metrics): nil when no
-	// collectors are configured. cols[0] is the home instance set; every
-	// further shard adds one set, with colOf routing each observation to
-	// the set owned by the shard of the router it occurred at (nil when a
-	// single set serves everything). The sets fold via Merge exactly once,
-	// in MetricsSummary.
-	cols       []*metrics.Set
-	colOf      []int32
-	colHop     bool // any collector observes hops (link-phase fast-path gate)
-	colPkt     bool // any collector observes per-packet events (trace fast-path gate)
-	colsMerged bool
+	// Streaming metrics pipeline (internal/metrics): the run's collector
+	// set, nil when no collectors are configured. Every hook is called on
+	// the stepping goroutine.
+	col    *metrics.Set
+	colHop bool // any collector observes hops (link-phase fast-path gate)
+	colPkt bool // any collector observes per-packet events (trace fast-path gate)
 }
 
 // New builds a simulator from cfg, validating the configuration.
@@ -398,17 +393,8 @@ func New(cfg Config) (*Sim, error) {
 	return s, nil
 }
 
-// initMetrics attaches a collector set to the simulator: the home set,
-// plus one clone per further shard, with observations routed by the router
-// they occur at (see colFor) and the sets folded back together in
-// MetricsSummary. Today every hook fires from a serial phase (injection,
-// commit, link traversal), so the sharding is not protecting against
-// concurrent observation -- it is the pipeline's architecture: the routing
-// is deterministic by router id, the fold is exact for the stock
-// collectors' partition-insensitive state (TestCollectorParityParallel
-// pins both), and any future parallelised observation phase (e.g.
-// per-shard link traversal) inherits instances that are already
-// shard-private instead of a set that would need locks.
+// initMetrics attaches a collector set to the simulator and sizes it for
+// the simulated system.
 func (s *Sim) initMetrics(set *metrics.Set) {
 	meta := metrics.Meta{
 		Routers:   s.nRouters,
@@ -421,28 +407,10 @@ func (s *Sim) initMetrics(set *metrics.Set) {
 	for r := range s.routers {
 		meta.Degrees[r] = int32(len(s.routers[r].nbr))
 	}
-	ns := len(s.par.shards)
-	s.cols = make([]*metrics.Set, ns)
-	s.cols[0] = set
-	for k := 1; k < ns; k++ {
-		s.cols[k] = set.Clone()
-	}
-	for _, c := range s.cols {
-		c.Attach(meta)
-	}
-	s.colOf = nil
+	set.Attach(meta)
+	s.col = set
 	s.colHop = set.ObservesHops()
 	s.colPkt = set.ObservesPackets()
-	s.colsMerged = false
-	if ns > 1 {
-		s.colOf = make([]int32, s.nRouters)
-		for k := range s.par.shards {
-			sh := &s.par.shards[k]
-			for r := sh.lo; r < sh.hi; r++ {
-				s.colOf[r] = int32(k)
-			}
-		}
-	}
 }
 
 // pktID packs a packet's engine-invariant identity for the per-packet
@@ -453,35 +421,19 @@ func pktID(src, birth int32) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(birth))
 }
 
-// colFor returns the collector set owning router r's observations.
-func (s *Sim) colFor(r int32) *metrics.Set {
-	if s.colOf == nil {
-		return s.cols[0]
-	}
-	return s.cols[s.colOf[r]]
-}
-
 // inWindow reports whether the current cycle is inside the measurement
 // window (the scope of Hop and Cycle observations).
 func (s *Sim) inWindow() bool {
 	return s.cycle >= int64(s.cfg.Warmup) && s.cycle < s.windowEnd
 }
 
-// MetricsSummary folds the per-shard collector instances into the home
-// set (exact: stock collector state is partition-insensitive integer
-// aggregates, and the fold happens once) and returns the structured
-// summary. Nil when the simulator has no collectors attached.
+// MetricsSummary returns the collectors' structured summary, nil when the
+// simulator has no collectors attached.
 func (s *Sim) MetricsSummary() *metrics.Summary {
-	if s.cols == nil {
+	if s.col == nil {
 		return nil
 	}
-	if !s.colsMerged {
-		for _, c := range s.cols[1:] {
-			s.cols[0].Merge(c)
-		}
-		s.colsMerged = true
-	}
-	sum := s.cols[0].Summary()
+	sum := s.col.Summary()
 	return &sum
 }
 
@@ -629,8 +581,9 @@ func (s *Sim) step(inject bool) {
 
 	// The worklist accumulates routers in delivery/injection order; sort
 	// it so both schedules visit and commit routers in ascending id order:
-	// shards are contiguous id ranges, and whatever is order-sensitive (a
-	// trace ring that overflows, say) sees one order at every worker count.
+	// shards are contiguous id ranges, so whatever is order-sensitive (a
+	// collector's overflowing trace ring, say) sees one order at every
+	// worker count.
 	slices.Sort(s.active)
 
 	// Switch allocation + VC allocation per active router.
@@ -667,11 +620,10 @@ func (s *Sim) step(inject bool) {
 }
 
 // observeCycle ticks the collectors' per-cycle hook for measurement-window
-// cycles. The tick goes to the home instance only (the hook contract in
-// internal/metrics), so it needs no shard routing.
+// cycles.
 func (s *Sim) observeCycle() {
-	if s.cols != nil && s.inWindow() {
-		s.cols[0].Cycle(s.cycle)
+	if s.col != nil && s.inWindow() {
+		s.col.Cycle(s.cycle)
 	}
 }
 
@@ -729,8 +681,8 @@ func (s *Sim) injectPhase() {
 		if pkt.Measured {
 			s.injected++
 			s.inFlight++
-			if s.cols != nil {
-				s.colFor(r).Inject(int32(e), s.cycle)
+			if s.col != nil {
+				s.col.Inject(int32(e), s.cycle)
 				if s.colPkt {
 					// The injection-time path decision: OnInject just ran, so
 					// a committed indirect route shows as Interm >= 0 with
@@ -740,7 +692,7 @@ func (s *Sim) injectPhase() {
 					if pkt.Interm >= 0 && pkt.Phase == 0 {
 						tag = metrics.TagValiant
 					}
-					s.colFor(r).PacketInject(pktID(pkt.Src, pkt.Birth), pkt.Dst, r, tag, s.cycle)
+					s.col.PacketInject(pktID(pkt.Src, pkt.Birth), pkt.Dst, r, tag, s.cycle)
 				}
 			}
 		}
@@ -759,12 +711,11 @@ func (s *Sim) linkPhase() {
 			if rt.staged == 0 {
 				continue
 			}
-			col := s.colFor(r)
 			for p, n := range rt.outStaged {
 				if n > 0 {
 					rt.outStaged[p]--
 					rt.staged--
-					col.Hop(r, int32(p), s.cycle)
+					s.col.Hop(r, int32(p), s.cycle)
 				}
 			}
 		}
@@ -841,10 +792,10 @@ func (s *Sim) deliver(r int32, p *Packet) {
 		return
 	}
 	lat := s.cycle - int64(p.Birth)
-	if s.cols != nil {
-		s.colFor(r).Deliver(p.Src, int32(p.Hops), lat, s.cycle)
+	if s.col != nil {
+		s.col.Deliver(p.Src, int32(p.Hops), lat, s.cycle)
 		if s.colPkt {
-			s.colFor(r).PacketDeliver(pktID(p.Src, p.Birth), r, int32(p.Hops), lat, s.cycle)
+			s.col.PacketDeliver(pktID(p.Src, p.Birth), r, int32(p.Hops), lat, s.cycle)
 		}
 	}
 	s.latSum += lat

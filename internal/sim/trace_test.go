@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -46,10 +47,9 @@ func runTraced(t *testing.T, cfg Config, shift uint, capacity int) (Result, *met
 // TestTraceParityParallel is the trace half of the acceptance criterion:
 // on every golden scenario the sampled event stream (canonically sorted
 // by Summarize) must be byte-identical across Workers 0, 1, 2, 3 and 8.
-// Sampling is deterministic in the packet id and ids are engine-
-// invariant, so every sharding traces the identical packet set; the
-// golden scenarios stay far below the ring capacity, so Dropped is 0 and
-// the concatenated per-shard rings re-sort to the same stream.
+// The golden scenarios stay far below the ring capacity, so this is the
+// complete sampled stream; TestTraceOverflowParity covers a ring that
+// wraps.
 func TestTraceParityParallel(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
@@ -285,28 +285,67 @@ func TestTraceRingBounds(t *testing.T) {
 
 // traceOverflowWant is the SHA-256 of the TraceStats JSON of
 // traceConfig(MIN{}) traced at full sampling into a 256-slot ring (46 372
-// events recorded, 256 kept), recorded at Workers=0.
+// events recorded, 256 kept), recorded at Workers=0 on the last commit
+// that gave every shard its own ring.
 const traceOverflowWant = "d9111195f2aaed91c8342038bf7ccf8f3e8dc5976dd698031ab28a6197a4edef"
 
-// TestTraceOverflowParity pins the trace summary of a run that overflows
-// its ring. Known failure at Workers >= 2: every shard has its own ring, so
-// W shards keep up to W*256 events and the summary depends on the worker
-// count; those comparisons are logged, not failed, until the per-shard
-// rings are gone.
+// TestTraceOverflowParity covers the stock collector whose summary depends
+// on hook-call order: a trace ring that wraps keeps the newest Capacity
+// events in the order they were offered, so it is worker-count invariant
+// only if that order is. Both a tiny full-sampling ring (against the
+// pinned hash) and the registry's "trace" on a run long enough to
+// overflow its 16 384 slots must give one TraceStats at every worker
+// count. What is cached under a Spec.Key that leaves Workers out rests
+// on this.
 func TestTraceOverflowParity(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 3, 8} {
-		_, st := runTraced(t, traceConfig(MIN{}, workers), 0, 256)
-		data, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != traceOverflowWant {
-			if workers >= 2 {
-				t.Logf("known failure: Workers=%d kept %d events (capacity %d), sha256 %s", workers, len(st.Events), st.Capacity, got)
-				continue
+	// parity returns the Workers=0 TraceStats JSON after holding every
+	// other worker count to it.
+	parity := func(t *testing.T, run func(workers int) *metrics.TraceStats) []byte {
+		var want []byte
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			st := run(workers)
+			if st.Dropped == 0 || len(st.Events) > st.Capacity {
+				t.Fatalf("Workers=%d: %d events kept, %d dropped, capacity %d: want an overflowed ring within capacity",
+					workers, len(st.Events), st.Dropped, st.Capacity)
 			}
-			t.Errorf("Workers=%d overflowing trace drifted: sha256 %s, want %s", workers, got, traceOverflowWant)
+			data, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers == 0 {
+				want = data
+			} else if !bytes.Equal(data, want) {
+				t.Errorf("Workers=%d overflowing trace diverged from Workers=0 (%d events kept, %d dropped)",
+					workers, len(st.Events), st.Dropped)
+			}
 		}
+		return want
 	}
+	t.Run("ring256", func(t *testing.T) {
+		sum := sha256.Sum256(parity(t, func(workers int) *metrics.TraceStats {
+			_, st := runTraced(t, traceConfig(MIN{}, workers), 0, 256)
+			return st
+		}))
+		if got := hex.EncodeToString(sum[:]); got != traceOverflowWant {
+			t.Errorf("Workers=0 overflowing trace drifted: sha256 %s, want %s", got, traceOverflowWant)
+		}
+	})
+	t.Run("registry", func(t *testing.T) {
+		t.Parallel()
+		// ~4.7M measured packets: 17 531 sampled events at 1 in 1024.
+		sf := slimfly.MustNew(7)
+		rt := route.Build(sf.Graph())
+		parity(t, func(workers int) *metrics.TraceStats {
+			_, sum, err := RunSummary(Config{
+				Topo: sf, Router: rt, Algo: MIN{},
+				Pattern: traffic.Uniform{N: sf.Endpoints()},
+				Load:    0.8, Warmup: 100, Measure: 10000, Seed: 1,
+				Workers: workers, Metrics: "trace",
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sum.Trace
+		})
+	})
 }

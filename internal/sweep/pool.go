@@ -62,6 +62,26 @@ type Stats struct {
 	FirstStoreErr string `json:",omitempty"`
 }
 
+// Add tallies one finished job: failed, cached or executed, plus its
+// store-write error if it had one. Every Stats a caller sees -- the
+// pool's, the service's results artifact -- is built from these calls.
+func (st *Stats) Add(r JobResult) {
+	switch {
+	case r.Err != "":
+		st.Failed++
+	case r.Cached:
+		st.Cached++
+	default:
+		st.Executed++
+	}
+	if r.StoreErr != "" {
+		st.PutErrors++
+		if st.FirstStoreErr == "" {
+			st.FirstStoreErr = r.StoreErr
+		}
+	}
+}
+
 // Options configures a pool run.
 type Options struct {
 	// Workers is the pool width; 0 means one per available core.
@@ -124,6 +144,13 @@ type Task struct {
 	Build func() (sim.Config, error)
 }
 
+// JobTask is the task for a declarative job: keyed by Spec.Key, built
+// lazily through env. The pool, the sfworker lease loop and the sfsweepd
+// scheduler all turn a Job into work through it.
+func JobTask(env *Env, j Job) Task {
+	return Task{Job: j, Key: j.Key(), Build: func() (sim.Config, error) { return env.Config(j) }}
+}
+
 // shard is one worker's home run of task indices with a claim cursor.
 // Claiming is an atomic increment, so idle workers steal from any shard
 // without locks.
@@ -155,8 +182,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, err
 func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResult, Stats, error) {
 	tasks := make([]Task, len(jobs))
 	for i, j := range jobs {
-		j := j
-		tasks[i] = Task{Job: j, Key: j.Key(), Build: func() (sim.Config, error) { return env.Config(j) }}
+		tasks[i] = JobTask(env, j)
 	}
 	return RunTasks(ctx, tasks, opts)
 }
@@ -232,20 +258,7 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) ([]JobResult, Sta
 			obsQueueDepth.Add(-1) // claimed by nobody: cancelled before reach
 			continue
 		}
-		switch {
-		case results[i].Err != "":
-			st.Failed++
-		case results[i].Cached:
-			st.Cached++
-		default:
-			st.Executed++
-		}
-		if results[i].StoreErr != "" {
-			st.PutErrors++
-			if st.FirstStoreErr == "" {
-				st.FirstStoreErr = results[i].StoreErr
-			}
-		}
+		st.Add(results[i])
 	}
 	return results, st, ctx.Err()
 }

@@ -303,7 +303,7 @@ func TestSimWorkersBitIdentical(t *testing.T) {
 // every executed job, the summary round-trips through the cache
 // byte-identically on the second (fully cached) run, and forcing
 // intra-simulation sharding leaves it bit-identical -- the sweep-level
-// face of the engine's shard-merge determinism.
+// face of the engine's worker-count determinism.
 func TestSweepMetricsPayload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"slimfly/internal/obs"
-	"slimfly/internal/sim"
 )
 
 var (
@@ -134,9 +133,7 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 			case <-ctx.Done():
 			}
 		}
-		job := *grant.Job
-		task := Task{Job: job, Key: job.Key(), Build: func() (sim.Config, error) { return env.Config(job) }}
-		jr := Execute(task, rs, opts.SimWorkers)
+		jr := Execute(JobTask(env, *grant.Job), rs, opts.SimWorkers)
 		close(stop)
 		<-hbDone
 

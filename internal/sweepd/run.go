@@ -211,14 +211,7 @@ func (r *sweepRun) finishedResults() ([]sweep.JobResult, sweep.Stats) {
 			st.Skipped++
 			continue
 		}
-		switch {
-		case r.results[i].Err != "":
-			st.Failed++
-		case r.results[i].Cached:
-			st.Cached++
-		default:
-			st.Executed++
-		}
+		st.Add(r.results[i])
 		out = append(out, r.results[i])
 	}
 	return out, st

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"slimfly/internal/obs"
-	"slimfly/internal/sim"
 	"slimfly/internal/sweep"
 )
 
@@ -209,12 +208,7 @@ func (s *scheduler) run() {
 		if !ok {
 			return
 		}
-		job := r.jobs[idx]
-		task := sweep.Task{
-			Job: job, Key: job.Key(),
-			Build: func() (sim.Config, error) { return s.env.Config(job) },
-		}
-		r.finish(idx, sweep.Execute(task, s.store, simW))
+		r.finish(idx, sweep.Execute(sweep.JobTask(s.env, r.jobs[idx]), s.store, simW))
 	}
 }
 

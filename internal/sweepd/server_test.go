@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -302,6 +303,44 @@ type sseEvent struct {
 	id   int
 	kind string
 	data string
+}
+
+// putFailStore is a result store on a volume that went read-only: lookups
+// work, every write fails.
+type putFailStore struct{ sweep.Store }
+
+func (putFailStore) Put(string, sweep.Entry) error {
+	return errors.New("read-only file system")
+}
+
+// TestResultsStatsStoreErrors: the results artifact's stats are the ones
+// sfsweep would print for the same run, store-write failures included.
+func TestResultsStatsStoreErrors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator-backed; skipped in -short")
+	}
+	c, err := sweep.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Workers: 2, Store: putFailStore{c}})
+	srv.Start()
+
+	st := postSpec(t, ts, specJSON("readonly", 2))
+	waitState(t, ts, st.ID, StateDone)
+	resp, err := http.Get(ts.URL + "/api/v1/sweeps/" + st.ID + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	art, err := export.ReadSweepJSON(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Stats.Executed != 2 || art.Stats.PutErrors != 2 ||
+		!strings.Contains(art.Stats.FirstStoreErr, "read-only file system") {
+		t.Fatalf("stats %+v: want 2 executed, 2 put errors and the first store error", art.Stats)
+	}
 }
 
 // readSSE parses a text/event-stream body until it closes.
