@@ -11,10 +11,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -306,4 +310,81 @@ func entryPayloadEqual(t *testing.T, a, b sweep.Entry) bool {
 func postSpecAuth(t *testing.T, ts *httptest.Server, spec string) Status {
 	t.Helper()
 	return postSpec(t, ts, spec)
+}
+
+// wireTime matches the RFC 3339 UTC timestamps in lease bodies.
+var wireTime = regexp.MustCompile(`\d{4}-\d\d-\d\dT[0-9:.]+Z`)
+
+// TestJobLeaseWireGolden pins the job-lease exchange an sfworker sees,
+// as raw HTTP: the status code and response body of claim, renew,
+// complete, a repeated complete, a claim on a dry queue, and renew and
+// complete after the lease expired. Lease ids, keys and timestamps are
+// masked; everything else is literal. The requests carry only owner and
+// ttl_seconds, so the golden does not depend on what else a client sends.
+func TestJobLeaseWireGolden(t *testing.T) {
+	_, srv, ts, _ := newRemoteHarness(t, Config{Workers: -1})
+	postSpec(t, ts, specJSON("wire", 2))
+
+	const claimBody = `{"owner":"golden","ttl_seconds":60}`
+	const renewBody = `{"ttl_seconds":60}`
+	var lines, masks []string
+	post := func(name, path, body string) []byte {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := fmt.Sprintf("%s %d", name, resp.StatusCode)
+		if len(raw) > 0 {
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, raw); err != nil {
+				t.Fatalf("%s: body is not JSON: %v (%s)", name, err, raw)
+			}
+			line += " " + compact.String()
+		}
+		lines = append(lines, line)
+		return raw
+	}
+	claim := func() (leasePath, result string) {
+		t.Helper()
+		var g sweep.LeaseGrant
+		if err := json.Unmarshal(post("claim", "/api/v1/leases", claimBody), &g); err != nil || g.Job == nil {
+			t.Fatalf("claim granted no job: %v", err)
+		}
+		masks = append(masks, g.Lease.ID, "<id>", g.Lease.Key, "<key>")
+		jr, err := json.Marshal(sweep.JobResult{Job: *g.Job, Key: g.Lease.Key})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "/api/v1/leases/" + g.Lease.ID, string(jr)
+	}
+
+	a, resultA := claim()
+	post("renew", a+"/renew", renewBody)
+	post("complete", a+"/complete", resultA)
+	post("complete-again", a+"/complete", resultA)
+	b, resultB := claim()
+	post("claim-dry", "/api/v1/leases", claimBody)
+	srv.sched.expire(time.Now().Add(time.Hour)) // b's heartbeats stopped
+	post("renew-late", b+"/renew", renewBody)
+	post("complete-late", b+"/complete", resultB)
+
+	got := strings.NewReplacer(masks...).Replace(strings.Join(lines, "\n"))
+	got = wireTime.ReplaceAllString(got, "<time>")
+	const want = `claim 201 {"lease":{"id":"<id>","key":"<key>","owner":"golden","expires":"<time>"},"job":{"topo":{"kind":"SF","q":5},"algo":"min","pattern":"uniform","load":0.05,"seed":1,"sim":{"warmup":50,"measure":100,"drain":500}},"sweep_id":"sw-1"}
+renew 200 {"lease":{"id":"<id>","key":"<key>","owner":"golden","expires":"<time>"}}
+complete 204
+complete-again 410 {"error":"sweepd: lease <id> expired and its job was requeued","kind":"lease_lost"}
+claim 201 {"lease":{"id":"<id>","key":"<key>","owner":"golden","expires":"<time>"},"job":{"topo":{"kind":"SF","q":5},"algo":"min","pattern":"uniform","load":0.1,"seed":1,"sim":{"warmup":50,"measure":100,"drain":500}},"sweep_id":"sw-1","index":1}
+claim-dry 204
+renew-late 410 {"error":"sweepd: lease <id> expired or was never granted","kind":"lease_lost"}
+complete-late 410 {"error":"sweepd: lease <id> expired and its job was requeued","kind":"lease_lost"}`
+	if got != want {
+		t.Errorf("job-lease wire exchange drifted:\n got:\n%s\nwant:\n%s", got, want)
+	}
 }
