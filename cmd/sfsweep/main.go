@@ -1,11 +1,11 @@
 // Command sfsweep orchestrates simulation sweeps: it expands a declarative
 // JSON spec (topologies x routing algorithms x traffic patterns x load grid
-// x seeds) into a deterministic job list, runs it on a sharded
-// work-stealing pool, serves repeated points from a content-addressed
-// on-disk cache, and writes an artifact directory with the results as JSON
-// and CSV. The core budget is split between concurrent jobs and
-// intra-simulation shards (-sim-workers; results are bit-identical at any
-// split, so the choice is pure wall-clock tuning).
+// x seeds) into a deterministic job list, runs it on a worker pool,
+// serves repeated points from a content-addressed on-disk cache, and
+// writes an artifact directory with the results as JSON and CSV. The
+// core budget is split between concurrent jobs and intra-simulation
+// shards (-sim-workers; results are bit-identical at any split, so the
+// choice is pure wall-clock tuning).
 //
 // Usage:
 //

@@ -19,8 +19,8 @@
 // exactly where the drain stopped -- as does running `sfsweep` against
 // the same cache directory.
 //
-// With -token the mutating endpoints (result uploads and the lease
-// surface) require that bearer token, and `sfworker -server <url> -token
+// With -token the mutating endpoints (result uploads and job leases)
+// require that bearer token, and `sfworker -server <url> -token
 // <t>` processes on other machines claim jobs from this server's queue,
 // execute them locally and upload the results. `-workers -1` turns the
 // server into a pure scheduler: every job runs on remote workers.

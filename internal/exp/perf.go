@@ -118,7 +118,7 @@ type runSpec struct {
 	load    float64
 }
 
-// runAll executes the specs on the sweep engine's work-stealing pool and
+// runAll executes the specs on the sweep engine's pool and
 // returns results (and, when metricsSel names collectors, the structured
 // summaries) in order. The networks and patterns are pre-built, so the
 // tasks carry closures rather than declarative jobs; the per-index seed

@@ -32,15 +32,14 @@ type Entry struct {
 	Created time.Time        `json:"created"`
 }
 
-// Cache is the local directory-backed Store: a content-addressed result
-// store plus file-based leases. Writes are atomic (unique temp file +
-// rename), so concurrent writers -- even across processes -- can race on
-// the same key and the survivor is always a complete entry. Unreadable
-// or corrupt entries are deleted on read and reported as misses, so a
-// torn write from a killed sweep costs one recomputation, not a crash.
-// Keys that are not 64 hex digits never reach the filesystem: Get/Has
-// miss, Put and Lease return a *KeyError (they used to panic the
-// key[:2] path fan-out).
+// Cache is the local directory-backed Store. Writes are atomic (unique
+// temp file + rename), so concurrent writers -- even across processes --
+// can race on the same key and the survivor is always a complete entry.
+// Unreadable or corrupt entries are deleted on read and reported as
+// misses, so a torn write from a killed sweep costs one recomputation,
+// not a crash. Keys that are not 64 hex digits never reach the
+// filesystem: Get/Has miss, Put returns a *KeyError (it used to panic
+// the key[:2] path fan-out).
 type Cache struct {
 	dir string
 }
@@ -55,17 +54,13 @@ func OpenCache(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweep: opening cache: %w", err)
 	}
-	for _, pattern := range []string{"put-*.tmp", filepath.Join(leaseDir, "lease-*.tmp")} {
-		orphans, err := filepath.Glob(filepath.Join(dir, pattern))
-		if err != nil {
-			continue
-		}
-		for _, o := range orphans {
-			// Age-gate the sweep so a concurrent process mid-write (its
-			// temp file is seconds old) is left alone.
-			if info, err := os.Stat(o); err == nil && time.Since(info.ModTime()) > time.Hour {
-				os.Remove(o)
-			}
+	// Best effort: a dir that Glob cannot parse as a pattern skips the sweep.
+	orphans, _ := filepath.Glob(filepath.Join(dir, "put-*.tmp"))
+	for _, o := range orphans {
+		// Age-gate the sweep so a concurrent process mid-write (its
+		// temp file is seconds old) is left alone.
+		if info, err := os.Stat(o); err == nil && time.Since(info.ModTime()) > time.Hour {
+			os.Remove(o)
 		}
 	}
 	return &Cache{dir: dir}, nil
@@ -154,14 +149,13 @@ func (c *Cache) Put(key string, e Entry) error {
 // (by path shape; entries are not decoded), in walk order. Only 64-hex
 // basenames qualify: a stray results.json artifact dropped into the tree
 // used to be listed here -- and then 404 on fetch, since Get rejects the
-// malformed key -- so anything that cannot be a scenario key is skipped,
-// as is the leases subtree. A walk error is yielded with an empty key
-// and ends the iteration: the caller always learns about an unreadable
-// cache instead of mistaking it for an empty one. The server's
-// /api/v1/results index handler streams directly from this iterator, so
-// listing a large cache never materialises the key set.
+// malformed key -- so anything that cannot be a scenario key is skipped.
+// A walk error is yielded with an empty key and ends the iteration: the
+// caller always learns about an unreadable cache instead of mistaking it
+// for an empty one. The server's /api/v1/results index handler streams
+// directly from this iterator, so listing a large cache never
+// materialises the key set.
 func (c *Cache) Keys() iter.Seq2[string, error] {
-	leases := filepath.Join(c.dir, leaseDir)
 	return func(yield func(string, error) bool) {
 		_ = filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, walkErr error) error {
 			if walkErr != nil {
@@ -169,9 +163,6 @@ func (c *Cache) Keys() iter.Seq2[string, error] {
 				return fs.SkipAll
 			}
 			if d.IsDir() {
-				if path == leases {
-					return fs.SkipDir
-				}
 				return nil
 			}
 			if filepath.Ext(path) != ".json" {
@@ -200,151 +191,4 @@ func (c *Cache) Len() (int, error) {
 		n++
 	}
 	return n, nil
-}
-
-// --- leases -----------------------------------------------------------
-
-// leaseDir holds the lease files, one flat <key>.lease per live claim,
-// beside (never among) the entry fan-out. Leases are transient -- a
-// handful exist at a time -- so they skip the 256-way fan-out.
-const leaseDir = "leases"
-
-func (c *Cache) leasePath(key string) string {
-	return filepath.Join(c.dir, leaseDir, key+".lease")
-}
-
-// readLease decodes the lease file at path.
-func readLease(path string) (Lease, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Lease{}, err
-	}
-	var l Lease
-	if err := json.Unmarshal(data, &l); err != nil {
-		return Lease{}, err
-	}
-	return l, nil
-}
-
-// writeLease replaces the lease file at path atomically (temp + rename,
-// same discipline as Put).
-func (c *Cache) writeLease(path string, l Lease) error {
-	data, err := json.Marshal(l)
-	if err != nil {
-		return fmt.Errorf("sweep: encoding lease: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "lease-*.tmp")
-	if err != nil {
-		return fmt.Errorf("sweep: lease temp file: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: writing lease: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: closing lease: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("sweep: committing lease: %w", err)
-	}
-	return nil
-}
-
-// Lease acquires an exclusive time-limited claim on key. The common case
-// (no lease file) is an O_EXCL create, so two racing acquirers resolve
-// at the filesystem: exactly one wins, the other gets ErrLeaseHeld. An
-// expired or unreadable lease file is taken over in place. (Two
-// processes racing to steal the SAME expired lease can, on a shared
-// filesystem, both believe they won for one renewal interval -- the
-// loser learns at its next Renew, whose ID check reads the survivor's
-// file. Leases coordinate work, not correctness: the worst case is one
-// duplicated computation landing the identical entry.)
-func (c *Cache) Lease(key, owner string, ttl time.Duration) (Lease, error) {
-	if !ValidKey(key) {
-		return Lease{}, &KeyError{Key: key}
-	}
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	path := c.leasePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return Lease{}, fmt.Errorf("sweep: lease dir: %w", err)
-	}
-	l := Lease{ID: newLeaseID(), Key: key, Owner: owner, Expires: time.Now().UTC().Add(ttl)}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err == nil {
-		data, merr := json.Marshal(l)
-		if merr == nil {
-			_, merr = f.Write(data)
-		}
-		if cerr := f.Close(); merr == nil {
-			merr = cerr
-		}
-		if merr != nil {
-			os.Remove(path)
-			return Lease{}, fmt.Errorf("sweep: writing lease: %w", merr)
-		}
-		return l, nil
-	}
-	if !os.IsExist(err) {
-		return Lease{}, fmt.Errorf("sweep: creating lease: %w", err)
-	}
-	cur, rerr := readLease(path)
-	if rerr == nil && time.Now().Before(cur.Expires) {
-		return Lease{}, fmt.Errorf("sweep: key %s leased by %q until %s: %w",
-			key, cur.Owner, cur.Expires.Format(time.RFC3339), ErrLeaseHeld)
-	}
-	// Expired (or corrupt) lease: take it over in place.
-	if err := c.writeLease(path, l); err != nil {
-		return Lease{}, err
-	}
-	return l, nil
-}
-
-// Renew extends l by ttl from now. The on-disk ID is the ownership
-// check: if the file is gone or carries another holder's ID, the lease
-// was lost (expired and re-acquired, or released) and the caller must
-// stop assuming exclusivity. An expired-but-untaken lease renews fine.
-func (c *Cache) Renew(l Lease, ttl time.Duration) (Lease, error) {
-	if !ValidKey(l.Key) {
-		return Lease{}, &KeyError{Key: l.Key}
-	}
-	if ttl <= 0 {
-		ttl = 30 * time.Second
-	}
-	path := c.leasePath(l.Key)
-	cur, err := readLease(path)
-	if err != nil || cur.ID != l.ID {
-		return Lease{}, ErrLeaseLost
-	}
-	cur.Expires = time.Now().UTC().Add(ttl)
-	if err := c.writeLease(path, cur); err != nil {
-		return Lease{}, err
-	}
-	return cur, nil
-}
-
-// Release drops l. Releasing a lease that is already gone is a no-op;
-// one that now belongs to another holder is ErrLeaseLost (and is left
-// alone -- it is theirs).
-func (c *Cache) Release(l Lease) error {
-	if !ValidKey(l.Key) {
-		return &KeyError{Key: l.Key}
-	}
-	path := c.leasePath(l.Key)
-	cur, err := readLease(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return nil // unreadable == already torn down; nothing to hold on to
-	}
-	if cur.ID != l.ID {
-		return ErrLeaseLost
-	}
-	os.Remove(path)
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
@@ -244,6 +245,21 @@ func TestCacheReopen(t *testing.T) {
 	if err := c1.Put(j.Key(), Entry{Job: j, Result: sim.Result{Delivered: 42}}); err != nil {
 		t.Fatal(err)
 	}
+	// The earlier process may have been an older binary that kept lease
+	// files in the directory; they are no obstacle and no entry.
+	stale := filepath.Join(dir, "leases", "lease-123456.tmp")
+	if err := os.MkdirAll(filepath.Dir(stale), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{stale, filepath.Join(dir, "leases", j.Key()+".lease")} {
+		if err := os.WriteFile(path, []byte(`{"id":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aged := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(stale, aged, aged); err != nil {
+		t.Fatal(err)
+	}
 	c2, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +267,9 @@ func TestCacheReopen(t *testing.T) {
 	got, ok := c2.Get(j.Key())
 	if !ok || got.Result.Delivered != 42 {
 		t.Fatalf("reopened cache: %+v ok=%v", got, ok)
+	}
+	if n, err := c2.Len(); err != nil || n != 1 {
+		t.Fatalf("reopened cache Len = %d, %v, want 1", n, err)
 	}
 }
 

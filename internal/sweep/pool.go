@@ -151,22 +151,6 @@ func JobTask(env *Env, j Job) Task {
 	return Task{Job: j, Key: j.Key(), Build: func() (sim.Config, error) { return env.Config(j) }}
 }
 
-// shard is one worker's home run of task indices with a claim cursor.
-// Claiming is an atomic increment, so idle workers steal from any shard
-// without locks.
-type shard struct {
-	tasks []int
-	next  atomic.Int64
-}
-
-func (s *shard) claim() (int, bool) {
-	pos := s.next.Add(1) - 1
-	if int(pos) >= len(s.tasks) {
-		return 0, false
-	}
-	return s.tasks[pos], true
-}
-
 // Run expands the spec and executes it: the one-call API used by
 // cmd/sfsweep. Jobs are resolved lazily through a fresh Env, so a fully
 // cached sweep builds no topologies and executes no simulator cycles.
@@ -187,10 +171,8 @@ func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResu
 	return RunTasks(ctx, tasks, opts)
 }
 
-// RunTasks executes tasks on a sharded work-stealing pool: task indices
-// are dealt round-robin into one shard per worker (adjacent sweep points
-// have similar cost, so striping balances the initial deal), each worker
-// drains its own shard first and then steals claims from the others.
+// RunTasks executes tasks on a pool of workers that claim the next
+// index from one shared cursor; a claim is a single atomic increment.
 // Results are positional: results[i] corresponds to tasks[i]. On
 // cancellation the slice holds every job finished so far, unreached jobs
 // are counted in Stats.Skipped, and the context error is returned.
@@ -205,60 +187,44 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) ([]JobResult, Sta
 	if nw < 1 {
 		nw = 1
 	}
-	shards := make([]*shard, nw)
-	for w := 0; w < nw; w++ {
-		shards[w] = &shard{}
-	}
-	for i := range tasks {
-		s := shards[i%nw]
-		s.tasks = append(s.tasks, i)
-	}
 
 	results := make([]JobResult, len(tasks))
-	reached := make([]bool, len(tasks)) // each index claimed exactly once
+	var next atomic.Int64 // first unclaimed index
 	obsQueueDepth.Add(int64(len(tasks)))
 	var wg sync.WaitGroup
 	for w := 0; w < nw; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			// Home shard first, then steal sweeps over the others.
-			for s := 0; s < nw; s++ {
-				sh := shards[(w+s)%nw]
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					idx, ok := sh.claim()
-					if !ok {
-						break
-					}
-					obsQueueDepth.Add(-1)
-					if opts.Progress != nil {
-						opts.Progress.JobStarted()
-					}
-					results[idx] = Execute(tasks[idx], opts.Store, opts.SimWorkers)
-					reached[idx] = true
-					if opts.Progress != nil {
-						opts.Progress.Observe(results[idx])
-					}
-					if opts.OnDone != nil {
-						opts.OnDone(idx, results[idx])
-					}
+			for ctx.Err() == nil {
+				idx := int(next.Add(1) - 1)
+				if idx >= len(tasks) {
+					return
+				}
+				obsQueueDepth.Add(-1)
+				if opts.Progress != nil {
+					opts.Progress.JobStarted()
+				}
+				results[idx] = Execute(tasks[idx], opts.Store, opts.SimWorkers)
+				if opts.Progress != nil {
+					opts.Progress.Observe(results[idx])
+				}
+				if opts.OnDone != nil {
+					opts.OnDone(idx, results[idx])
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 
-	st := Stats{Total: len(tasks)}
-	for i := range results {
-		if !reached[i] {
-			st.Skipped++
-			obsQueueDepth.Add(-1) // claimed by nobody: cancelled before reach
-			continue
-		}
-		st.Add(results[i])
+	// Every index below the cursor was claimed, and a claimed job always
+	// runs to its result; the rest were cancelled before any worker
+	// reached them.
+	claimed := min(int(next.Load()), len(tasks))
+	st := Stats{Total: len(tasks), Skipped: len(tasks) - claimed}
+	obsQueueDepth.Add(-int64(st.Skipped))
+	for _, r := range results[:claimed] {
+		st.Add(r)
 	}
 	return results, st, ctx.Err()
 }

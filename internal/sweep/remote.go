@@ -22,11 +22,12 @@ var (
 
 // RemoteStore is the Store backend that speaks HTTP/JSON to a running
 // sfsweepd: reads come from GET /api/v1/results/{key}, writes go to the
-// token-authenticated PUT side, and the lease surface maps onto the
-// /api/v1/leases endpoints. Because sfsweepd's local store uses the same
-// Entry encoding and the same Spec.Key addresses, a RemoteStore handed
-// to Execute behaves exactly like a shared cache directory -- except it
-// works across machines.
+// token-authenticated PUT side. Because sfsweepd's local store uses the
+// same Entry encoding and the same Spec.Key addresses, a RemoteStore
+// handed to Execute behaves exactly like a shared cache directory --
+// except it works across machines. It is also the job-claim client of
+// the same server (ClaimJob, RenewJob, CompleteJob over the
+// /api/v1/leases endpoints), which is what Work drives.
 //
 // Transient failures (network errors, 5xx) are retried with exponential
 // backoff before giving up: a worker fleet must ride out a server
@@ -45,7 +46,7 @@ type RemoteStore struct {
 	Backoff time.Duration
 }
 
-// RemoteStore implements the full Store contract.
+// RemoteStore implements the Store contract.
 var _ Store = (*RemoteStore)(nil)
 
 // OpenRemote returns a RemoteStore for the sfsweepd at baseURL (e.g.
@@ -214,68 +215,6 @@ func (r *RemoteStore) Keys() iter.Seq2[string, error] {
 	}
 }
 
-// Lease acquires a store-level lease on key via the server (which holds
-// it in its own local store, so local processes and the whole fleet
-// contend on one table).
-func (r *RemoteStore) Lease(key, owner string, ttl time.Duration) (Lease, error) {
-	if !ValidKey(key) {
-		return Lease{}, &KeyError{Key: key}
-	}
-	body, _ := json.Marshal(LeaseRequest{Key: key, Owner: owner, TTLSeconds: ttl.Seconds()})
-	var grant LeaseGrant
-	status, err := r.do(http.MethodPost, "/api/v1/leases", body, &grant)
-	if err != nil {
-		return Lease{}, err
-	}
-	switch status {
-	case http.StatusOK, http.StatusCreated:
-		return grant.Lease, nil
-	case http.StatusConflict:
-		return Lease{}, ErrLeaseHeld
-	case http.StatusBadRequest:
-		return Lease{}, &KeyError{Key: key}
-	default:
-		return Lease{}, apiErr(status, "POST /api/v1/leases")
-	}
-}
-
-// Renew extends l by ttl.
-func (r *RemoteStore) Renew(l Lease, ttl time.Duration) (Lease, error) {
-	body, _ := json.Marshal(RenewRequest{Lease: l, TTLSeconds: ttl.Seconds()})
-	var grant LeaseGrant
-	status, err := r.do(http.MethodPost, "/api/v1/leases/"+url.PathEscape(l.ID)+"/renew", body, &grant)
-	if err != nil {
-		return Lease{}, err
-	}
-	switch status {
-	case http.StatusOK:
-		return grant.Lease, nil
-	case http.StatusGone, http.StatusNotFound:
-		return Lease{}, ErrLeaseLost
-	default:
-		return Lease{}, apiErr(status, "POST /api/v1/leases/{id}/renew")
-	}
-}
-
-// Release drops l.
-func (r *RemoteStore) Release(l Lease) error {
-	body, _ := json.Marshal(l)
-	status, err := r.do(http.MethodDelete, "/api/v1/leases/"+url.PathEscape(l.ID), body, nil)
-	if err != nil {
-		return err
-	}
-	switch status {
-	case http.StatusOK, http.StatusNoContent:
-		return nil
-	case http.StatusGone:
-		return ErrLeaseLost
-	case http.StatusNotFound:
-		return nil // already gone: release is idempotent
-	default:
-		return apiErr(status, "DELETE /api/v1/leases/{id}")
-	}
-}
-
 // ClaimJob asks the server's fair-share scheduler for the next unclaimed
 // job across all queued sweeps, leased to owner for ttl. ok=false with a
 // nil error means no work right now (poll again); ErrDraining means the
@@ -304,8 +243,27 @@ func (r *RemoteStore) ClaimJob(owner string, ttl time.Duration) (LeaseGrant, boo
 	}
 }
 
+// RenewJob extends the job lease leaseID by ttl from now. ErrLeaseLost
+// means it expired and the job was requeued.
+func (r *RemoteStore) RenewJob(leaseID string, ttl time.Duration) (Lease, error) {
+	body, _ := json.Marshal(RenewRequest{TTLSeconds: ttl.Seconds()})
+	var grant LeaseGrant
+	status, err := r.do(http.MethodPost, "/api/v1/leases/"+url.PathEscape(leaseID)+"/renew", body, &grant)
+	if err != nil {
+		return Lease{}, err
+	}
+	switch status {
+	case http.StatusOK:
+		return grant.Lease, nil
+	case http.StatusGone, http.StatusNotFound:
+		return Lease{}, ErrLeaseLost
+	default:
+		return Lease{}, apiErr(status, "POST /api/v1/leases/{id}/renew")
+	}
+}
+
 // CompleteJob reports the outcome of a claimed job (success or failure)
-// and releases its lease. ErrLeaseLost means the lease expired and the
+// and ends its lease. ErrLeaseLost means the lease expired and the
 // job was requeued -- the result, if any, is already in the store via
 // Put, so the re-run will be a cache hit and nothing is lost.
 func (r *RemoteStore) CompleteJob(leaseID string, jr JobResult) error {

@@ -1,9 +1,9 @@
 // Package sweep is the experiment-orchestration subsystem: a declarative
 // sweep specification (topology family x size x routing algorithm x traffic
 // pattern x load grid x seeds) is expanded into a deterministic job list and
-// executed by a sharded, work-stealing worker pool backed by a
-// content-addressed on-disk result cache. Re-running a sweep only executes
-// new or changed points, so an interrupted sweep resumes where it left off.
+// executed by a worker pool backed by a content-addressed on-disk result
+// cache. Re-running a sweep only executes new or changed points, so an
+// interrupted sweep resumes where it left off.
 //
 // Scenario axes (topologies, algorithms, patterns) are named strings
 // resolved through the internal/scenario registries; a spec accepts

@@ -1,30 +1,27 @@
 package sweep
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"iter"
 	"time"
 )
 
-// Store is the result-store surface the sweep engine runs against: the
-// content-addressed read/write side (Get/Put/Has/Keys, keyed by scenario
-// Spec.Key) plus a cooperative leasing surface (Lease/Renew/Release) so
-// several processes -- or several machines -- can divide the points of
-// one sweep without executing any of them twice. Cache is the local
-// directory-backed default; RemoteStore speaks the same contract to a
-// running sfsweepd, so a worker fleet shares one result set. Results are
-// location-invariant by construction (worker counts and routing backends
-// are excluded from Spec.Key), which is what makes the two backends
-// interchangeable: an entry computed anywhere is byte-identical to one
-// computed here.
+// Store is the result-store surface the sweep engine runs against: a
+// content-addressed map from scenario Spec.Key to Entry. Cache is the
+// local directory-backed default; RemoteStore speaks the same contract
+// to a running sfsweepd, so a worker fleet shares one result set.
+// Results are location-invariant by construction (worker counts and
+// routing backends are excluded from Spec.Key), which is what makes the
+// two backends interchangeable: an entry computed anywhere is
+// byte-identical to one computed here. Dividing a sweep's points
+// between workers is not the store's business: the pool and sfsweepd's
+// job leases do that.
 //
 // Every implementation must validate key shape at this boundary: a key
 // that is not 64 hex digits (ValidKey) is a miss for Get/Has, a
-// *KeyError for Put/Lease, and never reaches the filesystem or the
-// network path component.
+// *KeyError for Put, and never reaches the filesystem or the network
+// path component.
 type Store interface {
 	// Get looks up key: (entry, true) on a hit, (zero, false) on a miss.
 	// Corrupt or unreachable entries are misses, never errors -- a miss
@@ -39,23 +36,14 @@ type Store interface {
 	// Keys iterates every stored key. A walk/transport error is yielded
 	// once with an empty key and ends the iteration.
 	Keys() iter.Seq2[string, error]
-	// Lease acquires an exclusive, time-limited claim on key for owner.
-	// ErrLeaseHeld if another live lease exists. A lease is advisory:
-	// it coordinates who computes, never who may read or write.
-	Lease(key, owner string, ttl time.Duration) (Lease, error)
-	// Renew extends l by ttl from now. ErrLeaseLost if l expired and was
-	// taken over (or released) in the meantime.
-	Renew(l Lease, ttl time.Duration) (Lease, error)
-	// Release drops l. Releasing an already-gone lease is a no-op;
-	// releasing one that now belongs to someone else is ErrLeaseLost.
-	Release(l Lease) error
 }
 
-// Lease is one live claim on a key: the ID is the proof of ownership
-// (Renew and Release require it to match), Expires is the moment the
-// claim lapses unless renewed. A holder that stops heartbeating --
-// a SIGKILLed worker -- simply lets Expires pass, and the key is
-// claimable again: no recovery protocol, just a clock.
+// Lease is one live job claim granted by sfsweepd: the ID is the proof
+// of ownership (renewals and the completion must present it), Key is
+// the claimed job's Spec.Key, Expires is the moment the claim lapses
+// unless renewed. A holder that stops heartbeating -- a SIGKILLed
+// worker -- simply lets Expires pass and the job is requeued: no
+// recovery protocol, just a clock.
 type Lease struct {
 	ID      string    `json:"id"`
 	Key     string    `json:"key"`
@@ -63,21 +51,18 @@ type Lease struct {
 	Expires time.Time `json:"expires"`
 }
 
-// Lease coordination errors. Backends translate their native failures
-// (file contents, HTTP status codes) to these two so callers can
-// errors.Is across local and remote stores alike.
+// Job-claim errors, translated from sfsweepd's status codes so callers
+// can errors.Is on them.
 var (
-	// ErrLeaseHeld: the key is claimed by a live lease.
-	ErrLeaseHeld = errors.New("sweep: lease already held")
-	// ErrLeaseLost: the presented lease no longer exists or belongs to
-	// another holder (it expired and was re-acquired, or was released).
+	// ErrLeaseLost: the presented lease no longer exists: it expired
+	// and its job was requeued, or the job was already completed.
 	ErrLeaseLost = errors.New("sweep: lease lost")
 	// ErrDraining: the remote service is shutting down and grants no new
 	// claims; finished points are cached, so retry after its restart.
 	ErrDraining = errors.New("sweep: server is draining")
 )
 
-// KeyError is the structured Put/Lease failure for a malformed key.
+// KeyError is the structured Put failure for a malformed key.
 // Short, long or non-hex keys used to panic the cache's path fan-out
 // (key[:2]); now they fail shaped like this at the Store boundary.
 type KeyError struct {
@@ -105,36 +90,22 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// newLeaseID returns a fresh unguessable lease id. The id doubles as the
-// ownership capability, so it must not be predictable.
-func newLeaseID() string {
-	var b [12]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		panic("sweep: no entropy for lease id: " + err.Error())
-	}
-	return "ls-" + hex.EncodeToString(b[:])
-}
-
 // --- job-lease wire types ---------------------------------------------
 //
-// The service-side job claim protocol shares the Lease type above. These
-// structs are the bodies of sfsweepd's /api/v1/leases endpoints; they
-// live here (not in sweepd) so the RemoteStore client and the server
-// marshal the same shapes by construction.
+// These structs are the bodies of sfsweepd's /api/v1/leases endpoints;
+// they live here (not in sweepd) so the RemoteStore client and the
+// server marshal the same shapes by construction.
 
-// LeaseRequest is the body of POST /api/v1/leases. With Key set it is a
-// store-level lease on that key (the Store.Lease surface, proxied to the
-// server's local store); with Key empty it is a job claim: the server's
-// fair-share scheduler picks the next unclaimed job across all queued
-// sweeps and returns it with a lease on its key.
+// LeaseRequest is the body of POST /api/v1/leases, a job claim: the
+// server's fair-share scheduler picks the next unclaimed job across all
+// queued sweeps and returns it under a lease.
 type LeaseRequest struct {
-	Key        string  `json:"key,omitempty"`
 	Owner      string  `json:"owner"`
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
 }
 
-// LeaseGrant is the 200 body of a successful lease or claim. Job,
-// SweepID and Index are set for job claims only.
+// LeaseGrant is the body of a granted claim (Job, SweepID and Index
+// say which job) and of a renewal (Lease only).
 type LeaseGrant struct {
 	Lease   Lease  `json:"lease"`
 	Job     *Job   `json:"job,omitempty"`
@@ -142,10 +113,7 @@ type LeaseGrant struct {
 	Index   int    `json:"index,omitempty"`
 }
 
-// RenewRequest is the body of POST /api/v1/leases/{id}/renew. The full
-// lease rides along so the server can renew store-level leases (whose
-// state lives in lease files, not server memory) as well as job leases.
+// RenewRequest is the body of POST /api/v1/leases/{id}/renew.
 type RenewRequest struct {
-	Lease      Lease   `json:"lease"`
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
 }

@@ -5,7 +5,7 @@
 // and hit behaviour, malformed-key rejection at the boundary (the
 // key[:2] fan-out used to panic on short keys), foreign files staying
 // out of the index, torn writes degrading to misses, concurrent writers
-// surviving, and the full lease lifecycle including expiry.
+// surviving, and a directory an older binary left lease files in.
 package storetest
 
 import (
@@ -14,7 +14,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"slimfly/internal/sim"
 	"slimfly/internal/sweep"
@@ -100,9 +99,6 @@ func Run(t *testing.T, b Backend) {
 			if !errors.As(err, &ke) {
 				t.Errorf("Put(%q) = %v, want *KeyError", key, err)
 			}
-			if _, err := s.Lease(key, "w", time.Minute); !errors.As(err, &ke) {
-				t.Errorf("Lease(%q) = %v, want *KeyError", key, err)
-			}
 		}
 	})
 
@@ -165,68 +161,26 @@ func Run(t *testing.T, b Backend) {
 		}
 	})
 
-	t.Run("LeaseExclusive", func(t *testing.T) {
-		s, _ := b.Open(t)
-		key := Key(6)
-		l, err := s.Lease(key, "alice", time.Minute)
-		if err != nil {
-			t.Fatalf("Lease: %v", err)
+	t.Run("StaleLeaseDir", func(t *testing.T) {
+		// A cache directory an older binary used also holds a leases/
+		// subtree. It is not the store's: the entries beside it list
+		// and read as if it were absent.
+		s, plant := b.Open(t)
+		key, held := Key(6), Key(7)
+		plant(t, "leases/"+held+".lease", []byte(`{"id":"ls-00","key":"`+held+`","owner":"old","expires":"2020-01-01T00:00:00Z"}`))
+		plant(t, "leases/lease-123456.tmp", []byte(`{"id":`))
+		if err := s.Put(key, entry(6)); err != nil {
+			t.Fatalf("Put: %v", err)
 		}
-		if l.ID == "" || l.Key != key {
-			t.Fatalf("malformed lease: %+v", l)
+		if _, ok := s.Get(key); !ok {
+			t.Fatal("Get missed the stored entry")
 		}
-		if _, err := s.Lease(key, "bob", time.Minute); !errors.Is(err, sweep.ErrLeaseHeld) {
-			t.Fatalf("second Lease = %v, want ErrLeaseHeld", err)
+		if s.Has(held) {
+			t.Fatal("Has reported a lease file as an entry")
 		}
-		renewed, err := s.Renew(l, time.Minute)
-		if err != nil {
-			t.Fatalf("Renew: %v", err)
-		}
-		if renewed.ID != l.ID {
-			t.Fatalf("Renew changed the lease id: %s -> %s", l.ID, renewed.ID)
-		}
-		if err := s.Release(renewed); err != nil {
-			t.Fatalf("Release: %v", err)
-		}
-		if _, err := s.Lease(key, "bob", time.Minute); err != nil {
-			t.Fatalf("Lease after Release: %v", err)
-		}
-	})
-
-	t.Run("LeaseExpiry", func(t *testing.T) {
-		s, _ := b.Open(t)
-		key := Key(7)
-		l, err := s.Lease(key, "alice", 100*time.Millisecond)
-		if err != nil {
-			t.Fatalf("Lease: %v", err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			if _, err = s.Lease(key, "bob", time.Minute); err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("expired lease never became acquirable: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-		// The original holder lost the lease the moment bob took it.
-		if _, err := s.Renew(l, time.Minute); !errors.Is(err, sweep.ErrLeaseLost) {
-			t.Fatalf("Renew after takeover = %v, want ErrLeaseLost", err)
-		}
-		if err := s.Release(l); !errors.Is(err, sweep.ErrLeaseLost) {
-			t.Fatalf("Release after takeover = %v, want ErrLeaseLost", err)
-		}
-	})
-
-	t.Run("LeaseLostAndIdempotentRelease", func(t *testing.T) {
-		s, _ := b.Open(t)
-		ghost := sweep.Lease{ID: "ls-000000000000000000000000", Key: Key(8), Owner: "ghost"}
-		if _, err := s.Renew(ghost, time.Minute); !errors.Is(err, sweep.ErrLeaseLost) {
-			t.Fatalf("Renew of never-granted lease = %v, want ErrLeaseLost", err)
-		}
-		if err := s.Release(ghost); err != nil {
-			t.Fatalf("Release of never-granted lease = %v, want nil (idempotent)", err)
+		keys := collectKeys(t, s)
+		if len(keys) != 1 || keys[0] != key {
+			t.Fatalf("Keys = %v, want exactly [%s]", keys, key)
 		}
 	})
 }

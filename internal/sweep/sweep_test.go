@@ -161,7 +161,7 @@ func TestSweepFailedJob(t *testing.T) {
 }
 
 // TestRunTasksPositional: results line up with tasks regardless of which
-// worker ran them, including under stealing (many tasks, few workers).
+// worker ran them (many tasks, few workers).
 func TestRunTasksPositional(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")

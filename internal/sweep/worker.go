@@ -102,7 +102,6 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 		// finish and the Put makes it a cache hit for whoever re-runs it.
 		stop := make(chan struct{})
 		hbDone := make(chan struct{})
-		lease := grant.Lease
 		go func() {
 			defer close(hbDone)
 			t := time.NewTicker(ttl / 3)
@@ -112,16 +111,14 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 				case <-stop:
 					return
 				case <-t.C:
-					renewed, err := rs.Renew(lease, ttl)
-					if err != nil {
+					if _, err := rs.RenewJob(grant.Lease.ID, ttl); err != nil {
 						if errors.Is(err, ErrLeaseLost) {
-							logf("lease on %s lost mid-job; finishing anyway (result will be cached)", lease.Key[:12])
+							logf("lease on %s lost mid-job; finishing anyway (result will be cached)", grant.Lease.Key[:12])
 							return
 						}
 						logf("renewal failed (will retry): %v", err)
 						continue
 					}
-					lease = renewed
 					obsWorkerRenewals.Inc()
 				}
 			}

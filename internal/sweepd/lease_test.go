@@ -45,8 +45,8 @@ func newRemoteHarness(t *testing.T, cfg Config) (*sweep.Cache, *Server, *httptes
 
 // TestRemoteStoreConformance runs the identical Store suite the local
 // Cache passes, through a live server: every contract point -- key
-// validation, corrupt entries, foreign files, concurrent writers, the
-// lease lifecycle -- must survive the HTTP round trip.
+// validation, corrupt entries, foreign files, concurrent writers -- must
+// survive the HTTP round trip.
 func TestRemoteStoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
 		Open: func(t *testing.T) (sweep.Store, storetest.Plant) {
@@ -151,7 +151,7 @@ func TestJobLeaseLifecycle(t *testing.T) {
 		if grant.Lease.Key != grant.Job.Key() {
 			t.Fatalf("lease key %s does not match job key %s", grant.Lease.Key, grant.Job.Key())
 		}
-		renewed, err := rs.Renew(grant.Lease, time.Minute)
+		renewed, err := rs.RenewJob(grant.Lease.ID, time.Minute)
 		if err != nil || renewed.ID != grant.Lease.ID {
 			t.Fatalf("renew: %+v, %v", renewed, err)
 		}
@@ -225,7 +225,7 @@ func TestLeaseExpiryRequeues(t *testing.T) {
 }
 
 // TestKillWorkerMidLease is the recovery guarantee end to end, in
-// process: worker A claims a job and dies silently (no release, no
+// process: worker A claims a job and dies silently (no completion, no
 // renewals -- the moral equivalent of kill -9), a real sfworker loop
 // picks the requeued job up, and the sweep completes with an entry
 // byte-identical to a single-box execution of the same job.
@@ -238,7 +238,7 @@ func TestKillWorkerMidLease(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("victim claim: ok=%v err=%v", ok, err)
 	}
-	// Worker A is now "dead": it never renews, completes or releases.
+	// Worker A is now "dead": it never renews or completes.
 
 	stats, err := sweep.Work(context.Background(), rs, sweep.NewEnv(), sweep.WorkerOptions{
 		Owner: "survivor", TTL: 2 * time.Second, Poll: 20 * time.Millisecond,
@@ -310,6 +310,36 @@ func entryPayloadEqual(t *testing.T, a, b sweep.Entry) bool {
 func postSpecAuth(t *testing.T, ts *httptest.Server, spec string) Status {
 	t.Helper()
 	return postSpec(t, ts, spec)
+}
+
+// TestLeaseRequestRejectsKey: the claim endpoint grants jobs, not
+// leases on keys of the client's choosing. A request that names a key is
+// a structured 400 and takes nothing off the queue; the DELETE route
+// does not exist.
+func TestLeaseRequestRejectsKey(t *testing.T) {
+	_, srv, ts, _ := newRemoteHarness(t, Config{Workers: -1})
+	postSpec(t, ts, specJSON("keyed", 1))
+
+	body := `{"key":"` + storetest.Key(1) + `","owner":"stale-client","ttl_seconds":60}`
+	if code, ae := postForError(t, ts.URL+"/api/v1/leases", body); code != http.StatusBadRequest || ae.Kind != "bad_lease" {
+		t.Fatalf("keyed lease request: status %d kind %q (%s)", code, ae.Kind, ae.Error)
+	}
+	if n, leases := pendingJobs(srv), srv.sched.leaseList(); n != 1 || len(leases) != 0 {
+		t.Fatalf("keyed lease request touched the queue: pending %d, leases %+v", n, leases)
+	}
+
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/leases/jl-000000000000000000000000", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	del, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer del.Body.Close()
+	if del.StatusCode != http.StatusNotFound && del.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("DELETE /api/v1/leases/{id}: status %d, want 404 or 405", del.StatusCode)
+	}
 }
 
 // wireTime matches the RFC 3339 UTC timestamps in lease bodies.

@@ -62,9 +62,9 @@ type sweepRun struct {
 	created time.Time
 
 	// Claim-side state, scheduler.mu only. next is the claim frontier;
-	// requeued holds indices whose remote lease expired or was released
-	// and that must be handed out again (before the frontier advances, so
-	// a recovered job doesn't wait behind the rest of its sweep);
+	// requeued holds indices whose remote lease expired and that must
+	// be handed out again (before the frontier advances, so a recovered
+	// job doesn't wait behind the rest of its sweep);
 	// inActive tracks membership in the scheduler's rotation.
 	next     int
 	requeued []int
@@ -130,9 +130,9 @@ func (r *sweepRun) terminated() bool {
 }
 
 // abandon undoes one claimStarted whose claim evaporated without a
-// result: a remote worker's lease expired (or was released) and the job
-// went back in the queue. The matching re-claim will call claimStarted
-// again, so the in-flight count stays honest across requeues.
+// result: a remote worker's lease expired and the job went back in the
+// queue. The matching re-claim will call claimStarted again, so the
+// in-flight count stays honest across requeues.
 func (r *sweepRun) abandon() {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -24,7 +24,6 @@ var (
 	obsLeasesRenewed   = obs.NewCounter("sweepd.leases_renewed")
 	obsLeasesExpired   = obs.NewCounter("sweepd.leases_expired")
 	obsLeasesCompleted = obs.NewCounter("sweepd.leases_completed")
-	obsLeasesReleased  = obs.NewCounter("sweepd.leases_released")
 )
 
 // jobLease is one outstanding remote claim: which job of which sweep,
@@ -280,24 +279,7 @@ func (s *scheduler) complete(id string, jr sweep.JobResult) error {
 	return nil
 }
 
-// release abandons a lease without a result (a worker shutting down
-// cleanly): the job is requeued immediately instead of waiting out the
-// TTL.
-func (s *scheduler) release(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l, ok := s.leases[id]
-	if !ok {
-		return sweep.ErrLeaseLost
-	}
-	delete(s.leases, id)
-	obsLeasesActive.Add(-1)
-	obsLeasesReleased.Inc()
-	s.requeueLocked(l)
-	return nil
-}
-
-// requeueLocked puts an abandoned lease's job back in its sweep's queue,
+// requeueLocked puts an expired lease's job back in its sweep's queue,
 // re-entering the sweep into the fair-share rotation if it had left.
 // Jobs of terminal (cancelled/interrupted) sweeps are dropped, as is
 // everything during drain. Caller holds s.mu.

@@ -10,10 +10,9 @@
 //	GET  /api/v1/results          index of stored scenario keys
 //	GET  /api/v1/results/{key}    one store entry by scenario Spec.Key
 //	PUT  /api/v1/results/{key}    upload an entry (auth; remote workers)
-//	POST /api/v1/leases           claim a job (no key) or lease a key (auth)
+//	POST /api/v1/leases           claim a job under a lease (auth)
 //	POST /api/v1/leases/{id}/renew     heartbeat a lease (auth)
 //	POST /api/v1/leases/{id}/complete  report a claimed job's result (auth)
-//	DELETE /api/v1/leases/{id}    release a lease without a result (auth)
 //	GET  /api/v1/leases           outstanding job leases (ids redacted)
 //	DELETE /api/v1/sweeps/{id}    cancel a queued/running sweep
 //	GET  /healthz                 liveness probe
@@ -31,12 +30,12 @@
 // server resumes exactly like a re-run `sfsweep` does.
 //
 // The lease surface turns the server into a distributed work queue:
-// sfworker processes claim jobs under TTL'd leases (POST with no key),
-// execute through the identical sweep.Execute path against the server's
-// store (reads via GET, writes via PUT), heartbeat renewals, and report
-// completions. A worker that dies mid-job simply stops renewing; the
-// expiry sweep requeues its job and another worker re-runs it to the
-// same bytes. Mutating endpoints honour Config.Token as a bearer token.
+// sfworker processes claim jobs under TTL'd leases, execute through the
+// identical sweep.Execute path against the server's store (reads via
+// GET, writes via PUT), heartbeat renewals, and report completions. A
+// worker that dies mid-job simply stops renewing; the expiry sweep
+// requeues its job and another worker re-runs it to the same bytes.
+// Mutating endpoints honour Config.Token as a bearer token.
 package sweepd
 
 import (
@@ -68,6 +67,12 @@ var (
 // maxSpecBytes bounds POST bodies; the largest legitimate specs (every
 // axis enumerated) are a few KiB.
 const maxSpecBytes = 1 << 20
+
+// maxSweepJobs bounds the grid one submission may expand to. A body
+// under maxSpecBytes can still name 60 000 loads and 60 000 seeds; the
+// largest sweeps anyone runs (every paper figure at full resolution) are
+// a few thousand points.
+const maxSweepJobs = 100_000
 
 // maxEntryBytes bounds uploaded result entries. Entries with full
 // collector summaries run to a few hundred KiB; 16MiB leaves an order of
@@ -138,7 +143,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /api/v1/leases", s.auth(s.handleLease))
 	s.mux.HandleFunc("POST /api/v1/leases/{id}/renew", s.auth(s.handleRenew))
 	s.mux.HandleFunc("POST /api/v1/leases/{id}/complete", s.auth(s.handleComplete))
-	s.mux.HandleFunc("DELETE /api/v1/leases/{id}", s.auth(s.handleRelease))
 	s.mux.HandleFunc("GET /api/v1/leases", s.handleLeaseList)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -255,6 +259,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_spec", err)
 		return
 	}
+	if gridSize(spec) > maxSweepJobs {
+		writeError(w, http.StatusBadRequest, "too_many_jobs",
+			fmt.Errorf("sweepd: spec %q spans more than %d grid points; split it into several sweeps", spec.Name, maxSweepJobs))
+		return
+	}
 	jobs, err := spec.Expand()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_spec", err)
@@ -277,6 +286,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	obsSweepsSubmitted.Inc()
 	writeJSON(w, http.StatusAccepted, run.status())
+}
+
+// gridSize is the product of the spec's axes, saturating just above
+// maxSweepJobs: an upper bound on what Expand returns (it skips
+// incompatible topology/algorithm pairs) that costs nothing to compute.
+func gridSize(spec *sweep.Spec) int64 {
+	n := int64(1)
+	for _, axis := range []int{
+		len(spec.Topos), max(1, len(spec.Patterns)), len(spec.Algos), len(spec.Loads), max(1, len(spec.Seeds)),
+	} {
+		// n <= maxSweepJobs and axis < maxSpecBytes: no overflow.
+		if n *= int64(axis); n > maxSweepJobs {
+			return maxSweepJobs + 1
+		}
+	}
+	return n
 }
 
 func (s *Server) lookup(id string) (*sweepRun, bool) {
@@ -496,39 +521,19 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleLease is the one claim endpoint, split on the request's key
-// field. With a key it is a store-level lease (delegated to the server's
-// own store, so every process in the fleet contends on one table); with
-// no key it is a job claim against the fair-share scheduler: the grant
-// carries the job itself plus a TTL'd lease the worker must heartbeat.
+// handleLease is the job claim against the fair-share scheduler: the
+// grant carries the job itself plus a TTL'd lease the worker must
+// heartbeat. Unknown fields are refused: a request this endpoint cannot
+// honour is a 400, never a job the client did not ask for.
 func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req sweep.LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_lease", fmt.Errorf("sweepd: decoding lease request: %w", err))
 		return
 	}
 	ttl := clampTTL(time.Duration(req.TTLSeconds * float64(time.Second)))
-	if req.Key != "" {
-		if s.store == nil {
-			writeError(w, http.StatusNotFound, "no_cache", errors.New("sweepd: server runs without a result store"))
-			return
-		}
-		l, err := s.store.Lease(req.Key, req.Owner, ttl)
-		switch {
-		case err == nil:
-			writeJSON(w, http.StatusCreated, sweep.LeaseGrant{Lease: l})
-		case errors.Is(err, sweep.ErrLeaseHeld):
-			writeError(w, http.StatusConflict, "lease_held", err)
-		default:
-			var ke *sweep.KeyError
-			if errors.As(err, &ke) {
-				writeError(w, http.StatusBadRequest, "bad_key", err)
-				return
-			}
-			writeError(w, http.StatusInternalServerError, "store_error", err)
-		}
-		return
-	}
 	grant, ok, draining := s.sched.lease(req.Owner, ttl)
 	switch {
 	case draining:
@@ -541,10 +546,8 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleRenew heartbeats a lease. Job leases are matched by id in the
-// scheduler's table; anything else falls through to the store's lease
-// table (the request body carries the full lease for that). 410 means
-// the lease is gone -- for a job lease, the job has been requeued.
+// handleRenew heartbeats a job lease. 410 means the lease is gone and
+// its job has been requeued.
 func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 	var req sweep.RenewRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&req); err != nil {
@@ -552,20 +555,13 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	ttl := clampTTL(time.Duration(req.TTLSeconds * float64(time.Second)))
-	l, err := s.sched.renew(id, ttl)
-	if err == nil {
-		writeJSON(w, http.StatusOK, sweep.LeaseGrant{Lease: l})
+	l, err := s.sched.renew(id, clampTTL(time.Duration(req.TTLSeconds*float64(time.Second))))
+	if err != nil {
+		writeError(w, http.StatusGone, "lease_lost",
+			fmt.Errorf("sweepd: lease %s expired or was never granted", id))
 		return
 	}
-	if s.store != nil && req.Lease.ID == id {
-		if l, err := s.store.Renew(req.Lease, ttl); err == nil {
-			writeJSON(w, http.StatusOK, sweep.LeaseGrant{Lease: l})
-			return
-		}
-	}
-	writeError(w, http.StatusGone, "lease_lost",
-		fmt.Errorf("sweepd: lease %s expired or was never granted", id))
+	writeJSON(w, http.StatusOK, sweep.LeaseGrant{Lease: l})
 }
 
 // handleComplete records a claimed job's outcome and drops its lease.
@@ -585,26 +581,6 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeError(w, http.StatusBadRequest, "bad_result", err)
 	}
-}
-
-// handleRelease drops a lease without a result: job leases requeue
-// immediately, store leases are deleted. Releasing an already-gone lease
-// is a no-op (release must be safe to retry).
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if err := s.sched.release(id); err == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	var l sweep.Lease
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxSpecBytes)).Decode(&l); err == nil && s.store != nil && l.ID == id {
-		if err := s.store.Release(l); errors.Is(err, sweep.ErrLeaseLost) {
-			writeError(w, http.StatusGone, "lease_lost",
-				fmt.Errorf("sweepd: lease %s is held by someone else now", id))
-			return
-		}
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleLeaseList reports the outstanding job leases (who is working on

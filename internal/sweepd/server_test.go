@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -112,6 +113,29 @@ func waitState(t *testing.T, ts *httptest.Server, id string, want State) Status 
 	return Status{}
 }
 
+// postForError posts body to url and decodes the structured error the
+// server is expected to answer with.
+func postForError(t *testing.T, url, body string) (int, apiError) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var ae apiError
+	if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
+		t.Fatalf("error body is not JSON: %v", err)
+	}
+	return resp.StatusCode, ae
+}
+
+// pendingJobs reads the scheduler's unclaimed-job count.
+func pendingJobs(srv *Server) int {
+	srv.sched.mu.Lock()
+	defer srv.sched.mu.Unlock()
+	return srv.sched.pending
+}
+
 // TestSubmitValidation: malformed and invalid specs come back as
 // structured 400s before anything is queued.
 func TestSubmitValidation(t *testing.T) {
@@ -119,16 +143,7 @@ func TestSubmitValidation(t *testing.T) {
 
 	post := func(body string) (int, apiError) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var ae apiError
-		if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil {
-			t.Fatalf("error body is not JSON: %v", err)
-		}
-		return resp.StatusCode, ae
+		return postForError(t, ts.URL+"/api/v1/sweeps", body)
 	}
 
 	if code, ae := post("{not json"); code != http.StatusBadRequest || ae.Error == "" {
@@ -177,6 +192,45 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if len(list.Sweeps) != 0 {
 		t.Errorf("invalid submissions created sweeps: %+v", list.Sweeps)
+	}
+}
+
+// TestSubmitJobLimit: a grid that fits the body limit but not the job
+// limit is refused before it is expanded (60 000 x 60 000 points would
+// not fit in memory, let alone in a second), while the example spec the
+// docs and CI submit is nowhere near the limit.
+func TestSubmitJobLimit(t *testing.T) {
+	srv := New(Config{Workers: -1}) // never started: submissions only queue
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	var loads, seeds strings.Builder
+	for i := 0; i < 60000; i++ {
+		loads.WriteString(",0.5")
+		seeds.WriteString("," + strconv.Itoa(i+2))
+	}
+	huge := strings.Replace(specJSON("huge", 1), `"loads": [0.05]`, `"loads": [0.05`+loads.String()+`]`, 1)
+	huge = strings.Replace(huge, `"seeds": [1]`, `"seeds": [1`+seeds.String()+`]`, 1)
+	if len(huge) >= maxSpecBytes {
+		t.Fatalf("oversized grid does not fit the body limit: %d bytes", len(huge))
+	}
+	start := time.Now()
+	if code, ae := postForError(t, ts.URL+"/api/v1/sweeps", huge); code != http.StatusBadRequest || ae.Kind != "too_many_jobs" {
+		t.Errorf("oversized grid: status %d kind %q (%s)", code, ae.Kind, ae.Error)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("oversized grid took %s to refuse", d)
+	}
+	if n := pendingJobs(srv); n != 0 {
+		t.Errorf("oversized grid queued %d jobs", n)
+	}
+
+	quick, err := os.ReadFile("../../examples/sweeps/quick.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := postSpec(t, ts, string(quick)); st.Progress.Total != 24 {
+		t.Errorf("examples/sweeps/quick.json queued %d jobs, want 24", st.Progress.Total)
 	}
 }
 
