@@ -1,9 +1,10 @@
-// Package bench holds one benchmark per table and figure of the paper
-// (Section III: structure; Section IV: routing; Section V: performance;
-// Section VI: cost/power), plus ablation benches for the design choices
-// called out in DESIGN.md. Each benchmark regenerates a reduced-scale
-// version of its experiment end to end; cmd/sfexp produces the full
-// tables.
+// Package bench holds one benchmark per structural table and figure of
+// the paper (Section III: structure; Section IV: routing; Section VI:
+// cost/power), plus ablation benches for the design choices called out in
+// DESIGN.md. Each benchmark regenerates a reduced-scale version of its
+// experiment end to end; cmd/sfexp produces the full tables. The
+// simulator-backed figures of Section V are measured by cmd/sfbench's
+// fig6_pool workload instead.
 package bench
 
 import (
@@ -19,14 +20,6 @@ import (
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/traffic"
 )
-
-// benchScale keeps simulator-backed benchmarks fast enough to iterate.
-func benchScale() exp.PerfScale {
-	return exp.PerfScale{
-		TargetN: 600, Warmup: 300, Measure: 800, Drain: 4000,
-		Loads: []float64{0.2, 0.5, 0.8},
-	}
-}
 
 // BenchmarkFig1AverageHops regenerates Figure 1 (average hop count under
 // uniform traffic) over the balanced ladders up to 2000 endpoints.
@@ -110,67 +103,6 @@ func BenchmarkAPLResil(b *testing.B) {
 func BenchmarkDFSSSPVCCount(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tb := exp.VCCounts(7); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig6aRandom regenerates Figure 6a (uniform random traffic).
-func BenchmarkFig6aRandom(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig6("uniform", sc, 8); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig6bBitReverse regenerates Figure 6b.
-func BenchmarkFig6bBitReverse(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig6("bitrev", sc, 9); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig6cShift regenerates Figure 6c.
-func BenchmarkFig6cShift(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig6("shift", sc, 10); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig6dWorstCase regenerates Figure 6d (adversarial traffic).
-func BenchmarkFig6dWorstCase(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig6("worstcase", sc, 11); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig8aBufferSizes regenerates Figure 8a (buffer-size study).
-func BenchmarkFig8aBufferSizes(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig8a(sc, 12); len(tb.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
-
-// BenchmarkFig8beOversubscribed regenerates Figures 8b-8e (oversubscribed
-// Slim Flies).
-func BenchmarkFig8beOversubscribed(b *testing.B) {
-	sc := benchScale()
-	for i := 0; i < b.N; i++ {
-		if tb := exp.Fig8be(sc, 13); len(tb.Rows) == 0 {
 			b.Fatal("empty table")
 		}
 	}

@@ -4,8 +4,8 @@
 //
 //	sfexp -exp fig1|fig5a|fig5b|fig5c|table2|table3|diam-resil|apl-resil|
 //	          vc|fig6|fig6a|fig6b|fig6c|fig6d|fig8a|fig8be|cables|routers|
-//	          cost|power|table4|all
-//	      [-scale small|paper] [-seed N] [-samples N] [-pattern P]
+//	          cost|power|table4|extensions|all
+//	      [-scale tiny|small|paper] [-seed N] [-samples N] [-pattern P]
 //
 // "fig6" is the generic form of the Figure 6 experiment: it accepts any
 // traffic pattern registered in the scenario registry via -pattern
@@ -69,29 +69,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Ctrl-C / SIGTERM cancels the experiment pool. The exp API returns
-	// tables, not errors, so cancellation surfaces as a panic carrying the
-	// context error; recover it into the conventional interrupt exit code
-	// instead of a goroutine dump.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	exp.SetContext(ctx)
-	defer func() {
-		if r := recover(); r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, context.Canceled) {
-				fmt.Fprintln(os.Stderr, "sfexp: interrupted")
-				os.Exit(130)
-			}
-			panic(r)
-		}
-	}()
-
-	sc := exp.SmallScale()
+	var sc exp.PerfScale
 	switch *scale {
-	case "paper":
-		sc = exp.PaperScale()
 	case "tiny":
 		sc = exp.TinyScale()
+	case "small":
+		sc = exp.SmallScale()
+	case "paper":
+		sc = exp.PaperScale()
+	default:
+		fmt.Fprintf(os.Stderr, "sfexp: unknown scale %q (tiny, small or paper)\n", *scale)
+		os.Exit(2)
+	}
+
+	// Ctrl-C / SIGTERM cancels the sweep pool under the simulator-backed
+	// experiments; they return the context's error.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	show := func(t *exp.Table, err error) {
+		if errors.Is(err, context.Canceled) {
+			fmt.Fprintln(os.Stderr, "sfexp: interrupted")
+			os.Exit(130)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "sfexp:", err)
+			os.Exit(1)
+		}
+		fmt.Println(t)
 	}
 
 	run := func(id string) {
@@ -126,19 +130,19 @@ func main() {
 				fmt.Fprintln(os.Stderr, "sfexp:", err)
 				os.Exit(2)
 			}
-			fmt.Println(exp.Fig6(*pattern, sc, *seed))
+			show(exp.Fig6(ctx, *pattern, sc, *seed))
 		case "fig6a":
-			fmt.Println(exp.Fig6("uniform", sc, *seed))
+			show(exp.Fig6(ctx, "uniform", sc, *seed))
 		case "fig6b":
-			fmt.Println(exp.Fig6("bitrev", sc, *seed))
+			show(exp.Fig6(ctx, "bitrev", sc, *seed))
 		case "fig6c":
-			fmt.Println(exp.Fig6("shift", sc, *seed))
+			show(exp.Fig6(ctx, "shift", sc, *seed))
 		case "fig6d":
-			fmt.Println(exp.Fig6("worstcase", sc, *seed))
+			show(exp.Fig6(ctx, "worstcase", sc, *seed))
 		case "fig8a":
-			fmt.Println(exp.Fig8a(sc, *seed))
+			show(exp.Fig8a(ctx, sc, *seed))
 		case "fig8be":
-			fmt.Println(exp.Fig8be(sc, *seed))
+			show(exp.Fig8be(ctx, sc, *seed))
 		case "cables":
 			fmt.Println(exp.CableModels())
 		case "routers":

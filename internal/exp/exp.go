@@ -1,7 +1,10 @@
 // Package exp contains one runner per table and figure of the paper's
 // evaluation. Each runner returns a Table -- an ordered set of labelled
-// rows -- that cmd/sfexp prints and EXPERIMENTS.md records. Benchmarks in
-// the repository root wrap the same runners.
+// rows -- that cmd/sfexp prints and EXPERIMENTS.md records. The
+// simulator-backed figures of Section V (Fig6, Fig8a, Fig8be) are defined
+// as sweep specs in sweepspec.go; their runners execute those specs on
+// the sweep pool and take a context, returning its error on cancellation.
+// Benchmarks in the repository root wrap the structural runners.
 package exp
 
 import (

@@ -4,11 +4,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"errors"
 	"strconv"
 	"testing"
 
-	"slimfly/internal/sweep"
+	"slimfly/internal/scenario"
 )
 
 // microScale keeps the simulator-backed runners fast enough for go test.
@@ -23,7 +23,10 @@ func TestFig6UniformMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
 	}
-	tb := Fig6("uniform", microScale(), 21)
+	tb, err := Fig6(context.Background(), "uniform", microScale(), 21)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 12 { // 6 protocols x 2 loads
 		t.Fatalf("rows = %d, want 12", len(tb.Rows))
 	}
@@ -51,7 +54,10 @@ func TestFig6WorstCaseMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
 	}
-	tb := Fig6("worstcase", microScale(), 22)
+	tb, err := Fig6(context.Background(), "worstcase", microScale(), 22)
+	if err != nil {
+		t.Fatal(err)
+	}
 	acc := map[string]float64{}
 	for _, r := range tb.Rows {
 		if r[1] == "0.600" {
@@ -76,7 +82,10 @@ func TestFig8aMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
 	}
-	tb := Fig8a(microScale(), 23)
+	tb, err := Fig8a(context.Background(), microScale(), 23)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 36 { // 6 buffer sizes x 6 loads
 		t.Fatalf("rows = %d, want 36", len(tb.Rows))
 	}
@@ -86,7 +95,10 @@ func TestFig8beMicro(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
 	}
-	tb := Fig8be(microScale(), 24)
+	tb, err := Fig8be(context.Background(), microScale(), 24)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -94,59 +106,6 @@ func TestFig8beMicro(t *testing.T) {
 	if len(tb.Rows) != 2*(4*4+4*5) {
 		t.Logf("rows = %d (load grids may change); sanity only", len(tb.Rows))
 	}
-}
-
-// fig6FromSpecs renders the Figure 6 table from the declarative form:
-// Fig6Specs with the latency collector selected, executed by
-// sweep.RunJobs, rows in Fig6's order (load-major, fig6Protocols within a
-// load) and Fig6's columns.
-func fig6FromSpecs(t *testing.T, pattern string, sc PerfScale, seed uint64) *Table {
-	t.Helper()
-	specs := Fig6Specs(pattern, sc, seed)
-	for _, s := range specs {
-		s.Sim.Metrics = "latency"
-	}
-	jobs, err := sweep.ExpandAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := sweep.NewEnv()
-	jrs, _, err := sweep.RunJobs(context.Background(), jobs, env, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type curve struct {
-		kind, algo string
-		load       float64
-	}
-	byCurve := map[curve]sweep.JobResult{}
-	for _, jr := range jrs {
-		if jr.Err != "" {
-			t.Fatal(jr.Err)
-		}
-		byCurve[curve{jr.Job.Topo.Kind, jr.Job.Algo, jr.Job.Load}] = jr
-	}
-	var n [3]int
-	for i, s := range specs {
-		tp, _, err := env.Topo(s.Topos[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		n[i] = tp.Endpoints()
-	}
-	tb := &Table{
-		Title: fmt.Sprintf("Figure 6 (%s): latency vs offered load [SF N=%d, DF N=%d, FT N=%d]",
-			pattern, n[0], n[1], n[2]),
-		Columns: []string{"protocol", "load", "avg_latency", "accepted", "avg_hops", "saturated", "p50", "p99"},
-	}
-	for _, load := range sc.Loads {
-		for _, pr := range fig6Protocols {
-			jr := byCurve[curve{pr.Kind, pr.Algo, load}]
-			r, lat := jr.Result, jr.Metrics.Latency
-			tb.Add(pr.Label, load, r.AvgLatency, r.Accepted, r.AvgHops, r.Saturated, lat.P50, lat.P99)
-		}
-	}
-	return tb
 }
 
 // TestFigureTablesPinned pins the printed micro-scale tables of the
@@ -158,16 +117,40 @@ func TestFigureTablesPinned(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name, want string
-		table      func() *Table
+		table      func(context.Context) (*Table, error)
 	}{
-		{"fig6-uniform-21", "599712f917d14850695c2e3ca12297fb973c5f2e6a38f81d45a7fd7442c707d2", func() *Table { return fig6FromSpecs(t, "uniform", microScale(), 21) }},
-		{"fig6-worstcase-22", "d241946b9c494d8d377b91a9e3164cd2d4920e91d543830d90248aa5c7201d23", func() *Table { return fig6FromSpecs(t, "worstcase", microScale(), 22) }},
-		{"fig8a-23", "a9f393958f5ebeb09ef5d07beacab72ad5664479a0e0506f7103ee097bb489c4", func() *Table { return Fig8a(microScale(), 23) }},
-		{"fig8be-24", "df6286a275a297a59aef0fef8ab40b0080977777c52d6d5de77169aa4f26f85d", func() *Table { return Fig8be(microScale(), 24) }},
+		{"fig6-uniform-21", "599712f917d14850695c2e3ca12297fb973c5f2e6a38f81d45a7fd7442c707d2", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "uniform", microScale(), 21) }},
+		{"fig6-worstcase-22", "d241946b9c494d8d377b91a9e3164cd2d4920e91d543830d90248aa5c7201d23", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "worstcase", microScale(), 22) }},
+		{"fig8a-23", "a9f393958f5ebeb09ef5d07beacab72ad5664479a0e0506f7103ee097bb489c4", func(ctx context.Context) (*Table, error) { return Fig8a(ctx, microScale(), 23) }},
+		{"fig8be-24", "df6286a275a297a59aef0fef8ab40b0080977777c52d6d5de77169aa4f26f85d", func(ctx context.Context) (*Table, error) { return Fig8be(ctx, microScale(), 24) }},
 	} {
-		sum := sha256.Sum256([]byte(c.table().String()))
+		tb, err := c.table(context.Background())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sum := sha256.Sum256([]byte(tb.String()))
 		if got := hex.EncodeToString(sum[:]); got != c.want {
 			t.Errorf("%s: table hash %s, want %s", c.name, got, c.want)
 		}
+	}
+}
+
+// TestFig6UnknownPattern: an unregistered pattern is the registry's
+// error, not a table of some other traffic labelled with the bad name.
+func TestFig6UnknownPattern(t *testing.T) {
+	tb, err := Fig6(context.Background(), "nosuch", microScale(), 1)
+	var unknown *scenario.UnknownError
+	if !errors.As(err, &unknown) || tb != nil {
+		t.Fatalf("Fig6(nosuch) = %v, %v; want nil table and *scenario.UnknownError", tb, err)
+	}
+}
+
+// TestFig8aCancelled: cancellation is an ordinary error return.
+func TestFig8aCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tb, err := Fig8a(ctx, microScale(), 23)
+	if !errors.Is(err, context.Canceled) || tb != nil {
+		t.Fatalf("Fig8a(cancelled ctx) = %v, %v; want nil table and context.Canceled", tb, err)
 	}
 }

@@ -3,22 +3,20 @@ package exp
 import (
 	"fmt"
 
+	"slimfly/internal/scenario"
 	"slimfly/internal/sweep"
+	"slimfly/internal/topo/slimfly"
 )
 
-// This file expresses the simulator-backed experiments of Section V as
-// declarative sweep specs: the same grids Fig6/Fig8a run imperatively,
-// but runnable (and cacheable, and resumable) through cmd/sfsweep. The
-// grid definitions below are the single source of truth for the axes,
-// consumed by both forms. The seeding differs by design, so per-point
-// numbers are statistically equivalent but not bit-identical between
-// forms: the imperative runners stride the RNG seed per point
-// (seed + i*7919), while declarative jobs are seeded from the spec's
-// seed list only -- a job's cache key must depend on its own content,
-// never on its position in the grid, or editing one axis would
-// invalidate every sibling point. Each topology is paired with its own
-// protocol set, so Figure 6 is a spec group rather than one cross
-// product.
+// This file is the definition of the simulator-backed experiments of
+// Section V: each figure is a group of declarative sweep specs. Fig6,
+// Fig8a and Fig8be (perf.go) run them through the sweep pool and print
+// the table; cmd/sfsweep, sfsweepd and the sfworker fleet run the same
+// specs cached and resumable. Jobs are seeded from the spec's seed list
+// only -- a job's cache key depends on its own content, never on its
+// position in the grid, or editing one axis would invalidate every
+// sibling point. Each topology is paired with its own protocol set, so a
+// figure is a spec group rather than one cross product.
 
 // fig6Protocols lists the six compared curves of Figure 6 in
 // presentation order: display label, network kind and routing algorithm.
@@ -38,6 +36,19 @@ var fig6Protocols = []struct {
 var (
 	fig8aBuffers = []int{9, 18, 33, 63, 129, 255}
 	fig8aLoads   = []float64{0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
+)
+
+// Figures 8b-e run the four Slim Fly protocols on each traffic pattern's
+// own load grid: worst-case traffic saturates far earlier than uniform.
+var (
+	fig8beAlgos    = []string{"min", "val", "ugal-l", "ugal-g"}
+	fig8bePatterns = []struct {
+		Name  string
+		Loads []float64
+	}{
+		{"uniform", []float64{0.2, 0.4, 0.6, 0.8}},
+		{"worstcase", []float64{0.1, 0.2, 0.3, 0.4, 0.5}},
+	}
 )
 
 // Fig6Specs returns the Figure 6 load-latency sweep for one traffic
@@ -89,4 +100,31 @@ func Fig8aSpecs(sc PerfScale, seed uint64) []*sweep.Spec {
 		})
 	}
 	return specs
+}
+
+// Fig8beSpecs returns the Figure 8b-e oversubscription study as sweep
+// specs: one spec per (concentration, pattern), on the Slim Fly order the
+// scale's TargetN selects. The paper studies p = 16 and 18 on q = 19
+// (balanced p = 15); other orders oversubscribe by the same +1 and +3.
+func Fig8beSpecs(sc PerfScale, seed uint64) ([]*sweep.Spec, error) {
+	base, err := scenario.Topology(sweep.TopoSpec{Kind: "SF", N: sc.TargetN})
+	if err != nil {
+		return nil, err
+	}
+	sf := base.(*slimfly.SlimFly)
+	var specs []*sweep.Spec
+	for _, p := range []int{sf.Concentration() + 1, sf.Concentration() + 3} {
+		for _, pat := range fig8bePatterns {
+			specs = append(specs, &sweep.Spec{
+				Name:     fmt.Sprintf("fig8be-p%d-%s", p, pat.Name),
+				Topos:    []sweep.TopoSpec{{Kind: "SF", Q: sf.Q, P: p}},
+				Algos:    fig8beAlgos,
+				Patterns: []string{pat.Name},
+				Loads:    pat.Loads,
+				Seeds:    []uint64{seed},
+				Sim:      sweep.SimParams{Warmup: sc.Warmup, Measure: sc.Measure, Drain: sc.Drain},
+			})
+		}
+	}
+	return specs, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"testing"
 
 	"slimfly/internal/sweep"
@@ -50,5 +51,64 @@ func TestFig8aSpecsExpand(t *testing.T) {
 			t.Fatalf("duplicate key across buffer depths: %s", j.Label())
 		}
 		seen[j.Key()] = true
+	}
+}
+
+// TestFig8beSpecsExpand: two oversubscribed concentrations x (uniform on
+// four loads + worst case on five) x four protocols, every network an
+// exact-order Slim Fly so the job names its q and p.
+func TestFig8beSpecsExpand(t *testing.T) {
+	specs, err := Fig8beSpecs(SmallScale(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := sweep.ExpandAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs) != 2*4*(4+5) {
+		t.Fatalf("jobs = %d, want 72", len(jobs))
+	}
+	seen := map[string]bool{}
+	for _, j := range jobs {
+		if seen[j.Key()] {
+			t.Fatalf("duplicate key: %s", j.Label())
+		}
+		seen[j.Key()] = true
+		if j.Topo.Kind != "SF" || j.Topo.Q == 0 || j.Topo.P == 0 {
+			t.Errorf("%s: topology %+v, want SF with explicit q and p", j.Label(), j.Topo)
+		}
+	}
+}
+
+// TestFig6SpecsMatchExampleFile: the README presents
+// examples/sweeps/fig6a.json as the Figure 6a grid; it must expand to
+// exactly the jobs Fig6Specs generates, so results cached under one are
+// hits for the other.
+func TestFig6SpecsMatchExampleFile(t *testing.T) {
+	f, err := os.Open("../../examples/sweeps/fig6a.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fileSpecs, err := sweep.ParseSpecs(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sweep.ExpandAll(fileSpecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sweep.ExpandAll(Fig6Specs("uniform", SmallScale(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("fig6a.json expands to %d jobs, Fig6Specs to %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Key() != want[i].Key() {
+			t.Errorf("job %d: fig6a.json has %s, Fig6Specs has %s", i, got[i].Label(), want[i].Label())
+		}
 	}
 }

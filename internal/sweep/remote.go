@@ -231,6 +231,12 @@ func (r *RemoteStore) ClaimJob(owner string, ttl time.Duration) (LeaseGrant, boo
 		if grant.Job == nil {
 			return LeaseGrant{}, false, errors.New("sweep: claim grant carries no job")
 		}
+		// The lease key came off the wire; the job's own content address
+		// is the only value it may hold (and that makes it 64 hex digits,
+		// which Work's log lines abbreviate).
+		if grant.Lease.Key != grant.Job.Key() {
+			return LeaseGrant{}, false, fmt.Errorf("sweep: claim grant's lease key %q is not its job's key", grant.Lease.Key)
+		}
 		return grant, true, nil
 	case http.StatusNoContent:
 		return LeaseGrant{}, false, nil

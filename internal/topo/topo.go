@@ -60,7 +60,7 @@ type Base struct {
 	EpRouter []int32
 
 	// routerEps is the lazily built reverse map, guarded by epsOnce:
-	// concurrent simulations (the sweep pool, exp's runAll) share one
+	// concurrent simulations on the sweep pool share one
 	// topology and may trigger the first build simultaneously.
 	epsOnce   sync.Once
 	routerEps [][]int
