@@ -12,6 +12,7 @@
 //	sfsim -algo ugal-l -load 0.7 -metrics latency,channels
 //	sfsim -algo min -sweep -metrics all -json > run.json
 //	sfsim -algo ugal-l -load 0.6 -trace-out trace.json -trace-format chrome
+//	sfsim -q 19 -algo min -warmup 50 -measure 200 -cpuprofile cpu.prof
 //	sfsim -list
 package main
 
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"slices"
 
 	"slimfly/internal/export"
@@ -51,6 +53,7 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit results (and metric summaries) as JSON instead of the text table")
 		traceOut   = flag.String("trace-out", "", "write the sampled packet trace to this file (adds the trace collector; single load point only)")
 		traceFmt   = flag.String("trace-format", "chrome", "trace file format: chrome (Perfetto-loadable trace-event JSON) or jsonl")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of Sim.Run (set-up and printing excluded) to this file; single load point only")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address while running")
 		backend    = flag.String("route-backend", "auto", "routing backend: auto (tables while they fit memory), tables, or computed (algebraic, for kinds marked [algebraic routing] in -list)")
 		seed       = flag.Uint64("seed", 1, "seed")
@@ -85,6 +88,10 @@ func main() {
 				*metricsSel += ",trace"
 			}
 		}
+	}
+
+	if *cpuProfile != "" && *sweep {
+		usage(errors.New("-cpuprofile needs a single load point; drop -sweep"))
 	}
 
 	if *list {
@@ -164,10 +171,14 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		r, sum, err := sim.RunSummary(cfg)
+		s, err := sim.New(cfg)
 		if err != nil {
 			fail(err)
 		}
+		stopProfile := startCPUProfile(*cpuProfile)
+		r := s.Run()
+		stopProfile()
+		sum := s.MetricsSummary()
 		if sum != nil && sum.Trace != nil {
 			traceStats = sum.Trace
 		}
@@ -208,6 +219,27 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "sfsim: wrote %s trace (%d events, %d packets, %d dropped) -> %s\n",
 			*traceFmt, len(traceStats.Events), traceStats.Packets, traceStats.Dropped, *traceOut)
+	}
+}
+
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file; with an empty path both are no-ops.
+func startCPUProfile(path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		fail(err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
 	}
 }
 

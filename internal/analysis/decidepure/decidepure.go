@@ -273,7 +273,7 @@ func (c *checker) regionOf(e ast.Expr) region {
 }
 
 // regionOfCall classifies a call result: the only sanctioned pointer a
-// call hands the decide phase is the probed *Packet (fifo.peek); every
+// call hands the decide phase is the probed *Packet (Sim.headPkt); every
 // other returned reference is assumed to alias shared state.
 func (c *checker) regionOfCall(call *ast.CallExpr) region {
 	t := c.info.Types[call].Type

@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,6 +118,25 @@ func TestTopoSpecValidate(t *testing.T) {
 	for _, ts := range good {
 		if err := ts.Validate(); err != nil {
 			t.Errorf("Validate rejected %+v: %v", ts, err)
+		}
+	}
+}
+
+// TestSpecValidateLoad pins the load range check, NaN included: a NaN load
+// compares false against both bounds, so it must be rejected by name rather
+// than run as a silent zero-injection simulation.
+func TestSpecValidateLoad(t *testing.T) {
+	spec := scenario.Spec{Topo: scenario.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform"}
+	for _, load := range []float64{-0.1, 1.1, math.NaN(), math.Inf(1)} {
+		spec.Load = load
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "[0,1]") {
+			t.Errorf("load %v: Validate = %v, want the [0,1] range error", load, err)
+		}
+	}
+	for _, load := range []float64{0, 0.5, 1} {
+		spec.Load = load
+		if err := spec.Validate(); err != nil {
+			t.Errorf("load %v rejected: %v", load, err)
 		}
 	}
 }

@@ -181,7 +181,7 @@ func (s Spec) Validate() error {
 	if err := metrics.CheckNames(s.Sim.Metrics); err != nil {
 		return err
 	}
-	if s.Load < 0 || s.Load > 1 {
+	if !(s.Load >= 0 && s.Load <= 1) { // written so that NaN fails too
 		return fmt.Errorf("scenario: load %v out of [0,1]", s.Load)
 	}
 	return nil

@@ -16,66 +16,35 @@ type Packet struct {
 	Measured  bool
 }
 
-// fifo is a ring-buffer packet queue. Bounded fifos own a fixed window of
-// their router's contiguous backing array; capacity overflow is impossible
-// by credit accounting, so push does not check. A capacity of 0 makes the
-// fifo unbounded (used for injection queues, which model the endpoint's
-// source queue). Keeping packets in the ring (rather than behind another
+// fifo is an endpoint's unbounded source (injection) queue: the live
+// packets are buf[head:], in arrival order. Network input queues are not
+// fifos -- they are fixed windows of their router's packet ring (see
+// router.pkts). Keeping packets in the buffer (rather than behind another
 // indirection) means successive heads of one queue share cache lines.
 type fifo struct {
-	buf     []Packet
-	head    int // index of the first element
-	n       int // number of elements
-	bounded bool
+	buf  []Packet
+	head int // index of the first element
 }
 
-func (f *fifo) empty() bool { return f.n == 0 }
+func (f *fifo) empty() bool { return f.head == len(f.buf) }
 
-// push appends p to a bounded ring; the caller holds a credit for the
-// slot, so overflow is impossible. Unbounded (injection) queues grow via
-// pushTail instead — their only entry point.
-func (f *fifo) push(p Packet) {
-	i := f.head + f.n
-	if i >= len(f.buf) {
-		i -= len(f.buf)
-	}
-	f.buf[i] = p
-	f.n++
-}
-
-// peek returns the head packet, which must exist. Routing algorithms may
-// mutate it in place (e.g. Valiant phase switches).
-func (f *fifo) peek() *Packet { return &f.buf[f.head] }
-
-// pushTail appends a zeroed slot to an unbounded queue and returns a
-// pointer to it, valid until the next queue operation. The injection path
-// uses it to construct packets in place instead of copying them in.
+// pushTail appends a zeroed slot and returns a pointer to it, valid until
+// the next queue operation. The injection path constructs packets in place
+// in it instead of copying them in.
 func (f *fifo) pushTail() *Packet {
-	if f.head+f.n == len(f.buf) && f.head > len(f.buf)/2 {
-		copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:f.n]
+	if f.head > len(f.buf)/2 {
+		f.buf = f.buf[:copy(f.buf, f.buf[f.head:])]
 		f.head = 0
 	}
-	f.buf = append(f.buf[:f.head+f.n], Packet{}) //sf:allow(append: unbounded source queue; growth is amortised and the compaction above reclaims slack first)
-	f.n++
-	return &f.buf[f.head+f.n-1]
+	f.buf = append(f.buf, Packet{}) //sf:allow(append: unbounded source queue; growth is amortised and the compaction above reclaims slack first)
+	return &f.buf[len(f.buf)-1]
 }
 
-// pop removes and returns the head packet, which must exist.
-func (f *fifo) pop() Packet {
-	p := f.buf[f.head]
-	f.n--
-	if f.bounded {
-		f.head++
-		if f.head == len(f.buf) {
-			f.head = 0
-		}
-		return p
-	}
+// drop removes the head packet, which must exist.
+func (f *fifo) drop() {
 	f.head++
-	if f.n == 0 {
+	if f.empty() {
 		f.buf = f.buf[:0]
 		f.head = 0
 	}
-	return p
 }

@@ -7,8 +7,8 @@ package sim
 // over max(Config.Workers, 1) contiguous router shards. decideRouter runs
 // one router's allocation logic against the pre-allocation state and
 // records grants into shard scratch; commitGrant applies one record:
-// dequeue, ReadyAt-stamped downstream delivery, credit return and
-// measurement. With one shard, step decides and immediately commits router
+// ReadyAt-stamped downstream delivery or ejection, then dequeue and credit
+// return. With one shard, step decides and immediately commits router
 // by router in ascending id order, on the stepping goroutine. With more,
 // all shards decide concurrently against the frozen state and the records
 // are then committed in ascending router-id order. Both schedules mutate
@@ -267,60 +267,39 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	outputs := deg + len(rt.eps)
 
 	// Pass 1: one request per eligible input-queue head, tagged with its
-	// output port (the ejection port for local traffic, the algorithm's
-	// TargetPort answer otherwise). The occupancy bitmask walks exactly
-	// the non-empty queues in ascending index order (the same order a
-	// full scan would visit them), so idle queues cost nothing.
+	// output port. The occupancy bitmask walks exactly the non-empty queues
+	// in ascending index order (the same order a full scan would visit
+	// them), so idle queues cost nothing, and the head cache answers
+	// readiness, the ejection port and -- for static algorithms -- the
+	// TargetPort decision without touching a packet. Adaptive algorithms
+	// (queue state, RNG) decide afresh each cycle for every ready transit
+	// head.
 	cnt := sh.scrCnt[:outputs]
 	for i := range cnt {
 		cnt[i] = 0
 	}
 	nreq := 0
-	if s.staticPorts {
-		// Static algorithms: the head caches already hold every decision,
-		// so the scan reads two compact arrays and never touches a packet.
-		cycle32 := int32(s.cycle)
-		for w, m := range rt.occ {
-			base := w << 6
-			for m != 0 {
-				q := base + bits.TrailingZeros64(m)
-				m &= m - 1
-				st := rt.headState[q]
-				if int32(uint32(st)) > cycle32 {
-					continue
-				}
-				out := int32(st >> 32)
-				sh.scrQ[nreq] = int32(q)
-				sh.scrOut[nreq] = out
-				cnt[out]++
-				nreq++
+	cycle32 := int32(s.cycle)
+	for w, m := range rt.occ {
+		base := w << 6
+		for m != 0 {
+			q := base + bits.TrailingZeros64(m)
+			m &= m - 1
+			readyAt, out, _ := unpackHead(rt.headState[q])
+			if readyAt > cycle32 {
+				continue
 			}
-		}
-	} else {
-		// Adaptive algorithms (queue state, RNG) decide afresh each cycle.
-		for w, m := range rt.occ {
-			base := w << 6
-			for m != 0 {
-				q := base + bits.TrailingZeros64(m)
-				m &= m - 1
-				pkt := rt.inQ[q].peek()
-				if int64(pkt.ReadyAt) > s.cycle {
-					continue
+			if !s.staticPorts && int(out) < deg {
+				pkt := s.headPkt(rt, q)
+				out = cfg.Algo.TargetPort(s, pkt, r)
+				if out < 0 || int(out) >= deg {
+					s.badTargetPort(r, pkt, out, deg)
 				}
-				var out int32
-				if pkt.DstRouter == r {
-					out = int32(deg + int(s.epIdx[pkt.Dst]))
-				} else {
-					out = cfg.Algo.TargetPort(s, pkt, r)
-					if out < 0 || int(out) >= deg {
-						s.badTargetPort(r, pkt, out, deg)
-					}
-				}
-				sh.scrQ[nreq] = int32(q)
-				sh.scrOut[nreq] = out
-				cnt[out]++
-				nreq++
 			}
+			sh.scrQ[nreq] = int32(q)
+			sh.scrOut[nreq] = out
+			cnt[out]++
+			nreq++
 		}
 	}
 	if nreq == 0 {
@@ -394,7 +373,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					continue
 				}
 			} else {
-				nextVC = rt.inQ[qi].peek().Hops
+				_, _, nextVC = unpackHead(rt.headState[qi])
 				if int(nextVC) >= cfg.NumVCs {
 					nextVC = int8(cfg.NumVCs - 1)
 				}
@@ -422,12 +401,14 @@ func vcTaken(recs []grantRec, vc int8) int16 {
 	return n
 }
 
-// commitGrant applies one recorded grant: dequeue and head-cache
-// maintenance, upstream credit return, then either endpoint delivery
-// (ejection) or ReadyAt-stamped delivery into the downstream input queue.
-// Grants are committed in ascending router-id order, each router's in
-// decide order; the ReadyAt stamp regrows from the replayed outStaged
-// increments, matching the staging decideRouter counted.
+// commitGrant applies one recorded grant, touching the flit once: ejection
+// hands the source slot (headPkt) to deliver; a network hop copies it
+// straight into the tail slot of the downstream ring, stamps VC, Hops and
+// ReadyAt there, and publishes it. Either way dropHead then retires the
+// source head (credit return, occupancy, head cache). Grants are committed
+// in ascending router-id order, each router's in decide order; the ReadyAt
+// stamp regrows from the replayed outStaged increments, matching the
+// staging decideRouter counted.
 //
 //sf:hotpath
 func (s *Sim) commitGrant(rec grantRec) {
@@ -435,44 +416,43 @@ func (s *Sim) commitGrant(rec grantRec) {
 	r := rec.router
 	rt := &s.routers[r]
 	qi, out := int(rec.qi), int(rec.out)
-	q := &rt.inQ[qi]
-	p := q.pop()
-	if q.empty() {
-		rt.clearOcc(qi)
-	} else {
-		s.setHead(rt, r, qi, q.peek())
-	}
-	rt.flits--
-	s.returnCredit(r, rt, qi)
+	src := s.headPkt(rt, qi)
 	if out >= len(rt.nbr) {
-		s.deliver(r, &p) // ejection port
+		s.deliver(r, src) // ejection port
+		s.dropHead(rt, r, qi)
 		return
-	}
-	p.VC = rec.vc
-	p.Hops++
-	rt.credits[out*cfg.NumVCs+int(rec.vc)]--
-	if s.colPkt && p.Measured {
-		s.col.PacketHop(pktID(p.Src, p.Birth), r, int32(out), rec.vc, s.cycle)
 	}
 	// Deliver downstream immediately. The flit departs onto the link only
 	// after the flits already staged on this output (one per cycle), and
 	// then pays the channel and pipeline delays; ReadyAt encodes all of it,
 	// and the head is invisible to the downstream allocator until then.
-	// The buffer slot is reserved by the credit taken above.
-	depart := s.cycle + int64(rt.outStaged[out])
-	p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
-	rt.outStaged[out]++
-	rt.staged++
+	// The tail slot is free: the credit taken here reserved it.
 	dst := rt.nbr[out]
 	drt := &s.routers[dst]
 	dqi := int(rt.revPort[out])*cfg.NumVCs + int(rec.vc)
-	dq := &drt.inQ[dqi]
-	wasEmpty := dq.empty()
-	dq.push(p)
-	if wasEmpty {
+	rp := &drt.ring[dqi]
+	tail := int(rp.head) + int(rp.n)
+	if tail >= s.bufPerVC {
+		tail -= s.bufPerVC
+	}
+	p := &drt.pkts[dqi*s.bufPerVC+tail]
+	*p = *src
+	p.VC = rec.vc
+	p.Hops = src.Hops + 1
+	depart := s.cycle + int64(rt.outStaged[out])
+	p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
+	rt.credits[out*cfg.NumVCs+int(rec.vc)]--
+	rt.outStaged[out]++
+	rt.staged++
+	if s.colPkt && src.Measured {
+		s.col.PacketHop(pktID(src.Src, src.Birth), r, int32(out), rec.vc, s.cycle)
+	}
+	rp.n++
+	if rp.n == 1 {
 		drt.markOcc(dqi)
-		s.setHead(drt, dst, dqi, dq.peek())
+		s.setHead(drt, dst, dqi, p)
 	}
 	drt.flits++
 	s.touch(dst)
+	s.dropHead(rt, r, qi)
 }

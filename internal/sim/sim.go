@@ -15,19 +15,24 @@
 // The engine is port-indexed and allocation-free in steady state: routing
 // algorithms answer with output-port indices straight from the precomputed
 // route.Tables port table, switch allocation runs on per-shard scratch
-// buffers reused every cycle and walks per-router occupancy bitmasks so
-// empty queues cost nothing, the credit event wheel is a fixed-capacity
-// ring sized at construction, granted flits are delivered straight into
-// the downstream input queue with a ReadyAt stamp encoding staging
-// serialisation plus channel and pipeline delays (link traversal is pure
-// counter bookkeeping), and an active-router worklist limits allocation
-// and traversal to routers that actually hold flits. TestStepZeroAlloc
-// pins the zero-allocation property; TestGoldenResults pins bit-identical
-// fixed-seed results.
+// buffers reused every cycle and walks per-router occupancy bitmasks and
+// the packed head cache (router.headState), so empty queues cost nothing
+// and ready ones no packet access, the credit event wheel is a
+// fixed-capacity ring sized at construction, and an active-router worklist
+// limits allocation and traversal to routers that actually hold flits. A
+// flit's bytes are read once and written once per hop: a router's network
+// input queues are fixed windows of one packet ring (router.pkts), reached
+// only through headPkt and dropHead, and commitGrant copies a granted flit
+// from its source slot straight into the downstream tail slot with a
+// ReadyAt stamp encoding staging serialisation plus channel and pipeline
+// delays (link traversal is pure counter bookkeeping). TestStepZeroAlloc
+// pins the zero-allocation property, TestGoldenResults bit-identical
+// fixed-seed results, TestRingConservation the credit/occupancy ledger.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"slimfly/internal/metrics"
@@ -146,29 +151,50 @@ type Result struct {
 	TotalCycles int64
 }
 
+// ringPos locates one network input queue inside its router's packet ring.
+type ringPos struct{ head, n uint16 }
+
 type router struct {
-	nbr     []int32  // sorted neighbour router ids; network port i <-> nbr[i]
-	revPort []int32  // our port index on nbr[i]'s side
-	eps     []int32  // endpoint ids attached here
-	inQ     []fifo   // [(port)*(numVCs) + vc]; ports: deg network, then len(eps) injection
-	occ     []uint64 // occupancy bitmask over inQ: bit q set iff inQ[q] is non-empty
+	nbr     []int32 // sorted neighbour router ids; network port i <-> nbr[i]
+	revPort []int32 // our port index on nbr[i]'s side
+	eps     []int32 // endpoint ids attached here
+	// Input queues, indexed q: the deg*numVCs network queues first
+	// (q = port*numVCs + vc), a ring over the fixed window
+	// pkts[q*bufPerVC : (q+1)*bufPerVC] positioned by ring[q]; then one
+	// unbounded injection queue per attached endpoint, src[q-len(ring)].
+	// headPkt and dropHead are the only way to a queue's head and past it.
+	pkts []Packet
+	ring []ringPos
+	src  []fifo
+	occ  []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
 	// Head cache, maintained by setHead whenever a queue's head changes:
-	// headState[q] packs the head packet's ReadyAt (low 32 bits) with its
-	// routing decision (high 32: ejection port, or -- static algorithms
-	// only -- the TargetPort answer). The allocator's request scan reads
-	// this one compact array instead of touching a scattered packet
-	// cacheline per non-empty queue per cycle.
-	headState []int64
+	// headState[q] is packHead of the head packet's ReadyAt, its routing
+	// decision (the ejection port, or -- static algorithms only -- the
+	// TargetPort answer) and its hop count, which selects the next-hop VC.
+	// The allocator reads this one compact array instead of touching a
+	// scattered packet cacheline per non-empty queue per cycle.
+	headState []uint64
 	credits   []int16 // [outPort*numVCs + vc] for network outputs
 	// outStaged[outPort] counts flits granted to the output but not yet
-	// departed onto the link (the old per-output staging fifo, reduced to
-	// a counter: the packets themselves are delivered downstream at grant
-	// time with a ReadyAt stamp that encodes their serialised departure,
-	// so staging needs no second and third packet copy).
+	// departed onto the link: the packets themselves are delivered
+	// downstream at grant time with a ReadyAt stamp that encodes their
+	// serialised departure, so staging is a counter, not a queue.
 	outStaged []int16
 	rr        []int32 // round-robin arbitration pointer per output (network + eject)
 	flits     int     // buffered flits in input queues
 	staged    int     // flits in output staging awaiting link departure (sum of outStaged)
+}
+
+// packHead builds a headState word: ReadyAt in bits 0-31, the output port in
+// bits 32-47, the hop count in bits 48-54. New rejects configurations whose
+// ports or cycle stamps would not fit.
+func packHead(readyAt, port int32, hops int8) uint64 {
+	return uint64(hops)<<48 | uint64(port)<<32 | uint64(uint32(readyAt))
+}
+
+// unpackHead is the inverse of packHead.
+func unpackHead(st uint64) (readyAt, port int32, hops int8) {
+	return int32(uint32(st)), int32(uint16(st >> 32)), int8(st >> 48)
 }
 
 // markOcc records that input queue q became non-empty.
@@ -237,9 +263,9 @@ type Sim struct {
 	// Credit event wheel indexed by cycle modulo its length. Slot capacity
 	// is fixed at construction to the per-cycle event bound, so
 	// steady-state appends never grow the backing arrays. (Flit arrivals
-	// need no wheel: link traversal pushes the packet straight into the
-	// downstream input queue, and head eligibility is gated by ReadyAt,
-	// which already encodes the channel + pipeline delay.)
+	// need no wheel: commitGrant writes the packet straight into the
+	// downstream ring, and head eligibility is gated by ReadyAt, which
+	// already encodes the channel + pipeline delay.)
 	credWheel [][]creditEvt
 	cycle     int64
 
@@ -267,11 +293,16 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Topo == nil || cfg.Router == nil || cfg.Algo == nil || cfg.Pattern == nil {
 		return nil, fmt.Errorf("sim: Topo, Router, Algo and Pattern are required")
 	}
-	if cfg.Load < 0 || cfg.Load > 1 {
+	if !(cfg.Load >= 0 && cfg.Load <= 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("sim: load %v out of [0,1]", cfg.Load)
 	}
 	if cfg.NumVCs < 1 || cfg.BufPerPort < cfg.NumVCs {
 		return nil, fmt.Errorf("sim: need at least 1 flit of buffering per VC")
+	}
+	// Credit counters are int16 and ring positions uint16: reject depths
+	// that would wrap them.
+	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
+		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the engine's limit of %d", d, math.MaxInt16)
 	}
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("sim: negative worker count %d", cfg.Workers)
@@ -326,36 +357,28 @@ func New(cfg Config) (*Sim, error) {
 		}
 		deg := len(rt.nbr)
 		ports := deg + len(rt.eps)
-		rt.inQ = make([]fifo, ports*cfg.NumVCs)
-		rt.occ = make([]uint64, (ports*cfg.NumVCs+63)/64)
-		rt.headState = make([]int64, ports*cfg.NumVCs)
-		// All bounded VC buffers of a router share one contiguous backing
-		// array: queue q owns the fixed window [q*bufPerVC, (q+1)*bufPerVC).
-		// One allocation instead of deg*NumVCs, and the allocator's hot
-		// loop walks warm, adjacent memory instead of chasing per-queue
-		// heap blocks.
-		inBacking := make([]Packet, deg*cfg.NumVCs*s.bufPerVC)
-		for q := 0; q < deg*cfg.NumVCs; q++ {
-			off := q * s.bufPerVC
-			rt.inQ[q] = fifo{buf: inBacking[off : off+s.bufPerVC : off+s.bufPerVC], bounded: true}
+		if ports > math.MaxUint16 {
+			return nil, fmt.Errorf("sim: router %d has %d ports; the head cache holds port indices below %d", r, ports, math.MaxUint16+1)
 		}
-		// Injection queues (unbounded source queues): only VC 0 is used.
-		for p := deg; p < ports; p++ {
-			rt.inQ[p*cfg.NumVCs] = fifo{buf: make([]Packet, 0, injQueueCap)}
+		netQ := deg * cfg.NumVCs
+		nq := netQ + len(rt.eps)
+		rt.pkts = make([]Packet, netQ*s.bufPerVC)
+		rt.ring = make([]ringPos, netQ)
+		rt.src = make([]fifo, len(rt.eps))
+		for i := range rt.src {
+			rt.src[i].buf = make([]Packet, 0, injQueueCap)
 		}
-		rt.credits = make([]int16, deg*cfg.NumVCs)
+		rt.occ = make([]uint64, (nq+63)/64)
+		rt.headState = make([]uint64, nq)
+		rt.credits = make([]int16, netQ)
 		for i := range rt.credits {
 			rt.credits[i] = int16(s.bufPerVC)
 		}
 		rt.outStaged = make([]int16, deg)
 		rt.rr = make([]int32, ports)
 		rt.revPort = make([]int32, deg)
-		if len(rt.inQ) > maxQ {
-			maxQ = len(rt.inQ)
-		}
-		if ports > maxOutputs {
-			maxOutputs = ports
-		}
+		maxQ = max(maxQ, nq)
+		maxOutputs = max(maxOutputs, ports)
 		credCap += deg*cfg.Speedup + len(rt.eps) // <= one credit per grant per cycle
 	}
 	// Reverse port indices for credit addressing: the port table answers
@@ -490,8 +513,49 @@ func (s *Sim) touch(r int32) {
 	}
 }
 
-// setHead refreshes router r's head caches for queue qi, whose head packet
-// pkt was just revealed (pushed into an empty queue, or exposed by a pop).
+// headPkt returns the head packet of router rt's non-empty queue q.
+// Routing algorithms may mutate it in place (e.g. Valiant phase switches).
+func (s *Sim) headPkt(rt *router, q int) *Packet {
+	if q < len(rt.ring) {
+		return &rt.pkts[q*s.bufPerVC+int(rt.ring[q].head)]
+	}
+	f := &rt.src[q-len(rt.ring)]
+	return &f.buf[f.head]
+}
+
+// dropHead removes the head packet of router r's queue q, frees its buffer
+// slot -- returning a credit upstream for network inputs; injection queues
+// are source queues without credits -- and refreshes the occupancy bit or
+// the head cache for whatever the removal exposed.
+func (s *Sim) dropHead(rt *router, r int32, q int) {
+	var empty bool
+	if q < len(rt.ring) {
+		rp := &rt.ring[q]
+		rp.n--
+		rp.head++
+		if int(rp.head) == s.bufPerVC {
+			rp.head = 0
+		}
+		empty = rp.n == 0
+		cfg := &s.cfg
+		port := q / cfg.NumVCs
+		slot := int((s.cycle + int64(cfg.CreditDelay)) % int64(len(s.credWheel)))
+		s.credWheel[slot] = append(s.credWheel[slot], creditEvt{router: rt.nbr[port], port: rt.revPort[port], vc: int8(q - port*cfg.NumVCs)}) //sf:allow(append: wheel slots carry capacity credCap, the per-cycle grant bound, from construction)
+	} else {
+		f := &rt.src[q-len(rt.ring)]
+		f.drop()
+		empty = f.empty()
+	}
+	rt.flits--
+	if empty {
+		rt.clearOcc(q)
+	} else {
+		s.setHead(rt, r, q, s.headPkt(rt, q))
+	}
+}
+
+// setHead refreshes router r's head cache for queue qi, whose head packet
+// pkt was just revealed (written into an empty queue, or exposed by dropHead).
 // For static-port algorithms the routing decision is made here, once per
 // reveal, instead of once per cycle in the allocator scan; the call order
 // is unobservable because static TargetPort implementations consume no RNG
@@ -506,7 +570,7 @@ func (s *Sim) setHead(rt *router, r int32, qi int, pkt *Packet) {
 			s.badTargetPort(r, pkt, out, len(rt.nbr))
 		}
 	}
-	rt.headState[qi] = int64(out)<<32 | int64(uint32(pkt.ReadyAt))
+	rt.headState[qi] = packHead(pkt.ReadyAt, out, pkt.Hops)
 }
 
 // Run executes the configured simulation and returns the measurements.
@@ -658,8 +722,8 @@ func (s *Sim) injectPhase() {
 		// nothing is copied.
 		r := s.epRouter[e]
 		rt := &s.routers[r]
-		qi := (len(rt.nbr) + int(s.epIdx[e])) * cfg.NumVCs
-		f := &rt.inQ[qi]
+		qi := len(rt.ring) + int(s.epIdx[e])
+		f := &rt.src[s.epIdx[e]]
 		wasEmpty := f.empty()
 		pkt := f.pushTail()
 		*pkt = Packet{
@@ -761,22 +825,6 @@ func (s *Sim) badTargetPort(r int32, p *Packet, port int32, deg int) {
 	panic(fmt.Sprintf(
 		"sim: algorithm %s returned invalid output port %d at router %d (degree %d): packet src=%d dst=%d dstRouter=%d interm=%d phase=%d hops=%d",
 		s.cfg.Algo.Name(), port, r, deg, p.Src, p.Dst, p.DstRouter, p.Interm, p.Phase, p.Hops))
-}
-
-// returnCredit frees the input buffer slot of queue q at router r,
-// returning a credit upstream for network inputs (injection queues are
-// source queues without credits).
-func (s *Sim) returnCredit(r int32, rt *router, q int) {
-	cfg := &s.cfg
-	port := q / cfg.NumVCs
-	if port >= len(rt.nbr) {
-		return
-	}
-	vc := int8(q % cfg.NumVCs)
-	up := rt.nbr[port]
-	upPort := rt.revPort[port]
-	slot := int((s.cycle + int64(cfg.CreditDelay)) % int64(len(s.credWheel)))
-	s.credWheel[slot] = append(s.credWheel[slot], creditEvt{router: up, port: upPort, vc: vc}) //sf:allow(append: wheel slots carry capacity credCap, the per-cycle grant bound, from construction)
 }
 
 // deliver completes a packet's journey at router r (its ejection router).

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"slimfly/internal/route"
@@ -29,8 +31,69 @@ func TestConfigValidation(t *testing.T) {
 	}
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
-	if _, err := New(Config{Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()}, Load: 1.5}); err == nil {
-		t.Error("load > 1 accepted")
+	base := Config{Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()}}
+	for _, load := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		cfg := base
+		cfg.Load = load
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "[0,1]") {
+			t.Errorf("load %v: err = %v, want the [0,1] range error", load, err)
+		}
+	}
+	// Ring positions and credit counters are 16-bit: a deeper VC buffer must
+	// be refused, not wrapped (and refused before anything is allocated).
+	deep := base
+	deep.NumVCs, deep.BufPerPort = 2, 2*(math.MaxInt16+1)
+	if _, err := New(deep); err == nil || !strings.Contains(err.Error(), "per VC") {
+		t.Errorf("%d flits per VC: err = %v, want the depth-limit error", math.MaxInt16+1, err)
+	}
+	deep.BufPerPort = 2 * 300
+	if s, err := New(deep); err != nil || s.bufPerVC != 300 {
+		t.Errorf("300 flits per VC rejected: %v", err)
+	}
+}
+
+// wideTopo hangs every endpoint off router 0, giving it more ports than the
+// head cache's 16-bit port field can name.
+type wideTopo struct {
+	topo.Topology
+	n int
+}
+
+func (w wideTopo) Endpoints() int         { return w.n }
+func (wideTopo) EndpointRouter(e int) int { return 0 }
+func (w wideTopo) RouterEndpoints(r int) []int {
+	if r != 0 {
+		return nil
+	}
+	eps := make([]int, w.n)
+	for e := range eps {
+		eps[e] = e
+	}
+	return eps
+}
+
+func TestTooManyPortsRejected(t *testing.T) {
+	sf := slimfly.MustNew(5)
+	wide := wideTopo{Topology: sf, n: 1 << 16}
+	_, err := New(Config{Topo: wide, Router: route.Build(sf.Graph()), Algo: MIN{}, Pattern: traffic.Uniform{N: wide.n}, Load: 0.1})
+	if err == nil || !strings.Contains(err.Error(), "router 0") || !strings.Contains(err.Error(), "ports") {
+		t.Fatalf("router with >= 2^16 ports: err = %v, want a descriptive port-count error", err)
+	}
+}
+
+// TestHeadStatePacking pins the head-cache word at the edges of each field:
+// ReadyAt up to New's cycle-stamp limit, ports up to 2^16-1, hops up to the
+// int8 maximum, none bleeding into a neighbour.
+func TestHeadStatePacking(t *testing.T) {
+	for _, readyAt := range []int32{0, 1, 1<<31 - 1 - 1<<20} {
+		for _, port := range []int32{0, 1, 65535} {
+			for _, hops := range []int8{0, 1, 127} {
+				ra, p, h := unpackHead(packHead(readyAt, port, hops))
+				if ra != readyAt || p != port || h != hops {
+					t.Errorf("unpackHead(packHead(%d, %d, %d)) = (%d, %d, %d)", readyAt, port, hops, ra, p, h)
+				}
+			}
+		}
 	}
 }
 
