@@ -7,25 +7,18 @@
 //	keystable   every scenario.Spec field must enter Spec.Key or be a pinned exclusion
 //	detrand     no global RNG, wall clock or unordered map ranges in deterministic packages
 //
-// Standalone (the CI gate):
+// Usage (the first line is the CI gate):
 //
 //	go run ./cmd/sfvet ./...
 //	sfvet -checks hotalloc,detrand ./internal/sim
-//
-// As a go vet tool (per-package, incremental, with facts threaded through
-// the build cache's .vetx files):
-//
-//	go vet -vettool=$(go env GOPATH)/bin/sfvet ./...
+//	sfvet -list
 //
 // Exit status: 0 clean, 1 the checker itself failed, 2 diagnostics.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -47,51 +40,7 @@ func main() {
 	os.Exit(run(os.Args[1:]))
 }
 
-// selfHash returns the hex SHA-256 of the running executable.
-func selfHash() (string, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return "", err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "", err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
 func run(args []string) int {
-	// The cmd/go vettool handshake: -V=full asks for a version line that
-	// becomes part of the build cache key, -flags for a JSON schema of the
-	// tool's analyzer flags (sfvet exposes none to the driver); a trailing
-	// *.cfg argument is a unitchecker invocation for one package.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			// cmd/go scans this line for a buildID= token and folds it into
-			// the cache key, so the hash must change when the tool does:
-			// hash the executable itself, like x/tools' unitchecker.
-			id, err := selfHash()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sfvet:", err)
-				return 1
-			}
-			fmt.Printf("sfvet version devel comments-go-here buildID=%s\n", id)
-			return 0
-		case "-flags", "--flags":
-			fmt.Println("[]")
-			return 0
-		}
-	}
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		return analysis.RunUnit(args[n-1], all, os.Stderr)
-	}
-
 	fs := flag.NewFlagSet("sfvet", flag.ContinueOnError)
 	checks := fs.String("checks", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")

@@ -19,29 +19,6 @@ func TestRepoInvariantsClean(t *testing.T) {
 	}
 }
 
-// TestVettoolHandshake pins the cmd/go vettool protocol surface: the
-// -V=full line must carry a buildID= token (cmd/go folds it into the
-// build cache key) and -flags must answer a JSON flag schema.
-func TestVettoolHandshake(t *testing.T) {
-	out := captureStdout(t, func() {
-		if code := run([]string{"-V=full"}); code != 0 {
-			t.Fatalf("-V=full exited %d, want 0", code)
-		}
-	})
-	if !strings.HasPrefix(out, "sfvet version ") || !strings.Contains(out, "buildID=") {
-		t.Fatalf("-V=full output %q lacks the version/buildID shape cmd/go parses", out)
-	}
-
-	out = captureStdout(t, func() {
-		if code := run([]string{"-flags"}); code != 0 {
-			t.Fatalf("-flags exited %d, want 0", code)
-		}
-	})
-	if strings.TrimSpace(out) != "[]" {
-		t.Fatalf("-flags output %q, want []", out)
-	}
-}
-
 func TestUnknownAnalyzer(t *testing.T) {
 	if code := run([]string{"-checks", "nope"}); code != 1 {
 		t.Fatalf("-checks nope exited %d, want 1", code)

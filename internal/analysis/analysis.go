@@ -48,10 +48,9 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the run-wide fact store shared by every pass, keyed by
-	// qualified object name (see Facts.Qualify). Packages are analysed in
-	// dependency order, so facts exported by a dependency's pass are
-	// visible here.
+	// Facts is the run-wide fact store shared by every pass. Packages are
+	// analysed in dependency order, so facts exported by a dependency's
+	// pass are visible here.
 	Facts *FactStore
 
 	// Report delivers one finding.
@@ -70,15 +69,8 @@ type Diagnostic struct {
 	Hint string
 }
 
-// Reportf formats and reports a diagnostic with a fix hint. Positions in
-// _test.go files are dropped: the invariants gate shipped code, and test
-// files use the clock, ad-hoc randomness and map ranges legitimately
-// (`go vet -vettool` analyzes the test variant of each package, so the
-// filter must live here, not in the package loader).
+// Reportf formats and reports a diagnostic with a fix hint.
 func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
-	if strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go") {
-		return
-	}
 	p.Report(Diagnostic{
 		Pos:      pos,
 		Analyzer: p.Analyzer.Name,
@@ -227,17 +219,6 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
-}
-
-// IsInterfaceMethodCall reports whether the call dispatches through an
-// interface (and therefore cannot be followed statically).
-func IsInterfaceMethodCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	s, ok := info.Selections[sel]
-	return ok && s.Kind() == types.MethodVal && types.IsInterface(s.Recv())
 }
 
 // PointerShaped reports whether boxing a value of type t into an

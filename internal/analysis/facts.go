@@ -1,121 +1,40 @@
 package analysis
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"os"
-	"sort"
-)
+import "go/types"
 
 // FactStore records boolean facts about program objects across package
-// boundaries. Facts are keyed by qualified object name rather than by
-// object identity, so a store survives serialisation: the standalone
-// checker shares one in-memory store across the whole run (packages are
-// analysed in dependency order), while the `go vet -vettool` driver
-// persists each package's facts to its .vetx file and reloads them for
-// dependents (see unit.go).
+// boundaries. One store lives for one Run; the loader hands every
+// dependent the very *types.Package it checked, so an object is the same
+// pointer in the package that declares it and in every package that uses
+// it, and facts are keyed by that identity.
 type FactStore struct {
-	facts map[string]map[string]bool // qualified object -> fact names
+	facts map[types.Object]map[string]bool
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{facts: map[string]map[string]bool{}}
+	return &FactStore{facts: map[types.Object]map[string]bool{}}
 }
 
-// Qualify names an object unambiguously across packages:
-// "path/to/pkg.Func", "path/to/pkg.(*Recv).Method" or
-// "path/to/pkg.Recv.Method".
-func Qualify(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
+// declared folds a generic instantiation onto the function it was
+// declared as, the object facts are recorded about.
+func declared(obj types.Object) types.Object {
 	if fn, ok := obj.(*types.Func); ok {
-		// Origin folds generic instantiations onto their declaration.
-		fn = fn.Origin()
-		sig := fn.Type().(*types.Signature)
-		if recv := sig.Recv(); recv != nil {
-			t := recv.Type()
-			ptr := ""
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-				ptr = "*"
-			}
-			if named, ok := t.(*types.Named); ok {
-				if ptr != "" {
-					return fmt.Sprintf("%s.(%s%s).%s", fn.Pkg().Path(), ptr, named.Obj().Name(), fn.Name())
-				}
-				return fmt.Sprintf("%s.%s.%s", fn.Pkg().Path(), named.Obj().Name(), fn.Name())
-			}
-		}
-		return fn.Pkg().Path() + "." + fn.Name()
+		return fn.Origin()
 	}
-	return obj.Pkg().Path() + "." + obj.Name()
+	return obj
 }
 
 // Set records fact about obj.
 func (s *FactStore) Set(obj types.Object, fact string) {
-	key := Qualify(obj)
-	if key == "" {
-		return
+	obj = declared(obj)
+	if s.facts[obj] == nil {
+		s.facts[obj] = map[string]bool{}
 	}
-	if s.facts[key] == nil {
-		s.facts[key] = map[string]bool{}
-	}
-	s.facts[key][fact] = true
+	s.facts[obj][fact] = true
 }
 
 // Has reports whether fact is recorded about obj.
 func (s *FactStore) Has(obj types.Object, fact string) bool {
-	return s.facts[Qualify(obj)][fact]
-}
-
-// serialized is the on-disk shape of a fact file: object -> sorted facts.
-type serialized map[string][]string
-
-// WriteFile persists the facts belonging to pkgPath (the analysed
-// package's own exports) to path, for the vettool driver's .vetx slot.
-func (s *FactStore) WriteFile(path, pkgPath string) error {
-	out := serialized{}
-	prefix := pkgPath + "."
-	for key, set := range s.facts {
-		if len(key) <= len(prefix) || key[:len(prefix)] != prefix {
-			continue
-		}
-		names := make([]string, 0, len(set))
-		for f := range set {
-			names = append(names, f)
-		}
-		sort.Strings(names)
-		out[key] = names
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-// ReadFile merges a dependency's fact file into the store. Missing or
-// empty files are fine: a dependency analysed by a facts-unaware driver
-// simply contributes nothing.
-func (s *FactStore) ReadFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		return nil
-	}
-	var in serialized
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("analysis: corrupt fact file %s: %v", path, err)
-	}
-	for key, names := range in {
-		if s.facts[key] == nil {
-			s.facts[key] = map[string]bool{}
-		}
-		for _, f := range names {
-			s.facts[key][f] = true
-		}
-	}
-	return nil
+	return s.facts[declared(obj)][fact]
 }
