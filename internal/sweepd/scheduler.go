@@ -55,12 +55,13 @@ type jobLease struct {
 // recovered job doesn't go to the back of a 10,000-point line.
 //
 // Intra-simulation sharding rides the existing SplitParallelism
-// heuristic, re-evaluated at every claim against the CURRENT pending
-// count: when the service is saturated with jobs each simulation stays
-// serial, and when the queue drains below the worker count (the tail of
-// the last sweep on an otherwise idle server) the spare cores shard the
-// remaining simulations. Worker counts never change results or cache
-// keys, so this is pure wall-clock tuning.
+// heuristic, re-evaluated at every claim against the jobs that want a
+// core NOW -- unclaimed plus those local workers are still executing:
+// while that is at least the worker count each simulation stays serial,
+// and when it falls below (the tail of the last sweep on an otherwise
+// idle server) the idle cores shard the remaining simulations. Worker
+// counts never change results or cache keys, so this is pure wall-clock
+// tuning.
 type scheduler struct {
 	workers    int // local executor goroutines (0: remote workers only)
 	claimBase  int // parallelism denominator for SplitParallelism (>=1)
@@ -74,6 +75,7 @@ type scheduler struct {
 	active   []*sweepRun // sweeps with unclaimed jobs, submission order
 	rr       int         // round-robin cursor into active
 	pending  int         // unclaimed jobs across active
+	running  int         // local claims still executing
 	leases   map[string]*jobLease
 	draining bool
 	started  bool
@@ -190,13 +192,22 @@ func (s *scheduler) claim() (r *sweepRun, idx, simWorkers int, ok bool) {
 		return nil, 0, 0, false
 	}
 	r, idx = s.nextLocked()
+	s.running++
 	simWorkers = s.simW
 	if simWorkers == 0 {
-		_, simWorkers = sweep.SplitParallelism(s.pending, s.claimBase)
+		_, simWorkers = sweep.SplitParallelism(s.pending+s.running, s.claimBase)
 	}
 	s.mu.Unlock()
 	r.claimStarted()
 	return r, idx, simWorkers, true
+}
+
+// executed is the other half of claim: the local worker's job has left
+// Execute and its cores are free for the next split.
+func (s *scheduler) executed() {
+	s.mu.Lock()
+	s.running--
+	s.mu.Unlock()
 }
 
 // run is one worker's loop: claim fair-share, execute through the shared
@@ -207,7 +218,9 @@ func (s *scheduler) run() {
 		if !ok {
 			return
 		}
-		r.finish(idx, sweep.Execute(sweep.JobTask(s.env, r.jobs[idx]), s.store, simW))
+		jr := sweep.Execute(sweep.JobTask(s.env, r.jobs[idx]), s.store, simW)
+		s.executed()
+		r.finish(idx, jr)
 	}
 }
 
