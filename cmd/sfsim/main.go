@@ -163,7 +163,8 @@ func main() {
 		fmt.Println()
 	}
 	for _, l := range loads {
-		cfg, err := env.Config(spec, scenario.WithLoad(l))
+		spec.Load = l
+		cfg, err := env.Config(spec)
 		var ie *scenario.IncompatibleError
 		if errors.As(err, &ie) {
 			usage(err) // a bad flag pairing, not a runtime failure

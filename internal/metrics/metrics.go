@@ -1,5 +1,5 @@
 // Package metrics is the simulator's streaming measurement pipeline: a
-// small Collector interface with fixed-signature observe hooks, a registry
+// small Collector interface with fixed-signature observe hooks, a table
 // of named stock collectors, and a structured Summary.
 //
 // Instead of the engine appending one float per delivered packet and
@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Meta describes the simulated system to a collector at Attach time; it is
@@ -155,8 +154,8 @@ type Set struct {
 	pktMask uint64
 }
 
-// SetOf builds a set from explicit collector instances (the registry-free
-// path; NewSet resolves names instead).
+// SetOf builds a set from explicit collector instances (NewSet resolves
+// names instead).
 func SetOf(cs ...Collector) *Set {
 	s := &Set{cs: cs}
 	for _, c := range cs {
@@ -297,52 +296,38 @@ func (s *Set) Summary() Summary {
 	return out
 }
 
-// --- registry ---------------------------------------------------------
+// --- stock collectors ---------------------------------------------------
 
-// entry is one registered collector: its factory and the description the
-// CLIs' -list output shows (travelling with the registration, like the
-// scenario registry's defs).
-type entry struct {
-	desc    string
-	factory func() Collector
+// collectors is the table of stock collectors in presentation order:
+// sweep specs and the -metrics CLI flags select collectors by these
+// names, and desc is the line the CLIs' -list output shows.
+var collectors = []struct {
+	name, desc string
+	factory    func() Collector
+}{
+	{"latency", "log-bucketed latency histogram: P50/P95/P99 (nearest-rank), min/max/mean",
+		func() Collector { return NewLatencyHist() }},
+	{"channels", "per-directed-channel flit counts: max/mean utilisation, hottest channels",
+		func() Collector { return NewChannelLoads(DefaultTopChannels) }},
+	{"series", "per-interval delivered/injected/occupancy time series over the window",
+		func() Collector { return NewSeries(0) }},
+	{"fairness", "per-source delivery counts: Jain index, worst-source latency",
+		func() Collector { return NewFairness() }},
+	{"trace", "sampled per-packet event stream (1-in-1024 by hashed id): inject/hop/deliver with cycle, router/port, VC and path decision",
+		func() Collector { return NewTrace(DefaultTraceShift, DefaultTraceCap) }},
 }
 
-// registry holds the named collector entries in registration order.
-// Registration happens from init (stock collectors) or program setup
-// (custom ones); lookups are concurrent.
-var reg = struct {
-	mu    sync.RWMutex
-	order []string
-	m     map[string]entry
-}{m: make(map[string]entry)}
-
-// Register adds a named collector factory with a one-line description
-// (shown by the CLIs' -list output); sweep specs and the -metrics CLI
-// flags select collectors by these names. It panics on duplicate or
-// empty names (registration is a programming error, not a runtime
-// condition).
-func Register(name, desc string, factory func() Collector) {
-	if name == "" {
-		panic("metrics: registering empty collector name")
-	}
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	if _, dup := reg.m[name]; dup {
-		panic(fmt.Sprintf("metrics: duplicate collector %q", name))
-	}
-	reg.m[name] = entry{desc: desc, factory: factory}
-	reg.order = append(reg.order, name)
-}
-
-// Names lists the registered collector names in registration order.
+// Names lists the collector names in table order.
 func Names() []string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
-	return append([]string(nil), reg.order...)
+	out := make([]string, len(collectors))
+	for i, c := range collectors {
+		out[i] = c.name
+	}
+	return out
 }
 
-// UnknownError names an unregistered collector and enumerates the valid
-// names, matching the scenario registry's error style.
+// UnknownError names a collector that is not in the table and enumerates
+// the valid names, matching the scenario package's error style.
 type UnknownError struct {
 	Name  string
 	Known []string
@@ -352,20 +337,29 @@ func (e *UnknownError) Error() string {
 	return fmt.Sprintf("metrics: unknown collector %q (known: %s)", e.Name, strings.Join(e.Known, " "))
 }
 
-// New builds a fresh collector by registered name.
-func New(name string) (Collector, error) {
-	reg.mu.RLock()
-	e, ok := reg.m[name]
-	reg.mu.RUnlock()
-	if !ok {
-		return nil, &UnknownError{Name: name, Known: Names()}
+// factory finds the named collector's constructor; an unknown name fails
+// with the valid set enumerated.
+func factory(name string) (func() Collector, error) {
+	for _, c := range collectors {
+		if c.name == name {
+			return c.factory, nil
+		}
 	}
-	return e.factory(), nil
+	return nil, &UnknownError{Name: name, Known: Names()}
+}
+
+// New builds a fresh collector by name.
+func New(name string) (Collector, error) {
+	f, err := factory(name)
+	if err != nil {
+		return nil, err
+	}
+	return f(), nil
 }
 
 // ParseNames splits a comma-separated collector selection ("latency,
 // channels") into trimmed names, dropping empties. "all" expands to every
-// registered collector.
+// collector in the table.
 func ParseNames(spec string) []string {
 	if strings.TrimSpace(spec) == "all" {
 		return Names()
@@ -381,16 +375,10 @@ func ParseNames(spec string) []string {
 
 // CheckNames validates a comma-separated collector selection without
 // building anything; unknown names fail with the valid set enumerated.
-// (ParseNames runs before the lock is taken: expanding "all" reads the
-// registry itself, and nesting that read inside a held RLock would
-// deadlock against a concurrent Register.)
 func CheckNames(spec string) error {
 	for _, n := range ParseNames(spec) {
-		reg.mu.RLock()
-		_, ok := reg.m[n]
-		reg.mu.RUnlock()
-		if !ok {
-			return &UnknownError{Name: n, Known: Names()}
+		if _, err := factory(n); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -411,27 +399,12 @@ func NewSet(spec string) (*Set, error) {
 	return SetOf(cs...), nil
 }
 
-func init() {
-	Register("latency", "log-bucketed latency histogram: P50/P95/P99 (nearest-rank), min/max/mean",
-		func() Collector { return NewLatencyHist() })
-	Register("channels", "per-directed-channel flit counts: max/mean utilisation, hottest channels",
-		func() Collector { return NewChannelLoads(DefaultTopChannels) })
-	Register("series", "per-interval delivered/injected/occupancy time series over the window",
-		func() Collector { return NewSeries(0) })
-	Register("fairness", "per-source delivery counts: Jain index, worst-source latency",
-		func() Collector { return NewFairness() })
-	Register("trace", "sampled per-packet event stream (1-in-1024 by hashed id): inject/hop/deliver with cycle, router/port, VC and path decision",
-		func() Collector { return NewTrace(DefaultTraceShift, DefaultTraceCap) })
-}
-
-// Describe returns one "name: description" line per registered collector,
-// for -list style CLI output.
+// Describe returns one "name: description" line per collector, for -list
+// style CLI output.
 func Describe() string {
-	reg.mu.RLock()
-	defer reg.mu.RUnlock()
 	var b strings.Builder
-	for _, n := range reg.order {
-		fmt.Fprintf(&b, "  %-10s %s\n", n, reg.m[n].desc)
+	for _, c := range collectors {
+		fmt.Fprintf(&b, "  %-10s %s\n", c.name, c.desc)
 	}
 	return b.String()
 }

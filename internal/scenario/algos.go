@@ -1,8 +1,8 @@
 package scenario
 
-// All routing algorithms of the study register here; to add one, add one
-// RegisterAlgo call and it becomes addressable from the CLIs, sweep specs
-// and the experiment suite at once. Kinds restricts an algorithm to the
+// All routing algorithms of the study are listed here; to add one, add
+// one entry to the algos table and it becomes addressable from the CLIs,
+// sweep specs and the experiment suite at once. Kinds restricts an algorithm to the
 // topology kinds it can run on; building it elsewhere yields an
 // *IncompatibleError.
 //
@@ -25,33 +25,34 @@ func tableAlgo(a sim.Algo) func(topo.Topology) (sim.Algo, error) {
 	return func(topo.Topology) (sim.Algo, error) { return a, nil }
 }
 
-func init() {
-	RegisterAlgo(AlgoDef{
+// algos is the routing-algorithm axis, in presentation order.
+var algos = []AlgoDef{
+	{
 		Name:  "min",
 		Desc:  "minimal static routing (Section IV-A)",
 		Build: tableAlgo(sim.MIN{}),
-	})
-	RegisterAlgo(AlgoDef{
+	},
+	{
 		Name:  "val",
 		Desc:  "Valiant random routing (Section IV-B)",
 		Build: tableAlgo(sim.VAL{}),
-	})
-	RegisterAlgo(AlgoDef{
+	},
+	{
 		Name:  "val3",
 		Desc:  "Valiant constrained to paths of at most 3 hops (Section IV-B)",
 		Build: tableAlgo(sim.VAL3{}),
-	})
-	RegisterAlgo(AlgoDef{
+	},
+	{
 		Name:  "ugal-l",
 		Desc:  "UGAL with local queue information (Section IV-C2)",
 		Build: tableAlgo(sim.UGALL{}),
-	})
-	RegisterAlgo(AlgoDef{
+	},
+	{
 		Name:  "ugal-g",
 		Desc:  "UGAL with global queue information (Section IV-C1)",
 		Build: tableAlgo(sim.UGALG{}),
-	})
-	RegisterAlgo(AlgoDef{
+	},
+	{
 		Name:  "anca",
 		Desc:  "adaptive nearest-common-ancestor routing (FT-3 only)",
 		Kinds: []string{"FT-3"},
@@ -65,14 +66,14 @@ func init() {
 			}
 			return sim.FTANCA{FT: ft}, nil
 		},
-	})
+	},
 }
 
 // BuildAlgo constructs the named routing algorithm for an already built
-// topology. Unknown names yield an *UnknownError enumerating the registry;
+// topology. Unknown names yield an *UnknownError enumerating the table;
 // topology constraints yield an *IncompatibleError.
 func BuildAlgo(name string, tp topo.Topology) (sim.Algo, error) {
-	def, err := algos.get(name)
+	def, err := lookup(Algos, algos, name)
 	if err != nil {
 		return nil, err
 	}

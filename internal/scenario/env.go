@@ -73,8 +73,7 @@ type builtPattern struct {
 	err  error
 }
 
-// EnvOption configures an Env at construction (distinct from Option,
-// which adjusts a single Spec resolution).
+// EnvOption configures an Env at construction.
 type EnvOption func(*Env)
 
 // WithRouteBackend selects the routing-backend policy (route.PolicyAuto,
@@ -157,44 +156,11 @@ func (e *Env) Pattern(t TopoSpec, name string, seed uint64) (traffic.Pattern, er
 	return b.pat, b.err
 }
 
-// Option adjusts a spec before resolution; Config applies options to its
-// own copy, so one base spec can be resolved at many loads or seeds while
-// the memoised topology and pattern are shared.
-type Option func(*Spec)
-
-// WithLoad overrides the offered load.
-func WithLoad(load float64) Option { return func(s *Spec) { s.Load = load } }
-
-// WithSeed overrides the simulation (and pattern derivation) seed.
-func WithSeed(seed uint64) Option { return func(s *Spec) { s.Seed = seed } }
-
-// WithAlgo overrides the routing algorithm by registry name.
-func WithAlgo(name string) Option { return func(s *Spec) { s.Algo = name } }
-
-// WithPattern overrides the traffic pattern by registry name.
-func WithPattern(name string) Option { return func(s *Spec) { s.Pattern = name } }
-
-// WithSim overrides the simulator knobs wholesale.
-func WithSim(p SimParams) Option { return func(s *Spec) { s.Sim = p } }
-
-// WithWorkers overrides intra-simulation parallelism (the engine's decide
-// worker count; 0 or 1 = inline). Results are bit-identical either way, and the
-// knob does not enter the scenario's cache key.
-func WithWorkers(n int) Option { return func(s *Spec) { s.Sim.Workers = n } }
-
-// WithMetrics overrides the streaming-collector selection (comma-separated
-// internal/metrics registry names). Unlike Workers this IS part of the
-// scenario's cache key: it decides what summary payload a cached entry
-// carries.
-func WithMetrics(sel string) Option { return func(s *Spec) { s.Sim.Metrics = sel } }
-
-// Config resolves spec s (with opts applied to a copy) into a runnable
-// simulator configuration: topology and routing backend from the memoised
-// builds, algorithm and pattern by registry name.
-func (e *Env) Config(s Spec, opts ...Option) (sim.Config, error) {
-	for _, o := range opts {
-		o(&s)
-	}
+// Config resolves spec s into a runnable simulator configuration:
+// topology and routing backend from the memoised builds, algorithm and
+// pattern by name. One base spec can be resolved at many loads or seeds
+// (set the field on a copy) while the topology and pattern are shared.
+func (e *Env) Config(s Spec) (sim.Config, error) {
 	tp, rt, err := e.Topo(s.Topo)
 	if err != nil {
 		return sim.Config{}, err

@@ -1,8 +1,8 @@
 package scenario
 
-// All traffic patterns of the study register here; to add one, add one
-// RegisterPattern call and it becomes addressable from the CLIs, sweep
-// specs and the experiment suite at once.
+// All traffic patterns of the study are listed here; to add one, add one
+// entry to the patterns table and it becomes addressable from the CLIs,
+// sweep specs and the experiment suite at once.
 
 import (
 	"slimfly/internal/route"
@@ -17,33 +17,34 @@ func simplePattern(f func(n int) traffic.Pattern) func(topo.Topology, route.Rout
 	}
 }
 
-func init() {
-	RegisterPattern(PatternDef{
+// patterns is the traffic-pattern axis, in presentation order.
+var patterns = []PatternDef{
+	{
 		Name:  "uniform",
 		Desc:  "uniform random traffic (Section V-A)",
 		Build: simplePattern(func(n int) traffic.Pattern { return traffic.Uniform{N: n} }),
-	})
-	RegisterPattern(PatternDef{
+	},
+	{
 		Name:  "shuffle",
 		Desc:  "shuffle bit permutation d_i = s_(i-1 mod b)",
 		Build: simplePattern(func(n int) traffic.Pattern { return traffic.Shuffle(n) }),
-	})
-	RegisterPattern(PatternDef{
+	},
+	{
 		Name:  "bitrev",
 		Desc:  "bit reversal permutation d_i = s_(b-i-1)",
 		Build: simplePattern(func(n int) traffic.Pattern { return traffic.BitReversal(n) }),
-	})
-	RegisterPattern(PatternDef{
+	},
+	{
 		Name:  "bitcomp",
 		Desc:  "bit complement permutation d_i = NOT s_i",
 		Build: simplePattern(func(n int) traffic.Pattern { return traffic.BitComplement(n) }),
-	})
-	RegisterPattern(PatternDef{
+	},
+	{
 		Name:  "shift",
 		Desc:  "shift pattern over the endpoint halves (Section V-B)",
 		Build: simplePattern(func(n int) traffic.Pattern { return traffic.Shift{N: n} }),
-	})
-	RegisterPattern(PatternDef{
+	},
+	{
 		Name: "worstcase",
 		Desc: "per-family adversarial permutation (Section V-C); uniform where no adversary is known",
 		Build: func(tp topo.Topology, rt route.Router, seed uint64) (traffic.Pattern, error) {
@@ -52,7 +53,7 @@ func init() {
 			}
 			return traffic.Uniform{N: tp.Endpoints()}, nil
 		},
-	})
+	},
 }
 
 // BuildPattern constructs the named traffic pattern for an already built
@@ -63,7 +64,7 @@ func BuildPattern(name string, tp topo.Topology, rt route.Router, seed uint64) (
 	if name == "" {
 		name = "uniform"
 	}
-	def, err := patterns.get(name)
+	def, err := lookup(Patterns, patterns, name)
 	if err != nil {
 		return nil, err
 	}

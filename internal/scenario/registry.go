@@ -1,16 +1,13 @@
 package scenario
 
 import (
-	"fmt"
-	"sync"
-
 	"slimfly/internal/route"
 	"slimfly/internal/sim"
 	"slimfly/internal/topo"
 	"slimfly/internal/traffic"
 )
 
-// TopologyDef registers one topology kind: how to build it from a
+// TopologyDef is one topology kind: how to build it from a
 // TopoSpec, plus a one-line description for -list output. Algebraic
 // declares that every instance the kind builds implements route.Oracle
 // (closed-form distances), so the computed routing backend is available;
@@ -22,7 +19,7 @@ type TopologyDef struct {
 	Build     func(t TopoSpec) (topo.Topology, error)
 }
 
-// AlgoDef registers one routing algorithm. Kinds, when non-empty,
+// AlgoDef is one routing algorithm. Kinds, when non-empty,
 // restricts the topology kinds the algorithm pairs with (sweep expansion
 // skips other pairs; building one anyway yields an *IncompatibleError).
 type AlgoDef struct {
@@ -32,7 +29,7 @@ type AlgoDef struct {
 	Build func(tp topo.Topology) (sim.Algo, error)
 }
 
-// PatternDef registers one traffic pattern. Build receives the topology,
+// PatternDef is one traffic pattern. Build receives the topology,
 // its routing backend and a seed (adversarial patterns need all three;
 // others ignore what they don't use).
 type PatternDef struct {
@@ -41,73 +38,40 @@ type PatternDef struct {
 	Build func(tp topo.Topology, rt route.Router, seed uint64) (traffic.Pattern, error)
 }
 
-// registry is one axis: named defs in registration order. Registration
-// happens from package init only, but lookups are concurrent (sweep
-// workers resolve jobs in parallel), so reads take the lock too.
-type registry[D any] struct {
-	axis  Axis
-	mu    sync.RWMutex
-	order []string
-	m     map[string]D
+// def is what the three axis tables (topologies, algos, patterns: ordered
+// slice literals in their own files) have in common: a name and a
+// description for lookups and -list output.
+type def interface{ info() Info }
+
+func (d TopologyDef) info() Info { return Info{Name: d.Name, Desc: d.Desc, Algebraic: d.Algebraic} }
+func (d AlgoDef) info() Info     { return Info{Name: d.Name, Desc: d.Desc} }
+func (d PatternDef) info() Info  { return Info{Name: d.Name, Desc: d.Desc} }
+
+// lookup finds name in an axis table; a miss is an *UnknownError
+// enumerating the table.
+func lookup[D def](axis Axis, table []D, name string) (D, error) {
+	for _, d := range table {
+		if d.info().Name == name {
+			return d, nil
+		}
+	}
+	var none D
+	return none, &UnknownError{Axis: axis, Name: name, Known: names(table)}
 }
 
-func (r *registry[D]) add(name string, d D) {
-	if name == "" {
-		panic(fmt.Sprintf("scenario: registering empty %s name", r.axis))
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.m == nil {
-		r.m = make(map[string]D)
-	}
-	if _, dup := r.m[name]; dup {
-		panic(fmt.Sprintf("scenario: duplicate %s %q", r.axis, name))
-	}
-	r.m[name] = d
-	r.order = append(r.order, name)
-}
-
-func (r *registry[D]) get(name string) (D, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, ok := r.m[name]
-	if !ok {
-		return d, &UnknownError{Axis: r.axis, Name: name, Known: append([]string(nil), r.order...)}
-	}
-	return d, nil
-}
-
-func (r *registry[D]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
-var (
-	topologies = &registry[TopologyDef]{axis: Topologies}
-	algos      = &registry[AlgoDef]{axis: Algos}
-	patterns   = &registry[PatternDef]{axis: Patterns}
-)
-
-func (r *registry[D]) describeWith(desc func(D) Info) []Info {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]Info, 0, len(r.order))
-	for _, n := range r.order {
-		in := desc(r.m[n])
-		in.Name = n
-		out = append(out, in)
+// describe lists a table's entries in table (presentation) order.
+func describe[D def](table []D) []Info {
+	out := make([]Info, len(table))
+	for i, d := range table {
+		out[i] = d.info()
 	}
 	return out
 }
 
-// RegisterTopology adds a topology kind to the registry; it panics on
-// duplicate or empty names (registration is an init-time programming
-// error, not a runtime condition).
-func RegisterTopology(def TopologyDef) { topologies.add(def.Name, def) }
-
-// RegisterAlgo adds a routing algorithm to the registry.
-func RegisterAlgo(def AlgoDef) { algos.add(def.Name, def) }
-
-// RegisterPattern adds a traffic pattern to the registry.
-func RegisterPattern(def PatternDef) { patterns.add(def.Name, def) }
+func names[D def](table []D) []string {
+	out := make([]string, len(table))
+	for i, d := range table {
+		out[i] = d.info().Name
+	}
+	return out
+}

@@ -1,10 +1,10 @@
 // Package scenario is the single string-addressable construction API for
 // the three scenario axes of the study: topologies, routing algorithms and
-// traffic patterns. Every axis is a registry of named factories; the CLI
-// tools (sfsim, sfsweep, sfgen), the sweep engine and the experiment suite
-// all resolve scenarios through it, so a topology, algorithm or pattern
-// registered here is immediately available everywhere by name and coverage
-// between the consumers can never drift.
+// traffic patterns. Every axis is an ordered table of named factories; the
+// CLI tools (sfsim, sfsweep, sfgen), the sweep engine and the experiment
+// suite all resolve scenarios through it, so a topology, algorithm or
+// pattern listed here is immediately available everywhere by name and
+// coverage between the consumers can never drift.
 //
 // The axes:
 //
@@ -24,7 +24,7 @@
 // resolves Specs into runnable sim.Configs, memoising topology and
 // pattern construction so concurrent resolvers share one build.
 //
-// To add a new scenario axis value, register it in one file (see
+// To add a new scenario axis value, add an entry to its table (see
 // topologies.go, algos.go, patterns.go) and it appears in every consumer:
 // CLI -list output, spec validation, sweep expansion and the conformance
 // test.
@@ -39,7 +39,7 @@ import (
 	"slimfly/internal/traffic"
 )
 
-// Axis names one of the three scenario registries.
+// Axis names one of the three scenario tables.
 type Axis string
 
 // The scenario axes.
@@ -49,7 +49,7 @@ const (
 	Patterns   Axis = "pattern"
 )
 
-// Info describes one registered name for CLI help and documentation.
+// Info describes one table entry for CLI help and documentation.
 // Algebraic is set for topology kinds whose instances carry a closed-form
 // routing oracle (route.Oracle), i.e. the kinds the computed backend can
 // serve without n*n tables.
@@ -59,7 +59,7 @@ type Info struct {
 	Algebraic bool
 }
 
-// UnknownError reports a name that is not registered on its axis; Known
+// UnknownError reports a name that is not in its axis's table; Known
 // enumerates the valid names so callers (CLI flag parsing, spec
 // validation) never need to maintain their own lists. The JSON tags make
 // the error directly embeddable in structured API responses: sfsweepd's
@@ -112,58 +112,58 @@ func HasWorstCase(tp topo.Topology) bool {
 	return ok
 }
 
-// Names returns the registered names of an axis in registration
-// (presentation) order. Unknown axes yield nil.
+// Names returns the names of an axis in table (presentation) order.
+// Unknown axes yield nil.
 func Names(a Axis) []string {
 	switch a {
 	case Topologies:
-		return topologies.names()
+		return names(topologies)
 	case Algos:
-		return algos.names()
+		return names(algos)
 	case Patterns:
-		return patterns.names()
+		return names(patterns)
 	}
 	return nil
 }
 
-// Describe returns name+description pairs for an axis in registration
-// order, for CLI -list output and documentation.
+// Describe returns name+description pairs for an axis in table order,
+// for CLI -list output and documentation.
 func Describe(a Axis) []Info {
 	switch a {
 	case Topologies:
-		return topologies.describeWith(func(d TopologyDef) Info { return Info{Desc: d.Desc, Algebraic: d.Algebraic} })
+		return describe(topologies)
 	case Algos:
-		return algos.describeWith(func(d AlgoDef) Info { return Info{Desc: d.Desc} })
+		return describe(algos)
 	case Patterns:
-		return patterns.describeWith(func(d PatternDef) Info { return Info{Desc: d.Desc} })
+		return describe(patterns)
 	}
 	return nil
 }
 
-// CheckName returns nil when name is registered on axis a, and a
+// CheckName returns nil when name is in axis a's table, and a
 // *UnknownError enumerating the valid names otherwise.
 func CheckName(a Axis, name string) error {
 	switch a {
 	case Topologies:
-		_, err := topologies.get(name)
+		_, err := lookup(Topologies, topologies, name)
 		return err
 	case Algos:
-		_, err := algos.get(name)
+		_, err := lookup(Algos, algos, name)
 		return err
 	case Patterns:
-		_, err := patterns.get(name)
+		_, err := lookup(Patterns, patterns, name)
 		return err
 	}
 	return fmt.Errorf("scenario: unknown axis %q", a)
 }
 
 // Compatible reports whether the named algorithm can pair with topology
-// spec t, per the registered kind constraints. Sweep expansion uses it to
+// spec t, per the algorithm's Kinds constraint. Sweep expansion uses it to
 // skip incompatible pairs before anything is built; unknown algorithm
 // names are reported compatible here and rejected with a structured error
 // at build time.
 func Compatible(t TopoSpec, algo string) bool {
-	def, err := algos.get(algo)
+	def, err := lookup(Algos, algos, algo)
 	if err != nil {
 		return true
 	}
@@ -178,7 +178,7 @@ func Compatible(t TopoSpec, algo string) bool {
 	return false
 }
 
-// ListText renders the three registries as the shared -list output of the
+// ListText renders the three tables as the shared -list output of the
 // CLI tools; sfsim and sfsweep print it verbatim, so their accepted names
 // can never disagree.
 func ListText() string {

@@ -80,7 +80,7 @@ func TestCompatible(t *testing.T) {
 }
 
 func TestIncompatibleAlgoStructuredError(t *testing.T) {
-	tp, _, err := scenario.BuildTopology(scenario.TopoSpec{Kind: "SF", Q: 5})
+	tp, err := scenario.Topology(scenario.TopoSpec{Kind: "SF", Q: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +235,13 @@ func TestMetricsKnob(t *testing.T) {
 	}
 
 	env := scenario.NewEnv()
-	cfg, err := env.Config(base, scenario.WithMetrics("fairness"))
+	base.Sim.Metrics = "fairness"
+	cfg, err := env.Config(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Metrics != "fairness" {
-		t.Errorf("WithMetrics not applied: %q", cfg.Metrics)
+		t.Errorf("Sim.Metrics did not reach sim.Config: %q", cfg.Metrics)
 	}
 }
 
@@ -251,21 +252,20 @@ func TestConfigOptions(t *testing.T) {
 		Algo: "min", Pattern: "uniform", Load: 0.1, Seed: 1,
 		Sim: scenario.SimParams{Warmup: 10, Measure: 20, Drain: 100},
 	}
-	cfg, err := env.Config(base, scenario.WithLoad(0.7), scenario.WithSeed(9), scenario.WithAlgo("val"))
+	point := base
+	point.Load, point.Seed, point.Algo = 0.7, 9, "val"
+	cfg, err := env.Config(point)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Load != 0.7 || cfg.Seed != 9 {
-		t.Errorf("options not applied: load=%v seed=%d", cfg.Load, cfg.Seed)
+		t.Errorf("fields not applied: load=%v seed=%d", cfg.Load, cfg.Seed)
 	}
 	if cfg.Algo.Name() != "VAL" {
-		t.Errorf("algo option not applied: %s", cfg.Algo.Name())
+		t.Errorf("algo not applied: %s", cfg.Algo.Name())
 	}
-	// The base spec is untouched (options apply to a copy)...
-	if base.Load != 0.1 || base.Seed != 1 || base.Algo != "min" {
-		t.Errorf("options mutated the base spec: %+v", base)
-	}
-	// ...and the memoised topology is shared across resolutions.
+	// The memoised topology is shared across resolutions of different
+	// points on the same network.
 	cfg2, err := env.Config(base)
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestEnvPatternMemoised(t *testing.T) {
 }
 
 // TestWorkersKnob pins the execution-knob contract of SimParams.Workers:
-// WithWorkers reaches sim.Config.Workers, but the knob never enters the
+// the field reaches sim.Config.Workers, but the knob never enters the
 // JSON encoding or the content address. The sharded engine is
 // bit-identical to the serial one, so a cached result is valid whatever
 // parallelism computed it -- letting the key vary with Workers would
@@ -328,15 +328,15 @@ func TestWorkersKnob(t *testing.T) {
 		Algo: "min", Pattern: "uniform", Load: 0.1, Seed: 1,
 		Sim: scenario.SimParams{Warmup: 10, Measure: 20, Drain: 100},
 	}
-	cfg, err := env.Config(base, scenario.WithWorkers(4))
+	sharded := base
+	sharded.Sim.Workers = 4
+	cfg, err := env.Config(sharded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Workers != 4 {
-		t.Errorf("WithWorkers not applied: cfg.Workers = %d", cfg.Workers)
+		t.Errorf("Sim.Workers did not reach sim.Config: cfg.Workers = %d", cfg.Workers)
 	}
-	sharded := base
-	sharded.Sim.Workers = 4
 	if sharded.Key() != base.Key() {
 		t.Error("Workers changed the cache key; it must be worker-count-invariant")
 	}

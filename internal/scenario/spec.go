@@ -121,7 +121,7 @@ type SimParams struct {
 	// Workers is excluded from the JSON encoding and therefore from
 	// Spec.Key -- cached results stay valid whatever parallelism computed
 	// them, and a sweep resumed on a different machine hits the same cache
-	// entries. Set it with WithWorkers or sweep.Options.SimWorkers.
+	// entries. Set the field directly, or sweep.Options.SimWorkers for a pool.
 	Workers int `json:"-"`
 }
 

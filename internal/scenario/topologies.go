@@ -1,9 +1,8 @@
 package scenario
 
-// All topology kinds of the study register here; to add a kind, add one
-// RegisterTopology call (or call RegisterTopology from your own package's
-// init) and it becomes addressable from the CLIs, sweep specs and the
-// experiment suite at once.
+// All topology kinds of the study are listed here; to add a kind, add one
+// entry to the topologies table and it becomes addressable from the CLIs,
+// sweep specs and the experiment suite at once.
 
 import (
 	"fmt"
@@ -15,15 +14,16 @@ import (
 )
 
 // rosterBuilder adapts a roster kind (balanced configuration near N
-// endpoints) to the registry's build signature.
+// endpoints) to the table's build signature.
 func rosterBuilder(k roster.Kind) func(TopoSpec) (topo.Topology, error) {
 	return func(t TopoSpec) (topo.Topology, error) {
 		return roster.Near(k, t.N, t.Seed)
 	}
 }
 
-func init() {
-	RegisterTopology(TopologyDef{
+// topologies is the topology axis, in presentation order.
+var topologies = []TopologyDef{
+	{
 		Name:      "SF",
 		Desc:      "Slim Fly MMS graph, diameter 2 (n near-sizing, or exact q with optional oversubscribed p)",
 		Algebraic: true, // generator-set membership over GF(q), diameter 2
@@ -37,51 +37,51 @@ func init() {
 				return roster.Near(roster.SF, t.N, t.Seed)
 			}
 		},
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:  "DF",
 		Desc:  "balanced Dragonfly (Kim et al.), diameter 3",
 		Build: rosterBuilder(roster.DF),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:      "FT-3",
 		Desc:      "3-level fat tree (folded Clos)",
 		Algebraic: true, // up/down level arithmetic
 		Build:     rosterBuilder(roster.FT3),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:  "FBF-3",
 		Desc:  "3-dimensional flattened butterfly",
 		Build: rosterBuilder(roster.FBF3),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:      "T3D",
 		Desc:      "3-dimensional torus",
 		Algebraic: true, // per-dimension shortest wrap
 		Build:     rosterBuilder(roster.T3D),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:      "T5D",
 		Desc:      "5-dimensional torus",
 		Algebraic: true, // per-dimension shortest wrap
 		Build:     rosterBuilder(roster.T5D),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:      "HC",
 		Desc:      "binary hypercube",
 		Algebraic: true, // Hamming distance of coordinate bits
 		Build:     rosterBuilder(roster.HC),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:  "LH-HC",
 		Desc:  "long-hop hypercube (extra expander channels)",
 		Build: rosterBuilder(roster.LHHC),
-	})
-	RegisterTopology(TopologyDef{
+	},
+	{
 		Name:  "DLN",
 		Desc:  "random diameter-limited network (ring plus random shortcuts)",
 		Build: rosterBuilder(roster.DLN),
-	})
+	},
 }
 
 // Topology validates t and builds the named topology, without routing
@@ -90,7 +90,7 @@ func Topology(t TopoSpec) (topo.Topology, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	def, err := topologies.get(t.Kind)
+	def, err := lookup(Topologies, topologies, t.Kind)
 	if err != nil {
 		return nil, err
 	}
@@ -101,22 +101,10 @@ func Topology(t TopoSpec) (topo.Topology, error) {
 	return tp, nil
 }
 
-// BuildTopology builds the named topology together with the minimal
-// routing tables of its router graph, ready for simulation. Callers that
-// want backend selection (auto/tables/computed with a memory budget) use
-// BuildRouting instead; this always materializes BFS tables.
-func BuildTopology(t TopoSpec) (topo.Topology, *route.Tables, error) {
-	tp, err := Topology(t)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tp, route.Build(tp.Graph()), nil
-}
-
-// Algebraic reports whether topology kind is registered with a
+// Algebraic reports whether topology kind is listed with a
 // closed-form routing oracle, i.e. the computed backend can serve it.
 func Algebraic(kind string) bool {
-	def, err := topologies.get(kind)
+	def, err := lookup(Topologies, topologies, kind)
 	return err == nil && def.Algebraic
 }
 
