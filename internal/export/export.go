@@ -1,14 +1,11 @@
 // Package export serialises topologies for use outside this repository:
-// plain edge lists (one "u v" pair per line) and a JSON description
-// mirroring the paper's published "library of practical topologies"
-// (Section I contribution list), so generated Slim Flies can be fed to
-// external simulators or deployment tooling.
+// a JSON description mirroring the paper's published "library of
+// practical topologies" (Section I contribution list), so generated Slim
+// Flies can be fed to external simulators or deployment tooling.
 package export
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"slimfly/internal/topo"
@@ -64,54 +61,4 @@ func WriteJSON(w io.Writer, t topo.Topology) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(Describe(t))
-}
-
-// WriteEdgeList writes one "u v" pair per line (u < v).
-func WriteEdgeList(w io.Writer, t topo.Topology) error {
-	bw := bufio.NewWriter(w)
-	for _, e := range t.Graph().Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d\n", e.U, e.V); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadJSON parses a Description back; useful for round-tripping generated
-// libraries through files.
-func ReadJSON(r io.Reader) (Description, error) {
-	var d Description
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return Description{}, fmt.Errorf("export: decoding topology: %w", err)
-	}
-	if err := d.Validate(); err != nil {
-		return Description{}, err
-	}
-	return d, nil
-}
-
-// Validate performs structural sanity checks on a parsed description.
-func (d Description) Validate() error {
-	if d.Routers <= 0 {
-		return fmt.Errorf("export: %q has %d routers", d.Name, d.Routers)
-	}
-	for _, e := range d.Edges {
-		if e[0] < 0 || e[1] < 0 || e[0] >= d.Routers || e[1] >= d.Routers {
-			return fmt.Errorf("export: edge %v out of range [0,%d)", e, d.Routers)
-		}
-		if e[0] == e[1] {
-			return fmt.Errorf("export: self-loop at %d", e[0])
-		}
-	}
-	if d.EndpointRouter != nil {
-		if len(d.EndpointRouter) != d.Endpoints {
-			return fmt.Errorf("export: endpoint map has %d entries, want %d", len(d.EndpointRouter), d.Endpoints)
-		}
-		for e, r := range d.EndpointRouter {
-			if r < 0 || r >= d.Routers {
-				return fmt.Errorf("export: endpoint %d on invalid router %d", e, r)
-			}
-		}
-	}
-	return nil
 }

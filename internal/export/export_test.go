@@ -2,7 +2,7 @@ package export
 
 import (
 	"bytes"
-	"strings"
+	"encoding/json"
 	"testing"
 
 	"slimfly/internal/topo/fattree"
@@ -60,42 +60,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, sf); err != nil {
 		t.Fatal(err)
 	}
-	d, err := ReadJSON(&buf)
-	if err != nil {
+	var d Description
+	if err := json.NewDecoder(&buf).Decode(&d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Routers != 50 || len(d.Edges) != 175 || d.Radix != 11 {
 		t.Errorf("round trip: %+v", d)
-	}
-}
-
-func TestReadJSONValidates(t *testing.T) {
-	bad := []string{
-		`{"name":"x","routers":0}`,
-		`{"name":"x","routers":4,"edges":[[0,9]]}`,
-		`{"name":"x","routers":4,"edges":[[1,1]]}`,
-		`{"name":"x","routers":4,"endpoints":2,"endpoint_router":[0]}`,
-		`{"name":"x","routers":4,"endpoints":1,"endpoint_router":[7]}`,
-		`not json`,
-	}
-	for _, s := range bad {
-		if _, err := ReadJSON(strings.NewReader(s)); err == nil {
-			t.Errorf("accepted %q", s)
-		}
-	}
-}
-
-func TestWriteEdgeList(t *testing.T) {
-	sf := slimfly.MustNew(3)
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, sf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != sf.Graph().EdgeCount() {
-		t.Errorf("lines = %d, want %d", len(lines), sf.Graph().EdgeCount())
-	}
-	if !strings.Contains(lines[0], " ") {
-		t.Errorf("bad line %q", lines[0])
 	}
 }

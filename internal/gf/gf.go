@@ -397,15 +397,6 @@ func (f *Field) PrimitiveElement() int {
 	return f.exp[1]
 }
 
-// Elements returns all field elements 0..q-1.
-func (f *Field) Elements() []int {
-	es := make([]int, f.Q)
-	for i := range es {
-		es[i] = i
-	}
-	return es
-}
-
 // Order returns the multiplicative order of a (smallest e > 0 with a^e = 1).
 // It panics on a == 0.
 func (f *Field) Order(a int) int {

@@ -72,12 +72,6 @@ func (g *Graph) AllPairsStats() PathStats {
 	return g.allPairs(allVertices(g.n))
 }
 
-// PairsStatsFrom runs BFS only from the given sources (still counting
-// distances to all vertices); used for sampled statistics on huge graphs.
-func (g *Graph) PairsStatsFrom(sources []int) PathStats {
-	return g.allPairs(sources)
-}
-
 func allVertices(n int) []int {
 	vs := make([]int, n)
 	for i := range vs {
@@ -204,27 +198,6 @@ func (g *Graph) IsConnected() bool {
 	return true
 }
 
-// LargestComponentFrac returns the fraction of vertices in the largest
-// connected component; random-graph resiliency (giant component, Section
-// III-D1) is characterised by this.
-func (g *Graph) LargestComponentFrac() float64 {
-	if g.n == 0 {
-		return 0
-	}
-	labels, count := g.ConnectedComponents()
-	sizes := make([]int, count)
-	for _, l := range labels {
-		sizes[l]++
-	}
-	max := 0
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-	}
-	return float64(max) / float64(g.n)
-}
-
 // ShortestPathDAGFrom returns, for a BFS from src, the distance array and
 // for every vertex the list of predecessors on shortest paths. Routing-table
 // construction uses this to enumerate equal-cost minimal paths.
@@ -242,34 +215,4 @@ func (g *Graph) ShortestPathDAGFrom(src int) (dist []int32, preds [][]int32) {
 		}
 	}
 	return dist, preds
-}
-
-// CountShortestPaths returns the number of distinct shortest paths between
-// s and t (path diversity; capped at 1<<62 to avoid overflow).
-func (g *Graph) CountShortestPaths(s, t int) int64 {
-	dist, preds := g.ShortestPathDAGFrom(s)
-	if dist[t] == Unreachable {
-		return 0
-	}
-	memo := make(map[int32]int64)
-	var count func(v int32) int64
-	count = func(v int32) int64 {
-		if v == int32(s) {
-			return 1
-		}
-		if c, ok := memo[v]; ok {
-			return c
-		}
-		var c int64
-		for _, p := range preds[v] {
-			c += count(p)
-			if c > 1<<62 {
-				c = 1 << 62
-				break
-			}
-		}
-		memo[v] = c
-		return c
-	}
-	return count(int32(t))
 }

@@ -4,8 +4,6 @@
 // repository seeds an explicit RNG so results are bit-reproducible.
 package stats
 
-import "math"
-
 // RNG is a small, fast, deterministic pseudo-random number generator based on
 // splitmix64 seeding and xoshiro256** state transitions. It is not safe for
 // concurrent use; create one per goroutine.
@@ -140,18 +138,5 @@ func (r *RNG) Shuffle(p []int) {
 	for i := len(p) - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
-	}
-}
-
-// NormFloat64 returns a standard normal variate (Box-Muller; one value per
-// call, discarding the pair partner for simplicity).
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
-		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 	}
 }

@@ -133,26 +133,6 @@ func TestMeanVarianceStdDev(t *testing.T) {
 	}
 }
 
-func TestMedianPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if Median(xs) != 3 {
-		t.Errorf("median = %v", Median(xs))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Error("even median wrong")
-	}
-	if Percentile(xs, 0) != 1 || Percentile(xs, 100) != 5 {
-		t.Error("percentile extremes wrong")
-	}
-	if p := Percentile(xs, 50); p != 3 {
-		t.Errorf("p50 = %v", p)
-	}
-	// Input must not be reordered.
-	if xs[0] != 5 {
-		t.Error("median mutated input")
-	}
-}
-
 func TestCI95(t *testing.T) {
 	if !math.IsInf(CI95HalfWidth([]float64{1}), 1) {
 		t.Error("CI of single sample should be infinite")
@@ -175,25 +155,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 {
 		t.Errorf("empty summary = %+v", z)
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNG(11)
-	n := 20000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / float64(n)
-	variance := sq/float64(n) - mean*mean
-	if math.Abs(mean) > 0.05 {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.1 {
-		t.Errorf("normal variance = %v", variance)
 	}
 }
 

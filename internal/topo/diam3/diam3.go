@@ -1,7 +1,6 @@
 // Package diam3 covers the diameter-3 constructions of Section II-C: the
 // projective-plane polarity graph P_u (a diameter-2 building block of the
-// Bermond-Delorme-Farhi construction), the generic * graph product, and the
-// analytic router-count models for BDF and Delorme (DEL) graphs used in
+// Bermond-Delorme-Farhi construction) and the analytic router-count models for BDF and Delorme (DEL) graphs used in
 // Figure 5b.
 package diam3
 
@@ -79,33 +78,4 @@ func DELParams(v int) (kp, nr int) {
 	kp = (v + 1) * (v + 1)
 	vv := v*v + 1
 	return kp, kp * vv * vv
-}
-
-// StarProduct computes the * product G1 * G2 of Bermond, Delorme and Farhi
-// (Section II-C1a): vertices are V1 x V2; (a1,a2) ~ (b1,b2) iff either
-// a1 == b1 and {a2,b2} is an edge of G2, or (a1,b1) is an oriented arc of
-// G1 and b2 = f_(a1,b1)(a2). Arcs take the orientation u -> v with u < v,
-// and fmap supplies the per-arc bijection on V2 (identity if nil).
-func StarProduct(g1, g2 *graph.Graph, fmap func(u, v int, a2 int) int) *graph.Graph {
-	if fmap == nil {
-		fmap = func(_, _ int, a2 int) int { return a2 }
-	}
-	n1, n2 := g1.N(), g2.N()
-	out := graph.New(n1 * n2)
-	id := func(a1, a2 int) int { return a1*n2 + a2 }
-	// Rule 1: copies of G2 on each vertex of G1.
-	for a1 := 0; a1 < n1; a1++ {
-		for _, e := range g2.Edges() {
-			out.MustAddEdge(id(a1, int(e.U)), id(a1, int(e.V)))
-		}
-	}
-	// Rule 2: matchings across each arc of G1.
-	for _, e := range g1.Edges() {
-		u, v := int(e.U), int(e.V)
-		for a2 := 0; a2 < n2; a2++ {
-			out.AddEdgeIfAbsent(id(u, a2), id(v, fmap(u, v, a2)))
-		}
-	}
-	out.SortAdjacency()
-	return out
 }

@@ -1,10 +1,6 @@
 package diam3
 
-import (
-	"testing"
-
-	"slimfly/internal/graph"
-)
+import "testing"
 
 func TestPolarityGraphStructure(t *testing.T) {
 	for _, u := range []int{2, 3, 4, 5, 7, 9} {
@@ -62,49 +58,5 @@ func TestBDFAndDELModels(t *testing.T) {
 	}
 	if del != 100*82*82 {
 		t.Errorf("DEL Nr = %d, want %d", del, 100*82*82)
-	}
-}
-
-func TestStarProductDefinition(t *testing.T) {
-	// G1 = single edge (2 vertices), G2 = triangle. G1 * G2 with identity
-	// mappings is two triangles joined by a perfect matching: the 3-prism.
-	g1 := graph.New(2)
-	g1.MustAddEdge(0, 1)
-	g2 := graph.New(3)
-	g2.MustAddEdge(0, 1)
-	g2.MustAddEdge(1, 2)
-	g2.MustAddEdge(0, 2)
-	prod := StarProduct(g1, g2, nil)
-	if prod.N() != 6 {
-		t.Fatalf("N=%d", prod.N())
-	}
-	if prod.EdgeCount() != 9 { // 2 triangles + 3 matching edges
-		t.Fatalf("edges=%d, want 9", prod.EdgeCount())
-	}
-	if d, reg := prod.IsRegular(); !reg || d != 3 {
-		t.Fatalf("degree=%d regular=%v", d, reg)
-	}
-	st := prod.AllPairsStats()
-	if st.Diameter != 2 {
-		t.Fatalf("prism diameter=%d, want 2", st.Diameter)
-	}
-}
-
-func TestStarProductWithMapping(t *testing.T) {
-	// Non-identity arc mapping: cyclic shift. The product must still be a
-	// perfect matching across the arc (each vertex gains exactly 1 cross
-	// edge).
-	g1 := graph.New(2)
-	g1.MustAddEdge(0, 1)
-	g2 := graph.New(4)
-	for i := 0; i < 4; i++ {
-		g2.MustAddEdge(i, (i+1)%4)
-	}
-	prod := StarProduct(g1, g2, func(_, _ int, a2 int) int { return (a2 + 1) % 4 })
-	if prod.EdgeCount() != 2*4+4 {
-		t.Fatalf("edges=%d, want 12", prod.EdgeCount())
-	}
-	if d, reg := prod.IsRegular(); !reg || d != 3 {
-		t.Fatalf("degree=%d regular=%v", d, reg)
 	}
 }

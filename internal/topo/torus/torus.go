@@ -112,15 +112,6 @@ func (t *Torus) RouterDistance(u, d int) int {
 // half-ring worst case.
 func (t *Torus) RouterDiameter() int { return t.Diam }
 
-// Cube constructs an n-dimensional torus with all sides equal to side.
-func Cube(n, side, p int) (*Torus, error) {
-	dims := make([]int, n)
-	for i := range dims {
-		dims[i] = side
-	}
-	return New(dims, p)
-}
-
 // ForEndpoints returns near-cubic dimensions for an n-dimensional torus
 // with at least the requested number of routers (p = 1 endpoints), growing
 // dimensions round-robin so sides differ by at most one.

@@ -82,16 +82,6 @@ func TestMixedDims(t *testing.T) {
 	}
 }
 
-func TestCube(t *testing.T) {
-	tor, err := Cube(3, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tor.Routers() != 125 {
-		t.Errorf("routers=%d", tor.Routers())
-	}
-}
-
 func TestForEndpoints(t *testing.T) {
 	dims := ForEndpoints(3, 1000)
 	size := 1
