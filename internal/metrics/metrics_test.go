@@ -264,7 +264,12 @@ func TestRegistry(t *testing.T) {
 	if len(names) < 4 {
 		t.Fatalf("stock collectors missing: %v", names)
 	}
+	seen := map[string]bool{}
 	for _, n := range names {
+		if n == "" || seen[n] {
+			t.Errorf("collector table has an empty or duplicate name %q", n)
+		}
+		seen[n] = true
 		c, err := New(n)
 		if err != nil {
 			t.Fatal(err)
