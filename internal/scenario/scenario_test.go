@@ -141,6 +141,27 @@ func TestSpecValidateLoad(t *testing.T) {
 	}
 }
 
+// TestSpecValidateSimParams: every simulator knob a POSTed sweep can set is
+// refused when negative, by its JSON name (sim.New would panic on some and
+// time-travel on others); zero still means "simulator default".
+func TestSpecValidateSimParams(t *testing.T) {
+	spec := scenario.Spec{Topo: scenario.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.1}
+	for name, p := range map[string]scenario.SimParams{
+		"warmup": {Warmup: -1}, "measure": {Measure: -1}, "drain": {Drain: -1},
+		"num_vcs": {NumVCs: -1}, "buf_per_port": {BufPerPort: -1}, "router_delay": {RouterDelay: -1},
+		"channel_delay": {ChannelDelay: -1}, "credit_delay": {CreditDelay: -5}, "speedup": {Speedup: -1},
+	} {
+		spec.Sim = p
+		if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "negative sim."+name) {
+			t.Errorf("%s: Validate = %v, want an error naming the field", name, err)
+		}
+	}
+	spec.Sim = scenario.SimParams{}
+	if err := spec.Validate(); err != nil {
+		t.Errorf("all-default sim params rejected: %v", err)
+	}
+}
+
 func TestSpecJSONRoundTrip(t *testing.T) {
 	s := scenario.Spec{
 		Topo:    scenario.TopoSpec{Kind: "SF", Q: 19, P: 18, Seed: 2},

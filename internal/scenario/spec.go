@@ -125,6 +125,25 @@ type SimParams struct {
 	Workers int `json:"-"`
 }
 
+// validate rejects negative knobs by their JSON names, as sim.New would by
+// their Config names, so that a submitted sweep fails once at the door and
+// not once per job.
+func (p SimParams) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"warmup", p.Warmup}, {"measure", p.Measure}, {"drain", p.Drain},
+		{"num_vcs", p.NumVCs}, {"buf_per_port", p.BufPerPort}, {"router_delay", p.RouterDelay},
+		{"channel_delay", p.ChannelDelay}, {"credit_delay", p.CreditDelay}, {"speedup", p.Speedup},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("scenario: negative sim.%s %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 // Spec is one fully resolved scenario point: a topology, a routing
 // algorithm, a traffic pattern, an offered load, a seed and the simulator
 // knobs. It is JSON-roundtrippable and is the sweep engine's job unit
@@ -163,7 +182,8 @@ func (s Spec) Key() string {
 }
 
 // Validate checks the spec names against the registries (with valid names
-// enumerated in the errors) and the load range. It does not build
+// enumerated in the errors), the load range and the signs of the simulator
+// knobs. It does not build
 // anything; topology-dependent constraints (e.g. ANCA on a non-fat-tree)
 // surface as *IncompatibleError at resolution time instead.
 func (s Spec) Validate() error {
@@ -179,6 +199,9 @@ func (s Spec) Validate() error {
 		}
 	}
 	if err := metrics.CheckNames(s.Sim.Metrics); err != nil {
+		return err
+	}
+	if err := s.Sim.validate(); err != nil {
 		return err
 	}
 	if !(s.Load >= 0 && s.Load <= 1) { // written so that NaN fails too

@@ -290,7 +290,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 				continue
 			}
 			if !s.staticPorts && int(out) < deg {
-				pkt := s.headPkt(rt, q)
+				pkt := rt.headPkt(q)
 				out = cfg.Algo.TargetPort(s, pkt, r)
 				if out < 0 || int(out) >= deg {
 					s.badTargetPort(r, pkt, out, deg)
@@ -403,7 +403,7 @@ func vcTaken(recs []grantRec, vc int8) int16 {
 
 // commitGrant applies one recorded grant, touching the flit once: ejection
 // hands the source slot (headPkt) to deliver; a network hop copies it
-// straight into the tail slot of the downstream ring, stamps VC, Hops and
+// straight into a tail slot of the downstream router's pool, stamps Hops and
 // ReadyAt there, and publishes it. Either way dropHead then retires the
 // source head (credit return, occupancy, head cache). Grants are committed
 // in ascending router-id order, each router's in decide order; the ReadyAt
@@ -416,7 +416,10 @@ func (s *Sim) commitGrant(rec grantRec) {
 	r := rec.router
 	rt := &s.routers[r]
 	qi, out := int(rec.qi), int(rec.out)
-	src := s.headPkt(rt, qi)
+	// src points into this router's pool and must survive the push below: it
+	// does, because that push is into a neighbour's pool and no router is its
+	// own neighbour.
+	src := rt.headPkt(qi)
 	if out >= len(rt.nbr) {
 		s.deliver(r, src) // ejection port
 		s.dropHead(rt, r, qi)
@@ -426,18 +429,12 @@ func (s *Sim) commitGrant(rec grantRec) {
 	// after the flits already staged on this output (one per cycle), and
 	// then pays the channel and pipeline delays; ReadyAt encodes all of it,
 	// and the head is invisible to the downstream allocator until then.
-	// The tail slot is free: the credit taken here reserved it.
+	// The credit taken here is what keeps the downstream queue within depth.
 	dst := rt.nbr[out]
 	drt := &s.routers[dst]
 	dqi := int(rt.revPort[out])*cfg.NumVCs + int(rec.vc)
-	rp := &drt.ring[dqi]
-	tail := int(rp.head) + int(rp.n)
-	if tail >= s.bufPerVC {
-		tail -= s.bufPerVC
-	}
-	p := &drt.pkts[dqi*s.bufPerVC+tail]
+	p := drt.pushTail(dqi)
 	*p = *src
-	p.VC = rec.vc
 	p.Hops = src.Hops + 1
 	depart := s.cycle + int64(rt.outStaged[out])
 	p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
@@ -447,12 +444,6 @@ func (s *Sim) commitGrant(rec grantRec) {
 	if s.colPkt && src.Measured {
 		s.col.PacketHop(pktID(src.Src, src.Birth), r, int32(out), rec.vc, s.cycle)
 	}
-	rp.n++
-	if rp.n == 1 {
-		drt.markOcc(dqi)
-		s.setHead(drt, dst, dqi, p)
-	}
-	drt.flits++
-	s.touch(dst)
+	s.publish(drt, dst, dqi, p)
 	s.dropHead(rt, r, qi)
 }

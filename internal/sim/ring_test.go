@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"slimfly/internal/route"
@@ -10,13 +11,16 @@ import (
 )
 
 // checkConservation asserts the engine's buffer bookkeeping between two
-// steps: for every (router, network output, VC) the upstream credit
-// counter, the downstream ring's occupancy and the credit events still in
-// the wheel account for exactly bufPerVC slots; a queue's occupancy bit is
-// set iff it holds a flit; and rt.flits is the sum of the queue lengths.
-// It returns the number of measured packets buffered anywhere. Test-only:
-// it reads engine state from outside, the engine has no hook for it.
-func checkConservation(t *testing.T, s *Sim) (measured int64) {
+// steps. Per router: every queue's n slots link from head to exactly tail,
+// the queues and the free list together hold every pool slot exactly once
+// (none leaked, none linked twice), a queue's occupancy bit is set iff it
+// holds a flit, and rt.flits is the sum of the queue lengths. Per (router,
+// network output, VC): the upstream credit counter, the downstream queue's
+// length and the credit events still in the wheel account for exactly
+// bufPerVC flits. visit is called for every queued slot; the return value is
+// the number of measured packets buffered anywhere. Test-only: it reads
+// engine state from outside, the engine has no hook for it.
+func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (measured int64) {
 	t.Helper()
 	vcs := s.cfg.NumVCs
 	type triple struct{ router, port, vc int32 }
@@ -28,27 +32,35 @@ func checkConservation(t *testing.T, s *Sim) (measured int64) {
 	}
 	for r := range s.routers {
 		rt := &s.routers[r]
+		seen := make([]bool, len(rt.pkts))
+		claim := func(where string, slot int32) {
+			if slot < 0 || int(slot) >= len(rt.pkts) {
+				t.Fatalf("cycle %d router %d %s: link to slot %d outside the pool of %d", s.cycle, r, where, slot, len(rt.pkts))
+			}
+			if seen[slot] {
+				t.Fatalf("cycle %d router %d %s: slot %d is linked twice", s.cycle, r, where, slot)
+			}
+			seen[slot] = true
+		}
 		flits := 0
-		for q := range rt.headState {
-			var n int
-			if q < len(rt.ring) {
-				rp := rt.ring[q]
-				n = int(rp.n)
-				if int(rp.head) >= s.bufPerVC || n > s.bufPerVC {
-					t.Fatalf("cycle %d router %d queue %d: ring position {head %d, n %d} outside depth %d", s.cycle, r, q, rp.head, rp.n, s.bufPerVC)
+		for q, qu := range rt.queues {
+			n := int(qu.n)
+			if q < len(rt.credits) && n > s.bufPerVC || n < 0 {
+				t.Fatalf("cycle %d router %d queue %d: %d flits queued, depth %d", s.cycle, r, q, n, s.bufPerVC)
+			}
+			slot := qu.head
+			for i := 0; i < n; i++ {
+				claim(fmt.Sprintf("queue %d", q), slot)
+				visit(r, q, slot)
+				if rt.pkts[slot].Measured {
+					measured++
 				}
-				for i := 0; i < n; i++ {
-					if rt.pkts[q*s.bufPerVC+(int(rp.head)+i)%s.bufPerVC].Measured {
-						measured++
+				if i == n-1 {
+					if slot != qu.tail {
+						t.Fatalf("cycle %d router %d queue %d: %d links from head end at slot %d, tail is %d", s.cycle, r, q, n, slot, qu.tail)
 					}
-				}
-			} else {
-				f := &rt.src[q-len(rt.ring)]
-				n = len(f.buf) - f.head
-				for _, p := range f.buf[f.head:] {
-					if p.Measured {
-						measured++
-					}
+				} else {
+					slot = rt.pkts[slot].next
 				}
 			}
 			flits += n
@@ -59,11 +71,19 @@ func checkConservation(t *testing.T, s *Sim) (measured int64) {
 		if flits != rt.flits {
 			t.Fatalf("cycle %d router %d: flits = %d, queues hold %d", s.cycle, r, rt.flits, flits)
 		}
+		free := 0
+		for slot := rt.free; slot != -1; slot = rt.pkts[slot].next {
+			claim("free list", slot)
+			free++
+		}
+		if flits+free != len(rt.pkts) {
+			t.Fatalf("cycle %d router %d: %d queued + %d free != %d pool slots", s.cycle, r, flits, free, len(rt.pkts))
+		}
 		for p, nb := range rt.nbr {
 			down := &s.routers[nb]
 			for v := 0; v < vcs; v++ {
 				credits := int(rt.credits[p*vcs+v])
-				queued := int(down.ring[int(rt.revPort[p])*vcs+v].n)
+				queued := int(down.queues[int(rt.revPort[p])*vcs+v].n)
 				returning := inWheel[triple{int32(r), int32(p), int32(v)}]
 				if credits+queued+returning != s.bufPerVC {
 					t.Fatalf("cycle %d router %d port %d vc %d: credits %d + downstream occupancy %d + credits in flight %d != depth %d",
@@ -76,10 +96,11 @@ func checkConservation(t *testing.T, s *Sim) (measured int64) {
 }
 
 // TestRingConservation steps a near-saturated Slim Fly cycle by cycle, far
-// enough for every busy ring to wrap several times, and checks the
-// credit/occupancy conservation laws after every cycle and the packet
-// ledger at the end -- on one-flit rings (every push wraps), two-flit rings
-// and the default depth, at the inline and the sharded schedule.
+// enough for every pool slot to change hands many times, and checks the
+// credit/occupancy/pool conservation laws after every cycle and the packet
+// ledger at the end -- at one-flit depth, two-flit depth and the default
+// depth, at the inline and the sharded schedule. (The name predates the
+// pools: the queues were rings over fixed windows once.)
 func TestRingConservation(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
@@ -100,20 +121,23 @@ func TestRingConservation(t *testing.T) {
 					if s.bufPerVC != depth {
 						t.Fatalf("bufPerVC = %d, want %d", s.bufPerVC, depth)
 					}
-					wrapped := false
+					// lastQueue[r][slot] is the queue the slot was last seen in, +1.
+					lastQueue := make([][]int, len(s.routers))
+					reused := false
 					var measured int64
 					for i := 0; i < 8*depth+150; i++ {
 						s.step(true)
 						s.cycle++
-						measured = checkConservation(t, s)
-						for r := range s.routers {
-							for _, rp := range s.routers[r].ring {
-								wrapped = wrapped || int(rp.head)+int(rp.n) > depth
+						measured = checkConservation(t, s, func(r, q int, slot int32) {
+							for int(slot) >= len(lastQueue[r]) {
+								lastQueue[r] = append(lastQueue[r], 0)
 							}
-						}
+							reused = reused || lastQueue[r][slot] != 0 && lastQueue[r][slot] != q+1
+							lastQueue[r][slot] = q + 1
+						})
 					}
-					if depth > 1 && !wrapped {
-						t.Error("no ring ever held a window that wraps past its last slot; the test did not exercise wrap-around")
+					if !reused {
+						t.Error("no freed slot was ever reused by a different queue; the test did not exercise the free list")
 					}
 					if s.injected != s.delivered+s.inFlight {
 						t.Errorf("injected %d != delivered %d + inFlight %d", s.injected, s.delivered, s.inFlight)
@@ -127,5 +151,54 @@ func TestRingConservation(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestQueueMemoryIndependentOfDepth pins what the pools are for: buffer depth
+// is a credit count, so what New allocates does not depend on it, and after a
+// run a router's pool is as large as the most flits it ever buffered at once.
+func TestQueueMemoryIndependentOfDepth(t *testing.T) {
+	sf := slimfly.MustNew(5)
+	tb := route.Build(sf.Graph())
+	cfg := Config{
+		Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
+		Load: 0.5, NumVCs: 3, Warmup: 1, Measure: 1, Seed: 5,
+	}
+	newBytes := func(depth int) (*Sim, uint64) {
+		cfg.BufPerPort = 3 * depth
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, after.TotalAlloc - before.TotalAlloc
+	}
+	newBytes(21) // absorb whatever the topology and tables build lazily on first use
+	s, shallow := newBytes(21)
+	_, deep := newBytes(32767) // ~0.96 GB of ring windows before the pools
+	if diff := max(deep, shallow) - min(deep, shallow); diff*100 >= shallow {
+		t.Errorf("New allocates %d bytes at depth 21 and %d at depth 32767; want them within 1%%", shallow, deep)
+	}
+
+	peak, slots := 0, 0
+	for i := 0; i < 400; i++ {
+		s.step(true)
+		s.cycle++
+		flits := 0
+		for r := range s.routers {
+			flits += s.routers[r].flits
+		}
+		peak = max(peak, flits)
+	}
+	for r := range s.routers {
+		slots += len(s.routers[r].pkts)
+	}
+	// Routers do not all peak in the same cycle, so the pools hold somewhat
+	// more than the network-wide peak; a pool sized by capacity would hold
+	// 50 routers x 7 ports x 63 flits = 22 050 slots.
+	if peak == 0 || slots < peak || slots > 3*peak {
+		t.Errorf("pools hold %d slots after a run that buffered at most %d flits at once; want between 1x and 3x", slots, peak)
 	}
 }

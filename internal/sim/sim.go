@@ -20,14 +20,16 @@
 // and ready ones no packet access, the credit event wheel is a
 // fixed-capacity ring sized at construction, and an active-router worklist
 // limits allocation and traversal to routers that actually hold flits. A
-// flit's bytes are read once and written once per hop: a router's network
-// input queues are fixed windows of one packet ring (router.pkts), reached
-// only through headPkt and dropHead, and commitGrant copies a granted flit
+// flit's bytes are read once and written once per hop: every input queue of
+// a router, network and injection alike, is a linked list through one packet
+// pool (router.pkts) that grows to the flits the router actually buffers --
+// buffer depth is a credit count, not memory -- reached only through
+// pushTail, headPkt and dropHead, and commitGrant copies a granted flit
 // from its source slot straight into the downstream tail slot with a
 // ReadyAt stamp encoding staging serialisation plus channel and pipeline
 // delays (link traversal is pure counter bookkeeping). TestStepZeroAlloc
 // pins the zero-allocation property, TestGoldenResults bit-identical
-// fixed-seed results, TestRingConservation the credit/occupancy ledger.
+// fixed-seed results, TestRingConservation the credit/occupancy/pool ledger.
 package sim
 
 import (
@@ -51,6 +53,7 @@ var (
 	obsWarmupSpan  = obs.NewTimer("sim.phase.warmup")
 	obsMeasureSpan = obs.NewTimer("sim.phase.measure")
 	obsDrainSpan   = obs.NewTimer("sim.phase.drain")
+	obsQueueSlots  = obs.NewGauge("sim.queue_slots") // pool slots after the last run: each router's peak of buffered flits, summed
 )
 
 // Config parameterises one simulation run.
@@ -151,22 +154,20 @@ type Result struct {
 	TotalCycles int64
 }
 
-// ringPos locates one network input queue inside its router's packet ring.
-type ringPos struct{ head, n uint16 }
-
 type router struct {
 	nbr     []int32 // sorted neighbour router ids; network port i <-> nbr[i]
 	revPort []int32 // our port index on nbr[i]'s side
 	eps     []int32 // endpoint ids attached here
 	// Input queues, indexed q: the deg*numVCs network queues first
-	// (q = port*numVCs + vc), a ring over the fixed window
-	// pkts[q*bufPerVC : (q+1)*bufPerVC] positioned by ring[q]; then one
-	// unbounded injection queue per attached endpoint, src[q-len(ring)].
-	// headPkt and dropHead are the only way to a queue's head and past it.
-	pkts []Packet
-	ring []ringPos
-	src  []fifo
-	occ  []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
+	// (q = port*numVCs + vc, one per credits entry and never longer than the
+	// credits allow), then one unbounded injection queue per attached
+	// endpoint. All are linked lists through the one pool pkts, whose unqueued
+	// slots form a LIFO free list from free (-1: none). pushTail, headPkt and
+	// dropHead are the only way into a queue, to its head and past it.
+	pkts   []Packet
+	free   int32
+	queues []queue
+	occ    []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
 	// Head cache, maintained by setHead whenever a queue's head changes:
 	// headState[q] is packHead of the head packet's ReadyAt, its routing
 	// decision (the ejection port, or -- static algorithms only -- the
@@ -208,11 +209,6 @@ type creditEvt struct {
 	port   int32
 	vc     int8
 }
-
-// injQueueCap is the initial capacity of the (unbounded) injection source
-// queues: generous enough that sub-saturation backlogs never regrow the
-// backing array once steady state is reached.
-const injQueueCap = 64
 
 // Sim is a deterministic simulator instance. All of its state is mutated
 // on the goroutine that calls Run (or step); decide workers only read it.
@@ -296,16 +292,27 @@ func New(cfg Config) (*Sim, error) {
 	if !(cfg.Load >= 0 && cfg.Load <= 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("sim: load %v out of [0,1]", cfg.Load)
 	}
-	if cfg.NumVCs < 1 || cfg.BufPerPort < cfg.NumVCs {
+	// Zero meant "default" above; a negative count or delay means nothing (it
+	// would size a slice, index the credit wheel or stamp ReadyAt in the past).
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"NumVCs", cfg.NumVCs}, {"BufPerPort", cfg.BufPerPort}, {"RouterDelay", cfg.RouterDelay},
+		{"ChannelDelay", cfg.ChannelDelay}, {"CreditDelay", cfg.CreditDelay}, {"Speedup", cfg.Speedup},
+		{"Warmup", cfg.Warmup}, {"Measure", cfg.Measure}, {"Drain", cfg.Drain}, {"Workers", cfg.Workers},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
+		}
+	}
+	if cfg.BufPerPort < cfg.NumVCs {
 		return nil, fmt.Errorf("sim: need at least 1 flit of buffering per VC")
 	}
-	// Credit counters are int16 and ring positions uint16: reject depths
-	// that would wrap them.
+	// Depth is only a credit count, but the counters are int16: reject
+	// depths that would wrap them.
 	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
-		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the engine's limit of %d", d, math.MaxInt16)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("sim: negative worker count %d", cfg.Workers)
+		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
 	}
 	// Packet cycle stamps (Birth, ReadyAt) are int32; reject windows that
 	// could reach them rather than silently wrapping mid-run. The margin
@@ -362,12 +369,11 @@ func New(cfg Config) (*Sim, error) {
 		}
 		netQ := deg * cfg.NumVCs
 		nq := netQ + len(rt.eps)
-		rt.pkts = make([]Packet, netQ*s.bufPerVC)
-		rt.ring = make([]ringPos, netQ)
-		rt.src = make([]fifo, len(rt.eps))
-		for i := range rt.src {
-			rt.src[i].buf = make([]Packet, 0, injQueueCap)
-		}
+		// A few slots per port to start from: below saturation a router holds
+		// far fewer flits than its credits allow; pushTail grows the others.
+		rt.pkts = make([]Packet, 0, 4*ports)
+		rt.free = -1
+		rt.queues = make([]queue, nq)
 		rt.occ = make([]uint64, (nq+63)/64)
 		rt.headState = make([]uint64, nq)
 		rt.credits = make([]int16, netQ)
@@ -515,42 +521,41 @@ func (s *Sim) touch(r int32) {
 
 // headPkt returns the head packet of router rt's non-empty queue q.
 // Routing algorithms may mutate it in place (e.g. Valiant phase switches).
-func (s *Sim) headPkt(rt *router, q int) *Packet {
-	if q < len(rt.ring) {
-		return &rt.pkts[q*s.bufPerVC+int(rt.ring[q].head)]
+func (rt *router) headPkt(q int) *Packet { return &rt.pkts[rt.queues[q].head] }
+
+// publish makes the packet just written into the slot pushTail returned for
+// router r's queue q visible to the allocator.
+func (s *Sim) publish(rt *router, r int32, q int, pkt *Packet) {
+	if rt.queues[q].n == 1 {
+		rt.markOcc(q)
+		s.setHead(rt, r, q, pkt)
 	}
-	f := &rt.src[q-len(rt.ring)]
-	return &f.buf[f.head]
+	rt.flits++
+	s.touch(r)
 }
 
-// dropHead removes the head packet of router r's queue q, frees its buffer
+// dropHead removes the head packet of router r's queue q, frees its pool
 // slot -- returning a credit upstream for network inputs; injection queues
 // are source queues without credits -- and refreshes the occupancy bit or
 // the head cache for whatever the removal exposed.
 func (s *Sim) dropHead(rt *router, r int32, q int) {
-	var empty bool
-	if q < len(rt.ring) {
-		rp := &rt.ring[q]
-		rp.n--
-		rp.head++
-		if int(rp.head) == s.bufPerVC {
-			rp.head = 0
-		}
-		empty = rp.n == 0
+	qu := &rt.queues[q]
+	freed := qu.head
+	qu.head = rt.pkts[freed].next
+	qu.n--
+	rt.pkts[freed].next = rt.free
+	rt.free = freed
+	if q < len(rt.credits) {
 		cfg := &s.cfg
 		port := q / cfg.NumVCs
 		slot := int((s.cycle + int64(cfg.CreditDelay)) % int64(len(s.credWheel)))
 		s.credWheel[slot] = append(s.credWheel[slot], creditEvt{router: rt.nbr[port], port: rt.revPort[port], vc: int8(q - port*cfg.NumVCs)}) //sf:allow(append: wheel slots carry capacity credCap, the per-cycle grant bound, from construction)
-	} else {
-		f := &rt.src[q-len(rt.ring)]
-		f.drop()
-		empty = f.empty()
 	}
 	rt.flits--
-	if empty {
+	if qu.n == 0 {
 		rt.clearOcc(q)
 	} else {
-		s.setHead(rt, r, q, s.headPkt(rt, q))
+		s.setHead(rt, r, q, &rt.pkts[qu.head])
 	}
 }
 
@@ -606,6 +611,11 @@ func (s *Sim) Run() Result {
 		s.step(false)
 	}
 	sp.End()
+	slots := 0
+	for r := range s.routers {
+		slots += len(s.routers[r].pkts)
+	}
+	obsQueueSlots.Set(int64(slots))
 	res := Result{
 		Injected:    s.injected,
 		Delivered:   s.delivered,
@@ -717,15 +727,12 @@ func (s *Sim) injectPhase() {
 			continue
 		}
 		// Construct the packet in place in its source-queue slot: the
-		// slot pointer (into the heap-resident queue buffer) is what
-		// the OnInject interface call needs, so nothing escapes and
-		// nothing is copied.
+		// slot pointer (into the heap-resident pool) is what the OnInject
+		// interface call needs, so nothing escapes and nothing is copied.
 		r := s.epRouter[e]
 		rt := &s.routers[r]
-		qi := len(rt.ring) + int(s.epIdx[e])
-		f := &rt.src[s.epIdx[e]]
-		wasEmpty := f.empty()
-		pkt := f.pushTail()
+		qi := len(rt.credits) + int(s.epIdx[e])
+		pkt := rt.pushTail(qi)
 		*pkt = Packet{
 			Src:       int32(e),
 			Dst:       int32(dst),
@@ -736,12 +743,7 @@ func (s *Sim) injectPhase() {
 			Measured:  s.cycle >= int64(cfg.Warmup),
 		}
 		cfg.Algo.OnInject(s, pkt)
-		if wasEmpty {
-			rt.markOcc(qi)
-			s.setHead(rt, r, qi, pkt)
-		}
-		rt.flits++
-		s.touch(r)
+		s.publish(rt, r, qi, pkt)
 		if pkt.Measured {
 			s.injected++
 			s.inFlight++

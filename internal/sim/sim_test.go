@@ -39,8 +39,8 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("load %v: err = %v, want the [0,1] range error", load, err)
 		}
 	}
-	// Ring positions and credit counters are 16-bit: a deeper VC buffer must
-	// be refused, not wrapped (and refused before anything is allocated).
+	// Credit counters are 16-bit: a deeper VC buffer must be refused, not
+	// wrapped.
 	deep := base
 	deep.NumVCs, deep.BufPerPort = 2, 2*(math.MaxInt16+1)
 	if _, err := New(deep); err == nil || !strings.Contains(err.Error(), "per VC") {
@@ -49,6 +49,30 @@ func TestConfigValidation(t *testing.T) {
 	deep.BufPerPort = 2 * 300
 	if s, err := New(deep); err != nil || s.bufPerVC != 300 {
 		t.Errorf("300 flits per VC rejected: %v", err)
+	}
+	// Zero means "default"; a negative count or delay must be refused by
+	// name, not panic in make or the credit wheel, nor run with ReadyAt
+	// stamps in the past.
+	for _, c := range []struct {
+		field string
+		set   func(*Config)
+	}{
+		{"NumVCs", func(c *Config) { c.NumVCs = -1 }},
+		{"BufPerPort", func(c *Config) { c.BufPerPort = -64 }},
+		{"RouterDelay", func(c *Config) { c.RouterDelay = -2 }},
+		{"ChannelDelay", func(c *Config) { c.ChannelDelay = -1 }},
+		{"CreditDelay", func(c *Config) { c.CreditDelay = -1 }},
+		{"CreditDelay", func(c *Config) { c.CreditDelay = -5 }},
+		{"Speedup", func(c *Config) { c.Speedup = -1 }},
+		{"Warmup", func(c *Config) { c.Warmup = -1 }},
+		{"Measure", func(c *Config) { c.Measure = -1 }},
+		{"Drain", func(c *Config) { c.Drain = -1 }},
+	} {
+		cfg := base
+		c.set(&cfg)
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "negative "+c.field) {
+			t.Errorf("negative %s: err = %v, want an error naming the field", c.field, err)
+		}
 	}
 }
 

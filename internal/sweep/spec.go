@@ -120,6 +120,11 @@ func (s *Spec) Expand() ([]Job, error) {
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sweep: spec %q expands to no compatible jobs", s.Name)
 	}
+	// Every job carries the same simulator knobs and collector selection:
+	// checking one job checks them all, before any of them runs.
+	if err := jobs[0].Validate(); err != nil {
+		return nil, fmt.Errorf("sweep: spec %q: %w", s.Name, err)
+	}
 	return jobs, nil
 }
 

@@ -85,6 +85,13 @@ func TestExpandDefaults(t *testing.T) {
 	if jobs[0].Pattern != "uniform" || jobs[0].Seed != 1 {
 		t.Errorf("defaults not applied: %+v", jobs[0])
 	}
+	// The knobs every job shares are checked once, at expansion.
+	for _, p := range []SimParams{{Speedup: -1}, {Metrics: "nope"}} {
+		s.Sim = p
+		if _, err := s.Expand(); err == nil {
+			t.Errorf("sim %+v: Expand accepted it", p)
+		}
+	}
 }
 
 func TestValidateRejects(t *testing.T) {

@@ -51,7 +51,6 @@ import (
 	"time"
 
 	"slimfly/internal/export"
-	"slimfly/internal/metrics"
 	"slimfly/internal/obs"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sweep"
@@ -249,13 +248,6 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := sweep.ParseSpec(io.LimitReader(r.Body, maxSpecBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_spec", err)
-		return
-	}
-	// sweep.Spec.Validate checks the axis names; the collector selection
-	// is checked here so a typo'd metrics name is a 400, not a per-job
-	// failure after expansion.
-	if err := metrics.CheckNames(spec.Sim.Metrics); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_spec", err)
 		return
 	}

@@ -178,6 +178,13 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("unknown collector: status %d, %+v", code, ae)
 	}
 
+	// Negative simulator knob: refused at submit, by name, instead of
+	// failing (or time-travelling in) every job.
+	negative := strings.Replace(specJSON("bad-sim", 1), `"sim": {`, `"sim": {"credit_delay": -5, `, 1)
+	if code, ae := post(negative); code != http.StatusBadRequest || !strings.Contains(ae.Error, "credit_delay") {
+		t.Errorf("negative credit_delay: status %d, %+v", code, ae)
+	}
+
 	// Nothing leaked into the sweep list.
 	resp, err := http.Get(ts.URL + "/api/v1/sweeps")
 	if err != nil {
