@@ -53,7 +53,8 @@ var (
 	obsWarmupSpan  = obs.NewTimer("sim.phase.warmup")
 	obsMeasureSpan = obs.NewTimer("sim.phase.measure")
 	obsDrainSpan   = obs.NewTimer("sim.phase.drain")
-	obsQueueSlots  = obs.NewGauge("sim.queue_slots") // pool slots after the last run: each router's peak of buffered flits, summed
+	obsQueueSlots  = obs.NewGauge("sim.queue_slots")      // pool slots after the last run: each router's peak of buffered flits, summed
+	obsPortTable   = obs.NewGauge("sim.port_table_bytes") // the last run's byte-wide port table (n*n), 0 when it asked the backend per decision
 )
 
 // Config parameterises one simulation run.
@@ -61,9 +62,10 @@ type Config struct {
 	Topo topo.Topology
 	// Router is the minimal-routing backend for Topo.Graph() -- BFS tables
 	// (route.Build) or an algebraic computed backend (route.Select). When
-	// the backend exposes the flat source-major port table (route.FlatPorter),
-	// the engine serves every PortToward from one array load; otherwise it
-	// asks the backend per decision.
+	// the backend exposes the flat source-major port table (route.FlatPorter)
+	// and every port index fits a byte, the engine serves every PortToward
+	// from one load of its own byte-wide copy; otherwise it asks the backend
+	// per decision.
 	Router  route.Router
 	Algo    Algo
 	Pattern traffic.Pattern
@@ -204,6 +206,9 @@ func (rt *router) markOcc(q int) { rt.occ[q>>6] |= 1 << (uint(q) & 63) }
 // clearOcc records that input queue q drained empty.
 func (rt *router) clearOcc(q int) { rt.occ[q>>6] &^= 1 << (uint(q) & 63) }
 
+// noPort is the nextPort entry for "no port" (the backend's -1).
+const noPort = math.MaxUint8
+
 type creditEvt struct {
 	router int32
 	port   int32
@@ -240,12 +245,16 @@ type Sim struct {
 	par *parEngine
 
 	// Routing backend plus its hot-path cache: when the backend exposes
-	// the flat source-major port table (route.FlatPorter), nextPort holds
-	// it and the port at router u toward destination router d is
-	// nextPort[u*nRouters+d] -- one array load, zero indirection. For
-	// computed backends nextPort is nil and PortToward asks rtr instead.
+	// the flat source-major port table (route.FlatPorter) and no router has
+	// more than 254 network ports, nextPort is the engine's own copy of it in
+	// bytes -- the port at router u toward destination router d is
+	// nextPort[u*nRouters+d], noPort (255) where the backend says -1 -- a
+	// quarter of the backend's int32 table, so the one scattered load per
+	// revealed head has a quarter of the lines to miss on. For computed
+	// backends and wider routers nextPort is nil and PortToward asks rtr
+	// instead.
 	rtr      route.Router
-	nextPort []int32
+	nextPort []uint8
 	nRouters int
 
 	// Active-router worklist: routers holding buffered or staged flits.
@@ -337,12 +346,6 @@ func New(cfg Config) (*Sim, error) {
 		active:   make([]int32, 0, g.N()),
 		inActive: make([]bool, g.N()),
 	}
-	// Flat-table fast path: backends that materialize the source-major
-	// port table hand it over once and the hot loop never sees an
-	// interface call.
-	if fp, ok := cfg.Router.(route.FlatPorter); ok {
-		s.nextPort, _ = fp.NextPortFlat()
-	}
 	if sp, ok := cfg.Algo.(interface{ SpreadVCs() bool }); ok && sp.SpreadVCs() {
 		s.spreadVCs = true
 	}
@@ -352,7 +355,7 @@ func New(cfg Config) (*Sim, error) {
 	for e := 0; e < t.Endpoints(); e++ {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
-	maxQ, maxOutputs := 0, 0
+	maxQ, maxOutputs, maxDeg := 0, 0, 0
 	credCap := 0
 	for r := 0; r < g.N(); r++ {
 		rt := &s.routers[r]
@@ -385,7 +388,18 @@ func New(cfg Config) (*Sim, error) {
 		rt.revPort = make([]int32, deg)
 		maxQ = max(maxQ, nq)
 		maxOutputs = max(maxOutputs, ports)
+		maxDeg = max(maxDeg, deg)
 		credCap += deg*cfg.Speedup + len(rt.eps) // <= one credit per grant per cycle
+	}
+	// Flat-table fast path: a backend that materializes the source-major port
+	// table is copied once, narrowed to bytes (-1 wraps to noPort), and the
+	// hot loop never sees an interface call.
+	if fp, ok := cfg.Router.(route.FlatPorter); ok && maxDeg < noPort {
+		flat, _ := fp.NextPortFlat()
+		s.nextPort = make([]uint8, len(flat))
+		for i, p := range flat {
+			s.nextPort[i] = uint8(p)
+		}
 	}
 	// Reverse port indices for credit addressing: the port table answers
 	// neighbour->port directly (adjacent pairs route via their link).
@@ -467,15 +481,17 @@ func (s *Sim) MetricsSummary() *metrics.Summary {
 }
 
 // PortToward returns router r's output-port index toward destination
-// router d: one load from the flat precomputed port table when the
-// backend materializes it, else an algebraic lookup on the backend. For
-// a neighbour d it is the port of the direct link. Returns -1 when
-// d == r or d is unreachable.
+// router d: one load from the engine's byte-wide port table when it has
+// one, else a lookup on the backend. For a neighbour d it is the port of
+// the direct link. Returns -1 when d == r or d is unreachable.
 func (s *Sim) PortToward(r, d int32) int32 {
-	if s.nextPort != nil {
-		return s.nextPort[int(r)*s.nRouters+int(d)]
+	if s.nextPort == nil {
+		return s.rtr.NextPort(int(r), int(d))
 	}
-	return s.rtr.NextPort(int(r), int(d))
+	if p := s.nextPort[int(r)*s.nRouters+int(d)]; p != noPort {
+		return int32(p)
+	}
+	return -1
 }
 
 // PortNeighbor returns the router behind r's output port.
@@ -616,6 +632,7 @@ func (s *Sim) Run() Result {
 		slots += len(s.routers[r].pkts)
 	}
 	obsQueueSlots.Set(int64(slots))
+	obsPortTable.Set(int64(len(s.nextPort)))
 	res := Result{
 		Injected:    s.injected,
 		Delivered:   s.delivered,

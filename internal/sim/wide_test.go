@@ -104,6 +104,9 @@ func TestPortTableMatchesBackend(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := tp.Graph().N()
+			if len(s.nextPort) != n*n {
+				t.Fatalf("the engine's port table has %d entries for %d routers on a flat-table backend", len(s.nextPort), n)
+			}
 			for u := 0; u < n; u++ {
 				for d := 0; d < n; d++ {
 					if got, want := s.PortToward(int32(u), int32(d)), tb.NextPort(u, d); got != want {
@@ -119,10 +122,11 @@ func TestPortTableMatchesBackend(t *testing.T) {
 }
 
 // TestPortTableWideRouterFallsBack builds a network whose routers have 255
-// network ports -- a 256-router complete graph -- and runs it twice: on BFS
-// tables as they are, and on the same tables wrapped so the backend does not
-// advertise route.FlatPorter and the engine has to ask it per decision. Both
-// must build and return the same Result.
+// network ports -- a 256-router complete graph, one port too many for the
+// engine's byte-wide table -- and runs it twice: on BFS tables as they are,
+// and on the same tables wrapped so the backend does not advertise
+// route.FlatPorter. Both must build, ask the backend per decision and return
+// the same Result.
 func TestPortTableWideRouterFallsBack(t *testing.T) {
 	const n = 256
 	g := graph.New(n)
@@ -140,6 +144,9 @@ func TestPortTableWideRouterFallsBack(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if s.nextPort != nil {
+			t.Error("the engine built its byte-wide port table for 255-port routers; want the per-decision path")
 		}
 		return s.Run()
 	}
