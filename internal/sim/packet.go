@@ -25,15 +25,22 @@ type Packet struct {
 	next int32
 }
 
-// queue is one input queue: n pool slots linked from head to tail in arrival
-// order. head and tail are meaningful only while n > 0.
-type queue struct{ head, tail, n int32 }
+// queue is one input queue, 16 bytes so that four share a cache line and none
+// straddles one: the pool slots linked from head to tail in arrival order, and
+// state, the packed head cache (packHead) setHead maintains. Whether the queue
+// holds anything is its bit in router.occ and nowhere else; head, tail and
+// state are meaningful only while that bit is set.
+type queue struct {
+	head, tail int32
+	state      uint64
+}
 
 // pushTail links a slot at the tail of input queue q and returns it for the
-// caller to fill and publish. It reuses the most recently freed slot -- the
-// one likeliest to still be in cache -- and grows the pool only when every
-// slot is queued, so a router's pool is as large as the most flits it ever
-// buffered at once, whatever depth the credits allow.
+// caller to fill and publish; the queue was empty iff its occ bit is clear,
+// and stays so marked until publish sets it. It reuses the most recently freed
+// slot -- the one likeliest to still be in cache -- and grows the pool only
+// when every slot is queued, so a router's pool is as large as the most flits
+// it ever buffered at once, whatever depth the credits allow.
 func (rt *router) pushTail(q int) *Packet {
 	slot := rt.free
 	if slot >= 0 {
@@ -43,12 +50,11 @@ func (rt *router) pushTail(q int) *Packet {
 		rt.pkts = append(rt.pkts, Packet{}) //sf:allow(append: the pool grows to the router's peak buffered flits and stops -- amortised, logarithmically many reallocations; only a saturated source queue keeps it growing)
 	}
 	qu := &rt.queues[q]
-	if qu.n == 0 {
+	if rt.occ[q>>6]>>(uint(q)&63)&1 == 0 { // written out: an inlined helper here costs pushTail its own inlining
 		qu.head = slot
 	} else {
 		rt.pkts[qu.tail].next = slot
 	}
 	qu.tail = slot
-	qu.n++
 	return &rt.pkts[slot]
 }

@@ -285,7 +285,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 		for m != 0 {
 			q := base + bits.TrailingZeros64(m)
 			m &= m - 1
-			readyAt, out, _ := unpackHead(rt.headState[q])
+			readyAt, out, _ := unpackHead(rt.queues[q].state)
 			if readyAt > cycle32 {
 				continue
 			}
@@ -373,7 +373,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					continue
 				}
 			} else {
-				_, _, nextVC = unpackHead(rt.headState[qi])
+				_, _, nextVC = unpackHead(rt.queues[qi].state)
 				if int(nextVC) >= cfg.NumVCs {
 					nextVC = int8(cfg.NumVCs - 1)
 				}

@@ -11,15 +11,20 @@ import (
 )
 
 // checkConservation asserts the engine's buffer bookkeeping between two
-// steps. Per router: every queue's n slots link from head to exactly tail,
-// the queues and the free list together hold every pool slot exactly once
-// (none leaked, none linked twice), a queue's occupancy bit is set iff it
-// holds a flit, and rt.flits is the sum of the queue lengths. Per (router,
-// network output, VC): the upstream credit counter, the downstream queue's
-// length and the credit events still in the wheel account for exactly
-// bufPerVC flits. visit is called for every queued slot; the return value is
-// the number of measured packets buffered anywhere. Test-only: it reads
-// engine state from outside, the engine has no hook for it.
+// steps. A queue record has no length field, so each queue's length is derived
+// the only way the record allows: 0 when its occ bit is clear (head and tail
+// are stale then), else the links walked from head until tail, bounded by the
+// pool size. Per router: the queues and the free list together hold every pool
+// slot exactly once (none leaked, none linked twice), network queues stay
+// within depth, and rt.flits is the sum of the lengths. Per (router, network
+// output, VC): the upstream credit counter, the downstream queue's length and
+// the credit events still in the wheel account for exactly bufPerVC flits. A
+// wrong occ bit cannot hide behind being the definition of "empty": a clear
+// bit on a queue that holds flits loses them from every one of those sums, and
+// a set bit on a drained queue walks from a freed slot into the free list.
+// visit is called for every queued slot; the return value is the number of
+// measured packets buffered anywhere. Test-only: it reads engine state from
+// outside, the engine has no hook for it.
 func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (measured int64) {
 	t.Helper()
 	vcs := s.cfg.NumVCs
@@ -30,6 +35,7 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 			inWheel[triple{c.router, c.port, int32(c.vc)}]++
 		}
 	}
+	length := make([][]int, len(s.routers)) // [router][queue]
 	for r := range s.routers {
 		rt := &s.routers[r]
 		seen := make([]bool, len(rt.pkts))
@@ -42,31 +48,29 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 			}
 			seen[slot] = true
 		}
+		length[r] = make([]int, len(rt.queues))
 		flits := 0
 		for q, qu := range rt.queues {
-			n := int(qu.n)
-			if q < len(rt.credits) && n > s.bufPerVC || n < 0 {
-				t.Fatalf("cycle %d router %d queue %d: %d flits queued, depth %d", s.cycle, r, q, n, s.bufPerVC)
+			if rt.occ[q>>6]>>(uint(q)&63)&1 == 0 {
+				continue
 			}
-			slot := qu.head
-			for i := 0; i < n; i++ {
-				claim(fmt.Sprintf("queue %d", q), slot)
+			n := 0
+			for slot := qu.head; ; slot = rt.pkts[slot].next {
+				claim(fmt.Sprintf("queue %d", q), slot) // fails before a cycle could close: every slot once
 				visit(r, q, slot)
 				if rt.pkts[slot].Measured {
 					measured++
 				}
-				if i == n-1 {
-					if slot != qu.tail {
-						t.Fatalf("cycle %d router %d queue %d: %d links from head end at slot %d, tail is %d", s.cycle, r, q, n, slot, qu.tail)
-					}
-				} else {
-					slot = rt.pkts[slot].next
+				n++
+				if slot == qu.tail {
+					break
 				}
 			}
-			flits += n
-			if occ := rt.occ[q>>6]>>(uint(q)&63)&1 == 1; occ != (n > 0) {
-				t.Fatalf("cycle %d router %d queue %d: occ bit %v with %d flits queued", s.cycle, r, q, occ, n)
+			if q < len(rt.credits) && n > s.bufPerVC {
+				t.Fatalf("cycle %d router %d queue %d: %d flits queued, depth %d", s.cycle, r, q, n, s.bufPerVC)
 			}
+			length[r][q] = n
+			flits += n
 		}
 		if flits != rt.flits {
 			t.Fatalf("cycle %d router %d: flits = %d, queues hold %d", s.cycle, r, rt.flits, flits)
@@ -79,11 +83,13 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 		if flits+free != len(rt.pkts) {
 			t.Fatalf("cycle %d router %d: %d queued + %d free != %d pool slots", s.cycle, r, flits, free, len(rt.pkts))
 		}
+	}
+	for r := range s.routers {
+		rt := &s.routers[r]
 		for p, nb := range rt.nbr {
-			down := &s.routers[nb]
 			for v := 0; v < vcs; v++ {
 				credits := int(rt.credits[p*vcs+v])
-				queued := int(down.queues[int(rt.revPort[p])*vcs+v].n)
+				queued := length[nb][int(rt.revPort[p])*vcs+v]
 				returning := inWheel[triple{int32(r), int32(p), int32(v)}]
 				if credits+queued+returning != s.bufPerVC {
 					t.Fatalf("cycle %d router %d port %d vc %d: credits %d + downstream occupancy %d + credits in flight %d != depth %d",

@@ -16,8 +16,8 @@
 // algorithms answer with output-port indices straight from the precomputed
 // route.Tables port table, switch allocation runs on per-shard scratch
 // buffers reused every cycle and walks per-router occupancy bitmasks and
-// the packed head cache (router.headState), so empty queues cost nothing
-// and ready ones no packet access, the credit event wheel is a
+// the packed head cache in each 16-byte queue record (queue.state), so empty
+// queues cost nothing and ready ones no packet access, the credit event wheel is a
 // fixed-capacity ring sized at construction, and an active-router worklist
 // limits allocation and traversal to routers that actually hold flits. A
 // flit's bytes are read once and written once per hop: every input queue of
@@ -166,18 +166,20 @@ type router struct {
 	// endpoint. All are linked lists through the one pool pkts, whose unqueued
 	// slots form a LIFO free list from free (-1: none). pushTail, headPkt and
 	// dropHead are the only way into a queue, to its head and past it.
-	pkts   []Packet
-	free   int32
-	queues []queue
-	occ    []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
-	// Head cache, maintained by setHead whenever a queue's head changes:
-	// headState[q] is packHead of the head packet's ReadyAt, its routing
-	// decision (the ejection port, or -- static algorithms only -- the
-	// TargetPort answer) and its hop count, which selects the next-hop VC.
-	// The allocator reads this one compact array instead of touching a
-	// scattered packet cacheline per non-empty queue per cycle.
-	headState []uint64
-	credits   []int16 // [outPort*numVCs + vc] for network outputs
+	//
+	// Each queue record carries its head cache, maintained by setHead whenever
+	// the head changes: queues[q].state is packHead of the head packet's
+	// ReadyAt, its routing decision (the ejection port, or -- static
+	// algorithms only -- the TargetPort answer) and its hop count, which
+	// selects the next-hop VC. The allocator reads these compact records
+	// instead of touching a scattered packet cacheline per non-empty queue per
+	// cycle, and a push from upstream touches one line per queue, not one for
+	// the links and one for the head word.
+	pkts    []Packet
+	free    int32
+	queues  []queue
+	occ     []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
+	credits []int16  // [outPort*numVCs + vc] for network outputs
 	// outStaged[outPort] counts flits granted to the output but not yet
 	// departed onto the link: the packets themselves are delivered
 	// downstream at grant time with a ReadyAt stamp that encodes their
@@ -188,7 +190,7 @@ type router struct {
 	staged    int     // flits in output staging awaiting link departure (sum of outStaged)
 }
 
-// packHead builds a headState word: ReadyAt in bits 0-31, the output port in
+// packHead builds a queue's state word: ReadyAt in bits 0-31, the output port in
 // bits 32-47, the hop count in bits 48-54. New rejects configurations whose
 // ports or cycle stamps would not fit.
 func packHead(readyAt, port int32, hops int8) uint64 {
@@ -378,7 +380,6 @@ func New(cfg Config) (*Sim, error) {
 		rt.free = -1
 		rt.queues = make([]queue, nq)
 		rt.occ = make([]uint64, (nq+63)/64)
-		rt.headState = make([]uint64, nq)
 		rt.credits = make([]int16, netQ)
 		for i := range rt.credits {
 			rt.credits[i] = int16(s.bufPerVC)
@@ -542,7 +543,7 @@ func (rt *router) headPkt(q int) *Packet { return &rt.pkts[rt.queues[q].head] }
 // publish makes the packet just written into the slot pushTail returned for
 // router r's queue q visible to the allocator.
 func (s *Sim) publish(rt *router, r int32, q int, pkt *Packet) {
-	if rt.queues[q].n == 1 {
+	if rt.occ[q>>6]>>(uint(q)&63)&1 == 0 {
 		rt.markOcc(q)
 		s.setHead(rt, r, q, pkt)
 	}
@@ -558,7 +559,6 @@ func (s *Sim) dropHead(rt *router, r int32, q int) {
 	qu := &rt.queues[q]
 	freed := qu.head
 	qu.head = rt.pkts[freed].next
-	qu.n--
 	rt.pkts[freed].next = rt.free
 	rt.free = freed
 	if q < len(rt.credits) {
@@ -568,7 +568,7 @@ func (s *Sim) dropHead(rt *router, r int32, q int) {
 		s.credWheel[slot] = append(s.credWheel[slot], creditEvt{router: rt.nbr[port], port: rt.revPort[port], vc: int8(q - port*cfg.NumVCs)}) //sf:allow(append: wheel slots carry capacity credCap, the per-cycle grant bound, from construction)
 	}
 	rt.flits--
-	if qu.n == 0 {
+	if freed == qu.tail {
 		rt.clearOcc(q)
 	} else {
 		s.setHead(rt, r, q, &rt.pkts[qu.head])
@@ -591,7 +591,7 @@ func (s *Sim) setHead(rt *router, r int32, qi int, pkt *Packet) {
 			s.badTargetPort(r, pkt, out, len(rt.nbr))
 		}
 	}
-	rt.headState[qi] = packHead(pkt.ReadyAt, out, pkt.Hops)
+	rt.queues[qi].state = packHead(pkt.ReadyAt, out, pkt.Hops)
 }
 
 // Run executes the configured simulation and returns the measurements.
