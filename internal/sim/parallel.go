@@ -69,8 +69,12 @@ type shardState struct {
 	// bucketed by output with a stable counting sort: scrQ/scrOut hold
 	// the first-pass (queue, output) pairs, scrCnt/scrOff the per-output
 	// counts and offsets, scrBkt the queue indices grouped by output.
+	// scrMask has one bit per output, set while scrCnt[output] != 0: the
+	// allocator visits only requested outputs, and both are all-zero between
+	// decideRouter calls (the grant pass clears what the request pass set).
 	scrQ, scrOut, scrBkt []int32
 	scrCnt, scrOff       []int32
+	scrMask              []uint64
 
 	// The shard's segment of the sorted active worklist this cycle.
 	activeLo, activeHi int
@@ -129,6 +133,7 @@ func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
 		sh.scrBkt = make([]int32, maxQ)
 		sh.scrCnt = make([]int32, maxOutputs)
 		sh.scrOff = make([]int32, maxOutputs)
+		sh.scrMask = make([]uint64, (maxOutputs+63)/64)
 		pe.start[k] = make(chan struct{}, 1)
 	}
 	return pe
@@ -246,7 +251,14 @@ func (s *Sim) decideShard(sh *shardState) {
 // eligible input heads, round-robin for fairness, and every grant is
 // appended to sh.recs for commitGrant. Requests are gathered into
 // per-output buckets on the shard's preallocated scratch (a stable counting
-// sort by output port), so the hot loop performs no heap allocation.
+// sort by output port), so the hot loop performs no heap allocation, and the
+// work after the request scan is proportional to the outputs requested, not
+// to the router's radix: pass 1 sets a bit per requested output in sh.scrMask
+// and the prefix sum and the grant pass walk the set bits in ascending order
+// -- the order, candidates and round-robin arithmetic of a 0..outputs-1 loop.
+// scrCnt and scrMask are all-zero on entry and on return: pass 2 clears each
+// count and mask word as it consumes it. A TargetPort panic in pass 1 leaves
+// them dirty; a Sim whose step panicked is dead and must not be stepped again.
 //
 // It mutates nothing another shard could observe -- queue contents,
 // occupancy, head caches, credits, staging and measurement state are all
@@ -275,9 +287,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	// (queue state, RNG) decide afresh each cycle for every ready transit
 	// head.
 	cnt := sh.scrCnt[:outputs]
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	mask := sh.scrMask[:(outputs+63)>>6]
 	nreq := 0
 	cycle32 := int32(s.cycle)
 	for w, m := range rt.occ {
@@ -299,6 +309,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 			sh.scrQ[nreq] = int32(q)
 			sh.scrOut[nreq] = out
 			cnt[out]++
+			mask[out>>6] |= 1 << (uint(out) & 63)
 			nreq++
 		}
 	}
@@ -309,9 +320,12 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	// Bucket by output, stable in input-queue order.
 	off := sh.scrOff[:outputs]
 	sum := int32(0)
-	for i := 0; i < outputs; i++ {
-		off[i] = sum
-		sum += cnt[i]
+	for w, m := range mask {
+		for ; m != 0; m &= m - 1 {
+			o := w<<6 + bits.TrailingZeros64(m)
+			off[o] = sum
+			sum += cnt[o]
+		}
 	}
 	for k := 0; k < nreq; k++ {
 		o := sh.scrOut[k]
@@ -319,72 +333,74 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 		off[o]++
 	}
 
-	// Pass 2: per-output round-robin grant selection. off[out] is now the
-	// bucket end; the start is off[out]-cnt[out]. Later grants of an output
+	// Pass 2: round-robin grant selection per requested output, clearing the
+	// mask and the counts on the way. off[out] is now the bucket end; the
+	// start is off[out]-cnt[out]. Later grants of an output
 	// must see the staging slots and credits its earlier grants consumed,
 	// and the router's state may not be written here: granted is the
 	// staging consumed so far, and the output's last granted records name
 	// the credits.
-	for out := 0; out < outputs; out++ {
-		ncand := int(cnt[out])
-		if ncand == 0 {
-			continue
-		}
-		bktStart := off[out] - cnt[out]
-		cand := sh.scrBkt[bktStart:off[out]]
-		grants := cfg.Speedup
-		if out >= deg {
-			grants = 1 // ejection channel: one flit per cycle
-		}
-		idx := int(rt.rr[out]) % ncand
-		granted := 0
-		for i := 0; i < ncand && granted < grants; i++ {
-			qi := int(cand[idx])
-			idx++
-			if idx == ncand {
-				idx = 0
-			}
+	for w, m := range mask {
+		mask[w] = 0
+		for ; m != 0; m &= m - 1 {
+			out := w<<6 + bits.TrailingZeros64(m)
+			ncand := int(cnt[out])
+			cnt[out] = 0
+			cand := sh.scrBkt[off[out]-int32(ncand) : off[out]]
+			grants := cfg.Speedup
 			if out >= deg {
-				sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
-				granted++
-				continue
+				grants = 1 // ejection channel: one flit per cycle
 			}
-			// Network hop: need staging space and a downstream credit for
-			// the next-hop VC.
-			if int(rt.outStaged[out])+granted >= cfg.Speedup {
-				break // output staging exhausted this cycle
-			}
-			// VC allocation. Default: hop-indexed (Gopal's scheme,
-			// Section IV-D) -- hop k travels on VC k. Algorithms with
-			// acyclic routing may instead spread across VCs, choosing the
-			// one with the most credits.
-			mine := sh.recs[len(sh.recs)-granted:]
-			var nextVC int8
-			if s.spreadVCs {
-				base := out * cfg.NumVCs
-				best := int16(-1)
-				for v := 0; v < cfg.NumVCs; v++ {
-					if c := rt.credits[base+v] - vcTaken(mine, int8(v)); c > best {
-						best = c
-						nextVC = int8(v)
+			idx := int(rt.rr[out]) % ncand
+			granted := 0
+			for i := 0; i < ncand && granted < grants; i++ {
+				qi := int(cand[idx])
+				idx++
+				if idx == ncand {
+					idx = 0
+				}
+				if out >= deg {
+					sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
+					granted++
+					continue
+				}
+				// Network hop: need staging space and a downstream credit for
+				// the next-hop VC.
+				if int(rt.outStaged[out])+granted >= cfg.Speedup {
+					break // output staging exhausted this cycle
+				}
+				// VC allocation. Default: hop-indexed (Gopal's scheme,
+				// Section IV-D) -- hop k travels on VC k. Algorithms with
+				// acyclic routing may instead spread across VCs, choosing the
+				// one with the most credits.
+				mine := sh.recs[len(sh.recs)-granted:]
+				var nextVC int8
+				if s.spreadVCs {
+					base := out * cfg.NumVCs
+					best := int16(-1)
+					for v := 0; v < cfg.NumVCs; v++ {
+						if c := rt.credits[base+v] - vcTaken(mine, int8(v)); c > best {
+							best = c
+							nextVC = int8(v)
+						}
+					}
+					if best == 0 {
+						continue
+					}
+				} else {
+					_, _, nextVC = unpackHead(rt.queues[qi].state)
+					if int(nextVC) >= cfg.NumVCs {
+						nextVC = int8(cfg.NumVCs - 1)
+					}
+					if rt.credits[out*cfg.NumVCs+int(nextVC)]-vcTaken(mine, nextVC) == 0 {
+						continue
 					}
 				}
-				if best == 0 {
-					continue
-				}
-			} else {
-				_, _, nextVC = unpackHead(rt.queues[qi].state)
-				if int(nextVC) >= cfg.NumVCs {
-					nextVC = int8(cfg.NumVCs - 1)
-				}
-				if rt.credits[out*cfg.NumVCs+int(nextVC)]-vcTaken(mine, nextVC) == 0 {
-					continue
-				}
+				sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
+				granted++
 			}
-			sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
-			granted++
+			rt.rr[out] = (rt.rr[out] + 1) % int32(ncand)
 		}
-		rt.rr[out] = (rt.rr[out] + 1) % int32(ncand)
 	}
 }
 
