@@ -156,6 +156,10 @@ func TestSpecValidateSimParams(t *testing.T) {
 			t.Errorf("%s: Validate = %v, want an error naming the field", name, err)
 		}
 	}
+	spec.Sim = scenario.SimParams{NumVCs: 200, BufPerPort: 200}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "sim.num_vcs 200 exceeds") {
+		t.Errorf("200 VCs: Validate = %v, want the VC-limit error", err)
+	}
 	spec.Sim = scenario.SimParams{}
 	if err := spec.Validate(); err != nil {
 		t.Errorf("all-default sim params rejected: %v", err)

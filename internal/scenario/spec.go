@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"slimfly/internal/metrics"
 )
@@ -140,6 +141,9 @@ func (p SimParams) validate() error {
 		if f.v < 0 {
 			return fmt.Errorf("scenario: negative sim.%s %d", f.name, f.v)
 		}
+	}
+	if p.NumVCs > math.MaxInt8 { // sim.New's limit: the engine's VC fields are int8
+		return fmt.Errorf("scenario: sim.num_vcs %d exceeds the engine's limit of %d", p.NumVCs, math.MaxInt8)
 	}
 	return nil
 }

@@ -172,9 +172,8 @@ type router struct {
 	// ReadyAt, its routing decision (the ejection port, or -- static
 	// algorithms only -- the TargetPort answer) and its hop count, which
 	// selects the next-hop VC. The allocator reads these compact records
-	// instead of touching a scattered packet cacheline per non-empty queue per
-	// cycle, and a push from upstream touches one line per queue, not one for
-	// the links and one for the head word.
+	// instead of a scattered packet cacheline per non-empty queue per cycle,
+	// and a push from upstream touches one line for links and head word both.
 	pkts    []Packet
 	free    int32
 	queues  []queue
@@ -248,13 +247,11 @@ type Sim struct {
 
 	// Routing backend plus its hot-path cache: when the backend exposes
 	// the flat source-major port table (route.FlatPorter) and no router has
-	// more than 254 network ports, nextPort is the engine's own copy of it in
-	// bytes -- the port at router u toward destination router d is
-	// nextPort[u*nRouters+d], noPort (255) where the backend says -1 -- a
-	// quarter of the backend's int32 table, so the one scattered load per
-	// revealed head has a quarter of the lines to miss on. For computed
-	// backends and wider routers nextPort is nil and PortToward asks rtr
-	// instead.
+	// more than 254 network ports, nextPort is the engine's own byte-wide copy
+	// -- the port at router u toward destination router d is
+	// nextPort[u*nRouters+d], noPort (255) for the backend's -1 -- so the one
+	// scattered load per revealed head has a quarter of the int32 table's lines
+	// to miss on. Otherwise nextPort is nil and PortToward asks rtr instead.
 	rtr      route.Router
 	nextPort []uint8
 	nRouters int
@@ -316,6 +313,10 @@ func New(cfg Config) (*Sim, error) {
 		if f.v < 0 {
 			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
 		}
+	}
+	// grantRec.vc and creditEvt.vc are int8: VC 128 would wrap into another port's credits.
+	if cfg.NumVCs > math.MaxInt8 {
+		return nil, fmt.Errorf("sim: NumVCs %d exceeds the int8 VC fields' limit of %d", cfg.NumVCs, math.MaxInt8)
 	}
 	if cfg.BufPerPort < cfg.NumVCs {
 		return nil, fmt.Errorf("sim: need at least 1 flit of buffering per VC")
@@ -392,9 +393,8 @@ func New(cfg Config) (*Sim, error) {
 		maxDeg = max(maxDeg, deg)
 		credCap += deg*cfg.Speedup + len(rt.eps) // <= one credit per grant per cycle
 	}
-	// Flat-table fast path: a backend that materializes the source-major port
-	// table is copied once, narrowed to bytes (-1 wraps to noPort), and the
-	// hot loop never sees an interface call.
+	// Flat-table fast path: the backend's source-major port table, copied once
+	// and narrowed to bytes (-1 wraps to noPort); no interface call in the hot loop.
 	if fp, ok := cfg.Router.(route.FlatPorter); ok && maxDeg < noPort {
 		flat, _ := fp.NextPortFlat()
 		s.nextPort = make([]uint8, len(flat))

@@ -50,6 +50,17 @@ func TestConfigValidation(t *testing.T) {
 	if s, err := New(deep); err != nil || s.bufPerVC != 300 {
 		t.Errorf("300 flits per VC rejected: %v", err)
 	}
+	// VC indices travel in int8 fields: more than 127 VCs must be refused, not
+	// wrapped into another port's credits.
+	manyVCs := base
+	manyVCs.NumVCs, manyVCs.BufPerPort = 200, 200
+	if _, err := New(manyVCs); err == nil || !strings.Contains(err.Error(), "NumVCs 200 exceeds") {
+		t.Errorf("200 VCs: err = %v, want the VC-limit error", err)
+	}
+	manyVCs.NumVCs, manyVCs.BufPerPort = 127, 127
+	if _, err := New(manyVCs); err != nil {
+		t.Errorf("127 VCs rejected: %v", err)
+	}
 	// Zero means "default"; a negative count or delay must be refused by
 	// name, not panic in make or the credit wheel, nor run with ReadyAt
 	// stamps in the past.

@@ -185,6 +185,12 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("negative credit_delay: status %d, %+v", code, ae)
 	}
 
+	// More VCs than the engine's int8 VC fields can name: same.
+	manyVCs := strings.Replace(specJSON("bad-vcs", 1), `"sim": {`, `"sim": {"num_vcs": 200, "buf_per_port": 200, `, 1)
+	if code, ae := post(manyVCs); code != http.StatusBadRequest || ae.Kind != "bad_spec" || !strings.Contains(ae.Error, "num_vcs 200") {
+		t.Errorf("200 VCs: status %d, %+v", code, ae)
+	}
+
 	// Nothing leaked into the sweep list.
 	resp, err := http.Get(ts.URL + "/api/v1/sweeps")
 	if err != nil {
