@@ -130,8 +130,15 @@ func main() {
 	}
 	if !*jsonOut {
 		fmt.Println(topo.Summary(t))
-		fmt.Printf("routing: backend=%s table_bytes=%d (9*n*n estimate %d)\n",
-			rt.Backend(), rt.TableBytes(), route.EstimateTableBytes(t.Graph().N()))
+		// sim.New's rule, restated: it copies a flat table into its own bytes
+		// unless a router has too many ports for one (the gauge
+		// sim.port_table_bytes reports what a finished run actually used).
+		enginePorts := "backend"
+		if _, flat := rt.(route.FlatPorter); flat && t.Graph().MaxDegree() <= 254 {
+			enginePorts = "table"
+		}
+		fmt.Printf("routing: backend=%s table_bytes=%d (9*n*n estimate %d) engine_ports=%s\n",
+			rt.Backend(), rt.TableBytes(), route.EstimateTableBytes(t.Graph().N()), enginePorts)
 	}
 	if spec.Pattern == "worstcase" && !scenario.HasWorstCase(t) {
 		fmt.Fprintf(os.Stderr, "sfsim: no adversarial pattern for %s; worstcase falls back to uniform traffic\n", t.Name())

@@ -40,6 +40,18 @@ func TestNaNLoadRejected(t *testing.T) {
 	}
 }
 
+// TestRoutingLineEnginePorts: the routing line says which lookup path the
+// engine takes -- its own byte table over a flat-table backend, the backend
+// itself when that is computed.
+func TestRoutingLineEnginePorts(t *testing.T) {
+	for backend, want := range map[string]string{"tables": "engine_ports=table", "computed": "engine_ports=backend"} {
+		out, exit := sfsim(t, "-q", "5", "-load", "0.1", "-warmup", "10", "-measure", "10", "-route-backend", backend)
+		if exit != 0 || !strings.Contains(out, "backend="+backend) || !strings.Contains(out, want) {
+			t.Errorf("sfsim -route-backend %s: exit %d, want %q on the routing line:\n%s", backend, exit, want, out)
+		}
+	}
+}
+
 // TestCPUProfile: -cpuprofile writes a non-empty profile next to the normal
 // table, and refuses a load sweep.
 func TestCPUProfile(t *testing.T) {
