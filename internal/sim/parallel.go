@@ -335,11 +335,10 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 
 	// Pass 2: round-robin grant selection per requested output, clearing the
 	// mask and the counts on the way. off[out] is now the bucket end; the
-	// start is off[out]-cnt[out]. Later grants of an output
-	// must see the staging slots and credits its earlier grants consumed,
-	// and the router's state may not be written here: granted is the
-	// staging consumed so far, and the output's last granted records name
-	// the credits.
+	// start is off[out]-cnt[out]. Later grants of an output must see the
+	// staging slots and credits its earlier grants consumed, and the router's
+	// state may not be written here: granted is the staging consumed so far,
+	// and the output's last granted records name the credits.
 	for w, m := range mask {
 		mask[w] = 0
 		for ; m != 0; m &= m - 1 {

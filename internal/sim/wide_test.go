@@ -114,6 +114,7 @@ func TestPortTableMatchesBackend(t *testing.T) {
 					}
 				}
 			}
+			// The reference really says -1 there, so noPort -> -1 was compared.
 			if tb.NextPort(0, 0) != -1 {
 				t.Fatalf("NextPort(0, 0) = %d, want -1", tb.NextPort(0, 0))
 			}
