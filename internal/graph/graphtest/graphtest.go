@@ -1,0 +1,116 @@
+// Package graphtest holds the graphs that the all-pairs tests of
+// internal/graph and internal/route share: the list whose path statistics
+// and routing tables are pinned by hash, and a seeded random-graph
+// generator for reference comparisons. It lives outside both packages
+// because the list needs internal/roster, which imports them.
+package graphtest
+
+import (
+	"fmt"
+	"testing"
+
+	"slimfly/internal/graph"
+	"slimfly/internal/roster"
+	"slimfly/internal/stats"
+	"slimfly/internal/topo/slimfly"
+)
+
+// Case is one named graph.
+type Case struct {
+	Name string
+	G    *graph.Graph
+}
+
+// Pinned returns the pin list: the nine registry kinds near 100 and 1 000
+// endpoints, Slim Fly q = 5, 7, 11, 19 at concentration 4, a two-component
+// graph with isolated vertices, a 41-vertex path, a 200-ring (diameter
+// 100), and graphs of 0, 1, 63, 64 and 65 vertices, one either side of a
+// 64-vertex boundary.
+func Pinned(tb testing.TB) []Case {
+	tb.Helper()
+	var cs []Case
+	for _, n := range []int{100, 1000} {
+		for _, kind := range roster.Kinds() {
+			tp, err := roster.Near(kind, n, 1)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			cs = append(cs, Case{fmt.Sprintf("%s@%d", kind, n), tp.Graph()})
+		}
+	}
+	for _, q := range []int{5, 7, 11, 19} {
+		sf, err := slimfly.NewWithConcentration(q, 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		cs = append(cs, Case{fmt.Sprintf("SF-q%d-p4", q), sf.Graph()})
+	}
+
+	// Two components (a 9-ring with a chord, a 5-path) and vertices 14..19
+	// with no edge at all.
+	two := graph.New(20)
+	for i := 0; i < 9; i++ {
+		two.MustAddEdge(i, (i+1)%9)
+	}
+	two.MustAddEdge(0, 4)
+	for i := 9; i < 13; i++ {
+		two.MustAddEdge(i, i+1)
+	}
+	cs = append(cs, Case{"two-components", two}, Case{"path-41", Path(41)}, Case{"ring-200", Ring(200)})
+
+	for _, n := range []int{0, 1, 63, 64, 65} {
+		// A ring with a few seeded chords: the highest vertex, which sits
+		// alone in the last word at n = 65, is an ordinary member.
+		g := Ring(n)
+		rng := stats.NewRNG(uint64(n))
+		for i := 0; i < n/4; i++ {
+			g.AddEdgeIfAbsent(rng.Intn(n), rng.Intn(n))
+		}
+		g.SortAdjacency()
+		cs = append(cs, Case{fmt.Sprintf("n%d", n), g})
+	}
+	return cs
+}
+
+// Ring returns the n-cycle (n < 3: no edges), adjacency sorted.
+func Ring(n int) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i < n && n >= 3; i++ {
+		g.MustAddEdge(i, (i+1)%n)
+	}
+	g.SortAdjacency()
+	return g
+}
+
+// Path returns the n-vertex path 0 - 1 - ... - n-1 (diameter n-1).
+func Path(n int) *graph.Graph {
+	g := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		g.MustAddEdge(i, i+1)
+	}
+	return g
+}
+
+// Random returns a seeded graph of 2 to 300 vertices with sorted
+// adjacency. The edge count is drawn between a handful and several n, so
+// across seeds the graphs run from mostly isolated vertices through
+// several components to dense and connected.
+func Random(seed uint64) *graph.Graph {
+	rng := stats.NewRNG(seed)
+	n := 2 + rng.Intn(299)
+	g := graph.New(n)
+	var edges int
+	switch rng.Intn(3) {
+	case 0:
+		edges = rng.Intn(n)
+	case 1:
+		edges = n + rng.Intn(2*n)
+	default:
+		edges = n * (2 + rng.Intn(8))
+	}
+	for i := 0; i < edges; i++ {
+		g.AddEdgeIfAbsent(rng.Intn(n), rng.Intn(n))
+	}
+	g.SortAdjacency()
+	return g
+}
