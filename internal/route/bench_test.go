@@ -37,7 +37,7 @@ func benchSF(b *testing.B, q int) *slimfly.SlimFly {
 }
 
 func BenchmarkTablesBuild(b *testing.B) {
-	for _, q := range []int{17, 43} {
+	for _, q := range []int{17, 19, 31, 43} {
 		q := q
 		b.Run(fmt.Sprintf("q%d", q), func(b *testing.B) {
 			sf := benchSF(b, q)
