@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
-	"slimfly/internal/graph/graphtest"
+	"slimfly/internal/graphtest"
 )
 
 // statsHash is the SHA-256 of a PathStats, the histogram's length

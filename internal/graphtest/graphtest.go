@@ -91,6 +91,15 @@ func Path(n int) *graph.Graph {
 	return g
 }
 
+// Randoms returns Random(1) ... Random(n), named by seed.
+func Randoms(n int) []Case {
+	cs := make([]Case, n)
+	for i := range cs {
+		cs[i] = Case{fmt.Sprintf("random-%d", i+1), Random(uint64(i + 1))}
+	}
+	return cs
+}
+
 // Random returns a seeded graph of 2 to 300 vertices with sorted
 // adjacency. The edge count is drawn between a handful and several n, so
 // across seeds the graphs run from mostly isolated vertices through

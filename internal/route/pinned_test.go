@@ -6,7 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"slimfly/internal/graph/graphtest"
+	"slimfly/internal/graphtest"
 	"slimfly/internal/route"
 )
 
