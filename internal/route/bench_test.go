@@ -1,12 +1,16 @@
 package route_test
 
 // Routing-backend build benchmarks: the cost the algebraic backends
-// exist to remove. BenchmarkTablesBuild prices the all-pairs BFS + flat
-// port table at the paper's small (q=17, 578 routers) and large (q=43,
-// 3698 routers) Slim Fly scales -- 9*n*n bytes and O(n^2) work, the
-// term that walls off q>43. BenchmarkSimNew prices a full simulator
+// exist to remove. BenchmarkTablesBuild prices the all-sources level sweep
+// (graph.SweepLevels), the claim of ports by neighbour order and the tiled
+// transpose into Next, at the orders the workloads build (q=19, 722
+// routers, the paper's working point; q=31, 1 922) and at the paper's small
+// (q=17, 578) and large (q=43, 3 698 routers) scales -- 9*n*n bytes and
+// D*n*k*n/64 word operations, the term that walls off q>43. Run it with
+// -cpu 1,2: the workers own contiguous router ranges, and the second figure
+// says what a second processor buys. BenchmarkSimNew prices a full simulator
 // construction on each backend: at q=43 the tables variant is dominated
-// by the BFS build, while the computed variant only pays generator-set
+// by the table build, while the computed variant only pays generator-set
 // membership setup, which is where the >=5x sim.New acceptance claim is
 // measured. BenchmarkNextPort prices one lookup through the Router
 // interface on each backend: an array load on tables, the MMS closed form

@@ -1,24 +1,18 @@
 package route_test
 
 import (
+	"fmt"
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/graphtest"
 	"slimfly/internal/route"
 	"slimfly/internal/topo/random"
 	"slimfly/internal/topo/slimfly"
 )
 
-func ring(n int) *graph.Graph {
-	g := graph.New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n)
-	}
-	return g
-}
-
 func TestTablesRing(t *testing.T) {
-	g := ring(8)
+	g := graphtest.Ring(8)
 	tb := route.Build(g)
 	if tb.Distance(0, 4) != 4 {
 		t.Errorf("dist(0,4) = %d", tb.Distance(0, 4))
@@ -78,7 +72,7 @@ func TestDistanceSymmetry(t *testing.T) {
 }
 
 func TestValiantLen(t *testing.T) {
-	g := ring(8)
+	g := graphtest.Ring(8)
 	tb := route.Build(g)
 	// s=0 via r=2 to d=4: 2 + 2 = 4 hops.
 	if got := tb.ValiantLen(0, 2, 4); got != 4 {
@@ -136,7 +130,7 @@ func TestVCLayeringDLNWorse(t *testing.T) {
 func TestVCLayeringRingNeedsLayers(t *testing.T) {
 	// Minimal routing on a ring has cyclic channel dependencies, so more
 	// than one layer is required.
-	tb := route.Build(ring(8))
+	tb := route.Build(graphtest.Ring(8))
 	vl := route.ComputeVCLayering(tb)
 	if vl.Layers < 2 {
 		t.Errorf("ring layering = %d, want >= 2", vl.Layers)
@@ -162,5 +156,34 @@ func BenchmarkVCLayeringQ5(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		route.ComputeVCLayering(tb)
+	}
+}
+
+// TestDiameterLimit: distances are int8, so a graph of diameter 128 or more
+// is refused by name -- an error from Select, a panic with the same text
+// from Build -- where it used to wrap (a 300-ring reported MaxDistance 127
+// and Distance(0, 150) == -106). Diameter exactly 127 still builds.
+func TestDiameterLimit(t *testing.T) {
+	const text = "route: graph diameter exceeds 127, the int8 distance tables' limit"
+	for _, g := range []*graph.Graph{graphtest.Ring(300), graphtest.Path(129)} {
+		if rt, err := route.Select(g, nil, route.PolicyAuto, 0); err == nil || err.Error() != text || rt != nil {
+			t.Errorf("Select on a %d-router graph of diameter >= 128: a router = %v, error %v; want none and %q", g.N(), rt != nil, err, text)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || fmt.Sprint(r) != text {
+					t.Errorf("Build on a %d-router graph of diameter >= 128 panicked with %v, want %q", g.N(), r, text)
+				}
+			}()
+			route.Build(g)
+		}()
+	}
+	rt, err := route.Select(graphtest.Path(128), nil, route.PolicyTables, 0)
+	if err != nil {
+		t.Fatalf("a path of diameter 127 was refused: %v", err)
+	}
+	if rt.MaxDistance() != 127 || rt.Distance(0, 127) != 127 || rt.Distance(127, 1) != 126 || rt.NextHop(0, 127) != 1 {
+		t.Errorf("diameter-127 path: MaxDistance %d, Distance(0,127) %d, Distance(127,1) %d, NextHop(0,127) %d",
+			rt.MaxDistance(), rt.Distance(0, 127), rt.Distance(127, 1), rt.NextHop(0, 127))
 	}
 }

@@ -7,17 +7,19 @@ import (
 )
 
 // Router is the routing backend interface the simulator and the traffic
-// generators run on. *Tables (BFS all-pairs tables) is the default,
+// generators run on. *Tables (all-pairs tables) is the default,
 // fully materialized implementation; *Computed answers the same questions
 // algebraically from a topology's construction with O(1) extra memory.
 //
 // The parity contract: for one graph, every backend must agree with
-// Build(g) on every answer, bit for bit. The deterministic tie-break is
-// inherited from BFS: the next hop from u toward d is the LOWEST-ID
-// neighbour of u on a shortest path (adjacency lists are sorted, so the
-// port is the first one whose distance to d is one less than u's).
-// TestComputedMatchesTables enforces this for every registered topology
-// kind with an algebraic form.
+// Build(g) on every answer, bit for bit. The deterministic tie-break: the
+// next hop from u toward d is the LOWEST-ID neighbour of u on a shortest
+// path (adjacency lists are sorted, so the port is the first one whose
+// distance to d is one less than u's). Build gets it by letting u's
+// neighbours claim, in list order, the destinations they are one hop
+// closer to; TestBuildMatchesReferenceBFS holds that to a per-destination
+// BFS and scan, and TestComputedMatchesTables holds every registered
+// topology kind with an algebraic form to Build.
 type Router interface {
 	// Graph returns the router graph the backend answers for.
 	Graph() *graph.Graph
@@ -258,5 +260,9 @@ func Select(g *graph.Graph, o Oracle, policy Policy, budget int64) (Router, erro
 	default:
 		return nil, fmt.Errorf("route: unknown backend policy %q", policy)
 	}
-	return Build(g), nil
+	t, err := build(g)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
 }

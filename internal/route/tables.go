@@ -1,21 +1,27 @@
 // Package route builds the routing state used by the simulator and the
-// worst-case traffic generator: all-pairs distances, deterministic minimal
-// next-hop tables (Section IV-A), Valiant path helpers (Section IV-B), and
-// a DFSSSP-style virtual-channel layering used to reproduce the
-// deadlock-freedom experiment of Section IV-D.
+// worst-case traffic generator: all-pairs distances and deterministic
+// minimal next-hop tables (Section IV-A), both filled by one breadth-first
+// sweep from every router at once (graph.SweepLevels), Valiant path helpers
+// (Section IV-B), and a DFSSSP-style virtual-channel layering used to
+// reproduce the deadlock-freedom experiment of Section IV-D.
 package route
 
 import (
+	"errors"
+	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/obs"
 )
 
 // Tables holds per-destination routing state for a router graph.
 //
 // Dist[d][u] is the hop distance from router u to router d (int8 suffices:
-// every topology in the study has diameter well under 127).
+// every topology in the study has diameter well under 127, and Build
+// refuses a graph that has more).
 // Next[d][u] is the deterministic minimal next hop from u toward d (the
 // lowest-id neighbour on a shortest path; -1 for u == d or unreachable).
 //
@@ -38,12 +44,29 @@ type Tables struct {
 	// so router u's decisions live in one contiguous, cache-resident row.
 	nextPort []int32 // flat [u*n+d]: output-port index at u toward d (-1 if none)
 	n        int
-	maxDist  int // memoized diameter, computed once in Build
+	maxDist  int // memoized diameter: the levels Build swept
 }
 
-// Build computes the tables with one BFS per destination, parallelised
-// across destinations.
+var (
+	// errDiameter is what Select returns and Build panics with.
+	errDiameter = errors.New("route: graph diameter exceeds 127, the int8 distance tables' limit")
+	// obsLevels is the number of levels the last Build swept: its diameter.
+	obsLevels = obs.NewGauge("route.tables_levels")
+)
+
+// Build computes the tables in one graph.SweepLevels, a breadth-first
+// search from every router at once: the sweep's visitor writes distances
+// and ports, fillNext derives Next from the ports. It panics on a graph of
+// diameter above 127 (Select reports the same as an error).
 func Build(g *graph.Graph) *Tables {
+	t, err := build(g)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
+func build(g *graph.Graph) (*Tables, error) {
 	n := g.N()
 	t := &Tables{
 		G:        g,
@@ -54,67 +77,79 @@ func Build(g *graph.Graph) *Tables {
 		nextPort: make([]int32, n*n),
 		n:        n,
 	}
-	nw := runtime.GOMAXPROCS(0)
-	if nw > n {
-		nw = n
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	maxByWorker := make([]int, nw)
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			dist := make([]int32, n)
-			queue := make([]int32, 0, n)
-			maxSeen := 0
-			for d := w; d < n; d += nw {
-				g.BFSInto(d, dist, queue)
-				row := d * n
-				d8 := t.dist[row : row+n : row+n]
-				next := t.next[row : row+n : row+n]
-				for u := 0; u < n; u++ {
-					if dist[u] == graph.Unreachable {
-						d8[u] = -1
-						next[u] = -1
-						t.nextPort[u*n+d] = -1
-						continue
-					}
-					d8[u] = int8(dist[u])
-					if int(d8[u]) > maxSeen {
-						maxSeen = int(d8[u])
-					}
-					next[u] = -1
-					t.nextPort[u*n+d] = -1
-					if u == d {
-						continue
-					}
-					// Lowest-id neighbour one step closer to d; its index
-					// in the sorted adjacency list is u's output port
-					// toward d (stored source-major: see nextPort).
-					for i, v := range g.Neighbors(u) {
-						if dist[v] == dist[u]-1 {
-							next[u] = v
-							t.nextPort[u*n+d] = int32(i)
-							break // adjacency lists are sorted
-						}
-					}
+	// At level l the sweep hands router u the routers d at distance l and,
+	// for every neighbour v, those at distance l-1 from v. Neighbour i, in
+	// adjacency order, claims every d it is one hop short of that no
+	// earlier neighbour claimed: d's first closer neighbour in the list,
+	// the lowest id when adjacency is sorted. Distances are symmetric, so
+	// u's worker fills row u of both tables and no other worker's lines.
+	pairs := g.SweepLevels(func(level, u int, frontier, prev []uint64) bool {
+		if level > math.MaxInt8 {
+			return false
+		}
+		dist, port := t.dist[u*n:(u+1)*n], t.nextPort[u*n:(u+1)*n]
+		nbr := g.Neighbors(u)
+		for j, rest := range frontier {
+			for i := 0; rest != 0; i++ {
+				claim := rest & prev[int(nbr[i])*len(frontier)+j]
+				rest &^= claim
+				for ; claim != 0; claim &= claim - 1 {
+					d := j<<6 | bits.TrailingZeros64(claim)
+					dist[d] = int8(level)
+					port[d] = int32(i)
 				}
-				t.Dist[d] = d8
-				t.Next[d] = next
 			}
-			maxByWorker[w] = maxSeen
-		}(w)
+		}
+		return true
+	})
+	t.maxDist = len(pairs) - 1
+	obsLevels.Set(int64(t.maxDist))
+	if t.maxDist > math.MaxInt8 {
+		return nil, errDiameter
+	}
+	band := (n + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += band {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.fillNext(lo, min(lo+band, n))
+		}()
 	}
 	wg.Wait()
-	for _, m := range maxByWorker {
-		if m > t.maxDist {
-			t.maxDist = m
+	for d := 0; d < n; d++ {
+		t.Dist[d] = t.dist[d*n : (d+1)*n : (d+1)*n]
+		t.Next[d] = t.next[d*n : (d+1)*n : (d+1)*n]
+	}
+	return t, nil
+}
+
+// fillNext finishes the tables for destinations lo <= d < hi. Next,
+// destination-major where the port table is source-major, gets the
+// neighbour behind each port: a transpose, walked in square tiles that keep
+// both sides in cache. A distance still zero marks the diagonal and the
+// pairs no level reached, which get -1 throughout (the diagonal keeps 0).
+func (t *Tables) fillNext(lo, hi int) {
+	const tile = 64
+	n := t.n
+	for d0 := lo; d0 < hi; d0 += tile {
+		for u0 := 0; u0 < n; u0 += tile {
+			for u := u0; u < min(u0+tile, n); u++ {
+				nbr := t.G.Neighbors(u)
+				for d := d0; d < min(d0+tile, hi); d++ {
+					i := u*n + d
+					if t.dist[i] != 0 {
+						t.next[d*n+u] = nbr[t.nextPort[i]]
+						continue
+					}
+					if u != d {
+						t.dist[i] = -1
+					}
+					t.nextPort[i], t.next[d*n+u] = -1, -1
+				}
+			}
 		}
 	}
-	return t
 }
 
 // Distance returns the hop distance from u to d (-1 if unreachable).
@@ -159,10 +194,8 @@ func (t *Tables) ValiantLen(s, r, d int) int {
 	return int(t.Dist[s][r]) + int(t.Dist[d][r])
 }
 
-// MaxDistance returns the measured diameter according to the tables. The
-// value is computed once during Build: callers like sim.New consult it on
-// every simulator construction, and the old per-call O(n^2) rescan dominated
-// setup cost for large networks.
+// MaxDistance returns the measured diameter according to the tables,
+// memoized by Build: sim.New consults it on every construction.
 func (t *Tables) MaxDistance() int { return t.maxDist }
 
 // Graph returns the router graph the tables were built for.

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"slimfly/internal/obs"
 	"slimfly/internal/route"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
@@ -191,4 +192,25 @@ func TestQ43EndToEnd(t *testing.T) {
 		t.Fatalf("q=43 end-to-end grew the heap by %d bytes, budget %d", delta, budget)
 	}
 	runtime.KeepAlive(env)
+}
+
+// TestBuildRouteTelemetry: BuildRouting times the routing backend on its
+// own (scenario.build_route, one observation per call), and a tables build
+// leaves the number of levels it swept -- the diameter -- in
+// route.tables_levels.
+func TestBuildRouteTelemetry(t *testing.T) {
+	span, levels := obs.NewTimer("scenario.build_route"), obs.NewGauge("route.tables_levels")
+	for _, ts := range []scenario.TopoSpec{{Kind: "SF", Q: 5}, {Kind: "T3D", N: 64}} {
+		before := span.Count()
+		_, rt, err := scenario.BuildRouting(ts, route.PolicyTables, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := span.Count() - before; got != 1 {
+			t.Errorf("%s: scenario.build_route observed %d times by one BuildRouting", ts, got)
+		}
+		if got := levels.Value(); got != int64(rt.MaxDistance()) || got < 2 {
+			t.Errorf("%s: route.tables_levels = %d, the tables' diameter is %d", ts, got, rt.MaxDistance())
+		}
+	}
 }

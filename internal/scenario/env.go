@@ -21,6 +21,7 @@ import (
 // routing.
 var (
 	obsTopoBuildSpan    = obs.NewTimer("scenario.build_topo")
+	obsRouteBuildSpan   = obs.NewTimer("scenario.build_route") // route.Select alone, inside build_topo
 	obsTopoHits         = obs.NewCounter("scenario.topo_hits")
 	obsPatternBuildSpan = obs.NewTimer("scenario.build_pattern")
 	obsPatternHits      = obs.NewCounter("scenario.pattern_hits")

@@ -119,7 +119,9 @@ func BuildRouting(t TopoSpec, policy route.Policy, budget int64) (topo.Topology,
 		return nil, nil, err
 	}
 	o, _ := tp.(route.Oracle)
+	sp := obsRouteBuildSpan.Start()
 	rt, err := route.Select(tp.Graph(), o, policy, budget)
+	sp.End()
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: routing for %s: %w", t, err)
 	}
