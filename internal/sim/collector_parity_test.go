@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"slimfly/internal/metrics"
@@ -93,6 +97,74 @@ func TestCollectorParityParallel(t *testing.T) {
 				if gotSum != wantSum {
 					t.Errorf("Workers=%d summary diverged from Workers=0:\n got  %s\n want %s",
 						workers, gotSum, wantSum)
+				}
+			}
+		})
+	}
+}
+
+// hopLog records every Hop call as (router, port, cycle).
+type hopLog struct{ calls [][3]int64 }
+
+func (c *hopLog) Name() string               { return "hoplog" }
+func (c *hopLog) Attach(metrics.Meta)        { c.calls = nil }
+func (c *hopLog) Summarize(*metrics.Summary) {}
+func (c *hopLog) Hop(router, port int32, cycle int64) {
+	c.calls = append(c.calls, [3]int64{int64(router), int64(port), cycle})
+}
+
+// TestHopDeparturesPinned pins which link departures the engine reports, not
+// when in a cycle it reports them: on every golden scenario, with the channels
+// collector attached, the sorted multiset of Hop(router, port, cycle) calls
+// must hash to the recorded value at Workers 0 and 2, and every call must
+// carry a cycle inside the measurement window. (hookHash in
+// TestCollectorParityParallel pins the call order across worker counts.)
+func TestHopDeparturesPinned(t *testing.T) {
+	want := map[string]string{
+		"MIN":    "a5885b6e736ace6019583d28953e618db965e9697ee88d8e979d5585517f9cef",
+		"VAL":    "942d624bfd561b2824bb6b7edacd4c02cb3a3dbe4b79e865d3ed6619aeced98e",
+		"VAL3":   "4b1e50b41ab064a4d21ca122c4275982246dc2b6081569a70e6ec5cd5b10c5cf",
+		"UGAL-L": "936a40e8de37a1099948abc41ed5f9680ccb462985c57b7b2d4b5fb945d083eb",
+		"UGAL-G": "a1891ddbc3ce35362fd7d35a8e22799b6bbc8587fc4253010449372fff36561c",
+		"ANCA":   "f761768375a0845dd474f999542407d11e67753ed4fdf5941618a6fb12af11df",
+	}
+	for _, c := range goldenCases(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			for _, workers := range []int{0, 2} {
+				cfg := goldenConfig(c, workers)
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stock, err := metrics.NewSet("channels")
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := &hopLog{}
+				s.initMetrics(metrics.SetOf(append(stock.Collectors(), log)...))
+				s.Run()
+				lo, hi := int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure)
+				for _, call := range log.calls {
+					if call[2] < lo || call[2] >= hi {
+						t.Fatalf("Workers=%d: Hop(%d, %d, %d) outside the window [%d, %d)", workers, call[0], call[1], call[2], lo, hi)
+					}
+				}
+				slices.SortFunc(log.calls, func(a, b [3]int64) int {
+					for i := range a {
+						if a[i] != b[i] {
+							return cmp.Compare(a[i], b[i])
+						}
+					}
+					return 0
+				})
+				h := sha256.New()
+				for _, call := range log.calls {
+					binary.Write(h, binary.LittleEndian, call)
+				}
+				if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[c.name] {
+					t.Errorf("Workers=%d: %d Hop calls hash to %s, want %s", workers, len(log.calls), got, want[c.name])
 				}
 			}
 		})
