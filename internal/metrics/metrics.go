@@ -14,7 +14,7 @@
 //
 // A simulation owns exactly one Set, and the engine calls its hooks from
 // the stepping goroutine in one order -- endpoint order for injections,
-// ascending router id for grants, deliveries and link departures --
+// ascending router id for grants (link departures with them) and deliveries --
 // whatever sim.Config.Workers is: only the read-only decide phase is
 // sharded. A collector therefore sees the same call sequence at every
 // worker count and needs to do nothing to keep its summary bit-identical
@@ -28,13 +28,17 @@
 //   - Inject(src, cycle): one call per measured packet injection; always
 //     W <= cycle < W+M by construction.
 //   - Hop(router, port, cycle): one call per flit departing on a network
-//     channel inside the measurement window.
+//     channel at a cycle inside the measurement window. The engine reports
+//     it when it grants the flit the output, up to Speedup-1 cycles before
+//     the departure the cycle argument names, so calls do not arrive in
+//     cycle order: a collector that bins hops by time must key on the
+//     argument, not on the sequence of Cycle calls.
 //   - Deliver(src, hops, latency, cycle): one call per measured packet
 //     delivery, including deliveries during the drain (cycle >= W+M), so
 //     latency aggregates cover exactly the population behind
 //     Result.AvgLatency.
-//   - Cycle(cycle): once per measurement-window cycle, after link
-//     traversal.
+//   - Cycle(cycle): once per measurement-window cycle, after the commit
+//     phase.
 //
 // All hooks run on the simulator's stepping goroutine; collectors need no
 // internal locking.
@@ -81,8 +85,9 @@ type InjectObserver interface {
 	Inject(src int32, cycle int64)
 }
 
-// HopObserver receives one call per flit departing on a network channel
-// inside the measurement window.
+// HopObserver receives one call per flit departing on a network channel at
+// a cycle inside the measurement window, made at grant time and carrying the
+// departure cycle (see the hook contract: key on the argument).
 type HopObserver interface {
 	Hop(router, port int32, cycle int64)
 }
@@ -103,9 +108,10 @@ type CycleObserver interface {
 // injection-time path decision), one PacketHop per switch allocation
 // grant onto a network channel (port is the granted output, vc the
 // next-hop virtual channel) and one PacketDeliver per delivery (drain
-// included). The id packs src<<32 | birth-cycle. Unlike HopObserver --
-// which counts flits at link departure -- PacketHop fires at grant time,
-// one cycle earlier in a packet's life at each switch.
+// included). The id packs src<<32 | birth-cycle. PacketHop fires at grant
+// time like Hop, but carries the grant cycle where Hop carries the link
+// departure cycle, which staging behind earlier grants can delay by up to
+// Speedup-1 cycles.
 type PacketObserver interface {
 	PacketInject(id uint64, dst, router int32, tag TraceTag, cycle int64)
 	PacketHop(id uint64, router, port int32, vc int8, cycle int64)
@@ -198,9 +204,8 @@ func SetOf(cs ...Collector) *Set {
 func (s *Set) Collectors() []Collector { return s.cs }
 
 // ObservesHops reports whether any collector consumes Hop observations.
-// The engine's link phase is the hottest observe site (one call per
-// staged port per cycle), so it falls back to its uninstrumented loop
-// when nothing would listen.
+// The engine calls Hop once per network grant, its hottest observe site, so
+// it skips the call (a single flag test) when nothing would listen.
 func (s *Set) ObservesHops() bool { return len(s.hop) > 0 }
 
 // ObservesPackets reports whether any collector consumes per-packet

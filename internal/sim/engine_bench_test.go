@@ -12,7 +12,7 @@ import (
 
 // newSteadySim builds a SlimFly simulation at 70% uniform load and
 // advances it past warm-up so the network is in steady state: queues
-// populated, wheel slots and staging buffers at their working sizes.
+// populated, packet pools and the credit ring at their working sizes.
 // workers is Config.Workers: 0 the inline single-shard schedule, >= 2 the
 // shard-parallel one (callers must Close sims they step manually).
 // metricsSel optionally attaches streaming collectors by registry name;
@@ -109,10 +109,10 @@ func BenchmarkEngineStep(b *testing.B) {
 
 // TestStepZeroAlloc asserts the engine's zero-allocation contract: once a
 // simulation reaches steady state, step() must not touch the heap at all
-// — the per-shard allocation scratch and grant records, event-wheel rings
-// and queue buffers are all preallocated at construction and reused every
-// cycle. Any regression (a fresh slice in
-// the allocator, a growing wheel slot, a regrown grant buffer) fails this
+// — the per-shard allocation scratch and grant records are preallocated at
+// construction, and the packet pools and the credit ring have grown to their
+// working sizes during warm-up. Any regression (a fresh slice in
+// the allocator, a credit ring still growing, a regrown grant buffer) fails this
 // test before it shows up as GC pressure in sweeps. The parallel variants
 // also pin that worker wake-ups and phase barriers stay allocation-free,
 // and the metrics variants that the full stock collector set observes

@@ -2,23 +2,24 @@ package sim
 
 // The switch/VC allocator and its two schedules. Every cycle runs
 //
-//	credits -> injection -> DECIDE -> COMMIT -> link
+//	credits -> injection -> DECIDE -> COMMIT
 //
 // over max(Config.Workers, 1) contiguous router shards. decideRouter runs
 // one router's allocation logic against the pre-allocation state and
 // records grants into shard scratch; commitGrant applies one record:
-// ReadyAt-stamped downstream delivery or ejection, then dequeue and credit
-// return. With one shard, step decides and immediately commits router
-// by router in ascending id order, on the stepping goroutine. With more,
-// all shards decide concurrently against the frozen state and the records
-// are then committed in ascending router-id order. Both schedules mutate
+// ReadyAt-stamped downstream delivery or ejection, the output's departure
+// stamp, then dequeue and credit return. With one shard, step decides and
+// immediately commits router by router in ascending id order, on the
+// stepping goroutine. With more, all shards decide concurrently against the
+// frozen state and the records are then committed in ascending router-id
+// order. Both schedules mutate
 // state in the same order and produce bit-identical results because,
 // within one cycle, a router's allocation decisions depend only on its own
 // frozen state:
 //
 //   - flits delivered downstream this cycle carry ReadyAt stamps in the
 //     future, so they are invisible to every allocator scan;
-//   - credits move through a delay wheel and surface at cycle starts;
+//   - credits move through a FIFO ring and surface at cycle starts;
 //   - credit and staging consumption is router-local (counted from the
 //     grants already recorded for the output, replayed by commit);
 //   - round-robin pointers are only ever read by their own router;
@@ -101,10 +102,11 @@ type parEngine struct {
 // newParEngine partitions the routers into min(max(workers, 1), nRouters)
 // contiguous shards and presizes every per-shard buffer so steady-state
 // steps never allocate. A router grants at most Speedup flits per network
-// output plus one per endpoint (the bound the credit wheel is sized with);
-// the record capacity is that bound summed over the shard when records
-// wait for the barrier, and the widest router's when the single shard
-// commits them router by router.
+// output plus one per endpoint, and at most one per input queue (each queue
+// requests with its head only), so the smaller of the two bounds it however
+// large Speedup is; the record capacity is that bound summed over the shard when
+// records wait for the barrier, and the widest router's when the single
+// shard commits them router by router.
 func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
 	n := s.nRouters
 	ns := min(max(workers, 1), n)
@@ -120,7 +122,7 @@ func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
 		grantCap := 0
 		for r := sh.lo; r < sh.hi; r++ {
 			rt := &s.routers[r]
-			g := len(rt.nbr)*cfg.Speedup + len(rt.eps)
+			g := min(len(rt.nbr)*cfg.Speedup+len(rt.eps), len(rt.queues))
 			if ns == 1 {
 				grantCap = max(grantCap, g)
 			} else {
@@ -363,9 +365,10 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					granted++
 					continue
 				}
-				// Network hop: need staging space and a downstream credit for
-				// the next-hop VC.
-				if int(rt.outStaged[out])+granted >= cfg.Speedup {
+				// Network hop: need staging space (outBusy-cycle departures still
+				// booked; negative on a drained output, harmless under the loop
+				// bound) and a downstream credit for the next-hop VC.
+				if int(rt.outBusy[out]-cycle32)+granted >= cfg.Speedup {
 					break // output staging exhausted this cycle
 				}
 				// VC allocation. Default: hop-indexed (Gopal's scheme,
@@ -422,8 +425,9 @@ func vcTaken(recs []grantRec, vc int8) int16 {
 // ReadyAt there, and publishes it. Either way dropHead then retires the
 // source head (credit return, occupancy, head cache). Grants are committed
 // in ascending router-id order, each router's in decide order; the ReadyAt
-// stamp regrows from the replayed outStaged increments, matching the
-// staging decideRouter counted.
+// stamp follows the output's departure stamp, which each replayed grant
+// advances, matching the staging decideRouter counted. The Hop collector
+// hook fires here too, at grant time, carrying the departure cycle.
 //
 //sf:hotpath
 func (s *Sim) commitGrant(rec grantRec) {
@@ -451,11 +455,13 @@ func (s *Sim) commitGrant(rec grantRec) {
 	p := drt.pushTail(dqi)
 	*p = *src
 	p.Hops = src.Hops + 1
-	depart := s.cycle + int64(rt.outStaged[out])
-	p.ReadyAt = int32(depart + int64(cfg.ChannelDelay) + int64(cfg.RouterDelay))
+	depart := max(rt.outBusy[out], int32(s.cycle))
+	rt.outBusy[out] = depart + 1
+	p.ReadyAt = depart + int32(cfg.ChannelDelay) + int32(cfg.RouterDelay)
 	rt.credits[out*cfg.NumVCs+int(rec.vc)]--
-	rt.outStaged[out]++
-	rt.staged++
+	if s.colHop && depart >= int32(cfg.Warmup) && int64(depart) < s.windowEnd {
+		s.col.Hop(r, int32(out), int64(depart))
+	}
 	if s.colPkt && src.Measured {
 		s.col.PacketHop(pktID(src.Src, src.Birth), r, int32(out), rec.vc, s.cycle)
 	}

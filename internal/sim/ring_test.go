@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"slimfly/internal/route"
 	"slimfly/internal/topo/slimfly"
@@ -18,22 +20,36 @@ import (
 // slot exactly once (none leaked, none linked twice), network queues stay
 // within depth, and rt.flits is the sum of the lengths. Per (router, network
 // output, VC): the upstream credit counter, the downstream queue's length and
-// the credit events still in the wheel account for exactly bufPerVC flits. A
-// wrong occ bit cannot hide behind being the definition of "empty": a clear
-// bit on a queue that holds flits loses them from every one of those sums, and
-// a set bit on a drained queue walks from a freed slot into the free list.
+// the credit returns still in the ring, counted by their flat Sim.credits
+// index, account for exactly bufPerVC flits. A wrong occ bit cannot hide
+// behind being the definition of "empty": a clear bit on a queue that holds
+// flits loses them from every one of those sums, and a set bit on a drained
+// queue walks from a freed slot into the free list.
+//
+// Two timing laws hold with c the cycle just stepped. The ring: its events
+// stand in non-decreasing due order with c < due <= c+CreditDelay. Staging:
+// each network output has staged = max(outBusy, c)-c <= Speedup flits that
+// depart at c or later, and the flits queued behind its link (whose ReadyAt
+// is their departure plus the channel and pipeline delays) departed at
+// distinct cycles before outBusy, exactly staged of them at c or later.
+//
 // visit is called for every queued slot; the return value is the number of
 // measured packets buffered anywhere. Test-only: it reads engine state from
 // outside, the engine has no hook for it.
 func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (measured int64) {
 	t.Helper()
 	vcs := s.cfg.NumVCs
-	type triple struct{ router, port, vc int32 }
-	inWheel := map[triple]int{}
-	for _, slot := range s.credWheel {
-		for _, c := range slot {
-			inWheel[triple{c.router, c.port, int32(c.vc)}]++
+	c := int32(s.cycle - 1)
+	inFlight := map[int32]int{} // Sim.credits index -> credits returning to it
+	due := int32(math.MinInt32)
+	for i := 0; i < s.credLen; i++ {
+		ev := s.credRing[(s.credHead+i)&(len(s.credRing)-1)]
+		if ev.due < due || ev.due <= c || ev.due > c+int32(s.cfg.CreditDelay) {
+			t.Fatalf("cycle %d: ring event %d of %d due at %d after one due at %d; want non-decreasing due in (%d, %d]",
+				c, i, s.credLen, ev.due, due, c, c+int32(s.cfg.CreditDelay))
 		}
+		due = ev.due
+		inFlight[ev.idx]++
 	}
 	length := make([][]int, len(s.routers)) // [router][queue]
 	for r := range s.routers {
@@ -84,19 +100,53 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 			t.Fatalf("cycle %d router %d: %d queued + %d free != %d pool slots", s.cycle, r, flits, free, len(rt.pkts))
 		}
 	}
+	base := int32(0) // router r's counters start at Sim.credits[base]
+	lag := int32(s.cfg.ChannelDelay + s.cfg.RouterDelay)
 	for r := range s.routers {
 		rt := &s.routers[r]
 		for p, nb := range rt.nbr {
 			for v := 0; v < vcs; v++ {
-				credits := int(rt.credits[p*vcs+v])
+				credits := int(s.credits[base+int32(p*vcs+v)])
 				queued := length[nb][int(rt.revPort[p])*vcs+v]
-				returning := inWheel[triple{int32(r), int32(p), int32(v)}]
+				returning := inFlight[base+int32(p*vcs+v)]
 				if credits+queued+returning != s.bufPerVC {
 					t.Fatalf("cycle %d router %d port %d vc %d: credits %d + downstream occupancy %d + credits in flight %d != depth %d",
 						s.cycle, r, p, v, credits, queued, returning, s.bufPerVC)
 				}
 			}
+			staged := max(rt.outBusy[p], c) - c
+			if staged > int32(s.cfg.Speedup) {
+				t.Fatalf("cycle %d router %d port %d: %d flits staged, speedup %d", c, r, p, staged, s.cfg.Speedup)
+			}
+			drt := &s.routers[nb]
+			departed := map[int32]bool{}
+			pending := int32(0)
+			for v := 0; v < vcs; v++ {
+				q := int(rt.revPort[p])*vcs + v
+				if length[nb][q] == 0 {
+					continue
+				}
+				for slot := drt.queues[q].head; ; slot = drt.pkts[slot].next {
+					d := drt.pkts[slot].ReadyAt - lag
+					if departed[d] || d >= rt.outBusy[p] {
+						t.Fatalf("cycle %d router %d port %d: a queued flit departed at %d (twice: %v), departure stamp %d",
+							c, r, p, d, departed[d], rt.outBusy[p])
+					}
+					departed[d] = true
+					if d >= c {
+						pending++
+					}
+					if slot == drt.queues[q].tail {
+						break
+					}
+				}
+			}
+			if pending != staged {
+				t.Fatalf("cycle %d router %d port %d: %d queued flits depart at %d or later, the stamp %d says %d",
+					c, r, p, pending, c, rt.outBusy[p], staged)
+			}
 		}
+		base += int32(len(rt.credits))
 	}
 	return measured
 }
@@ -163,6 +213,13 @@ func TestRingConservation(t *testing.T) {
 // TestQueueMemoryIndependentOfDepth pins what the pools are for: buffer depth
 // is a credit count, so what New allocates does not depend on it, and after a
 // run a router's pool is as large as the most flits it ever buffered at once.
+// Nor does it depend on the credit delay (credits in flight share one ring
+// that grows on demand) or on the speedup (a router records at most one grant
+// per input queue), at either schedule: both arrive from the wire in a scenario
+// spec, and neither may size an allocation beyond those bounds. The grant
+// records are the one term Speedup moves: from 2*degree+endpoints per router
+// to one per input queue, 18 to 25 here, about 5.6 KB at two shards (3.8 % of
+// New), so they are checked against the queue count and left out of the 2 %.
 func TestQueueMemoryIndependentOfDepth(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
@@ -170,22 +227,55 @@ func TestQueueMemoryIndependentOfDepth(t *testing.T) {
 		Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
 		Load: 0.5, NumVCs: 3, Warmup: 1, Measure: 1, Seed: 5,
 	}
-	newBytes := func(depth int) (*Sim, uint64) {
-		cfg.BufPerPort = 3 * depth
+	newBytes := func(set func(*Config)) (*Sim, uint64) {
+		c := cfg
+		set(&c)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		s, err := New(cfg)
+		s, err := New(c)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s, after.TotalAlloc - before.TotalAlloc
 	}
-	newBytes(21) // absorb whatever the topology and tables build lazily on first use
-	s, shallow := newBytes(21)
-	_, deep := newBytes(32767) // ~0.96 GB of ring windows before the pools
+	depth := func(d int) func(*Config) { return func(c *Config) { c.BufPerPort = 3 * d } }
+	newBytes(depth(21)) // absorb whatever the topology and tables build lazily on first use
+	s, shallow := newBytes(depth(21))
+	_, deep := newBytes(depth(32767)) // ~0.96 GB of ring windows before the pools
 	if diff := max(deep, shallow) - min(deep, shallow); diff*100 >= shallow {
 		t.Errorf("New allocates %d bytes at depth 21 and %d at depth 32767; want them within 1%%", shallow, deep)
+	}
+	recBytes := func(s *Sim) (b uint64) {
+		for k := range s.par.shards {
+			sh := &s.par.shards[k]
+			nq := 0
+			for r := sh.lo; r < sh.hi; r++ {
+				nq += len(s.routers[r].queues)
+			}
+			if cap(sh.recs) > nq {
+				t.Errorf("shard %d records %d grants a cycle, more than its %d input queues", k, cap(sh.recs), nq)
+			}
+			b += uint64(cap(sh.recs)) * uint64(unsafe.Sizeof(grantRec{}))
+		}
+		return b
+	}
+	for _, workers := range []int{0, 2} {
+		ds, def := newBytes(func(c *Config) { c.Workers = workers })
+		def -= recBytes(ds)
+		for _, k := range []struct {
+			name string
+			set  func(*Config)
+		}{
+			{"CreditDelay", func(c *Config) { c.CreditDelay = 100_000 }},
+			{"Speedup", func(c *Config) { c.Speedup = 100_000 }},
+		} {
+			gs, got := newBytes(func(c *Config) { c.Workers = workers; k.set(c) })
+			got -= recBytes(gs)
+			if diff := max(got, def) - min(got, def); diff*100 >= 2*def {
+				t.Errorf("Workers=%d: New allocates %d bytes besides grant records at %s 100000 and %d at the default; want them within 2%%", workers, got, k.name, def)
+			}
+		}
 	}
 
 	peak, slots := 0, 0

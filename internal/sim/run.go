@@ -6,7 +6,7 @@ import (
 
 // Run constructs a fresh simulator for cfg, executes it and returns the
 // measurements. It is a pure entry point: every call builds its own
-// simulator state (queues, wheels, RNG), and the shared inputs it reads --
+// simulator state (queues, credit ring, RNG), and the shared inputs it reads --
 // topology, routing tables, traffic patterns -- are immutable after
 // construction, so any number of Runs over the same inputs may proceed
 // concurrently. The sweep engine (internal/sweep) relies on this to fan

@@ -17,9 +17,9 @@
 // route.Tables port table, switch allocation runs on per-shard scratch
 // buffers reused every cycle and walks per-router occupancy bitmasks and
 // the packed head cache in each 16-byte queue record (queue.state), so empty
-// queues cost nothing and ready ones no packet access, the credit event wheel is a
-// fixed-capacity ring sized at construction, and an active-router worklist
-// limits allocation and traversal to routers that actually hold flits. A
+// queues cost nothing and ready ones no packet access, credit returns travel
+// as flat counter indices through one FIFO ring, and an active-router worklist
+// limits allocation to routers that actually hold flits. A
 // flit's bytes are read once and written once per hop: every input queue of
 // a router, network and injection alike, is a linked list through one packet
 // pool (router.pkts) that grows to the flits the router actually buffers --
@@ -27,7 +27,8 @@
 // pushTail, headPkt and dropHead, and commitGrant copies a granted flit
 // from its source slot straight into the downstream tail slot with a
 // ReadyAt stamp encoding staging serialisation plus channel and pipeline
-// delays (link traversal is pure counter bookkeeping). TestStepZeroAlloc
+// delays; a per-output departure stamp (router.outBusy) does the staging, so
+// there is no link-traversal phase. TestStepZeroAlloc
 // pins the zero-allocation property, TestGoldenResults bit-identical
 // fixed-seed results, TestRingConservation the credit/occupancy/pool ledger.
 package sim
@@ -35,6 +36,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"slimfly/internal/metrics"
@@ -178,15 +180,18 @@ type router struct {
 	free    int32
 	queues  []queue
 	occ     []uint64 // occupancy bitmask over the queues: bit q set iff queue q is non-empty
-	credits []int16  // [outPort*numVCs + vc] for network outputs
-	// outStaged[outPort] counts flits granted to the output but not yet
-	// departed onto the link: the packets themselves are delivered
-	// downstream at grant time with a ReadyAt stamp that encodes their
-	// serialised departure, so staging is a counter, not a queue.
-	outStaged []int16
-	rr        []int32 // round-robin arbitration pointer per output (network + eject)
-	flits     int     // buffered flits in input queues
-	staged    int     // flits in output staging awaiting link departure (sum of outStaged)
+	credits []int16  // [outPort*numVCs + vc] for network outputs: this router's window of Sim.credits
+	// upCred[q] is the Sim.credits index of the upstream counter that network
+	// input queue q refills when a flit leaves it.
+	upCred []int32
+	// outBusy[outPort] is the first cycle at which the output can start a new
+	// departure onto its link. The packets themselves are delivered downstream
+	// at grant time with a ReadyAt stamp that encodes their serialised
+	// departure, so staging is a stamp, not a queue: at cycle c the output
+	// holds max(0, outBusy[outPort]-c) granted flits that have not yet left.
+	outBusy []int32
+	rr      []int32 // round-robin arbitration pointer per output (network + eject)
+	flits   int     // buffered flits in input queues
 }
 
 // packHead builds a queue's state word: ReadyAt in bits 0-31, the output port in
@@ -210,11 +215,8 @@ func (rt *router) clearOcc(q int) { rt.occ[q>>6] &^= 1 << (uint(q) & 63) }
 // noPort is the nextPort entry for "no port" (the backend's -1).
 const noPort = math.MaxUint8
 
-type creditEvt struct {
-	router int32
-	port   int32
-	vc     int8
-}
+// creditRet is one credit in flight: Sim.credits[idx] gains it at cycle due.
+type creditRet struct{ due, idx int32 }
 
 // Sim is a deterministic simulator instance. All of its state is mutated
 // on the goroutine that calls Run (or step); decide workers only read it.
@@ -256,22 +258,25 @@ type Sim struct {
 	nextPort []uint8
 	nRouters int
 
-	// Active-router worklist: routers holding buffered or staged flits.
-	// Rebuilt incrementally (arrivals/injections add, idle routers drop
-	// out after link traversal) and sorted ascending each cycle so the
+	// Active-router worklist: routers holding buffered flits. Rebuilt
+	// incrementally (arrivals/injections add, emptied routers drop out at the
+	// end of the cycle) and sorted ascending each cycle so the
 	// allocation order -- and hence RNG consumption -- matches a full
 	// ascending scan exactly.
 	active   []int32
 	inActive []bool
 
-	// Credit event wheel indexed by cycle modulo its length. Slot capacity
-	// is fixed at construction to the per-cycle event bound, so
-	// steady-state appends never grow the backing arrays. (Flit arrivals
-	// need no wheel: commitGrant writes the packet straight into the
-	// downstream ring, and head eligibility is gated by ReadyAt, which
-	// already encodes the channel + pipeline delay.)
-	credWheel [][]creditEvt
-	cycle     int64
+	// credits holds every router's credit counters back to back; each
+	// router's credits field is its window.
+	credits []int16
+	// Credits in flight: a FIFO ring, a power of two long, of credLen events
+	// from credHead on. Every credit takes CreditDelay cycles, so events enter
+	// in due order; like a packet pool, the ring grows (growCredRing) to the
+	// most credits ever in flight at once. (Flit arrivals need no queue:
+	// ReadyAt gates the downstream head by the channel + pipeline delay.)
+	credRing          []creditRet
+	credHead, credLen int
+	cycle             int64
 
 	// Measurement.
 	latSum     int64
@@ -287,7 +292,7 @@ type Sim struct {
 	// set, nil when no collectors are configured. Every hook is called on
 	// the stepping goroutine.
 	col    *metrics.Set
-	colHop bool // any collector observes hops (link-phase fast-path gate)
+	colHop bool // any collector observes hops (commitGrant's Hop gate)
 	colPkt bool // any collector observes per-packet events (trace fast-path gate)
 }
 
@@ -301,7 +306,7 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("sim: load %v out of [0,1]", cfg.Load)
 	}
 	// Zero meant "default" above; a negative count or delay means nothing (it
-	// would size a slice, index the credit wheel or stamp ReadyAt in the past).
+	// would size a slice, return credits early or stamp ReadyAt in the past).
 	for _, f := range []struct {
 		name string
 		v    int
@@ -314,7 +319,7 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
 		}
 	}
-	// grantRec.vc and creditEvt.vc are int8: VC 128 would wrap into another port's credits.
+	// grantRec.vc is int8: VC 128 would wrap into another port's credits.
 	if cfg.NumVCs > math.MaxInt8 {
 		return nil, fmt.Errorf("sim: NumVCs %d exceeds the int8 VC fields' limit of %d", cfg.NumVCs, math.MaxInt8)
 	}
@@ -326,11 +331,13 @@ func New(cfg Config) (*Sim, error) {
 	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
 		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
 	}
-	// Packet cycle stamps (Birth, ReadyAt) are int32; reject windows that
-	// could reach them rather than silently wrapping mid-run. The margin
-	// leaves room for the per-hop delay added on top of the final cycle.
-	if total := int64(cfg.Warmup) + int64(cfg.Measure) + int64(cfg.Drain); total > (1<<31)-(1<<20) {
-		return nil, fmt.Errorf("sim: warmup+measure+drain = %d cycles exceeds the int32 cycle-stamp range", total)
+	// Packet cycle stamps (Birth, ReadyAt) and credit due cycles are int32;
+	// reject windows that could reach them rather than silently wrapping
+	// mid-run. The margin leaves room for the staging added on top of the
+	// final cycle.
+	if total := int64(cfg.Warmup) + int64(cfg.Measure) + int64(cfg.Drain) +
+		int64(cfg.RouterDelay) + int64(cfg.ChannelDelay) + int64(cfg.CreditDelay); total > (1<<31)-(1<<20) {
+		return nil, fmt.Errorf("sim: warmup+measure+drain plus the per-hop delays = %d cycles exceeds the int32 cycle-stamp range", total)
 	}
 	t := cfg.Topo
 	g := t.Graph()
@@ -359,7 +366,7 @@ func New(cfg Config) (*Sim, error) {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
 	maxQ, maxOutputs, maxDeg := 0, 0, 0
-	credCap := 0
+	credBase := make([]int32, g.N()+1) // router r's counters are credits[credBase[r]:credBase[r+1]]
 	for r := 0; r < g.N(); r++ {
 		rt := &s.routers[r]
 		rt.nbr = g.Neighbors(r) // sorted
@@ -381,17 +388,21 @@ func New(cfg Config) (*Sim, error) {
 		rt.free = -1
 		rt.queues = make([]queue, nq)
 		rt.occ = make([]uint64, (nq+63)/64)
-		rt.credits = make([]int16, netQ)
-		for i := range rt.credits {
-			rt.credits[i] = int16(s.bufPerVC)
-		}
-		rt.outStaged = make([]int16, deg)
+		rt.upCred = make([]int32, netQ)
+		rt.outBusy = make([]int32, deg)
 		rt.rr = make([]int32, ports)
 		rt.revPort = make([]int32, deg)
 		maxQ = max(maxQ, nq)
 		maxOutputs = max(maxOutputs, ports)
 		maxDeg = max(maxDeg, deg)
-		credCap += deg*cfg.Speedup + len(rt.eps) // <= one credit per grant per cycle
+		credBase[r+1] = credBase[r] + int32(netQ)
+	}
+	s.credits = make([]int16, credBase[g.N()])
+	for i := range s.credits {
+		s.credits[i] = int16(s.bufPerVC)
+	}
+	for r := range s.routers {
+		s.routers[r].credits = s.credits[credBase[r]:credBase[r+1]:credBase[r+1]]
 	}
 	// Flat-table fast path: the backend's source-major port table, copied once
 	// and narrowed to bytes (-1 wraps to noPort); no interface call in the hot loop.
@@ -402,18 +413,21 @@ func New(cfg Config) (*Sim, error) {
 			s.nextPort[i] = uint8(p)
 		}
 	}
-	// Reverse port indices for credit addressing: the port table answers
-	// neighbour->port directly (adjacent pairs route via their link).
+	// Reverse port indices and upstream credit counters: the port table
+	// answers neighbour->port directly (adjacent pairs route via their link).
 	for r := range s.routers {
-		for i, nb := range s.routers[r].nbr {
-			s.routers[r].revPort[i] = s.PortToward(nb, int32(r))
+		rt := &s.routers[r]
+		for i, nb := range rt.nbr {
+			rt.revPort[i] = s.PortToward(nb, int32(r))
+			up := credBase[nb] + rt.revPort[i]*int32(cfg.NumVCs)
+			for v := range cfg.NumVCs {
+				rt.upCred[i*cfg.NumVCs+v] = up + int32(v)
+			}
 		}
 	}
-	wheel := cfg.CreditDelay + 1
-	s.credWheel = make([][]creditEvt, wheel)
-	for i := 0; i < wheel; i++ {
-		s.credWheel[i] = make([]creditEvt, 0, credCap)
-	}
+	// One credit per network channel in flight to start from; growCredRing
+	// doubles it as needed.
+	s.credRing = make([]creditRet, 1<<bits.Len(uint(len(s.credits)/cfg.NumVCs)))
 	if !s.staticPorts {
 		// Per-router allocation streams: stream r is the seed state jumped
 		// r+1 times (the un-jumped state is the injection stream; no
@@ -503,7 +517,7 @@ func (s *Sim) PortNeighbor(r, port int32) int32 { return s.routers[r].nbr[port] 
 // uses this as its "output queue length" (Section IV-C).
 func (s *Sim) QueueEstimate(r int32, port int) int {
 	rt := &s.routers[r]
-	occ := int(rt.outStaged[port])
+	occ := max(int(rt.outBusy[port])-int(s.cycle), 0)
 	base := port * s.cfg.NumVCs
 	for v := 0; v < s.cfg.NumVCs; v++ {
 		occ += s.bufPerVC - int(rt.credits[base+v])
@@ -562,10 +576,11 @@ func (s *Sim) dropHead(rt *router, r int32, q int) {
 	rt.pkts[freed].next = rt.free
 	rt.free = freed
 	if q < len(rt.credits) {
-		cfg := &s.cfg
-		port := q / cfg.NumVCs
-		slot := int((s.cycle + int64(cfg.CreditDelay)) % int64(len(s.credWheel)))
-		s.credWheel[slot] = append(s.credWheel[slot], creditEvt{router: rt.nbr[port], port: rt.revPort[port], vc: int8(q - port*cfg.NumVCs)}) //sf:allow(append: wheel slots carry capacity credCap, the per-cycle grant bound, from construction)
+		if s.credLen == len(s.credRing) {
+			s.growCredRing()
+		}
+		s.credRing[(s.credHead+s.credLen)&(len(s.credRing)-1)] = creditRet{due: int32(s.cycle) + int32(s.cfg.CreditDelay), idx: rt.upCred[q]}
+		s.credLen++
 	}
 	rt.flits--
 	if freed == qu.tail {
@@ -705,7 +720,6 @@ func (s *Sim) step(inject bool) {
 		}
 	}
 
-	s.linkPhase()
 	s.observeCycle()
 	s.pruneActive()
 }
@@ -718,16 +732,29 @@ func (s *Sim) observeCycle() {
 	}
 }
 
-// applyCredits performs step 1 of a cycle: credit returns scheduled for
-// this cycle. (No touch needed: a credit only matters to a router whose
-// flit is blocked on it, and a router with buffered flits is already on
-// the worklist.)
+// applyCredits performs step 1 of a cycle: credit returns due by this
+// cycle, popped off the head of the ring. (No touch needed: a credit only
+// matters to a router whose flit is blocked on it, and a router with
+// buffered flits is already on the worklist.)
 func (s *Sim) applyCredits() {
-	slot := int(s.cycle % int64(len(s.credWheel)))
-	for _, c := range s.credWheel[slot] {
-		s.routers[c.router].credits[int(c.port)*s.cfg.NumVCs+int(c.vc)]++
+	cycle, mask := int32(s.cycle), len(s.credRing)-1
+	for ; s.credLen > 0 && s.credRing[s.credHead].due <= cycle; s.credLen-- {
+		s.credits[s.credRing[s.credHead].idx]++
+		s.credHead = (s.credHead + 1) & mask
 	}
-	s.credWheel[slot] = s.credWheel[slot][:0]
+}
+
+// growCredRing doubles the credit ring, unrolling its events (it is full) to
+// the front of the new one in due order. It runs a logarithmic number of
+// times per simulation, not per cycle -- //sf:coldpath exempts the
+// reallocation from the hot-path allocation rule.
+//
+//sf:coldpath
+func (s *Sim) growCredRing() {
+	ring := make([]creditRet, 2*len(s.credRing))
+	n := copy(ring, s.credRing[s.credHead:])
+	copy(ring[n:], s.credRing[:s.credHead])
+	s.credRing, s.credHead = ring, 0
 }
 
 // injectPhase performs step 2 of a cycle: Bernoulli injection per endpoint,
@@ -782,49 +809,12 @@ func (s *Sim) injectPhase() {
 	}
 }
 
-// linkPhase performs step 4 of a cycle -- link traversal: one flit departs
-// per staged network output per cycle. The packets themselves were
-// delivered downstream at grant time (commitGrant) with ReadyAt stamps
-// encoding exactly this serialisation plus the channel and pipeline
-// delays, so departure is pure counter bookkeeping here.
-func (s *Sim) linkPhase() {
-	if s.colHop && s.inWindow() {
-		for _, r := range s.active {
-			rt := &s.routers[r]
-			if rt.staged == 0 {
-				continue
-			}
-			for p, n := range rt.outStaged {
-				if n > 0 {
-					rt.outStaged[p]--
-					rt.staged--
-					s.col.Hop(r, int32(p), s.cycle)
-				}
-			}
-		}
-	} else {
-		for _, r := range s.active {
-			rt := &s.routers[r]
-			if rt.staged == 0 {
-				continue
-			}
-			for p, n := range rt.outStaged {
-				if n > 0 {
-					rt.outStaged[p]--
-					rt.staged--
-				}
-			}
-		}
-	}
-}
-
-// pruneActive drops routers that went fully idle; the rest stay listed for
+// pruneActive drops routers that hold no flits; the rest stay listed for
 // the next cycle.
 func (s *Sim) pruneActive() {
 	kept := s.active[:0]
 	for _, r := range s.active {
-		rt := &s.routers[r]
-		if rt.flits > 0 || rt.staged > 0 {
+		if s.routers[r].flits > 0 {
 			kept = append(kept, r) //sf:allow(append: kept reuses s.active's backing array and only ever shrinks it)
 		} else {
 			s.inActive[r] = false

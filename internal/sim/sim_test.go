@@ -61,8 +61,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(manyVCs); err != nil {
 		t.Errorf("127 VCs rejected: %v", err)
 	}
+	// Credit due cycles are int32 like the packet stamps: a credit delay that
+	// would wrap them must be refused, not return credits in the past.
+	slow := base
+	slow.CreditDelay = math.MaxInt32
+	if _, err := New(slow); err == nil || !strings.Contains(err.Error(), "int32 cycle-stamp range") {
+		t.Errorf("CreditDelay %d: err = %v, want the cycle-stamp range error", slow.CreditDelay, err)
+	}
 	// Zero means "default"; a negative count or delay must be refused by
-	// name, not panic in make or the credit wheel, nor run with ReadyAt
+	// name, not panic in make, nor return credits early, nor run with ReadyAt
 	// stamps in the past.
 	for _, c := range []struct {
 		field string
