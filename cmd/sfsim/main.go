@@ -48,7 +48,6 @@ func main() {
 		measure    = flag.Int("measure", 5000, "measured cycles")
 		bufSize    = flag.Int("buf", 64, "flit buffering per port")
 		vcs        = flag.Int("vcs", 3, "virtual channels")
-		workers    = flag.Int("workers", 0, "intra-simulation workers (0 or 1 = one inline shard, >= 2 = that many decide goroutines; any value gives bit-identical results)")
 		metricsSel = flag.String("metrics", "", "streaming collectors, comma-separated (see -list; \"all\" selects every collector)")
 		jsonOut    = flag.Bool("json", false, "emit results (and metric summaries) as JSON instead of the text table")
 		traceOut   = flag.String("trace-out", "", "write the sampled packet trace to this file (adds the trace collector; single load point only)")
@@ -109,7 +108,6 @@ func main() {
 		Sim: scenario.SimParams{
 			Warmup: *warmup, Measure: *measure,
 			NumVCs: *vcs, BufPerPort: *bufSize,
-			Workers: *workers,
 			Metrics: *metricsSel,
 		},
 	}

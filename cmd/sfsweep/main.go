@@ -2,10 +2,7 @@
 // JSON spec (topologies x routing algorithms x traffic patterns x load grid
 // x seeds) into a deterministic job list, runs it on a worker pool,
 // serves repeated points from a content-addressed on-disk cache, and
-// writes an artifact directory with the results as JSON and CSV. The
-// core budget is split between concurrent jobs and intra-simulation
-// shards (-sim-workers; results are bit-identical at any split, so the
-// choice is pure wall-clock tuning).
+// writes an artifact directory with the results as JSON and CSV.
 //
 // Usage:
 //
@@ -44,8 +41,7 @@ func main() {
 		cacheDir   = flag.String("cache", "", "result cache directory (default <out>/cache)")
 		storeURL   = flag.String("store", "", "remote result store: base URL of a running sfsweepd (e.g. http://host:8080); overrides -cache, shares results across machines")
 		token      = flag.String("token", "", "bearer token for -store writes (must match the server's -token)")
-		workers    = flag.Int("workers", 0, "core budget for the pool (default: one per core)")
-		simW       = flag.Int("sim-workers", 0, "intra-simulation workers per job (0 = auto: split the core budget between concurrent jobs and shards; results are identical either way)")
+		workers    = flag.Int("workers", 0, "concurrent jobs (default: one per core)")
 		metricsSel = flag.String("metrics", "", "streaming collectors for every job, comma-separated (overrides the specs' sim.metrics; \"all\" selects every collector)")
 		interval   = flag.Duration("progress-every", 2*time.Second, "progress report interval (0 disables)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address while the sweep runs")
@@ -134,34 +130,7 @@ func main() {
 	if nw <= 0 {
 		nw = runtime.GOMAXPROCS(0)
 	}
-	// Split the core budget between concurrent jobs and intra-simulation
-	// shards: a sweep with fewer *pending* jobs than cores (big networks,
-	// or the tail of a resumed sweep where most points are already cached)
-	// shards each simulation instead of idling cores. Cached jobs cost
-	// milliseconds and don't need cores, so the split counts cache misses
-	// only. Results are bit-identical at every shard count, so the
-	// split never affects results or cache keys.
-	// The pool keeps its full width either way -- cache hits drain in
-	// parallel, and workers beyond the pending count just idle out.
-	simWorkers := *simW
-	if simWorkers == 0 {
-		pending := len(jobs)
-		if store != nil {
-			pending = 0
-			for _, j := range jobs {
-				if !store.Has(j.Key()) {
-					pending++
-				}
-			}
-		}
-		if pending > 0 {
-			_, simWorkers = sweep.SplitParallelism(pending, nw)
-		}
-	}
 	fmt.Fprintf(os.Stderr, "sfsweep: %d jobs on %d workers", len(jobs), nw)
-	if simWorkers > 1 {
-		fmt.Fprintf(os.Stderr, " x %d shards", simWorkers)
-	}
 	if storeDesc != "" {
 		fmt.Fprintf(os.Stderr, ", %s", storeDesc)
 	}
@@ -196,10 +165,9 @@ func main() {
 	// The pool feeds prog itself (claims show up as in-flight); OnDone only
 	// reports failures, observing again there would double-count.
 	results, stats, runErr := sweep.RunJobs(ctx, jobs, sweep.NewEnv(scenario.WithRouteBackend(policy)), sweep.Options{
-		Workers:    nw,
-		SimWorkers: simWorkers,
-		Store:      store,
-		Progress:   prog,
+		Workers:  nw,
+		Store:    store,
+		Progress: prog,
 		OnDone: func(_ int, r sweep.JobResult) {
 			if r.Err != "" {
 				fmt.Fprintf(os.Stderr, "sfsweep: FAILED %s: %s\n", r.Job.Label(), r.Err)

@@ -45,8 +45,7 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		cacheDir = flag.String("cache", "sweepd-cache", "result cache directory (shared with sfsweep; empty disables caching and resume)")
-		workers  = flag.Int("workers", 0, "local core budget for the pool (0: one per core; negative: no local execution, jobs run on remote sfworkers only)")
-		simW     = flag.Int("sim-workers", 0, "intra-simulation workers per job (0 = auto-split against the live queue depth; results are identical either way)")
+		workers  = flag.Int("workers", 0, "local concurrent jobs (0: one per core; negative: no local execution, jobs run on remote sfworkers only)")
 		drainT   = flag.Duration("drain-timeout", 10*time.Minute, "on SIGTERM, give in-flight jobs this long to finish and commit (0 waits forever)")
 		token    = flag.String("token", "", "bearer token required on mutating endpoints (empty: open server)")
 		leaseSw  = flag.Duration("lease-sweep", time.Second, "how often expired worker leases are requeued")
@@ -57,7 +56,6 @@ func main() {
 	var cache *sweep.Cache
 	cfg := sweepd.Config{
 		Workers:    *workers,
-		SimWorkers: *simW,
 		Token:      *token,
 		LeaseSweep: *leaseSw,
 		Debug:      *debug,

@@ -1,9 +1,8 @@
-// Command sfvet is the repo's custom static checker: four analyzers that
+// Command sfvet is the repo's custom static checker: three analyzers that
 // turn the engine's load-bearing runtime invariants into compile-time
 // gates.
 //
 //	hotalloc    //sf:hotpath functions (and static callees) must not allocate
-//	decidepure  the sharded engine's decide phase must stay read-only
 //	keystable   every scenario.Spec field must enter Spec.Key or be a pinned exclusion
 //	detrand     no global RNG, wall clock or unordered map ranges in deterministic packages
 //
@@ -23,7 +22,6 @@ import (
 	"strings"
 
 	"slimfly/internal/analysis"
-	"slimfly/internal/analysis/decidepure"
 	"slimfly/internal/analysis/detrand"
 	"slimfly/internal/analysis/hotalloc"
 	"slimfly/internal/analysis/keystable"
@@ -31,7 +29,6 @@ import (
 
 var all = []*analysis.Analyzer{
 	hotalloc.Analyzer,
-	decidepure.Analyzer,
 	keystable.Analyzer,
 	detrand.Analyzer,
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strconv"
 	"syscall"
 	"time"
@@ -37,7 +36,6 @@ func main() {
 		ttl       = flag.Duration("ttl", 30*time.Second, "lease duration per claim; a dead worker's job is requeued within this")
 		poll      = flag.Duration("poll", 500*time.Millisecond, "idle backoff between empty claims")
 		idleExit  = flag.Duration("idle-exit", 0, "exit after this long without work (0: poll forever)")
-		simW      = flag.Int("sim-workers", 0, "intra-simulation workers per job (0: one per core, capped; results are identical either way)")
 		hold      = flag.Duration("hold", 0, "testing: sleep this long between claiming and executing each job")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
 	)
@@ -61,22 +59,13 @@ func main() {
 		defer d.Close()
 		fmt.Fprintf(os.Stderr, "sfworker: debug listener on http://%s/debug/vars\n", d.Addr())
 	}
-	// One job at a time, so all local cores go to intra-simulation
-	// sharding (capped where coordination costs take over; identical
-	// results at any width).
-	simWorkers := *simW
-	if simWorkers == 0 {
-		_, simWorkers = sweep.SplitParallelism(1, runtime.GOMAXPROCS(0))
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	rs := sweep.OpenRemote(*server, *token)
 	fmt.Fprintf(os.Stderr, "sfworker: %s working for %s (ttl %s)\n", *owner, rs.URL(), *ttl)
 	stats, err := sweep.Work(ctx, rs, sweep.NewEnv(), sweep.WorkerOptions{
-		Owner: *owner, TTL: *ttl, Poll: *poll, IdleExit: *idleExit,
-		SimWorkers: simWorkers, Hold: *hold,
+		Owner: *owner, TTL: *ttl, Poll: *poll, IdleExit: *idleExit, Hold: *hold,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "sfworker: "+format+"\n", args...)
 		},

@@ -15,7 +15,6 @@
 //
 //	//sf:hotpath            function must be allocation-free (hotalloc seed)
 //	//sf:coldpath           cut hot-path propagation (panic/setup paths)
-//	//sf:decide             decide-phase purity root (decidepure seed)
 //	//sf:allow(check: why)  suppress one diagnostic on this or the next line
 //	//sf:order-insensitive(why)  assert a map range is commutative (detrand)
 package analysis
@@ -80,8 +79,8 @@ func (p *Pass) Reportf(pos token.Pos, hint, format string, args ...any) {
 }
 
 // markerRE matches the repo's function-level invariant markers inside
-// comment groups: //sf:hotpath, //sf:coldpath, //sf:decide.
-var markerRE = regexp.MustCompile(`^//sf:(hotpath|coldpath|decide)\s*$`)
+// comment groups: //sf:hotpath, //sf:coldpath.
+var markerRE = regexp.MustCompile(`^//sf:(hotpath|coldpath)\s*$`)
 
 // HasMarker reports whether the comment group (typically a FuncDecl.Doc)
 // contains the given //sf: marker on a line of its own.

@@ -47,7 +47,7 @@ const HotpathFact = "hotpath"
 
 // allowedPkgs are standard-library packages whose functions the hot path
 // may call freely: pure bit twiddling and the non-allocating
-// synchronisation primitives the decide-phase barrier uses.
+// synchronisation primitives (the obs counters are atomics).
 var allowedPkgs = map[string]bool{
 	"math/bits":   true,
 	"sync":        true,

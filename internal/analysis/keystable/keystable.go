@@ -12,10 +12,9 @@
 // reaches (TopoSpec, SimParams, embedded structs) must be exported and
 // carry an explicit json tag -- either a name (the field flows into the
 // key) or "-" plus membership in the pinned exclusion list below (the
-// field is a documented execution knob that must NOT enter the key, like
-// SimParams.Workers: the sharded engine is bit-identical at every worker
-// count, so cached results stay valid whatever parallelism computed
-// them). A field that does neither is a diagnostic here instead of a
+// field is a documented knob that must NOT enter the key, like
+// SimParams.Workers, which the engine ignores). A field that does neither
+// is a diagnostic here instead of a
 // cache-poisoning incident in production.
 package keystable
 
@@ -40,7 +39,7 @@ var Analyzer = &analysis.Analyzer{
 // "Struct.Field". Growing this list is a reviewed decision, not a tag
 // edit: the entry here and the json:"-" tag must both be present.
 var excluded = map[string]bool{
-	"SimParams.Workers": true, // intra-sim parallelism: results are bit-identical at every worker count
+	"SimParams.Workers": true, // ignored by the engine; the field stays only because cmd/sfbench sets it
 }
 
 // rootType is the struct the walk starts from, in the package the walk

@@ -10,15 +10,14 @@
 // which is what lets the engine keep its steady-state zero-alloc
 // contract (sim.TestStepZeroAlloc) with collectors enabled.
 //
-// # Worker-count determinism
+// # Determinism
 //
 // A simulation owns exactly one Set, and the engine calls its hooks from
 // the stepping goroutine in one order -- endpoint order for injections,
-// ascending router id for grants (link departures with them) and deliveries --
-// whatever sim.Config.Workers is: only the read-only decide phase is
-// sharded. A collector therefore sees the same call sequence at every
-// worker count and needs to do nothing to keep its summary bit-identical
-// across them, order-sensitive state (a ring that overflows) included
+// ascending router id for grants (link departures with them) and deliveries.
+// A collector therefore sees the same call sequence on every run with the
+// same seed and needs to do nothing to keep its summary bit-identical,
+// order-sensitive state (a ring that overflows) included
 // (sim.TestCollectorParityParallel and sim.TestTraceOverflowParity pin it).
 //
 // # Hook contract

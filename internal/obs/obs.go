@@ -1,6 +1,6 @@
 // Package obs is the runtime telemetry layer: named atomic counters,
 // gauges and span timers describing what the process is doing right now
-// (jobs in flight, cache hits, shard barrier waits, phase durations), as
+// (jobs in flight, cache hits, phase durations), as
 // opposed to internal/metrics, which measures the simulated network
 // itself. Instruments are process-global, registered once by name, and
 // published as a single "slimfly" expvar map so any expvar consumer --
@@ -9,7 +9,7 @@
 //
 // The primitives are deliberately minimal: a single atomic word per
 // counter/gauge and three per timer, no labels, no histograms. Hot paths
-// (the simulator's per-cycle barrier, the sweep pool's claim loop) update
+// (the sweep pool's claim loop) update
 // them with one atomic add, which keeps the engines' zero-allocation
 // steady-state contract intact. The zero value of every instrument is
 // usable, so other packages can also embed them unregistered (sweep's
@@ -123,7 +123,7 @@ func (s Span) End() time.Duration {
 // --- registry ---------------------------------------------------------
 
 // The global instrument registry. Names are dotted paths
-// ("sweep.jobs_inflight", "sim.barrier_waits"); the full inventory is
+// ("sweep.jobs_inflight", "sim.queue_slots"); the full inventory is
 // whatever the process registered, listed in the README's Observability
 // section for the stock packages.
 var reg = struct {

@@ -75,7 +75,7 @@ func BenchmarkSimNew(b *testing.B) {
 					}
 					// Lean queue parameters (as the q=43 scale tests use), so
 					// the measured delta is routing state, not packet buffers.
-					s, err := sim.New(sim.Config{
+					_, err = sim.New(sim.Config{
 						Topo: sf, Router: rt, Algo: sim.MIN{},
 						Pattern: traffic.Uniform{N: sf.Endpoints()},
 						Load:    0.1, Warmup: 10, Measure: 10, Seed: 1,
@@ -84,7 +84,6 @@ func BenchmarkSimNew(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					s.Close()
 				}
 			})
 		}

@@ -30,6 +30,11 @@ var (
 	obsRouteTables     = obs.NewCounter("scenario.route.tables_builds")
 	obsRouteComputed   = obs.NewCounter("scenario.route.computed_builds")
 	obsRouteBackend    atomic.Value // string: latest resolved backend name
+
+	// obsIgnoredWorkers counts resolved specs whose SimParams.Workers asked
+	// for two or more, which the engine ignores. Its name is the one
+	// cmd/sfbench reads across its Workers 2 run, the only reason it exists.
+	obsIgnoredWorkers = obs.NewCounter("sim.barrier_waits")
 )
 
 func init() {
@@ -48,9 +53,9 @@ type Env struct {
 	topos    map[TopoSpec]*builtTopo
 	patterns map[patternKey]*builtPattern
 
-	// Routing-backend policy for every topology this Env builds. Like
-	// Workers, the policy never enters Spec.Key: backends are bit-equal by
-	// contract, so cached results are backend-invariant.
+	// Routing-backend policy for every topology this Env builds. The policy
+	// never enters Spec.Key: backends are bit-equal by contract, so cached
+	// results are backend-invariant.
 	backend route.Policy
 	budget  int64 // table-memory budget in bytes; <= 0 means route.DefaultTableBudget
 }
@@ -175,13 +180,15 @@ func (e *Env) Config(s Spec) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	p := s.Sim
+	if p.Workers >= 2 {
+		obsIgnoredWorkers.Inc()
+	}
 	return sim.Config{
 		Topo: tp, Router: rt, Algo: algo, Pattern: pat, Load: s.Load,
 		NumVCs: p.NumVCs, BufPerPort: p.BufPerPort,
 		RouterDelay: p.RouterDelay, ChannelDelay: p.ChannelDelay,
 		CreditDelay: p.CreditDelay, Speedup: p.Speedup,
 		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,
-		Workers: p.Workers,
 		Metrics: p.Metrics,
 		Seed:    s.Seed,
 	}, nil

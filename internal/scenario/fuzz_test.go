@@ -32,26 +32,25 @@ func envFor(seed uint64) *scenario.Env {
 }
 
 // FuzzTargetPortContract feeds random (topology kind, algorithm, seed,
-// load, worker count) tuples through the registry and runs a short
-// simulation on each. The engine checks every TargetPort answer against
-// [0, deg) and panics with the descriptive misroute diagnostic on a
-// violation -- on the inline schedule, at the static reveal, and inside
-// the parallel decide phase alike -- so a registry algorithm can never write
-// out of range into the allocator scratch or the per-shard grant records
-// silently. The fuzz asserts that no registered combination trips that
-// diagnostic (a misroute here is a real routing bug) and that no other
+// load) tuples through the registry and runs a short simulation on each.
+// The engine checks every TargetPort answer against [0, deg) and panics
+// with the descriptive misroute diagnostic on a violation -- in the
+// allocator scan and at the static reveal alike -- so a registry algorithm
+// can never write out of range into the allocator scratch or the grant
+// records silently. The fuzz asserts that no registered combination trips
+// that diagnostic (a misroute here is a real routing bug) and that no other
 // panic escapes (which would mean an unchecked path around the guard).
 func FuzzTargetPortContract(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint64(1), 0.3, uint8(0))
-	f.Add(uint8(1), uint8(2), uint64(7), 0.7, uint8(2))
-	f.Add(uint8(2), uint8(4), uint64(3), 0.95, uint8(3))
-	f.Add(uint8(5), uint8(1), uint64(11), 0.05, uint8(5))
-	f.Add(uint8(255), uint8(255), uint64(0), 1.0, uint8(255))
+	f.Add(uint8(0), uint8(0), uint64(1), 0.3)
+	f.Add(uint8(1), uint8(2), uint64(7), 0.7)
+	f.Add(uint8(2), uint8(4), uint64(3), 0.95)
+	f.Add(uint8(5), uint8(1), uint64(11), 0.05)
+	f.Add(uint8(255), uint8(255), uint64(0), 1.0)
 
 	kinds := scenario.Names(scenario.Topologies)
 	algos := scenario.Names(scenario.Algos)
 
-	f.Fuzz(func(t *testing.T, kindIdx, algoIdx uint8, seed uint64, load float64, workers uint8) {
+	f.Fuzz(func(t *testing.T, kindIdx, algoIdx uint8, seed uint64, load float64) {
 		kind := kinds[int(kindIdx)%len(kinds)]
 		algo := algos[int(algoIdx)%len(algos)]
 		if math.IsNaN(load) || math.IsInf(load, 0) {
@@ -68,10 +67,7 @@ func FuzzTargetPortContract(f *testing.F) {
 			Pattern: "uniform",
 			Load:    load,
 			Seed:    seed,
-			Sim: scenario.SimParams{
-				Warmup: 20, Measure: 40, Drain: 80,
-				Workers: int(workers % 9), // 0 (serial) .. 8 shards
-			},
+			Sim:     scenario.SimParams{Warmup: 20, Measure: 40, Drain: 80},
 		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("registry-derived spec invalid: %v", err)

@@ -340,12 +340,8 @@ func TestEnvPatternMemoised(t *testing.T) {
 	}
 }
 
-// TestWorkersKnob pins the execution-knob contract of SimParams.Workers:
-// the field reaches sim.Config.Workers, but the knob never enters the
-// JSON encoding or the content address. The sharded engine is
-// bit-identical to the serial one, so a cached result is valid whatever
-// parallelism computed it -- letting the key vary with Workers would
-// split the cache by machine shape for no reason.
+// TestWorkersKnob pins that SimParams.Workers, which the engine ignores,
+// is accepted and never enters the JSON encoding or the content address.
 func TestWorkersKnob(t *testing.T) {
 	env := scenario.NewEnv()
 	base := scenario.Spec{
@@ -353,23 +349,19 @@ func TestWorkersKnob(t *testing.T) {
 		Algo: "min", Pattern: "uniform", Load: 0.1, Seed: 1,
 		Sim: scenario.SimParams{Warmup: 10, Measure: 20, Drain: 100},
 	}
-	sharded := base
-	sharded.Sim.Workers = 4
-	cfg, err := env.Config(sharded)
-	if err != nil {
+	knob := base
+	knob.Sim.Workers = 4
+	if _, err := env.Config(knob); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Workers != 4 {
-		t.Errorf("Sim.Workers did not reach sim.Config: cfg.Workers = %d", cfg.Workers)
-	}
-	if sharded.Key() != base.Key() {
-		t.Error("Workers changed the cache key; it must be worker-count-invariant")
+	if knob.Key() != base.Key() {
+		t.Error("Workers changed the cache key")
 	}
 	a, err := json.Marshal(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(sharded)
+	b, err := json.Marshal(knob)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,8 +97,8 @@ type SimParams struct {
 	Speedup      int `json:"speedup,omitempty"`
 
 	// Metrics selects streaming collectors by comma-separated registry
-	// name (internal/metrics; e.g. "latency,channels"). Unlike Workers it
-	// IS part of the scenario's identity: the collector selection decides
+	// name (internal/metrics; e.g. "latency,channels"). It is part of the
+	// scenario's identity: the collector selection decides
 	// what a cached entry's summary payload contains, so two selections
 	// must occupy different cache slots. omitempty keeps metric-less
 	// specs byte-compatible with their pre-pipeline encoding (same hash
@@ -114,15 +114,7 @@ type SimParams struct {
 	// depended on out-of-key configuration would poison the cache.
 	Metrics string `json:"metrics,omitempty"`
 
-	// Workers is intra-simulation parallelism (sim.Config.Workers). It is
-	// an execution knob, not part of the scenario's identity: the engine's
-	// results, collector summaries included (one collector set per
-	// simulation; sim.TestTraceOverflowParity pins the order-sensitive
-	// case), are bit-identical for every worker count, so
-	// Workers is excluded from the JSON encoding and therefore from
-	// Spec.Key -- cached results stay valid whatever parallelism computed
-	// them, and a sweep resumed on a different machine hits the same cache
-	// entries. Set the field directly, or sweep.Options.SimWorkers for a pool.
+	// Workers is ignored and stays out of Spec.Key; it is kept only because cmd/sfbench sets it.
 	Workers int `json:"-"`
 }
 

@@ -343,8 +343,8 @@ func (a FTANCA) TargetPort(s *Sim, p *Packet, r int32) int32 {
 // emulating the per-packet port arbitration of a hardware allocator.
 //
 // The tie-break draws come from router r's allocation stream (PortRNG),
-// never the shared injection stream: allocation-time draws keyed by router
-// id are what keep the decide phase deterministic under any worker count.
+// never the shared injection stream, so a draw depends only on the router's
+// own history (the ANCA golden was recorded this way).
 func (a FTANCA) bestUp(s *Sim, r int32, gen func(i int) int32) int32 {
 	arity := a.FT.Arity
 	var ests [64]int

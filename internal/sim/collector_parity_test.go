@@ -10,15 +10,12 @@ import (
 	"testing"
 
 	"slimfly/internal/metrics"
-	"slimfly/internal/route"
-	"slimfly/internal/topo/random"
-	"slimfly/internal/traffic"
 )
 
 // allCollectors is the full stock set, attached by name exactly as a
 // sweep spec or -metrics flag would. It includes the sampled packet
 // trace, so every parity test below also pins that the traced event
-// stream is byte-identical across worker counts.
+// stream is byte-identical from run to run.
 const allCollectors = "latency,channels,series,fairness,trace"
 
 // hookHash is an order-sensitive collector: a running FNV-1a hash over
@@ -56,18 +53,18 @@ func (c *hookHash) PacketDeliver(id uint64, router, hops int32, latency, cycle i
 
 // TestCollectorParityParallel is the metrics half of the parity wall:
 // on every golden scenario, the full stock collector set must produce a
-// byte-identical JSON summary at Workers 1, 2, 3 and 8 as at Workers 0,
-// and attaching collectors must not perturb Result itself. The hookHash
-// riding along pins the stronger property the stock summaries rest on:
-// the engine makes the same hook calls in the same order at every worker
-// count, not merely the same multiset of them.
+// byte-identical JSON summary on a second run, and attaching collectors
+// must not perturb Result itself. The hookHash riding along pins the
+// stronger property the stock summaries rest on: the engine makes the same
+// hook calls in the same order every run, not merely the same multiset of
+// them.
 func TestCollectorParityParallel(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			run := func(workers int) (Result, string) {
-				s, err := New(goldenConfig(c, workers))
+			run := func() (Result, string) {
+				s, err := New(goldenConfig(c))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -84,20 +81,12 @@ func TestCollectorParityParallel(t *testing.T) {
 				}
 				return res, fmt.Sprintf("%s hooks=%016x", data, seq.h)
 			}
-			wantRes, wantSum := run(0)
+			wantRes, wantSum := run()
 			if wantRes != c.want {
 				t.Fatalf("attaching collectors changed Result:\n got  %#v\n want %#v", wantRes, c.want)
 			}
-			for _, workers := range []int{1, 2, 3, 8} {
-				gotRes, gotSum := run(workers)
-				if gotRes != c.want {
-					t.Errorf("Workers=%d Result diverged with collectors attached:\n got  %#v\n want %#v",
-						workers, gotRes, c.want)
-				}
-				if gotSum != wantSum {
-					t.Errorf("Workers=%d summary diverged from Workers=0:\n got  %s\n want %s",
-						workers, gotSum, wantSum)
-				}
+			if _, gotSum := run(); gotSum != wantSum {
+				t.Errorf("second run's summary diverged:\n got  %s\n want %s", gotSum, wantSum)
 			}
 		})
 	}
@@ -116,9 +105,9 @@ func (c *hopLog) Hop(router, port int32, cycle int64) {
 // TestHopDeparturesPinned pins which link departures the engine reports, not
 // when in a cycle it reports them: on every golden scenario, with the channels
 // collector attached, the sorted multiset of Hop(router, port, cycle) calls
-// must hash to the recorded value at Workers 0 and 2, and every call must
-// carry a cycle inside the measurement window. (hookHash in
-// TestCollectorParityParallel pins the call order across worker counts.)
+// must hash to the recorded value, and every call must carry a cycle inside
+// the measurement window. (hookHash in TestCollectorParityParallel pins the
+// call order from run to run.)
 func TestHopDeparturesPinned(t *testing.T) {
 	want := map[string]string{
 		"MIN":    "a5885b6e736ace6019583d28953e618db965e9697ee88d8e979d5585517f9cef",
@@ -132,40 +121,38 @@ func TestHopDeparturesPinned(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			for _, workers := range []int{0, 2} {
-				cfg := goldenConfig(c, workers)
-				s, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+			cfg := goldenConfig(c)
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stock, err := metrics.NewSet("channels")
+			if err != nil {
+				t.Fatal(err)
+			}
+			log := &hopLog{}
+			s.initMetrics(metrics.SetOf(append(stock.Collectors(), log)...))
+			s.Run()
+			lo, hi := int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure)
+			for _, call := range log.calls {
+				if call[2] < lo || call[2] >= hi {
+					t.Fatalf("Hop(%d, %d, %d) outside the window [%d, %d)", call[0], call[1], call[2], lo, hi)
 				}
-				stock, err := metrics.NewSet("channels")
-				if err != nil {
-					t.Fatal(err)
-				}
-				log := &hopLog{}
-				s.initMetrics(metrics.SetOf(append(stock.Collectors(), log)...))
-				s.Run()
-				lo, hi := int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure)
-				for _, call := range log.calls {
-					if call[2] < lo || call[2] >= hi {
-						t.Fatalf("Workers=%d: Hop(%d, %d, %d) outside the window [%d, %d)", workers, call[0], call[1], call[2], lo, hi)
+			}
+			slices.SortFunc(log.calls, func(a, b [3]int64) int {
+				for i := range a {
+					if a[i] != b[i] {
+						return cmp.Compare(a[i], b[i])
 					}
 				}
-				slices.SortFunc(log.calls, func(a, b [3]int64) int {
-					for i := range a {
-						if a[i] != b[i] {
-							return cmp.Compare(a[i], b[i])
-						}
-					}
-					return 0
-				})
-				h := sha256.New()
-				for _, call := range log.calls {
-					binary.Write(h, binary.LittleEndian, call)
-				}
-				if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[c.name] {
-					t.Errorf("Workers=%d: %d Hop calls hash to %s, want %s", workers, len(log.calls), got, want[c.name])
-				}
+				return 0
+			})
+			h := sha256.New()
+			for _, call := range log.calls {
+				binary.Write(h, binary.LittleEndian, call)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[c.name] {
+				t.Errorf("%d Hop calls hash to %s, want %s", len(log.calls), got, want[c.name])
 			}
 		})
 	}
@@ -176,7 +163,7 @@ func TestHopDeparturesPinned(t *testing.T) {
 // extrema, channel counts matching forwarded hops.
 func TestMetricsSummaryContents(t *testing.T) {
 	c := goldenCases(t)[0] // MIN on SF q=5
-	cfg := goldenConfig(c, 0)
+	cfg := goldenConfig(c)
 	cfg.Metrics = allCollectors
 	s, err := New(cfg)
 	if err != nil {
@@ -235,7 +222,7 @@ func TestMetricsSummaryContents(t *testing.T) {
 // error path.
 func TestRunSummary(t *testing.T) {
 	c := goldenCases(t)[0]
-	cfg := goldenConfig(c, 0)
+	cfg := goldenConfig(c)
 	cfg.Metrics = "latency"
 	res, sum, err := RunSummary(cfg)
 	if err != nil {
@@ -268,11 +255,11 @@ func TestRunSummary(t *testing.T) {
 // TestCollectorParityUndrained covers summaries when the run ends
 // saturated: drain deliveries past the window must still enter the
 // histogram (the AvgLatency population) while the series ignores them,
-// identically at every shard count.
+// identically from run to run.
 func TestCollectorParityUndrained(t *testing.T) {
 	c := goldenCases(t)[0]
-	run := func(workers int) string {
-		cfg := goldenConfig(c, workers)
+	run := func() string {
+		cfg := goldenConfig(c)
 		cfg.Load, cfg.Drain = 0.9, 1
 		cfg.Metrics = allCollectors
 		s, err := New(cfg)
@@ -289,43 +276,7 @@ func TestCollectorParityUndrained(t *testing.T) {
 		}
 		return string(data)
 	}
-	want := run(0)
-	for _, w := range []int{2, 3} {
-		if got := run(w); got != want {
-			t.Errorf("Workers=%d undrained summary diverged:\n got  %s\n want %s", w, got, want)
-		}
-	}
-}
-
-// TestCollectorShardBoundaries reruns the summary parity on the prime
-// 53-router DLN whose shard splits are always uneven (the same geometry
-// TestParallelShardBoundaries uses for Result parity), including worker
-// counts at and above the router count, where shards are single routers
-// or empty and the ordered commit replays the most record lists.
-func TestCollectorShardBoundaries(t *testing.T) {
-	dln := random.MustNew(53, 3, 2, 7)
-	tb := route.Build(dln.Graph())
-	run := func(workers int) string {
-		s, err := New(Config{
-			Topo: dln, Router: tb, Algo: MIN{},
-			Pattern: traffic.Uniform{N: dln.Endpoints()},
-			Load:    0.4, Warmup: 100, Measure: 300, Drain: 4000, Seed: 5,
-			Workers: workers, Metrics: allCollectors,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		data, err := json.Marshal(s.MetricsSummary())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	want := run(0)
-	for _, w := range []int{2, 7, 13, 52, 53, 64} {
-		if got := run(w); got != want {
-			t.Errorf("Workers=%d (prime shard boundary) summary diverged", w)
-		}
+	if want, got := run(), run(); got != want {
+		t.Errorf("second run's undrained summary diverged:\n got  %s\n want %s", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 
 	"slimfly/internal/route"
@@ -22,9 +21,7 @@ import (
 // were recorded from the pre-port-indexed engine (PR 3) and must never
 // change silently. The ANCA values were re-pinned when its allocation-time
 // tie-break draws moved from the shared injection stream onto per-router
-// PortRNG streams (the change that makes adaptive routing deterministic
-// under sharded parallel execution); the five static rows were bit-equal
-// across that change.
+// PortRNG streams; the five static rows were bit-equal across that change.
 type goldenCase struct {
 	name string
 	tp   topo.Topology
@@ -34,12 +31,12 @@ type goldenCase struct {
 }
 
 // goldenConfig is the fixed scenario every golden case runs under.
-func goldenConfig(c goldenCase, workers int) Config {
+func goldenConfig(c goldenCase) Config {
 	return Config{
 		Topo: c.tp, Router: c.tb, Algo: c.algo,
 		Pattern: traffic.Uniform{N: c.tp.Endpoints()},
 		Load:    0.3, Warmup: 300, Measure: 800, Drain: 8000,
-		Seed: 12345, Workers: workers,
+		Seed: 12345,
 	}
 }
 
@@ -88,7 +85,7 @@ func TestGoldenResults(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			s, err := New(goldenConfig(c, 0))
+			s, err := New(goldenConfig(c))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,61 +97,33 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
-// TestGoldenResultsParallel is the parity wall across schedules: every
-// pinned scenario re-runs at Workers = 1 (the same inline single shard as
-// 0 -- this is the one place that pins 0 == 1), 2, 3 (uneven shard
-// boundaries on the 50-router SlimFly) and 8, and must reproduce the
-// goldens byte for byte. Any divergence between committing router by
-// router and committing after the barrier -- a reordered grant, a drifted
-// RNG stream, a miscounted credit -- lands here as a drifted field.
-func TestGoldenResultsParallel(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		for _, c := range goldenCases(t) {
-			c, workers := c, workers
-			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
-				t.Parallel()
-				s, err := New(goldenConfig(c, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := s.Run()
-				if got != c.want {
-					t.Errorf("Workers=%d diverged from the golden:\n got  %#v\n want %#v", workers, got, c.want)
-				}
-			})
-		}
-	}
-}
-
 // TestGoldenResultsComputed is the backend half of the parity wall: every
 // pinned scenario re-runs on the computed (algebraic) routing backend --
 // no flat port table, PortToward answers through the Router interface --
-// at Workers 0, 1 and 4, and must reproduce the tables-backend goldens
-// byte for byte. Distances and ports are byte-equal by the route-level
-// parity tests; this pins that the engine consumes them identically (same
-// RNG draws, same allocation order) whichever backend serves them.
+// and must reproduce the tables-backend goldens byte for byte. Distances
+// and ports are byte-equal by the route-level parity tests; this pins that
+// the engine consumes them identically (same RNG draws, same allocation
+// order) whichever backend serves them.
 func TestGoldenResultsComputed(t *testing.T) {
-	for _, workers := range []int{0, 1, 4} {
-		for _, c := range goldenCases(t) {
-			c, workers := c, workers
-			// Swap the BFS tables for the topology's algebraic oracle; every
-			// golden topology (SF q=5, FT-3 arity 6) has one.
-			o, ok := c.tp.(route.Oracle)
-			if !ok {
-				t.Fatalf("%s: golden topology %s has no algebraic oracle", c.name, c.tp.Name())
-			}
-			c.tb = route.NewComputed(c.tp.Graph(), o)
-			t.Run(fmt.Sprintf("%s/w%d", c.name, workers), func(t *testing.T) {
-				t.Parallel()
-				s, err := New(goldenConfig(c, workers))
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := s.Run()
-				if got != c.want {
-					t.Errorf("computed backend (Workers=%d) diverged from the tables golden:\n got  %#v\n want %#v", workers, got, c.want)
-				}
-			})
+	for _, c := range goldenCases(t) {
+		c := c
+		// Swap the BFS tables for the topology's algebraic oracle; every
+		// golden topology (SF q=5, FT-3 arity 6) has one.
+		o, ok := c.tp.(route.Oracle)
+		if !ok {
+			t.Fatalf("%s: golden topology %s has no algebraic oracle", c.name, c.tp.Name())
 		}
+		c.tb = route.NewComputed(c.tp.Graph(), o)
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			s, err := New(goldenConfig(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := s.Run()
+			if got != c.want {
+				t.Errorf("computed backend diverged from the tables golden:\n got  %#v\n want %#v", got, c.want)
+			}
+		})
 	}
 }

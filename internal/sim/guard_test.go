@@ -26,39 +26,35 @@ func (brokenAlgo) TargetPort(*Sim, *Packet, int32) int32 { return 999 }
 // algorithm answering with an out-of-range port must fail immediately with
 // a panic naming the algorithm, the router, and the packet, instead of an
 // anonymous index-out-of-range deep in the allocator -- and never a silent
-// out-of-range write. Workers=2 covers the sharded engine: a decide-phase
-// panic on a worker goroutine must surface on the stepping goroutine with
-// the same message, not crash the process or deadlock the phase barrier.
+// out-of-range write. The panic propagates out of Run unchanged: nothing in
+// the engine recovers it.
 func TestBadTargetPortPanics(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
 	for _, static := range []bool{false, true} {
-		for _, workers := range []int{0, 2} {
-			static, workers := static, workers
-			t.Run(fmt.Sprintf("static=%v/w%d", static, workers), func(t *testing.T) {
-				s, err := New(Config{
-					Topo: sf, Router: tb, Algo: brokenAlgo{static: static},
-					Pattern: traffic.Uniform{N: sf.Endpoints()},
-					Load:    0.5, Warmup: 20, Measure: 20, Drain: 20, Seed: 1,
-					Workers: workers,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() {
-					r := recover()
-					if r == nil {
-						t.Fatal("misrouting algorithm did not panic")
-					}
-					msg := fmt.Sprint(r)
-					for _, want := range []string{"broken", "invalid output port 999", "router", "src=", "dstRouter="} {
-						if !strings.Contains(msg, want) {
-							t.Errorf("panic message missing %q:\n%s", want, msg)
-						}
-					}
-				}()
-				s.Run()
+		static := static
+		t.Run(fmt.Sprintf("static=%v", static), func(t *testing.T) {
+			s, err := New(Config{
+				Topo: sf, Router: tb, Algo: brokenAlgo{static: static},
+				Pattern: traffic.Uniform{N: sf.Endpoints()},
+				Load:    0.5, Warmup: 20, Measure: 20, Drain: 20, Seed: 1,
 			})
-		}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("misrouting algorithm did not panic")
+				}
+				msg := fmt.Sprint(r)
+				for _, want := range []string{"broken", "invalid output port 999", "router", "src=", "dstRouter="} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("panic message missing %q:\n%s", want, msg)
+					}
+				}
+			}()
+			s.Run()
+		})
 	}
 }

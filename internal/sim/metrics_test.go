@@ -109,10 +109,9 @@ func TestResultUndrained(t *testing.T) {
 		Topo: sf, Router: tb, Algo: MIN{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
 		Load: 0.9, Warmup: 200, Measure: 600, Seed: 11,
 	}
-	run := func(drain, workers int) Result {
+	run := func(drain int) Result {
 		cfg := base
 		cfg.Drain = drain
-		cfg.Workers = workers
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -120,8 +119,8 @@ func TestResultUndrained(t *testing.T) {
 		return s.Run()
 	}
 
-	undrained := run(1, 0)   // one drain cycle: packets must remain in flight
-	drained := run(20000, 0) // full drain for the same injection window
+	undrained := run(1)   // one drain cycle: packets must remain in flight
+	drained := run(20000) // full drain for the same injection window
 
 	if !undrained.Saturated {
 		t.Fatal("1-cycle drain reported fully drained")
@@ -163,18 +162,6 @@ func TestResultUndrained(t *testing.T) {
 	if undrained.AvgLatency > drained.AvgLatency {
 		t.Errorf("undrained avg latency %v exceeds drained %v (lost packets are the slowest)",
 			undrained.AvgLatency, drained.AvgLatency)
-	}
-
-	// The sharded engine must agree exactly on the undrained split: the
-	// commit phase reorders deliveries within a cycle, and a miscounted
-	// in-flight packet shows up here as a drifted Saturated/Delivered.
-	for _, w := range []int{2, 3} {
-		if got := run(1, w); got != undrained {
-			t.Errorf("Workers=%d undrained result diverged:\n got  %#v\n want %#v", w, got, undrained)
-		}
-		if got := run(20000, w); got != drained {
-			t.Errorf("Workers=%d drained result diverged:\n got  %#v\n want %#v", w, got, drained)
-		}
 	}
 }
 

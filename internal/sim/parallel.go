@@ -1,21 +1,16 @@
 package sim
 
-// The switch/VC allocator and its two schedules. Every cycle runs
+// The switch/VC allocator. Every cycle runs
 //
-//	credits -> injection -> DECIDE -> COMMIT
+//	credits -> injection -> for each active router, ascending id: DECIDE, COMMIT
 //
-// over max(Config.Workers, 1) contiguous router shards. decideRouter runs
-// one router's allocation logic against the pre-allocation state and
-// records grants into shard scratch; commitGrant applies one record:
-// ReadyAt-stamped downstream delivery or ejection, the output's departure
-// stamp, then dequeue and credit return. With one shard, step decides and
-// immediately commits router by router in ascending id order, on the
-// stepping goroutine. With more, all shards decide concurrently against the
-// frozen state and the records are then committed in ascending router-id
-// order. Both schedules mutate
-// state in the same order and produce bit-identical results because,
-// within one cycle, a router's allocation decisions depend only on its own
-// frozen state:
+// on the goroutine that steps the simulation. decideRouter runs one router's
+// allocation logic against its pre-allocation state and records the grants
+// into the simulator's allocation scratch; commitGrant then applies each
+// record: ReadyAt-stamped downstream delivery or ejection, the output's
+// departure stamp, then dequeue and credit return. A router's commit changes
+// nothing a later router's decision reads, because within one cycle a
+// router's allocation depends only on its own state:
 //
 //   - flits delivered downstream this cycle carry ReadyAt stamps in the
 //     future, so they are invisible to every allocator scan;
@@ -24,259 +19,66 @@ package sim
 //     grants already recorded for the output, replayed by commit);
 //   - round-robin pointers are only ever read by their own router;
 //   - adaptive algorithms draw from per-router RNG streams (PortRNG),
-//     derived from the seed by stats.RNG jumps, so no draw depends on the
-//     visit order or the worker count; injection stays serial on the main
-//     stream.
+//     derived from the seed by stats.RNG jumps; injection draws from the
+//     main stream.
 //
-// TestGoldenResultsParallel, TestGeneratedScenarioParity and
-// TestCrossWorkerDeterminism pin the equivalence; TestStepZeroAlloc covers
-// the steady-state zero-allocation contract of both schedules.
+// The goldens (TestGoldenResults, TestGeneratedScenarioParity,
+// TestWideRouterPinned) were recorded with the per-router streams, the
+// ascending worklist and this decide -> record -> commit order, so all three
+// stay. TestStepZeroAlloc covers the steady-state zero-allocation contract.
 
-import (
-	"math/bits"
-	"sync"
+import "math/bits"
 
-	"slimfly/internal/obs"
-)
-
-// obsBarrierWaits counts decide-phase barrier synchronisations: one per
-// multi-shard cycle. A single atomic add on the stepping goroutine, so the
-// hot path stays allocation-free.
-var obsBarrierWaits = obs.NewCounter("sim.barrier_waits")
-
-// grantRec is one recorded allocation grant: router's input queue qi moves
-// through output port out (an ejection port when out >= degree) on next-hop
-// VC vc.
+// grantRec is one recorded allocation grant: the deciding router's input
+// queue qi moves through output port out (an ejection port when out >=
+// degree) on next-hop VC vc.
 type grantRec struct {
-	router int32
-	qi     int32
-	out    int32
-	vc     int8
+	qi  int32
+	out int32
+	vc  int8
 }
 
-// shardState is one shard's decide-phase working set: a contiguous
-// router-id range, the recorded grants, and the allocation scratch. Only
-// the shard that owns it ever touches it.
-type shardState struct {
-	lo, hi int32 // router-id range [lo, hi)
-
-	// Decide output, replayed by commit in shard order (shard ranges and
-	// per-shard iteration are both ascending, so the concatenation is
-	// globally ascending in router id).
-	recs []grantRec
-
-	// Switch-allocation scratch, sized once to the widest router and
-	// reused every cycle (allocation-free steady state). Requests are
-	// bucketed by output with a stable counting sort: scrQ/scrOut hold
-	// the first-pass (queue, output) pairs, scrCnt/scrOff the per-output
-	// counts and offsets, scrBkt the queue indices grouped by output.
-	// scrMask has one bit per output, set while scrCnt[output] != 0: the
-	// allocator visits only requested outputs, and both are all-zero between
-	// decideRouter calls (the grant pass clears what the request pass set).
+// allocScratch is the allocator's working set, owned by the Sim and reused
+// by every decideRouter call: the grants recorded for commitGrant, and the
+// switch-allocation scratch, sized once to the widest router (allocation-free
+// steady state). Requests are bucketed by output with a stable counting sort:
+// scrQ/scrOut hold the first-pass (queue, output) pairs, scrCnt/scrOff the
+// per-output counts and offsets, scrBkt the queue indices grouped by output.
+// scrMask has one bit per output, set while scrCnt[output] != 0: the
+// allocator visits only requested outputs, and both are all-zero between
+// decideRouter calls (the grant pass clears what the request pass set).
+type allocScratch struct {
+	recs                 []grantRec
 	scrQ, scrOut, scrBkt []int32
 	scrCnt, scrOff       []int32
 	scrMask              []uint64
-
-	// The shard's segment of the sorted active worklist this cycle.
-	activeLo, activeHi int
-
-	// A decide-phase panic (e.g. a TargetPort contract violation),
-	// captured on the worker and re-raised on the main goroutine so the
-	// descriptive misroute diagnostic survives parallel execution.
-	panicVal any
-}
-
-// parEngine holds the shards and, for two or more of them, the decide
-// worker pool. Workers are started lazily on the first multi-shard step
-// and stopped by Close (Run does this automatically); each worker owns
-// one fixed shard, woken per cycle through its own buffered channel.
-type parEngine struct {
-	shards  []shardState
-	start   []chan struct{}
-	phaseWG sync.WaitGroup
-	lifeWG  sync.WaitGroup
-	quit    chan struct{}
-	started bool
-}
-
-// newParEngine partitions the routers into min(max(workers, 1), nRouters)
-// contiguous shards and presizes every per-shard buffer so steady-state
-// steps never allocate. A router grants at most Speedup flits per network
-// output plus one per endpoint, and at most one per input queue (each queue
-// requests with its head only), so the smaller of the two bounds it however
-// large Speedup is; the record capacity is that bound summed over the shard when
-// records wait for the barrier, and the widest router's when the single
-// shard commits them router by router.
-func newParEngine(s *Sim, workers, maxQ, maxOutputs int) *parEngine {
-	n := s.nRouters
-	ns := min(max(workers, 1), n)
-	cfg := &s.cfg
-	pe := &parEngine{
-		shards: make([]shardState, ns),
-		start:  make([]chan struct{}, ns),
-	}
-	for k := range pe.shards {
-		sh := &pe.shards[k]
-		sh.lo = int32(k * n / ns)
-		sh.hi = int32((k + 1) * n / ns)
-		grantCap := 0
-		for r := sh.lo; r < sh.hi; r++ {
-			rt := &s.routers[r]
-			g := min(len(rt.nbr)*cfg.Speedup+len(rt.eps), len(rt.queues))
-			if ns == 1 {
-				grantCap = max(grantCap, g)
-			} else {
-				grantCap += g
-			}
-		}
-		sh.recs = make([]grantRec, 0, grantCap)
-		sh.scrQ = make([]int32, maxQ)
-		sh.scrOut = make([]int32, maxQ)
-		sh.scrBkt = make([]int32, maxQ)
-		sh.scrCnt = make([]int32, maxOutputs)
-		sh.scrOff = make([]int32, maxOutputs)
-		sh.scrMask = make([]uint64, (maxOutputs+63)/64)
-		pe.start[k] = make(chan struct{}, 1)
-	}
-	return pe
-}
-
-// startWorkers launches one goroutine per shard beyond the first (the
-// main goroutine decides shard 0 itself while waiting). It runs once per
-// pool lifetime, not per cycle -- //sf:coldpath exempts the goroutine
-// launches from the hot-path allocation rule.
-//
-//sf:coldpath
-func (s *Sim) startWorkers() {
-	pe := s.par
-	pe.quit = make(chan struct{})
-	for w := 1; w < len(pe.shards); w++ {
-		pe.lifeWG.Add(1)
-		go s.decideWorker(w)
-	}
-	pe.started = true
-}
-
-func (s *Sim) decideWorker(w int) {
-	pe := s.par
-	defer pe.lifeWG.Done()
-	for {
-		select {
-		case <-pe.quit:
-			return
-		case <-pe.start[w]:
-			s.decideShard(&pe.shards[w])
-			pe.phaseWG.Done()
-		}
-	}
-}
-
-// Close stops the decide-phase workers. It is idempotent, a no-op on
-// single-shard simulators, and restartable (the next step relaunches the
-// pool). Run closes on exit; only callers stepping a multi-shard simulator
-// manually (benchmarks, tests) need to call it.
-func (s *Sim) Close() {
-	pe := s.par
-	if !pe.started {
-		return
-	}
-	close(pe.quit)
-	pe.lifeWG.Wait()
-	pe.started = false
-}
-
-// decideSharded runs the decide phase of a multi-shard cycle: every shard
-// against the frozen state, shard 0 on the stepping goroutine, with a
-// barrier before the caller commits.
-//
-//sf:hotpath
-func (s *Sim) decideSharded() {
-	pe := s.par
-	// Hand each shard its contiguous segment of the sorted worklist
-	// (shard ranges tile [0, nRouters), so one forward scan suffices).
-	pos, n := 0, len(s.active)
-	for k := range pe.shards {
-		sh := &pe.shards[k]
-		for pos < n && s.active[pos] < sh.lo {
-			pos++
-		}
-		sh.activeLo = pos
-		for pos < n && s.active[pos] < sh.hi {
-			pos++
-		}
-		sh.activeHi = pos
-	}
-
-	if !pe.started {
-		s.startWorkers()
-	}
-	nw := len(pe.shards)
-	pe.phaseWG.Add(nw - 1)
-	for w := 1; w < nw; w++ {
-		pe.start[w] <- struct{}{}
-	}
-	s.decideShard(&pe.shards[0])
-	pe.phaseWG.Wait()
-	obsBarrierWaits.Inc()
-	for k := range pe.shards {
-		if p := pe.shards[k].panicVal; p != nil {
-			pe.shards[k].panicVal = nil
-			panic(p)
-		}
-	}
-}
-
-// decideShard runs the allocation decision logic for every active router
-// of one shard, recording grants into the shard scratch. Panics are
-// captured for re-raise on the main goroutine.
-//
-//sf:hotpath
-//sf:decide
-func (s *Sim) decideShard(sh *shardState) {
-	defer func() {
-		if p := recover(); p != nil {
-			sh.panicVal = p
-		}
-	}()
-	sh.recs = sh.recs[:0]
-	for _, r := range s.active[sh.activeLo:sh.activeHi] {
-		rt := &s.routers[r]
-		if rt.flits == 0 {
-			continue
-		}
-		s.decideRouter(r, rt, sh)
-	}
 }
 
 // decideRouter performs combined switch/VC allocation for one router
 // without applying it: each output grants up to Speedup requests among
 // eligible input heads, round-robin for fairness, and every grant is
-// appended to sh.recs for commitGrant. Requests are gathered into
-// per-output buckets on the shard's preallocated scratch (a stable counting
-// sort by output port), so the hot loop performs no heap allocation, and the
-// work after the request scan is proportional to the outputs requested, not
-// to the router's radix: pass 1 sets a bit per requested output in sh.scrMask
-// and the prefix sum and the grant pass walk the set bits in ascending order
-// -- the order, candidates and round-robin arithmetic of a 0..outputs-1 loop.
+// appended to s.alloc.recs for commitGrant. Requests are gathered into
+// per-output buckets on the preallocated scratch (a stable counting sort by
+// output port), so the hot loop performs no heap allocation, and the work
+// after the request scan is proportional to the outputs requested, not to the
+// router's radix: pass 1 sets a bit per requested output in scrMask and the
+// prefix sum and the grant pass walk the set bits in ascending order -- the
+// order, candidates and round-robin arithmetic of a 0..outputs-1 loop.
 // scrCnt and scrMask are all-zero on entry and on return: pass 2 clears each
 // count and mask word as it consumes it. A TargetPort panic in pass 1 leaves
 // them dirty; a Sim whose step panicked is dead and must not be stepped again.
 //
-// It mutates nothing another shard could observe -- queue contents,
-// occupancy, head caches, credits, staging and measurement state are all
-// commit-phase writes; the only in-place updates are the router's own
-// round-robin pointers and (for adaptive algorithms) draws from its
-// private PortRNG stream, neither visible outside the router. TargetPort
-// runs here, against the frozen state: implementations must be read-only
-// apart from idempotent mutations of the probed packet. cmd/sfvet's
-// decidepure pass proves the contract statically: writes may target only
-// the shard scratch, the router's rr pointers and the probed packet's
-// idempotent fields.
+// Queue contents, occupancy, head caches, credits, staging and measurement
+// state are commitGrant's to write; the only in-place updates here are the
+// router's own round-robin pointers and (for adaptive algorithms) draws from
+// its PortRNG stream. TargetPort runs here, against the pre-allocation state:
+// implementations must be read-only apart from idempotent mutations of the
+// probed packet.
 //
 //sf:hotpath
-//sf:decide
-func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
+func (s *Sim) decideRouter(r int32, rt *router) {
 	cfg := &s.cfg
+	sc := &s.alloc
 	deg := len(rt.nbr)
 	outputs := deg + len(rt.eps)
 
@@ -288,8 +90,8 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	// TargetPort decision without touching a packet. Adaptive algorithms
 	// (queue state, RNG) decide afresh each cycle for every ready transit
 	// head.
-	cnt := sh.scrCnt[:outputs]
-	mask := sh.scrMask[:(outputs+63)>>6]
+	cnt := sc.scrCnt[:outputs]
+	mask := sc.scrMask[:(outputs+63)>>6]
 	nreq := 0
 	cycle32 := int32(s.cycle)
 	for w, m := range rt.occ {
@@ -308,8 +110,8 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					s.badTargetPort(r, pkt, out, deg)
 				}
 			}
-			sh.scrQ[nreq] = int32(q)
-			sh.scrOut[nreq] = out
+			sc.scrQ[nreq] = int32(q)
+			sc.scrOut[nreq] = out
 			cnt[out]++
 			mask[out>>6] |= 1 << (uint(out) & 63)
 			nreq++
@@ -320,7 +122,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 	}
 
 	// Bucket by output, stable in input-queue order.
-	off := sh.scrOff[:outputs]
+	off := sc.scrOff[:outputs]
 	sum := int32(0)
 	for w, m := range mask {
 		for ; m != 0; m &= m - 1 {
@@ -330,8 +132,8 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 		}
 	}
 	for k := 0; k < nreq; k++ {
-		o := sh.scrOut[k]
-		sh.scrBkt[off[o]] = sh.scrQ[k]
+		o := sc.scrOut[k]
+		sc.scrBkt[off[o]] = sc.scrQ[k]
 		off[o]++
 	}
 
@@ -347,7 +149,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 			out := w<<6 + bits.TrailingZeros64(m)
 			ncand := int(cnt[out])
 			cnt[out] = 0
-			cand := sh.scrBkt[off[out]-int32(ncand) : off[out]]
+			cand := sc.scrBkt[off[out]-int32(ncand) : off[out]]
 			grants := cfg.Speedup
 			if out >= deg {
 				grants = 1 // ejection channel: one flit per cycle
@@ -361,7 +163,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 					idx = 0
 				}
 				if out >= deg {
-					sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
+					sc.recs = append(sc.recs, grantRec{qi: int32(qi), out: int32(out)}) //sf:allow(append: recs carries the per-cycle grant bound from New)
 					granted++
 					continue
 				}
@@ -375,7 +177,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 				// Section IV-D) -- hop k travels on VC k. Algorithms with
 				// acyclic routing may instead spread across VCs, choosing the
 				// one with the most credits.
-				mine := sh.recs[len(sh.recs)-granted:]
+				mine := sc.recs[len(sc.recs)-granted:]
 				var nextVC int8
 				if s.spreadVCs {
 					base := out * cfg.NumVCs
@@ -398,7 +200,7 @@ func (s *Sim) decideRouter(r int32, rt *router, sh *shardState) {
 						continue
 					}
 				}
-				sh.recs = append(sh.recs, grantRec{router: r, qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries grantCap, the per-cycle grant bound, from newParEngine)
+				sc.recs = append(sc.recs, grantRec{qi: int32(qi), out: int32(out), vc: nextVC}) //sf:allow(append: recs carries the per-cycle grant bound from New)
 				granted++
 			}
 			rt.rr[out] = (rt.rr[out] + 1) % int32(ncand)
@@ -419,21 +221,19 @@ func vcTaken(recs []grantRec, vc int8) int16 {
 	return n
 }
 
-// commitGrant applies one recorded grant, touching the flit once: ejection
-// hands the source slot (headPkt) to deliver; a network hop copies it
-// straight into a tail slot of the downstream router's pool, stamps Hops and
-// ReadyAt there, and publishes it. Either way dropHead then retires the
-// source head (credit return, occupancy, head cache). Grants are committed
-// in ascending router-id order, each router's in decide order; the ReadyAt
-// stamp follows the output's departure stamp, which each replayed grant
-// advances, matching the staging decideRouter counted. The Hop collector
-// hook fires here too, at grant time, carrying the departure cycle.
+// commitGrant applies one grant recorded for router r, touching the flit
+// once: ejection hands the source slot (headPkt) to deliver; a network hop
+// copies it straight into a tail slot of the downstream router's pool, stamps
+// Hops and ReadyAt there, and publishes it. Either way dropHead then retires
+// the source head (credit return, occupancy, head cache). A router's grants
+// are committed in decide order right after it decides; the ReadyAt stamp
+// follows the output's departure stamp, which each replayed grant advances,
+// matching the staging decideRouter counted. The Hop collector hook fires
+// here too, at grant time, carrying the departure cycle.
 //
 //sf:hotpath
-func (s *Sim) commitGrant(rec grantRec) {
+func (s *Sim) commitGrant(r int32, rt *router, rec grantRec) {
 	cfg := &s.cfg
-	r := rec.router
-	rt := &s.routers[r]
 	qi, out := int(rec.qi), int(rec.out)
 	// src points into this router's pool and must survive the push below: it
 	// does, because that push is into a neighbour's pool and no router is its

@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"slimfly/internal/route"
 	"slimfly/internal/topo/slimfly"
@@ -155,57 +154,54 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 // enough for every pool slot to change hands many times, and checks the
 // credit/occupancy/pool conservation laws after every cycle and the packet
 // ledger at the end -- at one-flit depth, two-flit depth and the default
-// depth, at the inline and the sharded schedule. (The name predates the
-// pools: the queues were rings over fixed windows once.)
+// depth. (The name predates the pools: the queues were rings over fixed
+// windows once.)
 func TestRingConservation(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
 	for _, algo := range []Algo{MIN{}, UGALL{}} {
 		vcs := algo.NeededVCs(tb.MaxDistance())
 		for _, depth := range []int{1, 2, 21} {
-			for _, workers := range []int{0, 4} {
-				t.Run(fmt.Sprintf("%s/depth%d/w%d", algo.Name(), depth, workers), func(t *testing.T) {
-					s, err := New(Config{
-						Topo: sf, Router: tb, Algo: algo, Pattern: traffic.Uniform{N: sf.Endpoints()},
-						Load: 0.95, NumVCs: vcs, BufPerPort: vcs * depth,
-						Warmup: 1, Measure: 1, Seed: 23, Workers: workers,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					if s.bufPerVC != depth {
-						t.Fatalf("bufPerVC = %d, want %d", s.bufPerVC, depth)
-					}
-					// lastQueue[r][slot] is the queue the slot was last seen in, +1.
-					lastQueue := make([][]int, len(s.routers))
-					reused := false
-					var measured int64
-					for i := 0; i < 8*depth+150; i++ {
-						s.step(true)
-						s.cycle++
-						measured = checkConservation(t, s, func(r, q int, slot int32) {
-							for int(slot) >= len(lastQueue[r]) {
-								lastQueue[r] = append(lastQueue[r], 0)
-							}
-							reused = reused || lastQueue[r][slot] != 0 && lastQueue[r][slot] != q+1
-							lastQueue[r][slot] = q + 1
-						})
-					}
-					if !reused {
-						t.Error("no freed slot was ever reused by a different queue; the test did not exercise the free list")
-					}
-					if s.injected != s.delivered+s.inFlight {
-						t.Errorf("injected %d != delivered %d + inFlight %d", s.injected, s.delivered, s.inFlight)
-					}
-					if measured != s.inFlight {
-						t.Errorf("queues hold %d measured packets, inFlight says %d", measured, s.inFlight)
-					}
-					if s.delivered == 0 {
-						t.Error("nothing was delivered")
-					}
+			t.Run(fmt.Sprintf("%s/depth%d", algo.Name(), depth), func(t *testing.T) {
+				s, err := New(Config{
+					Topo: sf, Router: tb, Algo: algo, Pattern: traffic.Uniform{N: sf.Endpoints()},
+					Load: 0.95, NumVCs: vcs, BufPerPort: vcs * depth,
+					Warmup: 1, Measure: 1, Seed: 23,
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.bufPerVC != depth {
+					t.Fatalf("bufPerVC = %d, want %d", s.bufPerVC, depth)
+				}
+				// lastQueue[r][slot] is the queue the slot was last seen in, +1.
+				lastQueue := make([][]int, len(s.routers))
+				reused := false
+				var measured int64
+				for i := 0; i < 8*depth+150; i++ {
+					s.step(true)
+					s.cycle++
+					measured = checkConservation(t, s, func(r, q int, slot int32) {
+						for int(slot) >= len(lastQueue[r]) {
+							lastQueue[r] = append(lastQueue[r], 0)
+						}
+						reused = reused || lastQueue[r][slot] != 0 && lastQueue[r][slot] != q+1
+						lastQueue[r][slot] = q + 1
+					})
+				}
+				if !reused {
+					t.Error("no freed slot was ever reused by a different queue; the test did not exercise the free list")
+				}
+				if s.injected != s.delivered+s.inFlight {
+					t.Errorf("injected %d != delivered %d + inFlight %d", s.injected, s.delivered, s.inFlight)
+				}
+				if measured != s.inFlight {
+					t.Errorf("queues hold %d measured packets, inFlight says %d", measured, s.inFlight)
+				}
+				if s.delivered == 0 {
+					t.Error("nothing was delivered")
+				}
+			})
 		}
 	}
 }
@@ -215,11 +211,8 @@ func TestRingConservation(t *testing.T) {
 // run a router's pool is as large as the most flits it ever buffered at once.
 // Nor does it depend on the credit delay (credits in flight share one ring
 // that grows on demand) or on the speedup (a router records at most one grant
-// per input queue), at either schedule: both arrive from the wire in a scenario
-// spec, and neither may size an allocation beyond those bounds. The grant
-// records are the one term Speedup moves: from 2*degree+endpoints per router
-// to one per input queue, 18 to 25 here, about 5.6 KB at two shards (3.8 % of
-// New), so they are checked against the queue count and left out of the 2 %.
+// per input queue): both arrive from the wire in a scenario spec, and neither
+// may size an allocation beyond those bounds.
 func TestQueueMemoryIndependentOfDepth(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
@@ -246,35 +239,24 @@ func TestQueueMemoryIndependentOfDepth(t *testing.T) {
 	if diff := max(deep, shallow) - min(deep, shallow); diff*100 >= shallow {
 		t.Errorf("New allocates %d bytes at depth 21 and %d at depth 32767; want them within 1%%", shallow, deep)
 	}
-	recBytes := func(s *Sim) (b uint64) {
-		for k := range s.par.shards {
-			sh := &s.par.shards[k]
-			nq := 0
-			for r := sh.lo; r < sh.hi; r++ {
-				nq += len(s.routers[r].queues)
-			}
-			if cap(sh.recs) > nq {
-				t.Errorf("shard %d records %d grants a cycle, more than its %d input queues", k, cap(sh.recs), nq)
-			}
-			b += uint64(cap(sh.recs)) * uint64(unsafe.Sizeof(grantRec{}))
+	_, def := newBytes(func(*Config) {})
+	for _, k := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"CreditDelay", func(c *Config) { c.CreditDelay = 100_000 }},
+		{"Speedup", func(c *Config) { c.Speedup = 100_000 }},
+	} {
+		gs, got := newBytes(k.set)
+		if diff := max(got, def) - min(got, def); diff*100 >= 2*def {
+			t.Errorf("New allocates %d bytes at %s 100000 and %d at the default; want them within 2%%", got, k.name, def)
 		}
-		return b
-	}
-	for _, workers := range []int{0, 2} {
-		ds, def := newBytes(func(c *Config) { c.Workers = workers })
-		def -= recBytes(ds)
-		for _, k := range []struct {
-			name string
-			set  func(*Config)
-		}{
-			{"CreditDelay", func(c *Config) { c.CreditDelay = 100_000 }},
-			{"Speedup", func(c *Config) { c.Speedup = 100_000 }},
-		} {
-			gs, got := newBytes(func(c *Config) { c.Workers = workers; k.set(c) })
-			got -= recBytes(gs)
-			if diff := max(got, def) - min(got, def); diff*100 >= 2*def {
-				t.Errorf("Workers=%d: New allocates %d bytes besides grant records at %s 100000 and %d at the default; want them within 2%%", workers, got, k.name, def)
-			}
+		maxQ := 0
+		for r := range gs.routers {
+			maxQ = max(maxQ, len(gs.routers[r].queues))
+		}
+		if n := cap(gs.alloc.recs); n > maxQ {
+			t.Errorf("%s 100000: room for %d grant records a router, more than the widest router's %d input queues", k.name, n, maxQ)
 		}
 	}
 

@@ -21,8 +21,7 @@ func Run(cfg Config) (Result, error) {
 
 // RunSummary is Run plus the structured metrics summary of the collectors
 // named by cfg.Metrics (nil when none are configured). Like Run it builds
-// private state per call and is safe to fan out concurrently; the summary
-// is bit-identical at every cfg.Workers setting.
+// private state per call and is safe to fan out concurrently.
 func RunSummary(cfg Config) (Result, *metrics.Summary, error) {
 	s, err := New(cfg)
 	if err != nil {

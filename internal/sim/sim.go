@@ -6,15 +6,15 @@
 // stages, internal crossbar speedup of 2 over the channel rate, and a
 // configurable total buffering per port (64 flits by default).
 //
-// There is one engine: every cycle decides each router's switch/VC grants
-// against its pre-allocation state (decideRouter) and applies them
-// (commitGrant), router by router on the calling goroutine for
-// Config.Workers <= 1 and shard-parallel decide plus ordered commit above
-// that, with bit-identical results either way (see parallel.go).
+// There is one engine and one schedule: every cycle, each active router in
+// ascending id order decides its switch/VC grants against its
+// pre-allocation state (decideRouter) and then applies them (commitGrant),
+// all on the goroutine that calls Run (see parallel.go). A simulation uses
+// one core; sweeps use the others by running simulations concurrently.
 //
 // The engine is port-indexed and allocation-free in steady state: routing
 // algorithms answer with output-port indices straight from the precomputed
-// route.Tables port table, switch allocation runs on per-shard scratch
+// route.Tables port table, switch allocation runs on one set of scratch
 // buffers reused every cycle and walks per-router occupancy bitmasks and
 // the packed head cache in each 16-byte queue record (queue.state), so empty
 // queues cost nothing and ready ones no packet access, credit returns travel
@@ -84,23 +84,12 @@ type Config struct {
 	Measure int // measured cycles
 	Drain   int // extra cycles to let measured packets drain
 
-	// Workers selects intra-simulation parallelism. 0 or 1: one inline
-	// shard -- each router's grants are decided and committed in turn on
-	// the calling goroutine. >= 2: that many decide goroutines -- routers
-	// are partitioned into contiguous shards and each cycle runs a
-	// parallel read-only decide phase (per-shard switch allocation against
-	// the frozen state) followed by an ordered commit phase. Results are
-	// bit-identical for every seed at every worker count
-	// (TestGoldenResultsParallel pins this).
-	Workers int
-
 	// Metrics selects streaming collectors by comma-separated registry
 	// name (internal/metrics, e.g. "latency,channels"); empty attaches
 	// none. Collectors observe the run with zero steady-state allocation
 	// and never change Result; read their output with MetricsSummary (or
 	// RunSummary). A run has one set of instances and calls their hooks in
-	// one order whatever Workers is, so summaries are bit-identical at every
-	// worker count.
+	// one order.
 	Metrics string
 
 	Seed uint64
@@ -218,8 +207,8 @@ const noPort = math.MaxUint8
 // creditRet is one credit in flight: Sim.credits[idx] gains it at cycle due.
 type creditRet struct{ due, idx int32 }
 
-// Sim is a deterministic simulator instance. All of its state is mutated
-// on the goroutine that calls Run (or step); decide workers only read it.
+// Sim is a deterministic simulator instance. All of its state is read and
+// mutated on the goroutine that calls Run (or step).
 type Sim struct {
 	cfg       Config
 	rng       *stats.RNG
@@ -236,16 +225,15 @@ type Sim struct {
 
 	// allocRNG holds one random stream per router for adaptive
 	// (non-static) algorithms' allocation-time draws, derived from the
-	// seed by repeated RNG jumps. Keying the streams by router id -- not
-	// by worker or shard -- makes every draw independent of the worker
-	// count and of allocation order across routers, which is what makes
-	// the inline and the shard-parallel schedule agree bit for bit.
-	// nil for static-port algorithms (they never draw during allocation).
+	// seed by repeated RNG jumps. Keying the streams by router id makes
+	// every draw depend on the router's own history only, not on which
+	// routers allocated before it; the goldens were recorded with these
+	// streams. nil for static-port algorithms (they never draw during
+	// allocation).
 	allocRNG []stats.RNG
 
-	// par holds the router shards (max(cfg.Workers, 1) of them, never nil)
-	// with their allocation scratch, and the decide worker pool.
-	par *parEngine
+	// alloc is the allocation scratch decideRouter fills and step drains.
+	alloc allocScratch
 
 	// Routing backend plus its hot-path cache: when the backend exposes
 	// the flat source-major port table (route.FlatPorter) and no router has
@@ -313,7 +301,7 @@ func New(cfg Config) (*Sim, error) {
 	}{
 		{"NumVCs", cfg.NumVCs}, {"BufPerPort", cfg.BufPerPort}, {"RouterDelay", cfg.RouterDelay},
 		{"ChannelDelay", cfg.ChannelDelay}, {"CreditDelay", cfg.CreditDelay}, {"Speedup", cfg.Speedup},
-		{"Warmup", cfg.Warmup}, {"Measure", cfg.Measure}, {"Drain", cfg.Drain}, {"Workers", cfg.Workers},
+		{"Warmup", cfg.Warmup}, {"Measure", cfg.Measure}, {"Drain", cfg.Drain},
 	} {
 		if f.v < 0 {
 			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
@@ -365,7 +353,7 @@ func New(cfg Config) (*Sim, error) {
 	for e := 0; e < t.Endpoints(); e++ {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
-	maxQ, maxOutputs, maxDeg := 0, 0, 0
+	maxQ, maxOutputs, maxDeg, grantCap := 0, 0, 0, 0
 	credBase := make([]int32, g.N()+1) // router r's counters are credits[credBase[r]:credBase[r+1]]
 	for r := 0; r < g.N(); r++ {
 		rt := &s.routers[r]
@@ -395,6 +383,11 @@ func New(cfg Config) (*Sim, error) {
 		maxQ = max(maxQ, nq)
 		maxOutputs = max(maxOutputs, ports)
 		maxDeg = max(maxDeg, deg)
+		// A router grants at most Speedup flits per network output plus one
+		// per endpoint, and at most one per input queue (each queue requests
+		// with its head only), so the smaller of the two bounds its records
+		// however large Speedup is.
+		grantCap = max(grantCap, min(deg*cfg.Speedup+len(rt.eps), nq))
 		credBase[r+1] = credBase[r] + int32(netQ)
 	}
 	s.credits = make([]int16, credBase[g.N()])
@@ -440,7 +433,15 @@ func New(cfg Config) (*Sim, error) {
 			s.allocRNG[r] = *jr
 		}
 	}
-	s.par = newParEngine(s, cfg.Workers, maxQ, maxOutputs)
+	s.alloc = allocScratch{
+		recs:    make([]grantRec, 0, grantCap),
+		scrQ:    make([]int32, maxQ),
+		scrOut:  make([]int32, maxQ),
+		scrBkt:  make([]int32, maxQ),
+		scrCnt:  make([]int32, maxOutputs),
+		scrOff:  make([]int32, maxOutputs),
+		scrMask: make([]uint64, (maxOutputs+63)/64),
+	}
 	if cfg.Metrics != "" {
 		set, err := metrics.NewSet(cfg.Metrics)
 		if err != nil {
@@ -537,7 +538,7 @@ func (s *Sim) RNG() *stats.RNG { return s.rng }
 // an adaptive algorithm may draw from inside TargetPort. The streams are
 // keyed by router id and derived from the seed by RNG jumps, so draws made
 // while deciding router r depend only on r's own history -- never on the
-// order routers are visited or on how they are sharded across workers.
+// order routers are visited.
 // Only available to adaptive algorithms (StaticPorts() == false); static
 // TargetPort implementations are pure by contract and must not draw at all.
 func (s *Sim) PortRNG(r int32) *stats.RNG { return &s.allocRNG[r] }
@@ -611,7 +612,6 @@ func (s *Sim) setHead(rt *router, r int32, qi int, pkt *Packet) {
 
 // Run executes the configured simulation and returns the measurements.
 func (s *Sim) Run() Result {
-	defer s.Close() // stop any decide-phase workers when the run ends
 	cfg := s.cfg
 	active := 0
 	for e := 0; e < cfg.Topo.Endpoints(); e++ {
@@ -670,6 +670,9 @@ func (s *Sim) Run() Result {
 	return res
 }
 
+// Close does nothing; it stays only because cmd/sfbench calls it.
+func (s *Sim) Close() {}
+
 // step advances the simulation by one cycle.
 //
 // step and everything it statically calls is the engine's zero-allocation
@@ -686,37 +689,25 @@ func (s *Sim) step(inject bool) {
 	}
 
 	// The worklist accumulates routers in delivery/injection order; sort
-	// it so both schedules visit and commit routers in ascending id order:
-	// shards are contiguous id ranges, so whatever is order-sensitive (a
-	// collector's overflowing trace ring, say) sees one order at every
-	// worker count.
+	// it so routers are visited and commit in ascending id order, the order
+	// the goldens were recorded in.
 	slices.Sort(s.active)
 
-	// Switch allocation + VC allocation per active router.
-	if shards := s.par.shards; len(shards) == 1 {
-		// One shard: commit each router's grants as soon as they are
-		// decided, while its queues are hot in cache. Routers touched by
-		// a commit join the worklist behind the range bound and are not
-		// visited this cycle (their new heads are not ready before the
-		// next one anyway).
-		sh := &shards[0]
-		for _, r := range s.active {
-			rt := &s.routers[r]
-			if rt.flits == 0 {
-				continue
-			}
-			sh.recs = sh.recs[:0]
-			s.decideRouter(r, rt, sh)
-			for _, rec := range sh.recs {
-				s.commitGrant(rec)
-			}
+	// Switch allocation + VC allocation per active router, each router's
+	// grants committed as soon as they are decided, while its queues are
+	// hot in cache. Routers touched by a commit join the worklist behind
+	// the range bound and are not visited this cycle (their new heads are
+	// not ready before the next one anyway).
+	sc := &s.alloc
+	for _, r := range s.active {
+		rt := &s.routers[r]
+		if rt.flits == 0 {
+			continue
 		}
-	} else {
-		s.decideSharded()
-		for k := range shards {
-			for _, rec := range shards[k].recs {
-				s.commitGrant(rec)
-			}
+		sc.recs = sc.recs[:0]
+		s.decideRouter(r, rt)
+		for _, rec := range sc.recs {
+			s.commitGrant(r, rt, rec)
 		}
 	}
 
@@ -758,8 +749,7 @@ func (s *Sim) growCredRing() {
 }
 
 // injectPhase performs step 2 of a cycle: Bernoulli injection per endpoint,
-// serially in endpoint order on the main RNG stream (so injection draws are
-// identical whatever the worker count).
+// in endpoint order on the main RNG stream.
 func (s *Sim) injectPhase() {
 	cfg := &s.cfg
 	for e := range s.epRouter {

@@ -255,22 +255,37 @@ func TestDragonflyUGAL(t *testing.T) {
 	}
 }
 
+// TestDeterminism runs each case twice and wants equal Results: UGAL-L below
+// and under congestion, and ANCA, whose allocation-time tie-breaks draw from
+// the per-router PortRNG streams.
 func TestDeterminism(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
-	mk := func() Result {
-		s, err := New(Config{
+	ft := fattree.MustNew(4)
+	for _, cfg := range []Config{
+		{
 			Topo: sf, Router: tb, Algo: UGALL{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
 			Load: 0.3, Warmup: 300, Measure: 700, Seed: 9,
-		})
-		if err != nil {
-			t.Fatal(err)
+		},
+		{
+			Topo: sf, Router: tb, Algo: UGALL{}, Pattern: traffic.Uniform{N: sf.Endpoints()},
+			Load: 0.6, Warmup: 200, Measure: 500, Drain: 6000, Seed: 99,
+		},
+		{
+			Topo: ft, Router: route.Build(ft.Graph()), Algo: FTANCA{FT: ft}, Pattern: traffic.Uniform{N: ft.Endpoints()},
+			Load: 0.5, Warmup: 200, Measure: 500, Drain: 6000, Seed: 99,
+		},
+	} {
+		mk := func() Result {
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Run()
 		}
-		return s.Run()
-	}
-	a, b := mk(), mk()
-	if a != b {
-		t.Errorf("non-deterministic results:\n%+v\n%+v", a, b)
+		if a, b := mk(), mk(); a != b {
+			t.Errorf("%s at load %v: non-deterministic results:\n%+v\n%+v", cfg.Algo.Name(), cfg.Load, a, b)
+		}
 	}
 }
 

@@ -16,14 +16,13 @@ import (
 // traceConfig is a small SlimFly run used by the structural trace tests:
 // low enough load to drain fully, short enough to trace every packet
 // without ring wrap at full sampling.
-func traceConfig(algo Algo, workers int) Config {
+func traceConfig(algo Algo) Config {
 	sf := slimfly.MustNew(5)
 	rt := route.Build(sf.Graph())
 	return Config{
 		Topo: sf, Router: rt, Algo: algo,
 		Pattern: traffic.Uniform{N: sf.Endpoints()},
 		Load:    0.3, Warmup: 50, Measure: 200, Drain: 8000, Seed: 7,
-		Workers: workers,
 	}
 }
 
@@ -44,53 +43,12 @@ func runTraced(t *testing.T, cfg Config, shift uint, capacity int) (Result, *met
 	return res, sum.Trace
 }
 
-// TestTraceParityParallel is the trace half of the acceptance criterion:
-// on every golden scenario the sampled event stream (canonically sorted
-// by Summarize) must be byte-identical across Workers 0, 1, 2, 3 and 8.
-// The golden scenarios stay far below the ring capacity, so this is the
-// complete sampled stream; TestTraceOverflowParity covers a ring that
-// wraps.
-func TestTraceParityParallel(t *testing.T) {
-	for _, c := range goldenCases(t) {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			t.Parallel()
-			run := func(workers int) string {
-				cfg := goldenConfig(c, workers)
-				cfg.Metrics = "trace"
-				_, sum, err := RunSummary(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sum.Trace == nil {
-					t.Fatal("trace selection produced no trace section")
-				}
-				if sum.Trace.Dropped != 0 {
-					t.Fatalf("golden scenario overflowed the trace ring: dropped %d", sum.Trace.Dropped)
-				}
-				data, err := json.Marshal(sum.Trace)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return string(data)
-			}
-			want := run(0)
-			for _, workers := range []int{1, 2, 3, 8} {
-				if got := run(workers); got != want {
-					t.Errorf("Workers=%d trace stream diverged from serial:\n got  %s\n want %s",
-						workers, got, want)
-				}
-			}
-		})
-	}
-}
-
 // TestTraceFullSampling runs with the sampling shift at 0 (trace every
 // packet) and checks the stream structurally: every delivered packet
 // appears as a complete inject -> hops -> deliver journey with
 // consistent cycles, hop counts and identities.
 func TestTraceFullSampling(t *testing.T) {
-	cfg := traceConfig(MIN{}, 0)
+	cfg := traceConfig(MIN{})
 	res, st := runTraced(t, cfg, 0, 1<<17)
 	if res.Saturated {
 		t.Fatal("trace config saturated; structural checks need a drained run")
@@ -175,7 +133,7 @@ func TestTraceFullSampling(t *testing.T) {
 // filtered through Trace.Sampled -- same run, same ids, nothing extra
 // and nothing missed.
 func TestTraceSampling(t *testing.T) {
-	cfg := traceConfig(MIN{}, 0)
+	cfg := traceConfig(MIN{})
 	_, full := runTraced(t, cfg, 0, 1<<17)
 	_, def := runTraced(t, cfg, metrics.DefaultTraceShift, 1<<17)
 	if def.SampleEvery != 1<<metrics.DefaultTraceShift {
@@ -215,7 +173,7 @@ func TestTraceSampling(t *testing.T) {
 // mix once load pushes some picks non-minimal.
 func TestTraceValiantTags(t *testing.T) {
 	count := func(algo Algo, load float64) (minTag, valTag int) {
-		cfg := traceConfig(algo, 0)
+		cfg := traceConfig(algo)
 		cfg.Load = load
 		_, st := runTraced(t, cfg, 0, 1<<18)
 		for _, e := range st.Events {
@@ -243,7 +201,7 @@ func TestTraceValiantTags(t *testing.T) {
 // tiny ring must cap the event count, count drops, and keep the newest
 // events.
 func TestTraceRingBounds(t *testing.T) {
-	cfg := traceConfig(MIN{}, 0)
+	cfg := traceConfig(MIN{})
 	const capEvents = 256
 	_, st := runTraced(t, cfg, 0, capEvents)
 	if st.Dropped == 0 || len(st.Events) != capEvents {
@@ -285,49 +243,33 @@ func TestTraceRingBounds(t *testing.T) {
 
 // traceOverflowWant is the SHA-256 of the TraceStats JSON of
 // traceConfig(MIN{}) traced at full sampling into a 256-slot ring (46 372
-// events recorded, 256 kept), recorded at Workers=0 on the last commit
-// that gave every shard its own ring.
+// events recorded, 256 kept), recorded on the last commit that gave every
+// shard its own ring.
 const traceOverflowWant = "d9111195f2aaed91c8342038bf7ccf8f3e8dc5976dd698031ab28a6197a4edef"
 
 // TestTraceOverflowParity covers the stock collector whose summary depends
 // on hook-call order: a trace ring that wraps keeps the newest Capacity
-// events in the order they were offered, so it is worker-count invariant
-// only if that order is. Both a tiny full-sampling ring (against the
-// pinned hash) and the registry's "trace" on a run long enough to
-// overflow its 16 384 slots must give one TraceStats at every worker
-// count. What is cached under a Spec.Key that leaves Workers out rests
-// on this.
+// events in the order they were offered. A tiny full-sampling ring must
+// match the pinned hash, and the registry's "trace" on a run long enough to
+// overflow its 16 384 slots must give one TraceStats on two runs.
 func TestTraceOverflowParity(t *testing.T) {
-	// parity returns the Workers=0 TraceStats JSON after holding every
-	// other worker count to it.
-	parity := func(t *testing.T, run func(workers int) *metrics.TraceStats) []byte {
-		var want []byte
-		for _, workers := range []int{0, 1, 2, 3, 8} {
-			st := run(workers)
-			if st.Dropped == 0 || len(st.Events) > st.Capacity {
-				t.Fatalf("Workers=%d: %d events kept, %d dropped, capacity %d: want an overflowed ring within capacity",
-					workers, len(st.Events), st.Dropped, st.Capacity)
-			}
-			data, err := json.Marshal(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers == 0 {
-				want = data
-			} else if !bytes.Equal(data, want) {
-				t.Errorf("Workers=%d overflowing trace diverged from Workers=0 (%d events kept, %d dropped)",
-					workers, len(st.Events), st.Dropped)
-			}
+	// overflowed returns st's JSON after checking the ring wrapped.
+	overflowed := func(t *testing.T, st *metrics.TraceStats) []byte {
+		if st.Dropped == 0 || len(st.Events) > st.Capacity {
+			t.Fatalf("%d events kept, %d dropped, capacity %d: want an overflowed ring within capacity",
+				len(st.Events), st.Dropped, st.Capacity)
 		}
-		return want
+		data, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
 	}
 	t.Run("ring256", func(t *testing.T) {
-		sum := sha256.Sum256(parity(t, func(workers int) *metrics.TraceStats {
-			_, st := runTraced(t, traceConfig(MIN{}, workers), 0, 256)
-			return st
-		}))
+		_, st := runTraced(t, traceConfig(MIN{}), 0, 256)
+		sum := sha256.Sum256(overflowed(t, st))
 		if got := hex.EncodeToString(sum[:]); got != traceOverflowWant {
-			t.Errorf("Workers=0 overflowing trace drifted: sha256 %s, want %s", got, traceOverflowWant)
+			t.Errorf("overflowing trace drifted: sha256 %s, want %s", got, traceOverflowWant)
 		}
 	})
 	t.Run("registry", func(t *testing.T) {
@@ -335,17 +277,20 @@ func TestTraceOverflowParity(t *testing.T) {
 		// ~4.7M measured packets: 17 531 sampled events at 1 in 1024.
 		sf := slimfly.MustNew(7)
 		rt := route.Build(sf.Graph())
-		parity(t, func(workers int) *metrics.TraceStats {
+		run := func() []byte {
 			_, sum, err := RunSummary(Config{
 				Topo: sf, Router: rt, Algo: MIN{},
 				Pattern: traffic.Uniform{N: sf.Endpoints()},
 				Load:    0.8, Warmup: 100, Measure: 10000, Seed: 1,
-				Workers: workers, Metrics: "trace",
+				Metrics: "trace",
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return sum.Trace
-		})
+			return overflowed(t, sum.Trace)
+		}
+		if want, got := run(), run(); !bytes.Equal(got, want) {
+			t.Error("second run's overflowing trace diverged")
+		}
 	})
 }

@@ -86,13 +86,6 @@ func (st *Stats) Add(r JobResult) {
 type Options struct {
 	// Workers is the pool width; 0 means one per available core.
 	Workers int
-	// SimWorkers is the intra-simulation worker count applied to jobs
-	// whose config does not already request one (sim.Config.Workers):
-	// results are bit-identical at every shard count, so raising it
-	// never changes results or cache keys, only wall-clock. 0 or 1 leaves
-	// jobs on one inline shard. See SplitParallelism for the heuristic
-	// that balances this against the pool width.
-	SimWorkers int
 	// Store, when non-nil, short-circuits jobs whose key is already
 	// stored and records fresh results for future runs. The local Cache
 	// is the usual backend; a RemoteStore shares results across
@@ -107,32 +100,6 @@ type Options struct {
 	// a Progress here must not also Observe from OnDone, or jobs are
 	// counted twice.
 	Progress *Progress
-}
-
-// SplitParallelism divides ncores between the two levels of parallelism:
-// concurrent jobs (pool width) and intra-simulation shards per job. With
-// at least one job per core, sweep-level parallelism alone saturates the
-// machine with zero coordination cost, so simulations stay serial. With
-// fewer jobs than cores -- a handful of big networks, or the tail of a
-// sweep -- the spare cores go to intra-simulation sharding, capped at 8
-// per simulation (past that, the serial commit phase and the per-cycle
-// barrier dominate the shrinking decide slices). The split is safe to
-// apply blindly because worker counts never change results or cache keys.
-func SplitParallelism(njobs, ncores int) (poolWorkers, simWorkers int) {
-	if ncores < 1 {
-		ncores = 1
-	}
-	if njobs < 1 {
-		njobs = 1
-	}
-	if njobs >= ncores {
-		return ncores, 0
-	}
-	simWorkers = ncores / njobs
-	if simWorkers > 8 {
-		simWorkers = 8
-	}
-	return njobs, simWorkers
 }
 
 // Task is one executable unit for the low-level pool API: a descriptive
@@ -205,7 +172,7 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) ([]JobResult, Sta
 				if opts.Progress != nil {
 					opts.Progress.JobStarted()
 				}
-				results[idx] = Execute(tasks[idx], opts.Store, opts.SimWorkers)
+				results[idx] = Execute(tasks[idx], opts.Store, 0)
 				if opts.Progress != nil {
 					opts.Progress.Observe(results[idx])
 				}
@@ -237,9 +204,11 @@ func RunTasks(ctx context.Context, tasks []Task, opts Options) ([]JobResult, Sta
 // but execute each claimed job through this one path, so a result is
 // bit-identical whether it came from RunTasks, the service, a remote
 // worker, or a resumed run of any of them.
-func Execute(t Task, store Store, simWorkers int) JobResult {
+//
+// The third parameter is ignored; it stays only because cmd/sfbench passes it.
+func Execute(t Task, store Store, _ int) JobResult {
 	obsInFlight.Add(1)
-	jr := runOne(t, store, simWorkers)
+	jr := runOne(t, store)
 	obsInFlight.Add(-1)
 	obsJobsDone.Inc()
 	if jr.Err != "" {
@@ -251,10 +220,7 @@ func Execute(t Task, store Store, simWorkers int) JobResult {
 // runOne executes a single task: store lookup, lazy build, simulate,
 // store write. Panics from construction or simulation are converted into
 // failed results so one bad point cannot take down a long sweep.
-// simWorkers applies intra-simulation sharding to configs that did not
-// request their own worker count; it affects wall-clock only, never the
-// result or the cache entry.
-func runOne(t Task, store Store, simWorkers int) (jr JobResult) {
+func runOne(t Task, store Store) (jr JobResult) {
 	jr = JobResult{Job: t.Job, Key: t.Key}
 	defer func() {
 		if p := recover(); p != nil {
@@ -275,9 +241,6 @@ func runOne(t Task, store Store, simWorkers int) (jr JobResult) {
 	if err != nil {
 		jr.Err = err.Error()
 		return jr
-	}
-	if cfg.Workers == 0 && simWorkers > 1 {
-		cfg.Workers = simWorkers
 	}
 	defer obsJobSpan.Start().End()
 	start := time.Now()

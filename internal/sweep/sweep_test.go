@@ -233,77 +233,11 @@ func TestProgress(t *testing.T) {
 	}
 }
 
-// TestSplitParallelism pins the core-splitting heuristic: sweeps with at
-// least one job per core saturate the machine with job-level parallelism
-// alone, undersubscribed sweeps hand the spare cores to intra-simulation
-// shards (capped at 8 per simulation), and degenerate inputs clamp sanely.
-func TestSplitParallelism(t *testing.T) {
-	cases := []struct {
-		jobs, cores       int
-		wantPool, wantSim int
-	}{
-		{100, 8, 8, 0}, // saturated: serial sims, full-width pool
-		{8, 8, 8, 0},   // exactly one job per core
-		{4, 8, 4, 2},   // undersubscribed: split evenly
-		{3, 8, 3, 2},   // uneven split rounds down
-		{1, 4, 1, 4},   // one big job gets the machine
-		{1, 64, 1, 8},  // per-sim shard cap
-		{0, 0, 1, 0},   // degenerate inputs clamp to one serial worker
-	}
-	for _, c := range cases {
-		pool, sim := SplitParallelism(c.jobs, c.cores)
-		if pool != c.wantPool || sim != c.wantSim {
-			t.Errorf("SplitParallelism(%d, %d) = (%d, %d), want (%d, %d)",
-				c.jobs, c.cores, pool, sim, c.wantPool, c.wantSim)
-		}
-		if sim > 0 && pool*sim > max(c.cores, 1) {
-			t.Errorf("SplitParallelism(%d, %d) oversubscribes: %d x %d cores",
-				c.jobs, c.cores, pool, sim)
-		}
-	}
-}
-
-// TestSimWorkersBitIdentical runs one small sweep serially and with
-// intra-simulation sharding forced on every job, and demands identical
-// results: the pool-level guarantee built on the engine's parity
-// contract, and the reason SimWorkers may be tuned (or auto-set) freely
-// without invalidating caches.
-func TestSimWorkersBitIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulator-backed; skipped in -short")
-	}
-	spec := &Spec{
-		Name:  "simworkers",
-		Topos: []TopoSpec{{Kind: "SF", Q: 5}},
-		Algos: []string{"min", "ugal-l"},
-		Loads: []float64{0.2, 0.4},
-		Sim:   SimParams{Warmup: 50, Measure: 100, Drain: 500},
-	}
-	serial, _, err := Run(context.Background(), spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, _, err := Run(context.Background(), spec, Options{SimWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Err != "" || sharded[i].Err != "" {
-			t.Fatalf("job %d failed: %q / %q", i, serial[i].Err, sharded[i].Err)
-		}
-		if serial[i].Result != sharded[i].Result {
-			t.Errorf("job %d (%s): sharded result diverged:\n got  %#v\n want %#v",
-				i, serial[i].Job.Label(), sharded[i].Result, serial[i].Result)
-		}
-	}
-}
-
 // TestSweepMetricsPayload pins the collector flow through the pool and
 // the cache: a spec requesting collectors yields a metrics summary on
 // every executed job, the summary round-trips through the cache
-// byte-identically on the second (fully cached) run, and forcing
-// intra-simulation sharding leaves it bit-identical -- the sweep-level
-// face of the engine's worker-count determinism.
+// byte-identically on the second (fully cached) run, and a third run
+// without a store recomputes it bit-identically.
 func TestSweepMetricsPayload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
@@ -348,7 +282,7 @@ func TestSweepMetricsPayload(t *testing.T) {
 	if st2.Cached != st2.Total {
 		t.Fatalf("second run stats = %+v, want all cached", st2)
 	}
-	sharded, _, err := Run(context.Background(), spec, Options{SimWorkers: 3})
+	fresh, _, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +291,8 @@ func TestSweepMetricsPayload(t *testing.T) {
 		if got := sumJSON(run2[i]); got != want {
 			t.Errorf("job %d: cached summary differs from computed:\n got  %s\n want %s", i, got, want)
 		}
-		if got := sumJSON(sharded[i]); got != want {
-			t.Errorf("job %d: sharded summary diverged:\n got  %s\n want %s", i, got, want)
+		if got := sumJSON(fresh[i]); got != want {
+			t.Errorf("job %d: recomputed summary diverged:\n got  %s\n want %s", i, got, want)
 		}
 	}
 

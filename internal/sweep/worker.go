@@ -29,10 +29,6 @@ type WorkerOptions struct {
 	// IdleExit, when positive, ends the loop (without error) after this
 	// long without any work. 0 polls forever.
 	IdleExit time.Duration
-	// SimWorkers shards each simulation; 0 leaves configs alone. Workers
-	// run one job at a time, so the CLI defaults this to the core count
-	// (capped like SplitParallelism).
-	SimWorkers int
 	// Hold, when positive, sleeps between claiming a job and executing
 	// it, with the heartbeat running. It exists for the kill-a-worker
 	// integration tests: a held worker is reliably "mid-lease".
@@ -130,7 +126,7 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 			case <-ctx.Done():
 			}
 		}
-		jr := Execute(JobTask(env, *grant.Job), rs, opts.SimWorkers)
+		jr := Execute(JobTask(env, *grant.Job), rs, 0)
 		close(stop)
 		<-hbDone
 

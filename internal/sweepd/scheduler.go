@@ -53,19 +53,8 @@ type jobLease struct {
 // SIGKILLed worker costs one TTL of latency, never a lost job. Requeued
 // jobs take priority over never-claimed ones within their sweep, so a
 // recovered job doesn't go to the back of a 10,000-point line.
-//
-// Intra-simulation sharding rides the existing SplitParallelism
-// heuristic, re-evaluated at every claim against the jobs that want a
-// core NOW -- unclaimed plus those local workers are still executing:
-// while that is at least the worker count each simulation stays serial,
-// and when it falls below (the tail of the last sweep on an otherwise
-// idle server) the idle cores shard the remaining simulations. Worker
-// counts never change results or cache keys, so this is pure wall-clock
-// tuning.
 type scheduler struct {
 	workers    int // local executor goroutines (0: remote workers only)
-	claimBase  int // parallelism denominator for SplitParallelism (>=1)
-	simW       int // fixed intra-sim workers; 0 = dynamic SplitParallelism
 	store      sweep.Store
 	env        *sweep.Env
 	leaseSweep time.Duration // expiry scan period
@@ -75,7 +64,6 @@ type scheduler struct {
 	active   []*sweepRun // sweeps with unclaimed jobs, submission order
 	rr       int         // round-robin cursor into active
 	pending  int         // unclaimed jobs across active
-	running  int         // local claims still executing
 	leases   map[string]*jobLease
 	draining bool
 	started  bool
@@ -86,7 +74,7 @@ type scheduler struct {
 // newScheduler builds a scheduler with workers local executors (0 means
 // one per core; negative means none -- a scheduling-only server whose
 // jobs are all executed by remote workers).
-func newScheduler(workers, simWorkers int, store sweep.Store, env *sweep.Env, leaseSweep time.Duration) *scheduler {
+func newScheduler(workers int, store sweep.Store, env *sweep.Env, leaseSweep time.Duration) *scheduler {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -96,13 +84,8 @@ func newScheduler(workers, simWorkers int, store sweep.Store, env *sweep.Env, le
 	if leaseSweep <= 0 {
 		leaseSweep = time.Second
 	}
-	claimBase := workers
-	if claimBase < 1 {
-		claimBase = 1
-	}
 	s := &scheduler{
-		workers: workers, claimBase: claimBase, simW: simWorkers,
-		store: store, env: env, leaseSweep: leaseSweep,
+		workers: workers, store: store, env: env, leaseSweep: leaseSweep,
 		leases: make(map[string]*jobLease), stopExp: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -179,48 +162,32 @@ func (s *scheduler) nextLocked() (r *sweepRun, idx int) {
 }
 
 // claim blocks until a job is available or the scheduler drains: the
-// local workers' claim source. It returns the run, the claimed job index
-// and the intra-simulation worker count to execute with; ok=false means
-// the worker should exit.
-func (s *scheduler) claim() (r *sweepRun, idx, simWorkers int, ok bool) {
+// local workers' claim source. It returns the run and the claimed job
+// index; ok=false means the worker should exit.
+func (s *scheduler) claim() (r *sweepRun, idx int, ok bool) {
 	s.mu.Lock()
 	for !s.draining && len(s.active) == 0 {
 		s.cond.Wait()
 	}
 	if s.draining {
 		s.mu.Unlock()
-		return nil, 0, 0, false
+		return nil, 0, false
 	}
 	r, idx = s.nextLocked()
-	s.running++
-	simWorkers = s.simW
-	if simWorkers == 0 {
-		_, simWorkers = sweep.SplitParallelism(s.pending+s.running, s.claimBase)
-	}
 	s.mu.Unlock()
 	r.claimStarted()
-	return r, idx, simWorkers, true
-}
-
-// executed is the other half of claim: the local worker's job has left
-// Execute and its cores are free for the next split.
-func (s *scheduler) executed() {
-	s.mu.Lock()
-	s.running--
-	s.mu.Unlock()
+	return r, idx, true
 }
 
 // run is one worker's loop: claim fair-share, execute through the shared
 // per-job path (cache lookup, lazy build, simulate, cache store), record.
 func (s *scheduler) run() {
 	for {
-		r, idx, simW, ok := s.claim()
+		r, idx, ok := s.claim()
 		if !ok {
 			return
 		}
-		jr := sweep.Execute(sweep.JobTask(s.env, r.jobs[idx]), s.store, simW)
-		s.executed()
-		r.finish(idx, jr)
+		r.finish(idx, sweep.Execute(sweep.JobTask(s.env, r.jobs[idx]), s.store, 0))
 	}
 }
 

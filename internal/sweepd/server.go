@@ -88,9 +88,6 @@ type Config struct {
 	// core, negative means none -- a scheduling-only server whose jobs
 	// all execute on remote sfworker processes.
 	Workers int
-	// SimWorkers fixes intra-simulation sharding per job; 0 re-evaluates
-	// sweep.SplitParallelism at every claim against the live queue depth.
-	SimWorkers int
 	// Token, when non-empty, is required as "Authorization: Bearer
 	// <token>" on every mutating endpoint (result uploads, the whole
 	// lease surface). Reads stay open either way.
@@ -125,7 +122,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		store:  cfg.Store,
 		env:    env,
-		sched:  newScheduler(cfg.Workers, cfg.SimWorkers, cfg.Store, env, cfg.LeaseSweep),
+		sched:  newScheduler(cfg.Workers, cfg.Store, env, cfg.LeaseSweep),
 		mux:    http.NewServeMux(),
 		token:  cfg.Token,
 		sweeps: make(map[string]*sweepRun),

@@ -267,12 +267,6 @@ func TestSweepLifecycle(t *testing.T) {
 	if final.Finished == nil {
 		t.Error("done sweep has no finished timestamp")
 	}
-	srv.sched.mu.Lock()
-	running := srv.sched.running
-	srv.sched.mu.Unlock()
-	if running != 0 {
-		t.Errorf("scheduler counts %d local jobs running after the sweep finished", running)
-	}
 
 	// JSON artifact: sfsweep's results.json shape.
 	resp, err := http.Get(ts.URL + "/api/v1/sweeps/" + st.ID + "/results")
@@ -581,7 +575,7 @@ func mkRun(id string, njobs int) *sweepRun {
 // pins the interleaving: one claim per sweep per turn, in submission
 // order, with the big sweep taking the leftover turns alone.
 func TestFairShareClaimOrder(t *testing.T) {
-	sched := newScheduler(1, 1, nil, sweep.NewEnv(), 0)
+	sched := newScheduler(1, nil, sweep.NewEnv(), 0)
 	a := mkRun("A", 5)
 	b := mkRun("B", 2)
 	c := mkRun("C", 1)
@@ -592,7 +586,7 @@ func TestFairShareClaimOrder(t *testing.T) {
 	}
 	var order []string
 	for i := 0; i < 8; i++ {
-		r, _, _, ok := sched.claim()
+		r, _, ok := sched.claim()
 		if !ok {
 			t.Fatal("claim refused")
 		}
@@ -609,57 +603,13 @@ func TestFairShareClaimOrder(t *testing.T) {
 	}
 }
 
-// TestTailSplitCountsRunningJobs: the dynamic intra-simulation split
-// divides the local cores among the jobs that want one now -- unclaimed
-// AND still executing -- so the tail of a sweep shards a simulation only
-// onto cores that are actually idle. Drives claim/executed directly, the
-// two calls a local worker's loop makes around sweep.Execute.
-func TestTailSplitCountsRunningJobs(t *testing.T) {
-	claim := func(s *scheduler) int {
-		t.Helper()
-		_, _, simW, ok := s.claim()
-		if !ok {
-			t.Fatal("claim refused")
-		}
-		return simW
-	}
-
-	// Two local workers, four jobs. Worker 1 claims job 0 and holds it;
-	// worker 2 claims and finishes jobs 1 and 2, then claims job 3 with
-	// nothing left unclaimed while job 0 is still running: both cores are
-	// busy, so job 3 must not be sharded across two decide goroutines.
-	sched := newScheduler(2, 0, nil, sweep.NewEnv(), 0)
-	if !sched.submit(mkRun("tail", 4)) {
-		t.Fatal("submit refused")
-	}
-	claim(sched) // job 0, held to the end
-	for i := 1; i <= 2; i++ {
-		if simW := claim(sched); simW > 1 {
-			t.Errorf("job %d claimed beside a running one got simWorkers = %d on 2 cores, want <= 1", i, simW)
-		}
-		sched.executed()
-	}
-	if simW := claim(sched); simW > 1 {
-		t.Errorf("last job claimed beside a running one got simWorkers = %d on 2 cores, want <= 1", simW)
-	}
-
-	// A lone job on an idle four-worker scheduler still gets every core.
-	idle := newScheduler(4, 0, nil, sweep.NewEnv(), 0)
-	if !idle.submit(mkRun("lone", 1)) {
-		t.Fatal("submit refused")
-	}
-	if simW := claim(idle); simW != 4 {
-		t.Errorf("lone claim on an idle 4-worker scheduler got simWorkers = %d, want 4", simW)
-	}
-}
-
 // TestFairShareAPI: with one worker, a small sweep submitted after a big
 // one still finishes first -- the service-level starvation guarantee.
 func TestFairShareAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, SimWorkers: 1})
+	srv, ts := newTestServer(t, Config{Workers: 1})
 	// Submit BEFORE Start so claim order is exactly round-robin from job
 	// zero: big first, then small.
 	big := postSpec(t, ts, specJSON("big", 6))
@@ -685,7 +635,7 @@ func TestDrainResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, ts := newTestServer(t, Config{Workers: 1, SimWorkers: 1, Store: cache})
+	srv, ts := newTestServer(t, Config{Workers: 1, Store: cache})
 	srv.Start()
 	// Long measure window: each job takes long enough that the drain
 	// issued right after the first result reliably lands mid-sweep.
