@@ -119,17 +119,17 @@ func TestStepZeroAlloc(t *testing.T) {
 			t.Fatalf("steady-state step allocates: %v allocs/op, want 0", allocs)
 		}
 	}
-	t.Run("plain", func(t *testing.T) {
+	t.Run(inline, func(t *testing.T) {
 		zeroAlloc(t, newSteadySim(t, 9, 2000, MIN{}, ""))
 	})
-	t.Run("metrics", func(t *testing.T) {
+	t.Run(inline+"+metrics", func(t *testing.T) {
 		zeroAlloc(t, newSteadySim(t, 9, 2000, MIN{}, allCollectors))
 	})
 	// The computed (algebraic) backend has no flat port array, so every
 	// PortToward answers through the Router interface -- arithmetic on
 	// state prebuilt at construction, which must stay allocation-free
 	// exactly like the one-array-load tables path.
-	t.Run("computed", func(t *testing.T) {
+	t.Run(inline+"+computed", func(t *testing.T) {
 		zeroAlloc(t, newSteadySimRouted(t, 9, 2000, MIN{}, "",
 			func(tb testing.TB, sf *slimfly.SlimFly) route.Router {
 				return route.NewComputed(sf.Graph(), sf)
@@ -139,7 +139,7 @@ func TestStepZeroAlloc(t *testing.T) {
 	// packet id ever matches, so every hot-path call is hash + mask +
 	// return -- which must stay allocation-free just like the warm path
 	// above (the ring is preallocated at Attach either way).
-	t.Run("trace-cold", func(t *testing.T) {
+	t.Run(inline+"+trace-cold", func(t *testing.T) {
 		s := newSteadySim(t, 9, 2000, MIN{}, "")
 		s.initMetrics(metrics.SetOf(metrics.NewTrace(63, 64)))
 		zeroAlloc(t, s)

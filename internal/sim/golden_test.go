@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"slimfly/internal/route"
@@ -97,6 +99,70 @@ func TestGoldenResults(t *testing.T) {
 	}
 }
 
+// inline is the subtest suffix of cases that run the engine's one schedule.
+// It is the name those cases carried when Config.Workers 0 selected that
+// schedule, kept so subtest names stay comparable across test histories.
+const inline = "w0"
+
+// TestGoldenResultsParallel pins the goldens under the concurrency the
+// engine gets its cores from: w simulations of the same scenario run at
+// once on their own goroutines, as sweep pool workers do, sharing the
+// topology and the routing tables. Every one must reproduce the golden byte
+// for byte, so no Sim writes to state another Sim reads -- the shared
+// tables, the topology, a package-level RNG or scratch. The race detector
+// run in CI turns any such write into a failure even when the Results
+// happen to agree.
+func TestGoldenResultsParallel(t *testing.T) {
+	for _, sims := range []int{1, 2, 3, 8} {
+		for _, c := range goldenCases(t) {
+			c, sims := c, sims
+			t.Run(fmt.Sprintf("%s/w%d", c.name, sims), func(t *testing.T) {
+				t.Parallel()
+				got := make([]Result, sims)
+				errs := make([]error, sims)
+				var wg sync.WaitGroup
+				for i := range got {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						s, err := New(goldenConfig(c))
+						if err != nil {
+							errs[i] = err
+							return
+						}
+						got[i] = s.Run()
+					}(i)
+				}
+				wg.Wait()
+				for i := range got {
+					if errs[i] != nil {
+						t.Fatal(errs[i])
+					}
+					if got[i] != c.want {
+						t.Errorf("simulation %d of %d running at once diverged from the golden:\n got  %#v\n want %#v", i, sims, got[i], c.want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestCloseIdempotent pins Sim.Close's contract: it may be called any number
+// of times, before and after Run, and changes nothing about the run.
+func TestCloseIdempotent(t *testing.T) {
+	c := goldenCases(t)[0]
+	s, err := New(goldenConfig(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s.Close()
+	if got := s.Run(); got != c.want {
+		t.Errorf("Run after Close diverged from the golden:\n got  %#v\n want %#v", got, c.want)
+	}
+	s.Close()
+}
+
 // TestGoldenResultsComputed is the backend half of the parity wall: every
 // pinned scenario re-runs on the computed (algebraic) routing backend --
 // no flat port table, PortToward answers through the Router interface --
@@ -114,7 +180,7 @@ func TestGoldenResultsComputed(t *testing.T) {
 			t.Fatalf("%s: golden topology %s has no algebraic oracle", c.name, c.tp.Name())
 		}
 		c.tb = route.NewComputed(c.tp.Graph(), o)
-		t.Run(c.name, func(t *testing.T) {
+		t.Run(c.name+"/"+inline, func(t *testing.T) {
 			t.Parallel()
 			s, err := New(goldenConfig(c))
 			if err != nil {

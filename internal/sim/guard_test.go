@@ -33,7 +33,7 @@ func TestBadTargetPortPanics(t *testing.T) {
 	tb := route.Build(sf.Graph())
 	for _, static := range []bool{false, true} {
 		static := static
-		t.Run(fmt.Sprintf("static=%v", static), func(t *testing.T) {
+		t.Run(fmt.Sprintf("static=%v/%s", static, inline), func(t *testing.T) {
 			s, err := New(Config{
 				Topo: sf, Router: tb, Algo: brokenAlgo{static: static},
 				Pattern: traffic.Uniform{N: sf.Endpoints()},

@@ -162,7 +162,7 @@ func TestRingConservation(t *testing.T) {
 	for _, algo := range []Algo{MIN{}, UGALL{}} {
 		vcs := algo.NeededVCs(tb.MaxDistance())
 		for _, depth := range []int{1, 2, 21} {
-			t.Run(fmt.Sprintf("%s/depth%d", algo.Name(), depth), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/depth%d/%s", algo.Name(), depth, inline), func(t *testing.T) {
 				s, err := New(Config{
 					Topo: sf, Router: tb, Algo: algo, Pattern: traffic.Uniform{N: sf.Endpoints()},
 					Load: 0.95, NumVCs: vcs, BufPerPort: vcs * depth,
