@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -362,6 +363,87 @@ func TestSweepLifecycle(t *testing.T) {
 	resp.Body.Close()
 	if idx.Error != "" || idx.Count != 3 || len(idx.Keys) != 3 {
 		t.Errorf("index: %+v", idx)
+	}
+}
+
+// TestEntryServedAsStored pins the bytes of GET /api/v1/results/{key}.
+// For every entry of a small grid (two algorithms, three collector
+// selections) the body is both the indented encoding of the decoded
+// entry and the stored file, each plus a trailing newline; HEAD answers
+// 200 with no body.
+func TestEntryServedAsStored(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator-backed; skipped in -short")
+	}
+	cache, err := sweep.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Workers: 2, Store: cache})
+	srv.Start()
+	for i, metrics := range []string{"", "latency", "latency,channels,fairness"} {
+		spec := fmt.Sprintf(`{
+			"name": "stored-%d",
+			"topologies": [{"kind": "SF", "q": 5}],
+			"algos": ["min", "ugal-l"],
+			"patterns": ["uniform"],
+			"loads": [0.3],
+			"seeds": [1],
+			"sim": {"warmup": 50, "measure": 100, "drain": 500, "metrics": %q}
+		}`, i, metrics)
+		waitState(t, ts, postSpec(t, ts, spec).ID, StateDone)
+	}
+
+	n := 0
+	for key, err := range cache.Keys() {
+		if err != nil {
+			t.Fatal(err)
+		}
+		n++
+		stored, ok := cache.Get(key)
+		if !ok {
+			t.Fatalf("%s: Get missed a stored entry", key)
+		}
+		encoded, err := json.MarshalIndent(stored, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(filepath.Join(cache.Dir(), key[:2], key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		resp, err := http.Get(ts.URL + "/api/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d, read error %v", key, resp.StatusCode, err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: content-type %q", key, ct)
+		}
+		if !bytes.Equal(body, append(encoded, '\n')) {
+			t.Errorf("GET %s: body is not the re-encoded entry:\n%s\nvs\n%s", key, body, encoded)
+		}
+		if !bytes.Equal(body, append(file, '\n')) {
+			t.Errorf("GET %s: body is not the stored file plus a newline", key)
+		}
+
+		resp, err = http.Head(ts.URL + "/api/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(body) != 0 {
+			t.Errorf("HEAD %s: status %d, %d body bytes, read error %v", key, resp.StatusCode, len(body), err)
+		}
+	}
+	if n != 6 {
+		t.Fatalf("grid stored %d entries, want 6", n)
 	}
 }
 
