@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io/fs"
@@ -35,11 +36,16 @@ type Entry struct {
 // Cache is the local directory-backed Store. Writes are atomic (unique
 // temp file + rename), so concurrent writers -- even across processes --
 // can race on the same key and the survivor is always a complete entry.
-// Unreadable or corrupt entries are deleted on read and reported as
-// misses, so a torn write from a killed sweep costs one recomputation,
-// not a crash. Keys that are not 64 hex digits never reach the
-// filesystem: Get/Has miss, Put returns a *KeyError (it used to panic
-// the key[:2] path fan-out).
+// Unreadable or corrupt entries are deleted on read (by Get) and
+// reported as misses, so a torn write from a killed sweep costs one
+// recomputation, not a crash. Keys that are not 64 hex digits never
+// reach the filesystem: Get/Has/Raw miss, Put returns a *KeyError (it
+// used to panic the key[:2] path fan-out).
+//
+// Raw is stricter than Get: it accepts only a document shaped the way
+// Put writes it (isStored). A file Get would decode but Put never
+// writes -- compact JSON planted by hand, say -- is a hit for Get and a
+// miss for Raw, so sfsweepd answers 404 for it.
 type Cache struct {
 	dir string
 }
@@ -94,6 +100,32 @@ func (c *Cache) Get(key string) (Entry, bool) {
 		return Entry{}, false
 	}
 	return e, true
+}
+
+// Raw returns the stored document for key without decoding it: the
+// exact bytes Put wrote. A missing file, a malformed key and a file that
+// is not shaped like Put's output (isStored) are misses. Raw deletes
+// nothing; Get stays the one place that removes corrupt entries.
+func (c *Cache) Raw(key string) ([]byte, bool) {
+	if !ValidKey(key) {
+		return nil, false
+	}
+	data, err := os.ReadFile(c.path(key))
+	if err != nil || !isStored(data) {
+		return nil, false
+	}
+	return data, true
+}
+
+// storedPrefix is how every document Put writes begins: MarshalIndent
+// puts Entry's first field, Format, on the document's first line.
+var storedPrefix = []byte("{\n \"format\": \"" + scenario.CacheFormat + "\",")
+
+// isStored reports whether data can be a document Put wrote: it begins
+// as Put's encoding of the current format does and is valid JSON. It is
+// the whole check a document gets before sfsweepd serves it as is.
+func isStored(data []byte) bool {
+	return bytes.HasPrefix(data, storedPrefix) && json.Valid(data)
 }
 
 // Has reports whether an entry for key is present on disk, without

@@ -21,13 +21,15 @@ var (
 )
 
 // RemoteStore is the Store backend that speaks HTTP/JSON to a running
-// sfsweepd: reads come from GET /api/v1/results/{key}, writes go to the
-// token-authenticated PUT side. Because sfsweepd's local store uses the
-// same Entry encoding and the same Spec.Key addresses, a RemoteStore
-// handed to Execute behaves exactly like a shared cache directory --
-// except it works across machines. It is also the job-claim client of
-// the same server (ClaimJob, RenewJob, CompleteJob over the
-// /api/v1/leases endpoints), which is what Work drives.
+// sfsweepd: reads come from GET /api/v1/results/{key}, which serves the
+// stored document as it is (Raw; Get decodes it once), and writes go to
+// the token-authenticated PUT side, which refuses an entry whose job
+// does not hash to the key it is put under. Because sfsweepd's local
+// store uses the same Entry encoding and the same Spec.Key addresses, a
+// RemoteStore handed to Execute behaves exactly like a shared cache
+// directory -- except it works across machines. It is also the
+// job-claim client of the same server (ClaimJob, RenewJob, CompleteJob
+// over the /api/v1/leases endpoints), which is what Work drives.
 //
 // Transient failures (network errors, 5xx) are retried with exponential
 // backoff before giving up: a worker fleet must ride out a server
@@ -74,7 +76,8 @@ func (e *transientError) Unwrap() error { return e.err }
 
 // do performs one HTTP exchange with retry/backoff on transient
 // failures. body is re-sent from the byte slice on every attempt. A
-// non-nil out is filled from a 2xx JSON body. The returned status is the
+// non-nil out is filled from a 2xx body: decoded from JSON, or verbatim
+// when out is a *[]byte. The returned status is the
 // final attempt's (0 if no attempt got a response).
 func (r *RemoteStore) do(method, path string, body []byte, out any) (int, error) {
 	backoff := r.Backoff
@@ -125,10 +128,16 @@ func (r *RemoteStore) once(method, path string, body []byte, out any) (int, erro
 	if resp.StatusCode >= 500 {
 		return resp.StatusCode, &transientError{fmt.Errorf("server status %d", resp.StatusCode)}
 	}
-	if resp.StatusCode >= 200 && resp.StatusCode < 300 && out != nil && resp.StatusCode != http.StatusNoContent {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, &transientError{fmt.Errorf("decoding response: %w", err)}
-		}
+	if resp.StatusCode < 200 || resp.StatusCode >= 300 || out == nil || resp.StatusCode == http.StatusNoContent {
+		return resp.StatusCode, nil
+	}
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(resp.Body)
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(out)
+	}
+	if err != nil {
+		return resp.StatusCode, &transientError{fmt.Errorf("reading response: %w", err)}
 	}
 	return resp.StatusCode, nil
 }
@@ -138,19 +147,39 @@ func apiErr(status int, path string) error {
 	return fmt.Errorf("sweep: remote store: %s returned status %d", path, status)
 }
 
-// Get fetches the entry for key. Misses, malformed keys and exhausted
-// transports all report (zero, false) -- a miss only costs one
-// recomputation, matching the local Cache's contract.
+// Get fetches the entry for key: Raw, then one decode. Misses, malformed
+// keys and exhausted transports all report (zero, false) -- a miss only
+// costs one recomputation, matching the local Cache's contract.
 func (r *RemoteStore) Get(key string) (Entry, bool) {
-	if !ValidKey(key) {
+	data, ok := r.Raw(key)
+	if !ok {
 		return Entry{}, false
 	}
 	var e Entry
-	status, err := r.do(http.MethodGet, "/api/v1/results/"+key, nil, &e)
-	if err != nil || status != http.StatusOK {
+	if err := json.Unmarshal(data, &e); err != nil {
 		return Entry{}, false
 	}
 	return e, true
+}
+
+// Raw fetches the stored document for key: the server sends the
+// entry's bytes plus a newline, which Raw trims. The document must pass
+// the same shape check the local Cache applies (isStored), so a server
+// that answers with anything else is a miss.
+func (r *RemoteStore) Raw(key string) ([]byte, bool) {
+	if !ValidKey(key) {
+		return nil, false
+	}
+	var data []byte
+	status, err := r.do(http.MethodGet, "/api/v1/results/"+key, nil, &data)
+	if err != nil || status != http.StatusOK {
+		return nil, false
+	}
+	data = bytes.TrimSuffix(data, []byte("\n"))
+	if !isStored(data) {
+		return nil, false
+	}
+	return data, true
 }
 
 // Has probes for key with a HEAD request (the GET route answers it

@@ -19,7 +19,7 @@ import (
 // job leases do that.
 //
 // Every implementation must validate key shape at this boundary: a key
-// that is not 64 hex digits (ValidKey) is a miss for Get/Has, a
+// that is not 64 hex digits (ValidKey) is a miss for Get/Raw/Has, a
 // *KeyError for Put, and never reaches the filesystem or the network
 // path component.
 type Store interface {
@@ -27,6 +27,11 @@ type Store interface {
 	// Corrupt or unreachable entries are misses, never errors -- a miss
 	// only costs one recomputation.
 	Get(key string) (Entry, bool)
+	// Raw looks up key like Get but returns the entry's stored JSON
+	// document undecoded: the indented encoding Put writes, which is
+	// what sfsweepd serves for GET /api/v1/results/{key}. A document not
+	// shaped like Put's output is a miss, even where Get would decode it.
+	Raw(key string) ([]byte, bool)
 	// Put stores entry under key. Failures are real errors (a full disk,
 	// an unreachable server): the caller decides whether to surface or
 	// tolerate them.

@@ -5,16 +5,20 @@
 // and hit behaviour, malformed-key rejection at the boundary (the
 // key[:2] fan-out used to panic on short keys), foreign files staying
 // out of the index, torn writes degrading to misses, concurrent writers
-// surviving, and a directory an older binary left lease files in.
+// surviving, a directory an older binary left lease files in, and Raw
+// answering only for documents shaped the way Put writes them.
 package storetest
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
-	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
 	"slimfly/internal/sweep"
 )
@@ -30,11 +34,11 @@ type Backend struct {
 	Open func(t *testing.T) (sweep.Store, Plant)
 }
 
-// Key returns a distinct well-formed (64-hex) result key per seed. The
-// keys are synthetic: conformance exercises the store contract, not the
-// hash function (TestKeyStability pins that separately).
+// Key returns a distinct result key per seed: the content address of
+// the job entry(seed) carries, so the suite's uploads are honest (a
+// server refuses an entry put under another scenario's key).
 func Key(seed int) string {
-	return fmt.Sprintf("%064x", uint64(seed)+1)
+	return entry(seed).Job.Key()
 }
 
 // entry fabricates a distinguishable result entry.
@@ -57,6 +61,9 @@ func Run(t *testing.T, b Backend) {
 		if _, ok := s.Get(key); ok {
 			t.Fatal("Get on empty store reported a hit")
 		}
+		if _, ok := s.Raw(key); ok {
+			t.Fatal("Raw on empty store reported a hit")
+		}
 		if s.Has(key) {
 			t.Fatal("Has on empty store reported presence")
 		}
@@ -74,6 +81,17 @@ func Run(t *testing.T, b Backend) {
 		if got.Result != want.Result || got.Job.Load != want.Job.Load {
 			t.Fatalf("roundtrip mismatch: got %+v want %+v", got.Result, want.Result)
 		}
+		doc, ok := s.Raw(key)
+		if !ok {
+			t.Fatal("Raw missed a stored entry")
+		}
+		var decoded sweep.Entry
+		if err := json.Unmarshal(doc, &decoded); err != nil {
+			t.Fatalf("Raw document does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(decoded, got) {
+			t.Fatalf("Raw document decodes to %+v, Get returned %+v", decoded, got)
+		}
 		keys := collectKeys(t, s)
 		if len(keys) != 1 || keys[0] != key {
 			t.Fatalf("Keys = %v, want exactly [%s]", keys, key)
@@ -90,6 +108,9 @@ func Run(t *testing.T, b Backend) {
 		for _, key := range bad {
 			if _, ok := s.Get(key); ok {
 				t.Errorf("Get(%q) reported a hit", key)
+			}
+			if _, ok := s.Raw(key); ok {
+				t.Errorf("Raw(%q) reported a hit", key)
 			}
 			if s.Has(key) {
 				t.Errorf("Has(%q) reported presence", key)
@@ -181,6 +202,50 @@ func Run(t *testing.T, b Backend) {
 		keys := collectKeys(t, s)
 		if len(keys) != 1 || keys[0] != key {
 			t.Fatalf("Keys = %v, want exactly [%s]", keys, key)
+		}
+	})
+
+	t.Run("RawShape", func(t *testing.T) {
+		// Raw answers only for a document shaped the way Put writes it.
+		// Each of these is a miss for Raw, and Raw leaves it where it
+		// is: Get then answers as it does on a store Raw never saw.
+		s, _ := b.Open(t)
+		key := Key(8)
+		if err := s.Put(key, entry(8)); err != nil {
+			t.Fatalf("Put: %v", err)
+		}
+		doc, ok := s.Raw(key)
+		if !ok {
+			t.Fatal("Raw missed a stored entry")
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, doc); err != nil {
+			t.Fatal(err)
+		}
+		format := []byte(`"` + scenario.CacheFormat + `"`)
+		for _, c := range []struct {
+			name    string
+			data    []byte
+			getMiss bool // Get's own contract: a miss whatever Raw did
+		}{
+			{"Truncated", doc[:len(doc)/2], true},
+			{"WrongFormat", bytes.Replace(doc, format, []byte(`"slimfly-sweep-v1"`), 1), true},
+			{"Compact", compact.Bytes(), false},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				path := key[:2] + "/" + key + ".json"
+				probed, plant := b.Open(t)
+				plant(t, path, c.data)
+				if _, ok := probed.Raw(key); ok {
+					t.Fatal("Raw reported a hit")
+				}
+				control, plantControl := b.Open(t)
+				plantControl(t, path, c.data)
+				_, want := control.Get(key)
+				if _, got := probed.Get(key); got != want || (c.getMiss && got) {
+					t.Fatalf("Get after Raw hit=%v, Get alone hit=%v (must miss: %v)", got, want, c.getMiss)
+				}
+			})
 		}
 	})
 }

@@ -77,8 +77,9 @@ func TestRemoteStoreConformance(t *testing.T) {
 // wrong tokens with 401 while reads stay open.
 func TestTokenAuth(t *testing.T) {
 	cache, _, ts, good := newRemoteHarness(t, Config{Workers: -1, Token: "s3cret"})
-	key := storetest.Key(1)
-	if err := good.Put(key, sweep.Entry{Result: sim.Result{Delivered: 7}}); err != nil {
+	job := sweep.Job{Topo: sweep.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.07, Seed: 1}
+	key := job.Key()
+	if err := good.Put(key, sweep.Entry{Job: job, Result: sim.Result{Delivered: 7}}); err != nil {
 		t.Fatalf("authenticated Put: %v", err)
 	}
 	if !cache.Has(key) {
@@ -302,6 +303,53 @@ func entryPayloadEqual(t *testing.T, a, b sweep.Entry) bool {
 		return false
 	}
 	return true
+}
+
+// TestPutEntryKeyMismatch: an upload is stored only under its own job's
+// content address. Entry A put under B's key is a 400 key_mismatch that
+// leaves the store as it was; a worker's real upload is still accepted.
+func TestPutEntryKeyMismatch(t *testing.T) {
+	cache, srv, ts, rs := newRemoteHarness(t, Config{Workers: -1, Token: "tok"})
+	srv.Start()
+	postSpec(t, ts, specJSON("honest", 1))
+
+	a := sweep.Job{Topo: sweep.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.2, Seed: 1}
+	b := a
+	b.Load = 0.3
+	body, err := json.Marshal(sweep.Entry{Job: a, Result: sim.Result{Delivered: 11}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/v1/results/"+b.Key(), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer tok")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae apiError
+	err = json.NewDecoder(resp.Body).Decode(&ae)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Kind != "key_mismatch" {
+		t.Fatalf("entry A under B's key: status %d kind %q (%v)", resp.StatusCode, ae.Kind, err)
+	}
+	if n, err := cache.Len(); err != nil || n != 0 {
+		t.Fatalf("refused upload changed the store: %d entries (%v)", n, err)
+	}
+
+	grant, ok, err := rs.ClaimJob("w", time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("claim: ok=%v err=%v", ok, err)
+	}
+	jr := executeGrant(t, rs, sweep.NewEnv(), grant)
+	if jr.StoreErr != "" {
+		t.Fatalf("worker upload refused: %s", jr.StoreErr)
+	}
+	if !cache.Has(grant.Job.Key()) {
+		t.Fatal("worker upload did not land in the store")
+	}
 }
 
 // postSpecAuth submits a spec to a token-guarded server. Submission

@@ -8,7 +8,7 @@
 //	GET  /api/v1/sweeps/{id}/events   SSE stream: per-job results + progress
 //	GET  /api/v1/sweeps/{id}/results  accumulated results (json|csv|jsonl)
 //	GET  /api/v1/results          index of stored scenario keys
-//	GET  /api/v1/results/{key}    one store entry by scenario Spec.Key
+//	GET  /api/v1/results/{key}    one store entry by scenario Spec.Key, served as stored
 //	PUT  /api/v1/results/{key}    upload an entry (auth; remote workers)
 //	POST /api/v1/leases           claim a job under a lease (auth)
 //	POST /api/v1/leases/{id}/renew     heartbeat a lease (auth)
@@ -36,6 +36,14 @@
 // worker that dies mid-job simply stops renewing; the expiry sweep
 // requeues its job and another worker re-runs it to the same bytes.
 // Mutating endpoints honour Config.Token as a bearer token.
+//
+// An entry read by key is sent as the bytes the store holds (Store.Raw)
+// plus a newline, never decoded and re-encoded; an upload is refused
+// unless its job hashes to the key it is put under, so every served
+// document sits at its own scenario's content address. Every request is
+// timed into the obs timer of the route it matched, "sweepd.route
+// <pattern>" (or "sweepd.route unmatched"), whose count is the route's
+// request count.
 package sweepd
 
 import (
@@ -57,7 +65,7 @@ import (
 )
 
 var (
-	obsHTTPReqs        = obs.NewCounter("sweepd.http_requests")
+	obsRouteUnmatched  = obs.NewTimer("sweepd.route unmatched")
 	obsSweepsSubmitted = obs.NewCounter("sweepd.sweeps_submitted")
 	obsAuthFailures    = obs.NewCounter("sweepd.auth_failures")
 	obsResultUploads   = obs.NewCounter("sweepd.result_uploads")
@@ -109,6 +117,9 @@ type Server struct {
 	sched *scheduler
 	mux   *http.ServeMux
 	token string
+	// routes holds each mux pattern's timer; ServeHTTP picks one by the
+	// pattern the mux matched. Written only in New.
+	routes map[string]*obs.Timer
 
 	mu     sync.Mutex
 	sweeps map[string]*sweepRun
@@ -125,28 +136,41 @@ func New(cfg Config) *Server {
 		sched:  newScheduler(cfg.Workers, cfg.Store, env, cfg.LeaseSweep),
 		mux:    http.NewServeMux(),
 		token:  cfg.Token,
+		routes: make(map[string]*obs.Timer),
 		sweeps: make(map[string]*sweepRun),
 	}
-	s.mux.HandleFunc("POST /api/v1/sweeps", s.handleSubmit)
-	s.mux.HandleFunc("GET /api/v1/sweeps", s.handleList)
-	s.mux.HandleFunc("GET /api/v1/sweeps/{id}", s.handleStatus)
-	s.mux.HandleFunc("DELETE /api/v1/sweeps/{id}", s.handleCancel)
-	s.mux.HandleFunc("GET /api/v1/sweeps/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /api/v1/sweeps/{id}/results", s.handleResults)
-	s.mux.HandleFunc("GET /api/v1/results", s.handleIndex)
-	s.mux.HandleFunc("GET /api/v1/results/{key}", s.handleEntry)
-	s.mux.HandleFunc("PUT /api/v1/results/{key}", s.auth(s.handlePutEntry))
-	s.mux.HandleFunc("POST /api/v1/leases", s.auth(s.handleLease))
-	s.mux.HandleFunc("POST /api/v1/leases/{id}/renew", s.auth(s.handleRenew))
-	s.mux.HandleFunc("POST /api/v1/leases/{id}/complete", s.auth(s.handleComplete))
-	s.mux.HandleFunc("GET /api/v1/leases", s.handleLeaseList)
-	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+	s.handle("POST /api/v1/sweeps", s.handleSubmit)
+	s.handle("GET /api/v1/sweeps", s.handleList)
+	s.handle("GET /api/v1/sweeps/{id}", s.handleStatus)
+	s.handle("DELETE /api/v1/sweeps/{id}", s.handleCancel)
+	s.handle("GET /api/v1/sweeps/{id}/events", s.handleEvents)
+	s.handle("GET /api/v1/sweeps/{id}/results", s.handleResults)
+	s.handle("GET /api/v1/results", s.handleIndex)
+	s.handle("GET /api/v1/results/{key}", s.handleEntry)
+	s.handle("PUT /api/v1/results/{key}", s.auth(s.handlePutEntry))
+	s.handle("POST /api/v1/leases", s.auth(s.handleLease))
+	s.handle("POST /api/v1/leases/{id}/renew", s.auth(s.handleRenew))
+	s.handle("POST /api/v1/leases/{id}/complete", s.auth(s.handleComplete))
+	s.handle("GET /api/v1/leases", s.handleLeaseList)
+	s.handle("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
 	if cfg.Debug {
-		s.mux.Handle("/debug/", obs.DebugHandler())
+		debug := obs.DebugHandler()
+		// The debug tree is a mux of its own and would overwrite
+		// r.Pattern, which ServeHTTP reads afterwards: hand it a copy.
+		s.handle("/debug/", func(w http.ResponseWriter, r *http.Request) {
+			debug.ServeHTTP(w, r.Clone(r.Context()))
+		})
 	}
 	return s
+}
+
+// handle registers h on the mux under pattern, with the route's timer
+// "sweepd.route <pattern>".
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, h)
+	s.routes[pattern] = obs.NewTimer("sweepd.route " + pattern)
 }
 
 // auth gates a mutating handler behind the configured bearer token. With
@@ -199,10 +223,16 @@ func (s *Server) Drain(ctx context.Context) error {
 	return err
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. The request's time goes to the
+// timer of the route the mux matched, which the mux leaves in r.Pattern.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	obsHTTPReqs.Inc()
+	start := time.Now()
 	s.mux.ServeHTTP(w, r)
+	t, ok := s.routes[r.Pattern]
+	if !ok {
+		t = obsRouteUnmatched
+	}
+	t.Observe(time.Since(start))
 }
 
 // apiError is the structured error body of every non-2xx response.
@@ -457,7 +487,10 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 // handleEntry serves one cache entry by scenario Spec.Key: the
 // cross-client deduplication surface. A client that knows a scenario's
 // key (Spec.Key is a documented stable hash) fetches the shared result
-// without submitting a sweep at all.
+// without submitting a sweep at all. The body is the stored document
+// (Store.Raw) plus a newline -- for every entry Put wrote, the bytes an
+// indented encoding of the decoded entry would give, at the cost of one
+// file read.
 func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no_cache", errors.New("sweepd: server runs without a result store"))
@@ -469,18 +502,23 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("sweepd: %q is not a scenario key (64 hex digits)", key))
 		return
 	}
-	e, ok := s.store.Get(key)
+	data, ok := s.store.Raw(key)
 	if !ok {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no cached result for %s", key))
 		return
 	}
-	writeJSON(w, http.StatusOK, e)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
+	w.Write(data)
+	io.WriteString(w, "\n")
 }
 
 // handlePutEntry stores an uploaded result entry: the write half of the
 // shared store, used by remote workers (their Execute runs with a
 // RemoteStore, so the entry lands here the moment the simulation ends).
-// The body is the same Entry JSON the GET side serves.
+// The body is the same Entry JSON the GET side serves, and its job must
+// hash to key: an entry uploaded under another scenario's content
+// address would be served there verbatim, so it is a 400 key_mismatch.
 func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no_cache", errors.New("sweepd: server runs without a result store"))
@@ -495,6 +533,11 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	var e sweep.Entry
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxEntryBytes)).Decode(&e); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_entry", fmt.Errorf("sweepd: decoding entry: %w", err))
+		return
+	}
+	if got := e.Job.Key(); got != key {
+		writeError(w, http.StatusBadRequest, "key_mismatch",
+			fmt.Errorf("sweepd: the entry's job hashes to %s, not to %s", got, key))
 		return
 	}
 	if err := s.store.Put(key, e); err != nil {

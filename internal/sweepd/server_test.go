@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"slimfly/internal/export"
+	"slimfly/internal/obs"
 	"slimfly/internal/sweep"
 )
 
@@ -444,6 +445,86 @@ func TestEntryServedAsStored(t *testing.T) {
 	}
 	if n != 6 {
 		t.Fatalf("grid stored %d entries, want 6", n)
+	}
+}
+
+// TestEntryNotAsStored: a stored file that is not shaped the way Put
+// writes it -- torn, or compact JSON planted by hand -- is a structured
+// 404 on GET and stays on disk (serving it deletes nothing).
+func TestEntryNotAsStored(t *testing.T) {
+	cache, err := sweep.OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: -1, Store: cache})
+	job := sweep.Job{Topo: sweep.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.2, Seed: 1}
+	key := job.Key()
+	if err := cache.Put(key, sweep.Entry{Job: job}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cache.Dir(), key[:2], key+".json")
+	stored, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, stored); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"truncated": stored[:len(stored)-10], "compact": compact.Bytes()} {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Get(ts.URL + "/api/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae apiError
+		err = json.NewDecoder(resp.Body).Decode(&ae)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || err != nil || ae.Kind != "not_found" {
+			t.Errorf("%s entry: status %d kind %q (%v), want 404 not_found", name, resp.StatusCode, ae.Kind, err)
+		}
+		if !cache.Has(key) {
+			t.Errorf("%s entry: GET deleted the file", name)
+		}
+	}
+}
+
+// TestRouteTimers: every request lands in the timer of the route it
+// matched, named by the mux pattern, and a request no route matches in
+// the unmatched one.
+func TestRouteTimers(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: -1})
+	routes := []string{"GET /api/v1/results/{key}", "GET /healthz", "unmatched"}
+	count := func() []int64 {
+		snap := obs.Snapshot()
+		n := make([]int64, len(routes))
+		for i, r := range routes {
+			st, _ := snap["sweepd.route "+r].(obs.TimerStats)
+			n[i] = st.Count
+		}
+		return n
+	}
+	before := count()
+	for _, path := range []string{
+		"/api/v1/results/" + strings.Repeat("ab", 32),
+		"/api/v1/results/" + strings.Repeat("cd", 32),
+		"/healthz",
+		"/no/such/route",
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	after := count()
+	for i, want := range []int64{2, 1, 1} {
+		if got := after[i] - before[i]; got != want {
+			t.Errorf("sweepd.route %s counted %d requests, want %d", routes[i], got, want)
+		}
 	}
 }
 
