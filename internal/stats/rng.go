@@ -4,6 +4,8 @@
 // repository seeds an explicit RNG so results are bit-reproducible.
 package stats
 
+import "math/bits"
+
 // RNG is a small, fast, deterministic pseudo-random number generator based on
 // splitmix64 seeding and xoshiro256** state transitions. It is not safe for
 // concurrent use; create one per goroutine.
@@ -79,31 +81,15 @@ func (r *RNG) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded sampling.
 	bound := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, bound)
+	hi, lo := bits.Mul64(x, bound)
 	if lo < bound {
 		thresh := (-bound) % bound
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, bound)
+			hi, lo = bits.Mul64(x, bound)
 		}
 	}
 	return int(hi)
-}
-
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	aLo, aHi := a&mask32, a>>32
-	bLo, bHi := b&mask32, b>>32
-	t := aLo * bLo
-	lo = t & mask32
-	c := t >> 32
-	t = aHi*bLo + c
-	mid := t & mask32
-	hiPart := t >> 32
-	t = aLo*bHi + mid
-	lo |= (t & mask32) << 32
-	hi = aHi*bHi + hiPart + (t >> 32)
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).
