@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"sync"
@@ -102,34 +101,6 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 	if c.Has(testJobWithLoad(0.9).Key()) {
 		t.Error("Has true for a job never stored")
-	}
-}
-
-// TestCacheRawOnlyPutShape: a compact encoding of a valid entry, which
-// Put never writes, is a hit for Get and a miss for Raw, and Raw leaves
-// the file in place.
-func TestCacheRawOnlyPutShape(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := testJob()
-	e := Entry{Format: scenario.CacheFormat, Job: j, Result: sim.Result{Delivered: 3}}
-	data, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(c.path(j.Key())), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(c.path(j.Key()), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Raw(j.Key()); ok {
-		t.Error("Raw served a compact document")
-	}
-	if got, ok := c.Get(j.Key()); !ok || got.Result != e.Result {
-		t.Errorf("Get = %+v, %v; want the planted entry", got.Result, ok)
 	}
 }
 

@@ -490,7 +490,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, _ *http.Request) {
 // without submitting a sweep at all. The body is the stored document
 // (Store.Raw) plus a newline -- for every entry Put wrote, the bytes an
 // indented encoding of the decoded entry would give, at the cost of one
-// file read.
+// file read. The length is known up front, so the reply is never
+// chunked, whatever the entry's size.
 func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no_cache", errors.New("sweepd: server runs without a result store"))
@@ -509,6 +510,7 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(data)+1))
+	// A failed write means the client is gone; there is no one to tell.
 	w.Write(data)
 	io.WriteString(w, "\n")
 }

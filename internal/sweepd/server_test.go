@@ -450,7 +450,8 @@ func TestEntryServedAsStored(t *testing.T) {
 
 // TestEntryNotAsStored: a stored file that is not shaped the way Put
 // writes it -- torn, or compact JSON planted by hand -- is a structured
-// 404 on GET and stays on disk (serving it deletes nothing).
+// 404 on GET and stays on disk (serving it deletes nothing). The compact
+// one is still a hit for Cache.Get.
 func TestEntryNotAsStored(t *testing.T) {
 	cache, err := sweep.OpenCache(t.TempDir())
 	if err != nil {
@@ -471,8 +472,11 @@ func TestEntryNotAsStored(t *testing.T) {
 	if err := json.Compact(&compact, stored); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range map[string][]byte{"truncated": stored[:len(stored)-10], "compact": compact.Bytes()} {
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{{"truncated", stored[:len(stored)-10]}, {"compact", compact.Bytes()}} {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.Get(ts.URL + "/api/v1/results/" + key)
@@ -483,20 +487,25 @@ func TestEntryNotAsStored(t *testing.T) {
 		err = json.NewDecoder(resp.Body).Decode(&ae)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound || err != nil || ae.Kind != "not_found" {
-			t.Errorf("%s entry: status %d kind %q (%v), want 404 not_found", name, resp.StatusCode, ae.Kind, err)
+			t.Errorf("%s entry: status %d kind %q (%v), want 404 not_found", c.name, resp.StatusCode, ae.Kind, err)
 		}
 		if !cache.Has(key) {
-			t.Errorf("%s entry: GET deleted the file", name)
+			t.Errorf("%s entry: GET deleted the file", c.name)
 		}
+	}
+	// The compact file, planted last, is still a hit for Cache.Get.
+	if _, ok := cache.Get(key); !ok {
+		t.Error("Cache.Get missed the compact entry")
 	}
 }
 
 // TestRouteTimers: every request lands in the timer of the route it
 // matched, named by the mux pattern, and a request no route matches in
-// the unmatched one.
+// the unmatched one. A debug page counts under /debug/, although the
+// debug tree routes it through a mux of its own.
 func TestRouteTimers(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: -1})
-	routes := []string{"GET /api/v1/results/{key}", "GET /healthz", "unmatched"}
+	_, ts := newTestServer(t, Config{Workers: -1, Debug: true})
+	routes := []string{"GET /api/v1/results/{key}", "GET /healthz", "unmatched", "/debug/"}
 	count := func() []int64 {
 		snap := obs.Snapshot()
 		n := make([]int64, len(routes))
@@ -512,6 +521,7 @@ func TestRouteTimers(t *testing.T) {
 		"/api/v1/results/" + strings.Repeat("cd", 32),
 		"/healthz",
 		"/no/such/route",
+		"/debug/vars",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -521,7 +531,7 @@ func TestRouteTimers(t *testing.T) {
 		resp.Body.Close()
 	}
 	after := count()
-	for i, want := range []int64{2, 1, 1} {
+	for i, want := range []int64{2, 1, 1, 1} {
 		if got := after[i] - before[i]; got != want {
 			t.Errorf("sweepd.route %s counted %d requests, want %d", routes[i], got, want)
 		}
