@@ -71,3 +71,34 @@ func TestTablesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestVCLayeringPinned holds ComputeVCLayering on the Section IV-D
+// networks to the layer count and the SHA-256 of ByDest (one little-endian
+// int64 per destination) it produced when every check was a Kahn pass.
+func TestVCLayeringPinned(t *testing.T) {
+	want := map[string]struct {
+		layers int
+		byDest string
+	}{
+		"SF q=5":     {3, "7bba6d8994b0a57a038245aec7e43a93897fdc53df75a3e9ce41516128c370cf"},
+		"SF q=7":     {2, "cacfc3ec3937e2723cf821671bce2c335dd2989ae88eafebab99af20d53e64ac"},
+		"SF q=9":     {3, "f813592f7f7ab3d93985d454ea199b864fdb963742d43c7049001f52dc9efb68"},
+		"SF q=11":    {3, "fbe68404af8fd6727c7daf9f72d817ee1c00ad421afeb2cff1ab41fe83f43b7c"},
+		"SF q=13":    {3, "7e9620377984121197dc451a764d9fc1c7adc4e4e50c0704f0f38b6916fb58df"},
+		"DLN N=338":  {3, "adf71a706fa5e232b6bfd305914840e88559fe2282c8ba0b588068df7127754d"},
+		"DLN N=1682": {16, "d6c078345bf86677a8ec971002d7feca3e3575d83fa25c60d129a517fa76a862"},
+	}
+	for _, c := range vcCases(t) {
+		vl := route.ComputeVCLayering(route.Build(c.G))
+		byDest := make([]int64, len(vl.ByDest))
+		for d, l := range vl.ByDest {
+			byDest[d] = int64(l)
+		}
+		h := sha256.New()
+		binary.Write(h, binary.LittleEndian, byDest)
+		got := hex.EncodeToString(h.Sum(nil))
+		if w := want[c.Name]; vl.Layers != w.layers || got != w.byDest {
+			t.Errorf("%s: %d layers, ByDest hash %q; pinned %d, %q", c.Name, vl.Layers, got, w.layers, w.byDest)
+		}
+	}
+}
