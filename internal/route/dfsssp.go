@@ -1,7 +1,5 @@
 package route
 
-import "slimfly/internal/graph"
-
 // VCLayering reproduces the deadlock-freedom experiment of Section IV-D:
 // how many virtual channels (layers) a DFSSSP-style scheme needs so that
 // every layer's channel dependency graph is acyclic.
@@ -11,147 +9,102 @@ import "slimfly/internal/graph"
 // dependency edges are added to the lowest layer that stays acyclic, and a
 // new layer is opened when none fits. The paper reports 3 VCs for all Slim
 // Fly networks and 8-15 for DLN networks of 338-1682 endpoints; this
-// greedy layering reproduces those bands (see EXPERIMENTS.md).
+// greedy layering reproduces those bands (sfexp -exp vc prints the table).
 type VCLayering struct {
 	Layers int   // number of virtual channels needed
 	ByDest []int // layer assigned to each destination's route tree
 }
 
-// channelIndex numbers the directed channels of a graph: the undirected
-// edge {u,v} (u < v) with index i yields channel 2i for u->v and 2i+1 for
-// v->u.
-type channelIndex struct {
-	n  int
-	id map[int64]int32
-}
-
-func newChannelIndex(g *graph.Graph) *channelIndex {
-	ci := &channelIndex{id: make(map[int64]int32, 2*g.EdgeCount())}
-	for _, e := range g.Edges() {
-		u, v := int64(e.U), int64(e.V)
-		ci.id[u<<32|v] = int32(ci.n)
-		ci.id[v<<32|u] = int32(ci.n + 1)
-		ci.n += 2
-	}
-	return ci
-}
-
-func (ci *channelIndex) channel(u, v int32) int32 {
-	return ci.id[int64(u)<<32|int64(v)]
-}
-
-// layer is one virtual layer's channel dependency graph.
-type layer struct {
-	n   int
-	adj [][]int32
-}
-
-func newLayer(n int) *layer { return &layer{n: n, adj: make([][]int32, n)} }
-
-// acyclicWith reports whether the layer stays acyclic after adding deps
-// (Kahn's algorithm over the union).
-func (l *layer) acyclicWith(deps [][2]int32) bool {
-	indeg := make([]int32, l.n)
-	extra := make(map[int32][]int32, len(deps))
-	for _, d := range deps {
-		extra[d[0]] = append(extra[d[0]], d[1])
-		indeg[d[1]]++
-	}
-	for u := 0; u < l.n; u++ {
-		for _, v := range l.adj[u] {
-			indeg[v]++
-		}
-	}
-	queue := make([]int32, 0, l.n)
-	for u := 0; u < l.n; u++ {
-		if indeg[u] == 0 {
-			queue = append(queue, int32(u))
-		}
-	}
-	seen := 0
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		seen++
-		for _, v := range l.adj[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-		for _, v := range extra[u] {
-			indeg[v]--
-			if indeg[v] == 0 {
-				queue = append(queue, v)
-			}
-		}
-	}
-	return seen == l.n
-}
-
-func (l *layer) add(deps [][2]int32) {
-	for _, d := range deps {
-		l.adj[d[0]] = append(l.adj[d[0]], d[1])
-	}
-}
-
 // ComputeVCLayering runs the destination-granularity greedy layering on the
 // minimal routes in t.
+//
+// Channel u -> v is numbered off[u] + port, its port in u's sorted
+// adjacency list after the degrees of the routers before u. Toward d, every
+// router u != d whose next hop m is not d adds one dependency, u's channel
+// toward d -> m's channel toward d, so d's in-tree gives each channel at
+// most one out-edge: tree[c], -1 for none. A layer is acyclic by
+// construction, so the layer plus a tree has a cycle iff one runs through
+// a tree edge, and a depth-first search from the tree edges' tails finds
+// it; nodes are marked grey and black with a per-search epoch, so nothing
+// is cleared between searches.
 func ComputeVCLayering(t *Tables) VCLayering {
-	g := t.G
-	n := g.N()
-	ci := newChannelIndex(g)
-	var layers []*layer
+	g, n := t.G, t.n
+	off := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		off[u+1] = off[u] + int32(g.Degree(u))
+	}
+	channels := int(off[n])
+	tree := make([]int32, channels)
+	for c := range tree {
+		tree[c] = -1
+	}
+	mark := make([]uint32, channels)
+	var (
+		layers [][][]int32 // layers[l][c]: c's out-edges in layer l
+		tails  []int32
+		stack  []struct{ c, i int32 }
+		epoch  uint32
+	)
+	// acyclicWith searches layer adj plus the tree from every tail and
+	// reports whether it never meets a grey (on-stack) channel.
+	acyclicWith := func(adj [][]int32) bool {
+		epoch += 2
+		grey := epoch
+		for _, root := range tails {
+			if mark[root] >= grey {
+				continue
+			}
+			mark[root] = grey
+			stack = append(stack[:0], struct{ c, i int32 }{root, 0})
+			for len(stack) > 0 {
+				top := &stack[len(stack)-1]
+				out, v := adj[top.c], int32(-1)
+				if int(top.i) < len(out) {
+					v = out[top.i]
+				} else if int(top.i) == len(out) {
+					v = tree[top.c]
+				}
+				if v < 0 {
+					mark[top.c] = grey + 1
+					stack = stack[:len(stack)-1]
+					continue
+				}
+				top.i++
+				if mark[v] == grey {
+					return false
+				}
+				if mark[v] < grey {
+					mark[v] = grey
+					stack = append(stack, struct{ c, i int32 }{v, 0})
+				}
+			}
+		}
+		return true
+	}
 	byDest := make([]int, n)
 	for d := 0; d < n; d++ {
-		deps := destDeps(t, ci, d)
-		placed := false
-		for li, l := range layers {
-			if l.acyclicWith(deps) {
-				l.add(deps)
-				byDest[d] = li
-				placed = true
-				break
+		tails = tails[:0]
+		for u := 0; u < n; u++ {
+			if m := t.next[u*n+d]; m >= 0 && int(m) != d {
+				c := off[u] + t.nextPort[u*n+d]
+				tree[c] = off[m] + t.nextPort[int(m)*n+d]
+				tails = append(tails, c)
 			}
 		}
-		if !placed {
-			l := newLayer(ci.n)
-			l.add(deps)
-			layers = append(layers, l)
-			byDest[d] = len(layers) - 1
+		l := 0
+		for l < len(layers) && !acyclicWith(layers[l]) {
+			l++
 		}
+		if l == len(layers) {
+			layers = append(layers, make([][]int32, channels))
+		}
+		for _, c := range tails {
+			layers[l][c] = append(layers[l][c], tree[c])
+			tree[c] = -1
+		}
+		byDest[d] = l
 	}
 	return VCLayering{Layers: len(layers), ByDest: byDest}
-}
-
-// destDeps lists the deduplicated channel dependency pairs induced by all
-// minimal routes toward destination d: for each router u, the hop
-// u -> next(u) depends on the following hop next(u) -> next(next(u)).
-func destDeps(t *Tables, ci *channelIndex, d int) [][2]int32 {
-	n := t.G.N()
-	seen := make(map[int64]bool)
-	var deps [][2]int32
-	for u := 0; u < n; u++ {
-		if u == d {
-			continue
-		}
-		cur := int32(u)
-		next := t.Next[d][cur]
-		for next >= 0 && int(next) != d {
-			after := t.Next[d][next]
-			if after < 0 {
-				break
-			}
-			c1 := ci.channel(cur, next)
-			c2 := ci.channel(next, after)
-			key := int64(c1)<<32 | int64(c2)
-			if !seen[key] {
-				seen[key] = true
-				deps = append(deps, [2]int32{c1, c2})
-			}
-			cur, next = next, after
-		}
-	}
-	return deps
 }
 
 // GopalVCCount returns the number of virtual channels the paper's

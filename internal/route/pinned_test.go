@@ -11,8 +11,9 @@ import (
 )
 
 // tablesHash is the SHA-256 of everything Build produces: the router
-// count, MaxDistance, then every Dist row, every Next row and the flat
-// source-major port table, little-endian.
+// count, MaxDistance, then every Dist row, the next hops toward each
+// destination in turn (NextHop(u, d) for d, then u, in ascending order)
+// and the flat source-major port table, little-endian.
 func tablesHash(tb *route.Tables) string {
 	h := sha256.New()
 	n := tb.Graph().N()
@@ -20,8 +21,12 @@ func tablesHash(tb *route.Tables) string {
 	for d := 0; d < n; d++ {
 		binary.Write(h, binary.LittleEndian, tb.Dist[d])
 	}
+	next := make([]int32, n)
 	for d := 0; d < n; d++ {
-		binary.Write(h, binary.LittleEndian, tb.Next[d])
+		for u := range next {
+			next[u] = tb.NextHop(u, d)
+		}
+		binary.Write(h, binary.LittleEndian, next)
 	}
 	ports, _ := tb.NextPortFlat()
 	binary.Write(h, binary.LittleEndian, ports)

@@ -64,19 +64,19 @@ func diffTables(tb *route.Tables, ref refTables) string {
 		return fmt.Sprintf("MaxDistance %d, reference %d", tb.MaxDistance(), ref.maxDist)
 	}
 	ports, pn := tb.NextPortFlat()
-	if pn != n || len(ports) != n*n || len(tb.Dist) != n || len(tb.Next) != n {
-		return fmt.Sprintf("shape: %d Dist rows, %d Next rows, %d ports of stride %d for %d routers", len(tb.Dist), len(tb.Next), len(ports), pn, n)
+	if pn != n || len(ports) != n*n || len(tb.Dist) != n {
+		return fmt.Sprintf("shape: %d Dist rows, %d ports of stride %d for %d routers", len(tb.Dist), len(ports), pn, n)
 	}
 	for d := 0; d < n; d++ {
-		if len(tb.Dist[d]) != n || len(tb.Next[d]) != n {
-			return fmt.Sprintf("row %d: %d distances and %d next hops for %d routers", d, len(tb.Dist[d]), len(tb.Next[d]), n)
+		if len(tb.Dist[d]) != n {
+			return fmt.Sprintf("row %d: %d distances for %d routers", d, len(tb.Dist[d]), n)
 		}
 		for u := 0; u < n; u++ {
 			if got, want := tb.Dist[d][u], ref.dist[d*n+u]; got != want {
 				return fmt.Sprintf("Dist[%d][%d] = %d, reference %d", d, u, got, want)
 			}
-			if got, want := tb.Next[d][u], ref.next[d*n+u]; got != want {
-				return fmt.Sprintf("Next[%d][%d] = %d, reference %d", d, u, got, want)
+			if got, want := tb.NextHop(u, d), ref.next[d*n+u]; got != want {
+				return fmt.Sprintf("NextHop(%d, %d) = %d, reference %d", u, d, got, want)
 			}
 			if got, want := ports[u*n+d], ref.nextPort[u*n+d]; got != want {
 				return fmt.Sprintf("NextPort(%d, %d) = %d, reference %d", u, d, got, want)

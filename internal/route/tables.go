@@ -10,38 +10,33 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
 
 	"slimfly/internal/graph"
 	"slimfly/internal/obs"
 )
 
-// Tables holds per-destination routing state for a router graph.
+// Tables holds the all-pairs routing state for a router graph.
 //
 // Dist[d][u] is the hop distance from router u to router d (int8 suffices:
 // every topology in the study has diameter well under 127, and Build
-// refuses a graph that has more).
-// Next[d][u] is the deterministic minimal next hop from u toward d (the
-// lowest-id neighbour on a shortest path; -1 for u == d or unreachable).
+// refuses a graph that has more). NextHop(u, d) is the deterministic
+// minimal next hop from u toward d (the lowest-id neighbour on a shortest
+// path; -1 for u == d or unreachable), and NextPort(u, d) its index in u's
+// sorted adjacency list: the port-indexed form the simulator hot path
+// consumes, one array load per "which output port?" instead of a binary
+// search over the adjacency list.
 //
-// All rows are views into single contiguous backing arrays, so the whole
-// table is two cache-friendly n*n blocks rather than n separate
-// allocations. Alongside the router-id answer, Build precomputes the
-// port-indexed form consumed by the simulator hot path: NextPort(u, d) is
-// the index of Next[d][u] within u's sorted adjacency list, which turns
-// every per-flit "which output port?" question into one array load instead
-// of a binary search over the adjacency list.
+// The state is three contiguous n*n blocks, all source-major -- router u's
+// answers for every destination are row u -- so the simulator, which
+// resolves many destinations at one router back to back, stays within one
+// cache-resident row. Distances are symmetric, so row d of dist is also
+// the column Dist[d] reads.
 type Tables struct {
 	G    *graph.Graph
-	Dist [][]int8  // row views into dist
-	Next [][]int32 // row views into next
+	Dist [][]int8 // row views into dist
 
-	dist []int8  // flat [d*n+u] backing for Dist
-	next []int32 // flat [d*n+u] backing for Next
-	// nextPort is laid out by SOURCE router -- [u*n+d] -- unlike Dist/Next:
-	// the simulator resolves many destinations at one router back to back,
-	// so router u's decisions live in one contiguous, cache-resident row.
+	dist     []int8  // flat [u*n+d]: hop distance (-1 if unreachable)
+	next     []int32 // flat [u*n+d]: next hop at u toward d (-1 if none)
 	nextPort []int32 // flat [u*n+d]: output-port index at u toward d (-1 if none)
 	n        int
 	maxDist  int // memoized diameter: the levels Build swept
@@ -55,9 +50,9 @@ var (
 )
 
 // Build computes the tables in one graph.SweepLevels, a breadth-first
-// search from every router at once: the sweep's visitor writes distances
-// and ports, fillNext derives Next from the ports. It panics on a graph of
-// diameter above 127 (Select reports the same as an error).
+// search from every router at once, whose visitor writes every reached
+// pair's distance, next hop and port. It panics on a graph of diameter
+// above 127 (Select reports the same as an error).
 func Build(g *graph.Graph) *Tables {
 	t, err := build(g)
 	if err != nil {
@@ -71,7 +66,6 @@ func build(g *graph.Graph) (*Tables, error) {
 	t := &Tables{
 		G:        g,
 		Dist:     make([][]int8, n),
-		Next:     make([][]int32, n),
 		dist:     make([]int8, n*n),
 		next:     make([]int32, n*n),
 		nextPort: make([]int32, n*n),
@@ -81,13 +75,14 @@ func build(g *graph.Graph) (*Tables, error) {
 	// for every neighbour v, those at distance l-1 from v. Neighbour i, in
 	// adjacency order, claims every d it is one hop short of that no
 	// earlier neighbour claimed: d's first closer neighbour in the list,
-	// the lowest id when adjacency is sorted. Distances are symmetric, so
-	// u's worker fills row u of both tables and no other worker's lines.
+	// the lowest id when adjacency is sorted. u's worker fills row u of all
+	// three tables and no other worker's lines.
 	pairs := g.SweepLevels(func(level, u int, frontier, prev []uint64) bool {
 		if level > math.MaxInt8 {
 			return false
 		}
-		dist, port := t.dist[u*n:(u+1)*n], t.nextPort[u*n:(u+1)*n]
+		row := u * n
+		dist, next, port := t.dist[row:row+n], t.next[row:row+n], t.nextPort[row:row+n]
 		nbr := g.Neighbors(u)
 		for j, rest := range frontier {
 			for i := 0; rest != 0; i++ {
@@ -96,6 +91,7 @@ func build(g *graph.Graph) (*Tables, error) {
 				for ; claim != 0; claim &= claim - 1 {
 					d := j<<6 | bits.TrailingZeros64(claim)
 					dist[d] = int8(level)
+					next[d] = nbr[i]
 					port[d] = int32(i)
 				}
 			}
@@ -107,49 +103,27 @@ func build(g *graph.Graph) (*Tables, error) {
 	if t.maxDist > math.MaxInt8 {
 		return nil, errDiameter
 	}
-	band := (n + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += band {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.fillNext(lo, min(lo+band, n))
-		}()
+	// The sweep left the diagonal and every unreached pair at zero. The
+	// diagonal, entries i = u*(n+1), keeps distance 0 and has no next hop;
+	// unreached pairs exist only if the pair counts fall short of n(n-1).
+	var reached int64
+	for _, c := range pairs {
+		reached += c
 	}
-	wg.Wait()
-	for d := 0; d < n; d++ {
-		t.Dist[d] = t.dist[d*n : (d+1)*n : (d+1)*n]
-		t.Next[d] = t.next[d*n : (d+1)*n : (d+1)*n]
+	for i := 0; i < n*n; i += n + 1 {
+		t.next[i], t.nextPort[i] = -1, -1
 	}
-	return t, nil
-}
-
-// fillNext finishes the tables for destinations lo <= d < hi. Next,
-// destination-major where the port table is source-major, gets the
-// neighbour behind each port: a transpose, walked in square tiles that keep
-// both sides in cache. A distance still zero marks the diagonal and the
-// pairs no level reached, which get -1 throughout (the diagonal keeps 0).
-func (t *Tables) fillNext(lo, hi int) {
-	const tile = 64
-	n := t.n
-	for d0 := lo; d0 < hi; d0 += tile {
-		for u0 := 0; u0 < n; u0 += tile {
-			for u := u0; u < min(u0+tile, n); u++ {
-				nbr := t.G.Neighbors(u)
-				for d := d0; d < min(d0+tile, hi); d++ {
-					i := u*n + d
-					if t.dist[i] != 0 {
-						t.next[d*n+u] = nbr[t.nextPort[i]]
-						continue
-					}
-					if u != d {
-						t.dist[i] = -1
-					}
-					t.nextPort[i], t.next[d*n+u] = -1, -1
-				}
+	if reached < int64(n)*int64(n-1) {
+		for i, v := range t.dist {
+			if v == 0 && i%(n+1) != 0 {
+				t.dist[i], t.next[i], t.nextPort[i] = -1, -1, -1
 			}
 		}
 	}
+	for d := 0; d < n; d++ {
+		t.Dist[d] = t.dist[d*n : (d+1)*n : (d+1)*n]
+	}
+	return t, nil
 }
 
 // Distance returns the hop distance from u to d (-1 if unreachable).
@@ -157,7 +131,7 @@ func (t *Tables) Distance(u, d int) int { return int(t.Dist[d][u]) }
 
 // NextHop returns the deterministic minimal next hop from u toward d, or -1
 // if u == d or d is unreachable.
-func (t *Tables) NextHop(u, d int) int32 { return t.Next[d][u] }
+func (t *Tables) NextHop(u, d int) int32 { return t.next[u*t.n+d] }
 
 // NextPort returns u's output-port index toward d: the position of
 // NextHop(u, d) in u's sorted adjacency list (-1 if u == d or d is
@@ -180,7 +154,7 @@ func (t *Tables) Path(u, d int) []int32 {
 	cur := int32(u)
 	path = append(path, cur)
 	for cur != int32(d) {
-		cur = t.Next[d][cur]
+		cur = t.next[int(cur)*t.n+d]
 		path = append(path, cur)
 	}
 	return path
