@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"slimfly/internal/scenario"
+	"slimfly/internal/sim"
 )
 
 func TestRegistriesPopulated(t *testing.T) {
@@ -163,6 +164,37 @@ func TestSpecValidateSimParams(t *testing.T) {
 	spec.Sim = scenario.SimParams{}
 	if err := spec.Validate(); err != nil {
 		t.Errorf("all-default sim params rejected: %v", err)
+	}
+}
+
+// TestSpecValidateCycleRange: a window sim.New would refuse as past the
+// int32 cycle stamps is refused at validation, zero fields counting as
+// their defaults (measure 5000, drain 20000, delays 2+1+2) exactly as in
+// sim.New, and a window one cycle shorter still validates and builds.
+func TestSpecValidateCycleRange(t *testing.T) {
+	const fits = 1<<31 - 1<<20 - 25005 // the longest warmup under the default rest
+	over := scenario.Spec{Topo: scenario.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.1, Sim: scenario.SimParams{Warmup: fits + 1}}
+	err := over.Validate()
+	if err == nil || !strings.Contains(err.Error(), "sim.warmup, measure, drain") || !strings.Contains(err.Error(), "int32 cycle-stamp range") {
+		t.Errorf("warmup %d: Validate = %v, want the cycle-range error naming the fields", fits+1, err)
+	}
+	cfg, cerr := scenario.NewEnv().Config(over)
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	if _, err := sim.New(cfg); err == nil {
+		t.Errorf("warmup %d: sim.New accepted what Validate refuses", fits+1)
+	}
+	under := over
+	under.Sim.Warmup = fits
+	if err := under.Validate(); err != nil {
+		t.Errorf("warmup %d: Validate = %v, want nil", fits, err)
+	}
+	if cfg, err = scenario.NewEnv().Config(under); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.New(cfg); err != nil {
+		t.Errorf("warmup %d validates but sim.New refuses it: %v", fits, err)
 	}
 }
 

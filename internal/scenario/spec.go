@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"slimfly/internal/metrics"
+	"slimfly/internal/sim"
 )
 
 // CacheFormat versions the scenario hash: bump it whenever the simulator
@@ -119,8 +120,8 @@ type SimParams struct {
 }
 
 // validate rejects negative knobs by their JSON names, as sim.New would by
-// their Config names, so that a submitted sweep fails once at the door and
-// not once per job.
+// their Config names, and a window past sim.CheckCycleRange, so that a
+// submitted sweep fails once at the door and not once per job.
 func (p SimParams) validate() error {
 	for _, f := range []struct {
 		name string
@@ -136,6 +137,12 @@ func (p SimParams) validate() error {
 	}
 	if p.NumVCs > math.MaxInt8 { // sim.New's limit: the engine's VC fields are int8
 		return fmt.Errorf("scenario: sim.num_vcs %d exceeds the engine's limit of %d", p.NumVCs, math.MaxInt8)
+	}
+	if err := sim.CheckCycleRange(sim.Config{
+		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,
+		RouterDelay: p.RouterDelay, ChannelDelay: p.ChannelDelay, CreditDelay: p.CreditDelay,
+	}); err != nil {
+		return fmt.Errorf("scenario: sim.warmup, measure, drain, router_delay, channel_delay and credit_delay: %w", err)
 	}
 	return nil
 }

@@ -284,6 +284,21 @@ type Sim struct {
 	colPkt bool // any collector observes per-packet events (trace fast-path gate)
 }
 
+// CheckCycleRange refuses a run whose cycles could pass the int32 range of
+// packet cycle stamps (Birth, ReadyAt) and credit due cycles rather than
+// let them wrap mid-run: warmup+measure+drain plus the per-hop delays, zero
+// fields taking their defaults, must leave a margin for the staging added
+// on top of the final cycle. New calls it, and so does the scenario layer's
+// validation, so a spec that validates is a run New accepts.
+func CheckCycleRange(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if total := int64(cfg.Warmup) + int64(cfg.Measure) + int64(cfg.Drain) +
+		int64(cfg.RouterDelay) + int64(cfg.ChannelDelay) + int64(cfg.CreditDelay); total > (1<<31)-(1<<20) {
+		return fmt.Errorf("sim: warmup+measure+drain plus the per-hop delays = %d cycles exceeds the int32 cycle-stamp range", total)
+	}
+	return nil
+}
+
 // New builds a simulator from cfg, validating the configuration.
 func New(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
@@ -319,13 +334,8 @@ func New(cfg Config) (*Sim, error) {
 	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
 		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
 	}
-	// Packet cycle stamps (Birth, ReadyAt) and credit due cycles are int32;
-	// reject windows that could reach them rather than silently wrapping
-	// mid-run. The margin leaves room for the staging added on top of the
-	// final cycle.
-	if total := int64(cfg.Warmup) + int64(cfg.Measure) + int64(cfg.Drain) +
-		int64(cfg.RouterDelay) + int64(cfg.ChannelDelay) + int64(cfg.CreditDelay); total > (1<<31)-(1<<20) {
-		return nil, fmt.Errorf("sim: warmup+measure+drain plus the per-hop delays = %d cycles exceeds the int32 cycle-stamp range", total)
+	if err := CheckCycleRange(cfg); err != nil {
+		return nil, err
 	}
 	t := cfg.Topo
 	g := t.Graph()

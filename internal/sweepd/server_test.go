@@ -193,6 +193,14 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("200 VCs: status %d, %+v", code, ae)
 	}
 
+	// A window past the engine's int32 cycle stamps: refused at submit by
+	// the same bound sim.New applies, not queued as jobs that can only fail.
+	// 50 + 100 + 2146434918 + the default delays 2+1+2 is one cycle over.
+	longDrain := strings.Replace(specJSON("bad-window", 1), `"drain": 500`, `"drain": 2146434918`, 1)
+	if code, ae := post(longDrain); code != http.StatusBadRequest || ae.Kind != "bad_spec" || !strings.Contains(ae.Error, "cycle-stamp range") {
+		t.Errorf("drain past the cycle range: status %d, %+v", code, ae)
+	}
+
 	// Nothing leaked into the sweep list.
 	resp, err := http.Get(ts.URL + "/api/v1/sweeps")
 	if err != nil {
