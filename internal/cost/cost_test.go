@@ -36,7 +36,7 @@ func near(a, b float64) bool { d := a - b; return d < 1e-9 && d > -1e-9 }
 // Slim Fly (N=10830, 722 routers). The paper reports $1,033/node and
 // 8.02 W/node; our measured layout lands in the same band (the paper's
 // cable inventory excludes endpoint uplinks and differs slightly in rack
-// geometry -- see EXPERIMENTS.md).
+// geometry -- sfexp -exp table4 prints the whole comparison).
 func TestTableIVSlimFly(t *testing.T) {
 	sf := slimfly.MustNew(19)
 	b := FDR10().Network(sf, layout.For(sf))

@@ -1,6 +1,7 @@
 // Package exp contains one runner per table and figure of the paper's
 // evaluation. Each runner returns a Table -- an ordered set of labelled
-// rows -- that cmd/sfexp prints and EXPERIMENTS.md records. The
+// rows -- that cmd/sfexp prints (sfexp -exp <name>, e.g. -exp vc for the
+// Section IV-D table). The
 // simulator-backed figures of Section V (Fig6, Fig8a, Fig8be) are defined
 // as sweep specs in sweepspec.go; their runners execute those specs on
 // the sweep pool and take a context, returning its error on cancellation.
