@@ -2,8 +2,9 @@ package route_test
 
 // Routing-backend build benchmarks: the cost the algebraic backends
 // exist to remove. BenchmarkTablesBuild prices the all-sources level sweep
-// (graph.SweepLevels), the claim of ports by neighbour order and the tiled
-// transpose into Next, at the orders the workloads build (q=19, 722
+// (graph.SweepLevels), whose visitor claims ports by neighbour order and
+// writes distance, next hop and port in one pass, at the orders the
+// workloads build (q=19, 722
 // routers, the paper's working point; q=31, 1 922) and at the paper's small
 // (q=17, 578) and large (q=43, 3 698 routers) scales -- 9*n*n bytes and
 // D*n*k*n/64 word operations, the term that walls off q>43. Run it with

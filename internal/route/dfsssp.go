@@ -18,8 +18,8 @@ type VCLayering struct {
 // ComputeVCLayering runs the destination-granularity greedy layering on the
 // minimal routes in t.
 //
-// Channel u -> v is numbered off[u] + port, its port in u's sorted
-// adjacency list after the degrees of the routers before u. Toward d, every
+// Channel u -> v is numbered off[u] + port: v's index in u's adjacency
+// list after the degrees of the routers before u. Toward d, every
 // router u != d whose next hop m is not d adds one dependency, u's channel
 // toward d -> m's channel toward d, so d's in-tree gives each channel at
 // most one out-edge: tree[c], -1 for none. A layer is acyclic by
@@ -39,10 +39,11 @@ func ComputeVCLayering(t *Tables) VCLayering {
 		tree[c] = -1
 	}
 	mark := make([]uint32, channels)
+	type frame struct{ c, i int32 } // a channel and its next out-edge to try
 	var (
 		layers [][][]int32 // layers[l][c]: c's out-edges in layer l
 		tails  []int32
-		stack  []struct{ c, i int32 }
+		stack  []frame
 		epoch  uint32
 	)
 	// acyclicWith searches layer adj plus the tree from every tail and
@@ -55,7 +56,7 @@ func ComputeVCLayering(t *Tables) VCLayering {
 				continue
 			}
 			mark[root] = grey
-			stack = append(stack[:0], struct{ c, i int32 }{root, 0})
+			stack = append(stack[:0], frame{root, 0})
 			for len(stack) > 0 {
 				top := &stack[len(stack)-1]
 				out, v := adj[top.c], int32(-1)
@@ -75,7 +76,7 @@ func ComputeVCLayering(t *Tables) VCLayering {
 				}
 				if mark[v] < grey {
 					mark[v] = grey
-					stack = append(stack, struct{ c, i int32 }{v, 0})
+					stack = append(stack, frame{v, 0})
 				}
 			}
 		}
