@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"slimfly/internal/route"
+	"slimfly/internal/topo"
+	"slimfly/internal/topo/fattree"
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/traffic"
 )
@@ -150,22 +152,39 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 	return measured
 }
 
-// TestRingConservation steps a near-saturated Slim Fly cycle by cycle, far
+// TestRingConservation steps a near-saturated network cycle by cycle, far
 // enough for every pool slot to change hands many times, and checks the
 // credit/occupancy/pool conservation laws after every cycle and the packet
 // ledger at the end -- at one-flit depth, two-flit depth and the default
-// depth. (The name predates the pools: the queues were rings over fixed
-// windows once.)
+// depth. MIN and UGAL-L run on Slim Fly q=5 at the default speedup; MIN
+// also runs at speedup 1 and 3, where an output grants one or three flits a
+// cycle, and ANCA on the arity-4 fat tree, where the VC is chosen by credits
+// (SpreadVCs) rather than by hop. (The name predates the pools: the queues
+// were rings over fixed windows once.)
 func TestRingConservation(t *testing.T) {
 	sf := slimfly.MustNew(5)
-	tb := route.Build(sf.Graph())
-	for _, algo := range []Algo{MIN{}, UGALL{}} {
-		vcs := algo.NeededVCs(tb.MaxDistance())
+	sfTables := route.Build(sf.Graph())
+	ft := fattree.MustNew(4)
+	ftTables := route.Build(ft.Graph())
+	for _, c := range []struct {
+		name    string
+		tp      topo.Topology
+		tb      *route.Tables
+		algo    Algo
+		speedup int
+	}{
+		{"MIN", sf, sfTables, MIN{}, 0},
+		{"UGAL-L", sf, sfTables, UGALL{}, 0},
+		{"ANCA-FT4", ft, ftTables, FTANCA{FT: ft}, 0},
+		{"MIN-speedup1", sf, sfTables, MIN{}, 1},
+		{"MIN-speedup3", sf, sfTables, MIN{}, 3},
+	} {
+		vcs := c.algo.NeededVCs(c.tb.MaxDistance())
 		for _, depth := range []int{1, 2, 21} {
-			t.Run(fmt.Sprintf("%s/depth%d/%s", algo.Name(), depth, inline), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/depth%d/%s", c.name, depth, inline), func(t *testing.T) {
 				s, err := New(Config{
-					Topo: sf, Router: tb, Algo: algo, Pattern: traffic.Uniform{N: sf.Endpoints()},
-					Load: 0.95, NumVCs: vcs, BufPerPort: vcs * depth,
+					Topo: c.tp, Router: c.tb, Algo: c.algo, Pattern: traffic.Uniform{N: c.tp.Endpoints()},
+					Load: 0.95, NumVCs: vcs, BufPerPort: vcs * depth, Speedup: c.speedup,
 					Warmup: 1, Measure: 1, Seed: 23,
 				})
 				if err != nil {
