@@ -1,6 +1,6 @@
 // Package hotalloc enforces the engine's zero-allocation hot-path
 // contract at the line that would break it. Functions marked //sf:hotpath
-// (the engine step, the allocator's decide and commit, the collector
+// (the engine step, the allocator and its hop, the collector
 // observer hooks, the RNG draws) and everything they statically call must
 // contain no heap-allocating construct; TestStepZeroAlloc then only has
 // to confirm what the tree already proves.

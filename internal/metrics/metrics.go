@@ -36,8 +36,8 @@
 //     delivery, including deliveries during the drain (cycle >= W+M), so
 //     latency aggregates cover exactly the population behind
 //     Result.AvgLatency.
-//   - Cycle(cycle): once per measurement-window cycle, after the commit
-//     phase.
+//   - Cycle(cycle): once per measurement-window cycle, after every
+//     router's grants.
 //
 // All hooks run on the simulator's stepping goroutine; collectors need no
 // internal locking.

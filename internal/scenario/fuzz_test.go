@@ -36,8 +36,8 @@ func envFor(seed uint64) *scenario.Env {
 // The engine checks every TargetPort answer against [0, deg) and panics
 // with the descriptive misroute diagnostic on a violation -- in the
 // allocator scan and at the static reveal alike -- so a registry algorithm
-// can never write out of range into the allocator scratch or the grant
-// records silently. The fuzz asserts that no registered combination trips
+// can never write out of range into the allocator scratch or another
+// port's queues and credits silently. The fuzz asserts that no registered combination trips
 // that diagnostic (a misroute here is a real routing bug) and that no other
 // panic escapes (which would mean an unchecked path around the guard).
 func FuzzTargetPortContract(f *testing.F) {

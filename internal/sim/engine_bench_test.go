@@ -100,11 +100,10 @@ func BenchmarkEngineStep(b *testing.B) {
 
 // TestStepZeroAlloc asserts the engine's zero-allocation contract: once a
 // simulation reaches steady state, step() must not touch the heap at all
-// — the allocation scratch and grant records are preallocated at
-// construction, and the packet pools and the credit ring have grown to their
-// working sizes during warm-up. Any regression (a fresh slice in
-// the allocator, a credit ring still growing, a regrown grant buffer) fails this
-// test before it shows up as GC pressure in sweeps. The metrics variant pins
+// — the allocation scratch is preallocated at construction, and the packet
+// pools and the credit ring have grown to their working sizes during
+// warm-up. Any regression (a fresh slice in the allocator, a credit ring
+// still growing) fails this test before it shows up as GC pressure in sweeps. The metrics variant pins
 // that the full stock collector set observes every hook (inject, hop,
 // deliver, cycle) without touching the heap — collector state is fixed at
 // Attach, so enabling measurement costs increments, not allocations.

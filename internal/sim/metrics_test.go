@@ -96,7 +96,7 @@ func TestVAL3PathsShorter(t *testing.T) {
 
 // TestResultUndrained covers Result aggregation when the simulation ends
 // with measured packets still in flight -- the drain window is too short
-// to empty the network, a state the commit phase's delivery reordering
+// to empty the network, a state the allocator's delivery reordering
 // must not miscount. Pinned: Saturated set, the drained/undrained split
 // (Delivered + in-flight == Injected, with Injected fixed by the injection
 // window regardless of drain length), window throughput independent of

@@ -7,10 +7,10 @@
 // configurable total buffering per port (64 flits by default).
 //
 // There is one engine and one schedule: every cycle, each active router in
-// ascending id order decides its switch/VC grants against its
-// pre-allocation state (decideRouter) and then applies them (commitGrant),
-// all on the goroutine that calls Run (see parallel.go). A simulation uses
-// one core; sweeps use the others by running simulations concurrently.
+// ascending id order gathers its requests and then grants them, applying
+// each grant as it is chosen (allocRouter), all on the goroutine that calls
+// Run (see alloc.go). A simulation uses one core; sweeps use the others by
+// running simulations concurrently.
 //
 // The engine is port-indexed and allocation-free in steady state: routing
 // algorithms answer with output-port indices straight from the precomputed
@@ -19,18 +19,18 @@
 // the packed head cache in each 16-byte queue record (queue.state), so empty
 // queues cost nothing and ready ones no packet access, credit returns travel
 // as flat counter indices through one FIFO ring, and an active-router worklist
-// limits allocation to routers that actually hold flits. A
-// flit's bytes are read once and written once per hop: every input queue of
-// a router, network and injection alike, is a linked list through one packet
-// pool (router.pkts) that grows to the flits the router actually buffers --
-// buffer depth is a credit count, not memory -- reached only through
-// pushTail, headPkt and dropHead, and commitGrant copies a granted flit
-// from its source slot straight into the downstream tail slot with a
-// ReadyAt stamp encoding staging serialisation plus channel and pipeline
-// delays; a per-output departure stamp (router.outBusy) does the staging, so
-// there is no link-traversal phase. TestStepZeroAlloc
-// pins the zero-allocation property, TestGoldenResults bit-identical
-// fixed-seed results, TestRingConservation the credit/occupancy/pool ledger.
+// limits allocation to routers that actually hold flits. A flit's bytes are
+// read once and written once per hop: every input queue of a router, network
+// and injection alike, is a linked list through one packet pool (router.pkts)
+// that grows to the flits the router actually buffers -- buffer depth is a
+// credit count, not memory -- reached only through pushTail, headPkt and
+// dropHead, and a hop copies a granted flit from its source slot straight
+// into the downstream tail slot with a ReadyAt stamp encoding staging
+// serialisation plus channel and pipeline delays; a per-output departure
+// stamp (router.outBusy) does the staging, so there is no link-traversal
+// phase. TestStepZeroAlloc pins the zero-allocation property,
+// TestGoldenResults bit-identical fixed-seed results, TestRingConservation
+// the credit/occupancy/pool ledger and the staging law.
 package sim
 
 import (
@@ -232,7 +232,7 @@ type Sim struct {
 	// allocation).
 	allocRNG []stats.RNG
 
-	// alloc is the allocation scratch decideRouter fills and step drains.
+	// alloc is the switch-allocation scratch every allocRouter call reuses.
 	alloc allocScratch
 
 	// Routing backend plus its hot-path cache: when the backend exposes
@@ -280,7 +280,7 @@ type Sim struct {
 	// set, nil when no collectors are configured. Every hook is called on
 	// the stepping goroutine.
 	col    *metrics.Set
-	colHop bool // any collector observes hops (commitGrant's Hop gate)
+	colHop bool // any collector observes hops (hop's Hop gate)
 	colPkt bool // any collector observes per-packet events (trace fast-path gate)
 }
 
@@ -322,7 +322,8 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
 		}
 	}
-	// grantRec.vc is int8: VC 128 would wrap into another port's credits.
+	// The next-hop VC is an int8, read from the head cache's 7-bit hop field
+	// and clamped to NumVCs-1: VC 128 would wrap into another port's credits.
 	if cfg.NumVCs > math.MaxInt8 {
 		return nil, fmt.Errorf("sim: NumVCs %d exceeds the int8 VC fields' limit of %d", cfg.NumVCs, math.MaxInt8)
 	}
@@ -363,7 +364,7 @@ func New(cfg Config) (*Sim, error) {
 	for e := 0; e < t.Endpoints(); e++ {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
-	maxQ, maxOutputs, maxDeg, grantCap := 0, 0, 0, 0
+	maxQ, maxOutputs, maxDeg := 0, 0, 0
 	credBase := make([]int32, g.N()+1) // router r's counters are credits[credBase[r]:credBase[r+1]]
 	for r := 0; r < g.N(); r++ {
 		rt := &s.routers[r]
@@ -393,11 +394,6 @@ func New(cfg Config) (*Sim, error) {
 		maxQ = max(maxQ, nq)
 		maxOutputs = max(maxOutputs, ports)
 		maxDeg = max(maxDeg, deg)
-		// A router grants at most Speedup flits per network output plus one
-		// per endpoint, and at most one per input queue (each queue requests
-		// with its head only), so the smaller of the two bounds its records
-		// however large Speedup is.
-		grantCap = max(grantCap, min(deg*cfg.Speedup+len(rt.eps), nq))
 		credBase[r+1] = credBase[r] + int32(netQ)
 	}
 	s.credits = make([]int16, credBase[g.N()])
@@ -444,7 +440,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	s.alloc = allocScratch{
-		recs:    make([]grantRec, 0, grantCap),
 		scrQ:    make([]int32, maxQ),
 		scrOut:  make([]int32, maxQ),
 		scrBkt:  make([]int32, maxQ),
@@ -699,25 +694,17 @@ func (s *Sim) step(inject bool) {
 	}
 
 	// The worklist accumulates routers in delivery/injection order; sort
-	// it so routers are visited and commit in ascending id order, the order
+	// it so routers are visited and grant in ascending id order, the order
 	// the goldens were recorded in.
 	slices.Sort(s.active)
 
-	// Switch allocation + VC allocation per active router, each router's
-	// grants committed as soon as they are decided, while its queues are
-	// hot in cache. Routers touched by a commit join the worklist behind
+	// Switch allocation + VC allocation per active router, each grant
+	// applied as it is chosen. Routers a hop touches join the worklist behind
 	// the range bound and are not visited this cycle (their new heads are
 	// not ready before the next one anyway).
-	sc := &s.alloc
 	for _, r := range s.active {
-		rt := &s.routers[r]
-		if rt.flits == 0 {
-			continue
-		}
-		sc.recs = sc.recs[:0]
-		s.decideRouter(r, rt)
-		for _, rec := range sc.recs {
-			s.commitGrant(r, rt, rec)
+		if rt := &s.routers[r]; rt.flits > 0 {
+			s.allocRouter(r, rt)
 		}
 	}
 
