@@ -34,6 +34,11 @@ func (e event) writeSSE(w io.Writer) error {
 // can reconnect and recover the full ordered log from the replay.
 const subscriberBuffer = 256
 
+// maxSubscribers bounds a sweep's live subscribers. Each one holds a
+// subscriberBuffer-event channel and its own copy of the log, so past this
+// many subscribe refuses rather than let them grow without bound.
+const maxSubscribers = 64
+
 // hub is a per-sweep broadcast log: publish appends to an ordered event
 // log and fans out to live subscribers; subscribe returns the log so far
 // (replay) plus a live channel, atomically, so a late subscriber misses
@@ -80,16 +85,20 @@ func (h *hub) publish(kind string, v any) {
 }
 
 // subscribe returns the events published so far and a live channel for
-// the rest. cancel unsubscribes (idempotent); after hub close the live
-// channel is closed once drained.
-func (h *hub) subscribe() (replay []event, live <-chan event, cancel func()) {
+// the rest. cancel unsubscribes (idempotent) and frees the slot; after hub
+// close the live channel is closed once drained. ok is false, and nothing
+// else is returned, while maxSubscribers are live.
+func (h *hub) subscribe() (replay []event, live <-chan event, cancel func(), ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	if len(h.subs) >= maxSubscribers {
+		return nil, nil, nil, false
+	}
 	replay = append([]event(nil), h.log...)
 	ch := make(chan event, subscriberBuffer)
 	if h.closed {
 		close(ch)
-		return replay, ch, func() {}
+		return replay, ch, func() {}, true
 	}
 	h.subs[ch] = struct{}{}
 	obsSubscribers.Add(1)
@@ -101,7 +110,7 @@ func (h *hub) subscribe() (replay []event, live <-chan event, cancel func()) {
 			close(ch)
 			obsSubscribers.Add(-1)
 		}
-	}
+	}, true
 }
 
 // close ends the stream: every subscriber's channel is closed after its

@@ -368,7 +368,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleEvents streams the sweep's ordered event log as Server-Sent
 // Events: the full replay first (a late subscriber misses nothing),
 // then live events until the sweep reaches a terminal state or the
-// client goes away. Event ids are the per-sweep sequence numbers.
+// client goes away. Event ids are the per-sweep sequence numbers. A sweep
+// with maxSubscribers streams open refuses the next with 503
+// too_many_subscribers, before any header is written.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -381,12 +383,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			errors.New("sweepd: response writer cannot stream"))
 		return
 	}
+	replay, live, cancel, ok := run.hub.subscribe()
+	if !ok {
+		writeError(w, http.StatusServiceUnavailable, "too_many_subscribers",
+			fmt.Errorf("sweepd: sweep %s already streams events to %d subscribers", run.id, maxSubscribers))
+		return
+	}
+	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-
-	replay, live, cancel := run.hub.subscribe()
-	defer cancel()
 	for _, ev := range replay {
 		if err := ev.writeSSE(w); err != nil {
 			return

@@ -918,6 +918,87 @@ func TestCancel(t *testing.T) {
 	}
 }
 
+// TestSSESubscriberCap: a sweep streams events to at most maxSubscribers
+// clients at once. The next is refused with a structured 503 before any
+// header is written, and a subscriber that goes away frees its slot. At the
+// hub, cancel is idempotent: calling it twice frees one slot, not two.
+func TestSSESubscriberCap(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	// Never started: the sweep stays queued and its hub open.
+	st := postSpec(t, ts, specJSON("subs", 1))
+	url := ts.URL + "/api/v1/sweeps/" + st.ID + "/events"
+	streams := make([]*http.Response, 0, maxSubscribers)
+	defer func() {
+		for _, resp := range streams {
+			resp.Body.Close()
+		}
+	}()
+	for range maxSubscribers {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("subscriber %d: status %d, want 200", len(streams), resp.StatusCode)
+		}
+	}
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ae apiError
+	err = json.NewDecoder(resp.Body).Decode(&ae)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || err != nil || ae.Kind != "too_many_subscribers" {
+		t.Fatalf("subscriber %d: status %d kind %q (%v), want 503 too_many_subscribers", maxSubscribers+1, resp.StatusCode, ae.Kind, err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct == "text/event-stream" {
+		t.Errorf("refused subscriber got content-type %q", ct)
+	}
+
+	// Closing one stream ends its handler, whose cancel frees the slot.
+	streams[0].Body.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			streams[0] = resp
+			break
+		}
+		resp.Body.Close()
+		if time.Now().After(deadline) {
+			t.Fatalf("no slot freed after a subscriber left: status %d", resp.StatusCode)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	h := newHub()
+	cancels := make([]func(), maxSubscribers)
+	for i := range cancels {
+		_, _, cancel, ok := h.subscribe()
+		if !ok {
+			t.Fatalf("hub refused subscriber %d of %d", i+1, maxSubscribers)
+		}
+		cancels[i] = cancel
+	}
+	if _, _, _, ok := h.subscribe(); ok {
+		t.Fatalf("hub accepted subscriber %d", maxSubscribers+1)
+	}
+	cancels[0]()
+	cancels[0]()
+	if _, _, _, ok := h.subscribe(); !ok {
+		t.Fatal("hub refused a subscriber after one cancel")
+	}
+	if _, _, _, ok := h.subscribe(); ok {
+		t.Fatal("a repeated cancel freed a second slot")
+	}
+	h.close()
+}
+
 // TestNotFound: unknown ids and keys are structured 404s.
 func TestNotFound(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
