@@ -87,10 +87,9 @@ func generatedScenarios() []genScenario {
 // generatedParityWant holds the SHA-256 of each generated scenario's
 // (Result, MetricsSummary) JSON, in table order. The literals were
 // recorded from the serial allocator of the commit before the engine was
-// fused onto one allocator (its last independent implementation), held
-// when the grants stopped being recorded and replayed and began taking
-// effect as allocRouter chooses them, and must never change silently: with
-// one allocator left, they are what "the same simulated statistics" means.
+// fused onto one allocator (its last independent implementation) and must
+// never change silently: with one allocator left, allocRouter, they are what
+// "the same simulated statistics" means.
 var generatedParityWant = [...]string{
 	"ccc1e4df0d4f5b83da890f73c8969ace22609026a989dffd437815788516ef88", // 00-SF5-UGAL-G-shift-l0.62-b2-s2
 	"456118fcc8db1d7654d2bf68068770da427b19a92d9dc6e4e9e2e3a27e497219", // 01-SF7c-MIN-shift-l0.60-b1-s1
