@@ -2,12 +2,6 @@ package sweep
 
 import "slimfly/internal/scenario"
 
-// The construction machinery that used to live here -- topology, routing
-// algorithm and traffic pattern factories plus the memoising resolver --
-// is now the registry-driven internal/scenario package, shared with the
-// CLIs and the experiment suite. The aliases below keep the sweep API
-// surface (Env-based resolution, job units) stable for its consumers.
-
 // Env resolves declarative jobs into runnable simulator configurations,
 // memoising topology construction, routing-table builds (including the
 // port-indexed next-hop tables the simulator hot path runs on, so the

@@ -1,10 +1,10 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -102,20 +102,13 @@ type Options struct {
 	Progress *Progress
 }
 
-// Task is one executable unit for the low-level pool API: a descriptive
-// job, an optional cache key (empty disables caching for this task) and a
-// lazy config builder invoked only on cache misses.
+// Task is one executable unit for Execute: a descriptive job, an
+// optional cache key (empty disables caching for this task) and a lazy
+// config builder invoked only on cache misses.
 type Task struct {
 	Job   Job
 	Key   string
 	Build func() (sim.Config, error)
-}
-
-// JobTask is the task for a declarative job: keyed by Spec.Key, built
-// lazily through env. The pool, the sfworker lease loop and the sfsweepd
-// scheduler all turn a Job into work through it.
-func JobTask(env *Env, j Job) Task {
-	return Task{Job: j, Key: j.Key(), Build: func() (sim.Config, error) { return env.Config(j) }}
 }
 
 // Run expands the spec and executes it: the one-call API used by
@@ -129,102 +122,82 @@ func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, err
 	return RunJobs(ctx, jobs, NewEnv(), opts)
 }
 
-// RunJobs executes an already expanded job list against env.
+// RunJobs executes an already expanded job list against env: a Queue
+// holding this one sweep, served by opts.Workers workers and no leases.
+// Results are positional: results[i] corresponds to jobs[i]. Cancelling
+// ctx drains the queue; the slice then holds every job finished (jobs in
+// flight run to their result), the unclaimed ones are counted in
+// Stats.Skipped, and the context error is returned.
 func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResult, Stats, error) {
-	tasks := make([]Task, len(jobs))
-	for i, j := range jobs {
-		tasks[i] = JobTask(env, j)
-	}
-	return RunTasks(ctx, tasks, opts)
-}
-
-// RunTasks executes tasks on a pool of workers that claim the next
-// index from one shared cursor; a claim is a single atomic increment.
-// Results are positional: results[i] corresponds to tasks[i]. On
-// cancellation the slice holds every job finished so far, unreached jobs
-// are counted in Stats.Skipped, and the context error is returned.
-func RunTasks(ctx context.Context, tasks []Task, opts Options) ([]JobResult, Stats, error) {
-	nw := opts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw < 1 {
-		nw = 1
+	p := &pool{ctx: ctx, q: NewQueue(), opts: opts, results: make([]JobResult, len(jobs))}
+	b := &Batch{Jobs: jobs, Sink: p}
+	if len(jobs) > 0 && ctx.Err() == nil {
+		p.q.Submit(b)
+		defer context.AfterFunc(ctx, p.q.Drain)()
+		nw := cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0))
+		p.q.Serve(min(nw, len(jobs)), env, opts.Store)
 	}
 
-	results := make([]JobResult, len(tasks))
-	var next atomic.Int64 // first unclaimed index
-	obsQueueDepth.Add(int64(len(tasks)))
-	var wg sync.WaitGroup
-	for w := 0; w < nw; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				idx := int(next.Add(1) - 1)
-				if idx >= len(tasks) {
-					return
-				}
-				obsQueueDepth.Add(-1)
-				if opts.Progress != nil {
-					opts.Progress.JobStarted()
-				}
-				results[idx] = Execute(tasks[idx], opts.Store, 0)
-				if opts.Progress != nil {
-					opts.Progress.Observe(results[idx])
-				}
-				if opts.OnDone != nil {
-					opts.OnDone(idx, results[idx])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Every index below the cursor was claimed, and a claimed job always
-	// runs to its result; the rest were cancelled before any worker
-	// reached them.
-	claimed := min(int(next.Load()), len(tasks))
-	st := Stats{Total: len(tasks), Skipped: len(tasks) - claimed}
-	obsQueueDepth.Add(-int64(st.Skipped))
-	for _, r := range results[:claimed] {
+	// One batch with no requeues is claimed in index order, and Serve
+	// returned once every claimed job had its result.
+	st := Stats{Total: len(jobs), Skipped: len(jobs) - b.next}
+	for _, r := range p.results[:b.next] {
 		st.Add(r)
 	}
-	return results, st, ctx.Err()
+	return p.results, st, ctx.Err()
+}
+
+// pool is RunJobs' Sink: positional results, the caller's Progress and
+// OnDone, and the drain that ends Serve once every job has finished or
+// ctx is cancelled. Draining in Finish, on the worker that saw the
+// cancellation, means no worker claims another job after it.
+type pool struct {
+	ctx      context.Context
+	q        *Queue
+	opts     Options
+	results  []JobResult
+	finished atomic.Int64
+}
+
+func (p *pool) Claimed() {
+	if p.opts.Progress != nil {
+		p.opts.Progress.JobStarted()
+	}
+}
+
+func (p *pool) Finish(idx int, jr JobResult) {
+	p.results[idx] = jr
+	if p.opts.Progress != nil {
+		p.opts.Progress.Observe(jr)
+	}
+	if p.opts.OnDone != nil {
+		p.opts.OnDone(idx, jr)
+	}
+	if int(p.finished.Add(1)) == len(p.results) || p.ctx.Err() != nil {
+		p.q.Drain()
+	}
 }
 
 // Execute runs one task synchronously -- store lookup, lazy build,
-// simulate, store write -- exactly as a pool worker would, updating the
-// same process telemetry (in-flight/done/failed, cache hits, job span).
-// It is the claim hook for external schedulers: the sfsweepd fair-share
-// service and the sfworker lease loop decide claim order their own way
-// but execute each claimed job through this one path, so a result is
-// bit-identical whether it came from RunTasks, the service, a remote
-// worker, or a resumed run of any of them.
+// simulate, store write -- and updates the process telemetry
+// (in-flight/done/failed, cache hits, job span). A panic in construction
+// or simulation becomes a failed result, so one bad point cannot take
+// down a long sweep. Every claim loop runs its jobs through it (runJob),
+// so a result is bit-identical whether it came from RunJobs, sfsweepd, a
+// remote worker, or a resumed run of any of them.
 //
 // The third parameter is ignored; it stays only because cmd/sfbench passes it.
-func Execute(t Task, store Store, _ int) JobResult {
-	obsInFlight.Add(1)
-	jr := runOne(t, store)
-	obsInFlight.Add(-1)
-	obsJobsDone.Inc()
-	if jr.Err != "" {
-		obsJobsFailed.Inc()
-	}
-	return jr
-}
-
-// runOne executes a single task: store lookup, lazy build, simulate,
-// store write. Panics from construction or simulation are converted into
-// failed results so one bad point cannot take down a long sweep.
-func runOne(t Task, store Store) (jr JobResult) {
+func Execute(t Task, store Store, _ int) (jr JobResult) {
 	jr = JobResult{Job: t.Job, Key: t.Key}
+	obsInFlight.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
 			jr.Err = fmt.Sprintf("panic: %v", p)
+		}
+		obsInFlight.Add(-1)
+		obsJobsDone.Inc()
+		if jr.Err != "" {
+			obsJobsFailed.Inc()
 		}
 	}()
 	if store != nil && t.Key != "" {

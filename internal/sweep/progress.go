@@ -38,9 +38,9 @@ func NewProgress(total, workers int) *Progress {
 }
 
 // JobStarted marks one job claimed by a worker; paired with the Observe
-// call when it finishes, it makes in-flight counts visible. The pool
-// calls it for trackers handed in via Options.Progress; external
-// schedulers (the sfsweepd service) call it at their own claim points.
+// call when it finishes, it makes in-flight counts visible. Queue sinks
+// call it on each claim: RunJobs for a tracker handed in via
+// Options.Progress, sfsweepd for each sweep's own.
 func (p *Progress) JobStarted() { p.started.Inc() }
 
 // JobAbandoned undoes one JobStarted whose claim evaporated without a

@@ -244,7 +244,7 @@ func (r *RemoteStore) Keys() iter.Seq2[string, error] {
 	}
 }
 
-// ClaimJob asks the server's fair-share scheduler for the next unclaimed
+// ClaimJob asks the server's fair-share Queue for the next unclaimed
 // job across all queued sweeps, leased to owner for ttl. ok=false with a
 // nil error means no work right now (poll again); ErrDraining means the
 // server is shutting down.

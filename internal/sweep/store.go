@@ -62,8 +62,9 @@ var (
 	// ErrLeaseLost: the presented lease no longer exists: it expired
 	// and its job was requeued, or the job was already completed.
 	ErrLeaseLost = errors.New("sweep: lease lost")
-	// ErrDraining: the remote service is shutting down and grants no new
-	// claims; finished points are cached, so retry after its restart.
+	// ErrDraining: the claim source -- a Queue, or the sfsweepd behind a
+	// RemoteStore -- is shutting down and grants no new claims; finished
+	// points are cached, so retry after its restart.
 	ErrDraining = errors.New("sweep: server is draining")
 )
 
@@ -102,7 +103,7 @@ func ValidKey(key string) bool {
 // server marshal the same shapes by construction.
 
 // LeaseRequest is the body of POST /api/v1/leases, a job claim: the
-// server's fair-share scheduler picks the next unclaimed job across all
+// server's fair-share Queue picks the next unclaimed job across all
 // queued sweeps and returns it under a lease.
 type LeaseRequest struct {
 	Owner      string  `json:"owner"`

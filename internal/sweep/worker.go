@@ -46,13 +46,13 @@ type WorkerStats struct {
 }
 
 // Work is the worker-fleet claim loop: lease a job from the sfsweepd
-// behind rs, execute it through the exact same Execute path a local pool
-// worker uses (with rs as the result store, so the entry lands on the
-// server the moment it exists), report completion, repeat. Renewals
+// behind rs, execute it through the same step a Queue's workers run
+// (runJob, with rs as the result store, so the entry lands on the server
+// the moment it exists), report completion, repeat. Renewals
 // heartbeat in the background at TTL/3; if this process dies mid-job,
 // the stopped heartbeat lets the lease expire and the server requeues
 // the job for another worker -- and because every path funnels through
-// Execute and Spec.Key, the re-run's entry is byte-identical to the one
+// runJob and Spec.Key, the re-run's entry is byte-identical to the one
 // this worker would have produced.
 //
 // Work returns when ctx is cancelled (the in-flight job, if any, is
@@ -126,7 +126,7 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 			case <-ctx.Done():
 			}
 		}
-		jr := Execute(JobTask(env, *grant.Job), rs, 0)
+		jr := runJob(env, rs, *grant.Job)
 		close(stop)
 		<-hbDone
 

@@ -171,7 +171,7 @@ func TestJobLeaseLifecycle(t *testing.T) {
 			t.Errorf("result %s never landed in the server's store", k)
 		}
 	}
-	if leases := srv.sched.leaseList(); len(leases) != 0 {
+	if leases := srv.leases.list(); len(leases) != 0 {
 		t.Fatalf("lease table not empty after completion: %+v", leases)
 	}
 }
@@ -372,7 +372,7 @@ func TestLeaseRequestRejectsKey(t *testing.T) {
 	if code, ae := postForError(t, ts.URL+"/api/v1/leases", body); code != http.StatusBadRequest || ae.Kind != "bad_lease" {
 		t.Fatalf("keyed lease request: status %d kind %q (%s)", code, ae.Kind, ae.Error)
 	}
-	if n, leases := pendingJobs(srv), srv.sched.leaseList(); n != 1 || len(leases) != 0 {
+	if n, leases := pendingJobs(srv), srv.leases.list(); n != 1 || len(leases) != 0 {
 		t.Fatalf("keyed lease request touched the queue: pending %d, leases %+v", n, leases)
 	}
 
@@ -448,7 +448,7 @@ func TestJobLeaseWireGolden(t *testing.T) {
 	post("complete-again", a+"/complete", resultA)
 	b, resultB := claim()
 	post("claim-dry", "/api/v1/leases", claimBody)
-	srv.sched.expire(time.Now().Add(time.Hour)) // b's heartbeats stopped
+	srv.leases.expire(time.Now().Add(time.Hour)) // b's heartbeats stopped
 	post("renew-late", b+"/renew", renewBody)
 	post("complete-late", b+"/complete", resultB)
 

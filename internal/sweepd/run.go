@@ -51,24 +51,14 @@ type resultEvent struct {
 	Result sweep.JobResult `json:"result"`
 }
 
-// sweepRun is one submitted sweep. Claim-side fields (next) are guarded
-// by the scheduler's mutex; completion-side fields are guarded by mu.
-// Lock order is scheduler.mu before sweepRun.mu; the hub's mutex is a
-// leaf below both.
+// sweepRun is one submitted sweep and the Sink of its batch in the
+// server's sweep.Queue. Its fields below mu are guarded by mu; the hub's
+// mutex is a leaf below it.
 type sweepRun struct {
 	id      string
 	spec    *sweep.Spec
-	jobs    []sweep.Job
 	created time.Time
-
-	// Claim-side state, scheduler.mu only. next is the claim frontier;
-	// requeued holds indices whose remote lease expired and that must
-	// be handed out again (before the frontier advances, so a recovered
-	// job doesn't wait behind the rest of its sweep);
-	// inActive tracks membership in the scheduler's rotation.
-	next     int
-	requeued []int
-	inActive bool
+	batch   sweep.Batch // the jobs in expansion order, as the queue holds them
 
 	mu         sync.Mutex
 	state      State
@@ -78,19 +68,18 @@ type sweepRun struct {
 	finishedAt *time.Time
 	prog       *sweep.Progress
 	hub        *hub
-	done       chan struct{} // closed on any terminal state
 }
 
 func newSweepRun(id string, spec *sweep.Spec, jobs []sweep.Job, workers int) *sweepRun {
 	r := &sweepRun{
-		id: id, spec: spec, jobs: jobs, created: time.Now().UTC(),
+		id: id, spec: spec, created: time.Now().UTC(),
 		state:   StateQueued,
 		results: make([]sweep.JobResult, len(jobs)),
 		reached: make([]bool, len(jobs)),
 		prog:    sweep.NewProgress(len(jobs), workers),
 		hub:     newHub(),
-		done:    make(chan struct{}),
 	}
+	r.batch = sweep.Batch{Jobs: jobs, Sink: r}
 	obsSweepsActive.Add(1)
 	r.hub.publish("state", r.status())
 	return r
@@ -105,13 +94,13 @@ func (r *sweepRun) status() Status {
 
 func (r *sweepRun) statusLocked() Status {
 	return Status{
-		ID: r.id, Name: r.spec.Name, State: r.state, Jobs: len(r.jobs),
+		ID: r.id, Name: r.spec.Name, State: r.state, Jobs: len(r.batch.Jobs),
 		Progress: r.prog.Snapshot(), Created: r.created, Finished: r.finishedAt,
 	}
 }
 
-// claimStarted records one claim: the first flips the sweep to running.
-func (r *sweepRun) claimStarted() {
+// Claimed records one claim: the first flips the sweep to running.
+func (r *sweepRun) Claimed() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.prog.JobStarted()
@@ -121,17 +110,16 @@ func (r *sweepRun) claimStarted() {
 	}
 }
 
-// terminated reports whether the run reached a terminal state (used by
-// the scheduler to drop requeues of cancelled sweeps).
+// terminated reports whether the run reached a terminal state.
 func (r *sweepRun) terminated() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.state.terminal()
 }
 
-// abandon undoes one claimStarted whose claim evaporated without a
+// abandon undoes one Claimed whose claim evaporated without a
 // result: a remote worker's lease expired and the job went back in the
-// queue. The matching re-claim will call claimStarted again, so the
+// queue. The matching re-claim will call Claimed again, so the
 // in-flight count stays honest across requeues.
 func (r *sweepRun) abandon() {
 	r.mu.Lock()
@@ -140,16 +128,16 @@ func (r *sweepRun) abandon() {
 	r.hub.publish("progress", r.prog.Snapshot())
 }
 
-// finish records one completed job, publishes its result and progress
+// Finish records one completed job, publishes its result and progress
 // events, and closes out the sweep when it was the last job. Duplicate
 // completions for the same index (a lease that expired right at the
 // completion boundary, its job requeued and re-run) keep the first
 // result -- both are byte-identical by construction, so which one lands
 // is immaterial, but the counters must move exactly once.
-func (r *sweepRun) finish(idx int, jr sweep.JobResult) {
+func (r *sweepRun) Finish(idx int, jr sweep.JobResult) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.reached[idx] {
-		r.mu.Unlock()
 		return
 	}
 	r.results[idx] = jr
@@ -158,44 +146,34 @@ func (r *sweepRun) finish(idx int, jr sweep.JobResult) {
 	r.prog.Observe(jr)
 	r.hub.publish("result", resultEvent{Index: idx, Result: jr})
 	r.hub.publish("progress", r.prog.Snapshot())
-	if r.finished == len(r.jobs) && r.state == StateRunning {
+	if r.finished == len(r.batch.Jobs) && r.state == StateRunning {
 		r.setTerminalLocked(StateDone, "done")
-		h := r.hub
-		r.mu.Unlock()
-		h.close()
-		return
 	}
-	r.mu.Unlock()
 }
 
 // terminate moves the run to a terminal state (interrupted on drain,
 // cancelled on DELETE) and ends its event stream. In-flight jobs may
-// still call finish afterwards; their results are recorded (and, for
+// still call Finish afterwards; their results are recorded (and, for
 // drain, were already committed to the cache by Execute) but the state
 // no longer changes. No-op on already terminal runs.
 func (r *sweepRun) terminate(to State) {
 	r.mu.Lock()
-	if r.state.terminal() {
-		r.mu.Unlock()
-		return
+	defer r.mu.Unlock()
+	if !r.state.terminal() {
+		r.setTerminalLocked(to, "state")
 	}
-	r.setTerminalLocked(to, "state")
-	h := r.hub
-	r.mu.Unlock()
-	h.close()
 }
 
 // setTerminalLocked performs the shared terminal bookkeeping: state,
 // finish time, the closing event (kind "done" for completion, "state"
-// otherwise) and the done channel. Caller holds r.mu and closes the hub
-// after unlocking.
+// otherwise) and the end of the event stream. Caller holds r.mu.
 func (r *sweepRun) setTerminalLocked(to State, eventKind string) {
 	r.state = to
 	now := time.Now().UTC()
 	r.finishedAt = &now
 	obsSweepsActive.Add(-1)
 	r.hub.publish(eventKind, r.statusLocked())
-	close(r.done)
+	r.hub.close()
 }
 
 // finishedResults returns the completed results in deterministic job
@@ -205,7 +183,7 @@ func (r *sweepRun) finishedResults() ([]sweep.JobResult, sweep.Stats) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]sweep.JobResult, 0, r.finished)
-	st := sweep.Stats{Total: len(r.jobs)}
+	st := sweep.Stats{Total: len(r.batch.Jobs)}
 	for i := range r.results {
 		if !r.reached[i] {
 			st.Skipped++

@@ -19,23 +19,29 @@
 //
 // Scenario names in a submitted spec are the registry's (`sfsweep
 // -list`); validation failures come back as structured 400s carrying
-// the scenario package's error values. A fair-share scheduler
-// round-robins job claims across all queued sweeps, and every job runs
-// through the same sweep.Execute path as the batch CLI, against the
-// same result store -- a result served by the service is byte-identical
-// to one computed by `sfsweep` for the same spec. Graceful drain
+// the scenario package's error values. Every sweep is one batch in a
+// sweep.Queue, the fair-share claim source `sfsweep`'s pool runs on too:
+// it hands out one job per sweep per turn, so a small sweep submitted
+// behind a big one is not starved. The local workers (Queue.Serve) run
+// each job through the same step as the batch CLI, against the same
+// result store -- a result served by the service is byte-identical to
+// one computed by `sfsweep` for the same spec. Graceful drain
 // (Server.Drain, wired to SIGTERM by cmd/sfsweepd) stops claiming, lets
 // in-flight jobs finish and commit, and marks still-queued sweeps
 // interrupted; because every finished point is stored, a restarted
 // server resumes exactly like a re-run `sfsweep` does.
 //
 // The lease surface turns the server into a distributed work queue:
-// sfworker processes claim jobs under TTL'd leases, execute through the
-// identical sweep.Execute path against the server's store (reads via
+// sfworker processes claim from the same queue under TTL'd leases,
+// execute through the same step against the server's store (reads via
 // GET, writes via PUT), heartbeat renewals, and report completions. A
 // worker that dies mid-job simply stops renewing; the expiry sweep
 // requeues its job and another worker re-runs it to the same bytes.
 // Mutating endpoints honour Config.Token as a bearer token.
+//
+// Finished sweeps are kept for their status, results and event log
+// until the terminal sweeps held total more than maxSweepJobs jobs; the
+// oldest then go, and their ids answer 404 like unknown ones.
 //
 // An entry read by key is sent as the bytes the store holds (Store.Raw)
 // plus a newline, never decoded and re-encoded; an upload is refused
@@ -47,6 +53,7 @@
 package sweepd
 
 import (
+	"cmp"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
@@ -54,6 +61,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -78,7 +87,8 @@ const maxSpecBytes = 1 << 20
 // maxSweepJobs bounds the grid one submission may expand to. A body
 // under maxSpecBytes can still name 60 000 loads and 60 000 seeds; the
 // largest sweeps anyone runs (every paper figure at full resolution) are
-// a few thousand points.
+// a few thousand points. It also bounds the jobs of the finished sweeps
+// the server keeps in memory (evictLocked).
 const maxSweepJobs = 100_000
 
 // maxEntryBytes bounds uploaded result entries. Entries with full
@@ -112,11 +122,14 @@ type Config struct {
 // launches the workers and Drain performs the graceful shutdown.
 // Submissions made before Start queue up and run once Start is called.
 type Server struct {
-	store sweep.Store
-	env   *sweep.Env
-	sched *scheduler
-	mux   *http.ServeMux
-	token string
+	store      sweep.Store
+	env        *sweep.Env
+	queue      *sweep.Queue
+	leases     leaseMap
+	workers    int           // local workers (0: remote workers only)
+	leaseSweep time.Duration // expiry scan period
+	mux        *http.ServeMux
+	token      string
 	// routes holds each mux pattern's timer; ServeHTTP picks one by the
 	// pattern the mux matched. Written only in New.
 	routes map[string]*obs.Timer
@@ -125,19 +138,30 @@ type Server struct {
 	sweeps map[string]*sweepRun
 	order  []*sweepRun
 	nextID int
+
+	start      sync.Once
+	expiry     context.Context // done once draining
+	stopExpiry context.CancelFunc
+	wg         sync.WaitGroup // the local workers and the expiry loop
 }
 
 // New builds a Server. Call Start to begin executing submitted sweeps.
 func New(cfg Config) *Server {
-	env := sweep.NewEnv()
+	q := sweep.NewQueue()
+	expiry, stopExpiry := context.WithCancel(context.Background())
 	s := &Server{
-		store:  cfg.Store,
-		env:    env,
-		sched:  newScheduler(cfg.Workers, cfg.Store, env, cfg.LeaseSweep),
-		mux:    http.NewServeMux(),
-		token:  cfg.Token,
-		routes: make(map[string]*obs.Timer),
-		sweeps: make(map[string]*sweepRun),
+		store:      cfg.Store,
+		env:        sweep.NewEnv(),
+		queue:      q,
+		leases:     leaseMap{q: q, m: make(map[string]*jobLease)},
+		workers:    max(cmp.Or(cfg.Workers, runtime.GOMAXPROCS(0)), 0),
+		leaseSweep: cmp.Or(max(cfg.LeaseSweep, 0), time.Second),
+		mux:        http.NewServeMux(),
+		token:      cfg.Token,
+		routes:     make(map[string]*obs.Timer),
+		sweeps:     make(map[string]*sweepRun),
+		expiry:     expiry,
+		stopExpiry: stopExpiry,
 	}
 	s.handle("POST /api/v1/sweeps", s.handleSubmit)
 	s.handle("GET /api/v1/sweeps", s.handleList)
@@ -193,19 +217,48 @@ func (s *Server) auth(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// Start launches the scheduler's workers. Idempotent.
-func (s *Server) Start() { s.sched.start() }
+// Start launches the local workers and the lease-expiry sweep.
+// Idempotent, and a no-op once draining (the workers find the queue
+// drained); submissions made before Start just queue, which tests use to
+// make claim order deterministic.
+func (s *Server) Start() {
+	s.start.Do(func() {
+		s.wg.Add(2)
+		go func() {
+			defer s.wg.Done()
+			s.queue.Serve(s.workers, s.env, s.store)
+		}()
+		go func() {
+			defer s.wg.Done()
+			t := time.NewTicker(s.leaseSweep)
+			defer t.Stop()
+			for {
+				select {
+				case <-s.expiry.Done():
+					return
+				case now := <-t.C:
+					s.leases.expire(now)
+				}
+			}
+		}()
+	})
+}
 
 // Drain is the graceful shutdown: stop claiming, wait for in-flight
 // jobs to finish and commit to the cache, then mark every non-terminal
-// sweep interrupted and end its event stream. A cancelled ctx abandons
+// sweep interrupted and end its event stream. Unclaimed jobs are
+// abandoned -- their sweeps are the resumable ones -- while outstanding
+// remote leases stay accepted: a worker that finishes during the drain
+// window still lands its Put and completion. A cancelled ctx abandons
 // the wait (in-flight simulations cannot be preempted) but still marks
 // sweeps interrupted before returning ctx's error. The server keeps
 // answering reads afterwards; new submissions get 503.
 func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
-		s.sched.drain()
+		s.stopExpiry()
+		s.queue.Drain()
+		s.wg.Wait()
 		close(done)
 	}()
 	var err error
@@ -292,12 +345,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextID++
 	id := "sw-" + strconv.Itoa(s.nextID)
-	run := newSweepRun(id, spec, jobs, s.sched.workers)
+	run := newSweepRun(id, spec, jobs, s.workers)
+	s.evictLocked(maxSweepJobs)
 	s.sweeps[id] = run
 	s.order = append(s.order, run)
 	s.mu.Unlock()
 
-	if !s.sched.submit(run) {
+	if !s.queue.Submit(&run.batch) {
 		run.terminate(StateInterrupted)
 		writeError(w, http.StatusServiceUnavailable, "draining",
 			errors.New("sweepd: server is draining; resubmit after restart (finished points are cached)"))
@@ -323,10 +377,34 @@ func gridSize(spec *sweep.Spec) int64 {
 	return n
 }
 
-func (s *Server) lookup(id string) (*sweepRun, bool) {
+// evictLocked drops the oldest terminal sweeps while the terminal sweeps
+// held total more than limit jobs. Queued and running sweeps are never
+// dropped. Caller holds s.mu.
+func (s *Server) evictLocked(limit int) {
+	held := 0
+	for i := len(s.order) - 1; i >= 0; i-- {
+		r := s.order[i]
+		if !r.terminated() {
+			continue
+		}
+		if held += len(r.batch.Jobs); held > limit {
+			delete(s.sweeps, r.id)
+			s.order[i] = nil
+		}
+	}
+	s.order = slices.DeleteFunc(s.order, func(r *sweepRun) bool { return r == nil })
+}
+
+// lookup finds the sweep the request's {id} names, or answers 404
+// not_found: an id never issued and an evicted one alike.
+func (s *Server) lookup(w http.ResponseWriter, req *http.Request) (*sweepRun, bool) {
+	id := req.PathValue("id")
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.sweeps[id]
+	s.mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no sweep %q", id))
+	}
 	return r, ok
 }
 
@@ -344,9 +422,8 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no sweep %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, run.status())
@@ -355,12 +432,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleCancel removes a sweep from the rotation. Unclaimed jobs never
 // run; in-flight ones finish (and cache) but the sweep is terminal.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no sweep %q", r.PathValue("id")))
 		return
 	}
-	s.sched.remove(run)
+	s.queue.Remove(&run.batch)
 	run.terminate(StateCancelled)
 	writeJSON(w, http.StatusOK, run.status())
 }
@@ -372,9 +448,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // with maxSubscribers streams open refuses the next with 503
 // too_many_subscribers, before any header is written.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no sweep %q", r.PathValue("id")))
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -422,9 +497,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // result per line; the default JSON body is the sfsweep results.json
 // artifact shape (spec, stats, results).
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.lookup(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeError(w, http.StatusNotFound, "not_found", fmt.Errorf("sweepd: no sweep %q", r.PathValue("id")))
 		return
 	}
 	results, stats := run.finishedResults()
@@ -504,7 +578,7 @@ func (s *Server) handleEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !sweep.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, "bad_key",
 			fmt.Errorf("sweepd: %q is not a scenario key (64 hex digits)", key))
 		return
@@ -533,7 +607,7 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := r.PathValue("key")
-	if !validKey(key) {
+	if !sweep.ValidKey(key) {
 		writeError(w, http.StatusBadRequest, "bad_key",
 			fmt.Errorf("sweepd: %q is not a scenario key (64 hex digits)", key))
 		return
@@ -561,7 +635,7 @@ func (s *Server) handlePutEntry(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleLease is the job claim against the fair-share scheduler: the
+// handleLease is the job claim against the fair-share queue: the
 // grant carries the job itself plus a TTL'd lease the worker must
 // heartbeat. Unknown fields are refused: a request this endpoint cannot
 // honour is a 400, never a job the client did not ask for.
@@ -574,9 +648,9 @@ func (s *Server) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ttl := clampTTL(time.Duration(req.TTLSeconds * float64(time.Second)))
-	grant, ok, draining := s.sched.lease(req.Owner, ttl)
+	grant, ok, err := s.leases.lease(req.Owner, ttl)
 	switch {
-	case draining:
+	case err != nil:
 		writeError(w, http.StatusServiceUnavailable, "draining",
 			errors.New("sweepd: server is draining; no new claims"))
 	case !ok:
@@ -595,7 +669,7 @@ func (s *Server) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	l, err := s.sched.renew(id, clampTTL(time.Duration(req.TTLSeconds*float64(time.Second))))
+	l, err := s.leases.renew(id, clampTTL(time.Duration(req.TTLSeconds*float64(time.Second))))
 	if err != nil {
 		writeError(w, http.StatusGone, "lease_lost",
 			fmt.Errorf("sweepd: lease %s expired or was never granted", id))
@@ -612,7 +686,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	switch err := s.sched.complete(id, jr); {
+	switch err := s.leases.complete(id, jr); {
 	case err == nil:
 		w.WriteHeader(http.StatusNoContent)
 	case errors.Is(err, sweep.ErrLeaseLost):
@@ -627,14 +701,9 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 // what, and when each claim lapses). Lease ids are capabilities and are
 // redacted; the endpoint is read-only observability.
 func (s *Server) handleLeaseList(w http.ResponseWriter, _ *http.Request) {
-	leases := s.sched.leaseList()
+	leases := s.leases.list()
 	writeJSON(w, http.StatusOK, struct {
 		Leases []sweep.Lease `json:"leases"`
 		Count  int           `json:"count"`
 	}{Leases: leases, Count: len(leases)})
 }
-
-// validKey reports whether key has the exact shape of a scenario
-// Spec.Key (hex SHA-256). Anything else is rejected before it can reach
-// the store layer. (Delegates to the store package's canonical check.)
-func validKey(key string) bool { return sweep.ValidKey(key) }

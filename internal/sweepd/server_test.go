@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -131,12 +132,8 @@ func postForError(t *testing.T, url, body string) (int, apiError) {
 	return resp.StatusCode, ae
 }
 
-// pendingJobs reads the scheduler's unclaimed-job count.
-func pendingJobs(srv *Server) int {
-	srv.sched.mu.Lock()
-	defer srv.sched.mu.Unlock()
-	return srv.sched.pending
-}
+// pendingJobs reads the server queue's unclaimed-job count.
+func pendingJobs(srv *Server) int { return srv.queue.Pending() }
 
 // TestSubmitValidation: malformed and invalid specs come back as
 // structured 400s before anything is queued.
@@ -741,49 +738,6 @@ func TestCacheSharing(t *testing.T) {
 	}
 }
 
-// mkRun builds an njobs-point run for tests that drive the scheduler
-// directly (nothing executes the jobs).
-func mkRun(id string, njobs int) *sweepRun {
-	spec := &sweep.Spec{Name: id}
-	jobs := make([]sweep.Job, njobs)
-	for i := range jobs {
-		jobs[i] = sweep.Job{Topo: sweep.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Load: 0.01 * float64(i+1)}
-	}
-	return newSweepRun(id, spec, jobs, 1)
-}
-
-// TestFairShareClaimOrder drives the scheduler directly (no workers) and
-// pins the interleaving: one claim per sweep per turn, in submission
-// order, with the big sweep taking the leftover turns alone.
-func TestFairShareClaimOrder(t *testing.T) {
-	sched := newScheduler(1, nil, sweep.NewEnv(), 0)
-	a := mkRun("A", 5)
-	b := mkRun("B", 2)
-	c := mkRun("C", 1)
-	for _, r := range []*sweepRun{a, b, c} {
-		if !sched.submit(r) {
-			t.Fatal("submit refused")
-		}
-	}
-	var order []string
-	for i := 0; i < 8; i++ {
-		r, _, ok := sched.claim()
-		if !ok {
-			t.Fatal("claim refused")
-		}
-		order = append(order, r.id)
-	}
-	got := strings.Join(order, "")
-	// Round-robin: A B C | A B | A A A (C exhausts after turn 1, B after
-	// turn 2, then A drains alone).
-	if want := "ABCABAAA"; got != want {
-		t.Errorf("claim order %q, want %q", got, want)
-	}
-	if sched.pending != 0 {
-		t.Errorf("pending = %d after full drain", sched.pending)
-	}
-}
-
 // TestFairShareAPI: with one worker, a small sweep submitted after a big
 // one still finishes first -- the service-level starvation guarantee.
 func TestFairShareAPI(t *testing.T) {
@@ -997,6 +951,69 @@ func TestSSESubscriberCap(t *testing.T) {
 		t.Fatal("a repeated cancel freed a second slot")
 	}
 	h.close()
+}
+
+// TestEvictTerminalSweeps: the server keeps the newest terminal sweeps
+// whose jobs total at most the limit and drops the older ones, whose ids
+// then answer 404 like unknown ones. A queued or running sweep is never
+// dropped, whatever the limit.
+func TestEvictTerminalSweeps(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	// Never started: no job runs unless a lease claims it.
+	var ids []string
+	for i := range 6 {
+		ids = append(ids, postSpec(t, ts, specJSON("evict-"+strconv.Itoa(i), 2)).ID)
+	}
+	for _, id := range ids[:4] {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/sweeps/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	// A lease claims a job of sweep 4, the first left in the rotation,
+	// so it runs; sweep 5 stays queued.
+	if _, ok, err := srv.leases.lease("t", time.Minute); !ok || err != nil {
+		t.Fatalf("lease: ok %v, err %v", ok, err)
+	}
+	if st4, st5 := getStatus(t, ts, ids[4]), getStatus(t, ts, ids[5]); st4.State != StateRunning || st5.State != StateQueued {
+		t.Fatalf("sweeps 4 and 5 are %s and %s, want running and queued", st4.State, st5.State)
+	}
+
+	evict := func(limit int, want ...string) {
+		t.Helper()
+		srv.mu.Lock()
+		srv.evictLocked(limit)
+		held := 0
+		for _, r := range srv.order {
+			if r.terminated() {
+				held += len(r.batch.Jobs)
+			}
+		}
+		srv.mu.Unlock()
+		if held > limit {
+			t.Errorf("limit %d: terminal sweeps hold %d jobs", limit, held)
+		}
+		for i, id := range ids {
+			resp, err := http.Get(ts.URL + "/api/v1/sweeps/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			wantCode := http.StatusNotFound
+			if slices.Contains(want, id) {
+				wantCode = http.StatusOK
+			}
+			if resp.StatusCode != wantCode {
+				t.Errorf("limit %d: GET sweep %d: status %d, want %d", limit, i, resp.StatusCode, wantCode)
+			}
+		}
+	}
+	// Four cancelled 2-job sweeps hold 8 jobs: a limit of 5 keeps the
+	// newest two, and 0 keeps only the queued and running ones.
+	evict(5, ids[2], ids[3], ids[4], ids[5])
+	evict(0, ids[4], ids[5])
 }
 
 // TestNotFound: unknown ids and keys are structured 404s.
