@@ -11,7 +11,6 @@ import (
 	"slimfly/internal/sim"
 	"slimfly/internal/topo"
 	"slimfly/internal/traffic"
-	"slimfly/internal/workload"
 )
 
 func main() {
@@ -28,11 +27,11 @@ func main() {
 		name string
 		mk   mkPattern
 	}{
-		{"stencil-3d", func(n int) traffic.Pattern { return workload.NewStencil3D(n) }},
-		{"all-to-all", func(n int) traffic.Pattern { return workload.NewAllToAll(n) }},
-		{"allgather-ring", func(n int) traffic.Pattern { return workload.AllGatherRing{N: n} }},
-		{"allreduce-rd", func(n int) traffic.Pattern { return workload.NewAllReduceRD(n) }},
-		{"graph-zipf", func(n int) traffic.Pattern { return workload.NewGraphZipf(n, 0.7, 42) }},
+		{"stencil-3d", func(n int) traffic.Pattern { return NewStencil3D(n) }},
+		{"all-to-all", func(n int) traffic.Pattern { return NewAllToAll(n) }},
+		{"allgather-ring", func(n int) traffic.Pattern { return AllGatherRing{N: n} }},
+		{"allreduce-rd", func(n int) traffic.Pattern { return NewAllReduceRD(n) }},
+		{"graph-zipf", func(n int) traffic.Pattern { return NewGraphZipf(n, 0.7, 42) }},
 	}
 
 	run := func(t topo.Topology, tb *route.Tables, p traffic.Pattern) sim.Result {

@@ -1,13 +1,14 @@
-// Package workload provides application-level traffic generators for the
-// HPC workloads the paper motivates (Section I and Section V): stencil
-// halo exchanges, collective operations (all-to-all, all-gather,
-// allreduce), and irregular graph computations with skewed destination
-// distributions. Each generator implements traffic.Pattern and can be fed
-// directly to the simulator.
+package main
+
+// This file holds application-level traffic generators for the HPC
+// workloads the paper motivates (Section I and Section V): stencil halo
+// exchanges, collective operations (all-to-all, all-gather, allreduce),
+// and irregular graph computations with skewed destination
+// distributions. Each generator implements traffic.Pattern and can be
+// fed directly to the simulator.
 //
 // Stateful generators (AllToAll) must not be shared between concurrently
 // running simulations; construct one per run.
-package workload
 
 import (
 	"math"
