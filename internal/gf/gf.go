@@ -41,23 +41,6 @@ type Field struct {
 // ErrNotPrimePower reports that the requested order is not a prime power.
 var ErrNotPrimePower = errors.New("gf: order is not a prime power")
 
-// IsPrime reports whether v is prime (deterministic trial division; fields
-// used in network construction are small, so this is plenty fast).
-func IsPrime(v int) bool {
-	if v < 2 {
-		return false
-	}
-	if v%2 == 0 {
-		return v == 2
-	}
-	for d := 3; d*d <= v; d += 2 {
-		if v%d == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // PrimePower decomposes q into (p, n) with q = p^n and p prime. ok is false
 // if q is not a prime power (or q < 2).
 func PrimePower(q int) (p, n int, ok bool) {
@@ -101,15 +84,6 @@ func New(q int) (*Field, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// MustNew is New but panics on error; convenient for known-valid orders.
-func MustNew(q int) *Field {
-	f, err := New(q)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // digits splits element a into its base-p coefficient vector of length N.

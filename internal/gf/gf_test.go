@@ -5,6 +5,15 @@ import (
 	"testing/quick"
 )
 
+// MustNew is New but panics on error.
+func MustNew(q int) *Field {
+	f, err := New(q)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
 func TestPrimePower(t *testing.T) {
 	cases := []struct {
 		q, p, n int
@@ -21,16 +30,6 @@ func TestPrimePower(t *testing.T) {
 		p, n, ok := PrimePower(c.q)
 		if ok != c.ok || (ok && (p != c.p || n != c.n)) {
 			t.Errorf("PrimePower(%d) = (%d,%d,%v), want (%d,%d,%v)", c.q, p, n, ok, c.p, c.n, c.ok)
-		}
-	}
-}
-
-func TestIsPrime(t *testing.T) {
-	primes := map[int]bool{2: true, 3: true, 5: true, 7: true, 11: true, 13: true,
-		1: false, 0: false, 4: false, 9: false, 15: false, 91: false, 97: true}
-	for v, want := range primes {
-		if got := IsPrime(v); got != want {
-			t.Errorf("IsPrime(%d) = %v, want %v", v, got, want)
 		}
 	}
 }

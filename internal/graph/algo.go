@@ -173,35 +173,6 @@ func (g *Graph) AllPairsStats() PathStats {
 	return out
 }
 
-// ConnectedComponents labels each vertex with a component id (0-based,
-// ordered by smallest contained vertex) and returns the labels plus the
-// number of components.
-func (g *Graph) ConnectedComponents() (labels []int32, count int) {
-	labels = make([]int32, g.n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	queue := make([]int32, 0, g.n)
-	for s := 0; s < g.n; s++ {
-		if labels[s] != -1 {
-			continue
-		}
-		labels[s] = int32(count)
-		queue = append(queue[:0], int32(s))
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, v := range g.adj[u] {
-				if labels[v] == -1 {
-					labels[v] = int32(count)
-					queue = append(queue, v)
-				}
-			}
-		}
-		count++
-	}
-	return labels, count
-}
-
 // IsConnected reports whether the graph is connected (vacuously true for
 // N <= 1).
 func (g *Graph) IsConnected() bool {

@@ -43,8 +43,6 @@ type ChannelLoads struct {
 // the topK hottest channels in its summary (<= 0: all loaded channels).
 func NewChannelLoads(topK int) *ChannelLoads { return &ChannelLoads{topK: topK} }
 
-func (c *ChannelLoads) Name() string { return "channels" }
-
 // Attach sizes the flat counter array from the per-router degrees.
 func (c *ChannelLoads) Attach(m Meta) {
 	c.offsets = make([]int32, m.Routers+1)

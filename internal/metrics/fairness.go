@@ -29,8 +29,6 @@ type Fairness struct {
 // NewFairness returns an unattached fairness collector.
 func NewFairness() *Fairness { return &Fairness{} }
 
-func (f *Fairness) Name() string { return "fairness" }
-
 // Attach sizes the per-source counters.
 func (f *Fairness) Attach(m Meta) {
 	f.injected = make([]int64, m.Endpoints)

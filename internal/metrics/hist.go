@@ -65,8 +65,6 @@ type LatencyHist struct {
 // NewLatencyHist returns an unattached latency histogram.
 func NewLatencyHist() *LatencyHist { return &LatencyHist{} }
 
-func (h *LatencyHist) Name() string { return "latency" }
-
 // Attach allocates the bucket array.
 func (h *LatencyHist) Attach(Meta) {
 	h.buckets = make([]int64, histBuckets)

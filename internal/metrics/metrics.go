@@ -74,7 +74,6 @@ func (m Meta) WindowEnd() int64 { return m.Warmup + m.Measure }
 // must not allocate. Summarize writes the collector's section of the
 // shared Summary.
 type Collector interface {
-	Name() string
 	Attach(m Meta)
 	Summarize(out *Summary)
 }

@@ -36,8 +36,6 @@ const seriesTargetSamples = 64
 // cycles (0: derive ~seriesTargetSamples intervals from the window).
 func NewSeries(interval int64) *Series { return &Series{interval: interval} }
 
-func (s *Series) Name() string { return "series" }
-
 // Attach sizes the per-interval counters from the measurement window.
 func (s *Series) Attach(m Meta) {
 	iv := s.interval

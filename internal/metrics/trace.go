@@ -137,9 +137,6 @@ func NewTrace(shift uint, capacity int) *Trace {
 	return &Trace{shift: shift, cap: capacity}
 }
 
-// Name implements Collector.
-func (t *Trace) Name() string { return "trace" }
-
 // Attach implements Collector: the ring backing is allocated here, once,
 // so recording never allocates.
 func (t *Trace) Attach(m Meta) {

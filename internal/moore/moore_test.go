@@ -2,6 +2,18 @@ package moore
 
 import "testing"
 
+// MaxEndpoints returns the maximum number of endpoints N = p * Nr a
+// diameter-d network of radix-k routers can reach when k' = ceil(2k/3)
+// ports go to the network and the rest to endpoints (Section II-A).
+func MaxEndpoints(k, d int) int64 {
+	kp := (2*k + 2) / 3 // ceil(2k/3)
+	p := k - kp
+	if p < 0 {
+		p = 0
+	}
+	return int64(p) * Bound(kp, d)
+}
+
 func TestBoundKnownValues(t *testing.T) {
 	cases := []struct {
 		kp, d int

@@ -7,7 +7,6 @@ package roster
 
 import (
 	"fmt"
-	"math"
 
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/dragonfly"
@@ -41,78 +40,87 @@ func Kinds() []Kind {
 	return []Kind{SF, DF, FT3, FBF3, T3D, T5D, HC, LHHC, DLN}
 }
 
-// Near builds the balanced configuration of the given kind whose endpoint
-// count is closest to n. Random topologies take the seed; others ignore it.
-func Near(kind Kind, n int, seed uint64) (topo.Topology, error) {
+// rung is one balanced configuration of a discrete kind: its endpoint
+// count and the constructor parameter that builds it.
+type rung struct{ n, param int }
+
+// ladder returns the balanced configurations of a discrete kind in
+// ascending endpoint order, and nil for the continuously scalable kinds
+// and unknown ones.
+func ladder(kind Kind) []rung {
+	var out []rung
 	switch kind {
 	case SF:
-		best, bestDiff := 0, math.MaxInt
 		for _, q := range slimfly.ValidOrders(3, 128) {
 			kp, nr, _, _ := slimfly.Params(q)
-			nn := slimfly.BalancedConcentration(kp) * nr
-			if d := abs(nn - n); d < bestDiff {
-				best, bestDiff = q, d
-			}
+			out = append(out, rung{slimfly.BalancedConcentration(kp) * nr, q})
 		}
-		if best == 0 {
-			return nil, fmt.Errorf("roster: no SF configuration near %d", n)
-		}
-		return slimfly.New(best)
 	case DF:
-		best, bestDiff := 0, math.MaxInt
 		for p := 1; p <= 64; p++ {
-			_, _, _, _, nn, _ := dragonfly.Params(p)
-			if d := abs(nn - n); d < bestDiff {
-				best, bestDiff = p, d
-			}
+			_, _, _, _, n, _ := dragonfly.Params(p)
+			out = append(out, rung{n, p})
 		}
-		return dragonfly.New(best)
 	case FT3:
-		best, bestDiff := 2, math.MaxInt
 		for p := 2; p <= 128; p++ {
-			if d := abs(p*p*p - n); d < bestDiff {
-				best, bestDiff = p, d
-			}
+			out = append(out, rung{p * p * p, p})
 		}
-		return fattree.New(best)
 	case FBF3:
-		best, bestDiff := 2, math.MaxInt
 		for c := 2; c <= 64; c++ {
-			if d := abs(c*c*c*c - n); d < bestDiff {
-				best, bestDiff = c, d
-			}
+			out = append(out, rung{c * c * c * c, c})
 		}
-		return fbutterfly.New(best)
+	case HC, LHHC:
+		for d := 3; d <= 26; d++ {
+			out = append(out, rung{1 << d, d})
+		}
+	}
+	return out
+}
+
+// Near builds the balanced configuration of the given kind whose endpoint
+// count is closest to n, the smaller one on a tie. Random topologies take
+// the seed; others ignore it.
+func Near(kind Kind, n int, seed uint64) (topo.Topology, error) {
+	switch kind {
 	case T3D:
 		return torus.New(torus.ForEndpoints(3, n), 1)
 	case T5D:
 		return torus.New(torus.ForEndpoints(5, n), 1)
-	case HC:
-		return hypercube.New(nearestPow2Dim(n))
-	case LHHC:
-		d := nearestPow2Dim(n)
-		return longhop.New(d, longhop.DefaultExtra(d))
 	case DLN:
 		// Balanced DLN at the router radix of the comparable Slim Fly
-		// (Table IV compares fixed-radix k=43 networks): p = floor(sqrt
-		// (k)) endpoints per router, the rest of the radix split between
-		// the ring and random shortcuts.
-		k := 43
-		if sf, err := Near(SF, n, seed); err == nil {
-			k = sf.Radix()
+		// (Table IV compares fixed-radix k=43 networks), with at least 8
+		// routers.
+		sf, err := Near(SF, n, seed)
+		if err != nil {
+			return nil, err
 		}
+		k := sf.Radix()
 		p := random.BalancedConcentration(k)
-		y := (k - p - 2) / 2
-		if y < 1 {
-			y = 1
-		}
-		nr := (n + p - 1) / p
-		if nr < 8 {
-			nr = 8
-		}
-		return random.New(nr, y, p, seed)
-	default:
+		return random.Balanced(max((n+p-1)/p, 8), k, seed)
+	}
+	rungs := ladder(kind)
+	if rungs == nil {
 		return nil, fmt.Errorf("roster: unknown kind %q", kind)
+	}
+	// The ladder ascends, so a later rung wins only when strictly closer.
+	best := rungs[0]
+	for _, r := range rungs[1:] {
+		if r.n-n < n-best.n {
+			best = r
+		}
+	}
+	switch kind {
+	case SF:
+		return slimfly.New(best.param)
+	case DF:
+		return dragonfly.New(best.param)
+	case FT3:
+		return fattree.New(best.param)
+	case FBF3:
+		return fbutterfly.New(best.param)
+	case HC:
+		return hypercube.New(best.param)
+	default: // LHHC
+		return longhop.New(best.param, longhop.DefaultExtra(best.param))
 	}
 }
 
@@ -125,69 +133,20 @@ func MustNear(kind Kind, n int, seed uint64) topo.Topology {
 	return t
 }
 
-func nearestPow2Dim(n int) int {
-	d := 1
-	for (1 << (d + 1)) <= n {
-		d++
-	}
-	// d gives 2^d <= n < 2^(d+1); pick the closer of d, d+1.
-	if n-(1<<d) > (1<<(d+1))-n && d < 26 {
-		return d + 1
-	}
-	if d < 3 {
-		return 3
-	}
-	return d
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
 // BalancedSizes returns the endpoint counts of the kind's balanced ladder
 // within [lo, hi] -- the x-axis of Figures 1, 5c, 11c and 11d.
 func BalancedSizes(kind Kind, lo, hi int) []int {
 	var out []int
 	switch kind {
-	case SF:
-		for _, q := range slimfly.ValidOrders(3, 128) {
-			kp, nr, _, _ := slimfly.Params(q)
-			if n := slimfly.BalancedConcentration(kp) * nr; n >= lo && n <= hi {
-				out = append(out, n)
-			}
-		}
-	case DF:
-		for p := 1; p <= 64; p++ {
-			_, _, _, _, n, _ := dragonfly.Params(p)
-			if n >= lo && n <= hi {
-				out = append(out, n)
-			}
-		}
-	case FT3:
-		for p := 2; p <= 128; p++ {
-			if n := p * p * p; n >= lo && n <= hi {
-				out = append(out, n)
-			}
-		}
-	case FBF3:
-		for c := 2; c <= 64; c++ {
-			if n := c * c * c * c; n >= lo && n <= hi {
-				out = append(out, n)
-			}
-		}
-	case HC, LHHC:
-		for d := 3; d <= 26; d++ {
-			if n := 1 << d; n >= lo && n <= hi {
-				out = append(out, n)
-			}
-		}
 	case T3D, T5D, DLN:
 		// Continuously scalable: sample a geometric ladder.
 		for n := lo; n <= hi; n = n*3/2 + 1 {
 			out = append(out, n)
+		}
+	}
+	for _, r := range ladder(kind) {
+		if r.n >= lo && r.n <= hi {
+			out = append(out, r.n)
 		}
 	}
 	return out

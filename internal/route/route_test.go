@@ -38,7 +38,11 @@ func TestPathProperties(t *testing.T) {
 	n := sf.Routers()
 	for u := 0; u < n; u += 7 {
 		for d := 0; d < n; d += 5 {
-			p := tb.Path(u, d)
+			p := []int32{int32(u)}
+			for cur := u; cur != d; {
+				cur = int(tb.NextHop(cur, d))
+				p = append(p, int32(cur))
+			}
 			if int(p[0]) != u || int(p[len(p)-1]) != d {
 				t.Fatalf("path(%d,%d) endpoints wrong: %v", u, d, p)
 			}
@@ -88,8 +92,8 @@ func TestDisconnectedTables(t *testing.T) {
 	if tb.Distance(0, 2) != -1 {
 		t.Errorf("dist across components = %d, want -1", tb.Distance(0, 2))
 	}
-	if tb.Path(0, 2) != nil {
-		t.Error("path across components should be nil")
+	if tb.NextHop(0, 2) != -1 {
+		t.Errorf("next hop across components = %d, want -1", tb.NextHop(0, 2))
 	}
 }
 

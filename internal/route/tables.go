@@ -144,22 +144,6 @@ func (t *Tables) NextPort(u, d int) int32 { return t.nextPort[u*t.n+d] }
 // plus n for hot loops that index it directly (the simulator engine).
 func (t *Tables) NextPortFlat() ([]int32, int) { return t.nextPort, t.n }
 
-// Path returns the deterministic minimal path from u to d inclusive of both
-// endpoints (nil if unreachable).
-func (t *Tables) Path(u, d int) []int32 {
-	if t.Dist[d][u] < 0 {
-		return nil
-	}
-	path := make([]int32, 0, t.Dist[d][u]+1)
-	cur := int32(u)
-	path = append(path, cur)
-	for cur != int32(d) {
-		cur = t.next[int(cur)*t.n+d]
-		path = append(path, cur)
-	}
-	return path
-}
-
 // ValiantLen returns the length in hops of the Valiant path s -> r -> d.
 // Distances are symmetric (the graph is undirected), so both terms read
 // rows s and d rather than row r: UGAL probes many candidate r for one

@@ -23,7 +23,7 @@ import (
 // exists, the computed backend agrees with BFS tables on every distance
 // and port.
 func TestBackendParityWall(t *testing.T) {
-	for _, kind := range scenario.Names(scenario.Topologies) {
+	for _, kind := range names(scenario.Topologies) {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
@@ -70,8 +70,8 @@ func TestBackendParityWall(t *testing.T) {
 }
 
 // TestEnvAutoBudgetSwitch pins the auto policy's pivot: the same spec
-// resolves to tables under a roomy budget and to the computed backend
-// when the 9*n*n estimate exceeds it.
+// resolves to tables under the Env's default budget and to the computed
+// backend when the 9*n*n estimate exceeds the budget BuildRouting is given.
 func TestEnvAutoBudgetSwitch(t *testing.T) {
 	ts := scenario.TopoSpec{Kind: "SF", Q: 17}
 
@@ -84,8 +84,7 @@ func TestEnvAutoBudgetSwitch(t *testing.T) {
 		t.Fatalf("under budget: backend %q table_bytes %d, want tables", rt.Backend(), rt.TableBytes())
 	}
 
-	envTight := scenario.NewEnv(scenario.WithRouteBudget(1 << 10))
-	_, rt, err = envTight.Topo(ts)
+	_, rt, err = scenario.BuildRouting(ts, route.PolicyAuto, 1<<10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func TestRegistryConformance(t *testing.T) {
 	const targetN = 96
 	simParams := scenario.SimParams{Warmup: 20, Measure: 60, Drain: 400}
 
-	for _, kind := range scenario.Names(scenario.Topologies) {
+	for _, kind := range names(scenario.Topologies) {
 		kind := kind
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
@@ -44,7 +44,7 @@ func TestRegistryConformance(t *testing.T) {
 				t.Fatalf("routing tables empty: max distance %d", tb.MaxDistance())
 			}
 
-			for _, algoName := range scenario.Names(scenario.Algos) {
+			for _, algoName := range names(scenario.Algos) {
 				algo, err := scenario.BuildAlgo(algoName, tp)
 				if !scenario.Compatible(ts, algoName) {
 					// The registry declares the pair incompatible; the
@@ -65,7 +65,7 @@ func TestRegistryConformance(t *testing.T) {
 				}
 				_ = algo
 
-				for _, patName := range scenario.Names(scenario.Patterns) {
+				for _, patName := range names(scenario.Patterns) {
 					pat, err := env.Pattern(ts, patName, 1)
 					if err != nil {
 						t.Errorf("pattern %s on %s: %v", patName, kind, err)

@@ -57,7 +57,6 @@ type Env struct {
 	// never enters Spec.Key: backends are bit-equal by contract, so cached
 	// results are backend-invariant.
 	backend route.Policy
-	budget  int64 // table-memory budget in bytes; <= 0 means route.DefaultTableBudget
 }
 
 type builtTopo struct {
@@ -88,11 +87,6 @@ type EnvOption func(*Env)
 // computed above it for kinds with an algebraic form.
 func WithRouteBackend(p route.Policy) EnvOption { return func(e *Env) { e.backend = p } }
 
-// WithRouteBudget overrides the table-memory budget in bytes for the
-// auto policy's tables-vs-computed switch (and for tables rejection);
-// <= 0 keeps route.DefaultTableBudget.
-func WithRouteBudget(bytes int64) EnvOption { return func(e *Env) { e.budget = bytes } }
-
 // NewEnv returns an empty resolver environment.
 func NewEnv(opts ...EnvOption) *Env {
 	e := &Env{
@@ -121,7 +115,7 @@ func (e *Env) Topo(t TopoSpec) (topo.Topology, route.Router, error) {
 	e.mu.Unlock()
 	b.once.Do(func() {
 		defer obsTopoBuildSpan.Start().End()
-		b.tp, b.rt, b.err = BuildRouting(t, e.backend, e.budget)
+		b.tp, b.rt, b.err = BuildRouting(t, e.backend, 0)
 		if b.err == nil {
 			obsRouteTableBytes.Set(b.rt.TableBytes())
 			obsRouteBackend.Store(b.rt.Backend())

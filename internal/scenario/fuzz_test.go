@@ -47,8 +47,8 @@ func FuzzTargetPortContract(f *testing.F) {
 	f.Add(uint8(5), uint8(1), uint64(11), 0.05)
 	f.Add(uint8(255), uint8(255), uint64(0), 1.0)
 
-	kinds := scenario.Names(scenario.Topologies)
-	algos := scenario.Names(scenario.Algos)
+	kinds := names(scenario.Topologies)
+	algos := names(scenario.Algos)
 
 	f.Fuzz(func(t *testing.T, kindIdx, algoIdx uint8, seed uint64, load float64) {
 		kind := kinds[int(kindIdx)%len(kinds)]

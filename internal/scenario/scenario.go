@@ -112,20 +112,6 @@ func HasWorstCase(tp topo.Topology) bool {
 	return ok
 }
 
-// Names returns the names of an axis in table (presentation) order.
-// Unknown axes yield nil.
-func Names(a Axis) []string {
-	switch a {
-	case Topologies:
-		return names(topologies)
-	case Algos:
-		return names(algos)
-	case Patterns:
-		return names(patterns)
-	}
-	return nil
-}
-
 // Describe returns name+description pairs for an axis in table order,
 // for CLI -list output and documentation.
 func Describe(a Axis) []Info {

@@ -12,17 +12,26 @@ import (
 	"slimfly/internal/sim"
 )
 
+// names lists an axis's names in table order.
+func names(a scenario.Axis) []string {
+	var out []string
+	for _, in := range scenario.Describe(a) {
+		out = append(out, in.Name)
+	}
+	return out
+}
+
 func TestRegistriesPopulated(t *testing.T) {
 	wantTopos := []string{"SF", "DF", "FT-3", "FBF-3", "T3D", "T5D", "HC", "LH-HC", "DLN"}
 	wantAlgos := []string{"min", "val", "val3", "ugal-l", "ugal-g", "anca"}
 	wantPatterns := []string{"uniform", "shuffle", "bitrev", "bitcomp", "shift", "worstcase"}
-	if got := scenario.Names(scenario.Topologies); !reflect.DeepEqual(got, wantTopos) {
+	if got := names(scenario.Topologies); !reflect.DeepEqual(got, wantTopos) {
 		t.Errorf("topology names = %v, want %v", got, wantTopos)
 	}
-	if got := scenario.Names(scenario.Algos); !reflect.DeepEqual(got, wantAlgos) {
+	if got := names(scenario.Algos); !reflect.DeepEqual(got, wantAlgos) {
 		t.Errorf("algo names = %v, want %v", got, wantAlgos)
 	}
-	if got := scenario.Names(scenario.Patterns); !reflect.DeepEqual(got, wantPatterns) {
+	if got := names(scenario.Patterns); !reflect.DeepEqual(got, wantPatterns) {
 		t.Errorf("pattern names = %v, want %v", got, wantPatterns)
 	}
 	for _, axis := range []scenario.Axis{scenario.Topologies, scenario.Algos, scenario.Patterns} {
@@ -43,7 +52,7 @@ func TestUnknownErrorsEnumerate(t *testing.T) {
 	if ue.Axis != scenario.Algos || ue.Name != "ecmp" {
 		t.Errorf("UnknownError = %+v", ue)
 	}
-	if !reflect.DeepEqual(ue.Known, scenario.Names(scenario.Algos)) {
+	if !reflect.DeepEqual(ue.Known, names(scenario.Algos)) {
 		t.Errorf("Known = %v, want registry names", ue.Known)
 	}
 	for _, name := range ue.Known {
@@ -56,7 +65,7 @@ func TestUnknownErrorsEnumerate(t *testing.T) {
 func TestListTextCoversAllNames(t *testing.T) {
 	txt := scenario.ListText()
 	for _, axis := range []scenario.Axis{scenario.Topologies, scenario.Algos, scenario.Patterns} {
-		for _, name := range scenario.Names(axis) {
+		for _, name := range names(axis) {
 			if !strings.Contains(txt, name) {
 				t.Errorf("ListText misses %s %q", axis, name)
 			}
@@ -195,6 +204,29 @@ func TestSpecValidateCycleRange(t *testing.T) {
 	}
 	if _, err := sim.New(cfg); err != nil {
 		t.Errorf("warmup %d validates but sim.New refuses it: %v", fits, err)
+	}
+}
+
+// TestSpecValidateBuffers: with num_vcs explicit, a spec validates exactly
+// when sim.New accepts its buffers -- at least one flit per VC, at most
+// 32 767 -- buf_per_port 0 counting as its default 64.
+func TestSpecValidateBuffers(t *testing.T) {
+	env := scenario.NewEnv()
+	for _, vcs := range []int{1, 2, 3, 4, 8, 64, 127, 128} {
+		for _, buf := range []int{0, 1, 2, 3, 4, 7, 8, 63, 64, 65, 127, 128, 32767, 32768, 65534, 65535, 100000, 4161409} {
+			spec := scenario.Spec{Topo: scenario.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.1,
+				Sim: scenario.SimParams{NumVCs: vcs, BufPerPort: buf}}
+			verr := spec.Validate()
+			var nerr error
+			if cfg, err := env.Config(spec); err != nil {
+				nerr = err
+			} else {
+				_, nerr = sim.New(cfg)
+			}
+			if (verr == nil) != (nerr == nil) {
+				t.Errorf("num_vcs %d, buf_per_port %d: Validate = %v, sim.New = %v", vcs, buf, verr, nerr)
+			}
+		}
 	}
 }
 

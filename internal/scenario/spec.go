@@ -120,7 +120,8 @@ type SimParams struct {
 }
 
 // validate rejects negative knobs by their JSON names, as sim.New would by
-// their Config names, and a window past sim.CheckCycleRange, so that a
+// their Config names, an explicit num_vcs and buf_per_port past
+// sim.CheckBuffers, and a window past sim.CheckCycleRange, so that a
 // submitted sweep fails once at the door and not once per job.
 func (p SimParams) validate() error {
 	for _, f := range []struct {
@@ -137,6 +138,13 @@ func (p SimParams) validate() error {
 	}
 	if p.NumVCs > math.MaxInt8 { // sim.New's limit: the engine's VC fields are int8
 		return fmt.Errorf("scenario: sim.num_vcs %d exceeds the engine's limit of %d", p.NumVCs, math.MaxInt8)
+	}
+	// At num_vcs 0 the count comes from the algorithm and the diameter,
+	// which only sim.New resolves: each job meets this rule there.
+	if p.NumVCs > 0 {
+		if err := sim.CheckBuffers(sim.Config{NumVCs: p.NumVCs, BufPerPort: p.BufPerPort}); err != nil {
+			return fmt.Errorf("scenario: sim.num_vcs and buf_per_port: %w", err)
+		}
 	}
 	if err := sim.CheckCycleRange(sim.Config{
 		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,

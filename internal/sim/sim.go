@@ -299,6 +299,24 @@ func CheckCycleRange(cfg Config) error {
 	return nil
 }
 
+// CheckBuffers refuses a port buffer the engine cannot split among the
+// VCs: every VC needs at least one flit, and a VC's depth is an int16
+// credit count. Zero fields take their defaults, as in New. New calls it,
+// and so does the scenario layer's validation when num_vcs is explicit,
+// so such a spec validates only if New accepts its buffers.
+func CheckBuffers(cfg Config) error {
+	cfg = cfg.withDefaults()
+	if cfg.BufPerPort < cfg.NumVCs {
+		return fmt.Errorf("sim: need at least 1 flit of buffering per VC: %d flits across %d VCs", cfg.BufPerPort, cfg.NumVCs)
+	}
+	// Depth is only a credit count, but the counters are int16: reject
+	// depths that would wrap them.
+	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
+		return fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
+	}
+	return nil
+}
+
 // New builds a simulator from cfg, validating the configuration.
 func New(cfg Config) (*Sim, error) {
 	cfg = cfg.withDefaults()
@@ -327,13 +345,8 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.NumVCs > math.MaxInt8 {
 		return nil, fmt.Errorf("sim: NumVCs %d exceeds the int8 VC fields' limit of %d", cfg.NumVCs, math.MaxInt8)
 	}
-	if cfg.BufPerPort < cfg.NumVCs {
-		return nil, fmt.Errorf("sim: need at least 1 flit of buffering per VC")
-	}
-	// Depth is only a credit count, but the counters are int16: reject
-	// depths that would wrap them.
-	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
-		return nil, fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
+	if err := CheckBuffers(cfg); err != nil {
+		return nil, err
 	}
 	if err := CheckCycleRange(cfg); err != nil {
 		return nil, err
@@ -533,11 +546,6 @@ func (s *Sim) QueueEstimate(r int32, port int) int {
 
 // Router exposes the routing backend to routing algorithms.
 func (s *Sim) Router() route.Router { return s.cfg.Router }
-
-// RNG exposes the injection-phase RNG to routing algorithms: OnInject runs
-// serially in endpoint order, so its draws come from this single stream.
-// TargetPort implementations must not use it -- see PortRNG.
-func (s *Sim) RNG() *stats.RNG { return s.rng }
 
 // PortRNG returns router r's allocation-phase random stream, the only RNG
 // an adaptive algorithm may draw from inside TargetPort. The streams are

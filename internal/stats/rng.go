@@ -1,7 +1,7 @@
-// Package stats provides deterministic random number generation and small
-// statistical helpers (means, confidence intervals, sampling) used across the
-// Slim Fly experiments. Every simulation and sampled analysis in this
-// repository seeds an explicit RNG so results are bit-reproducible.
+// Package stats provides the deterministic random number generator, and its
+// sampling helpers, used across the Slim Fly experiments. Every simulation
+// and sampled analysis in this repository seeds an explicit RNG so results
+// are bit-reproducible.
 package stats
 
 import "math/bits"

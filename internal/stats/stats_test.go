@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -117,44 +116,6 @@ func TestShufflePreservesElements(t *testing.T) {
 	}
 	if sum != 15 {
 		t.Errorf("shuffle lost elements: %v", s)
-	}
-}
-
-func TestMeanVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if Mean(xs) != 5 {
-		t.Errorf("mean = %v", Mean(xs))
-	}
-	if v := Variance(xs); math.Abs(v-32.0/7.0) > 1e-12 {
-		t.Errorf("variance = %v, want %v", v, 32.0/7.0)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("degenerate cases wrong")
-	}
-}
-
-func TestCI95(t *testing.T) {
-	if !math.IsInf(CI95HalfWidth([]float64{1}), 1) {
-		t.Error("CI of single sample should be infinite")
-	}
-	xs := make([]float64, 100)
-	for i := range xs {
-		xs[i] = float64(i % 2)
-	}
-	ci := CI95HalfWidth(xs)
-	want := 1.96 * StdDev(xs) / 10
-	if math.Abs(ci-want) > 1e-12 {
-		t.Errorf("ci = %v, want %v", ci, want)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2})
-	if s.N != 3 || s.Min != 1 || s.Max != 3 || s.Mean != 2 {
-		t.Errorf("summary = %+v", s)
-	}
-	if z := Summarize(nil); z.N != 0 {
-		t.Errorf("empty summary = %+v", z)
 	}
 }
 

@@ -12,6 +12,6 @@ import "slimfly/internal/scenario"
 type Env = scenario.Env
 
 // NewEnv returns an empty resolver environment. Options (e.g.
-// scenario.WithRouteBackend / scenario.WithRouteBudget) select the
-// routing-backend policy the Env resolves topologies under.
+// scenario.WithRouteBackend) select the routing-backend policy the Env
+// resolves topologies under.
 func NewEnv(opts ...scenario.EnvOption) *Env { return scenario.NewEnv(opts...) }

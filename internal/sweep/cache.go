@@ -129,10 +129,8 @@ func isStored(data []byte) bool {
 }
 
 // Has reports whether an entry for key is present on disk, without
-// reading or validating it: a cheap existence probe for scheduling
-// decisions such as sizing the pending tail of a resumed sweep. (A
-// corrupt entry counts as present here; Get detects and deletes it, so
-// the job still recomputes.)
+// reading or validating it. (A corrupt entry counts as present here; Get
+// detects and deletes it, so the job still recomputes.)
 func (c *Cache) Has(key string) bool {
 	if !ValidKey(key) {
 		return false

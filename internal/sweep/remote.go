@@ -182,16 +182,6 @@ func (r *RemoteStore) Raw(key string) ([]byte, bool) {
 	return data, true
 }
 
-// Has probes for key with a HEAD request (the GET route answers it
-// body-free).
-func (r *RemoteStore) Has(key string) bool {
-	if !ValidKey(key) {
-		return false
-	}
-	status, err := r.do(http.MethodHead, "/api/v1/results/"+key, nil, nil)
-	return err == nil && status == http.StatusOK
-}
-
 // Put uploads entry under key. Authentication failures and rejections
 // are definite errors; transport failures surface after the retry
 // budget, so a read-only server or a dead network degrades loudly (the

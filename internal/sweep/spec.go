@@ -40,7 +40,7 @@ type Job = scenario.Spec
 type Spec struct {
 	Name     string     `json:"name"`
 	Topos    []TopoSpec `json:"topologies"`
-	Algos    []string   `json:"algos"`    // registered algo names; see scenario.Names
+	Algos    []string   `json:"algos"`    // registered algo names; see scenario.Describe
 	Patterns []string   `json:"patterns"` // registered pattern names
 	Loads    []float64  `json:"loads"`
 	Seeds    []uint64   `json:"seeds,omitempty"` // default: [1]

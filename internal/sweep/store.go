@@ -19,7 +19,7 @@ import (
 // job leases do that.
 //
 // Every implementation must validate key shape at this boundary: a key
-// that is not 64 hex digits (ValidKey) is a miss for Get/Raw/Has, a
+// that is not 64 hex digits (ValidKey) is a miss for Get/Raw, a
 // *KeyError for Put, and never reaches the filesystem or the network
 // path component.
 type Store interface {
@@ -36,8 +36,6 @@ type Store interface {
 	// an unreachable server): the caller decides whether to surface or
 	// tolerate them.
 	Put(key string, e Entry) error
-	// Has is a cheap existence probe (no decode, no validation).
-	Has(key string) bool
 	// Keys iterates every stored key. A walk/transport error is yielded
 	// once with an empty key and ends the iteration.
 	Keys() iter.Seq2[string, error]

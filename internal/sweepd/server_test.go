@@ -190,6 +190,15 @@ func TestSubmitValidation(t *testing.T) {
 		t.Errorf("200 VCs: status %d, %+v", code, ae)
 	}
 
+	// Fewer flits than VCs, and more flits per VC than the int16 credit
+	// counters hold: refused at submit by sim.New's own buffer rule.
+	for _, sp := range []string{`"num_vcs": 8, "buf_per_port": 4, `, `"num_vcs": 1, "buf_per_port": 100000, `} {
+		buffers := strings.Replace(specJSON("bad-buffers", 1), `"sim": {`, `"sim": {`+sp, 1)
+		if code, ae := post(buffers); code != http.StatusBadRequest || ae.Kind != "bad_spec" || !strings.Contains(ae.Error, "buf_per_port") {
+			t.Errorf("%s: status %d, %+v", sp, code, ae)
+		}
+	}
+
 	// A window past the engine's int32 cycle stamps: refused at submit by
 	// the same bound sim.New applies, not queued as jobs that can only fail.
 	// 50 + 100 + 2146434918 + the default delays 2+1+2 is one cycle over.

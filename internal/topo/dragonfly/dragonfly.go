@@ -100,17 +100,6 @@ func MustNew(p int) *Dragonfly {
 // Group returns the group index of router r.
 func (df *Dragonfly) Group(r int) int { return r / df.A }
 
-// ForEndpoints returns the smallest balanced Dragonfly with at least n
-// endpoints, or ok=false if none exists with p <= maxP.
-func ForEndpoints(n, maxP int) (p int, ok bool) {
-	for p = 1; p <= maxP; p++ {
-		if _, _, _, _, got, _ := Params(p); got >= n {
-			return p, true
-		}
-	}
-	return 0, false
-}
-
 // WorstCase implements the scenario WorstCaser capability: the Kim et al.
 // adversarial pattern overloading the single global channel between
 // consecutive groups.

@@ -68,16 +68,6 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-func TestForEndpoints(t *testing.T) {
-	p, ok := ForEndpoints(9702, 32)
-	if !ok || p != 7 {
-		t.Errorf("ForEndpoints(9702) = (%d,%v), want (7,true)", p, ok)
-	}
-	if _, ok := ForEndpoints(1<<30, 8); ok {
-		t.Error("impossible size satisfied")
-	}
-}
-
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(2)
 	df := MustNew(2)

@@ -100,15 +100,6 @@ func (ft *FatTree) Pod(r int) int {
 	return (r % (ft.Arity * ft.Arity)) / ft.Arity
 }
 
-// ForEndpoints returns the smallest arity giving at least n endpoints.
-func ForEndpoints(n int) int {
-	for p := 2; ; p++ {
-		if p*p*p >= n {
-			return p
-		}
-	}
-}
-
 // WorstCase implements the scenario WorstCaser capability: the cross-pod
 // permutation forcing every packet through the core level.
 func (ft *FatTree) WorstCase(_ route.Router, _ uint64) traffic.Pattern {

@@ -80,15 +80,6 @@ func TestPod(t *testing.T) {
 	}
 }
 
-func TestForEndpoints(t *testing.T) {
-	if p := ForEndpoints(10648); p != 22 {
-		t.Errorf("ForEndpoints(10648) = %d, want 22", p)
-	}
-	if p := ForEndpoints(10649); p != 23 {
-		t.Errorf("ForEndpoints(10649) = %d, want 23", p)
-	}
-}
-
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(2)
 }

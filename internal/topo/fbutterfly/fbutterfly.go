@@ -82,12 +82,3 @@ func (fb *FBF3) Coords(r int) (x, y, z int) {
 	c := fb.C
 	return r / (c * c), (r / c) % c, r % c
 }
-
-// ForEndpoints returns the smallest side c giving at least n endpoints.
-func ForEndpoints(n int) int {
-	for c := 2; ; c++ {
-		if c*c*c*c >= n {
-			return c
-		}
-	}
-}

@@ -68,15 +68,6 @@ func TestDimensionCliques(t *testing.T) {
 	}
 }
 
-func TestForEndpoints(t *testing.T) {
-	if c := ForEndpoints(10000); c != 10 {
-		t.Errorf("ForEndpoints(10000) = %d", c)
-	}
-	if c := ForEndpoints(10001); c != 11 {
-		t.Errorf("ForEndpoints(10001) = %d", c)
-	}
-}
-
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(2)
 }

@@ -63,12 +63,3 @@ func (hc *Hypercube) RouterDistance(u, d int) int {
 
 // RouterDiameter implements route.Oracle: the all-bits-flipped pair.
 func (hc *Hypercube) RouterDiameter() int { return hc.Dim }
-
-// ForEndpoints returns the smallest dimension with at least n endpoints.
-func ForEndpoints(n int) int {
-	d := 1
-	for (1 << d) < n {
-		d++
-	}
-	return d
-}

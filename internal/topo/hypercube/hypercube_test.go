@@ -45,15 +45,6 @@ func TestDiameter(t *testing.T) {
 	}
 }
 
-func TestForEndpoints(t *testing.T) {
-	if d := ForEndpoints(1024); d != 10 {
-		t.Errorf("ForEndpoints(1024)=%d", d)
-	}
-	if d := ForEndpoints(1025); d != 11 {
-		t.Errorf("ForEndpoints(1025)=%d", d)
-	}
-}
-
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(3)
 }

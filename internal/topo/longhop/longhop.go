@@ -108,15 +108,6 @@ func New(n, extra int) (*LongHop, error) {
 	return lh, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(n, extra int) *LongHop {
-	lh, err := New(n, extra)
-	if err != nil {
-		panic(err)
-	}
-	return lh
-}
-
 // DesignBisection returns the Long Hop design-target bisection bandwidth in
 // links, 3N/2 (Section III-C of the paper).
 func (lh *LongHop) DesignBisection() int { return 3 * lh.N / 2 }

@@ -6,6 +6,15 @@ import (
 	"slimfly/internal/topo"
 )
 
+// MustNew is New but panics on error.
+func MustNew(n, extra int) *LongHop {
+	lh, err := New(n, extra)
+	if err != nil {
+		panic(err)
+	}
+	return lh
+}
+
 func TestInvalid(t *testing.T) {
 	if _, err := New(2, 1); err == nil {
 		t.Error("n=2 accepted")

@@ -88,15 +88,6 @@ func New(q, groups, h, p int) (*SFDF, error) {
 	return s, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(q, groups, h, p int) *SFDF {
-	s, err := New(q, groups, h, p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // Group returns the group index of router r.
 func (s *SFDF) Group(r int) int { return r / s.GroupSize }
 

@@ -7,6 +7,15 @@ import (
 	"slimfly/internal/topo/slimfly"
 )
 
+// MustNew is New but panics on error.
+func MustNew(q, groups, h, p int) *SFDF {
+	s, err := New(q, groups, h, p)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 func TestInvalid(t *testing.T) {
 	if _, err := New(5, 1, 1, 0); err == nil {
 		t.Error("1 group accepted")

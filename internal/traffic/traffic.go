@@ -5,8 +5,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"slimfly/internal/route"
 	"slimfly/internal/stats"
 	"slimfly/internal/topo"
@@ -245,23 +243,4 @@ func WorstCaseFT(pods int, t topo.Topology) *Permutation {
 		dests[s] = int32(((pod+1)%pods)*perPod + offset)
 	}
 	return &Permutation{PatternName: "worstcase-ft", Dests: dests}
-}
-
-// Validate checks that a permutation does not overload endpoints: every
-// active destination receives at most one flow (Section V-C's constraint).
-func Validate(p *Permutation) error {
-	seen := make(map[int32]int)
-	for s, d := range p.Dests {
-		if d < 0 {
-			continue
-		}
-		if int(d) == s {
-			return fmt.Errorf("traffic %s: self-loop at %d", p.PatternName, s)
-		}
-		if prev, dup := seen[d]; dup {
-			return fmt.Errorf("traffic %s: destination %d receives from both %d and %d", p.PatternName, d, prev, s)
-		}
-		seen[d] = s
-	}
-	return nil
 }

@@ -18,6 +18,25 @@ import (
 	"slimfly/internal/traffic"
 )
 
+// validate checks that a permutation does not overload endpoints: every
+// active destination receives at most one flow (Section V-C's constraint).
+func validate(p *traffic.Permutation) error {
+	seen := make(map[int32]int)
+	for s, d := range p.Dests {
+		if d < 0 {
+			continue
+		}
+		if int(d) == s {
+			return fmt.Errorf("traffic %s: self-loop at %d", p.PatternName, s)
+		}
+		if prev, dup := seen[d]; dup {
+			return fmt.Errorf("traffic %s: destination %d receives from both %d and %d", p.PatternName, d, prev, s)
+		}
+		seen[d] = s
+	}
+	return nil
+}
+
 func TestUniform(t *testing.T) {
 	u := traffic.Uniform{N: 16}
 	rng := stats.NewRNG(1)
@@ -117,7 +136,7 @@ func TestWorstCaseSF(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
 	p := traffic.WorstCaseSF(sf, tb, 3)
-	if err := traffic.Validate(p); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatal(err)
 	}
 	// The pattern must concentrate many length-2 routes over single links:
@@ -283,7 +302,7 @@ func TestWorstCaseSFQ43(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Second {
 		t.Errorf("q=43 worst-case build took %v, want under 5s", el)
 	}
-	if err := traffic.Validate(p); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatal(err)
 	}
 	active := 0
@@ -313,7 +332,7 @@ func BenchmarkWorstCaseSF(b *testing.B) {
 func TestWorstCaseDF(t *testing.T) {
 	df := dragonfly.MustNew(2)
 	p := traffic.WorstCaseDF(df.Group, df, df.Gn)
-	if err := traffic.Validate(p); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatal(err)
 	}
 	// Every flow crosses into the next group.
@@ -329,7 +348,7 @@ func TestWorstCaseDF(t *testing.T) {
 func TestWorstCaseFT(t *testing.T) {
 	ft := fattree.MustNew(4)
 	p := traffic.WorstCaseFT(ft.Arity, ft)
-	if err := traffic.Validate(p); err != nil {
+	if err := validate(p); err != nil {
 		t.Fatal(err)
 	}
 	perPod := ft.Endpoints() / ft.Arity
@@ -342,11 +361,11 @@ func TestWorstCaseFT(t *testing.T) {
 
 func TestValidateCatchesDuplicates(t *testing.T) {
 	p := &traffic.Permutation{PatternName: "bad", Dests: []int32{1, 1, -1}}
-	if traffic.Validate(p) == nil {
+	if validate(p) == nil {
 		t.Error("duplicate destination not caught")
 	}
 	p2 := &traffic.Permutation{PatternName: "self", Dests: []int32{0}}
-	if traffic.Validate(p2) == nil {
+	if validate(p2) == nil {
 		t.Error("self-loop not caught")
 	}
 }
