@@ -2,10 +2,8 @@
 //
 // Usage:
 //
-//	sfexp -exp fig1|fig5a|fig5b|fig5c|table2|table3|diam-resil|apl-resil|
-//	          vc|fig6|fig6a|fig6b|fig6c|fig6d|fig8a|fig8be|cables|routers|
-//	          cost|power|table4|extensions|all
-//	      [-scale tiny|small|paper] [-seed N] [-samples N] [-pattern P]
+//	sfexp -exp ID|all [-scale tiny|small|paper] [-seed N] [-samples N] [-pattern P]
+//	sfexp -list       # the experiment ids, in the order "all" runs them
 //
 // "fig6" is the generic form of the Figure 6 experiment: it accepts any
 // traffic pattern registered in the scenario registry via -pattern
@@ -24,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"syscall"
 
 	"slimfly/internal/cost"
@@ -31,6 +30,12 @@ import (
 	"slimfly/internal/obs"
 	"slimfly/internal/scenario"
 )
+
+// experiment is one -exp id and what it prints.
+type experiment struct {
+	id  string
+	run func()
+}
 
 func main() {
 	var (
@@ -53,35 +58,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sfexp: debug listener on http://%s/debug/vars\n", d.Addr())
 	}
 
-	ids := []string{
-		"fig1", "fig5a", "fig5b", "fig5c", "table2", "table3",
-		"diam-resil", "apl-resil", "vc", "fig6", "fig6a", "fig6b", "fig6c", "fig6d",
-		"fig8a", "fig8be", "cables", "routers", "cost", "power", "table4", "extensions",
-	}
-	if *list {
-		for _, id := range ids {
-			fmt.Println(id)
-		}
-		return
-	}
-	if *which == "" {
-		fmt.Fprintln(os.Stderr, "sfexp: -exp required (use -list for ids)")
-		os.Exit(2)
-	}
-
-	var sc exp.PerfScale
-	switch *scale {
-	case "tiny":
-		sc = exp.TinyScale()
-	case "small":
-		sc = exp.SmallScale()
-	case "paper":
-		sc = exp.PaperScale()
-	default:
-		fmt.Fprintf(os.Stderr, "sfexp: unknown scale %q (tiny, small or paper)\n", *scale)
-		os.Exit(2)
-	}
-
+	var sc exp.PerfScale // set from -scale before any experiment runs
 	// Ctrl-C / SIGTERM cancels the sweep pool under the simulator-backed
 	// experiments; they return the context's error.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -98,75 +75,81 @@ func main() {
 		fmt.Println(t)
 	}
 
-	run := func(id string) {
-		switch id {
-		case "fig1":
-			fmt.Println(exp.Fig1(200, 5500, *seed))
-		case "fig5a":
-			fmt.Println(exp.Fig5a(100))
-		case "fig5b":
-			fmt.Println(exp.Fig5b(100))
-		case "fig5c":
-			fmt.Println(exp.Fig5c(200, 21000, *seed))
-		case "table2":
-			fmt.Println(exp.Table2(1000, *seed))
-		case "table3":
+	// The experiments, in the order -list prints and "all" runs them.
+	costPower := func() { fmt.Println(exp.CostPower(cost.FDR10(), 200, 42000, *seed)) }
+	exps := []experiment{
+		{"fig1", func() { fmt.Println(exp.Fig1(200, 5500, *seed)) }},
+		{"fig5a", func() { fmt.Println(exp.Fig5a(100)) }},
+		{"fig5b", func() { fmt.Println(exp.Fig5b(100)) }},
+		{"fig5c", func() { fmt.Println(exp.Fig5c(200, 21000, *seed)) }},
+		{"table2", func() { fmt.Println(exp.Table2(1000, *seed)) }},
+		{"table3", func() {
 			sizes := []int{256, 512, 1024, 2048}
 			if *scale == "paper" {
 				sizes = append(sizes, 4096, 8192)
 			}
 			fmt.Println(exp.Table3(sizes, *samples, *seed))
-		case "diam-resil":
-			fmt.Println(exp.DiamResil(1000, *samples, *seed))
-		case "apl-resil":
-			fmt.Println(exp.APLResil(1000, *samples, *seed))
-		case "vc":
-			fmt.Println(exp.VCCounts(*seed))
-		case "fig6":
-			// The generic form: the Figure 6 protocol set under any
-			// registered traffic pattern (-pattern), not just the four
-			// subfigures of the paper.
+		}},
+		{"diam-resil", func() { fmt.Println(exp.DiamResil(1000, *samples, *seed)) }},
+		{"apl-resil", func() { fmt.Println(exp.APLResil(1000, *samples, *seed)) }},
+		{"vc", func() { fmt.Println(exp.VCCounts(*seed)) }},
+		// The generic form: the Figure 6 protocol set under any registered
+		// traffic pattern (-pattern), not just the four subfigures of the
+		// paper. "all" skips it: fig6a-d already run.
+		{"fig6", func() {
 			if err := scenario.CheckName(scenario.Patterns, *pattern); err != nil {
 				fmt.Fprintln(os.Stderr, "sfexp:", err)
 				os.Exit(2)
 			}
 			show(exp.Fig6(ctx, *pattern, sc, *seed))
-		case "fig6a":
-			show(exp.Fig6(ctx, "uniform", sc, *seed))
-		case "fig6b":
-			show(exp.Fig6(ctx, "bitrev", sc, *seed))
-		case "fig6c":
-			show(exp.Fig6(ctx, "shift", sc, *seed))
-		case "fig6d":
-			show(exp.Fig6(ctx, "worstcase", sc, *seed))
-		case "fig8a":
-			show(exp.Fig8a(ctx, sc, *seed))
-		case "fig8be":
-			show(exp.Fig8be(ctx, sc, *seed))
-		case "cables":
-			fmt.Println(exp.CableModels())
-		case "routers":
-			fmt.Println(exp.RouterModels())
-		case "cost", "power":
-			fmt.Println(exp.CostPower(cost.FDR10(), 200, 42000, *seed))
-		case "table4":
-			fmt.Println(exp.Table4(*seed))
-		case "extensions":
-			fmt.Println(exp.Extensions(7, *seed))
-		default:
-			fmt.Fprintf(os.Stderr, "sfexp: unknown experiment %q\n", id)
-			os.Exit(2)
-		}
+		}},
+		{"fig6a", func() { show(exp.Fig6(ctx, "uniform", sc, *seed)) }},
+		{"fig6b", func() { show(exp.Fig6(ctx, "bitrev", sc, *seed)) }},
+		{"fig6c", func() { show(exp.Fig6(ctx, "shift", sc, *seed)) }},
+		{"fig6d", func() { show(exp.Fig6(ctx, "worstcase", sc, *seed)) }},
+		{"fig8a", func() { show(exp.Fig8a(ctx, sc, *seed)) }},
+		{"fig8be", func() { show(exp.Fig8be(ctx, sc, *seed)) }},
+		{"cables", func() { fmt.Println(exp.CableModels()) }},
+		{"routers", func() { fmt.Println(exp.RouterModels()) }},
+		{"cost", costPower},
+		{"power", costPower},
+		{"table4", func() { fmt.Println(exp.Table4(*seed)) }},
+		{"extensions", func() { fmt.Println(exp.Extensions(7, *seed)) }},
 	}
-
-	if *which == "all" {
-		for _, id := range ids {
-			if id == "fig6" {
-				continue // parameterised form; "all" already runs fig6a-d
-			}
-			run(id)
+	if *list {
+		for _, e := range exps {
+			fmt.Println(e.id)
 		}
 		return
 	}
-	run(*which)
+	if *which == "" {
+		fmt.Fprintln(os.Stderr, "sfexp: -exp required (use -list for ids)")
+		os.Exit(2)
+	}
+	switch *scale {
+	case "tiny":
+		sc = exp.TinyScale()
+	case "small":
+		sc = exp.SmallScale()
+	case "paper":
+		sc = exp.PaperScale()
+	default:
+		fmt.Fprintf(os.Stderr, "sfexp: unknown scale %q (tiny, small or paper)\n", *scale)
+		os.Exit(2)
+	}
+
+	if *which == "all" {
+		for _, e := range exps {
+			if e.id != "fig6" {
+				e.run()
+			}
+		}
+		return
+	}
+	i := slices.IndexFunc(exps, func(e experiment) bool { return e.id == *which })
+	if i < 0 {
+		fmt.Fprintf(os.Stderr, "sfexp: unknown experiment %q\n", *which)
+		os.Exit(2)
+	}
+	exps[i].run()
 }

@@ -128,11 +128,9 @@ func main() {
 	}
 	if !*jsonOut {
 		fmt.Println(topo.Summary(t))
-		// sim.New's rule, restated: it copies a flat table into its own bytes
-		// unless a router has too many ports for one (the gauge
-		// sim.port_table_bytes reports what a finished run actually used).
+		// The gauge sim.port_table_bytes reports what a finished run used.
 		enginePorts := "backend"
-		if _, flat := rt.(route.FlatPorter); flat && t.Graph().MaxDegree() <= 254 {
+		if sim.UsesPortTable(rt, t.Graph().MaxDegree()) {
 			enginePorts = "table"
 		}
 		fmt.Printf("routing: backend=%s table_bytes=%d (9*n*n estimate %d) engine_ports=%s\n",

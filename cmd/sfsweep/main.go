@@ -162,9 +162,9 @@ func main() {
 		}()
 	}
 
-	// The pool feeds prog itself (claims show up as in-flight); OnDone only
-	// reports failures, observing again there would double-count.
-	results, stats, runErr := sweep.RunJobs(ctx, jobs, sweep.NewEnv(scenario.WithRouteBackend(policy)), sweep.Options{
+	// prog is the sweep's ledger: the pool records every claim and result
+	// in it, and everything below reads the outcome from it.
+	_, _, runErr := sweep.RunJobs(ctx, jobs, sweep.NewEnv(scenario.WithRouteBackend(policy)), sweep.Options{
 		Workers:  nw,
 		Store:    store,
 		Progress: prog,
@@ -179,7 +179,8 @@ func main() {
 		close(stopTick)
 	}
 
-	if err := writeArtifacts(*outDir, specs, results, stats); err != nil {
+	finished, stats := prog.Finished()
+	if err := writeArtifacts(*outDir, specs, finished, stats); err != nil {
 		fail(err)
 	}
 	snap := prog.Snapshot()
@@ -212,12 +213,12 @@ func readSpecs(path string) ([]*sweep.Spec, error) {
 	return sweep.ParseSpecs(f)
 }
 
-// writeArtifacts writes results.json (full artifact: specs, stats, per-job
-// results, metric summaries) and results.csv (finished jobs only) into
-// dir, plus channels.csv (per-job hottest channels) when any job ran the
+// writeArtifacts writes results.json (full artifact: specs, stats, the
+// finished jobs' results and metric summaries) and results.csv into dir,
+// plus channels.csv (per-job hottest channels) when any job ran the
 // channels collector.
-func writeArtifacts(dir string, specs []*sweep.Spec, results []sweep.JobResult, stats sweep.Stats) error {
-	art := export.SweepArtifact{Stats: stats, Results: finished(results)}
+func writeArtifacts(dir string, specs []*sweep.Spec, finished []sweep.JobResult, stats sweep.Stats) error {
+	art := export.SweepArtifact{Stats: stats, Results: finished}
 	if len(specs) == 1 {
 		art.Spec = specs[0]
 	}
@@ -263,18 +264,6 @@ func writeArtifacts(dir string, specs []*sweep.Spec, results []sweep.JobResult, 
 		return err
 	}
 	return nil
-}
-
-// finished filters out the zero-valued slots of jobs never reached before
-// a cancellation.
-func finished(results []sweep.JobResult) []sweep.JobResult {
-	out := make([]sweep.JobResult, 0, len(results))
-	for _, r := range results {
-		if r.Key != "" || r.Err != "" {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 func fail(err error) {

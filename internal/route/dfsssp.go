@@ -107,9 +107,3 @@ func ComputeVCLayering(t *Tables) VCLayering {
 	}
 	return VCLayering{Layers: len(layers), ByDest: byDest}
 }
-
-// GopalVCCount returns the number of virtual channels the paper's
-// hop-indexed scheme (Section IV-D, after Gopal) needs: one per hop of the
-// longest path, i.e. 2 for minimal routing on Slim Fly and 4 for adaptive
-// (Valiant) routing.
-func GopalVCCount(maxPathLen int) int { return maxPathLen }

@@ -141,12 +141,6 @@ func TestVCLayeringRingNeedsLayers(t *testing.T) {
 	}
 }
 
-func TestGopalVCCount(t *testing.T) {
-	if route.GopalVCCount(2) != 2 || route.GopalVCCount(4) != 4 {
-		t.Error("Gopal VC counts wrong")
-	}
-}
-
 func BenchmarkBuildTablesQ19(b *testing.B) {
 	sf := slimfly.MustNew(19)
 	b.ResetTimer()

@@ -204,6 +204,15 @@ func (rt *router) clearOcc(q int) { rt.occ[q>>6] &^= 1 << (uint(q) & 63) }
 // noPort is the nextPort entry for "no port" (the backend's -1).
 const noPort = math.MaxUint8
 
+// UsesPortTable reports whether New serves PortToward from its own
+// byte-wide copy of rt's port table on a network whose routers have at
+// most maxDegree network ports: rt must expose the flat table
+// (route.FlatPorter), and every port index must fit below noPort.
+func UsesPortTable(rt route.Router, maxDegree int) bool {
+	_, ok := rt.(route.FlatPorter)
+	return ok && maxDegree < noPort
+}
+
 // creditRet is one credit in flight: Sim.credits[idx] gains it at cycle due.
 type creditRet struct{ due, idx int32 }
 
@@ -418,8 +427,8 @@ func New(cfg Config) (*Sim, error) {
 	}
 	// Flat-table fast path: the backend's source-major port table, copied once
 	// and narrowed to bytes (-1 wraps to noPort); no interface call in the hot loop.
-	if fp, ok := cfg.Router.(route.FlatPorter); ok && maxDeg < noPort {
-		flat, _ := fp.NextPortFlat()
+	if UsesPortTable(cfg.Router, maxDeg) {
+		flat, _ := cfg.Router.(route.FlatPorter).NextPortFlat()
 		s.nextPort = make([]uint8, len(flat))
 		for i, p := range flat {
 			s.nextPort[i] = uint8(p)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"slimfly/internal/metrics"
@@ -15,8 +14,8 @@ import (
 
 // Runtime telemetry (internal/obs) for the pool, aggregated across every
 // concurrently running sweep in the process; /debug/vars exposes them
-// when a CLI enables -debug-addr. A Progress handed in via
-// Options.Progress is a per-sweep consumer of the same signals.
+// when a CLI enables -debug-addr. A sweep's own counts live in its
+// Progress.
 var (
 	obsQueueDepth     = obs.NewGauge("sweep.queue_depth")   // expanded but unclaimed jobs
 	obsInFlight       = obs.NewGauge("sweep.jobs_inflight") // claimed, still executing
@@ -46,7 +45,7 @@ type JobResult struct {
 	Elapsed  float64 `json:"elapsed_seconds"` // execution time; 0 for cache hits
 }
 
-// Stats summarises a pool run.
+// Stats summarises a sweep; Progress.Stats tallies it.
 type Stats struct {
 	Total    int // jobs in the sweep
 	Executed int // simulated this run (cache misses)
@@ -62,26 +61,6 @@ type Stats struct {
 	FirstStoreErr string `json:",omitempty"`
 }
 
-// Add tallies one finished job: failed, cached or executed, plus its
-// store-write error if it had one. Every Stats a caller sees -- the
-// pool's, the service's results artifact -- is built from these calls.
-func (st *Stats) Add(r JobResult) {
-	switch {
-	case r.Err != "":
-		st.Failed++
-	case r.Cached:
-		st.Cached++
-	default:
-		st.Executed++
-	}
-	if r.StoreErr != "" {
-		st.PutErrors++
-		if st.FirstStoreErr == "" {
-			st.FirstStoreErr = r.StoreErr
-		}
-	}
-}
-
 // Options configures a pool run.
 type Options struct {
 	// Workers is the pool width; 0 means one per available core.
@@ -95,10 +74,10 @@ type Options struct {
 	// OnDone, when non-nil, is called once per finished job, from worker
 	// goroutines (it must be safe for concurrent use).
 	OnDone func(index int, r JobResult)
-	// Progress, when non-nil, is fed by the pool itself: claims appear as
-	// in-flight and finished jobs advance the counters. Callers that hand
-	// a Progress here must not also Observe from OnDone, or jobs are
-	// counted twice.
+	// Progress, when non-nil, is the sweep's ledger, made by
+	// NewProgress(len(jobs), ...): the pool records every claim and result
+	// in it, so a caller can watch the sweep live. When nil, RunJobs keeps
+	// a private one.
 	Progress *Progress
 }
 
@@ -111,9 +90,10 @@ type Task struct {
 	Build func() (sim.Config, error)
 }
 
-// Run expands the spec and executes it: the one-call API used by
-// cmd/sfsweep. Jobs are resolved lazily through a fresh Env, so a fully
-// cached sweep builds no topologies and executes no simulator cycles.
+// Run expands the spec and executes it: the one-call API for a single
+// spec (examples/sweep). Jobs are resolved lazily through a fresh Env, so
+// a fully cached sweep builds no topologies and executes no simulator
+// cycles.
 func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, error) {
 	jobs, err := spec.Expand()
 	if err != nil {
@@ -129,51 +109,39 @@ func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, err
 // flight run to their result), the unclaimed ones are counted in
 // Stats.Skipped, and the context error is returned.
 func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResult, Stats, error) {
-	p := &pool{ctx: ctx, q: NewQueue(), opts: opts, results: make([]JobResult, len(jobs))}
-	b := &Batch{Jobs: jobs, Sink: p}
+	p := &pool{ctx: ctx, q: NewQueue(), led: opts.Progress, onDone: opts.OnDone}
+	if p.led == nil {
+		p.led = NewProgress(len(jobs), opts.Workers)
+	}
 	if len(jobs) > 0 && ctx.Err() == nil {
-		p.q.Submit(b)
+		p.q.Submit(&Batch{Jobs: jobs, Sink: p})
 		defer context.AfterFunc(ctx, p.q.Drain)()
 		nw := cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0))
 		p.q.Serve(min(nw, len(jobs)), env, opts.Store)
 	}
-
-	// One batch with no requeues is claimed in index order, and Serve
-	// returned once every claimed job had its result.
-	st := Stats{Total: len(jobs), Skipped: len(jobs) - b.next}
-	for _, r := range p.results[:b.next] {
-		st.Add(r)
-	}
-	return p.results, st, ctx.Err()
+	// Serve returned once every claimed job had its result.
+	return p.led.Results(), p.led.Stats(), ctx.Err()
 }
 
-// pool is RunJobs' Sink: positional results, the caller's Progress and
-// OnDone, and the drain that ends Serve once every job has finished or
-// ctx is cancelled. Draining in Finish, on the worker that saw the
-// cancellation, means no worker claims another job after it.
+// pool is RunJobs' Sink: the sweep's ledger, the caller's OnDone, and the
+// drain that ends Serve once every job is claimed (claimed jobs still run
+// to their result) or ctx is cancelled. Draining in Finish, on the worker
+// that saw the cancellation, means no worker claims another job after it.
 type pool struct {
-	ctx      context.Context
-	q        *Queue
-	opts     Options
-	results  []JobResult
-	finished atomic.Int64
+	ctx    context.Context
+	q      *Queue
+	led    *Progress
+	onDone func(int, JobResult)
 }
 
-func (p *pool) Claimed() {
-	if p.opts.Progress != nil {
-		p.opts.Progress.JobStarted()
-	}
-}
+func (p *pool) Claimed() { p.led.JobStarted() }
 
 func (p *pool) Finish(idx int, jr JobResult) {
-	p.results[idx] = jr
-	if p.opts.Progress != nil {
-		p.opts.Progress.Observe(jr)
+	p.led.Finish(idx, jr)
+	if p.onDone != nil {
+		p.onDone(idx, jr)
 	}
-	if p.opts.OnDone != nil {
-		p.opts.OnDone(idx, jr)
-	}
-	if int(p.finished.Add(1)) == len(p.results) || p.ctx.Err() != nil {
+	if p.q.Pending() == 0 || p.ctx.Err() != nil {
 		p.q.Drain()
 	}
 }

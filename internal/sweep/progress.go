@@ -1,66 +1,123 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
-
-	"slimfly/internal/obs"
 )
 
-// Progress tracks a running sweep on lock-free obs instruments (the
-// counters are unregistered instances of the same atomic primitives the
-// global telemetry uses), so Observe from many workers and Snapshot from
-// a progress-printing goroutine never contend on a lock. The pool feeds
-// it directly when handed via Options.Progress; it also works as a plain
-// Options.OnDone sink. The ETA estimates remaining wall time from the
-// average execution time of the jobs simulated so far, divided across
-// the effective parallelism (cache hits are treated as free).
+// Progress is a sweep's ledger, guarded by one mutex: it counts claims
+// (JobStarted, JobAbandoned) and records each finished job once, by index
+// (Finish, the only place a result is classified as failed, cached or
+// executed). Every count and result a caller reads comes from it. RunJobs
+// keeps one per sweep (Options.Progress, or its own), sfsweepd one per
+// submitted sweep. The ETA divides the average execution time of the jobs
+// simulated so far across the effective parallelism (cache hits are free).
 type Progress struct {
-	total   int
 	workers int
 	start   time.Time
 
-	started  obs.Counter // claimed by the pool (Options.Progress path only)
-	done     obs.Counter
-	cached   obs.Counter
-	failed   obs.Counter
-	executed obs.Counter
-	execNS   obs.Counter // summed execution time of executed jobs
+	mu      sync.Mutex
+	results []JobResult // positional: results[i] is job i's, once reached[i]
+	reached []bool
+	st      Stats // Skipped is left 0 here; Stats derives it
+	started int   // claims not abandoned
+	execNS  int64 // summed execution time of executed jobs
 }
 
-// NewProgress returns a tracker for a sweep of total jobs on workers
-// workers.
+// NewProgress returns the ledger of a sweep of total jobs on workers workers.
 func NewProgress(total, workers int) *Progress {
-	if workers < 1 {
-		workers = 1
+	return &Progress{
+		workers: max(workers, 1),
+		start:   time.Now(),
+		results: make([]JobResult, total),
+		reached: make([]bool, total),
+		st:      Stats{Total: total},
 	}
-	return &Progress{total: total, workers: workers, start: time.Now()}
 }
 
-// JobStarted marks one job claimed by a worker; paired with the Observe
-// call when it finishes, it makes in-flight counts visible. Queue sinks
-// call it on each claim: RunJobs for a tracker handed in via
-// Options.Progress, sfsweepd for each sweep's own.
-func (p *Progress) JobStarted() { p.started.Inc() }
+// JobStarted marks one job claimed by a worker; until its Finish, the job
+// counts as in flight.
+func (p *Progress) JobStarted() {
+	p.mu.Lock()
+	p.started++
+	p.mu.Unlock()
+}
 
 // JobAbandoned undoes one JobStarted whose claim evaporated without a
-// finished job: a remote worker's lease expired and its job went back to
-// the queue. Without it, every requeue would leak one phantom in-flight
-// job into snapshots for the rest of the sweep.
-func (p *Progress) JobAbandoned() { p.started.Add(-1) }
+// finished job (a remote worker's lease expired and its job was requeued),
+// so a requeue leaves no phantom in-flight job behind.
+func (p *Progress) JobAbandoned() {
+	p.mu.Lock()
+	p.started--
+	p.mu.Unlock()
+}
 
-// Observe records one finished job. Safe for concurrent use.
-func (p *Progress) Observe(r JobResult) {
-	switch {
-	case r.Err != "":
-		p.failed.Inc()
-	case r.Cached:
-		p.cached.Inc()
-	default:
-		p.executed.Inc()
-		p.execNS.Add(int64(r.Elapsed * float64(time.Second)))
+// Finish records job idx's result and reports whether it was the first
+// for idx. A second one (a lease that expired right at the completion
+// boundary, its job re-run) returns false and changes nothing: both are
+// byte-identical by construction, and every count moves exactly once.
+func (p *Progress) Finish(idx int, jr JobResult) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.reached[idx] {
+		return false
 	}
-	p.done.Inc() // last: a snapshot's done never exceeds its breakdown
+	p.results[idx], p.reached[idx] = jr, true
+	switch {
+	case jr.Err != "":
+		p.st.Failed++
+	case jr.Cached:
+		p.st.Cached++
+	default:
+		p.st.Executed++
+		p.execNS += int64(jr.Elapsed * float64(time.Second))
+	}
+	if jr.StoreErr != "" {
+		p.st.PutErrors++
+		p.st.FirstStoreErr = cmp.Or(p.st.FirstStoreErr, jr.StoreErr)
+	}
+	return true
+}
+
+// Results returns a copy of the positional results: entry i is job i's,
+// the zero JobResult for a job not finished.
+func (p *Progress) Results() []JobResult {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return slices.Clone(p.results)
+}
+
+// Finished returns the finished results in job order (the order every
+// artifact uses) and the Stats they tally to, read together.
+func (p *Progress) Finished() ([]JobResult, Stats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.statsLocked()
+	out := make([]JobResult, 0, st.Total-st.Skipped)
+	for i, ok := range p.reached {
+		if ok {
+			out = append(out, p.results[i])
+		}
+	}
+	return out, st
+}
+
+// Stats returns the sweep's tally; every job not finished counts as
+// skipped.
+func (p *Progress) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.statsLocked()
+}
+
+// statsLocked is Stats for a caller holding p.mu.
+func (p *Progress) statsLocked() Stats {
+	st := p.st
+	st.Skipped = st.Total - st.Executed - st.Cached - st.Failed
+	return st
 }
 
 // Snapshot is a point-in-time view of a sweep's progress. The JSON tags
@@ -73,7 +130,7 @@ type Snapshot struct {
 	Cached     int           `json:"cached"`
 	Failed     int           `json:"failed"`
 	Executed   int           `json:"executed"`
-	InFlight   int           `json:"in_flight"` // claimed but unfinished (pool-fed trackers only)
+	InFlight   int           `json:"in_flight"` // claimed but unfinished
 	Elapsed    time.Duration `json:"elapsed_ns"`
 	ETA        time.Duration `json:"eta_ns"`       // 0 when unknown or finished
 	JobsPerSec float64       `json:"jobs_per_sec"` // finished jobs per wall-clock second
@@ -81,23 +138,24 @@ type Snapshot struct {
 
 // Snapshot returns the current counters, rate and ETA.
 func (p *Progress) Snapshot() Snapshot {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	st := p.statsLocked()
 	s := Snapshot{
-		Total:    p.total,
-		Done:     int(p.done.Value()),
-		Cached:   int(p.cached.Value()),
-		Failed:   int(p.failed.Value()),
-		Executed: int(p.executed.Value()),
+		Total:    st.Total,
+		Done:     st.Total - st.Skipped,
+		Cached:   st.Cached,
+		Failed:   st.Failed,
+		Executed: st.Executed,
 		Elapsed:  time.Since(p.start),
 	}
-	if inflight := int(p.started.Value()) - s.Done; inflight > 0 {
-		s.InFlight = inflight
-	}
+	s.InFlight = max(p.started-s.Done, 0)
 	if s.Done > 0 && s.Elapsed > 0 {
 		s.JobsPerSec = float64(s.Done) / s.Elapsed.Seconds()
 	}
-	remaining := p.total - s.Done
+	remaining := s.Total - s.Done
 	if remaining > 0 && s.Executed > 0 {
-		perJob := time.Duration(p.execNS.Value() / int64(s.Executed))
+		perJob := time.Duration(p.execNS / int64(s.Executed))
 		// Cache hits are near-free, so scale the remaining count by the
 		// observed execution ratio: resuming a mostly cached sweep should
 		// not forecast full-cost work for points that will be served from
@@ -106,10 +164,7 @@ func (p *Progress) Snapshot() Snapshot {
 		// The tail of a sweep cannot use the full pool: with fewer jobs
 		// left than workers, the last wave's wall time is one per-job time,
 		// not perJob/workers (the old formula's tail underestimate).
-		width := p.workers
-		if remaining < width {
-			width = remaining
-		}
+		width := min(p.workers, remaining)
 		s.ETA = time.Duration(float64(perJob) * float64(remaining) * execRatio / float64(width))
 	}
 	return s

@@ -2,19 +2,22 @@ package sweep
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// observeN feeds n finished jobs: executed ones carry elapsed seconds,
-// cached ones are free.
+// observeN finishes the next executed+cached jobs: executed ones carry
+// elapsed seconds, cached ones are free.
 func observeN(p *Progress, executed int, elapsed float64, cached int) {
 	for i := 0; i < executed; i++ {
-		p.Observe(JobResult{Elapsed: elapsed})
+		p.Finish(p.Snapshot().Done, JobResult{Elapsed: elapsed})
 	}
 	for i := 0; i < cached; i++ {
-		p.Observe(JobResult{Cached: true})
+		p.Finish(p.Snapshot().Done, JobResult{Cached: true})
 	}
 }
 
@@ -57,7 +60,7 @@ func TestProgressETAExecRatio(t *testing.T) {
 func TestProgressETAUnknowns(t *testing.T) {
 	p := NewProgress(10, 2)
 	observeN(p, 0, 0, 3)
-	p.Observe(JobResult{Err: "boom"})
+	p.Finish(3, JobResult{Err: "boom"})
 	if s := p.Snapshot(); s.ETA != 0 {
 		t.Errorf("zero-executed ETA = %v, want 0", s.ETA)
 	}
@@ -125,5 +128,120 @@ func TestProgressPoolFed(t *testing.T) {
 	}
 	if s.InFlight != 0 {
 		t.Errorf("in-flight = %d after the pool drained", s.InFlight)
+	}
+}
+
+// TestProgressFinishOnce pins the ledger's once-per-index rule: a second
+// result for a finished index is refused, whatever it says, and moves no
+// count; the first result is the one kept.
+func TestProgressFinishOnce(t *testing.T) {
+	p := NewProgress(3, 2)
+	p.JobStarted()
+	p.JobStarted()
+	first := JobResult{Key: "first", Elapsed: 1, StoreErr: "disk full"}
+	if !p.Finish(1, first) {
+		t.Fatal("first result for index 1 refused")
+	}
+	// Elapsed and the rate move with the clock; everything else must not.
+	counts := func() Snapshot {
+		s := p.Snapshot()
+		s.Elapsed, s.JobsPerSec = 0, 0
+		return s
+	}
+	snap, st := counts(), p.Stats()
+	for _, dup := range []JobResult{
+		{Key: "second", Err: "boom"},
+		{Key: "second", Cached: true},
+		{Key: "second", Elapsed: 5, StoreErr: "read-only"},
+	} {
+		if p.Finish(1, dup) {
+			t.Errorf("duplicate %+v accepted", dup)
+		}
+	}
+	if got := counts(); got != snap {
+		t.Errorf("snapshot after duplicates = %+v, want %+v", got, snap)
+	}
+	want := Stats{Total: 3, Executed: 1, Skipped: 2, PutErrors: 1, FirstStoreErr: "disk full"}
+	if got := p.Stats(); got != st || got != want {
+		t.Errorf("stats after duplicates = %+v, want %+v", got, want)
+	}
+	if fin, fst := p.Finished(); len(fin) != 1 || fin[0].Key != "first" || fst != want {
+		t.Errorf("finished = %+v with stats %+v, want only the first result", fin, fst)
+	}
+	if res := p.Results(); res[1].Key != "first" || res[0].Key != "" || res[2].Key != "" {
+		t.Errorf("positional results = %+v", res)
+	}
+	if snap.InFlight != 1 {
+		t.Errorf("in-flight = %d, want 1 (two claims, one finished)", snap.InFlight)
+	}
+}
+
+// TestProgressLedgerAfterCancel: a RunJobs cancelled mid-sweep leaves one
+// consistent record. Its Stats are a tally of the finished results, the
+// snapshot counts exactly those, no claim is left in flight, and the
+// positional results hold the finished ones at their indices.
+func TestProgressLedgerAfterCancel(t *testing.T) {
+	spec := &Spec{
+		Name:     "cancelled",
+		Topos:    []TopoSpec{{Kind: "SF", Q: 5}},
+		Algos:    []string{"min"},
+		Patterns: []string{"uniform"},
+		Loads:    []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
+		Seeds:    []uint64{1, 2},
+		Sim:      SimParams{Warmup: 10, Measure: 20, Drain: 200},
+	}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := NewProgress(len(jobs), 2)
+	var n atomic.Int64
+	results, st, err := RunJobs(ctx, jobs, NewEnv(), Options{
+		Workers:  2,
+		Progress: p,
+		OnDone: func(int, JobResult) {
+			if n.Add(1) == 3 {
+				cancel()
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	fin, finSt := p.Finished()
+	tally := Stats{Total: len(jobs), Skipped: len(jobs) - len(fin)}
+	for _, r := range fin {
+		switch {
+		case r.Err != "":
+			tally.Failed++
+		case r.Cached:
+			tally.Cached++
+		default:
+			tally.Executed++
+		}
+	}
+	if tally.Skipped == 0 {
+		t.Fatal("the cancellation skipped no job")
+	}
+	if st != tally || p.Stats() != tally || finSt != tally {
+		t.Errorf("stats = %+v, ledger %+v and %+v, tally of finished results %+v", st, p.Stats(), finSt, tally)
+	}
+	if s := p.Snapshot(); s.Done != len(fin) || s.InFlight != 0 {
+		t.Errorf("snapshot done %d, in flight %d; want %d, 0", s.Done, s.InFlight, len(fin))
+	}
+	var k int
+	for i, r := range results {
+		if r.Key == "" {
+			continue
+		}
+		if k == len(fin) || !reflect.DeepEqual(r, fin[k]) {
+			t.Fatalf("positional result %d is not finished result %d", i, k)
+		}
+		k++
+	}
+	if k != len(fin) {
+		t.Errorf("%d positional results, %d finished", k, len(fin))
 	}
 }

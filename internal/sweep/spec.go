@@ -76,7 +76,7 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, l := range s.Loads {
-		if l < 0 || l > 1 {
+		if !(l >= 0 && l <= 1) { // NaN fails both comparisons
 			return fmt.Errorf("sweep: load %v out of [0,1]", l)
 		}
 	}

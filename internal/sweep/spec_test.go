@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +106,7 @@ func TestValidateRejects(t *testing.T) {
 		{"bad algo", func(s *Spec) { s.Algos = []string{"ecmp"} }},
 		{"bad pattern", func(s *Spec) { s.Patterns = []string{"tornado"} }},
 		{"bad load", func(s *Spec) { s.Loads = []float64{1.5} }},
+		{"NaN load at index 1", func(s *Spec) { s.Loads = []float64{0.5, math.NaN()} }},
 		{"empty kind", func(s *Spec) { s.Topos = []TopoSpec{{N: 100}} }},
 		{"no size", func(s *Spec) { s.Topos = []TopoSpec{{Kind: "SF"}} }},
 		{"p without q", func(s *Spec) { s.Topos = []TopoSpec{{Kind: "SF", N: 100, P: 5}} }},

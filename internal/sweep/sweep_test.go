@@ -218,9 +218,9 @@ func TestEnvMemoisation(t *testing.T) {
 
 func TestProgress(t *testing.T) {
 	p := NewProgress(10, 2)
-	p.Observe(JobResult{Elapsed: 1.0})
-	p.Observe(JobResult{Cached: true})
-	p.Observe(JobResult{Err: "boom"})
+	p.Finish(0, JobResult{Elapsed: 1.0})
+	p.Finish(1, JobResult{Cached: true})
+	p.Finish(2, JobResult{Err: "boom"})
 	s := p.Snapshot()
 	if s.Done != 3 || s.Executed != 1 || s.Cached != 1 || s.Failed != 1 {
 		t.Fatalf("snapshot = %+v", s)

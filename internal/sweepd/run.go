@@ -52,8 +52,8 @@ type resultEvent struct {
 }
 
 // sweepRun is one submitted sweep and the Sink of its batch in the
-// server's sweep.Queue. Its fields below mu are guarded by mu; the hub's
-// mutex is a leaf below it.
+// server's sweep.Queue. Its fields below mu are guarded by mu; the
+// ledger's and the hub's mutexes are leaves below it.
 type sweepRun struct {
 	id      string
 	spec    *sweep.Spec
@@ -62,22 +62,17 @@ type sweepRun struct {
 
 	mu         sync.Mutex
 	state      State
-	results    []sweep.JobResult
-	reached    []bool
-	finished   int
 	finishedAt *time.Time
-	prog       *sweep.Progress
+	prog       *sweep.Progress // the sweep's ledger: claims, results, counts
 	hub        *hub
 }
 
 func newSweepRun(id string, spec *sweep.Spec, jobs []sweep.Job, workers int) *sweepRun {
 	r := &sweepRun{
 		id: id, spec: spec, created: time.Now().UTC(),
-		state:   StateQueued,
-		results: make([]sweep.JobResult, len(jobs)),
-		reached: make([]bool, len(jobs)),
-		prog:    sweep.NewProgress(len(jobs), workers),
-		hub:     newHub(),
+		state: StateQueued,
+		prog:  sweep.NewProgress(len(jobs), workers),
+		hub:   newHub(),
 	}
 	r.batch = sweep.Batch{Jobs: jobs, Sink: r}
 	obsSweepsActive.Add(1)
@@ -128,25 +123,20 @@ func (r *sweepRun) abandon() {
 	r.hub.publish("progress", r.prog.Snapshot())
 }
 
-// Finish records one completed job, publishes its result and progress
-// events, and closes out the sweep when it was the last job. Duplicate
-// completions for the same index (a lease that expired right at the
-// completion boundary, its job requeued and re-run) keep the first
-// result -- both are byte-identical by construction, so which one lands
-// is immaterial, but the counters must move exactly once.
+// Finish records one completed job in the ledger, publishes its result
+// and progress events, and closes out the sweep when it was the last job.
+// The ledger refuses a duplicate completion for the same index (a lease
+// that expired at the completion boundary, its job re-run): no event.
 func (r *sweepRun) Finish(idx int, jr sweep.JobResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.reached[idx] {
+	if !r.prog.Finish(idx, jr) {
 		return
 	}
-	r.results[idx] = jr
-	r.reached[idx] = true
-	r.finished++
-	r.prog.Observe(jr)
 	r.hub.publish("result", resultEvent{Index: idx, Result: jr})
-	r.hub.publish("progress", r.prog.Snapshot())
-	if r.finished == len(r.batch.Jobs) && r.state == StateRunning {
+	snap := r.prog.Snapshot()
+	r.hub.publish("progress", snap)
+	if snap.Done == snap.Total && r.state == StateRunning {
 		r.setTerminalLocked(StateDone, "done")
 	}
 }
@@ -174,23 +164,4 @@ func (r *sweepRun) setTerminalLocked(to State, eventKind string) {
 	obsSweepsActive.Add(-1)
 	r.hub.publish(eventKind, r.statusLocked())
 	r.hub.close()
-}
-
-// finishedResults returns the completed results in deterministic job
-// order (the same order sfsweep's artifacts use), skipping never-reached
-// slots of interrupted or cancelled sweeps, plus the run's Stats.
-func (r *sweepRun) finishedResults() ([]sweep.JobResult, sweep.Stats) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]sweep.JobResult, 0, r.finished)
-	st := sweep.Stats{Total: len(r.batch.Jobs)}
-	for i := range r.results {
-		if !r.reached[i] {
-			st.Skipped++
-			continue
-		}
-		st.Add(r.results[i])
-		out = append(out, r.results[i])
-	}
-	return out, st
 }

@@ -501,7 +501,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results, stats := run.finishedResults()
+	results, stats := run.prog.Finished()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, http.StatusOK, export.SweepArtifact{Spec: run.spec, Stats: stats, Results: results})
