@@ -63,7 +63,9 @@ func (f *Fairness) Summarize(out *Summary) {
 		st.Active++
 		d := f.delivered[src]
 		sum += float64(d)
-		sumSq += float64(d) * float64(d)
+		// The explicit conversion is a rounding barrier (Go spec): no host
+		// fuses a multiply-add here that rounds once and moves the index.
+		sumSq += float64(float64(d) * float64(d))
 		if first || d < st.MinDelivered {
 			st.MinDelivered = d
 		}

@@ -31,13 +31,11 @@
 //     it when it grants the flit the output, up to Speedup-1 cycles before
 //     the departure the cycle argument names, so calls do not arrive in
 //     cycle order: a collector that bins hops by time must key on the
-//     argument, not on the sequence of Cycle calls.
+//     argument, not on the order of the calls.
 //   - Deliver(src, hops, latency, cycle): one call per measured packet
 //     delivery, including deliveries during the drain (cycle >= W+M), so
 //     latency aggregates cover exactly the population behind
 //     Result.AvgLatency.
-//   - Cycle(cycle): once per measurement-window cycle, after every
-//     router's grants.
 //
 // All hooks run on the simulator's stepping goroutine; collectors need no
 // internal locking.
@@ -96,11 +94,6 @@ type DeliverObserver interface {
 	Deliver(src, hops int32, latency, cycle int64)
 }
 
-// CycleObserver receives one call per measurement-window cycle.
-type CycleObserver interface {
-	Cycle(cycle int64)
-}
-
 // PacketObserver receives identity-carrying per-packet events for
 // measured packets: one PacketInject per injection (tag is the
 // injection-time path decision), one PacketHop per switch allocation
@@ -149,7 +142,6 @@ type Set struct {
 	inj []InjectObserver
 	hop []HopObserver
 	del []DeliverObserver
-	cyc []CycleObserver
 	pkt []PacketObserver
 
 	// pktMask is the intersection of the packet observers' sampling masks
@@ -171,9 +163,6 @@ func SetOf(cs ...Collector) *Set {
 		}
 		if o, ok := c.(DeliverObserver); ok {
 			s.del = append(s.del, o)
-		}
-		if o, ok := c.(CycleObserver); ok {
-			s.cyc = append(s.cyc, o)
 		}
 		if o, ok := c.(PacketObserver); ok {
 			s.pkt = append(s.pkt, o)
@@ -242,15 +231,6 @@ func (s *Set) Hop(router, port int32, cycle int64) {
 func (s *Set) Deliver(src, hops int32, latency, cycle int64) {
 	for _, c := range s.del {
 		c.Deliver(src, hops, latency, cycle)
-	}
-}
-
-// Cycle fans the per-cycle tick out to its observers.
-//
-//sf:hotpath
-func (s *Set) Cycle(cycle int64) {
-	for _, c := range s.cyc {
-		c.Cycle(cycle)
 	}
 }
 

@@ -135,7 +135,6 @@ func observeRandom(s *Set, seed int64, n int) {
 		default:
 			s.Deliver(src, int32(rng.Intn(4)), rng.Int63n(500), cycle)
 		}
-		s.Cycle(cycle)
 	}
 }
 

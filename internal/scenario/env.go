@@ -173,17 +173,10 @@ func (e *Env) Config(s Spec) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	p := s.Sim
-	if p.Workers >= 2 {
+	if s.Sim.Workers >= 2 {
 		obsIgnoredWorkers.Inc()
 	}
-	return sim.Config{
-		Topo: tp, Router: rt, Algo: algo, Pattern: pat, Load: s.Load,
-		NumVCs: p.NumVCs, BufPerPort: p.BufPerPort,
-		RouterDelay: p.RouterDelay, ChannelDelay: p.ChannelDelay,
-		CreditDelay: p.CreditDelay, Speedup: p.Speedup,
-		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,
-		Metrics: p.Metrics,
-		Seed:    s.Seed,
-	}, nil
+	cfg := s.simConfig()
+	cfg.Topo, cfg.Router, cfg.Algo, cfg.Pattern = tp, rt, algo, pat
+	return cfg, nil
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"slimfly/internal/roster"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
 )
@@ -174,6 +176,11 @@ func TestSpecValidateSimParams(t *testing.T) {
 	if err := spec.Validate(); err != nil {
 		t.Errorf("all-default sim params rejected: %v", err)
 	}
+	// The allocator compares staging with int32(Speedup): 2^31 would wrap.
+	spec.Sim = scenario.SimParams{Speedup: 1 << 31}
+	if err := spec.Validate(); err == nil || !strings.Contains(err.Error(), "sim.speedup 2147483648 exceeds") {
+		t.Errorf("speedup 2^31: Validate = %v, want the staging-limit error", err)
+	}
 }
 
 // TestSpecValidateCycleRange: a window sim.New would refuse as past the
@@ -209,7 +216,8 @@ func TestSpecValidateCycleRange(t *testing.T) {
 
 // TestSpecValidateBuffers: with num_vcs explicit, a spec validates exactly
 // when sim.New accepts its buffers -- at least one flit per VC, at most
-// 32 767 -- buf_per_port 0 counting as its default 64.
+// 32 767 -- buf_per_port 0 counting as its default 64; and over generated
+// specs, Validate agrees with sim.New on every limit of sim.Config.Check.
 func TestSpecValidateBuffers(t *testing.T) {
 	env := scenario.NewEnv()
 	for _, vcs := range []int{1, 2, 3, 4, 8, 64, 127, 128} {
@@ -225,6 +233,95 @@ func TestSpecValidateBuffers(t *testing.T) {
 			}
 			if (verr == nil) != (nerr == nil) {
 				t.Errorf("num_vcs %d, buf_per_port %d: Validate = %v, sim.New = %v", vcs, buf, verr, nerr)
+			}
+		}
+	}
+
+	// The same law as a property over generated specs: every roster kind at
+	// small N, every algorithm compatible with it, and SimParams and loads
+	// drawn from each field's edges. With num_vcs explicit, Validate passes
+	// exactly when Env.Config and sim.New do; at num_vcs 0 the VC count is
+	// only known to sim.New, so Validate must pass whatever sim.New accepts.
+	edges := struct {
+		window, count, buf, delay, speedup []int
+		loads                              []float64
+		metrics                            []string
+	}{
+		window:  []int{-1, 0, 1, 50, 1<<31 - 1<<20 - 25005, 1<<31 - 1<<20 - 25004, math.MaxInt32},
+		count:   []int{-1, 0, 1, 2, 3, 4, 127, 128},
+		buf:     []int{-1, 0, 1, 2, 3, 63, 64, 32767, 32768, 4161409},
+		delay:   []int{-1, 0, 1, 2, 1 << 30, math.MaxInt32},
+		speedup: []int{-1, 0, 1, 2, math.MaxInt32, math.MaxInt32 + 1},
+		loads:   []float64{math.NaN(), math.Inf(-1), -math.SmallestNonzeroFloat64, 0, 0.3, 1, math.Nextafter(1, 2)},
+		metrics: []string{"", "latency", "all", "latency,nope", "bogus"},
+	}
+	pick := func(r *rand.Rand, vs []int) int { return vs[r.Intn(len(vs))] }
+	r := rand.New(rand.NewSource(1))
+	var gen []scenario.Spec
+	for i := 0; i < 24; i++ {
+		gen = append(gen, scenario.Spec{Load: edges.loads[r.Intn(len(edges.loads))], Sim: scenario.SimParams{
+			Warmup: pick(r, edges.window), Measure: pick(r, edges.window), Drain: pick(r, edges.window),
+			NumVCs: pick(r, edges.count), BufPerPort: pick(r, edges.buf),
+			RouterDelay: pick(r, edges.delay), ChannelDelay: pick(r, edges.delay), CreditDelay: pick(r, edges.delay),
+			Speedup: pick(r, edges.speedup), Metrics: edges.metrics[r.Intn(len(edges.metrics))],
+		}})
+	}
+	// Each edge alone, the rest at their defaults and load 0.1, and again
+	// with num_vcs explicit, where the two must agree exactly.
+	one := func(set func(*scenario.Spec)) {
+		s := scenario.Spec{Load: 0.1}
+		set(&s)
+		gen = append(gen, s)
+		if s.Sim.NumVCs == 0 {
+			s.Sim.NumVCs = 4
+			gen = append(gen, s)
+		}
+	}
+	for _, v := range edges.window {
+		one(func(s *scenario.Spec) { s.Sim.Warmup = v })
+		one(func(s *scenario.Spec) { s.Sim.Measure = v })
+		one(func(s *scenario.Spec) { s.Sim.Drain = v })
+	}
+	for _, v := range edges.count {
+		one(func(s *scenario.Spec) { s.Sim.NumVCs = v })
+		one(func(s *scenario.Spec) { s.Sim.NumVCs, s.Sim.BufPerPort = v, 1 })
+	}
+	for _, v := range edges.buf {
+		one(func(s *scenario.Spec) { s.Sim.BufPerPort = v })
+		one(func(s *scenario.Spec) { s.Sim.NumVCs, s.Sim.BufPerPort = 2, v })
+	}
+	for _, v := range edges.delay {
+		one(func(s *scenario.Spec) { s.Sim.RouterDelay = v })
+		one(func(s *scenario.Spec) { s.Sim.ChannelDelay = v })
+		one(func(s *scenario.Spec) { s.Sim.CreditDelay = v })
+	}
+	for _, v := range edges.speedup {
+		one(func(s *scenario.Spec) { s.Sim.Speedup = v })
+	}
+	for _, v := range edges.loads {
+		one(func(s *scenario.Spec) { s.Load = v })
+	}
+	for _, v := range edges.metrics {
+		one(func(s *scenario.Spec) { s.Sim.Metrics = v })
+	}
+	for _, kind := range roster.Kinds() {
+		ts := scenario.TopoSpec{Kind: string(kind), N: 64, Seed: 1}
+		for _, algo := range names(scenario.Algos) {
+			if !scenario.Compatible(ts, algo) {
+				continue
+			}
+			for _, g := range gen {
+				spec := g
+				spec.Topo, spec.Algo, spec.Pattern, spec.Seed = ts, algo, "uniform", 1
+				verr := spec.Validate()
+				cfg, nerr := env.Config(spec)
+				if nerr == nil {
+					_, nerr = sim.New(cfg)
+				}
+				if spec.Sim.NumVCs != 0 && (verr == nil) != (nerr == nil) ||
+					spec.Sim.NumVCs == 0 && nerr == nil && verr != nil {
+					t.Errorf("%s %s load %v %+v: Validate = %v, sim.New = %v", ts, algo, spec.Load, spec.Sim, verr, nerr)
+				}
 			}
 		}
 	}

@@ -4,11 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
+	"reflect"
+	"strings"
 
-	"slimfly/internal/metrics"
 	"slimfly/internal/sim"
 )
 
@@ -82,7 +83,8 @@ func (t TopoSpec) Validate() error {
 	return nil
 }
 
-// SimParams are the simulator knobs of a scenario. Zero values mean
+// SimParams are the simulator knobs of a scenario, the sim.Config fields of
+// the same names (checked by Spec.CheckLimits). Zero values mean
 // "simulator default" (see sim.Config.withDefaults); they are hashed as
 // written, so an explicit default and an omitted field produce different
 // keys.
@@ -117,42 +119,6 @@ type SimParams struct {
 
 	// Workers is ignored and stays out of Spec.Key; it is kept only because cmd/sfbench sets it.
 	Workers int `json:"-"`
-}
-
-// validate rejects negative knobs by their JSON names, as sim.New would by
-// their Config names, an explicit num_vcs and buf_per_port past
-// sim.CheckBuffers, and a window past sim.CheckCycleRange, so that a
-// submitted sweep fails once at the door and not once per job.
-func (p SimParams) validate() error {
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"warmup", p.Warmup}, {"measure", p.Measure}, {"drain", p.Drain},
-		{"num_vcs", p.NumVCs}, {"buf_per_port", p.BufPerPort}, {"router_delay", p.RouterDelay},
-		{"channel_delay", p.ChannelDelay}, {"credit_delay", p.CreditDelay}, {"speedup", p.Speedup},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("scenario: negative sim.%s %d", f.name, f.v)
-		}
-	}
-	if p.NumVCs > math.MaxInt8 { // sim.New's limit: the engine's VC fields are int8
-		return fmt.Errorf("scenario: sim.num_vcs %d exceeds the engine's limit of %d", p.NumVCs, math.MaxInt8)
-	}
-	// At num_vcs 0 the count comes from the algorithm and the diameter,
-	// which only sim.New resolves: each job meets this rule there.
-	if p.NumVCs > 0 {
-		if err := sim.CheckBuffers(sim.Config{NumVCs: p.NumVCs, BufPerPort: p.BufPerPort}); err != nil {
-			return fmt.Errorf("scenario: sim.num_vcs and buf_per_port: %w", err)
-		}
-	}
-	if err := sim.CheckCycleRange(sim.Config{
-		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,
-		RouterDelay: p.RouterDelay, ChannelDelay: p.ChannelDelay, CreditDelay: p.CreditDelay,
-	}); err != nil {
-		return fmt.Errorf("scenario: sim.warmup, measure, drain, router_delay, channel_delay and credit_delay: %w", err)
-	}
-	return nil
 }
 
 // Spec is one fully resolved scenario point: a topology, a routing
@@ -193,10 +159,10 @@ func (s Spec) Key() string {
 }
 
 // Validate checks the spec names against the registries (with valid names
-// enumerated in the errors), the load range and the signs of the simulator
-// knobs. It does not build
-// anything; topology-dependent constraints (e.g. ANCA on a non-fat-tree)
-// surface as *IncompatibleError at resolution time instead.
+// enumerated in the errors), then the load and the simulator knobs against
+// the engine's limits (CheckLimits). It does not build anything;
+// topology-dependent constraints (e.g. ANCA on a non-fat-tree) surface as
+// *IncompatibleError at resolution time instead.
 func (s Spec) Validate() error {
 	if err := s.Topo.Validate(); err != nil {
 		return err
@@ -209,14 +175,44 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
-	if err := metrics.CheckNames(s.Sim.Metrics); err != nil {
+	return s.CheckLimits()
+}
+
+// simConfig is the one mapping from a spec to the engine's Config, checked
+// by CheckLimits; Env.Config adds the topology, backend, algorithm and pattern.
+func (s Spec) simConfig() sim.Config {
+	p := s.Sim
+	return sim.Config{
+		Load:   s.Load,
+		NumVCs: p.NumVCs, BufPerPort: p.BufPerPort,
+		RouterDelay: p.RouterDelay, ChannelDelay: p.ChannelDelay,
+		CreditDelay: p.CreditDelay, Speedup: p.Speedup,
+		Warmup: p.Warmup, Measure: p.Measure, Drain: p.Drain,
+		Metrics: p.Metrics,
+		Seed:    s.Seed,
+	}
+}
+
+// CheckLimits is the door from a spec to the engine's limits: it runs
+// sim.Config.Check on the spec's load and knobs, so a sweep that would fail
+// in sim.New fails once at submission, not once per job. Its only work is to
+// spell the fields a broken rule names by their JSON tags ("sim.num_vcs").
+func (s Spec) CheckLimits() error {
+	err := s.simConfig().Check()
+	var ce *sim.ConfigError
+	if !errors.As(err, &ce) {
 		return err
 	}
-	if err := s.Sim.validate(); err != nil {
-		return err
+	names := make([]string, len(ce.Fields))
+	for i, name := range ce.Fields {
+		f, inSim := reflect.TypeFor[SimParams]().FieldByName(name)
+		if !inSim {
+			f, _ = reflect.TypeFor[Spec]().FieldByName(name) // Load
+		}
+		names[i], _, _ = strings.Cut(f.Tag.Get("json"), ",")
+		if inSim && i == 0 {
+			names[i] = "sim." + names[i] // the block named once: "sim.warmup, measure and drain"
+		}
 	}
-	if !(s.Load >= 0 && s.Load <= 1) { // written so that NaN fails too
-		return fmt.Errorf("scenario: load %v out of [0,1]", s.Load)
-	}
-	return nil
+	return fmt.Errorf("scenario: %s", ce.Render(names))
 }

@@ -40,7 +40,6 @@ func (c *hookHash) Hop(router, port int32, cycle int64) {
 func (c *hookHash) Deliver(src, hops int32, latency, cycle int64) {
 	c.mix(3, int64(src), int64(hops), latency, cycle)
 }
-func (c *hookHash) Cycle(cycle int64) { c.mix(4, cycle) }
 func (c *hookHash) PacketInject(id uint64, dst, router int32, tag metrics.TraceTag, cycle int64) {
 	c.mix(5, int64(id), int64(dst), int64(router), int64(tag), cycle)
 }

@@ -105,7 +105,7 @@ func BenchmarkEngineStep(b *testing.B) {
 // warm-up. Any regression (a fresh slice in the allocator, a credit ring
 // still growing) fails this test before it shows up as GC pressure in sweeps. The metrics variant pins
 // that the full stock collector set observes every hook (inject, hop,
-// deliver, cycle) without touching the heap — collector state is fixed at
+// deliver) without touching the heap — collector state is fixed at
 // Attach, so enabling measurement costs increments, not allocations.
 func TestStepZeroAlloc(t *testing.T) {
 	zeroAlloc := func(t *testing.T, s *Sim) {

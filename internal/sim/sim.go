@@ -38,6 +38,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 
 	"slimfly/internal/metrics"
 	"slimfly/internal/obs"
@@ -100,11 +101,9 @@ func (c Config) withDefaults() Config {
 	if c.NumVCs == 0 && c.Algo != nil && c.Router != nil {
 		// Hop-indexed VC assignment needs one VC per hop of the longest
 		// path the algorithm can produce (Section IV-D); fewer VCs would
-		// share the last one and re-introduce cyclic dependencies.
-		c.NumVCs = c.Algo.NeededVCs(c.Router.MaxDistance())
-	}
-	if c.NumVCs == 0 {
-		c.NumVCs = 3
+		// share the last one and re-introduce cyclic dependencies. A router
+		// with no links (diameter 0) still sizes its credits by one.
+		c.NumVCs = max(c.Algo.NeededVCs(c.Router.MaxDistance()), 1)
 	}
 	if c.BufPerPort == 0 {
 		c.BufPerPort = 64
@@ -293,37 +292,77 @@ type Sim struct {
 	colPkt bool // any collector observes per-packet events (trace fast-path gate)
 }
 
-// CheckCycleRange refuses a run whose cycles could pass the int32 range of
-// packet cycle stamps (Birth, ReadyAt) and credit due cycles rather than
-// let them wrap mid-run: warmup+measure+drain plus the per-hop delays, zero
-// fields taking their defaults, must leave a margin for the staging added
-// on top of the final cycle. New calls it, and so does the scenario layer's
-// validation, so a spec that validates is a run New accepts.
-func CheckCycleRange(cfg Config) error {
-	cfg = cfg.withDefaults()
-	if total := int64(cfg.Warmup) + int64(cfg.Measure) + int64(cfg.Drain) +
-		int64(cfg.RouterDelay) + int64(cfg.ChannelDelay) + int64(cfg.CreditDelay); total > (1<<31)-(1<<20) {
-		return fmt.Errorf("sim: warmup+measure+drain plus the per-hop delays = %d cycles exceeds the int32 cycle-stamp range", total)
-	}
-	return nil
+// A ConfigError is a Config that Check refuses. Fields names the Config
+// fields the broken rule reads, in the order its message lists them, so a
+// layer that spells them otherwise can Render the message its own way.
+type ConfigError struct {
+	Fields []string
+	format string // the first verb stands for the field list
+	args   []any
 }
 
-// CheckBuffers refuses a port buffer the engine cannot split among the
-// VCs: every VC needs at least one flit, and a VC's depth is an int16
-// credit count. Zero fields take their defaults, as in New. New calls it,
-// and so does the scenario layer's validation when num_vcs is explicit,
-// so such a spec validates only if New accepts its buffers.
-func CheckBuffers(cfg Config) error {
-	cfg = cfg.withDefaults()
-	if cfg.BufPerPort < cfg.NumVCs {
-		return fmt.Errorf("sim: need at least 1 flit of buffering per VC: %d flits across %d VCs", cfg.BufPerPort, cfg.NumVCs)
+func (e *ConfigError) Error() string { return "sim: " + e.Render(e.Fields) }
+
+// Render returns the message with names, one per field, listed "a, b and c".
+func (e *ConfigError) Render(names []string) string {
+	list := names[len(names)-1]
+	if len(names) > 1 {
+		list = strings.Join(names[:len(names)-1], ", ") + " and " + list
 	}
-	// Depth is only a credit count, but the counters are int16: reject
-	// depths that would wrap them.
-	if d := cfg.BufPerPort / cfg.NumVCs; d > math.MaxInt16 {
-		return fmt.Errorf("sim: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", d, math.MaxInt16)
+	return fmt.Sprintf(e.format, append([]any{list}, e.args...)...)
+}
+
+// Check holds the engine's limits on a Config's load and knobs, zero fields
+// counting as their defaults. New applies it, and so does every layer that
+// validates a run before building it (scenario.Spec.CheckLimits), so a spec
+// that validates is a run New accepts. The buffer rules wait while NumVCs
+// is 0: New resolves it from the algorithm and the routing diameter. A
+// broken rule is a *ConfigError; an unknown collector fails with metrics'
+// own error, which names the valid ones.
+func (c Config) Check() error {
+	c = c.withDefaults()
+	if !(c.Load >= 0 && c.Load <= 1) { // written so that NaN fails too
+		return &ConfigError{[]string{"Load"}, "%s %v out of [0,1]", []any{c.Load}}
 	}
-	return nil
+	// A negative count or delay means nothing: it would size a slice,
+	// return credits early or stamp ReadyAt in the past.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"NumVCs", c.NumVCs}, {"BufPerPort", c.BufPerPort}, {"RouterDelay", c.RouterDelay},
+		{"ChannelDelay", c.ChannelDelay}, {"CreditDelay", c.CreditDelay}, {"Speedup", c.Speedup},
+		{"Warmup", c.Warmup}, {"Measure", c.Measure}, {"Drain", c.Drain},
+	} {
+		if f.v < 0 {
+			return &ConfigError{[]string{f.name}, "negative %s %d", []any{f.v}}
+		}
+	}
+	// The next-hop VC is an int8, read from the head cache's 7-bit hop field
+	// and clamped to NumVCs-1: VC 128 would wrap into another port's credits.
+	if c.NumVCs > math.MaxInt8 {
+		return &ConfigError{[]string{"NumVCs"}, "%s %d exceeds the int8 VC fields' limit of %d", []any{c.NumVCs, math.MaxInt8}}
+	}
+	if int64(c.Speedup) > math.MaxInt32 { // the allocator stages against int32(Speedup)
+		return &ConfigError{[]string{"Speedup"}, "%s %d exceeds the int32 staging stamps' limit of %d", []any{c.Speedup, math.MaxInt32}}
+	}
+	if bufs := []string{"NumVCs", "BufPerPort"}; c.NumVCs > 0 {
+		if c.BufPerPort < c.NumVCs {
+			return &ConfigError{bufs, "%s: need at least 1 flit of buffering per VC: %d flits across %d VCs", []any{c.BufPerPort, c.NumVCs}}
+		}
+		// Depth is only a credit count, but the counters are int16.
+		if d := c.BufPerPort / c.NumVCs; d > math.MaxInt16 {
+			return &ConfigError{bufs, "%s: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", []any{d, math.MaxInt16}}
+		}
+	}
+	// Packet stamps (Birth, ReadyAt) and credit due cycles are int32, with a
+	// margin for the staging added on top of the final cycle.
+	if total := int64(c.Warmup) + int64(c.Measure) + int64(c.Drain) +
+		int64(c.RouterDelay) + int64(c.ChannelDelay) + int64(c.CreditDelay); total > (1<<31)-(1<<20) {
+		return &ConfigError{[]string{"Warmup", "Measure", "Drain", "RouterDelay", "ChannelDelay", "CreditDelay"},
+			"%s: %d cycles in all exceed the int32 cycle-stamp range", []any{total}}
+	}
+	return metrics.CheckNames(c.Metrics)
 }
 
 // New builds a simulator from cfg, validating the configuration.
@@ -332,32 +371,7 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Topo == nil || cfg.Router == nil || cfg.Algo == nil || cfg.Pattern == nil {
 		return nil, fmt.Errorf("sim: Topo, Router, Algo and Pattern are required")
 	}
-	if !(cfg.Load >= 0 && cfg.Load <= 1) { // written so that NaN fails too
-		return nil, fmt.Errorf("sim: load %v out of [0,1]", cfg.Load)
-	}
-	// Zero meant "default" above; a negative count or delay means nothing (it
-	// would size a slice, return credits early or stamp ReadyAt in the past).
-	for _, f := range []struct {
-		name string
-		v    int
-	}{
-		{"NumVCs", cfg.NumVCs}, {"BufPerPort", cfg.BufPerPort}, {"RouterDelay", cfg.RouterDelay},
-		{"ChannelDelay", cfg.ChannelDelay}, {"CreditDelay", cfg.CreditDelay}, {"Speedup", cfg.Speedup},
-		{"Warmup", cfg.Warmup}, {"Measure", cfg.Measure}, {"Drain", cfg.Drain},
-	} {
-		if f.v < 0 {
-			return nil, fmt.Errorf("sim: negative %s %d", f.name, f.v)
-		}
-	}
-	// The next-hop VC is an int8, read from the head cache's 7-bit hop field
-	// and clamped to NumVCs-1: VC 128 would wrap into another port's credits.
-	if cfg.NumVCs > math.MaxInt8 {
-		return nil, fmt.Errorf("sim: NumVCs %d exceeds the int8 VC fields' limit of %d", cfg.NumVCs, math.MaxInt8)
-	}
-	if err := CheckBuffers(cfg); err != nil {
-		return nil, err
-	}
-	if err := CheckCycleRange(cfg); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	t := cfg.Topo
@@ -505,12 +519,6 @@ func (s *Sim) initMetrics(set *metrics.Set) {
 // -- nothing threads a separate id through the pipeline.
 func pktID(src, birth int32) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(birth))
-}
-
-// inWindow reports whether the current cycle is inside the measurement
-// window (the scope of Hop and Cycle observations).
-func (s *Sim) inWindow() bool {
-	return s.cycle >= int64(s.cfg.Warmup) && s.cycle < s.windowEnd
 }
 
 // MetricsSummary returns the collectors' structured summary, nil when the
@@ -725,16 +733,7 @@ func (s *Sim) step(inject bool) {
 		}
 	}
 
-	s.observeCycle()
 	s.pruneActive()
-}
-
-// observeCycle ticks the collectors' per-cycle hook for measurement-window
-// cycles.
-func (s *Sim) observeCycle() {
-	if s.col != nil && s.inWindow() {
-		s.col.Cycle(s.cycle)
-	}
 }
 
 // applyCredits performs step 1 of a cycle: credit returns due by this

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"slimfly/internal/graph"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/dragonfly"
@@ -91,6 +92,22 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "negative "+c.field) {
 			t.Errorf("negative %s: err = %v, want an error naming the field", c.field, err)
 		}
+	}
+}
+
+// TestSingleRouterNetwork: on a network of one router the routing diameter
+// is 0, so MIN needs no VCs; the engine still gives each port one and
+// delivers every packet straight through the ejection port.
+func TestSingleRouterNetwork(t *testing.T) {
+	g := graph.New(1)
+	one := &topo.Base{TopoName: "one", G: g, N: 4, P: 4}
+	res, err := Run(Config{Topo: one, Router: route.Build(g), Algo: MIN{}, Pattern: traffic.Uniform{N: 4},
+		Load: 0.3, Warmup: 50, Measure: 100, Drain: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Injected == 0 || res.Delivered != res.Injected || res.AvgHops != 0 || res.Saturated {
+		t.Errorf("one router: %+v, want every injected packet delivered in 0 hops", res)
 	}
 }
 

@@ -49,7 +49,8 @@ type Spec struct {
 
 // Validate checks the spec for structural errors before expansion. Axis
 // names are checked against the scenario registries, so the error for an
-// unknown name enumerates the valid ones.
+// unknown name enumerates the valid ones; each load, with the sim block every
+// job shares, meets the engine's limits through scenario.Spec.CheckLimits.
 func (s *Spec) Validate() error {
 	if len(s.Topos) == 0 {
 		return fmt.Errorf("sweep: spec %q has no topologies", s.Name)
@@ -76,8 +77,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	for _, l := range s.Loads {
-		if !(l >= 0 && l <= 1) { // NaN fails both comparisons
-			return fmt.Errorf("sweep: load %v out of [0,1]", l)
+		if err := (scenario.Spec{Load: l, Sim: s.Sim}).CheckLimits(); err != nil {
+			return fmt.Errorf("sweep: spec %q: %w", s.Name, err)
 		}
 	}
 	return nil
@@ -119,11 +120,6 @@ func (s *Spec) Expand() ([]Job, error) {
 	}
 	if len(jobs) == 0 {
 		return nil, fmt.Errorf("sweep: spec %q expands to no compatible jobs", s.Name)
-	}
-	// Every job carries the same simulator knobs and collector selection:
-	// checking one job checks them all, before any of them runs.
-	if err := jobs[0].Validate(); err != nil {
-		return nil, fmt.Errorf("sweep: spec %q: %w", s.Name, err)
 	}
 	return jobs, nil
 }

@@ -86,7 +86,7 @@ func TestExpandDefaults(t *testing.T) {
 	if jobs[0].Pattern != "uniform" || jobs[0].Seed != 1 {
 		t.Errorf("defaults not applied: %+v", jobs[0])
 	}
-	// The knobs every job shares are checked once, at expansion.
+	// The knobs every job shares are checked once, by Validate, before expansion.
 	for _, p := range []SimParams{{Speedup: -1}, {Metrics: "nope"}} {
 		s.Sim = p
 		if _, err := s.Expand(); err == nil {
@@ -113,6 +113,7 @@ func TestValidateRejects(t *testing.T) {
 		{"q on non-SF", func(s *Spec) { s.Topos = []TopoSpec{{Kind: "DF", Q: 5}} }},
 		{"negative q", func(s *Spec) { s.Topos = []TopoSpec{{Kind: "DF", Q: -1}} }},
 		{"negative n", func(s *Spec) { s.Topos = []TopoSpec{{Kind: "SF", N: -100}} }},
+		{"bad sim block", func(s *Spec) { s.Sim = SimParams{NumVCs: 8, BufPerPort: 4} }},
 	}
 	for _, c := range cases {
 		s := testSpec()

@@ -199,6 +199,13 @@ func TestSubmitValidation(t *testing.T) {
 		}
 	}
 
+	// A speedup past the allocator's int32 staging comparison: refused at
+	// submit, not run with a wrapped value and cached.
+	fast := strings.Replace(specJSON("bad-speedup", 1), `"sim": {`, `"sim": {"speedup": 2147483648, `, 1)
+	if code, ae := post(fast); code != http.StatusBadRequest || ae.Kind != "bad_spec" || !strings.Contains(ae.Error, "speedup") {
+		t.Errorf("speedup 2^31: status %d, %+v", code, ae)
+	}
+
 	// A window past the engine's int32 cycle stamps: refused at submit by
 	// the same bound sim.New applies, not queued as jobs that can only fail.
 	// 50 + 100 + 2146434918 + the default delays 2+1+2 is one cycle over.

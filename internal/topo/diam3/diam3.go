@@ -62,10 +62,11 @@ func dot(f *gf.Field, a, b [3]int) int {
 }
 
 // BDFRouters returns the number of routers of a Bermond-Delorme-Farhi graph
-// with network radix kp: Nr = 8/27 kp^3 - 4/9 kp^2 + 2/3 kp (Section II-C).
+// with network radix kp: Nr = 8/27 kp^3 - 4/9 kp^2 + 2/3 kp (Section II-C),
+// over a common denominator in integers: exact, as a BDF radix is a
+// multiple of 3, where floats could round just below and truncate.
 func BDFRouters(kp int) int {
-	k := float64(kp)
-	return int(8.0/27.0*k*k*k - 4.0/9.0*k*k + 2.0/3.0*k)
+	return (8*kp*kp*kp - 12*kp*kp + 18*kp) / 27
 }
 
 // BDFRadix returns the network radix k' = 3(u+1)/2 of the BDF construction

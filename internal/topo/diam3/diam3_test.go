@@ -1,6 +1,9 @@
 package diam3
 
-import "testing"
+import (
+	"math/big"
+	"testing"
+)
 
 func TestPolarityGraphStructure(t *testing.T) {
 	for _, u := range []int{2, 3, 4, 5, 7, 9} {
@@ -51,6 +54,26 @@ func TestBDFAndDELModels(t *testing.T) {
 	// 8/27*96^3 - 4/9*96^2 + 2/3*96 = 262144 - 4096 + 64.
 	if nr != 258112 {
 		t.Errorf("BDFRouters(96) = %d, want 258112", nr)
+	}
+	// k' = 63, 66 and 75 (u = 41, 43, 49) are where the float form of the
+	// formula truncated one router short.
+	for kp, want := range map[int]int{63: 72366, 66: 83292, 75: 122550} {
+		if got := BDFRouters(kp); got != want {
+			t.Errorf("BDFRouters(%d) = %d, want %d", kp, got, want)
+		}
+	}
+	// Every u Figure 5b plots, against the formula in exact rationals.
+	for _, u := range []int{3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53, 59, 61} {
+		kp := BDFRadix(u)
+		k := big.NewRat(int64(kp), 1)
+		k2 := new(big.Rat).Mul(k, k)
+		k3 := new(big.Rat).Mul(k2, k)
+		want := new(big.Rat).Mul(big.NewRat(8, 27), k3)
+		want.Sub(want, new(big.Rat).Mul(big.NewRat(4, 9), k2))
+		want.Add(want, new(big.Rat).Mul(big.NewRat(2, 3), k))
+		if !want.IsInt() || want.Num().Int64() != int64(BDFRouters(kp)) {
+			t.Errorf("u = %d: BDFRouters(%d) = %d, want %s", u, kp, BDFRouters(kp), want.RatString())
+		}
 	}
 	kp, del := DELParams(9)
 	if kp != 100 {
