@@ -31,6 +31,13 @@
 // phase. TestStepZeroAlloc pins the zero-allocation property,
 // TestGoldenResults bit-identical fixed-seed results, TestRingConservation
 // the credit/occupancy/pool ledger and the staging law.
+//
+// New makes a fixed number of allocations whatever the network's size: it
+// sizes every per-router array in one pass over the routers, allocates each
+// once, and gives every router a capped window into each (a pool that
+// outgrows its window reallocates alone). It reads reverse ports off the
+// sorted adjacency rather than asking the routing backend.
+// TestNewAllocsIndependentOfSize pins the count.
 package sim
 
 import (
@@ -376,20 +383,42 @@ func New(cfg Config) (*Sim, error) {
 	}
 	t := cfg.Topo
 	g := t.Graph()
-	if rn := cfg.Router.Graph().N(); rn != g.N() {
-		return nil, fmt.Errorf("sim: routing backend built for %d routers, topology has %d", rn, g.N())
+	n, nv := g.N(), cfg.NumVCs
+	if rn := cfg.Router.Graph().N(); rn != n {
+		return nil, fmt.Errorf("sim: routing backend built for %d routers, topology has %d", rn, n)
+	}
+	// Sizing pass: every per-router array is a window into one slab, so New
+	// makes the same few allocations whatever the network's size, and it
+	// refuses an oversized router before allocating any of them.
+	var nNbr, nEps, nQ, nOcc, nPorts int
+	maxQ, maxOutputs, maxDeg := 0, 0, 0
+	for r := range n {
+		deg, eps := g.Degree(r), len(t.RouterEndpoints(r))
+		ports, nq := deg+eps, deg*nv+eps
+		if ports > math.MaxUint16 {
+			return nil, fmt.Errorf("sim: router %d has %d ports; the head cache holds port indices below %d", r, ports, math.MaxUint16+1)
+		}
+		nNbr += deg
+		nEps += eps
+		nQ += nq
+		nOcc += (nq + 63) / 64
+		nPorts += ports
+		maxQ = max(maxQ, nq)
+		maxOutputs = max(maxOutputs, ports)
+		maxDeg = max(maxDeg, deg)
 	}
 	s := &Sim{
 		cfg:      cfg,
 		rng:      stats.NewRNG(cfg.Seed),
-		routers:  make([]router, g.N()),
+		routers:  make([]router, n),
 		epRouter: make([]int32, t.Endpoints()),
 		epIdx:    make([]int32, t.Endpoints()),
-		bufPerVC: cfg.BufPerPort / cfg.NumVCs,
+		bufPerVC: cfg.BufPerPort / nv,
 		rtr:      cfg.Router,
-		nRouters: g.N(),
-		active:   make([]int32, 0, g.N()),
-		inActive: make([]bool, g.N()),
+		nRouters: n,
+		active:   make([]int32, 0, n),
+		inActive: make([]bool, n),
+		credits:  make([]int16, nNbr*nv),
 	}
 	if sp, ok := cfg.Algo.(interface{ SpreadVCs() bool }); ok && sp.SpreadVCs() {
 		s.spreadVCs = true
@@ -397,47 +426,65 @@ func New(cfg Config) (*Sim, error) {
 	if st, ok := cfg.Algo.(interface{ StaticPorts() bool }); ok && st.StaticPorts() {
 		s.staticPorts = true
 	}
-	for e := 0; e < t.Endpoints(); e++ {
+	for e := range s.epRouter {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
-	maxQ, maxOutputs, maxDeg := 0, 0, 0
-	credBase := make([]int32, g.N()+1) // router r's counters are credits[credBase[r]:credBase[r+1]]
-	for r := 0; r < g.N(); r++ {
-		rt := &s.routers[r]
-		rt.nbr = g.Neighbors(r) // sorted
-		rt.eps = make([]int32, 0, 4)
-		for _, e := range t.RouterEndpoints(r) {
-			s.epIdx[e] = int32(len(rt.eps))
-			rt.eps = append(rt.eps, int32(e))
-		}
-		deg := len(rt.nbr)
-		ports := deg + len(rt.eps)
-		if ports > math.MaxUint16 {
-			return nil, fmt.Errorf("sim: router %d has %d ports; the head cache holds port indices below %d", r, ports, math.MaxUint16+1)
-		}
-		netQ := deg * cfg.NumVCs
-		nq := netQ + len(rt.eps)
-		// A few slots per port to start from: below saturation a router holds
-		// far fewer flits than its credits allow; pushTail grows the others.
-		rt.pkts = make([]Packet, 0, 4*ports)
-		rt.free = -1
-		rt.queues = make([]queue, nq)
-		rt.occ = make([]uint64, (nq+63)/64)
-		rt.upCred = make([]int32, netQ)
-		rt.outBusy = make([]int32, deg)
-		rt.rr = make([]int32, ports)
-		rt.revPort = make([]int32, deg)
-		maxQ = max(maxQ, nq)
-		maxOutputs = max(maxOutputs, ports)
-		maxDeg = max(maxDeg, deg)
-		credBase[r+1] = credBase[r] + int32(netQ)
-	}
-	s.credits = make([]int16, credBase[g.N()])
 	for i := range s.credits {
 		s.credits[i] = int16(s.bufPerVC)
 	}
+	var (
+		// A few slots per port to start from: below saturation a router holds
+		// far fewer flits than its credits allow; pushTail grows the others.
+		pkts    = make([]Packet, 4*nPorts)
+		queues  = make([]queue, nQ)
+		occ     = make([]uint64, nOcc)
+		upCred  = make([]int32, nNbr*nv)
+		outBusy = make([]int32, nNbr)
+		revPort = make([]int32, nNbr)
+		rr      = make([]int32, nPorts)
+		eps     = make([]int32, nEps)
+		// cursor[nb] counts the neighbours of nb already visited. Routers are
+		// visited in ascending id and adjacency lists are sorted, so when r
+		// reaches its neighbour nb, r is nb's neighbour number cursor[nb]: by
+		// the route.Router contract, the port PortToward(nb, r) names.
+		cursor = make([]int32, n)
+		// credBase[r] is the first of router r's counters in s.credits.
+		credBase = make([]int32, n)
+	)
+	for r := 1; r < n; r++ {
+		credBase[r] = credBase[r-1] + int32(g.Degree(r-1)*nv)
+	}
+	credits := s.credits
 	for r := range s.routers {
-		s.routers[r].credits = s.credits[credBase[r]:credBase[r+1]:credBase[r+1]]
+		rt := &s.routers[r]
+		rt.nbr = g.Neighbors(r) // sorted
+		deg := len(rt.nbr)
+		re := t.RouterEndpoints(r)
+		ports, netQ := deg+len(re), deg*nv
+		nq := netQ + len(re)
+		rt.pkts = carve(&pkts, 4*ports)[:0]
+		rt.free = -1
+		rt.queues = carve(&queues, nq)
+		rt.occ = carve(&occ, (nq+63)/64)
+		rt.credits = carve(&credits, netQ)
+		rt.upCred = carve(&upCred, netQ)
+		rt.outBusy = carve(&outBusy, deg)
+		rt.revPort = carve(&revPort, deg)
+		rt.rr = carve(&rr, ports)
+		rt.eps = carve(&eps, len(re))
+		for i, e := range re {
+			s.epIdx[e] = int32(i)
+			rt.eps[i] = int32(e)
+		}
+		// Reverse ports and the upstream counters each network input refills.
+		for i, nb := range rt.nbr {
+			rt.revPort[i] = cursor[nb]
+			cursor[nb]++
+			up := credBase[nb] + rt.revPort[i]*int32(nv)
+			for v := range nv {
+				rt.upCred[i*nv+v] = up + int32(v)
+			}
+		}
 	}
 	// Flat-table fast path: the backend's source-major port table, copied once
 	// and narrowed to bytes (-1 wraps to noPort); no interface call in the hot loop.
@@ -448,29 +495,17 @@ func New(cfg Config) (*Sim, error) {
 			s.nextPort[i] = uint8(p)
 		}
 	}
-	// Reverse port indices and upstream credit counters: the port table
-	// answers neighbour->port directly (adjacent pairs route via their link).
-	for r := range s.routers {
-		rt := &s.routers[r]
-		for i, nb := range rt.nbr {
-			rt.revPort[i] = s.PortToward(nb, int32(r))
-			up := credBase[nb] + rt.revPort[i]*int32(cfg.NumVCs)
-			for v := range cfg.NumVCs {
-				rt.upCred[i*cfg.NumVCs+v] = up + int32(v)
-			}
-		}
-	}
 	// One credit per network channel in flight to start from; growCredRing
 	// doubles it as needed.
-	s.credRing = make([]creditRet, 1<<bits.Len(uint(len(s.credits)/cfg.NumVCs)))
+	s.credRing = make([]creditRet, 1<<bits.Len(uint(nNbr)))
 	if !s.staticPorts {
 		// Per-router allocation streams: stream r is the seed state jumped
 		// r+1 times (the un-jumped state is the injection stream; no
 		// consumer ever exhausts a 2^128-step segment, so the streams never
 		// overlap it or each other).
-		s.allocRNG = make([]stats.RNG, g.N())
+		s.allocRNG = make([]stats.RNG, n)
 		jr := stats.NewRNG(cfg.Seed)
-		for r := 0; r < g.N(); r++ {
+		for r := range n {
 			jr.Jump()
 			s.allocRNG[r] = *jr
 		}
@@ -491,6 +526,15 @@ func New(cfg Config) (*Sim, error) {
 		s.initMetrics(set)
 	}
 	return s, nil
+}
+
+// carve cuts the first m elements off *slab and returns them as a window
+// capped at its end, so that an append past the window (a packet pool
+// outgrowing its start) reallocates that window alone.
+func carve[T any](slab *[]T, m int) []T {
+	w := (*slab)[:m:m]
+	*slab = (*slab)[m:]
+	return w
 }
 
 // initMetrics attaches a collector set to the simulator and sizes it for

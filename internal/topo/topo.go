@@ -59,11 +59,13 @@ type Base struct {
 	// uniformly: endpoint e lives on router e / P.
 	EpRouter []int32
 
-	// routerEps is the lazily built reverse map, guarded by epsOnce:
-	// concurrent simulations on the sweep pool share one
-	// topology and may trigger the first build simultaneously.
+	// The lazily built reverse map, guarded by epsOnce: concurrent
+	// simulations on the sweep pool share one topology and may trigger the
+	// first build simultaneously. Router r's endpoints, ascending, are
+	// routerEps[epsOff[r]:epsOff[r+1]].
 	epsOnce   sync.Once
-	routerEps [][]int
+	routerEps []int
+	epsOff    []int
 }
 
 // Name implements Topology.
@@ -98,17 +100,30 @@ func (b *Base) EndpointRouter(e int) int {
 	return e / b.P
 }
 
-// RouterEndpoints implements Topology.
+// RouterEndpoints implements Topology. The lists are windows into one
+// slab, counting-sorted by router on first use.
 func (b *Base) RouterEndpoints(r int) []int {
 	b.epsOnce.Do(func() {
-		eps := make([][]int, b.G.N())
+		// off[h] counts up to the end of router h's list; filling the slab
+		// from the last endpoint down moves it back to the start.
+		n := b.G.N()
+		off := make([]int, n+1)
 		for e := 0; e < b.N; e++ {
-			h := b.EndpointRouter(e)
-			eps[h] = append(eps[h], e)
+			off[b.EndpointRouter(e)]++
 		}
-		b.routerEps = eps
+		for h := 1; h <= n; h++ {
+			off[h] += off[h-1]
+		}
+		eps := make([]int, b.N)
+		for e := b.N - 1; e >= 0; e-- {
+			h := b.EndpointRouter(e)
+			off[h]--
+			eps[off[h]] = e
+		}
+		b.routerEps, b.epsOff = eps, off
 	})
-	return b.routerEps[r]
+	lo, hi := b.epsOff[r], b.epsOff[r+1]
+	return b.routerEps[lo:hi:hi]
 }
 
 // Validate performs structural sanity checks shared by all constructions:
