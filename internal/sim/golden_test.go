@@ -1,10 +1,14 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
 
+	"slimfly/internal/metrics"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/fattree"
@@ -189,6 +193,71 @@ func TestGoldenResultsComputed(t *testing.T) {
 			got := s.Run()
 			if got != c.want {
 				t.Errorf("computed backend diverged from the tables golden:\n got  %#v\n want %#v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestShortestDelaysPinned runs the engine at the smallest gap between a
+// hop and its flit becoming ready that Config allows: RouterDelay 1 and
+// ChannelDelay 1, so a flit granted at cycle c is ready at c+2. No golden
+// or generated scenario runs these delays. It is where the order routers
+// are visited in within a cycle, and which routers a cycle visits at all,
+// are tightest: a router that a hop first touches during a cycle must
+// make no request, grant, hook call or RNG draw before the next one. MIN
+// and UGAL-L on SF q=5 pin their Result, the SHA-256 of the
+// latency,channels,fairness summary and an order-sensitive hash of every
+// collector hook call.
+func TestShortestDelaysPinned(t *testing.T) {
+	sf := slimfly.MustNew(5)
+	tb := route.Build(sf.Graph())
+	for _, c := range []struct {
+		algo    Algo
+		want    Result
+		summary string
+		hooks   uint64
+	}{
+		{algo: MIN{}, want: Result{
+			AvgLatency: 9.159650027445567, MaxLatency: 47, AvgHops: 1.8294216470666511,
+			Injected: 60119, Delivered: 60119, Accepted: 0.60133,
+			OfferedLoad: 0.6, ActiveEnds: 200, TotalCycles: 718,
+		}, summary: "ebb2f423312670d21c83d6b584138aa29397ba5e3bae8a2bb886bb1e3b0136a0", hooks: 0xad791cf3e0d3a3ee},
+		{algo: UGALL{}, want: Result{
+			AvgLatency: 33.5872491576344, MaxLatency: 170, AvgHops: 2.29873686656597,
+			Injected: 60247, Delivered: 60247, Accepted: 0.56782,
+			OfferedLoad: 0.6, ActiveEnds: 200, TotalCycles: 808,
+		}, summary: "e3e6d0b2e36b291719c6ed278a9e361a6596caaae8a608b17fe392652c42b571", hooks: 0xa55fdb4169545ac5},
+	} {
+		t.Run(c.algo.Name(), func(t *testing.T) {
+			s, err := New(Config{
+				Topo: sf, Router: tb, Algo: c.algo,
+				Pattern: traffic.Uniform{N: sf.Endpoints()},
+				Load:    0.6, Warmup: 200, Measure: 500, Drain: 4000,
+				RouterDelay: 1, ChannelDelay: 1, Seed: 4242,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stock, err := metrics.NewSet("latency,channels,fairness")
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := &hookHash{}
+			s.initMetrics(metrics.SetOf(append(stock.Collectors(), seq)...))
+			got := s.Run()
+			data, err := json.Marshal(s.MetricsSummary())
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got != c.want {
+				t.Errorf("result drifted:\n got  %#v\n want %#v", got, c.want)
+			}
+			if h := hex.EncodeToString(sum[:]); h != c.summary {
+				t.Errorf("summary hash %q, pinned %q", h, c.summary)
+			}
+			if seq.h != c.hooks {
+				t.Errorf("hook-call hash %#x, pinned %#x", seq.h, c.hooks)
 			}
 		})
 	}
