@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"slimfly/internal/cost"
@@ -244,14 +245,30 @@ func BenchmarkResilienceSample(b *testing.B) {
 	}
 }
 
-// BenchmarkRosterConstruction builds every topology near 1000 endpoints.
+// BenchmarkRosterConstruction builds every topology near 1000 endpoints,
+// and then alone the Slim Flys the benchmark workloads build most: the
+// paper's q=19 at p=15 and the largest order of the build ladder, q=43 at
+// p=4 (3 698 routers). These are the graph-construction layer's numbers.
 func BenchmarkRosterConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, kind := range roster.Kinds() {
-			if _, err := roster.Near(kind, 1000, 1); err != nil {
-				b.Fatal(err)
+	b.Run("near1000", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, kind := range roster.Kinds() {
+				if _, err := roster.Near(kind, 1000, 1); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+	})
+	for _, c := range []struct{ q, p int }{{19, 15}, {43, 4}} {
+		b.Run(fmt.Sprintf("SF-q%d-p%d", c.q, c.p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := slimfly.NewWithConcentration(c.q, c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

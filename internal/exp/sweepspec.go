@@ -31,8 +31,10 @@ var fig6Protocols = []struct {
 	{"FT-ANCA", "FT-3", "anca"},
 }
 
-// Figure 8a sweeps per-port buffering (~8..256 flits, multiples of 3 VCs)
-// over moderate worst-case loads.
+// Figure 8a sweeps per-port buffering over moderate worst-case loads. The
+// grid names the requested flits per port; the engine gives each VC
+// ⌊buf/VCs⌋ of them, and UGAL-L resolves 4 VCs on a Slim Fly, so the
+// depths it buffers are 8, 16, 32, 60, 128 and 252 flits per port.
 var (
 	fig8aBuffers = []int{9, 18, 33, 63, 129, 255}
 	fig8aLoads   = []float64{0.25, 0.3, 0.35, 0.4, 0.45, 0.5}

@@ -32,7 +32,7 @@ func (g *Graph) BFSInto(src int, dist []int32, queue []int32) {
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
 		du := dist[u]
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(int(u)) {
 			if dist[v] == Unreachable {
 				dist[v] = du + 1
 				queue = append(queue, v)
@@ -97,7 +97,7 @@ func (g *Graph) SweepLevels(visit func(level, u int, frontier, prev []uint64) bo
 		for u := lo; u < hi; u++ {
 			row := cur[u*W : (u+1)*W]
 			clear(row)
-			for _, v := range g.adj[u] {
+			for _, v := range g.Neighbors(u) {
 				for j, x := range prev[int(v)*W : (int(v)+1)*W] {
 					row[j] |= x
 				}
@@ -198,7 +198,7 @@ func (g *Graph) ShortestPathDAGFrom(src int) (dist []int32, preds [][]int32) {
 		if dist[u] <= 0 {
 			continue
 		}
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if dist[v] == dist[u]-1 {
 				preds[u] = append(preds[u], v)
 			}

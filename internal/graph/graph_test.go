@@ -1,46 +1,105 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"slimfly/internal/stats"
 )
 
-func ring(n int) *Graph {
-	g := New(n)
-	for i := 0; i < n; i++ {
-		g.MustAddEdge(i, (i+1)%n)
+func ringEdges(n int) []Edge {
+	es := make([]Edge, n)
+	for i := range es {
+		es[i] = Edge{int32(i), int32((i + 1) % n)}
 	}
-	return g
+	return es
 }
+
+func ring(n int) *Graph { return MustFromEdges(n, ringEdges(n)) }
 
 func complete(n int) *Graph {
-	g := New(n)
+	var es []Edge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			g.MustAddEdge(i, j)
+			es = append(es, Edge{int32(i), int32(j)})
 		}
 	}
-	return g
+	return MustFromEdges(n, es)
 }
 
-func TestAddEdgeValidation(t *testing.T) {
-	g := New(4)
-	if err := g.AddEdge(0, 0); err == nil {
-		t.Error("self-loop accepted")
+// withChords is ring(n) plus `draws` random pairs, each kept unless it is
+// a self-loop or already an edge.
+func withChords(n, draws int, rng *stats.RNG) *Graph {
+	es := ringEdges(n)
+	seen := map[Edge]bool{}
+	for _, e := range es {
+		seen[Edge{min(e.U, e.V), max(e.U, e.V)}] = true
 	}
-	if err := g.AddEdge(0, 4); err == nil {
-		t.Error("out-of-range accepted")
+	for i := 0; i < draws; i++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if e := (Edge{min(u, v), max(u, v)}); u != v && !seen[e] {
+			seen[e] = true
+			es = append(es, e)
+		}
 	}
-	if err := g.AddEdge(-1, 2); err == nil {
-		t.Error("negative vertex accepted")
+	return MustFromEdges(n, es)
+}
+
+// TestFromEdges pins the constructor's contract: out-of-range vertices,
+// self-loops and edges listed twice (in either orientation) are refused
+// with the messages topology constructors have always panicked with, and
+// every accepted graph lists each vertex's neighbours strictly ascending
+// and symmetrically, whatever order and orientation the edges came in.
+func TestFromEdges(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		edges []Edge
+		err   string
+	}{
+		{4, []Edge{{0, 0}}, "graph: self-loop at 0"},
+		{4, []Edge{{0, 4}}, "graph: edge (0,4) out of range [0,4)"},
+		{4, []Edge{{-1, 2}}, "graph: edge (-1,2) out of range [0,4)"},
+		{4, []Edge{{0, 1}, {1, 0}}, "graph: duplicate edge (0,1)"},
+		{4, []Edge{{2, 3}, {0, 1}, {3, 2}}, "graph: duplicate edge (2,3)"},
+		{-1, nil, "graph: negative vertex count"},
+	} {
+		if _, err := FromEdges(c.n, c.edges); err == nil || err.Error() != c.err {
+			t.Errorf("FromEdges(%d, %v) = %v, want %q", c.n, c.edges, err, c.err)
+		}
 	}
-	if err := g.AddEdge(0, 1); err != nil {
-		t.Fatalf("valid edge rejected: %v", err)
+	// A 6-vertex graph given in scrambled order and orientation.
+	g, err := FromEdges(6, []Edge{{5, 0}, {3, 1}, {0, 2}, {4, 0}, {1, 0}, {5, 3}, {2, 4}})
+	if err != nil {
+		t.Fatalf("valid edges rejected: %v", err)
 	}
-	if err := g.AddEdge(1, 0); err == nil {
-		t.Error("duplicate (reversed) edge accepted")
+	want := [][]int32{{1, 2, 4, 5}, {0, 3}, {0, 4}, {1, 5}, {0, 2}, {0, 3}}
+	for u, w := range want {
+		if nb := g.Neighbors(u); !slices.Equal(nb, w) {
+			t.Errorf("Neighbors(%d) = %v, want %v", u, nb, w)
+		}
+	}
+	if g.EdgeCount() != 7 || g.MaxDegree() != 4 {
+		t.Errorf("EdgeCount %d, MaxDegree %d; want 7, 4", g.EdgeCount(), g.MaxDegree())
+	}
+	if e := g.Edges(); !slices.Equal(e, []Edge{{0, 1}, {0, 2}, {0, 4}, {0, 5}, {1, 3}, {2, 4}, {3, 5}}) {
+		t.Errorf("Edges() = %v, want them lexicographic with U < V", e)
+	}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := stats.NewRNG(seed)
+		n := 3 + rng.Intn(60)
+		g := withChords(n, 3*n, rng)
+		for u := 0; u < n; u++ {
+			nb := g.Neighbors(u)
+			for i, v := range nb {
+				if i > 0 && nb[i-1] >= v {
+					t.Fatalf("seed %d: Neighbors(%d) = %v is not strictly ascending", seed, u, nb)
+				}
+				if !slices.Contains(g.Neighbors(int(v)), int32(u)) || !g.HasEdge(int(v), u) {
+					t.Fatalf("seed %d: %d lists %d but not the other way round", seed, u, v)
+				}
+			}
+		}
 	}
 }
 
@@ -90,9 +149,7 @@ func TestBFSRing(t *testing.T) {
 }
 
 func TestBFSDisconnected(t *testing.T) {
-	g := New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(2, 3)
+	g := MustFromEdges(4, []Edge{{0, 1}, {2, 3}})
 	dist := g.BFS(0)
 	if dist[2] != Unreachable || dist[3] != Unreachable {
 		t.Errorf("disconnected vertices reachable: %v", dist)
@@ -140,13 +197,13 @@ func TestEccentricity(t *testing.T) {
 	}
 }
 
-func TestRemoveEdgeAndSubgraph(t *testing.T) {
-	g := ring(6)
-	if !g.RemoveEdge(0, 1) {
-		t.Fatal("RemoveEdge failed on existing edge")
-	}
-	if g.RemoveEdge(0, 1) {
-		t.Fatal("RemoveEdge succeeded twice")
+// TestSurvivorGraph builds graphs the way the resiliency analysis builds
+// each sample's survivors: from a tail of the full graph's edge list.
+func TestSurvivorGraph(t *testing.T) {
+	es := ring(6).Edges() // {0,1} first
+	g := MustFromEdges(6, es[1:])
+	if g.HasEdge(0, 1) || g.HasEdge(1, 0) {
+		t.Fatal("dropped edge still present")
 	}
 	if g.EdgeCount() != 5 {
 		t.Errorf("edges after removal = %d", g.EdgeCount())
@@ -154,26 +211,15 @@ func TestRemoveEdgeAndSubgraph(t *testing.T) {
 	if !g.IsConnected() {
 		t.Error("path graph should stay connected")
 	}
-	// Subgraph must not mutate the original.
-	h := ring(6)
-	sub := h.Subgraph([]Edge{{0, 1}, {3, 4}})
-	if h.EdgeCount() != 6 {
-		t.Error("Subgraph mutated original")
+	sub := MustFromEdges(6, slices.DeleteFunc(slices.Clone(es), func(e Edge) bool { return e == Edge{0, 1} || e == Edge{3, 4} }))
+	if len(es) != 6 {
+		t.Error("building a survivor graph changed the edge list")
 	}
 	if sub.EdgeCount() != 4 {
 		t.Errorf("subgraph edges = %d, want 4", sub.EdgeCount())
 	}
 	if sub.IsConnected() {
 		t.Error("ring minus two edges should disconnect")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	g := ring(5)
-	c := g.Clone()
-	c.RemoveEdge(0, 1)
-	if !g.HasEdge(0, 1) {
-		t.Error("clone shares storage with original")
 	}
 }
 
@@ -195,15 +241,8 @@ func TestAllPairsHistogramConsistency(t *testing.T) {
 	check := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		n := 20 + rng.Intn(30)
-		g := New(n)
 		// Random connected-ish graph: ring + random chords.
-		for i := 0; i < n; i++ {
-			g.MustAddEdge(i, (i+1)%n)
-		}
-		for i := 0; i < n; i++ {
-			g.AddEdgeIfAbsent(rng.Intn(n), rng.Intn(n))
-		}
-		st := g.AllPairsStats()
+		st := withChords(n, n, rng).AllPairsStats()
 		var total, weighted int64
 		for d, c := range st.Histogram {
 			total += c
@@ -222,11 +261,7 @@ func TestAllPairsHistogramConsistency(t *testing.T) {
 }
 
 func BenchmarkBFS4096(b *testing.B) {
-	g := ring(4096)
-	rng := stats.NewRNG(1)
-	for i := 0; i < 4096; i++ {
-		g.AddEdgeIfAbsent(rng.Intn(4096), rng.Intn(4096))
-	}
+	g := withChords(4096, 4096, stats.NewRNG(1))
 	dist := make([]int32, g.N())
 	queue := make([]int32, 0, g.N())
 	b.ResetTimer()
@@ -236,11 +271,7 @@ func BenchmarkBFS4096(b *testing.B) {
 }
 
 func BenchmarkAllPairs1024(b *testing.B) {
-	g := ring(1024)
-	rng := stats.NewRNG(2)
-	for i := 0; i < 2048; i++ {
-		g.AddEdgeIfAbsent(rng.Intn(1024), rng.Intn(1024))
-	}
+	g := withChords(1024, 2048, stats.NewRNG(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.AllPairsStats()

@@ -110,10 +110,11 @@ func TestSweepLevelsStops(t *testing.T) {
 // levels deep, allocates what a 200-vertex graph of diameter 2 does.
 func TestSweepLevelsScratch(t *testing.T) {
 	const n = 200
-	shallow := graphtest.Ring(n) // plus a hub: diameter 2
+	hub := graphtest.Ring(n).Edges() // plus a hub: diameter 2
 	for i := 2; i < n-1; i++ {
-		shallow.MustAddEdge(0, i)
+		hub = append(hub, graph.Edge{U: 0, V: int32(i)})
 	}
+	shallow := graph.MustFromEdges(n, hub)
 	allocated := func(g *graph.Graph) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

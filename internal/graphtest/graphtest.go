@@ -48,47 +48,59 @@ func Pinned(tb testing.TB) []Case {
 
 	// Two components (a 9-ring with a chord, a 5-path) and vertices 14..19
 	// with no edge at all.
-	two := graph.New(20)
+	two := []graph.Edge{{U: 0, V: 4}}
 	for i := 0; i < 9; i++ {
-		two.MustAddEdge(i, (i+1)%9)
+		two = append(two, graph.Edge{U: int32(i), V: int32((i + 1) % 9)})
 	}
-	two.MustAddEdge(0, 4)
 	for i := 9; i < 13; i++ {
-		two.MustAddEdge(i, i+1)
+		two = append(two, graph.Edge{U: int32(i), V: int32(i + 1)})
 	}
-	cs = append(cs, Case{"two-components", two}, Case{"path-41", Path(41)}, Case{"ring-200", Ring(200)})
+	cs = append(cs, Case{"two-components", graph.MustFromEdges(20, two)}, Case{"path-41", Path(41)}, Case{"ring-200", Ring(200)})
 
 	for _, n := range []int{0, 1, 63, 64, 65} {
 		// A ring with a few seeded chords: the highest vertex, which sits
 		// alone in the last word at n = 65, is an ordinary member.
-		g := Ring(n)
-		rng := stats.NewRNG(uint64(n))
-		for i := 0; i < n/4; i++ {
-			g.AddEdgeIfAbsent(rng.Intn(n), rng.Intn(n))
-		}
-		g.SortAdjacency()
+		g := withRandomEdges(n, Ring(n).Edges(), n/4, stats.NewRNG(uint64(n)))
 		cs = append(cs, Case{fmt.Sprintf("n%d", n), g})
 	}
 	return cs
 }
 
-// Ring returns the n-cycle (n < 3: no edges), adjacency sorted.
+// Ring returns the n-cycle (n < 3: no edges).
 func Ring(n int) *graph.Graph {
-	g := graph.New(n)
+	var es []graph.Edge
 	for i := 0; i < n && n >= 3; i++ {
-		g.MustAddEdge(i, (i+1)%n)
+		es = append(es, graph.Edge{U: int32(i), V: int32((i + 1) % n)})
 	}
-	g.SortAdjacency()
-	return g
+	return graph.MustFromEdges(n, es)
 }
 
 // Path returns the n-vertex path 0 - 1 - ... - n-1 (diameter n-1).
 func Path(n int) *graph.Graph {
-	g := graph.New(n)
+	var es []graph.Edge
 	for i := 0; i+1 < n; i++ {
-		g.MustAddEdge(i, i+1)
+		es = append(es, graph.Edge{U: int32(i), V: int32(i + 1)})
 	}
-	return g
+	return graph.MustFromEdges(n, es)
+}
+
+// withRandomEdges returns the graph on n vertices with the edges es plus
+// `draws` random pairs (u, v), each drawn as rng.Intn(n), rng.Intn(n) and
+// kept unless it is a self-loop or already an edge.
+func withRandomEdges(n int, es []graph.Edge, draws int, rng *stats.RNG) *graph.Graph {
+	seen := make(map[graph.Edge]bool, len(es)+draws)
+	for _, e := range es {
+		seen[e] = true
+	}
+	for i := 0; i < draws; i++ {
+		u, v := rng.Intn(n), rng.Intn(n)
+		e := graph.Edge{U: int32(min(u, v)), V: int32(max(u, v))}
+		if u != v && !seen[e] {
+			seen[e] = true
+			es = append(es, e)
+		}
+	}
+	return graph.MustFromEdges(n, es)
 }
 
 // Randoms returns Random(1) ... Random(n), named by seed.
@@ -100,14 +112,13 @@ func Randoms(n int) []Case {
 	return cs
 }
 
-// Random returns a seeded graph of 2 to 300 vertices with sorted
-// adjacency. The edge count is drawn between a handful and several n, so
-// across seeds the graphs run from mostly isolated vertices through
-// several components to dense and connected.
+// Random returns a seeded graph of 2 to 300 vertices. The edge count is
+// drawn between a handful and several n, so across seeds the graphs run
+// from mostly isolated vertices through several components to dense and
+// connected.
 func Random(seed uint64) *graph.Graph {
 	rng := stats.NewRNG(seed)
 	n := 2 + rng.Intn(299)
-	g := graph.New(n)
 	var edges int
 	switch rng.Intn(3) {
 	case 0:
@@ -117,9 +128,5 @@ func Random(seed uint64) *graph.Graph {
 	default:
 		edges = n * (2 + rng.Intn(8))
 	}
-	for i := 0; i < edges; i++ {
-		g.AddEdgeIfAbsent(rng.Intn(n), rng.Intn(n))
-	}
-	g.SortAdjacency()
-	return g
+	return withRandomEdges(n, nil, edges, rng)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/graphtest"
 	"slimfly/internal/topo/hypercube"
 	"slimfly/internal/topo/torus"
 )
@@ -21,14 +22,13 @@ func balanced(part []bool) bool {
 
 func TestBisectTwoCliques(t *testing.T) {
 	// Two K8 cliques joined by a single bridge edge: optimal cut = 1.
-	g := graph.New(16)
-	for i := 0; i < 8; i++ {
+	es := []graph.Edge{{U: 0, V: 8}}
+	for i := int32(0); i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
-			g.MustAddEdge(i, j)
-			g.MustAddEdge(8+i, 8+j)
+			es = append(es, graph.Edge{U: i, V: j}, graph.Edge{U: 8 + i, V: 8 + j})
 		}
 	}
-	g.MustAddEdge(0, 8)
+	g := graph.MustFromEdges(16, es)
 	res := Bisect(g, 8, 1)
 	if res.Cut != 1 {
 		t.Errorf("cut = %d, want 1", res.Cut)
@@ -70,10 +70,7 @@ func TestBisectTorus(t *testing.T) {
 }
 
 func TestBisectRing(t *testing.T) {
-	g := graph.New(10)
-	for i := 0; i < 10; i++ {
-		g.MustAddEdge(i, (i+1)%10)
-	}
+	g := graphtest.Ring(10)
 	res := Bisect(g, 8, 4)
 	if res.Cut != 2 {
 		t.Errorf("ring cut = %d, want 2", res.Cut)
@@ -81,12 +78,11 @@ func TestBisectRing(t *testing.T) {
 }
 
 func TestBisectTiny(t *testing.T) {
-	res := Bisect(graph.New(1), 2, 0)
+	res := Bisect(graph.MustFromEdges(1, nil), 2, 0)
 	if res.Cut != 0 {
 		t.Errorf("single vertex cut = %d", res.Cut)
 	}
-	g := graph.New(2)
-	g.MustAddEdge(0, 1)
+	g := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1}})
 	res = Bisect(g, 2, 0)
 	if res.Cut != 1 || !balanced(res.Part) {
 		t.Errorf("K2: %+v", res)
@@ -94,10 +90,7 @@ func TestBisectTiny(t *testing.T) {
 }
 
 func TestBisectOddVertexCount(t *testing.T) {
-	g := graph.New(9)
-	for i := 0; i < 9; i++ {
-		g.MustAddEdge(i, (i+1)%9)
-	}
+	g := graphtest.Ring(9)
 	res := Bisect(g, 4, 5)
 	if !balanced(res.Part) {
 		t.Error("odd-size partition unbalanced")

@@ -102,7 +102,8 @@ func Analyze(g *graph.Graph, metric Metric, cfg Config) Result {
 
 // survivalShare samples `cfg.Samples` random removals of `remove` edges and
 // returns the surviving fraction. Samples run in parallel; each has its own
-// deterministic RNG stream.
+// deterministic RNG stream, shuffles the edge indices and builds the
+// survivor graph from the edges after the first `remove`.
 func survivalShare(g *graph.Graph, edges []graph.Edge, remove int, metric Metric, base Baseline, cfg Config) float64 {
 	nw := runtime.GOMAXPROCS(0)
 	if nw > cfg.Samples {
@@ -115,17 +116,17 @@ func survivalShare(g *graph.Graph, edges []graph.Edge, remove int, metric Metric
 		go func(w int) {
 			defer wg.Done()
 			idx := make([]int, len(edges))
+			kept := make([]graph.Edge, len(edges)-remove)
 			for s := w; s < cfg.Samples; s += nw {
 				rng := stats.NewRNG(cfg.Seed ^ (uint64(s)+1)*0x9e3779b97f4a7c15 ^ uint64(remove)<<32)
 				for i := range idx {
 					idx[i] = i
 				}
 				rng.Shuffle(idx)
-				removed := make([]graph.Edge, remove)
-				for i := 0; i < remove; i++ {
-					removed[i] = edges[idx[i]]
+				for i, j := range idx[remove:] {
+					kept[i] = edges[j]
 				}
-				if metric(g.Subgraph(removed), base) {
+				if metric(graph.MustFromEdges(g.N(), kept), base) {
 					counts[w]++
 				}
 			}

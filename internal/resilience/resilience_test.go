@@ -4,36 +4,31 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/graphtest"
 	"slimfly/internal/topo/dragonfly"
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/topo/torus"
 )
 
 func TestConnectedMetric(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	if !Connected(g, Baseline{}) {
 		t.Error("path graph reported disconnected")
 	}
-	g.RemoveEdge(1, 2)
+	g = graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}})
 	if Connected(g, Baseline{}) {
 		t.Error("split graph reported connected")
 	}
 }
 
 func TestDiameterAndAvgPathMetrics(t *testing.T) {
-	ring := graph.New(8)
-	for i := 0; i < 8; i++ {
-		ring.MustAddEdge(i, (i+1)%8)
-	}
+	ring := graphtest.Ring(8)
 	base := Baseline{Diameter: 4, AvgDist: 16.0 / 7.0}
 	if !DiameterWithin(2)(ring, base) {
 		t.Error("intact ring fails diameter metric")
 	}
 	// Removing one ring edge makes it a path: diameter 7 > 4+2.
-	cut := ring.Subgraph([]graph.Edge{{U: 0, V: 1}})
+	cut := graph.MustFromEdges(8, ring.Edges()[1:]) // all but {0,1}
 	if DiameterWithin(2)(cut, base) {
 		t.Error("path of 8 within ring diameter +2")
 	}
@@ -51,11 +46,7 @@ func TestDiameterAndAvgPathMetrics(t *testing.T) {
 func TestRingFragile(t *testing.T) {
 	// A ring disconnects with any 2 removed edges: survival should
 	// collapse immediately.
-	g := graph.New(40)
-	for i := 0; i < 40; i++ {
-		g.MustAddEdge(i, (i+1)%40)
-	}
-	res := Analyze(g, Connected, Config{Samples: 16, Seed: 1})
+	res := Analyze(graphtest.Ring(40), Connected, Config{Samples: 16, Seed: 1})
 	if res.MaxSafe > 0.051 {
 		t.Errorf("ring MaxSafe = %v, want ~0.05 at most", res.MaxSafe)
 	}

@@ -85,10 +85,7 @@ func TestValiantLen(t *testing.T) {
 }
 
 func TestDisconnectedTables(t *testing.T) {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(2, 3)
-	tb := route.Build(g)
+	tb := route.Build(graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}))
 	if tb.Distance(0, 2) != -1 {
 		t.Errorf("dist across components = %d, want -1", tb.Distance(0, 2))
 	}

@@ -19,7 +19,8 @@
 // the packed head cache in each 16-byte queue record (queue.state), so empty
 // queues cost nothing and ready ones no packet access, credit returns travel
 // as flat counter indices through one FIFO ring, and an active-router worklist
-// limits allocation to routers that actually hold flits. A flit's bytes are
+// -- a bitmap walked in ascending router id, with nothing to sort -- limits
+// allocation to routers that actually hold flits. A flit's bytes are
 // read once and written once per hop: every input queue of a router, network
 // and injection alike, is a linked list through one packet pool (router.pkts)
 // that grows to the flits the router actually buffers -- buffer depth is a
@@ -30,7 +31,9 @@
 // stamp (router.outBusy) does the staging, so there is no link-traversal
 // phase. TestStepZeroAlloc pins the zero-allocation property,
 // TestGoldenResults bit-identical fixed-seed results, TestRingConservation
-// the credit/occupancy/pool ledger and the staging law.
+// the credit/occupancy/pool ledger and the staging law, and
+// TestShortestDelaysPinned the worklist walk at the smallest hop-to-ready
+// gap.
 //
 // New makes a fixed number of allocations whatever the network's size: it
 // sizes every per-router array in one pass over the routers, allocates each
@@ -44,7 +47,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strings"
 
 	"slimfly/internal/metrics"
@@ -261,13 +263,12 @@ type Sim struct {
 	nextPort []uint8
 	nRouters int
 
-	// Active-router worklist: routers holding buffered flits. Rebuilt
-	// incrementally (arrivals/injections add, emptied routers drop out at the
-	// end of the cycle) and sorted ascending each cycle so the
-	// allocation order -- and hence RNG consumption -- matches a full
-	// ascending scan exactly.
-	active   []int32
-	inActive []bool
+	// Active-router worklist: bit r of the bitmap is set while router r
+	// holds buffered flits. An arrival or injection sets it (touch), a
+	// visited router left empty clears its own, and step walks the set
+	// bits in ascending id, so the allocation order -- and hence RNG
+	// consumption -- matches a full ascending scan with nothing to sort.
+	active []uint64
 
 	// credits holds every router's credit counters back to back; each
 	// router's credits field is its window.
@@ -416,8 +417,7 @@ func New(cfg Config) (*Sim, error) {
 		bufPerVC: cfg.BufPerPort / nv,
 		rtr:      cfg.Router,
 		nRouters: n,
-		active:   make([]int32, 0, n),
-		inActive: make([]bool, n),
+		active:   make([]uint64, (n+63)/64),
 		credits:  make([]int16, nNbr*nv),
 	}
 	if sp, ok := cfg.Algo.(interface{ SpreadVCs() bool }); ok && sp.SpreadVCs() {
@@ -617,13 +617,8 @@ func (s *Sim) Router() route.Router { return s.cfg.Router }
 // TargetPort implementations are pure by contract and must not draw at all.
 func (s *Sim) PortRNG(r int32) *stats.RNG { return &s.allocRNG[r] }
 
-// touch adds router r to the active worklist if it is not already on it.
-func (s *Sim) touch(r int32) {
-	if !s.inActive[r] {
-		s.inActive[r] = true
-		s.active = append(s.active, r) //sf:allow(append: capacity nRouters at construction; inActive dedups, so len never exceeds it)
-	}
-}
+// touch puts router r on the active worklist.
+func (s *Sim) touch(r int32) { s.active[r>>6] |= 1 << (uint(r) & 63) }
 
 // headPkt returns the head packet of router rt's non-empty queue q.
 // Routing algorithms may mutate it in place (e.g. Valiant phase switches).
@@ -762,22 +757,23 @@ func (s *Sim) step(inject bool) {
 		s.injectPhase()
 	}
 
-	// The worklist accumulates routers in delivery/injection order; sort
-	// it so routers are visited and grant in ascending id order, the order
-	// the goldens were recorded in.
-	slices.Sort(s.active)
-
-	// Switch allocation + VC allocation per active router, each grant
-	// applied as it is chosen. Routers a hop touches join the worklist behind
-	// the range bound and are not visited this cycle (their new heads are
-	// not ready before the next one anyway).
-	for _, r := range s.active {
-		if rt := &s.routers[r]; rt.flits > 0 {
+	// Switch allocation + VC allocation per active router, in ascending id
+	// order (the order the goldens were recorded in), each grant applied as
+	// it is chosen. A router that empties drops off the worklist. Whether
+	// the walk reaches a router that a hop first touches this cycle depends
+	// on where its bit lies; either way the router holds only flits ready
+	// at cycle + ChannelDelay + RouterDelay or later, so a visit finds no
+	// request and makes no grant, hook call or RNG draw.
+	for w := range s.active {
+		for m := s.active[w]; m != 0; m &= m - 1 {
+			r := int32(w<<6 | bits.TrailingZeros64(m))
+			rt := &s.routers[r]
 			s.allocRouter(r, rt)
+			if rt.flits == 0 {
+				s.active[w] &^= 1 << (uint(r) & 63)
+			}
 		}
 	}
-
-	s.pruneActive()
 }
 
 // applyCredits performs step 1 of a cycle: credit returns due by this
@@ -854,20 +850,6 @@ func (s *Sim) injectPhase() {
 			}
 		}
 	}
-}
-
-// pruneActive drops routers that hold no flits; the rest stay listed for
-// the next cycle.
-func (s *Sim) pruneActive() {
-	kept := s.active[:0]
-	for _, r := range s.active {
-		if s.routers[r].flits > 0 {
-			kept = append(kept, r) //sf:allow(append: kept reuses s.active's backing array and only ever shrinks it)
-		} else {
-			s.inActive[r] = false
-		}
-	}
-	s.active = kept
 }
 
 // badTargetPort reports a routing-contract violation: the algorithm

@@ -99,7 +99,7 @@ func TestConfigValidation(t *testing.T) {
 // is 0, so MIN needs no VCs; the engine still gives each port one and
 // delivers every packet straight through the ejection port.
 func TestSingleRouterNetwork(t *testing.T) {
-	g := graph.New(1)
+	g := graph.MustFromEdges(1, nil)
 	one := &topo.Base{TopoName: "one", G: g, N: 4, P: 4}
 	res, err := Run(Config{Topo: one, Router: route.Build(g), Algo: MIN{}, Pattern: traffic.Uniform{N: 4},
 		Load: 0.3, Warmup: 50, Measure: 100, Drain: 100, Seed: 1})

@@ -127,12 +127,13 @@ func TestPortTableMatchesBackend(t *testing.T) {
 // the same Result.
 func TestPortTableWideRouterFallsBack(t *testing.T) {
 	const n = 256
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
+	var es []graph.Edge
+	for u := int32(0); u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.MustAddEdge(u, v)
+			es = append(es, graph.Edge{U: u, V: v})
 		}
 	}
+	g := graph.MustFromEdges(n, es)
 	tp := &topo.Base{TopoName: "K256", G: g, N: n, P: 1, Kp: n - 1, Diam: 1}
 	tb := route.Build(g)
 	run := func(rt route.Router) Result {

@@ -27,16 +27,15 @@ func PolarityGraph(u int) (*graph.Graph, error) {
 	if n != u*u+u+1 {
 		return nil, fmt.Errorf("diam3: got %d projective points, want %d", n, u*u+u+1)
 	}
-	g := graph.New(n)
+	var es []graph.Edge
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if dot(f, pts[i], pts[j]) == 0 {
-				g.MustAddEdge(i, j)
+				es = append(es, graph.Edge{U: int32(i), V: int32(j)})
 			}
 		}
 	}
-	g.SortAdjacency()
-	return g, nil
+	return graph.MustFromEdges(n, es), nil
 }
 
 // projectivePoints enumerates canonical representatives of PG(2, q):

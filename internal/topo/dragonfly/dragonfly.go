@@ -54,13 +54,14 @@ func New(p int) (*Dragonfly, error) {
 	df.Diam = 3
 	df.N = n
 
-	gr := graph.New(nr)
+	es := make([]graph.Edge, 0, nr*df.Kp/2)
+	add := func(u, v int) { es = append(es, graph.Edge{U: int32(u), V: int32(v)}) }
 	// Local channels: each group is a clique of a routers.
 	for grp := 0; grp < g; grp++ {
 		base := grp * a
 		for i := 0; i < a; i++ {
 			for j := i + 1; j < a; j++ {
-				gr.MustAddEdge(base+i, base+j)
+				add(base+i, base+j)
 			}
 		}
 	}
@@ -77,11 +78,10 @@ func New(p int) (*Dragonfly, error) {
 			// Router at group v serving the return channel c' with
 			// (v + c' + 1) mod g == u.
 			cp := ((u-v-1)%g + g) % g
-			gr.MustAddEdge(u*a+c/h, v*a+cp/h)
+			add(u*a+c/h, v*a+cp/h)
 		}
 	}
-	gr.SortAdjacency()
-	df.G = gr
+	df.G = graph.MustFromEdges(nr, es)
 	if err := df.Base.Validate(); err != nil {
 		return nil, err
 	}

@@ -46,7 +46,8 @@ func New(p int) (*FatTree, error) {
 	ft.Diam = 4
 	ft.N = n
 
-	g := graph.New(nr)
+	es := make([]graph.Edge, 0, 2*p*p*p)
+	add := func(u, v int) { es = append(es, graph.Edge{U: int32(u), V: int32(v)}) }
 	// Router ids: edge = a*p+b; agg = p^2 + a*p+j; core = 2p^2 + i*p+j.
 	edge := func(a, b int) int { return a*p + b }
 	agg := func(a, j int) int { return p*p + a*p + j }
@@ -54,19 +55,18 @@ func New(p int) (*FatTree, error) {
 	for a := 0; a < p; a++ {
 		for b := 0; b < p; b++ {
 			for j := 0; j < p; j++ {
-				g.MustAddEdge(edge(a, b), agg(a, j))
+				add(edge(a, b), agg(a, j))
 			}
 		}
 	}
 	for a := 0; a < p; a++ {
 		for j := 0; j < p; j++ {
 			for i := 0; i < p; i++ {
-				g.MustAddEdge(agg(a, j), core(i, j))
+				add(agg(a, j), core(i, j))
 			}
 		}
 	}
-	g.SortAdjacency()
-	ft.G = g
+	ft.G = graph.MustFromEdges(nr, es)
 
 	// Endpoints live only on edge switches: endpoint (a,b,c) -> E(a,b).
 	ft.EpRouter = make([]int32, n)

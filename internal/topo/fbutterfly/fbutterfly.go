@@ -38,7 +38,8 @@ func New(c int) (*FBF3, error) {
 	fb.Diam = 3
 	fb.N = n
 
-	g := graph.New(nr)
+	es := make([]graph.Edge, 0, nr*fb.Kp/2)
+	add := func(u, v int) { es = append(es, graph.Edge{U: int32(u), V: int32(v)}) }
 	id := func(x, y, z int) int { return (x*c+y)*c + z }
 	for x := 0; x < c; x++ {
 		for y := 0; y < c; y++ {
@@ -48,20 +49,19 @@ func New(c int) (*FBF3, error) {
 					// Add each intra-dimension clique edge once by
 					// linking to strictly larger coordinates.
 					if x+o < c {
-						g.MustAddEdge(u, id(x+o, y, z))
+						add(u, id(x+o, y, z))
 					}
 					if y+o < c {
-						g.MustAddEdge(u, id(x, y+o, z))
+						add(u, id(x, y+o, z))
 					}
 					if z+o < c {
-						g.MustAddEdge(u, id(x, y, z+o))
+						add(u, id(x, y, z+o))
 					}
 				}
 			}
 		}
 	}
-	g.SortAdjacency()
-	fb.G = g
+	fb.G = graph.MustFromEdges(nr, es)
 	if err := fb.Base.Validate(); err != nil {
 		return nil, err
 	}

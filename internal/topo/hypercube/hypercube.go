@@ -29,17 +29,15 @@ func New(n int) (*Hypercube, error) {
 	size := 1 << n
 	hc.N = size
 
-	g := graph.New(size)
+	es := make([]graph.Edge, 0, size*n/2)
 	for u := 0; u < size; u++ {
 		for b := 0; b < n; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				g.MustAddEdge(u, v)
+			if v := u ^ (1 << b); u < v {
+				es = append(es, graph.Edge{U: int32(u), V: int32(v)})
 			}
 		}
 	}
-	g.SortAdjacency()
-	hc.G = g
+	hc.G = graph.MustFromEdges(size, es)
 	if err := hc.Base.Validate(); err != nil {
 		return nil, err
 	}

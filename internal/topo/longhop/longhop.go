@@ -81,22 +81,20 @@ func New(n, extra int) (*LongHop, error) {
 	}
 	lh.Masks = masks
 
-	g := graph.New(size)
+	es := make([]graph.Edge, 0, size*(n+len(masks))/2)
 	for u := 0; u < size; u++ {
 		for b := 0; b < n; b++ {
-			v := u ^ (1 << b)
-			if u < v {
-				g.MustAddEdge(u, v)
+			if v := u ^ (1 << b); u < v {
+				es = append(es, graph.Edge{U: int32(u), V: int32(v)})
 			}
 		}
 		for _, m := range masks {
-			v := u ^ int(m)
-			if u < v {
-				g.MustAddEdge(u, v)
+			if v := u ^ int(m); u < v {
+				es = append(es, graph.Edge{U: int32(u), V: int32(v)})
 			}
 		}
 	}
-	g.SortAdjacency()
+	g := graph.MustFromEdges(size, es)
 	lh.G = g
 
 	// Measured diameter (4-6 in the paper's range for 2^8..2^13).

@@ -7,6 +7,7 @@ package random
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"slimfly/internal/graph"
 	"slimfly/internal/stats"
@@ -37,14 +38,29 @@ func New(nr, y, p int, seed uint64) (*DLN, error) {
 	d.P = p
 	d.N = nr * p
 
-	g := graph.New(nr)
-	for i := 0; i < nr; i++ {
-		g.MustAddEdge(i, (i+1)%nr)
-	}
 	// Each router receives y random shortcuts (DLN-2-y), so the degree is
 	// capped at 2 + y: draw random stub pairs, configuration-model style.
-	rng := stats.NewRNG(seed)
+	// nbr[u*cap:u*cap+deg[u]] lists u's neighbours so far, so a drawn pair
+	// that is already linked is found by a short scan.
 	cap := 2 + y
+	deg := make([]int, nr)
+	nbr := make([]int32, nr*cap)
+	es := make([]graph.Edge, 0, nr*cap/2)
+	link := func(u, v int32) bool {
+		if slices.Contains(nbr[int(u)*cap:int(u)*cap+deg[u]], v) {
+			return false
+		}
+		nbr[int(u)*cap+deg[u]] = v
+		nbr[int(v)*cap+deg[v]] = u
+		deg[u]++
+		deg[v]++
+		es = append(es, graph.Edge{U: u, V: v})
+		return true
+	}
+	for i := 0; i < nr; i++ {
+		link(int32(i), int32((i+1)%nr))
+	}
+	rng := stats.NewRNG(seed)
 	var open []int32 // vertices with spare shortcut capacity
 	for u := 0; u < nr; u++ {
 		open = append(open, int32(u))
@@ -54,7 +70,7 @@ func New(nr, y, p int, seed uint64) (*DLN, error) {
 		i := rng.Intn(len(open))
 		j := rng.Intn(len(open))
 		u, v := open[i], open[j]
-		if u == v || !g.AddEdgeIfAbsent(int(u), int(v)) {
+		if u == v || !link(u, v) {
 			misses++
 			continue
 		}
@@ -65,11 +81,11 @@ func New(nr, y, p int, seed uint64) (*DLN, error) {
 			i, j = j, i
 			u, v = v, u
 		}
-		if g.Degree(int(u)) >= cap {
+		if deg[u] >= cap {
 			open[i] = open[len(open)-1]
 			open = open[:len(open)-1]
 		}
-		if g.Degree(int(v)) >= cap {
+		if deg[v] >= cap {
 			// v's position may have moved if it was the swapped tail.
 			for k2, w := range open {
 				if w == v {
@@ -80,7 +96,7 @@ func New(nr, y, p int, seed uint64) (*DLN, error) {
 			}
 		}
 	}
-	g.SortAdjacency()
+	g := graph.MustFromEdges(nr, es)
 	d.G = g
 	d.Kp = g.MaxDegree()
 	ecc, conn := g.Eccentricity(0)

@@ -58,13 +58,13 @@ func New(q, groups, h, p int) (*SFDF, error) {
 	nr := groups * size
 	s.N = p * nr
 
-	g := graph.New(nr)
 	// Local links: copies of the SF graph.
-	edges := proto.Graph().Edges()
+	local := proto.Graph().Edges()
+	es := make([]graph.Edge, 0, groups*len(local)+groups*(groups-1)/2)
 	for grp := 0; grp < groups; grp++ {
-		base := grp * size
-		for _, e := range edges {
-			g.MustAddEdge(base+int(e.U), base+int(e.V))
+		base := int32(grp * size)
+		for _, e := range local {
+			es = append(es, graph.Edge{U: base + e.U, V: base + e.V})
 		}
 	}
 	// Global links: channel c of group u (c in [0, groups-1)) connects to
@@ -76,12 +76,11 @@ func New(q, groups, h, p int) (*SFDF, error) {
 				continue
 			}
 			cp := ((u-v-1)%groups + groups) % groups
-			g.MustAddEdge(u*size+c%size, v*size+cp%size)
+			es = append(es, graph.Edge{U: int32(u*size + c%size), V: int32(v*size + cp%size)})
 		}
 	}
-	g.SortAdjacency()
-	s.G = g
-	s.Kp = g.MaxDegree()
+	s.G = graph.MustFromEdges(nr, es)
+	s.Kp = s.G.MaxDegree()
 	if err := s.Base.Validate(); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"slimfly/internal/graph"
 	"slimfly/internal/stats"
 	"slimfly/internal/topo"
 )
@@ -38,25 +39,35 @@ func NewWithRandomShortcuts(q, extra int, seed uint64) (*Augmented, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := sf.G.Clone()
+	es := sf.G.Edges()
 	cap := sf.Kp + extra
 	rng := stats.NewRNG(seed)
-	n := g.N()
+	n := sf.G.N()
+	deg := make([]int, n)
+	for u := range deg {
+		deg[u] = sf.G.Degree(u)
+	}
+	added := map[graph.Edge]bool{}
 	// Configuration-model pairing among routers with spare ports.
 	misses := 0
 	for misses < 64*n {
 		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.Degree(u) >= cap || g.Degree(v) >= cap {
+		if u == v || deg[u] >= cap || deg[v] >= cap {
 			misses++
 			continue
 		}
-		if !g.AddEdgeIfAbsent(u, v) {
+		e := graph.Edge{U: int32(min(u, v)), V: int32(max(u, v))}
+		if sf.G.HasEdge(u, v) || added[e] {
 			misses++
 			continue
 		}
+		added[e] = true
+		es = append(es, e)
+		deg[u]++
+		deg[v]++
 		misses = 0
 	}
-	g.SortAdjacency()
+	g := graph.MustFromEdges(n, es)
 	aug := &Augmented{
 		Base: topo.Base{TopoName: "SF+rand", G: g, N: sf.N, P: sf.P, Kp: g.MaxDegree(), Diam: sf.Diam},
 		SF:   sf,

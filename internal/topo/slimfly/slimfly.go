@@ -137,8 +137,7 @@ func NewWithConcentration(q, p int) (*SlimFly, error) {
 	sf.Kp = kp
 	sf.Diam = 2
 	sf.N = p * nr
-	sf.G = buildGraph(f, x, xp)
-	sf.G.SortAdjacency()
+	sf.G = graph.MustFromEdges(nr, edges(f, x, xp))
 	if err := sf.Base.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,31 +146,30 @@ func NewWithConcentration(q, p int) (*SlimFly, error) {
 		rem := id % (q * q)
 		sf.lab[id] = label{a: uint16(rem / q), b: uint16(rem % q)}
 	}
-	if sf.linePort[0], err = linePorts(f, x, sf.inX); err != nil {
+	// The line-neighbours of the routers on column 0 and slope 0, read off
+	// their sorted adjacency (see label): ports 0 to |X|-1 of (0,0,b), and
+	// ports q on of (1,0,b).
+	if sf.linePort[0], err = linePorts(f, sf.inX, func(b int) []int32 { return sf.G.Neighbors(b)[:len(x)] }); err != nil {
 		return nil, err
 	}
-	if sf.linePort[1], err = linePorts(f, xp, sf.inXp); err != nil {
+	if sf.linePort[1], err = linePorts(f, sf.inXp, func(b int) []int32 { return sf.G.Neighbors(q*q + b)[q:] }); err != nil {
 		return nil, err
 	}
 	return sf, nil
 }
 
-// linePorts builds one subgraph's linePort table from its generator set.
-// Offset b's line-neighbours are {b + d : d in gen}; sorted adjacency
-// orders them by offset, so a neighbour's port within the block is its
-// rank in that order, and the lowest common line-neighbour of a
-// non-adjacent pair is the first of b's neighbours that is also adjacent
-// to b'. One must exist for the graph to have diameter 2 (two routers of
-// one line share no neighbour outside it).
-func linePorts(f *gf.Field, gen []int, inGen []bool) ([]int32, error) {
+// linePorts builds one subgraph's linePort table. line(b) lists the
+// routers on offset b's line that neighbour it, {b + d : d in the
+// generator set}, ascending, so offset v%q's port within the block is its
+// rank there, and the lowest common line-neighbour of a non-adjacent pair
+// is the first of b's neighbours that is also adjacent to b'. One must
+// exist for the graph to have diameter 2 (two routers of one line share no
+// neighbour outside it).
+func linePorts(f *gf.Field, inGen []bool, line func(b int) []int32) ([]int32, error) {
 	q := f.Q
 	ports := make([]int32, q*q)
-	nbr := make([]int, len(gen))
 	for b := 0; b < q; b++ {
-		for i, d := range gen {
-			nbr[i] = f.Add(b, d)
-		}
-		sort.Ints(nbr)
+		nbr := line(b)
 		row := ports[b*q : (b+1)*q]
 		for bp := range row {
 			row[bp] = -1
@@ -179,7 +177,8 @@ func linePorts(f *gf.Field, gen []int, inGen []bool) ([]int32, error) {
 				continue
 			}
 			adjacent := inGen[f.Sub(bp, b)]
-			for rank, v := range nbr {
+			for rank, id := range nbr {
+				v := int(id) % q
 				if (adjacent && v == bp) || (!adjacent && inGen[f.Sub(bp, v)]) {
 					row[bp] = int32(rank)
 					break
@@ -303,9 +302,11 @@ func (sf *SlimFly) RouterLabel(id int) (s, a, b int) {
 	return s, int(l.a), int(l.b)
 }
 
-func buildGraph(f *gf.Field, x, xp []int) *graph.Graph {
+// edges lists the MMS graph's edges from Eqs. (1)-(3), each once.
+func edges(f *gf.Field, x, xp []int) []graph.Edge {
 	q := f.Q
-	g := graph.New(2 * q * q)
+	es := make([]graph.Edge, 0, q*q*(len(x)+len(xp))/2+q*q*q)
+	add := func(u, v int) { es = append(es, graph.Edge{U: int32(u), V: int32(v)}) }
 	id0 := func(xx, yy int) int { return xx*q + yy }
 	id1 := func(mm, cc int) int { return q*q + mm*q + cc }
 
@@ -316,13 +317,13 @@ func buildGraph(f *gf.Field, x, xp []int) *graph.Graph {
 			for _, d := range x {
 				b2 := f.Add(b, d)
 				if b < b2 { // add each undirected edge once
-					g.MustAddEdge(id0(a, b), id0(a, b2))
+					add(id0(a, b), id0(a, b2))
 				}
 			}
 			for _, d := range xp {
 				b2 := f.Add(b, d)
 				if b < b2 {
-					g.MustAddEdge(id1(a, b), id1(a, b2))
+					add(id1(a, b), id1(a, b2))
 				}
 			}
 		}
@@ -332,11 +333,11 @@ func buildGraph(f *gf.Field, x, xp []int) *graph.Graph {
 		for xx := 0; xx < q; xx++ {
 			mx := f.Mul(m, xx)
 			for c := 0; c < q; c++ {
-				g.MustAddEdge(id0(xx, f.Add(mx, c)), id1(m, c))
+				add(id0(xx, f.Add(mx, c)), id1(m, c))
 			}
 		}
 	}
-	return g
+	return es
 }
 
 // ValidOrders returns the prime powers q in [lo, hi] usable for SF MMS,

@@ -8,10 +8,7 @@ import (
 )
 
 func base() *Base {
-	g := graph.New(4)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 2)
-	g.MustAddEdge(2, 3)
+	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
 	return &Base{TopoName: "test", G: g, N: 8, P: 2, Kp: 2, Diam: 3}
 }
 

@@ -50,7 +50,7 @@ func New(dims []int, p int) (*Torus, error) {
 	t.Kp = kp
 	t.Diam = diam
 
-	g := graph.New(nr)
+	es := make([]graph.Edge, 0, nr*kp/2)
 	coord := make([]int, len(dims))
 	for u := 0; u < nr; u++ {
 		// Decode coordinates of u.
@@ -60,17 +60,20 @@ func New(dims []int, p int) (*Torus, error) {
 			rem /= dims[i]
 		}
 		// Connect to +1 neighbour in every dimension (wrap); adding only
-		// the +1 direction covers each undirected ring edge once, and a
-		// dimension of size 2 naturally yields a single edge.
+		// the +1 direction covers each undirected ring edge once, and in a
+		// dimension of size 2, where coordinate 1's +1 neighbour is
+		// coordinate 0's, only coordinate 0 adds it.
 		stride := nr
 		for i, d := range dims {
 			stride /= d
+			if d == 2 && coord[i] == 1 {
+				continue
+			}
 			next := u + stride*(((coord[i]+1)%d)-coord[i])
-			g.AddEdgeIfAbsent(u, next)
+			es = append(es, graph.Edge{U: int32(u), V: int32(next)})
 		}
 	}
-	g.SortAdjacency()
-	t.G = g
+	t.G = graph.MustFromEdges(nr, es)
 	if err := t.Base.Validate(); err != nil {
 		return nil, err
 	}

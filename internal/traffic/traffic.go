@@ -127,9 +127,9 @@ func (sh Shift) Dest(src int, rng *stats.RNG) int {
 // is total.
 //
 // The build is link-local: a router whose next hop toward x is y is by
-// definition adjacent to y, so only y's neighbours are asked. It requires
-// sorted adjacency (graph.SortAdjacency) -- the pattern is defined by
-// visiting those routers in ascending id order.
+// definition adjacent to y, so only y's neighbours are asked. The pattern
+// is defined by visiting those routers in ascending id order, which is the
+// order graph.FromEdges lists every neighbourhood in.
 func WorstCaseSF(t topo.Topology, rt route.Router, seed uint64) *Permutation {
 	n := t.Endpoints()
 	dests := make([]int32, n)
