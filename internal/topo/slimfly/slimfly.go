@@ -158,13 +158,13 @@ func NewWithConcentration(q, p int) (*SlimFly, error) {
 	return sf, nil
 }
 
-// linePorts builds one subgraph's linePort table. line(b) lists the
-// routers on offset b's line that neighbour it, {b + d : d in the
-// generator set}, ascending, so offset v%q's port within the block is its
-// rank there, and the lowest common line-neighbour of a non-adjacent pair
-// is the first of b's neighbours that is also adjacent to b'. One must
-// exist for the graph to have diameter 2 (two routers of one line share no
-// neighbour outside it).
+// linePorts builds one subgraph's linePort table. line(b) lists, ascending,
+// the routers of offset b's line that neighbour it (offsets {b + d : d in
+// the generator set}; a router's offset is its id mod q), so a
+// neighbour's port within the block is its rank there, and the lowest
+// common line-neighbour of a non-adjacent pair is the first of b's
+// neighbours that is also adjacent to b'. One must exist for the graph to
+// have diameter 2 (two routers of one line share no neighbour outside it).
 func linePorts(f *gf.Field, inGen []bool, line func(b int) []int32) ([]int32, error) {
 	q := f.Q
 	ports := make([]int32, q*q)
