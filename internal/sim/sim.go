@@ -617,8 +617,16 @@ func (s *Sim) Router() route.Router { return s.cfg.Router }
 // TargetPort implementations are pure by contract and must not draw at all.
 func (s *Sim) PortRNG(r int32) *stats.RNG { return &s.allocRNG[r] }
 
-// touch puts router r on the active worklist.
-func (s *Sim) touch(r int32) { s.active[r>>6] |= 1 << (uint(r) & 63) }
+// touch puts router r on the active worklist. It stores only when the bit
+// is clear: under load most touches find it set, and an unconditional
+// read-modify-write would chain the touches of one word (an endpoint's
+// injections, a router's hops) through store forwarding -- measured at
+// 1-3 % of engine_min_uniform's run time.
+func (s *Sim) touch(r int32) {
+	if w, bit := &s.active[r>>6], uint64(1)<<(uint(r)&63); *w&bit == 0 {
+		*w |= bit
+	}
+}
 
 // headPkt returns the head packet of router rt's non-empty queue q.
 // Routing algorithms may mutate it in place (e.g. Valiant phase switches).
