@@ -71,7 +71,7 @@ func (s *Sim) allocRouter(r int32, rt *router) {
 	cfg := &s.cfg
 	sc := &s.alloc
 	deg := len(rt.nbr)
-	outputs := deg + len(rt.eps)
+	outputs := len(rt.rr)
 
 	// Pass 1: one request per eligible input-queue head, tagged with its
 	// output port. The occupancy bitmask walks exactly the non-empty queues

@@ -61,7 +61,8 @@ func TestNewAllocsIndependentOfSize(t *testing.T) {
 // under BFS tables and, where the kind has a routing oracle, under the
 // computed backend too: router r's port i faces port NextPort(nbr[i], r) of
 // its neighbour, each network input queue refills the very counter of that
-// port and VC, and the endpoint lists are the topology's, in ascending order.
+// port and VC, and each router has one ejection port per attached endpoint,
+// which epIdx numbers in the topology's ascending order.
 func TestReversePortsFromAdjacency(t *testing.T) {
 	for _, kind := range roster.Kinds() {
 		tp, err := roster.Near(kind, 96, 1)
@@ -102,17 +103,63 @@ func TestReversePortsFromAdjacency(t *testing.T) {
 					if !slices.Equal(got, want) {
 						t.Fatalf("RouterEndpoints(%d) = %v, want %v", r, got, want)
 					}
-					if len(rt.eps) != len(got) {
-						t.Fatalf("router %d lists %d endpoints, the topology %d", r, len(rt.eps), len(got))
+					if eps := len(rt.rr) - len(rt.nbr); eps != len(got) {
+						t.Fatalf("router %d has %d ejection ports, the topology %d endpoints", r, eps, len(got))
 					}
 					for i, e := range got {
-						if rt.eps[i] != int32(e) || s.epIdx[e] != int32(i) {
-							t.Fatalf("router %d endpoint %d: eps[%d] = %d, epIdx = %d", r, e, i, rt.eps[i], s.epIdx[e])
+						if s.epRouter[e] != int32(r) || s.epIdx[e] != int32(i) {
+							t.Fatalf("router %d endpoint %d: epRouter = %d, epIdx = %d, want %d and %d", r, e, s.epRouter[e], s.epIdx[e], r, i)
 						}
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestPoolsFollowUse pins that packet memory follows use: New gives no router
+// a pool slot, and after a run every pool holds at most twice the flits its
+// router buffered at its peak (the slots Run publishes as sim.queue_slots),
+// plus one. The runs are build_ladder's 25-cycle smoke on SF q=19 p=4 and
+// UGAL-L at load 0.3 on the same network.
+func TestPoolsFollowUse(t *testing.T) {
+	sf, err := slimfly.NewWithConcentration(19, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := route.Build(sf.Graph())
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"MIN smoke", Config{Algo: MIN{}, Load: 0.1, Warmup: 5, Measure: 15, Drain: 5}},
+		{"UGAL-L", Config{Algo: UGALL{}, Load: 0.3, Warmup: 200, Measure: 200}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Topo, cfg.Router, cfg.Pattern, cfg.Seed = sf, tables, traffic.Uniform{N: sf.Endpoints()}, 1
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range s.routers {
+				if c := cap(s.routers[r].pkts); c != 0 {
+					t.Fatalf("New gives router %d %d pool slots, want none", r, c)
+				}
+			}
+			if res := s.Run(); res.Delivered == 0 {
+				t.Fatalf("the run delivered nothing: %+v", res)
+			}
+			peak, slots := 0, 0
+			for r := range s.routers {
+				peak += len(s.routers[r].pkts)
+				slots += cap(s.routers[r].pkts)
+			}
+			if slots > 2*peak+len(s.routers) {
+				t.Errorf("pools hold %d slots for a summed peak of %d flits on %d routers, want at most %d", slots, peak, len(s.routers), 2*peak+len(s.routers))
+			}
+			t.Logf("%d slots for a summed peak of %d flits", slots, peak)
+		})
 	}
 }
 

@@ -39,8 +39,9 @@ type queue struct {
 // caller to fill and publish; the queue was empty iff its occ bit is clear,
 // and stays so marked until publish sets it. It reuses the most recently freed
 // slot -- the one likeliest to still be in cache -- and grows the pool only
-// when every slot is queued, so a router's pool is as large as the most flits
-// it ever buffered at once, whatever depth the credits allow.
+// when every slot is queued. New allocates no slots, so a router's pool holds
+// exactly as many as the most flits it ever buffered at once, whatever depth
+// the credits allow.
 func (rt *router) pushTail(q int) *Packet {
 	slot := rt.free
 	if slot >= 0 {

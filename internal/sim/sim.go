@@ -37,10 +37,12 @@
 //
 // New makes a fixed number of allocations whatever the network's size: it
 // sizes every per-router array in one pass over the routers, allocates each
-// once, and gives every router a capped window into each (a pool that
-// outgrows its window reallocates alone). It reads reverse ports off the
-// sorted adjacency rather than asking the routing backend.
-// TestNewAllocsIndependentOfSize pins the count.
+// once, and gives every router a capped window into each. It allocates no
+// packet slots: every pool starts empty, and pushTail grows it to the most
+// flits its router ever buffers. It reads reverse ports off the sorted
+// adjacency rather than asking the routing backend.
+// TestNewAllocsIndependentOfSize pins the count, TestPoolsFollowUse the
+// pools.
 package sim
 
 import (
@@ -158,13 +160,13 @@ type Result struct {
 type router struct {
 	nbr     []int32 // sorted neighbour router ids; network port i <-> nbr[i]
 	revPort []int32 // our port index on nbr[i]'s side
-	eps     []int32 // endpoint ids attached here
 	// Input queues, indexed q: the deg*numVCs network queues first
 	// (q = port*numVCs + vc, one per credits entry and never longer than the
 	// credits allow), then one unbounded injection queue per attached
 	// endpoint. All are linked lists through the one pool pkts, whose unqueued
-	// slots form a LIFO free list from free (-1: none). pushTail, headPkt and
-	// dropHead are the only way into a queue, to its head and past it.
+	// slots form a LIFO free list from free (-1: none). The pool starts nil
+	// and pushTail grows it. pushTail, headPkt and dropHead are the only way
+	// into a queue, to its head and past it.
 	//
 	// Each queue record carries its head cache, maintained by setHead whenever
 	// the head changes: queues[q].state is packHead of the head packet's
@@ -187,7 +189,7 @@ type router struct {
 	// departure, so staging is a stamp, not a queue: at cycle c the output
 	// holds max(0, outBusy[outPort]-c) granted flits that have not yet left.
 	outBusy []int32
-	rr      []int32 // round-robin arbitration pointer per output (network + eject)
+	rr      []int32 // round-robin arbitration pointer per output: network ports, then one ejection port per endpoint
 	flits   int     // buffered flits in input queues
 }
 
@@ -391,7 +393,7 @@ func New(cfg Config) (*Sim, error) {
 	// Sizing pass: every per-router array is a window into one slab, so New
 	// makes the same few allocations whatever the network's size, and it
 	// refuses an oversized router before allocating any of them.
-	var nNbr, nEps, nQ, nOcc, nPorts int
+	var nNbr, nQ, nOcc, nPorts int
 	maxQ, maxOutputs, maxDeg := 0, 0, 0
 	for r := range n {
 		deg, eps := g.Degree(r), len(t.RouterEndpoints(r))
@@ -400,7 +402,6 @@ func New(cfg Config) (*Sim, error) {
 			return nil, fmt.Errorf("sim: router %d has %d ports; the head cache holds port indices below %d", r, ports, math.MaxUint16+1)
 		}
 		nNbr += deg
-		nEps += eps
 		nQ += nq
 		nOcc += (nq + 63) / 64
 		nPorts += ports
@@ -433,16 +434,12 @@ func New(cfg Config) (*Sim, error) {
 		s.credits[i] = int16(s.bufPerVC)
 	}
 	var (
-		// A few slots per port to start from: below saturation a router holds
-		// far fewer flits than its credits allow; pushTail grows the others.
-		pkts    = make([]Packet, 4*nPorts)
 		queues  = make([]queue, nQ)
 		occ     = make([]uint64, nOcc)
 		upCred  = make([]int32, nNbr*nv)
 		outBusy = make([]int32, nNbr)
 		revPort = make([]int32, nNbr)
 		rr      = make([]int32, nPorts)
-		eps     = make([]int32, nEps)
 		// cursor[nb] counts the neighbours of nb already visited. Routers are
 		// visited in ascending id and adjacency lists are sorted, so when r
 		// reaches its neighbour nb, r is nb's neighbour number cursor[nb]: by
@@ -462,7 +459,6 @@ func New(cfg Config) (*Sim, error) {
 		re := t.RouterEndpoints(r)
 		ports, netQ := deg+len(re), deg*nv
 		nq := netQ + len(re)
-		rt.pkts = carve(&pkts, 4*ports)[:0]
 		rt.free = -1
 		rt.queues = carve(&queues, nq)
 		rt.occ = carve(&occ, (nq+63)/64)
@@ -471,10 +467,8 @@ func New(cfg Config) (*Sim, error) {
 		rt.outBusy = carve(&outBusy, deg)
 		rt.revPort = carve(&revPort, deg)
 		rt.rr = carve(&rr, ports)
-		rt.eps = carve(&eps, len(re))
 		for i, e := range re {
 			s.epIdx[e] = int32(i)
-			rt.eps[i] = int32(e)
 		}
 		// Reverse ports and the upstream counters each network input refills.
 		for i, nb := range rt.nbr {
@@ -529,8 +523,8 @@ func New(cfg Config) (*Sim, error) {
 }
 
 // carve cuts the first m elements off *slab and returns them as a window
-// capped at its end, so that an append past the window (a packet pool
-// outgrowing its start) reallocates that window alone.
+// capped at its end, so that no append through it can reach the next
+// router's.
 func carve[T any](slab *[]T, m int) []T {
 	w := (*slab)[:m:m]
 	*slab = (*slab)[m:]
