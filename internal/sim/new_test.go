@@ -118,10 +118,10 @@ func TestReversePortsFromAdjacency(t *testing.T) {
 }
 
 // TestPoolsFollowUse pins that packet memory follows use: New gives no router
-// a pool slot, and after a run every pool holds at most twice the flits its
-// router buffered at its peak (the slots Run publishes as sim.queue_slots),
-// plus one. The runs are build_ladder's 25-cycle smoke on SF q=19 p=4 and
-// UGAL-L at load 0.3 on the same network.
+// a pool slot, and after a run the pools' summed capacity is at most twice
+// their summed peak of buffered flits (the slots Run publishes as
+// sim.queue_slots) plus one slot per router. The runs are build_ladder's
+// 25-cycle smoke on SF q=19 p=4 and UGAL-L at load 0.3 on the same network.
 func TestPoolsFollowUse(t *testing.T) {
 	sf, err := slimfly.NewWithConcentration(19, 4)
 	if err != nil {
@@ -143,8 +143,8 @@ func TestPoolsFollowUse(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := range s.routers {
-				if c := cap(s.routers[r].pkts); c != 0 {
-					t.Fatalf("New gives router %d %d pool slots, want none", r, c)
+				if n := cap(s.routers[r].pkts); n != 0 {
+					t.Fatalf("New gives router %d %d pool slots, want none", r, n)
 				}
 			}
 			if res := s.Run(); res.Delivered == 0 {
