@@ -1,5 +1,7 @@
 package metrics
 
+import "slices"
+
 // ChannelLoad is the exported per-directed-channel load record: the flits
 // forwarded on router's network output port during the measurement window
 // and the resulting utilisation (flits per measured cycle).
@@ -63,42 +65,56 @@ func (c *ChannelLoads) Hop(router, port int32, _ int64) {
 	c.flits[c.offsets[router]+port]++
 }
 
-// Loads returns every loaded channel, hottest first. It allocates; call
-// it after the run, not from a hook.
-func (c *ChannelLoads) Loads() []ChannelLoad {
-	var loads []ChannelLoad
+// Summarize fills the Channels section. It builds only the reported
+// channels: the k-th largest flit count is the cut, every channel above
+// it is reported, and of those at it the first in (router, port) order,
+// which is where a full sort would put them. MeanUtil adds one term per
+// loaded channel in descending order of flits, the order of that sort.
+func (c *ChannelLoads) Summarize(out *Summary) {
+	flits := make([]int64, 0, len(c.flits))
+	for _, f := range c.flits {
+		if f > 0 {
+			flits = append(flits, f)
+		}
+	}
+	slices.Sort(flits)
+	st := &ChannelStats{Loaded: len(flits), Total: len(c.flits)}
 	window := float64(c.window)
-	for r := 0; r+1 < len(c.offsets); r++ {
-		for p := c.offsets[r]; p < c.offsets[r+1]; p++ {
-			if f := c.flits[p]; f > 0 {
-				loads = append(loads, ChannelLoad{
+	var sum float64
+	for i := len(flits) - 1; i >= 0; i-- {
+		sum += float64(flits[i]) / window
+	}
+	if len(flits) > 0 {
+		st.MaxUtil = float64(flits[len(flits)-1]) / window
+	}
+	if st.Total > 0 {
+		st.MeanUtil = sum / float64(st.Total)
+	}
+	k := len(flits)
+	if c.topK > 0 && k > c.topK {
+		k = c.topK
+	}
+	if k > 0 {
+		cut := flits[len(flits)-k]
+		above, _ := slices.BinarySearch(flits, cut+1)
+		atCut := k - (len(flits) - above) // channels at the cut to report
+		st.Hottest = make([]ChannelLoad, 0, k)
+		for r := 0; r+1 < len(c.offsets); r++ {
+			for p := c.offsets[r]; p < c.offsets[r+1]; p++ {
+				f := c.flits[p]
+				if f < cut || (f == cut && atCut == 0) {
+					continue
+				}
+				if f == cut {
+					atCut--
+				}
+				st.Hottest = append(st.Hottest, ChannelLoad{
 					Router: int32(r), Port: p - c.offsets[r],
 					Flits: f, Util: float64(f) / window,
 				})
 			}
 		}
+		sortChannels(st.Hottest)
 	}
-	sortChannels(loads)
-	return loads
-}
-
-// Summarize fills the Channels section.
-func (c *ChannelLoads) Summarize(out *Summary) {
-	loads := c.Loads()
-	st := &ChannelStats{Loaded: len(loads), Total: len(c.flits)}
-	var sum float64
-	for _, l := range loads {
-		sum += l.Util
-	}
-	if len(loads) > 0 {
-		st.MaxUtil = loads[0].Util
-	}
-	if st.Total > 0 {
-		st.MeanUtil = sum / float64(st.Total)
-	}
-	if c.topK > 0 && len(loads) > c.topK {
-		loads = loads[:c.topK]
-	}
-	st.Hottest = loads
 	out.Channels = st
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -190,6 +191,63 @@ func TestChannelLoads(t *testing.T) {
 	full.Summarize(&fs)
 	if len(fs.Channels.Hottest) != 2 {
 		t.Errorf("topK=0 truncated to %d", len(fs.Channels.Hottest))
+	}
+}
+
+// TestChannelLoadsMatchFullSort: the selected top K, Loaded, MaxUtil
+// and MeanUtil equal, bit for bit, what sorting every loaded channel
+// gives, on loads with many ties at and around the cut.
+func TestChannelLoadsMatchFullSort(t *testing.T) {
+	degrees := make([]int32, 40)
+	for i := range degrees {
+		degrees[i] = int32(3 + i%5)
+	}
+	m := Meta{Routers: len(degrees), Degrees: degrees, Measure: 37}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		flits := map[[2]int32]int64{}
+		for r, d := range degrees {
+			for p := int32(0); p < d; p++ {
+				if f := rng.Int63n(6) - 1; f > 0 { // idle about a third of the time
+					flits[[2]int32{int32(r), p}] = f
+				}
+			}
+		}
+		for _, topK := range []int{0, 1, 5, 32, 1000} {
+			c := NewChannelLoads(topK)
+			c.Attach(m)
+			var want []ChannelLoad
+			for r, d := range degrees {
+				for p := int32(0); p < d; p++ {
+					f := flits[[2]int32{int32(r), p}]
+					for i := int64(0); i < f; i++ {
+						c.Hop(int32(r), p, 0)
+					}
+					if f > 0 {
+						want = append(want, ChannelLoad{Router: int32(r), Port: p, Flits: f, Util: float64(f) / 37})
+					}
+				}
+			}
+			sortChannels(want)
+			var sum float64
+			for _, l := range want {
+				sum += l.Util
+			}
+			var s Summary
+			c.Summarize(&s)
+			st := s.Channels
+			if st.Loaded != len(want) || st.MaxUtil != want[0].Util ||
+				math.Float64bits(st.MeanUtil) != math.Float64bits(sum/float64(st.Total)) {
+				t.Fatalf("trial %d topK %d: loaded %d max %v mean %v, want %d %v %v",
+					trial, topK, st.Loaded, st.MaxUtil, st.MeanUtil, len(want), want[0].Util, sum/float64(st.Total))
+			}
+			if topK > 0 && len(want) > topK {
+				want = want[:topK]
+			}
+			if !slices.Equal(st.Hottest, want) {
+				t.Fatalf("trial %d topK %d: hottest %v, want %v", trial, topK, st.Hottest, want)
+			}
+		}
 	}
 }
 

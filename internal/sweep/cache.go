@@ -4,16 +4,26 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io/fs"
+	"io"
 	"iter"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"slimfly/internal/metrics"
+	"slimfly/internal/obs"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
+)
+
+// What a read cost, summed over every Cache in the process: a document
+// read from disk, or one served from the memo after a single stat.
+var (
+	obsFileReads = obs.NewCounter("sweep.store.file_reads")
+	obsMemoHits  = obs.NewCounter("sweep.store.memo_hits")
 )
 
 // Entry is one cached simulation result, stored as indented JSON at
@@ -46,8 +56,42 @@ type Entry struct {
 // Put writes it (isStored). A file Get would decode but Put never
 // writes -- compact JSON planted by hand, say -- is a hit for Get and a
 // miss for Raw, so sfsweepd answers 404 for it.
+//
+// Get and Raw share one read path (load). A document that passed
+// isStored and is at most memoMaxDoc bytes is memoised in one of
+// memoSlots direct-mapped slots, chosen by the key's first three hex
+// digits, together with the identity of the file it was read from: the
+// open handle's own Stat (os.SameFile, size, modification time), taken
+// before the handle is read, so the bytes and the identity always
+// describe the same file. A later read is a hit when one os.Stat of the
+// entry's path matches that identity; it costs no open, read or
+// json.Valid. A missing file or a different identity drops the slot and
+// reads the file again. Put renames a new file into place, which always
+// changes the identity. The one change a hit cannot see is a file
+// rewritten at the same size within one tick of the filesystem's clock
+// on the same inode -- in place, or on a recycled inode number -- and
+// Put never rewrites in place. The memo holds at most
+// memoSlots*memoMaxDoc bytes (64 MiB) and is allocated on the first
+// read.
 type Cache struct {
-	dir string
+	dir  string
+	memo atomic.Pointer[[memoSlots]atomic.Pointer[memoDoc]]
+}
+
+// The read memo's bounds: one slot per value of a key's first three hex
+// digits, and the largest document a slot keeps. Larger documents (a
+// trace collector's can run to megabytes) are read from disk every time.
+const (
+	memoSlots  = 1 << 12
+	memoMaxDoc = 16 << 10
+)
+
+// memoDoc is one memoised document: the exact bytes that passed
+// isStored and the identity of the file they were read from.
+type memoDoc struct {
+	key  string
+	data []byte
+	file os.FileInfo
 }
 
 // Cache is the default Store backend.
@@ -85,13 +129,14 @@ func (c *Cache) path(key string) string {
 // Get looks up key. It returns (entry, true) on a hit and (zero, false) on
 // a miss. A present-but-corrupt entry (torn write, truncation, format
 // drift) is removed and reported as a miss; a malformed key is a plain
-// miss (it cannot name an entry).
+// miss (it cannot name an entry). It decodes the bytes load returns, so
+// a memoised entry costs one stat and the decoding.
 func (c *Cache) Get(key string) (Entry, bool) {
 	if !ValidKey(key) {
 		return Entry{}, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil {
+	data, _, ok := c.load(key)
+	if !ok {
 		return Entry{}, false
 	}
 	var e Entry
@@ -103,18 +148,74 @@ func (c *Cache) Get(key string) (Entry, bool) {
 }
 
 // Raw returns the stored document for key without decoding it: the
-// exact bytes Put wrote. A missing file, a malformed key and a file that
-// is not shaped like Put's output (isStored) are misses. Raw deletes
-// nothing; Get stays the one place that removes corrupt entries.
+// exact bytes Put wrote, shared with the memo, so the caller must not
+// modify them. A missing file, a malformed key and a file that is not
+// shaped like Put's output (isStored) are misses. Raw deletes nothing;
+// Get stays the one place that removes corrupt entries.
 func (c *Cache) Raw(key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
-	data, err := os.ReadFile(c.path(key))
-	if err != nil || !isStored(data) {
+	data, stored, _ := c.load(key)
+	if !stored {
 		return nil, false
 	}
 	return data, true
+}
+
+// load returns the document at key's path, whether it is shaped the
+// way Put writes it (isStored), and whether there was a readable file
+// at all. A memoised document is returned after one stat that finds the
+// identity it was read with; anything else drops the slot and reads the
+// file through one handle: its Stat first, then as many bytes as that
+// Stat counts. A stored document small enough is memoised with that
+// identity.
+func (c *Cache) load(key string) (data []byte, stored, ok bool) {
+	path := c.path(key)
+	slot := c.slot(key)
+	if m := slot.Load(); m != nil && m.key == key {
+		if fi, err := os.Stat(path); err == nil && sameFile(fi, m.file) {
+			obsMemoHits.Inc()
+			return m.data, true, true
+		}
+		slot.CompareAndSwap(m, nil)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, false, false
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, false, false
+	}
+	data = make([]byte, fi.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, false, false
+	}
+	obsFileReads.Inc()
+	stored = isStored(data)
+	if stored && len(data) <= memoMaxDoc {
+		slot.Store(&memoDoc{key: key, data: data, file: fi})
+	}
+	return data, stored, true
+}
+
+// slot returns key's memo slot, allocating the memo on the first read.
+func (c *Cache) slot(key string) *atomic.Pointer[memoDoc] {
+	m := c.memo.Load()
+	if m == nil {
+		c.memo.CompareAndSwap(nil, new([memoSlots]atomic.Pointer[memoDoc]))
+		m = c.memo.Load()
+	}
+	i, _ := strconv.ParseUint(key[:3], 16, 16) // ValidKey holds: three hex digits
+	return &m[i]
+}
+
+// sameFile reports whether a and b describe one file in one state: the
+// same file (os.SameFile) with the same size and modification time.
+func sameFile(a, b os.FileInfo) bool {
+	return os.SameFile(a, b) && a.Size() == b.Size() && a.ModTime().Equal(b.ModTime())
 }
 
 // storedPrefix is how every document Put writes begins: MarshalIndent
@@ -175,38 +276,43 @@ func (c *Cache) Put(key string, e Entry) error {
 	return nil
 }
 
-// Keys iterates the keys of every valid-looking entry present on disk
-// (by path shape; entries are not decoded), in walk order. Only 64-hex
-// basenames qualify: a stray results.json artifact dropped into the tree
-// used to be listed here -- and then 404 on fetch, since Get rejects the
-// malformed key -- so anything that cannot be a scenario key is skipped.
-// A walk error is yielded with an empty key and ends the iteration: the
-// caller always learns about an unreadable cache instead of mistaking it
-// for an empty one. The server's /api/v1/results index handler streams
-// directly from this iterator, so listing a large cache never
-// materialises the key set.
+// Keys iterates the keys of every entry present on disk where Get and
+// Raw look for it, <dir>/<key[:2]>/<key>.json (by path shape; entries
+// are not decoded), in lexical order. Anything else is skipped: a stray
+// results.json artifact, a basename that is not a 64-hex key, or a copy
+// of an entry at the root or under another key's fan-out directory --
+// each used to be listed here and then 404 on fetch. A read error is
+// yielded with an empty key and ends the iteration: the caller always
+// learns about an unreadable cache instead of mistaking it for an empty
+// one. The server's /api/v1/results index handler streams directly from
+// this iterator, so listing a large cache never materialises the key
+// set.
 func (c *Cache) Keys() iter.Seq2[string, error] {
 	return func(yield func(string, error) bool) {
-		_ = filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, walkErr error) error {
-			if walkErr != nil {
-				yield("", walkErr)
-				return fs.SkipAll
+		dirs, err := os.ReadDir(c.dir)
+		if err != nil {
+			yield("", err)
+			return
+		}
+		for _, d := range dirs {
+			if !d.IsDir() || len(d.Name()) != 2 {
+				continue
 			}
-			if d.IsDir() {
-				return nil
+			files, err := os.ReadDir(filepath.Join(c.dir, d.Name()))
+			if err != nil {
+				yield("", err)
+				return
 			}
-			if filepath.Ext(path) != ".json" {
-				return nil
+			for _, f := range files {
+				key, ok := strings.CutSuffix(f.Name(), ".json")
+				if f.IsDir() || !ok || !ValidKey(key) || key[:2] != d.Name() {
+					continue // foreign or misplaced file, not an entry
+				}
+				if !yield(key, nil) {
+					return
+				}
 			}
-			key := strings.TrimSuffix(filepath.Base(path), ".json")
-			if !ValidKey(key) {
-				return nil // foreign file, not an entry
-			}
-			if !yield(key, nil) {
-				return fs.SkipAll
-			}
-			return nil
-		})
+		}
 	}
 }
 

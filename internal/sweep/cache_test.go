@@ -1,9 +1,13 @@
 package sweep
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -305,6 +309,190 @@ func TestKeyRepeatable(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if got := j.Key(); got != k {
 			t.Fatalf("Key unstable: %s then %s", k, got)
+		}
+	}
+}
+
+// slotKeys returns n valid keys that share one memo slot: the same first
+// three hex digits, the rest differing.
+func slotKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("abc%061x", i+1)
+	}
+	return keys
+}
+
+// storedDoc is the document Put writes for e.
+func storedDoc(t *testing.T, e Entry) []byte {
+	t.Helper()
+	e.Format = scenario.CacheFormat
+	data, err := json.MarshalIndent(e, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCacheReadsOnce: the first read of an entry reads its file, every
+// later one is served from the memo after a stat, for Raw and Get alike,
+// and opening a cache allocates no memo.
+func TestCacheReadsOnce(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.memo.Load() != nil {
+		t.Fatal("OpenCache allocated the read memo")
+	}
+	j := testJob()
+	key := j.Key()
+	e := Entry{Job: j, Result: sim.Result{Delivered: 5}}
+	if err := c.Put(key, e); err != nil {
+		t.Fatal(err)
+	}
+	reads, hits := obsFileReads.Value(), obsMemoHits.Value()
+	for i := 0; i < 3; i++ {
+		if doc, ok := c.Raw(key); !ok || !bytes.Equal(doc, storedDoc(t, e)) {
+			t.Fatalf("Raw = %q, %v", doc, ok)
+		}
+	}
+	if got, ok := c.Get(key); !ok || got.Result != e.Result {
+		t.Fatalf("Get = %+v, %v", got.Result, ok)
+	}
+	if d := obsFileReads.Value() - reads; d != 1 {
+		t.Errorf("four reads of one entry read its file %d times, want 1", d)
+	}
+	if d := obsMemoHits.Value() - hits; d != 3 {
+		t.Errorf("four reads of one entry hit the memo %d times, want 3", d)
+	}
+}
+
+// TestCacheGetRemovesTruncatedMemoised: an entry truncated in place
+// after it was memoised is a miss for Raw, and Get deletes it, as it
+// does any corrupt entry.
+func TestCacheGetRemovesTruncatedMemoised(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := testJob()
+	key := j.Key()
+	if err := c.Put(key, Entry{Job: j}); err != nil {
+		t.Fatal(err)
+	}
+	doc, ok := c.Raw(key)
+	if !ok {
+		t.Fatal("Raw missed a stored entry")
+	}
+	if err := os.WriteFile(c.path(key), doc[:len(doc)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Raw(key); ok {
+		t.Fatal("Raw reported a hit for a truncated entry")
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("Get reported a hit for a truncated entry")
+	}
+	if _, err := os.Stat(c.path(key)); !os.IsNotExist(err) {
+		t.Fatalf("Get left the truncated entry in place: %v", err)
+	}
+}
+
+// TestCacheMemoRace: 8 goroutines interleave Raw, Get and Put on four
+// keys that share one memo slot. Every document read is one that was
+// put under that key, and once they stop, every read agrees with the
+// file on disk. Run it under -race.
+func TestCacheMemoRace(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const versions, rounds = 8, 150
+	keys := slotKeys(4)
+	entry := func(k, v int) Entry {
+		return Entry{Job: testJob(), Result: sim.Result{Delivered: int64(1000*k + v)}}
+	}
+	owner := map[string]int{} // document -> index of the key it was put under
+	for k := range keys {
+		for v := 0; v < versions; v++ {
+			owner[string(storedDoc(t, entry(k, v)))] = k
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (g + i) % len(keys)
+				if err := c.Put(keys[g%len(keys)], entry(g%len(keys), (g+i)%versions)); err != nil {
+					t.Error(err)
+					return
+				}
+				if doc, ok := c.Raw(keys[k]); ok {
+					if o, known := owner[string(doc)]; !known || o != k {
+						t.Errorf("Raw(%s) returned a document never put under it", keys[k])
+						return
+					}
+				}
+				if e, ok := c.Get(keys[k]); ok && e.Result.Delivered/1000 != int64(k) {
+					t.Errorf("Get(%s) returned an entry put under key %d", keys[k], e.Result.Delivered/1000)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, key := range keys {
+		file, err := os.ReadFile(c.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc, ok := c.Raw(key); !ok || !bytes.Equal(doc, file) {
+			t.Errorf("Raw(%s) = %q, %v; the file holds %q", key, doc, ok, file)
+		}
+	}
+}
+
+// TestCacheMemoReadAcrossRename: a read whose file is renamed over while
+// it runs must not be memoised as the new file. A reader alternates two
+// keys that share a slot, so each of its reads goes to disk, while Put
+// replaces one of them; once both stop, Raw must return what Put wrote.
+// An identity taken from the path after the read, instead of from the
+// handle before it, pairs the old bytes with the new file here.
+func TestCacheMemoReadAcrossRename(t *testing.T) {
+	c, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := slotKeys(2)
+	if err := c.Put(keys[1], Entry{Job: testJob()}); err != nil {
+		t.Fatal(err)
+	}
+	for trial := 0; trial < 200; trial++ {
+		older := Entry{Job: testJob(), Result: sim.Result{Delivered: int64(2 * trial)}}
+		newer := Entry{Job: testJob(), Result: sim.Result{Delivered: int64(2*trial + 1)}}
+		if err := c.Put(keys[0], older); err != nil {
+			t.Fatal(err)
+		}
+		var done atomic.Bool
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				c.Raw(keys[1])
+				c.Raw(keys[0])
+			}
+		}()
+		if err := c.Put(keys[0], newer); err != nil {
+			t.Fatal(err)
+		}
+		done.Store(true)
+		wg.Wait()
+		if doc, ok := c.Raw(keys[0]); !ok || !bytes.Equal(doc, storedDoc(t, newer)) {
+			t.Fatalf("trial %d: Raw after the last Put = %q, %v; want what it wrote", trial, doc, ok)
 		}
 	}
 }

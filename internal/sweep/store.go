@@ -31,6 +31,9 @@ type Store interface {
 	// document undecoded: the indented encoding Put writes, which is
 	// what sfsweepd serves for GET /api/v1/results/{key}. A document not
 	// shaped like Put's output is a miss, even where Get would decode it.
+	// The returned slice may be shared with later calls (Cache serves it
+	// from its read memo): it is read-only, and the caller must not
+	// modify it.
 	Raw(key string) ([]byte, bool)
 	// Put stores entry under key. Failures are real errors (a full disk,
 	// an unreachable server): the caller decides whether to surface or

@@ -6,8 +6,6 @@ package sweep_test
 // only the exported Store surface, exactly like a real caller.
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"slimfly/internal/sweep"
@@ -16,23 +14,13 @@ import (
 
 func TestCacheStoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
-		Open: func(t *testing.T) (sweep.Store, storetest.Plant) {
+		OpenDir: func(t *testing.T) (sweep.Store, string) {
 			dir := t.TempDir()
 			c, err := sweep.OpenCache(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plant := func(t *testing.T, rel string, data []byte) {
-				t.Helper()
-				path := filepath.Join(dir, filepath.FromSlash(rel))
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return c, plant
+			return c, dir
 		},
 	})
 }

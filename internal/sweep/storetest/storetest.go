@@ -5,14 +5,18 @@
 // and hit behaviour, malformed-key rejection at the boundary (the
 // key[:2] fan-out used to panic on short keys), foreign files staying
 // out of the index, torn writes degrading to misses, concurrent writers
-// surviving, a directory an older binary left lease files in, and Raw
-// answering only for documents shaped the way Put writes them.
+// surviving, a directory an older binary left lease files in, Raw
+// answering only for documents shaped the way Put writes them, and
+// reads following an entry file that is replaced, deleted or truncated
+// behind the store's back.
 package storetest
 
 import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -29,9 +33,73 @@ import (
 type Plant func(t *testing.T, relPath string, data []byte)
 
 // Backend is one Store implementation under test. Open must return a
-// fresh, empty store per call (and may register cleanups on t).
+// fresh, empty store per call (and may register cleanups on t). OpenDir,
+// when set, is used instead of Open: it returns a fresh, empty store and
+// the directory its entry files live in, so the suite can also rename a
+// file over an entry and delete one. With Open alone, the cases that
+// need those are skipped.
 type Backend struct {
-	Open func(t *testing.T) (sweep.Store, Plant)
+	Open    func(t *testing.T) (sweep.Store, Plant)
+	OpenDir func(t *testing.T) (sweep.Store, string)
+}
+
+// files reaches a store's entry files behind its back. dir is empty
+// when the backend gives only a Plant.
+type files struct {
+	plant Plant
+	dir   string
+}
+
+func (b Backend) open(t *testing.T) (sweep.Store, files) {
+	t.Helper()
+	if b.OpenDir == nil {
+		s, plant := b.Open(t)
+		return s, files{plant: plant}
+	}
+	s, dir := b.OpenDir(t)
+	plant := func(t *testing.T, rel string, data []byte) {
+		t.Helper()
+		path := filepath.Join(dir, filepath.FromSlash(rel))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, files{plant: plant, dir: dir}
+}
+
+// path returns rel's path in the store's directory, skipping the test
+// when the backend does not give one.
+func (f files) path(t *testing.T, rel string) string {
+	t.Helper()
+	if f.dir == "" {
+		t.Skip("the backend gives no directory to replace or delete files in")
+	}
+	return filepath.Join(f.dir, filepath.FromSlash(rel))
+}
+
+// replace writes data to a new file and renames it over rel: the path
+// then names a new inode, as it does after a Put.
+func (f files) replace(t *testing.T, rel string, data []byte) {
+	t.Helper()
+	path := f.path(t, rel)
+	tmp := path + ".new"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// remove deletes rel.
+func (f files) remove(t *testing.T, rel string) {
+	t.Helper()
+	if err := os.Remove(f.path(t, rel)); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // Key returns a distinct result key per seed: the content address of
@@ -53,10 +121,22 @@ func entry(seed int) sweep.Entry {
 	}
 }
 
+// stored is the document Put writes for e: its indented encoding under
+// the current format.
+func stored(t *testing.T, e sweep.Entry) []byte {
+	t.Helper()
+	e.Format = scenario.CacheFormat
+	data, err := json.MarshalIndent(e, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // Run executes the conformance suite against b.
 func Run(t *testing.T, b Backend) {
 	t.Run("MissThenHit", func(t *testing.T) {
-		s, _ := b.Open(t)
+		s, _ := b.open(t)
 		key := Key(1)
 		if _, ok := s.Get(key); ok {
 			t.Fatal("Get on empty store reported a hit")
@@ -93,7 +173,7 @@ func Run(t *testing.T, b Backend) {
 	})
 
 	t.Run("MalformedKeys", func(t *testing.T) {
-		s, _ := b.Open(t)
+		s, _ := b.open(t)
 		// "a" panicked the pre-Store cache (key[:2] of a 1-byte key);
 		// the others pin the full shape check: length, case, charset,
 		// and path metacharacters that must never reach a filesystem.
@@ -115,9 +195,9 @@ func Run(t *testing.T, b Backend) {
 	})
 
 	t.Run("CorruptEntry", func(t *testing.T) {
-		s, plant := b.Open(t)
+		s, f := b.open(t)
 		key := Key(3)
-		plant(t, key[:2]+"/"+key+".json", []byte("{ torn wr"))
+		f.plant(t, key[:2]+"/"+key+".json", []byte("{ torn wr"))
 		if _, ok := s.Get(key); ok {
 			t.Fatal("Get returned a corrupt entry as a hit")
 		}
@@ -132,7 +212,7 @@ func Run(t *testing.T, b Backend) {
 	})
 
 	t.Run("ForeignFiles", func(t *testing.T) {
-		s, plant := b.Open(t)
+		s, f := b.open(t)
 		key := Key(4)
 		if err := s.Put(key, entry(4)); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -140,10 +220,23 @@ func Run(t *testing.T, b Backend) {
 		// Files that look almost like entries: wrong basename shape,
 		// wrong case, stray artifacts. None may surface in Keys (they
 		// used to, and then 404'd on fetch).
-		plant(t, "results.json", []byte("{}"))
-		plant(t, "ab/notes.json", []byte("{}"))
-		plant(t, "ab/"+strings.Repeat("A", 64)+".json", []byte("{}"))
-		plant(t, "ab/short.json", []byte("{}"))
+		f.plant(t, "results.json", []byte("{}"))
+		f.plant(t, "ab/notes.json", []byte("{}"))
+		f.plant(t, "ab/"+strings.Repeat("A", 64)+".json", []byte("{}"))
+		f.plant(t, "ab/short.json", []byte("{}"))
+		// Copies of the entry itself where no read looks for it: at
+		// the root, and under another key's fan-out directory. Get and
+		// Raw miss both, so Keys must not list them either.
+		doc, ok := s.Raw(key)
+		if !ok {
+			t.Fatal("Raw missed a stored entry")
+		}
+		other := "00"
+		if key[:2] == other {
+			other = "ff"
+		}
+		f.plant(t, key+".json", doc)
+		f.plant(t, other+"/"+key+".json", doc)
 		keys := collectKeys(t, s)
 		if len(keys) != 1 || keys[0] != key {
 			t.Fatalf("Keys = %v, want exactly [%s]", keys, key)
@@ -151,7 +244,7 @@ func Run(t *testing.T, b Backend) {
 	})
 
 	t.Run("ConcurrentPut", func(t *testing.T) {
-		s, _ := b.Open(t)
+		s, _ := b.open(t)
 		key := Key(5)
 		var wg sync.WaitGroup
 		for i := 0; i < 8; i++ {
@@ -177,10 +270,10 @@ func Run(t *testing.T, b Backend) {
 		// A cache directory an older binary used also holds a leases/
 		// subtree. It is not the store's: the entries beside it list
 		// and read as if it were absent.
-		s, plant := b.Open(t)
+		s, f := b.open(t)
 		key, held := Key(6), Key(7)
-		plant(t, "leases/"+held+".lease", []byte(`{"id":"ls-00","key":"`+held+`","owner":"old","expires":"2020-01-01T00:00:00Z"}`))
-		plant(t, "leases/lease-123456.tmp", []byte(`{"id":`))
+		f.plant(t, "leases/"+held+".lease", []byte(`{"id":"ls-00","key":"`+held+`","owner":"old","expires":"2020-01-01T00:00:00Z"}`))
+		f.plant(t, "leases/lease-123456.tmp", []byte(`{"id":`))
 		if err := s.Put(key, entry(6)); err != nil {
 			t.Fatalf("Put: %v", err)
 		}
@@ -200,7 +293,7 @@ func Run(t *testing.T, b Backend) {
 		// Raw answers only for a document shaped the way Put writes it.
 		// Each of these is a miss for Raw, and Raw leaves it where it
 		// is: Get then answers as it does on a store Raw never saw.
-		s, _ := b.Open(t)
+		s, _ := b.open(t)
 		key := Key(8)
 		if err := s.Put(key, entry(8)); err != nil {
 			t.Fatalf("Put: %v", err)
@@ -225,19 +318,92 @@ func Run(t *testing.T, b Backend) {
 		} {
 			t.Run(c.name, func(t *testing.T) {
 				path := key[:2] + "/" + key + ".json"
-				probed, plant := b.Open(t)
-				plant(t, path, c.data)
+				probed, f := b.open(t)
+				f.plant(t, path, c.data)
 				if _, ok := probed.Raw(key); ok {
 					t.Fatal("Raw reported a hit")
 				}
-				control, plantControl := b.Open(t)
-				plantControl(t, path, c.data)
+				control, fc := b.open(t)
+				fc.plant(t, path, c.data)
 				_, want := control.Get(key)
 				if _, got := probed.Get(key); got != want || (c.getMiss && got) {
 					t.Fatalf("Get after Raw hit=%v, Get alone hit=%v (must miss: %v)", got, want, c.getMiss)
 				}
 			})
 		}
+	})
+
+	t.Run("MemoFollowsFile", func(t *testing.T) {
+		// A store may keep what it has read (Cache memoises documents),
+		// but every read answers for the file as it is now. Each case
+		// reads the entry twice, so a second read can be served from
+		// whatever the first one kept, and then changes the file.
+		key := Key(9)
+		first, second := entry(9), entry(9)
+		second.Result.Delivered++
+		second.Elapsed = 0.75 // same length as 0.25: only the inode tells
+		path := key[:2] + "/" + key + ".json"
+		warm := func(t *testing.T, s sweep.Store, e sweep.Entry) {
+			t.Helper()
+			want := stored(t, e)
+			for i := 0; i < 2; i++ {
+				doc, ok := s.Raw(key)
+				if !ok || !bytes.Equal(doc, want) {
+					t.Fatalf("Raw = %q, %v; want the stored document", doc, ok)
+				}
+				got, ok := s.Get(key)
+				if !ok || got.Result != e.Result || got.Elapsed != e.Elapsed {
+					t.Fatalf("Get = %+v, %v; want %+v", got.Result, ok, e.Result)
+				}
+			}
+		}
+		put := func(t *testing.T, s sweep.Store, e sweep.Entry) {
+			t.Helper()
+			if err := s.Put(key, e); err != nil {
+				t.Fatalf("Put: %v", err)
+			}
+		}
+		t.Run("Renamed", func(t *testing.T) {
+			s, f := b.open(t)
+			put(t, s, first)
+			warm(t, s, first)
+			f.replace(t, path, stored(t, second))
+			warm(t, s, second)
+		})
+		t.Run("Removed", func(t *testing.T) {
+			s, f := b.open(t)
+			put(t, s, first)
+			warm(t, s, first)
+			f.remove(t, path)
+			if _, ok := s.Raw(key); ok {
+				t.Fatal("Raw reported a hit for a deleted file")
+			}
+			if _, ok := s.Get(key); ok {
+				t.Fatal("Get reported a hit for a deleted file")
+			}
+		})
+		t.Run("Truncated", func(t *testing.T) {
+			s, f := b.open(t)
+			put(t, s, first)
+			warm(t, s, first)
+			doc := stored(t, first)
+			f.plant(t, path, doc[:len(doc)/2])
+			if _, ok := s.Raw(key); ok {
+				t.Fatal("Raw reported a hit for a truncated file")
+			}
+			if _, ok := s.Get(key); ok {
+				t.Fatal("Get reported a hit for a truncated file")
+			}
+			put(t, s, second)
+			warm(t, s, second)
+		})
+		t.Run("PutOver", func(t *testing.T) {
+			s, _ := b.open(t)
+			put(t, s, first)
+			warm(t, s, first)
+			put(t, s, second)
+			warm(t, s, second)
+		})
 	})
 }
 

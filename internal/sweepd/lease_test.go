@@ -15,8 +15,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -49,7 +47,7 @@ func newRemoteHarness(t *testing.T, cfg Config) (*sweep.Cache, *Server, *httptes
 // survive the HTTP round trip.
 func TestRemoteStoreConformance(t *testing.T) {
 	storetest.Run(t, storetest.Backend{
-		Open: func(t *testing.T) (sweep.Store, storetest.Plant) {
+		OpenDir: func(t *testing.T) (sweep.Store, string) {
 			dir := t.TempDir()
 			cache, err := sweep.OpenCache(dir)
 			if err != nil {
@@ -58,17 +56,7 @@ func TestRemoteStoreConformance(t *testing.T) {
 			srv := New(Config{Store: cache, Workers: -1, Token: "conformance-token"})
 			ts := httptest.NewServer(srv)
 			t.Cleanup(ts.Close)
-			plant := func(t *testing.T, rel string, data []byte) {
-				t.Helper()
-				path := filepath.Join(dir, filepath.FromSlash(rel))
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, data, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			return sweep.OpenRemote(ts.URL, "conformance-token"), plant
+			return sweep.OpenRemote(ts.URL, "conformance-token"), dir
 		},
 	})
 }
