@@ -47,7 +47,7 @@ func main() {
 		warmup     = flag.Int("warmup", 2000, "warmup cycles")
 		measure    = flag.Int("measure", 5000, "measured cycles")
 		bufSize    = flag.Int("buf", 64, "flit buffering per port")
-		vcs        = flag.Int("vcs", 0, "virtual channels per port; 0 means what the algorithm needs on this network (NeededVCs of its diameter)")
+		vcs        = flag.Int("vcs", 0, "virtual channels per port; 0 means one per hop of the longest path in the algorithm's path set on this network")
 		metricsSel = flag.String("metrics", "", "streaming collectors, comma-separated (see -list; \"all\" selects every collector)")
 		jsonOut    = flag.Bool("json", false, "emit results (and metric summaries) as JSON instead of the text table")
 		traceOut   = flag.String("trace-out", "", "write the sampled packet trace to this file (adds the trace collector; single load point only)")

@@ -8,7 +8,6 @@ import (
 	"slimfly/internal/resilience"
 	"slimfly/internal/roster"
 	"slimfly/internal/route"
-	"slimfly/internal/sim"
 	"slimfly/internal/topo/random"
 	"slimfly/internal/topo/slimfly"
 )
@@ -77,9 +76,9 @@ func APLResil(n, samples int, seed uint64) *Table {
 }
 
 // VCCounts reproduces Section IV-D: virtual channels needed for deadlock
-// freedom -- the Gopal hop-indexed scheme (2 minimal / 4 adaptive, the
-// engine's default NumVCs for MIN and UGAL-L) and the DFSSSP-style
-// layering for SF versus DLN.
+// freedom -- the Gopal hop-indexed scheme (2 minimal / 4 adaptive: the
+// longest Minimal and Union path, the engine's default NumVCs for MIN and
+// UGAL-L) and the DFSSSP-style layering for SF versus DLN.
 func VCCounts(seed uint64) *Table {
 	t := &Table{
 		Title:   "Section IV-D: virtual channels for deadlock freedom",
@@ -88,8 +87,8 @@ func VCCounts(seed uint64) *Table {
 	for _, q := range []int{5, 7, 9, 11, 13} {
 		sf := slimfly.MustNew(q)
 		tb := route.Build(sf.Graph())
-		t.Add(fmt.Sprintf("SF q=%d", q), sf.Endpoints(), "Gopal-min", sim.MIN{}.NeededVCs(tb.MaxDistance()))
-		t.Add(fmt.Sprintf("SF q=%d", q), sf.Endpoints(), "Gopal-adaptive", sim.UGALL{}.NeededVCs(tb.MaxDistance()))
+		t.Add(fmt.Sprintf("SF q=%d", q), sf.Endpoints(), "Gopal-min", route.Minimal.MaxHops(tb.MaxDistance()))
+		t.Add(fmt.Sprintf("SF q=%d", q), sf.Endpoints(), "Gopal-adaptive", route.Union.MaxHops(tb.MaxDistance()))
 		vl := route.ComputeVCLayering(tb)
 		t.Add(fmt.Sprintf("SF q=%d", q), sf.Endpoints(), "DFSSSP-layering", vl.Layers)
 	}

@@ -22,84 +22,51 @@ var sweepHeader = []string{
 	"cached", "error", "key",
 }
 
-// SweepCSVStream emits sweep CSV incrementally: the header is written at
-// creation, one row per Write, in whatever order results arrive. It is
-// the streaming form of WriteSweepCSV (which is reimplemented on it, so
-// the two can never drift): sfsweepd serves long-lived HTTP responses
-// row by row without materialising the artifact first.
-type SweepCSVStream struct {
-	cw *csv.Writer
-}
-
-// NewSweepCSVStream starts a CSV emission on w by writing the header.
-func NewSweepCSVStream(w io.Writer) (*SweepCSVStream, error) {
+// WriteSweepCSV emits one CSV row per sweep job result, in job order.
+// Failed jobs keep their identifying columns and carry the error text, so
+// a partially failed sweep still round-trips through spreadsheet tooling.
+func WriteSweepCSV(w io.Writer, results []sweep.JobResult) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(sweepHeader); err != nil {
-		return nil, fmt.Errorf("export: sweep csv header: %w", err)
-	}
-	return &SweepCSVStream{cw: cw}, nil
-}
-
-// Write emits one result row. Failed jobs keep their identifying columns
-// and carry the error text, so a partially failed sweep still round-trips
-// through spreadsheet tooling.
-func (s *SweepCSVStream) Write(r sweep.JobResult) error {
-	var p50, p95, p99, maxUtil, jain string
-	if m := r.Metrics; m != nil {
-		if m.Latency != nil {
-			p50 = strconv.FormatFloat(m.Latency.P50, 'f', 1, 64)
-			p95 = strconv.FormatFloat(m.Latency.P95, 'f', 1, 64)
-			p99 = strconv.FormatFloat(m.Latency.P99, 'f', 1, 64)
-		}
-		if m.Channels != nil {
-			maxUtil = strconv.FormatFloat(m.Channels.MaxUtil, 'f', 4, 64)
-		}
-		if m.Fairness != nil {
-			jain = strconv.FormatFloat(m.Fairness.Jain, 'f', 4, 64)
-		}
-	}
-	row := []string{
-		r.Job.Topo.String(), r.Job.Algo, r.Job.Pattern,
-		strconv.FormatFloat(r.Job.Load, 'g', -1, 64),
-		strconv.FormatUint(r.Job.Seed, 10),
-		strconv.FormatFloat(r.Result.AvgLatency, 'f', 3, 64),
-		strconv.FormatInt(r.Result.MaxLatency, 10),
-		strconv.FormatFloat(r.Result.AvgHops, 'f', 3, 64),
-		strconv.FormatFloat(r.Result.Accepted, 'f', 4, 64),
-		strconv.FormatInt(r.Result.Injected, 10),
-		strconv.FormatInt(r.Result.Delivered, 10),
-		strconv.FormatBool(r.Result.Saturated),
-		p50, p95, p99, maxUtil, jain,
-		strconv.FormatBool(r.Cached),
-		r.Err,
-		r.Key,
-	}
-	if err := s.cw.Write(row); err != nil {
-		return fmt.Errorf("export: sweep csv row: %w", err)
-	}
-	return nil
-}
-
-// Flush forces buffered rows onto the underlying writer and reports any
-// deferred write error. Call it at end of stream, or per row when the
-// consumer is a live HTTP response.
-func (s *SweepCSVStream) Flush() error {
-	s.cw.Flush()
-	return s.cw.Error()
-}
-
-// WriteSweepCSV emits one CSV row per sweep job result, in job order.
-func WriteSweepCSV(w io.Writer, results []sweep.JobResult) error {
-	st, err := NewSweepCSVStream(w)
-	if err != nil {
-		return err
+		return fmt.Errorf("export: sweep csv header: %w", err)
 	}
 	for _, r := range results {
-		if err := st.Write(r); err != nil {
-			return err
+		var p50, p95, p99, maxUtil, jain string
+		if m := r.Metrics; m != nil {
+			if m.Latency != nil {
+				p50 = strconv.FormatFloat(m.Latency.P50, 'f', 1, 64)
+				p95 = strconv.FormatFloat(m.Latency.P95, 'f', 1, 64)
+				p99 = strconv.FormatFloat(m.Latency.P99, 'f', 1, 64)
+			}
+			if m.Channels != nil {
+				maxUtil = strconv.FormatFloat(m.Channels.MaxUtil, 'f', 4, 64)
+			}
+			if m.Fairness != nil {
+				jain = strconv.FormatFloat(m.Fairness.Jain, 'f', 4, 64)
+			}
+		}
+		row := []string{
+			r.Job.Topo.String(), r.Job.Algo, r.Job.Pattern,
+			strconv.FormatFloat(r.Job.Load, 'g', -1, 64),
+			strconv.FormatUint(r.Job.Seed, 10),
+			strconv.FormatFloat(r.Result.AvgLatency, 'f', 3, 64),
+			strconv.FormatInt(r.Result.MaxLatency, 10),
+			strconv.FormatFloat(r.Result.AvgHops, 'f', 3, 64),
+			strconv.FormatFloat(r.Result.Accepted, 'f', 4, 64),
+			strconv.FormatInt(r.Result.Injected, 10),
+			strconv.FormatInt(r.Result.Delivered, 10),
+			strconv.FormatBool(r.Result.Saturated),
+			p50, p95, p99, maxUtil, jain,
+			strconv.FormatBool(r.Cached),
+			r.Err,
+			r.Key,
+		}
+		if err := cw.Write(row); err != nil {
+			return fmt.Errorf("export: sweep csv row: %w", err)
 		}
 	}
-	return st.Flush()
+	cw.Flush()
+	return cw.Error()
 }
 
 // SweepJSONLStream emits one JSON object per line per result: the

@@ -8,11 +8,11 @@ package scenario
 //
 // Algorithms implement the port-indexed sim.Algo contract: TargetPort
 // answers with an output-port index taken from the precomputed routing
-// tables (sim.PortToward / route.Tables.NextPort), never a router id.
-// Implementations whose per-router decision is a pure table lookup should
-// also declare StaticPorts() true so the engine may cache decisions per
-// queue head; see the README's "Engine architecture" section for the full
-// add-an-algorithm recipe.
+// tables (sim.PortToward / route.Tables.NextPort), never a router id, and
+// Paths declares the route.PathSet the algorithm routes on, from which the
+// engine derives the default VC count, whether it caches decisions per
+// queue head and whether it spreads VCs; see the README's "Engine
+// architecture" section for the full add-an-algorithm recipe.
 
 import (
 	"slimfly/internal/sim"

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"slimfly/internal/obs"
+	"slimfly/internal/roster"
 	"slimfly/internal/route"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
@@ -66,6 +67,60 @@ func TestBackendParityWall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVCCountWall pins the virtual channels the engine gives every
+// roster kind x compatible algorithm by default: the longest path of the
+// algorithm's path set on the built network, max(Paths().MaxHops(D), 1),
+// on BFS tables and, where the kind is algebraic, on the computed backend.
+// The literals are the counts the per-algorithm formulas they replaced
+// resolved to (D for MIN, 2D for the Valiant family, 4 for ANCA), so no
+// golden or generated hash can move with the derivation.
+func TestVCCountWall(t *testing.T) {
+	want := map[roster.Kind]map[string]int{
+		roster.SF:   {"min": 2, "val": 4, "val3": 4, "ugal-l": 4, "ugal-g": 4},
+		roster.DF:   {"min": 3, "val": 6, "val3": 6, "ugal-l": 6, "ugal-g": 6},
+		roster.FT3:  {"min": 4, "val": 8, "val3": 8, "ugal-l": 8, "ugal-g": 8, "anca": 4},
+		roster.FBF3: {"min": 3, "val": 6, "val3": 6, "ugal-l": 6, "ugal-g": 6},
+		roster.T3D:  {"min": 6, "val": 12, "val3": 12, "ugal-l": 12, "ugal-g": 12},
+		roster.T5D:  {"min": 5, "val": 10, "val3": 10, "ugal-l": 10, "ugal-g": 10},
+		roster.HC:   {"min": 6, "val": 12, "val3": 12, "ugal-l": 12, "ugal-g": 12},
+		roster.LHHC: {"min": 3, "val": 6, "val3": 6, "ugal-l": 6, "ugal-g": 6},
+		roster.DLN:  {"min": 5, "val": 10, "val3": 10, "ugal-l": 10, "ugal-g": 10},
+	}
+	for _, kind := range roster.Kinds() {
+		ts := scenario.TopoSpec{Kind: string(kind), N: 64, Seed: 1}
+		policies := []route.Policy{route.PolicyTables}
+		if scenario.Algebraic(string(kind)) {
+			policies = append(policies, route.PolicyComputed)
+		}
+		for _, policy := range policies {
+			tp, rt, err := scenario.NewEnv(scenario.WithRouteBackend(policy)).Topo(ts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, policy, err)
+			}
+			if rt.Backend() != string(policy) {
+				t.Fatalf("%s: policy %s resolved backend %q", kind, policy, rt.Backend())
+			}
+			var algos []string
+			for _, name := range names(scenario.Algos) {
+				if !scenario.Compatible(ts, name) {
+					continue
+				}
+				algos = append(algos, name)
+				a, err := scenario.BuildAlgo(name, tp)
+				if err != nil {
+					t.Fatalf("%s %s: %v", kind, name, err)
+				}
+				if got := max(a.Paths().MaxHops(rt.MaxDistance()), 1); got != want[kind][name] {
+					t.Errorf("%s %s %s (diameter %d): %d VCs, want %d", kind, policy, name, rt.MaxDistance(), got, want[kind][name])
+				}
+			}
+			if len(algos) != len(want[kind]) {
+				t.Errorf("%s: compatible algorithms %v, table lists %d", kind, algos, len(want[kind]))
+			}
+		}
 	}
 }
 

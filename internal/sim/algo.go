@@ -1,6 +1,9 @@
 package sim
 
-import "slimfly/internal/topo/fattree"
+import (
+	"slimfly/internal/route"
+	"slimfly/internal/topo/fattree"
+)
 
 // Algo is a routing algorithm. OnInject runs once per packet at its source
 // router (where UGAL makes its path decision); TargetPort returns the
@@ -15,14 +18,18 @@ import "slimfly/internal/topo/fattree"
 // ever searches an adjacency list. Returning a port outside [0, degree)
 // is a contract violation and makes the engine panic with a diagnostic
 // naming the algorithm and packet (see Sim.badTargetPort).
+//
+// Paths declares the set of paths the algorithm routes on, and the engine
+// derives the rest from it: the default VC count is the set's longest path
+// on the network (one VC per hop, Section IV-D). An UpDown algorithm is
+// asked for a port every cycle and may spread flits over all VCs; any
+// other set fixes the path at injection, so TargetPort must be a pure
+// table lookup that the engine evaluates once per queue head.
 type Algo interface {
 	Name() string
 	OnInject(s *Sim, p *Packet)
 	TargetPort(s *Sim, p *Packet, r int32) int32
-	// NeededVCs returns the virtual channels required for deadlock
-	// freedom under the hop-indexed scheme of Section IV-D, given the
-	// network diameter: the maximum path length this algorithm produces.
-	NeededVCs(diameter int) int
+	Paths() route.PathSet
 }
 
 // MIN is minimal static routing (Section IV-A): shortest path by table.
@@ -34,13 +41,8 @@ func (MIN) Name() string { return "MIN" }
 // OnInject implements Algo.
 func (MIN) OnInject(*Sim, *Packet) {}
 
-// NeededVCs implements Algo: minimal paths never exceed the diameter.
-func (MIN) NeededVCs(diameter int) int { return diameter }
-
-// StaticPorts marks MIN's TargetPort as a pure table lookup: the engine
-// may memoise the answer per (packet, router) and skip re-evaluating
-// blocked heads.
-func (MIN) StaticPorts() bool { return true }
+// Paths implements Algo.
+func (MIN) Paths() route.PathSet { return route.Minimal }
 
 // TargetPort implements Algo.
 func (MIN) TargetPort(s *Sim, p *Packet, r int32) int32 {
@@ -48,7 +50,8 @@ func (MIN) TargetPort(s *Sim, p *Packet, r int32) int32 {
 }
 
 // valTargetPort routes via the packet's intermediate router, switching to
-// phase 1 on arrival there. Shared by VAL and the UGAL variants.
+// phase 1 on arrival there. Shared by VAL, VAL3 and the UGAL variants,
+// whose packets committed to the minimal path start in phase 1.
 func valTargetPort(s *Sim, p *Packet, r int32) int32 {
 	if p.Phase == 0 {
 		if r == p.Interm {
@@ -90,28 +93,19 @@ func (VAL) OnInject(s *Sim, p *Packet) {
 	p.Interm = pickIntermediate(s, src, p.DstRouter)
 }
 
-// NeededVCs implements Algo: Valiant paths are two minimal segments.
-func (VAL) NeededVCs(diameter int) int { return 2 * diameter }
-
-// StaticPorts implements the engine's memoisation contract: the path is
-// committed at injection, so per-router decisions are pure table lookups
-// (the phase flip at the intermediate is idempotent).
-func (VAL) StaticPorts() bool { return true }
+// Paths implements Algo. The phase flip at the intermediate is
+// idempotent, so TargetPort stays a pure lookup.
+func (VAL) Paths() route.PathSet { return route.Valiant }
 
 // TargetPort implements Algo.
 func (VAL) TargetPort(s *Sim, p *Packet, r int32) int32 { return valTargetPort(s, p, r) }
 
-// ugalThreshold is the bias toward the minimal path: a non-minimal path is
-// taken only when its cost undercuts the minimal cost by more than this
-// margin. It damps detours caused by single in-flight flits (production
-// UGAL implementations use the same bias; without it, the scheme detours on
-// transient noise even at trivial loads).
-const ugalThreshold = 3
-
 // VAL3 is the constrained Valiant variant of Section IV-B: the random
 // intermediate is redrawn until the total path is at most 3 hops. The
 // paper notes this constraint raises average latency because it limits
-// path diversity; BenchmarkAblationVAL3Hop measures that claim.
+// path diversity; BenchmarkAblationVAL3Hop measures that claim. Its path
+// set is VAL's: when no short path is drawn it keeps the shortest seen,
+// which may be any Valiant path.
 type VAL3 struct{}
 
 // Name implements Algo.
@@ -143,12 +137,8 @@ func (VAL3) OnInject(s *Sim, p *Packet) {
 	p.Interm = best
 }
 
-// NeededVCs implements Algo: the constrained variant still falls back to
-// unconstrained intermediates when no short one is found.
-func (VAL3) NeededVCs(diameter int) int { return 2 * diameter }
-
-// StaticPorts implements the engine's memoisation contract (see VAL).
-func (VAL3) StaticPorts() bool { return true }
+// Paths implements Algo.
+func (VAL3) Paths() route.PathSet { return route.Valiant }
 
 // TargetPort implements Algo.
 func (VAL3) TargetPort(s *Sim, p *Packet, r int32) int32 { return valTargetPort(s, p, r) }
@@ -165,27 +155,60 @@ type UGALL struct {
 func (UGALL) Name() string { return "UGAL-L" }
 
 // OnInject implements Algo.
-func (u UGALL) OnInject(s *Sim, p *Packet) {
-	cands := u.Candidates
+func (u UGALL) OnInject(s *Sim, p *Packet) { ugalInject(s, p, u.Candidates, false) }
+
+// Paths implements Algo: UGAL may commit to the minimal or any Valiant path.
+func (UGALL) Paths() route.PathSet { return route.Union }
+
+// TargetPort implements Algo.
+func (UGALL) TargetPort(s *Sim, p *Packet, r int32) int32 { return valTargetPort(s, p, r) }
+
+// UGALG is UGAL-G (Section IV-C1): like UGAL-L but with global knowledge,
+// summing the queue estimates along the entire candidate path.
+type UGALG struct {
+	Candidates int
+}
+
+// Name implements Algo.
+func (UGALG) Name() string { return "UGAL-G" }
+
+// OnInject implements Algo.
+func (u UGALG) OnInject(s *Sim, p *Packet) { ugalInject(s, p, u.Candidates, true) }
+
+// Paths implements Algo (see UGALL).
+func (UGALG) Paths() route.PathSet { return route.Union }
+
+// TargetPort implements Algo.
+func (UGALG) TargetPort(s *Sim, p *Packet, r int32) int32 { return valTargetPort(s, p, r) }
+
+// ugalThreshold is the bias toward the minimal path: a non-minimal path is
+// taken only when its cost undercuts the minimal cost by more than this
+// margin. It damps detours caused by single in-flight flits (production
+// UGAL implementations use the same bias; without it, the scheme detours on
+// transient noise even at trivial loads).
+const ugalThreshold = 3
+
+// ugalInject is UGAL's decision at injection: the minimal path against
+// cands random Valiant paths (4 if unset). The cheapest Valiant path is
+// committed only when it undercuts the minimal cost by more than
+// ugalThreshold; a minimal commitment leaves Interm -1 and Phase 1, which
+// valTargetPort follows to the destination. global selects UGAL-G's cost
+// over UGAL-L's.
+func ugalInject(s *Sim, p *Packet, cands int, global bool) {
 	if cands <= 0 {
 		cands = 4
 	}
-	tb := s.Router()
 	src := s.epRouter[p.Src]
 	if src == p.DstRouter {
 		p.Interm = -1
 		return
 	}
-	minLen := tb.Distance(int(src), int(p.DstRouter))
-	minPort := s.PortToward(src, p.DstRouter)
-	minCost := minLen * s.QueueEstimate(src, int(minPort))
+	minCost := ugalCost(s, src, p.DstRouter, p.DstRouter, global)
 	bestCost := -1
 	bestInterm := int32(-1)
 	for i := 0; i < cands; i++ {
 		interm := pickIntermediate(s, src, p.DstRouter)
-		vlen := tb.ValiantLen(int(src), int(interm), int(p.DstRouter))
-		port := s.PortToward(src, interm)
-		cost := vlen * s.QueueEstimate(src, int(port))
+		cost := ugalCost(s, src, interm, p.DstRouter, global)
 		if bestCost < 0 || cost < bestCost {
 			bestCost = cost
 			bestInterm = interm
@@ -199,30 +222,16 @@ func (u UGALL) OnInject(s *Sim, p *Packet) {
 	}
 }
 
-// NeededVCs implements Algo: UGAL may commit to any Valiant path.
-func (UGALL) NeededVCs(diameter int) int { return 2 * diameter }
-
-// StaticPorts implements the engine's memoisation contract: UGAL's
-// adaptivity is spent entirely at injection; in-flight decisions are
-// table lookups along the committed path.
-func (UGALL) StaticPorts() bool { return true }
-
-// TargetPort implements Algo.
-func (UGALL) TargetPort(s *Sim, p *Packet, r int32) int32 {
-	if p.Interm < 0 {
-		return s.PortToward(r, p.DstRouter)
+// ugalCost is the cost of the path src -> via -> dst; via == dst names
+// the minimal path. UGAL-L weights its hop count by the queue estimate of
+// its first hop; UGAL-G (global) sums the estimates of every hop along it.
+func ugalCost(s *Sim, src, via, dst int32, global bool) int {
+	if global {
+		return pathCost(s, src, via) + pathCost(s, via, dst)
 	}
-	return valTargetPort(s, p, r)
+	hops := s.Router().ValiantLen(int(src), int(via), int(dst))
+	return hops * s.QueueEstimate(src, int(s.PortToward(src, via)))
 }
-
-// UGALG is UGAL-G (Section IV-C1): like UGAL-L but with global knowledge,
-// summing the queue estimates along the entire candidate path.
-type UGALG struct {
-	Candidates int
-}
-
-// Name implements Algo.
-func (UGALG) Name() string { return "UGAL-G" }
 
 // pathCost walks the minimal route from a to b, accumulating every hop's
 // output queue estimate (global information). The walk is two table loads
@@ -236,50 +245,6 @@ func pathCost(s *Sim, a, b int32) int {
 		cur = s.PortNeighbor(cur, port)
 	}
 	return cost
-}
-
-// OnInject implements Algo.
-func (u UGALG) OnInject(s *Sim, p *Packet) {
-	cands := u.Candidates
-	if cands <= 0 {
-		cands = 4
-	}
-	src := s.epRouter[p.Src]
-	if src == p.DstRouter {
-		p.Interm = -1
-		return
-	}
-	minCost := pathCost(s, src, p.DstRouter)
-	bestCost := -1
-	bestInterm := int32(-1)
-	for i := 0; i < cands; i++ {
-		interm := pickIntermediate(s, src, p.DstRouter)
-		cost := pathCost(s, src, interm) + pathCost(s, interm, p.DstRouter)
-		if bestCost < 0 || cost < bestCost {
-			bestCost = cost
-			bestInterm = interm
-		}
-	}
-	if bestCost >= 0 && bestCost+ugalThreshold < minCost {
-		p.Interm = bestInterm
-	} else {
-		p.Interm = -1
-		p.Phase = 1
-	}
-}
-
-// NeededVCs implements Algo.
-func (UGALG) NeededVCs(diameter int) int { return 2 * diameter }
-
-// StaticPorts implements the engine's memoisation contract (see UGALL).
-func (UGALG) StaticPorts() bool { return true }
-
-// TargetPort implements Algo.
-func (UGALG) TargetPort(s *Sim, p *Packet, r int32) int32 {
-	if p.Interm < 0 {
-		return s.PortToward(r, p.DstRouter)
-	}
-	return valTargetPort(s, p, r)
 }
 
 // FTANCA is the Adaptive Nearest Common Ancestor protocol for the 3-level
@@ -298,17 +263,13 @@ func (FTANCA) Name() string { return "ANCA" }
 // OnInject implements Algo.
 func (FTANCA) OnInject(*Sim, *Packet) {}
 
-// NeededVCs implements Algo: up*/down* paths have at most 4 hops in a
-// 3-level tree (and are deadlock-free regardless, being acyclic).
-func (FTANCA) NeededVCs(int) int { return 4 }
-
-// SpreadVCs marks up*/down* routing as safe for free VC selection: the
-// routing graph is acyclic, so deadlock freedom does not depend on the
-// hop-indexed VC discipline. Spreading flits across all VCs turns each
-// input port into several parallel queues and removes most head-of-line
-// blocking (without it an input-queued router saturates well below full
-// throughput on uniform traffic).
-func (FTANCA) SpreadVCs() bool { return true }
+// Paths implements Algo. Up*/down* routing is acyclic, so deadlock
+// freedom does not depend on the hop-indexed VC discipline and the engine
+// spreads flits across all VCs: each input port becomes several parallel
+// queues, which removes most head-of-line blocking (without it an
+// input-queued router saturates well below full throughput on uniform
+// traffic).
+func (FTANCA) Paths() route.PathSet { return route.UpDown }
 
 // TargetPort implements Algo.
 func (a FTANCA) TargetPort(s *Sim, p *Packet, r int32) int32 {

@@ -68,7 +68,7 @@ func generatedScenarios() []genScenario {
 			}
 		}
 		load := 0.05 + 0.95*rng.Float64()
-		vcs := algo.NeededVCs(nw.rt.MaxDistance())
+		vcs := algo.Paths().MaxHops(nw.rt.MaxDistance())
 		flits := 1 + rng.Intn(4)
 		speedup := 1 + rng.Intn(3)
 		out = append(out, genScenario{

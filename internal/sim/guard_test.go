@@ -12,15 +12,19 @@ import (
 
 // brokenAlgo violates the TargetPort contract by answering with a port
 // that is not a network output. The static flag selects which engine path
-// evaluates it: the setHead reveal path (static) or the per-cycle
-// allocator scan (adaptive).
+// evaluates it through the declared path set: the setHead reveal path
+// (Minimal) or the per-cycle allocator scan (UpDown).
 type brokenAlgo struct{ static bool }
 
 func (brokenAlgo) Name() string                          { return "broken" }
 func (brokenAlgo) OnInject(*Sim, *Packet)                {}
-func (brokenAlgo) NeededVCs(int) int                     { return 2 }
-func (b brokenAlgo) StaticPorts() bool                   { return b.static }
 func (brokenAlgo) TargetPort(*Sim, *Packet, int32) int32 { return 999 }
+func (b brokenAlgo) Paths() route.PathSet {
+	if b.static {
+		return route.Minimal
+	}
+	return route.UpDown
+}
 
 // TestBadTargetPortPanics pins the engine's misroute diagnostic: a routing
 // algorithm answering with an out-of-range port must fail immediately with

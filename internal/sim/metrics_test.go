@@ -164,22 +164,3 @@ func TestResultUndrained(t *testing.T) {
 			undrained.AvgLatency, drained.AvgLatency)
 	}
 }
-
-func TestNeededVCsDefaults(t *testing.T) {
-	if (MIN{}).NeededVCs(2) != 2 || (VAL{}).NeededVCs(2) != 4 {
-		t.Error("SF VC counts wrong (paper: 2 minimal, 4 adaptive)")
-	}
-	if (UGALL{}).NeededVCs(3) != 6 || (FTANCA{}).NeededVCs(4) != 4 {
-		t.Error("DF/FT VC counts wrong")
-	}
-	// The default config picks these up.
-	sf := slimfly.MustNew(5)
-	tb := route.Build(sf.Graph())
-	s, err := New(Config{Topo: sf, Router: tb, Algo: VAL{}, Pattern: traffic.Uniform{N: 200}, Load: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.cfg.NumVCs != 4 {
-		t.Errorf("defaulted NumVCs = %d, want 4 for VAL on a diameter-2 network", s.cfg.NumVCs)
-	}
-}

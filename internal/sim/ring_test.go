@@ -159,8 +159,8 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 // depth. MIN and UGAL-L run on Slim Fly q=5 at the default speedup; MIN
 // also runs at speedup 1 and 3, where an output grants one or three flits a
 // cycle, and ANCA on the arity-4 fat tree, where the VC is chosen by credits
-// (SpreadVCs) rather than by hop. (The name predates the pools: the queues
-// were rings over fixed windows once.)
+// (its Paths are route.UpDown) rather than by hop. (The name predates the
+// pools: the queues were rings over fixed windows once.)
 func TestRingConservation(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	sfTables := route.Build(sf.Graph())
@@ -179,7 +179,7 @@ func TestRingConservation(t *testing.T) {
 		{"MIN-speedup1", sf, sfTables, MIN{}, 1},
 		{"MIN-speedup3", sf, sfTables, MIN{}, 3},
 	} {
-		vcs := c.algo.NeededVCs(c.tb.MaxDistance())
+		vcs := c.algo.Paths().MaxHops(c.tb.MaxDistance())
 		for _, depth := range []int{1, 2, 21} {
 			t.Run(fmt.Sprintf("%s/depth%d/%s", c.name, depth, inline), func(t *testing.T) {
 				s, err := New(Config{

@@ -114,7 +114,7 @@ func (c Config) withDefaults() Config {
 		// path the algorithm can produce (Section IV-D); fewer VCs would
 		// share the last one and re-introduce cyclic dependencies. A router
 		// with no links (diameter 0) still sizes its credits by one.
-		c.NumVCs = max(c.Algo.NeededVCs(c.Router.MaxDistance()), 1)
+		c.NumVCs = max(c.Algo.Paths().MaxHops(c.Router.MaxDistance()), 1)
 	}
 	if c.BufPerPort == 0 {
 		c.BufPerPort = 64
@@ -235,11 +235,12 @@ type Sim struct {
 	epRouter  []int32 // endpoint -> router
 	epIdx     []int32 // endpoint -> index within its router's endpoint list
 	bufPerVC  int
-	spreadVCs bool // free VC selection (acyclic routing only)
-	// staticPorts: the algorithm's TargetPort is a pure function of
-	// (packet, router) -- no RNG, no queue state -- so the engine may
-	// evaluate it once per revealed queue head (setHead) and serve the
-	// allocator scan from the per-router head cache.
+	spreadVCs bool // free VC selection: Paths() is route.UpDown (acyclic)
+	// staticPorts: every other path set is fixed at injection, so the
+	// algorithm's TargetPort is a pure function of (packet, router) -- no
+	// RNG, no queue state -- and the engine evaluates it once per revealed
+	// queue head (setHead) and serves the allocator scan from the
+	// per-router head cache.
 	staticPorts bool
 
 	// allocRNG holds one random stream per router for adaptive
@@ -421,12 +422,8 @@ func New(cfg Config) (*Sim, error) {
 		active:   make([]uint64, (n+63)/64),
 		credits:  make([]int16, nNbr*nv),
 	}
-	if sp, ok := cfg.Algo.(interface{ SpreadVCs() bool }); ok && sp.SpreadVCs() {
-		s.spreadVCs = true
-	}
-	if st, ok := cfg.Algo.(interface{ StaticPorts() bool }); ok && st.StaticPorts() {
-		s.staticPorts = true
-	}
+	s.spreadVCs = cfg.Algo.Paths() == route.UpDown
+	s.staticPorts = !s.spreadVCs
 	for e := range s.epRouter {
 		s.epRouter[e] = int32(t.EndpointRouter(e))
 	}
@@ -607,8 +604,9 @@ func (s *Sim) Router() route.Router { return s.cfg.Router }
 // keyed by router id and derived from the seed by RNG jumps, so draws made
 // while deciding router r depend only on r's own history -- never on the
 // order routers are visited.
-// Only available to adaptive algorithms (StaticPorts() == false); static
-// TargetPort implementations are pure by contract and must not draw at all.
+// Only available to algorithms whose Paths is route.UpDown, the one set
+// chosen hop by hop; every other set is fixed at injection, and its
+// TargetPort is a pure lookup that must not draw at all.
 func (s *Sim) PortRNG(r int32) *stats.RNG { return &s.allocRNG[r] }
 
 // touch puts router r on the active worklist. It stores only when the bit

@@ -492,8 +492,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleResults serves the results accumulated so far (all of them,
 // once the sweep is done) in deterministic job order. ?format=csv
-// streams the same CSV rows `sfsweep` writes to results.csv -- for a
-// completed sweep the bytes are identical; ?format=jsonl streams one
+// writes the same CSV rows `sfsweep` writes to results.csv -- for a
+// completed sweep the bytes are identical; ?format=jsonl writes one
 // result per line; the default JSON body is the sfsweep results.json
 // artifact shape (spec, stats, results).
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
@@ -507,16 +507,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, export.SweepArtifact{Spec: run.spec, Stats: stats, Results: results})
 	case "csv":
 		w.Header().Set("Content-Type", "text/csv")
-		st, err := export.NewSweepCSVStream(w)
-		if err != nil {
-			return // header write failed: client gone
-		}
-		for _, jr := range results {
-			if err := st.Write(jr); err != nil {
-				return
-			}
-		}
-		st.Flush()
+		_ = export.WriteSweepCSV(w, results) // a write error means the client is gone
 	case "jsonl":
 		w.Header().Set("Content-Type", "application/jsonl")
 		st := export.NewSweepJSONLStream(w)
