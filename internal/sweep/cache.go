@@ -20,10 +20,12 @@ import (
 )
 
 // What a read cost, summed over every Cache in the process: a document
-// read from disk, or one served from the memo after a single stat.
+// read from disk, or one served from the memo after a single stat; and
+// each time Get decoded a document's JSON.
 var (
 	obsFileReads = obs.NewCounter("sweep.store.file_reads")
 	obsMemoHits  = obs.NewCounter("sweep.store.memo_hits")
+	obsDecodes   = obs.NewCounter("sweep.store.decodes")
 )
 
 // Entry is one cached simulation result, stored as indented JSON at
@@ -70,11 +72,21 @@ type Entry struct {
 // changes the identity. The one change a hit cannot see is a file
 // rewritten at the same size within one tick of the filesystem's clock
 // on the same inode -- in place, or on a recycled inode number -- and
-// Put never rewrites in place. The memo holds at most
-// memoSlots*memoMaxDoc bytes (64 MiB) and is allocated on the first
-// read.
+// Put never rewrites in place.
+//
+// A slot also keeps the decoded entry, once a Get has decoded its
+// document and checked its format: the decoding is tied to the bytes
+// and the identity it came from, so a later Get on the same file
+// returns a copy of it and runs no json.Unmarshal, and anything that
+// drops or replaces the document drops the entry with it. A document
+// only Raw reads is never decoded. The memo holds at most
+// memoSlots*memoMaxDoc bytes of documents (64 MiB) plus one decoded
+// entry per slot: 1.4 KiB of heap for a latency,channels,fairness
+// entry (a 4.0-4.1 KiB document), 5.5 MiB over all 4 096 slots. It is
+// allocated on the first read.
 type Cache struct {
 	dir  string
+	root string // dir cleaned once by OpenCache: the prefix of every entry path
 	memo atomic.Pointer[[memoSlots]atomic.Pointer[memoDoc]]
 }
 
@@ -87,11 +99,15 @@ const (
 )
 
 // memoDoc is one memoised document: the exact bytes that passed
-// isStored and the identity of the file they were read from.
+// isStored, the identity of the file they were read from and, once a Get
+// has decoded them and checked their format, the decoded entry. A
+// memoDoc in a slot is never modified: Get keeps the entry by swapping
+// in a new memoDoc that carries it.
 type memoDoc struct {
-	key  string
-	data []byte
-	file os.FileInfo
+	key   string
+	data  []byte
+	file  os.FileInfo
+	entry *Entry
 }
 
 // Cache is the default Store backend.
@@ -113,37 +129,57 @@ func OpenCache(dir string) (*Cache, error) {
 			os.Remove(o)
 		}
 	}
-	return &Cache{dir: dir}, nil
+	root := filepath.Clean(dir)
+	switch {
+	case root == ".":
+		root = "" // filepath.Join drops a leading "./"
+	case !os.IsPathSeparator(root[len(root)-1]): // Clean leaves one only on "/"
+		root += string(filepath.Separator)
+	}
+	return &Cache{dir: dir, root: root}, nil
 }
 
 // Dir returns the cache root directory.
 func (c *Cache) Dir() string { return c.dir }
 
 // path fans entries out over 256 subdirectories keyed by the first hash
-// byte, keeping directory listings fast for large sweeps. Callers
-// validate key shape first (ValidKey); key[:2] on a short key panics.
+// byte, keeping directory listings fast for large sweeps. It is
+// filepath.Join(c.dir, key[:2], key+".json") built by concatenation:
+// root is already clean, and a key of 64 hex digits needs no cleaning.
+// Callers validate key shape first (ValidKey); key[:2] on a short key
+// panics.
 func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key[:2], key+".json")
+	return c.root + key[:2] + string(filepath.Separator) + key + ".json"
 }
 
 // Get looks up key. It returns (entry, true) on a hit and (zero, false) on
 // a miss. A present-but-corrupt entry (torn write, truncation, format
 // drift) is removed and reported as a miss; a malformed key is a plain
-// miss (it cannot name an entry). It decodes the bytes load returns, so
-// a memoised entry costs one stat and the decoding.
+// miss (it cannot name an entry). The first Get of a memoised document
+// decodes it and keeps the entry in the document's slot; every later
+// hit on the same file returns a copy of that entry and decodes nothing.
 func (c *Cache) Get(key string) (Entry, bool) {
 	if !ValidKey(key) {
 		return Entry{}, false
 	}
-	data, _, ok := c.load(key)
-	if !ok {
+	m, _ := c.load(key)
+	if m == nil {
 		return Entry{}, false
 	}
+	if m.entry != nil {
+		return *m.entry, true
+	}
+	obsDecodes.Inc()
 	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil || e.Format != scenario.CacheFormat {
+	if err := json.Unmarshal(m.data, &e); err != nil || e.Format != scenario.CacheFormat {
 		os.Remove(c.path(key))
 		return Entry{}, false
 	}
+	// The swap succeeds only while m is still the document in key's
+	// slot: nothing has dropped or replaced it since load returned it. A
+	// document too large, or not shaped the way Put writes it, was never
+	// in the slot, so its entry is not kept.
+	c.slot(key).CompareAndSwap(m, &memoDoc{key: key, data: m.data, file: m.file, entry: &e})
 	return e, true
 }
 
@@ -156,49 +192,50 @@ func (c *Cache) Raw(key string) ([]byte, bool) {
 	if !ValidKey(key) {
 		return nil, false
 	}
-	data, stored, _ := c.load(key)
+	m, stored := c.load(key)
 	if !stored {
 		return nil, false
 	}
-	return data, true
+	return m.data, true
 }
 
-// load returns the document at key's path, whether it is shaped the
-// way Put writes it (isStored), and whether there was a readable file
-// at all. A memoised document is returned after one stat that finds the
-// identity it was read with; anything else drops the slot and reads the
-// file through one handle: its Stat first, then as many bytes as that
-// Stat counts. A stored document small enough is memoised with that
-// identity.
-func (c *Cache) load(key string) (data []byte, stored, ok bool) {
+// load returns the document at key's path, nil when there is no
+// readable file, and whether it is shaped the way Put writes it
+// (isStored). A memoised document is returned after one stat that finds
+// the identity it was read with; anything else drops the slot and reads
+// the file through one handle: its Stat first, then as many bytes as
+// that Stat counts. A stored document small enough is memoised with
+// that identity.
+func (c *Cache) load(key string) (*memoDoc, bool) {
 	path := c.path(key)
 	slot := c.slot(key)
 	if m := slot.Load(); m != nil && m.key == key {
 		if fi, err := os.Stat(path); err == nil && sameFile(fi, m.file) {
 			obsMemoHits.Inc()
-			return m.data, true, true
+			return m, true
 		}
 		slot.CompareAndSwap(m, nil)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, false, false
+		return nil, false
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, false, false
+		return nil, false
 	}
-	data = make([]byte, fi.Size())
+	data := make([]byte, fi.Size())
 	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, false, false
+		return nil, false
 	}
 	obsFileReads.Inc()
-	stored = isStored(data)
+	m := &memoDoc{key: key, data: data, file: fi}
+	stored := isStored(data)
 	if stored && len(data) <= memoMaxDoc {
-		slot.Store(&memoDoc{key: key, data: data, file: fi})
+		slot.Store(m)
 	}
-	return data, stored, true
+	return m, stored
 }
 
 // slot returns key's memo slot, allocating the memo on the first read.

@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"slimfly/internal/metrics"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
 )
@@ -301,6 +303,26 @@ func TestCacheFanout(t *testing.T) {
 	}
 }
 
+// TestCachePath: an entry's path, built by concatenation from the root
+// OpenCache cleaned, is the one filepath.Join spells from the directory
+// as given; Dir still returns it as given.
+func TestCachePath(t *testing.T) {
+	t.Chdir(t.TempDir())
+	key := testJob().Key()
+	for _, dir := range []string{"rel", "slash/", "./a/../b", ".", filepath.Join(t.TempDir(), "abs")} {
+		c, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.path(key), filepath.Join(dir, key[:2], key+".json"); got != want {
+			t.Errorf("OpenCache(%q): path = %q, want %q", dir, got, want)
+		}
+		if c.Dir() != dir {
+			t.Errorf("OpenCache(%q).Dir() = %q", dir, c.Dir())
+		}
+	}
+}
+
 // TestKeyRepeatable guards against key dependence on map iteration or
 // other in-process nondeterminism.
 func TestKeyRepeatable(t *testing.T) {
@@ -335,10 +357,12 @@ func storedDoc(t *testing.T, e Entry) []byte {
 }
 
 // TestCacheReadsOnce: the first read of an entry reads its file, every
-// later one is served from the memo after a stat, for Raw and Get alike,
-// and opening a cache allocates no memo.
+// later one is served from the memo after a stat, for Raw and Get alike;
+// the first Get decodes the document and later ones decode nothing; and
+// opening a cache allocates no memo.
 func TestCacheReadsOnce(t *testing.T) {
-	c, err := OpenCache(t.TempDir())
+	dir := t.TempDir()
+	c, err := OpenCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,21 +375,43 @@ func TestCacheReadsOnce(t *testing.T) {
 	if err := c.Put(key, e); err != nil {
 		t.Fatal(err)
 	}
-	reads, hits := obsFileReads.Value(), obsMemoHits.Value()
-	for i := 0; i < 3; i++ {
-		if doc, ok := c.Raw(key); !ok || !bytes.Equal(doc, storedDoc(t, e)) {
-			t.Fatalf("Raw = %q, %v", doc, ok)
+	count := func(what string, reads, hits, decodes int64, read func()) {
+		t.Helper()
+		r, h, d := obsFileReads.Value(), obsMemoHits.Value(), obsDecodes.Value()
+		read()
+		if got := obsFileReads.Value() - r; got != reads {
+			t.Errorf("%s read the file %d times, want %d", what, got, reads)
+		}
+		if got := obsMemoHits.Value() - h; got != hits {
+			t.Errorf("%s hit the memo %d times, want %d", what, got, hits)
+		}
+		if got := obsDecodes.Value() - d; got != decodes {
+			t.Errorf("%s decoded %d times, want %d", what, got, decodes)
 		}
 	}
-	if got, ok := c.Get(key); !ok || got.Result != e.Result {
-		t.Fatalf("Get = %+v, %v", got.Result, ok)
+	get := func(c *Cache) {
+		t.Helper()
+		if got, ok := c.Get(key); !ok || got.Result != e.Result {
+			t.Fatalf("Get = %+v, %v", got.Result, ok)
+		}
 	}
-	if d := obsFileReads.Value() - reads; d != 1 {
-		t.Errorf("four reads of one entry read its file %d times, want 1", d)
+	count("three Raws and a Get", 1, 3, 1, func() {
+		for i := 0; i < 3; i++ {
+			if doc, ok := c.Raw(key); !ok || !bytes.Equal(doc, storedDoc(t, e)) {
+				t.Fatalf("Raw = %q, %v", doc, ok)
+			}
+		}
+		get(c)
+	})
+	reopened, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := obsMemoHits.Value() - hits; d != 3 {
-		t.Errorf("four reads of one entry hit the memo %d times, want 3", d)
-	}
+	count("four Gets", 1, 3, 1, func() {
+		for i := 0; i < 4; i++ {
+			get(reopened)
+		}
+	})
 }
 
 // TestCacheGetRemovesTruncatedMemoised: an entry truncated in place
@@ -411,7 +457,8 @@ func TestCacheMemoRace(t *testing.T) {
 	const versions, rounds = 8, 150
 	keys := slotKeys(4)
 	entry := func(k, v int) Entry {
-		return Entry{Job: testJob(), Result: sim.Result{Delivered: int64(1000*k + v)}}
+		return Entry{Job: testJob(), Result: sim.Result{Delivered: int64(1000*k + v)},
+			Metrics: &metrics.Summary{Latency: &metrics.LatencyStats{Count: int64(1000*k + v)}}}
 	}
 	owner := map[string]int{} // document -> index of the key it was put under
 	for k := range keys {
@@ -436,9 +483,17 @@ func TestCacheMemoRace(t *testing.T) {
 						return
 					}
 				}
-				if e, ok := c.Get(keys[k]); ok && e.Result.Delivered/1000 != int64(k) {
-					t.Errorf("Get(%s) returned an entry put under key %d", keys[k], e.Result.Delivered/1000)
-					return
+				if e, ok := c.Get(keys[k]); ok {
+					d := e.Result.Delivered
+					if d/1000 != int64(k) {
+						t.Errorf("Get(%s) returned an entry put under key %d", keys[k], d/1000)
+						return
+					}
+					if want := entry(k, int(d%1000)).Metrics; !reflect.DeepEqual(e.Metrics, want) {
+						got, _ := json.Marshal(e.Metrics)
+						t.Errorf("Get(%s) returned version %d with summary %s", keys[k], d%1000, got)
+						return
+					}
 				}
 			}
 		}(g)

@@ -25,7 +25,10 @@ import (
 type Store interface {
 	// Get looks up key: (entry, true) on a hit, (zero, false) on a miss.
 	// Corrupt or unreachable entries are misses, never errors -- a miss
-	// only costs one recomputation.
+	// only costs one recomputation. The entry's Metrics may be shared
+	// with later calls (Cache serves a repeated hit from the entry its
+	// read memo keeps decoded): it is read-only, and the caller must not
+	// modify it.
 	Get(key string) (Entry, bool)
 	// Raw looks up key like Get but returns the entry's stored JSON
 	// document undecoded: the indented encoding Put writes, which is

@@ -22,6 +22,7 @@ import (
 	"sync"
 	"testing"
 
+	"slimfly/internal/metrics"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sim"
 	"slimfly/internal/sweep"
@@ -109,16 +110,31 @@ func Key(seed int) string {
 	return entry(seed).Job.Key()
 }
 
-// entry fabricates a distinguishable result entry.
+// entry fabricates a distinguishable result entry, with a summary.
 func entry(seed int) sweep.Entry {
 	return sweep.Entry{
 		Job: sweep.Job{
 			Topo: sweep.TopoSpec{Kind: "SF", Q: 5}, Algo: "min",
 			Pattern: "uniform", Load: float64(seed) / 100, Seed: 1,
 		},
-		Result:  sim.Result{Delivered: int64(seed), AvgLatency: float64(seed) * 1.5, ActiveEnds: 50},
+		Result: sim.Result{Delivered: int64(seed), AvgLatency: float64(seed) * 1.5, ActiveEnds: 50},
+		Metrics: &metrics.Summary{
+			Latency:  &metrics.LatencyStats{Count: int64(seed), Min: 3, Max: 9, Mean: 4.5, P50: 4, P95: 8, P99: 9},
+			Channels: &metrics.ChannelStats{Loaded: 4, Total: 8, MaxUtil: 0.5, MeanUtil: 0.25, Hottest: []metrics.ChannelLoad{{Router: 1, Port: 2, Flits: 40, Util: 0.5}}},
+		},
 		Elapsed: 0.25,
 	}
+}
+
+// roundTrip is what a Get of e must return: the decoding of the document
+// Put writes for it.
+func roundTrip(t *testing.T, e sweep.Entry) sweep.Entry {
+	t.Helper()
+	var got sweep.Entry
+	if err := json.Unmarshal(stored(t, e), &got); err != nil {
+		t.Fatal(err)
+	}
+	return got
 }
 
 // stored is the document Put writes for e: its indented encoding under
@@ -342,18 +358,21 @@ func Run(t *testing.T, b Backend) {
 		first, second := entry(9), entry(9)
 		second.Result.Delivered++
 		second.Elapsed = 0.75 // same length as 0.25: only the inode tells
+		second.Metrics.Latency.P50 = 5
 		path := key[:2] + "/" + key + ".json"
 		warm := func(t *testing.T, s sweep.Store, e sweep.Entry) {
 			t.Helper()
-			want := stored(t, e)
+			want, wantEntry := stored(t, e), roundTrip(t, e)
 			for i := 0; i < 2; i++ {
 				doc, ok := s.Raw(key)
 				if !ok || !bytes.Equal(doc, want) {
 					t.Fatalf("Raw = %q, %v; want the stored document", doc, ok)
 				}
 				got, ok := s.Get(key)
-				if !ok || got.Result != e.Result || got.Elapsed != e.Elapsed {
-					t.Fatalf("Get = %+v, %v; want %+v", got.Result, ok, e.Result)
+				if !ok || !reflect.DeepEqual(got, wantEntry) {
+					gotDoc, _ := json.Marshal(got)
+					wantDoc, _ := json.Marshal(wantEntry)
+					t.Fatalf("Get = %s, %v; want %s", gotDoc, ok, wantDoc)
 				}
 			}
 		}
