@@ -24,7 +24,14 @@ import (
 // referenced by a non-test file of some package (its own included) or by
 // a test file of another package. An export only its own tests reach is
 // test code living in the program; an export nothing reaches is dead.
-// Methods and struct fields are out of scope.
+//
+// Exported methods of exported named types are judged too, by a rule that
+// may miss a dead method but never flags a live one: a method is live
+// when a non-test file refers to it (through Origin for generic types),
+// when its name is a method of an interface the module declares or uses,
+// or of one the runtime checks dynamically (dynamicMethods), or when
+// another package's test file selects its name. Struct fields are out of
+// scope.
 //
 // It is a test and not an analyzer because judging a package needs every
 // importer of it, while analysis.Run visits one package at a time in
@@ -49,15 +56,27 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.OwnTestOnly", "lib.Unused", "lib.XTestOnly"}
+	want := []string{"lib.OwnTestOnly", "lib.T.Method", "lib.T.OwnTestMethod", "lib.Unused", "lib.XTestOnly"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Fatalf("reported %q, want %q", dead, want)
 	}
 }
 
+// dynamicMethods are the methods of standard-library interfaces that the
+// runtime finds by a dynamic type check (fmt, encoding/json, errors,
+// net/http, io, sort), so a type may satisfy them without the module
+// naming the interface.
+var dynamicMethods = map[string]bool{
+	"String": true, "Error": true, "Format": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"Unwrap": true, "ServeHTTP": true, "Read": true, "Write": true, "Close": true,
+	"Len": true, "Less": true, "Swap": true,
+}
+
 // testOnlyExports loads every package of the module at dir and returns,
 // sorted, the exports of its non-main packages that no non-test file and
-// no other package's test file references, as "pkgname.Name".
+// no other package's test file references, as "pkgname.Name" or
+// "pkgname.Type.Method".
 func testOnlyExports(dir string) ([]string, error) {
 	loader := analysis.NewLoader(dir)
 	pkgs, err := loader.Load("./...")
@@ -65,22 +84,35 @@ func testOnlyExports(dir string) ([]string, error) {
 		return nil, err
 	}
 	used := map[types.Object]bool{}
+	ifaceMethods := map[string]bool{}
 	byPath := map[string]*types.Package{}
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p.Pkg
 		for _, obj := range p.Info.Uses {
+			if f, ok := obj.(*types.Func); ok {
+				obj = f.Origin()
+			}
 			used[obj] = true
+		}
+		// Every expression's type: the interfaces the module declares,
+		// names or hands values to.
+		for _, tv := range p.Info.Types {
+			addIfaceMethods(ifaceMethods, tv.Type)
 		}
 	}
 
 	// Test files are parsed but not type-checked: a reference is a
-	// selector pkg.Name whose pkg is one of the file's imports.
+	// selector pkg.Name whose pkg is one of the file's imports, and any
+	// selector x.Name may call a method Name.
 	tested, err := listTestFiles(dir)
 	if err != nil {
 		return nil, err
 	}
+	testSelected := map[string]map[string]bool{} // import path -> names its tests select
 	fset := token.NewFileSet()
 	for _, tp := range tested {
+		selected := map[string]bool{}
+		testSelected[tp.ImportPath] = selected
 		for _, name := range append(tp.TestGoFiles, tp.XTestGoFiles...) {
 			f, err := parser.ParseFile(fset, filepath.Join(tp.Dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -104,6 +136,7 @@ func testOnlyExports(dir string) ([]string, error) {
 				if !ok {
 					return true
 				}
+				selected[sel.Sel.Name] = true
 				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != nil {
 					if obj := imports[x.Name].Scope().Lookup(sel.Sel.Name); obj != nil {
 						used[obj] = true
@@ -113,6 +146,14 @@ func testOnlyExports(dir string) ([]string, error) {
 			})
 		}
 	}
+	otherTestSelects := func(importPath, name string) bool {
+		for path, selected := range testSelected {
+			if path != importPath && selected[name] {
+				return true
+			}
+		}
+		return false
+	}
 
 	var dead []string
 	for _, p := range pkgs {
@@ -121,13 +162,47 @@ func testOnlyExports(dir string) ([]string, error) {
 		}
 		scope := p.Pkg.Scope()
 		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() && !used[obj] {
+			obj := scope.Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			if !used[obj] {
 				dead = append(dead, p.Pkg.Name()+"."+name)
+			}
+			named, ok := obj.Type().(*types.Named)
+			if !ok || named.Obj() != obj {
+				continue // not a type, or an alias
+			}
+			for m := range named.Methods() {
+				if m.Exported() && !used[m] && !ifaceMethods[m.Name()] && !dynamicMethods[m.Name()] &&
+					!otherTestSelects(p.ImportPath, m.Name()) {
+					dead = append(dead, p.Pkg.Name()+"."+name+"."+m.Name())
+				}
 			}
 		}
 	}
 	sort.Strings(dead)
 	return dead, nil
+}
+
+// addIfaceMethods records the method names of t when t is an interface
+// (or a type parameter constrained by one), and of the interfaces among
+// the parameters and results when t is a function: passing a value to an
+// io.Writer parameter uses io.Writer.
+func addIfaceMethods(names map[string]bool, t types.Type) {
+	if sig, ok := t.(*types.Signature); ok {
+		for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
+			for v := range tuple.Variables() {
+				addIfaceMethods(names, v.Type())
+			}
+		}
+		return
+	}
+	if iface, ok := t.Underlying().(*types.Interface); ok {
+		for m := range iface.Methods() {
+			names[m.Name()] = true
+		}
+	}
 }
 
 type testedPkg struct {

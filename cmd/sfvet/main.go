@@ -1,10 +1,14 @@
-// Command sfvet is the repo's custom static checker: three analyzers that
+// Command sfvet is the repo's custom static checker: two analyzers that
 // turn the engine's load-bearing runtime invariants into compile-time
 // gates.
 //
 //	hotalloc    //sf:hotpath functions (and static callees) must not allocate
-//	keystable   every scenario.Spec field must enter Spec.Key or be a pinned exclusion
 //	detrand     no global RNG, wall clock or unordered map ranges in deterministic packages
+//
+// Two module-wide rules are tests rather than analyzers: every
+// scenario.Spec field enters Spec.Key or is a pinned exclusion
+// (TestSpecKeyFields in internal/scenario), and no export is reached only
+// by its own package's tests (TestNoTestOnlyExports here).
 //
 // Usage (the first line is the CI gate):
 //
@@ -24,12 +28,10 @@ import (
 	"slimfly/internal/analysis"
 	"slimfly/internal/analysis/detrand"
 	"slimfly/internal/analysis/hotalloc"
-	"slimfly/internal/analysis/keystable"
 )
 
 var all = []*analysis.Analyzer{
 	hotalloc.Analyzer,
-	keystable.Analyzer,
 	detrand.Analyzer,
 }
 

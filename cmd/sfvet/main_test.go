@@ -7,7 +7,7 @@ import (
 )
 
 // TestRepoInvariantsClean is the integration gate: the whole module must
-// satisfy its own three invariants. A failure here reproduces locally with
+// satisfy its own invariants. A failure here reproduces locally with
 //
 //	go run ./cmd/sfvet ./...
 func TestRepoInvariantsClean(t *testing.T) {
@@ -31,7 +31,7 @@ func TestList(t *testing.T) {
 			t.Fatalf("-list exited %d, want 0", code)
 		}
 	})
-	for _, name := range []string{"hotalloc", "keystable", "detrand"} {
+	for _, name := range []string{"hotalloc", "detrand"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-list output lacks analyzer %q:\n%s", name, out)
 		}

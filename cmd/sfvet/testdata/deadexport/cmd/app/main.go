@@ -2,6 +2,8 @@
 package main
 
 import (
+	"flag"
+
 	"fixture/lib"
 	"fixture/other"
 )
@@ -12,4 +14,6 @@ func Exported() {}
 func main() {
 	lib.MainUsed()
 	other.Use()
+	other.Describe()
+	other.Register(flag.CommandLine)
 }

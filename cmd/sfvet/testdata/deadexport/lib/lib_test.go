@@ -6,4 +6,5 @@ func TestOwn(t *testing.T) {
 	if OwnTestOnly != 1 {
 		t.Fatal(OwnTestOnly)
 	}
+	T{}.OwnTestMethod()
 }

@@ -8,7 +8,11 @@ import (
 
 func TestOther(t *testing.T) {
 	l.OtherTestUsed()
-	if Use() != 1 {
+	l.T{}.OtherTestMethod()
+	if Use() != 5 {
 		t.Fatal(Use())
+	}
+	if Describe() != "label x" {
+		t.Fatal(Describe())
 	}
 }

@@ -36,7 +36,6 @@ func main() {
 		ttl       = flag.Duration("ttl", 30*time.Second, "lease duration per claim; a dead worker's job is requeued within this")
 		poll      = flag.Duration("poll", 500*time.Millisecond, "idle backoff between empty claims")
 		idleExit  = flag.Duration("idle-exit", 0, "exit after this long without work (0: poll forever)")
-		hold      = flag.Duration("hold", 0, "testing: sleep this long between claiming and executing each job")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address")
 	)
 	flag.Parse()
@@ -65,7 +64,7 @@ func main() {
 	rs := sweep.OpenRemote(*server, *token)
 	fmt.Fprintf(os.Stderr, "sfworker: %s working for %s (ttl %s)\n", *owner, rs.URL(), *ttl)
 	stats, err := sweep.Work(ctx, rs, sweep.NewEnv(), sweep.WorkerOptions{
-		Owner: *owner, TTL: *ttl, Poll: *poll, IdleExit: *idleExit, Hold: *hold,
+		Owner: *owner, TTL: *ttl, Poll: *poll, IdleExit: *idleExit,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "sfworker: "+format+"\n", args...)
 		},

@@ -330,14 +330,6 @@ func (f *Field) Mul(a, b int) int {
 	return f.exp[f.log[a]+f.log[b]]
 }
 
-// Inv returns the multiplicative inverse of a. It panics on a == 0.
-func (f *Field) Inv(a int) int {
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	return f.exp[f.Q-1-f.log[a]]
-}
-
 // Div returns a / b. It panics on b == 0.
 //
 //sf:hotpath
@@ -369,25 +361,4 @@ func (f *Field) PrimitiveElement() int {
 		return 1
 	}
 	return f.exp[1]
-}
-
-// Order returns the multiplicative order of a (smallest e > 0 with a^e = 1).
-// It panics on a == 0.
-func (f *Field) Order(a int) int {
-	if a == 0 {
-		panic("gf: order of zero")
-	}
-	l := f.log[a]
-	if l == 0 {
-		return 1
-	}
-	g := gcd(l, f.Q-1)
-	return (f.Q - 1) / g
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

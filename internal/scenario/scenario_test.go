@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -381,6 +382,76 @@ func TestKeyGolden(t *testing.T) {
 	for _, c := range cases {
 		if got := c.spec.Key(); got != c.want {
 			t.Errorf("%s: Key() = %s, want %s (encoding changed: bump CacheFormat)", c.spec.Label(), got, c.want)
+		}
+	}
+}
+
+// keyExclusions are the fields reachable from Spec, as "Type.Field", that
+// must stay out of Spec.Key: reviewed execution knobs outside a scenario's
+// identity. Growing this list is a reviewed decision, and the field needs
+// json:"-" as well.
+var keyExclusions = map[string]bool{
+	"SimParams.Workers": true, // ignored by the engine; kept only because cmd/sfbench sets it
+}
+
+// TestSpecKeyFields guards the sweep cache's content address field by
+// field. Every field reachable from Spec must be exported, carry an
+// explicit json tag, and change Spec.Key when set to a non-zero value; a
+// pinned exclusion must leave the key alone instead. A field that enters
+// the key by neither its tag nor its value lets two different scenarios
+// share one cache entry, in every worker that reads the store.
+func TestSpecKeyFields(t *testing.T) {
+	base := scenario.Spec{}.Key()
+	seen := map[string]bool{}
+	var walk func(index []int, typ reflect.Type)
+	walk = func(index []int, typ reflect.Type) {
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			name := typ.Name() + "." + f.Name
+			if !f.IsExported() {
+				t.Errorf("%s is unexported: json.Marshal skips it, so it never enters Spec.Key", name)
+				continue
+			}
+			if _, ok := f.Tag.Lookup("json"); !ok {
+				t.Errorf("%s has no json tag: its place in Spec.Key must be explicit", name)
+				continue
+			}
+			idx := slices.Concat(index, []int{i})
+			if f.Type.Kind() == reflect.Struct {
+				walk(idx, f.Type)
+				continue
+			}
+			var s scenario.Spec
+			v := reflect.ValueOf(&s).Elem().FieldByIndex(idx)
+			switch v.Kind() {
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				v.SetInt(1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(1)
+			case reflect.Float32, reflect.Float64:
+				v.SetFloat(1)
+			case reflect.String:
+				v.SetString("x")
+			default:
+				t.Errorf("%s has kind %s, which this test cannot set", name, v.Kind())
+				continue
+			}
+			seen[name] = true
+			changed := s.Key() != base
+			switch {
+			case keyExclusions[name] && changed:
+				t.Errorf("%s is a pinned exclusion but changes Spec.Key", name)
+			case !keyExclusions[name] && !changed:
+				t.Errorf("%s leaves Spec.Key unchanged: specs differing only here would share one cache entry", name)
+			}
+		}
+	}
+	walk(nil, reflect.TypeFor[scenario.Spec]())
+	for name := range keyExclusions {
+		if !seen[name] {
+			t.Errorf("exclusion %s names no field reachable from Spec", name)
 		}
 	}
 }

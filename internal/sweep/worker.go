@@ -29,10 +29,6 @@ type WorkerOptions struct {
 	// IdleExit, when positive, ends the loop (without error) after this
 	// long without any work. 0 polls forever.
 	IdleExit time.Duration
-	// Hold, when positive, sleeps between claiming a job and executing
-	// it, with the heartbeat running. It exists for the kill-a-worker
-	// integration tests: a held worker is reliably "mid-lease".
-	Hold time.Duration
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -120,12 +116,6 @@ func Work(ctx context.Context, rs *RemoteStore, env *Env, opts WorkerOptions) (W
 			}
 		}()
 
-		if opts.Hold > 0 {
-			select {
-			case <-time.After(opts.Hold):
-			case <-ctx.Done():
-			}
-		}
 		jr := runJob(env, rs, *grant.Job)
 		close(stop)
 		<-hbDone

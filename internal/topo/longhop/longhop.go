@@ -105,7 +105,3 @@ func New(n, extra int) (*LongHop, error) {
 	}
 	return lh, nil
 }
-
-// DesignBisection returns the Long Hop design-target bisection bandwidth in
-// links, 3N/2 (Section III-C of the paper).
-func (lh *LongHop) DesignBisection() int { return 3 * lh.N / 2 }

@@ -83,3 +83,7 @@ func TestDesignBisection(t *testing.T) {
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(8, 4)
 }
+
+// DesignBisection returns the Long Hop design-target bisection bandwidth in
+// links, 3N/2 (Section III-C of the paper).
+func (lh *LongHop) DesignBisection() int { return 3 * lh.N / 2 }

@@ -286,14 +286,9 @@ func symmetric(f *gf.Field, set []int) bool {
 	return true
 }
 
-// RouterID maps a router label (s, a, b) -- s in {0,1}, a,b in GF(q) -- to
-// its dense vertex id. Subgraph 0 routers are (0, x, y); subgraph 1 routers
-// are (1, m, c).
-func (sf *SlimFly) RouterID(s, a, b int) int {
-	return s*sf.Q*sf.Q + a*sf.Q + b
-}
-
-// RouterLabel is the inverse of RouterID.
+// RouterLabel maps a dense vertex id to its router label (s, a, b) -- s in
+// {0,1}, a,b in GF(q), with id = s*q*q + a*q + b. Subgraph 0 routers are
+// (0, x, y); subgraph 1 routers are (1, m, c).
 func (sf *SlimFly) RouterLabel(id int) (s, a, b int) {
 	if id >= sf.Q*sf.Q {
 		s = 1

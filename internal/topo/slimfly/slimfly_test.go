@@ -273,3 +273,10 @@ func BenchmarkConstructQ32(b *testing.B) {
 		}
 	}
 }
+
+// RouterID maps a router label (s, a, b) -- s in {0,1}, a,b in GF(q) -- to
+// its dense vertex id. Subgraph 0 routers are (0, x, y); subgraph 1 routers
+// are (1, m, c).
+func (sf *SlimFly) RouterID(s, a, b int) int {
+	return s*sf.Q*sf.Q + a*sf.Q + b
+}
