@@ -243,6 +243,35 @@ func TestSpecValidateBuffers(t *testing.T) {
 	// drawn from each field's edges. With num_vcs explicit, Validate passes
 	// exactly when Env.Config and sim.New do; at num_vcs 0 the VC count is
 	// only known to sim.New, so Validate must pass whatever sim.New accepts.
+	gen := edgeSpecs()
+	for _, kind := range roster.Kinds() {
+		ts := scenario.TopoSpec{Kind: string(kind), N: 64, Seed: 1}
+		for _, algo := range names(scenario.Algos) {
+			if !scenario.Compatible(ts, algo) {
+				continue
+			}
+			for _, g := range gen {
+				spec := g
+				spec.Topo, spec.Algo, spec.Pattern, spec.Seed = ts, algo, "uniform", 1
+				verr := spec.Validate()
+				cfg, nerr := env.Config(spec)
+				if nerr == nil {
+					_, nerr = sim.New(cfg)
+				}
+				if spec.Sim.NumVCs != 0 && (verr == nil) != (nerr == nil) ||
+					spec.Sim.NumVCs == 0 && nerr == nil && verr != nil {
+					t.Errorf("%s %s load %v %+v: Validate = %v, sim.New = %v", ts, algo, spec.Load, spec.Sim, verr, nerr)
+				}
+			}
+		}
+	}
+}
+
+// edgeSpecs generates spec bodies without topology, algorithm or pattern:
+// SimParams and loads drawn from each field's edges, 24 at random and then
+// each edge alone (the rest at their defaults and load 0.1), again with
+// num_vcs explicit when the edge leaves it 0.
+func edgeSpecs() []scenario.Spec {
 	edges := struct {
 		window, count, buf, delay, speedup []int
 		loads                              []float64
@@ -305,27 +334,7 @@ func TestSpecValidateBuffers(t *testing.T) {
 	for _, v := range edges.metrics {
 		one(func(s *scenario.Spec) { s.Sim.Metrics = v })
 	}
-	for _, kind := range roster.Kinds() {
-		ts := scenario.TopoSpec{Kind: string(kind), N: 64, Seed: 1}
-		for _, algo := range names(scenario.Algos) {
-			if !scenario.Compatible(ts, algo) {
-				continue
-			}
-			for _, g := range gen {
-				spec := g
-				spec.Topo, spec.Algo, spec.Pattern, spec.Seed = ts, algo, "uniform", 1
-				verr := spec.Validate()
-				cfg, nerr := env.Config(spec)
-				if nerr == nil {
-					_, nerr = sim.New(cfg)
-				}
-				if spec.Sim.NumVCs != 0 && (verr == nil) != (nerr == nil) ||
-					spec.Sim.NumVCs == 0 && nerr == nil && verr != nil {
-					t.Errorf("%s %s load %v %+v: Validate = %v, sim.New = %v", ts, algo, spec.Load, spec.Sim, verr, nerr)
-				}
-			}
-		}
-	}
+	return gen
 }
 
 func TestSpecJSONRoundTrip(t *testing.T) {

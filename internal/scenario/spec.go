@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strings"
+	"sync/atomic"
 
+	"slimfly/internal/obs"
 	"slimfly/internal/sim"
 )
 
@@ -146,16 +149,79 @@ func (s Spec) Label() string {
 // (or two runs of the same sweep) computing the key for the same
 // configuration always agree, which is what makes the sweep cache
 // resumable.
+//
+// Keys are memoised by the spec's value in keyMemoSlots direct-mapped
+// slots, chosen by keySlot, each holding one immutable {spec, key} pair.
+// A hit is one hash, one load and one comparison and allocates nothing; a
+// miss encodes (json.Marshal stays the only definition of the key),
+// counts scenario.key_encodes and swaps its pair into the slot. A hit
+// also compares Load's bits: == calls -0 equal to 0, but the encoding
+// spells them apart. A NaN load equals nothing, so it always misses and
+// panics in the encoder as before. Workers is zeroed before the lookup,
+// since it stays out of the key. The memo is an 8 KiB slot array and at
+// most 1 024 pairs of 272 bytes (272 KiB), each allocated when a miss
+// fills its slot.
 func (s Spec) Key() string {
+	s.Sim.Workers = 0
+	slot := &keyMemo[keySlot(s)]
+	if m := slot.Load(); m != nil && m.spec == s && math.Float64bits(m.spec.Load) == math.Float64bits(s.Load) {
+		return m.key
+	}
+	obsKeyEncodes.Inc()
 	enc, err := json.Marshal(s)
 	if err != nil {
-		panic(fmt.Sprintf("scenario: spec not marshallable: %v", err)) // struct of scalars; cannot fail
+		panic(fmt.Sprintf("scenario: spec not marshallable: %v", err)) // a NaN or infinite load, which Validate refuses
 	}
 	h := sha256.New()
 	io.WriteString(h, CacheFormat)
 	h.Write([]byte{'\n'})
 	h.Write(enc)
-	return hex.EncodeToString(h.Sum(nil))
+	key := hex.EncodeToString(h.Sum(nil))
+	slot.Store(&keyPair{spec: s, key: key})
+	return key
+}
+
+// keyMemoSlots is the number of slots in Key's memo.
+const keyMemoSlots = 1 << 10
+
+// keyPair is one memoised key; a pair in a slot is never modified.
+type keyPair struct {
+	spec Spec
+	key  string
+}
+
+var (
+	keyMemo       [keyMemoSlots]atomic.Pointer[keyPair]
+	obsKeyEncodes = obs.NewCounter("scenario.key_encodes")
+)
+
+// keySlot returns s's slot in Key's memo: FNV-1a over every field, one
+// word per number and one byte per string byte, then MurmurHash3's
+// finaliser, so that a change in any bit can move the slot.
+func keySlot(s Spec) uint64 {
+	h := uint64(14695981039346656037)
+	word := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	str := func(v string) {
+		for i := 0; i < len(v); i++ {
+			word(uint64(v[i]))
+		}
+		word(uint64(len(v)))
+	}
+	t, p := s.Topo, s.Sim
+	str(t.Kind)
+	str(s.Algo)
+	str(s.Pattern)
+	str(p.Metrics)
+	for _, x := range [...]int{t.N, t.Q, t.P, p.Warmup, p.Measure, p.Drain, p.NumVCs, p.BufPerPort,
+		p.RouterDelay, p.ChannelDelay, p.CreditDelay, p.Speedup} {
+		word(uint64(x))
+	}
+	word(t.Seed)
+	word(s.Seed)
+	word(math.Float64bits(s.Load))
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return (h ^ h>>33) % keyMemoSlots
 }
 
 // Validate checks the spec names against the registries (with valid names

@@ -3,9 +3,12 @@ package sweep
 import (
 	"context"
 	"encoding/json"
+	"iter"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"slimfly/internal/obs"
 )
 
 // e2eSpec is a 24-point sweep on tiny networks: 1 topology x 2 patterns x
@@ -185,6 +188,40 @@ func TestRunTasksPositional(t *testing.T) {
 		}
 		if r.Key != jobs[i].Key() {
 			t.Errorf("result %d key mismatch", i)
+		}
+	}
+}
+
+// hitStore serves every key as a hit: a warm pass with no store cost.
+type hitStore struct{}
+
+func (hitStore) Get(string) (Entry, bool)       { return Entry{}, true }
+func (hitStore) Raw(string) ([]byte, bool)      { return nil, false }
+func (hitStore) Put(string, Entry) error        { return nil }
+func (hitStore) Keys() iter.Seq2[string, error] { return func(func(string, error) bool) {} }
+
+// TestWarmPassKeyEncodes pins what Spec.Key's memo saves the claim loop:
+// the first pass over a grid encodes each job's key once
+// (scenario.key_encodes), and a repeated pass encodes none. The grid's 24
+// specs, at seeds no other test uses, fall into 24 distinct memo slots;
+// two sharing one would each be encoded again on every pass.
+func TestWarmPassKeyEncodes(t *testing.T) {
+	encodes := obs.NewCounter("scenario.key_encodes")
+	spec := e2eSpec()
+	spec.Seeds = []uint64{9001, 9002}
+	jobs, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := NewEnv()
+	for pass, want := range []int64{int64(len(jobs)), 0, 0} {
+		before := encodes.Value()
+		_, st, err := RunJobs(context.Background(), jobs, env, Options{Workers: 2, Store: hitStore{}})
+		if err != nil || st.Cached != len(jobs) {
+			t.Fatalf("pass %d: stats %+v, err %v; want all %d cached", pass, st, err, len(jobs))
+		}
+		if got := encodes.Value() - before; got != want {
+			t.Errorf("pass %d over %d jobs encoded %d keys, want %d", pass, len(jobs), got, want)
 		}
 	}
 }

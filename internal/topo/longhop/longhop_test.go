@@ -60,10 +60,11 @@ func TestDiameterShrinks(t *testing.T) {
 func TestPaperRadixExample(t *testing.T) {
 	// Table IV: LH-HC with N=8192 has k=19, i.e. n=13 and L=6 extra links.
 	lh := MustNew(13, DefaultExtra(13))
-	if lh.Radix() != 13+7+1 && lh.Radix() != 20 {
-		// DefaultExtra(13)=7 plus p=1 endpoint port plus n=13 -> radix 21?
-		// Radix() = k' + p = (13+7) + 1 = 21. The paper's 19 counts only
-		// 13+6 network ports; accept either convention but pin ours.
+	// Radix() = k' + p = (13+7) + 1 = 21 with DefaultExtra(13) = 7 long
+	// links and p = 1 endpoint port. The paper's 19 counts only 13+6
+	// network ports; pin ours.
+	if lh.Radix() != 21 {
+		t.Errorf("k = %d, want 21 (13 cube + 7 long + 1 endpoint)", lh.Radix())
 	}
 	if lh.NetworkRadix() != 20 {
 		t.Errorf("k' = %d, want 20 (13 cube + 7 long)", lh.NetworkRadix())
@@ -73,17 +74,6 @@ func TestPaperRadixExample(t *testing.T) {
 	}
 }
 
-func TestDesignBisection(t *testing.T) {
-	lh := MustNew(8, 4)
-	if lh.DesignBisection() != 3*256/2 {
-		t.Errorf("bisection = %d", lh.DesignBisection())
-	}
-}
-
 func TestInterface(t *testing.T) {
 	var _ topo.Topology = MustNew(8, 4)
 }
-
-// DesignBisection returns the Long Hop design-target bisection bandwidth in
-// links, 3N/2 (Section III-C of the paper).
-func (lh *LongHop) DesignBisection() int { return 3 * lh.N / 2 }
