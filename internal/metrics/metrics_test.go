@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -362,6 +363,37 @@ func TestRegistry(t *testing.T) {
 	}
 	if err := CheckNames("all"); err != nil {
 		t.Errorf("all rejected: %v", err)
+	}
+}
+
+// TestCheckNamesWalk pins CheckNames to the selection ParseNames splits:
+// its error, or nil, is the one New gives on the first bad name of that
+// list, for unknown, empty and "all" selections alike; and a valid
+// selection is checked without allocating.
+func TestCheckNamesWalk(t *testing.T) {
+	ref := func(spec string) error {
+		for _, n := range ParseNames(spec) {
+			if _, err := New(n); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for _, spec := range []string{
+		"", " ", ",", " , ,", "latency", " latency , channels ,", "latency,,fairness",
+		"nope", "latency,nope", "nope,latency", "latency, no pe", "all", " all ", "all,latency", "ALL", "latency,all",
+	} {
+		got, want := fmt.Sprint(CheckNames(spec)), fmt.Sprint(ref(spec))
+		if got != want {
+			t.Errorf("CheckNames(%q) = %s, want %s", spec, got, want)
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if CheckNames("latency,channels,fairness") != nil {
+			t.Fatal("valid selection rejected")
+		}
+	}); a != 0 {
+		t.Errorf("CheckNames on a valid selection: %v allocs, want 0", a)
 	}
 }
 

@@ -184,6 +184,25 @@ func TestSpecValidateSimParams(t *testing.T) {
 	}
 }
 
+// TestCheckLimitsNoAllocs: a spec within the limits, collectors and
+// explicit buffers included, is checked without allocating; the first
+// broken rule still gets its error.
+func TestCheckLimitsNoAllocs(t *testing.T) {
+	spec := scenario.Spec{Topo: scenario.TopoSpec{Kind: "SF", Q: 5}, Algo: "min", Pattern: "uniform", Load: 0.5,
+		Sim: scenario.SimParams{Warmup: 50, Measure: 100, Drain: 500, NumVCs: 4, BufPerPort: 64, Metrics: "latency,channels"}}
+	if a := testing.AllocsPerRun(100, func() {
+		if spec.CheckLimits() != nil {
+			t.Fatal("spec within the limits refused")
+		}
+	}); a != 0 {
+		t.Errorf("CheckLimits on a valid spec: %v allocs, want 0", a)
+	}
+	spec.Sim.BufPerPort = 3
+	if err := spec.CheckLimits(); err == nil || !strings.Contains(err.Error(), "sim.num_vcs and buf_per_port") {
+		t.Errorf("3 flits across 4 VCs: CheckLimits = %v, want the buffering error naming both fields", err)
+	}
+}
+
 // TestSpecValidateCycleRange: a window sim.New would refuse as past the
 // int32 cycle stamps is refused at validation, zero fields counting as
 // their defaults (measure 5000, drain 20000, delays 2+1+2) exactly as in

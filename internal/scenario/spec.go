@@ -263,8 +263,12 @@ func (s Spec) simConfig() sim.Config {
 // sim.Config.Check on the spec's load and knobs, so a sweep that would fail
 // in sim.New fails once at submission, not once per job. Its only work is to
 // spell the fields a broken rule names by their JSON tags ("sim.num_vcs").
+// It allocates nothing on success.
 func (s Spec) CheckLimits() error {
 	err := s.simConfig().Check()
+	if err == nil {
+		return nil
+	}
 	var ce *sim.ConfigError
 	if !errors.As(err, &ce) {
 		return err

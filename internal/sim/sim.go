@@ -357,13 +357,13 @@ func (c Config) Check() error {
 	if int64(c.Speedup) > math.MaxInt32 { // the allocator stages against int32(Speedup)
 		return &ConfigError{[]string{"Speedup"}, "%s %d exceeds the int32 staging stamps' limit of %d", []any{c.Speedup, math.MaxInt32}}
 	}
-	if bufs := []string{"NumVCs", "BufPerPort"}; c.NumVCs > 0 {
+	if c.NumVCs > 0 {
 		if c.BufPerPort < c.NumVCs {
-			return &ConfigError{bufs, "%s: need at least 1 flit of buffering per VC: %d flits across %d VCs", []any{c.BufPerPort, c.NumVCs}}
+			return &ConfigError{[]string{"NumVCs", "BufPerPort"}, "%s: need at least 1 flit of buffering per VC: %d flits across %d VCs", []any{c.BufPerPort, c.NumVCs}}
 		}
 		// Depth is only a credit count, but the counters are int16.
 		if d := c.BufPerPort / c.NumVCs; d > math.MaxInt16 {
-			return &ConfigError{bufs, "%s: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", []any{d, math.MaxInt16}}
+			return &ConfigError{[]string{"NumVCs", "BufPerPort"}, "%s: %d flits of buffering per VC exceeds the int16 credit counters' limit of %d", []any{d, math.MaxInt16}}
 		}
 	}
 	// Packet stamps (Birth, ReadyAt) and credit due cycles are int32, with a

@@ -82,8 +82,9 @@ type Entry struct {
 // only Raw reads is never decoded. The memo holds at most
 // memoSlots*memoMaxDoc bytes of documents (64 MiB) plus one decoded
 // entry per slot: 1.4 KiB of heap for a latency,channels,fairness
-// entry (a 4.0-4.1 KiB document), 5.5 MiB over all 4 096 slots. It is
-// allocated on the first read.
+// entry (a 4.0-4.1 KiB document), 5.5 MiB over all 4 096 slots, and the
+// entry's path, the cache directory plus 72 bytes. It is allocated on the
+// first read.
 type Cache struct {
 	dir  string
 	root string // dir cleaned once by OpenCache: the prefix of every entry path
@@ -99,12 +100,14 @@ const (
 )
 
 // memoDoc is one memoised document: the exact bytes that passed
-// isStored, the identity of the file they were read from and, once a Get
-// has decoded them and checked their format, the decoded entry. A
-// memoDoc in a slot is never modified: Get keeps the entry by swapping
-// in a new memoDoc that carries it.
+// isStored, the path and identity of the file they were read from and,
+// once a Get has decoded them and checked their format, the decoded
+// entry. A hit stats the kept path, so it builds no string. A memoDoc in
+// a slot is never modified: Get keeps the entry by swapping in a new
+// memoDoc that carries it.
 type memoDoc struct {
 	key   string
+	path  string
 	data  []byte
 	file  os.FileInfo
 	entry *Entry
@@ -179,7 +182,9 @@ func (c *Cache) Get(key string) (Entry, bool) {
 	// slot: nothing has dropped or replaced it since load returned it. A
 	// document too large, or not shaped the way Put writes it, was never
 	// in the slot, so its entry is not kept.
-	c.slot(key).CompareAndSwap(m, &memoDoc{key: key, data: m.data, file: m.file, entry: &e})
+	kept := *m
+	kept.entry = &e
+	c.slot(key).CompareAndSwap(m, &kept)
 	return e, true
 }
 
@@ -207,15 +212,15 @@ func (c *Cache) Raw(key string) ([]byte, bool) {
 // that Stat counts. A stored document small enough is memoised with
 // that identity.
 func (c *Cache) load(key string) (*memoDoc, bool) {
-	path := c.path(key)
 	slot := c.slot(key)
 	if m := slot.Load(); m != nil && m.key == key {
-		if fi, err := os.Stat(path); err == nil && sameFile(fi, m.file) {
+		if fi, err := os.Stat(m.path); err == nil && sameFile(fi, m.file) {
 			obsMemoHits.Inc()
 			return m, true
 		}
 		slot.CompareAndSwap(m, nil)
 	}
+	path := c.path(key)
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, false
@@ -230,7 +235,7 @@ func (c *Cache) load(key string) (*memoDoc, bool) {
 		return nil, false
 	}
 	obsFileReads.Inc()
-	m := &memoDoc{key: key, data: data, file: fi}
+	m := &memoDoc{key: key, path: path, data: data, file: fi}
 	stored := isStored(data)
 	if stored && len(data) <= memoMaxDoc {
 		slot.Store(m)

@@ -109,7 +109,7 @@ func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, err
 // flight run to their result), the unclaimed ones are counted in
 // Stats.Skipped, and the context error is returned.
 func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResult, Stats, error) {
-	p := &pool{ctx: ctx, q: NewQueue(), led: opts.Progress, onDone: opts.OnDone}
+	p := &pool{done: ctx.Done(), q: NewQueue(), led: opts.Progress, onDone: opts.OnDone}
 	if p.led == nil {
 		p.led = NewProgress(len(jobs), opts.Workers)
 	}
@@ -119,30 +119,47 @@ func RunJobs(ctx context.Context, jobs []Job, env *Env, opts Options) ([]JobResu
 		nw := cmp.Or(max(opts.Workers, 0), runtime.GOMAXPROCS(0))
 		p.q.Serve(min(nw, len(jobs)), env, opts.Store)
 	}
-	// Serve returned once every claimed job had its result.
-	return p.led.Results(), p.led.Stats(), ctx.Err()
+	// Serve returned once every claimed job had its result, so nothing
+	// writes the ledger any more: a private one's results are handed over
+	// as they are, and a caller's ledger, which the caller may still be
+	// reading, is copied.
+	results := p.led.results
+	if opts.Progress != nil {
+		results = p.led.Results()
+	}
+	return results, p.led.Stats(), ctx.Err()
 }
 
 // pool is RunJobs' Sink: the sweep's ledger, the caller's OnDone, and the
 // drain that ends Serve once every job is claimed (claimed jobs still run
-// to their result) or ctx is cancelled. Draining in Finish, on the worker
+// to their result) or ctx is cancelled. Draining in Claimed, on the worker
+// that took the last job, lets the others return at once instead of
+// waiting for a job that will not come; draining in Finish, on the worker
 // that saw the cancellation, means no worker claims another job after it.
+// Neither takes a lock: Pending is an atomic load and done is polled.
 type pool struct {
-	ctx    context.Context
+	done   <-chan struct{} // ctx.Done(): nil for a context never cancelled
 	q      *Queue
 	led    *Progress
 	onDone func(int, JobResult)
 }
 
-func (p *pool) Claimed() { p.led.JobStarted() }
+func (p *pool) Claimed() {
+	p.led.JobStarted()
+	if p.q.Pending() == 0 {
+		p.q.Drain()
+	}
+}
 
 func (p *pool) Finish(idx int, jr JobResult) {
 	p.led.Finish(idx, jr)
 	if p.onDone != nil {
 		p.onDone(idx, jr)
 	}
-	if p.q.Pending() == 0 || p.ctx.Err() != nil {
+	select {
+	case <-p.done: // cancelled; polled, as ctx.Err would take a lock
 		p.q.Drain()
+	default:
 	}
 }
 
@@ -155,8 +172,17 @@ func (p *pool) Finish(idx int, jr JobResult) {
 // remote worker, or a resumed run of any of them.
 //
 // The third parameter is ignored; it stays only because cmd/sfbench passes it.
-func Execute(t Task, store Store, _ int) (jr JobResult) {
-	jr = JobResult{Job: t.Job, Key: t.Key}
+func Execute(t Task, store Store, _ int) JobResult {
+	return execute(t.Job, t.Key, t.Build, store)
+}
+
+// execute is Execute with the task's fields as parameters. Escape
+// analysis judges a parameter whole, and a task's key goes to the store
+// (an interface call, so to the heap): passed apart from it, the build
+// closure stays where its caller made it, and a cache hit in runJob
+// allocates nothing here.
+func execute(job Job, key string, build func() (sim.Config, error), store Store) (jr JobResult) {
+	jr = JobResult{Job: job, Key: key}
 	obsInFlight.Add(1)
 	defer func() {
 		if p := recover(); p != nil {
@@ -168,8 +194,8 @@ func Execute(t Task, store Store, _ int) (jr JobResult) {
 			obsJobsFailed.Inc()
 		}
 	}()
-	if store != nil && t.Key != "" {
-		if e, ok := store.Get(t.Key); ok {
+	if store != nil && key != "" {
+		if e, ok := store.Get(key); ok {
 			obsCacheHits.Inc()
 			jr.Result = e.Result
 			jr.Metrics = e.Metrics
@@ -178,7 +204,7 @@ func Execute(t Task, store Store, _ int) (jr JobResult) {
 		}
 		obsCacheMisses.Inc()
 	}
-	cfg, err := t.Build()
+	cfg, err := build()
 	if err != nil {
 		jr.Err = err.Error()
 		return jr
@@ -193,13 +219,13 @@ func Execute(t Task, store Store, _ int) (jr JobResult) {
 	jr.Result = res
 	jr.Metrics = sum
 	jr.Elapsed = time.Since(start).Seconds()
-	if store != nil && t.Key != "" {
+	if store != nil && key != "" {
 		// A failed store write only degrades future runs to recomputation
 		// -- the result itself is still good -- but it must not be
 		// silent: a read-only or full cache volume would otherwise turn
 		// every future run into permanent recomputation with no signal.
-		if err := store.Put(t.Key, Entry{
-			Job: t.Job, Result: res, Metrics: sum, Elapsed: jr.Elapsed, Created: time.Now().UTC(),
+		if err := store.Put(key, Entry{
+			Job: job, Result: res, Metrics: sum, Elapsed: jr.Elapsed, Created: time.Now().UTC(),
 		}); err != nil {
 			obsCachePutErrors.Inc()
 			jr.StoreErr = err.Error()

@@ -5,25 +5,27 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Progress is a sweep's ledger, guarded by one mutex: it counts claims
-// (JobStarted, JobAbandoned) and records each finished job once, by index
-// (Finish, the only place a result is classified as failed, cached or
-// executed). Every count and result a caller reads comes from it. RunJobs
-// keeps one per sweep (Options.Progress, or its own), sfsweepd one per
-// submitted sweep. The ETA divides the average execution time of the jobs
-// simulated so far across the effective parallelism (cache hits are free).
+// Progress is a sweep's ledger: it counts claims (JobStarted,
+// JobAbandoned, on an atomic counter, so a claim takes no lock here) and
+// records each finished job once, by index, under one mutex (Finish, the
+// only place a result is classified as failed, cached or executed). Every
+// count and result a caller reads comes from it. RunJobs keeps one per
+// sweep (Options.Progress, or its own), sfsweepd one per submitted sweep.
+// The ETA divides the average execution time of the jobs simulated so far
+// across the effective parallelism (cache hits are free).
 type Progress struct {
 	workers int
 	start   time.Time
+	started atomic.Int64 // claims not abandoned
 
 	mu      sync.Mutex
 	results []JobResult // positional: results[i] is job i's, once reached[i]
 	reached []bool
 	st      Stats // Skipped is left 0 here; Stats derives it
-	started int   // claims not abandoned
 	execNS  int64 // summed execution time of executed jobs
 }
 
@@ -40,20 +42,12 @@ func NewProgress(total, workers int) *Progress {
 
 // JobStarted marks one job claimed by a worker; until its Finish, the job
 // counts as in flight.
-func (p *Progress) JobStarted() {
-	p.mu.Lock()
-	p.started++
-	p.mu.Unlock()
-}
+func (p *Progress) JobStarted() { p.started.Add(1) }
 
 // JobAbandoned undoes one JobStarted whose claim evaporated without a
 // finished job (a remote worker's lease expired and its job was requeued),
 // so a requeue leaves no phantom in-flight job behind.
-func (p *Progress) JobAbandoned() {
-	p.mu.Lock()
-	p.started--
-	p.mu.Unlock()
-}
+func (p *Progress) JobAbandoned() { p.started.Add(-1) }
 
 // Finish records job idx's result and reports whether it was the first
 // for idx. A second one (a lease that expired right at the completion
@@ -136,8 +130,12 @@ type Snapshot struct {
 	JobsPerSec float64       `json:"jobs_per_sec"` // finished jobs per wall-clock second
 }
 
-// Snapshot returns the current counters, rate and ETA.
+// Snapshot returns the current counters, rate and ETA. Claims are counted
+// outside the lock, so they are read before it: a job finished in between
+// counts as done and not in flight, and InFlight never exceeds the claims
+// outstanding when Snapshot began.
 func (p *Progress) Snapshot() Snapshot {
+	started := int(p.started.Load())
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := p.statsLocked()
@@ -149,7 +147,7 @@ func (p *Progress) Snapshot() Snapshot {
 		Executed: st.Executed,
 		Elapsed:  time.Since(p.start),
 	}
-	s.InFlight = max(p.started-s.Done, 0)
+	s.InFlight = max(started-s.Done, 0)
 	if s.Done > 0 && s.Elapsed > 0 {
 		s.JobsPerSec = float64(s.Done) / s.Elapsed.Seconds()
 	}

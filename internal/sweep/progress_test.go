@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -173,6 +174,41 @@ func TestProgressFinishOnce(t *testing.T) {
 	}
 	if snap.InFlight != 1 {
 		t.Errorf("in-flight = %d, want 1 (two claims, one finished)", snap.InFlight)
+	}
+}
+
+// TestProgressConcurrentClaims: claims and abandoned claims move an
+// atomic counter and results go in under the ledger's lock. Driven from
+// several goroutines at once, with Snapshot read throughout, the counts
+// stay in range and agree once every job has finished.
+func TestProgressConcurrentClaims(t *testing.T) {
+	const n, workers = 400, 4
+	p := NewProgress(n, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				p.JobStarted()
+				if i%5 == 0 { // a lease that expired: claimed, abandoned, claimed again
+					p.JobAbandoned()
+					p.JobStarted()
+				}
+				if s := p.Snapshot(); s.InFlight < 0 || s.InFlight > workers || s.Done > n {
+					t.Errorf("snapshot mid-run: %+v", s)
+				}
+				p.Finish(i, JobResult{Cached: i%2 == 0, Elapsed: 0.001})
+			}
+		}()
+	}
+	wg.Wait()
+	s := p.Snapshot()
+	if s.InFlight != 0 || s.Done != n || s.Cached != n/2 || s.Executed != n/2 {
+		t.Errorf("final snapshot %+v", s)
+	}
+	if st := p.Stats(); st != (Stats{Total: n, Cached: n / 2, Executed: n / 2}) {
+		t.Errorf("final stats %+v", st)
 	}
 }
 

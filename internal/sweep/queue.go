@@ -3,6 +3,7 @@ package sweep
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"slimfly/internal/sim"
 )
@@ -21,8 +22,11 @@ type Queue struct {
 	cond     sync.Cond
 	active   []*Batch // batches with unclaimed jobs, submission order
 	rr       int      // round-robin cursor into active
-	pending  int      // unclaimed jobs across active
 	draining bool
+
+	// pending counts unclaimed jobs across active. It is written under mu
+	// and read without it, so Pending takes no lock.
+	pending atomic.Int64
 }
 
 // A Batch is one sweep as a Queue holds it: its jobs in expansion order
@@ -60,7 +64,7 @@ func (q *Queue) Submit(b *Batch) bool {
 		return false
 	}
 	if len(b.Jobs) > 0 && !b.removed { // a batch removed before it was submitted never runs
-		q.pending += len(b.Jobs)
+		q.pending.Add(int64(len(b.Jobs)))
 		obsQueueDepth.Add(int64(len(b.Jobs)))
 		q.enterLocked(b)
 	}
@@ -93,7 +97,7 @@ func (q *Queue) Claim(wait bool) (*Batch, int, error) {
 		idx = b.next
 		b.next++
 	}
-	q.pending--
+	q.pending.Add(-1)
 	obsQueueDepth.Add(-1)
 	if b.next == len(b.Jobs) && len(b.requeued) == 0 {
 		q.leaveLocked(q.rr) // fully claimed
@@ -114,7 +118,7 @@ func (q *Queue) Requeue(b *Batch, idx int) {
 		return
 	}
 	b.requeued = append(b.requeued, idx)
-	q.pending++
+	q.pending.Add(1)
 	obsQueueDepth.Add(1)
 	if !b.inActive {
 		q.enterLocked(b)
@@ -131,7 +135,7 @@ func (q *Queue) Remove(b *Batch) {
 		return
 	}
 	unclaimed := len(b.Jobs) - b.next + len(b.requeued)
-	q.pending -= unclaimed
+	q.pending.Add(-int64(unclaimed))
 	obsQueueDepth.Add(-int64(unclaimed))
 	q.leaveLocked(slices.Index(q.active, b))
 }
@@ -146,19 +150,15 @@ func (q *Queue) Drain() {
 			b.inActive = false
 		}
 		q.active = nil
-		obsQueueDepth.Add(-int64(q.pending))
-		q.pending = 0
+		obsQueueDepth.Add(-q.pending.Swap(0))
 	}
 	q.mu.Unlock()
 	q.cond.Broadcast()
 }
 
-// Pending is the number of queued jobs no one has claimed.
-func (q *Queue) Pending() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pending
-}
+// Pending is the number of queued jobs no one has claimed. It takes no
+// lock.
+func (q *Queue) Pending() int { return int(q.pending.Load()) }
 
 // enterLocked appends b to the rotation and wakes blocked claims.
 func (q *Queue) enterLocked(b *Batch) {
@@ -204,5 +204,5 @@ func (q *Queue) Serve(workers int, env *Env, store Store) {
 // lease loop alike: the job's Task, and so its Spec.Key, is built at
 // claim time and runs through Execute, its config built lazily by env.
 func runJob(env *Env, store Store, j Job) JobResult {
-	return Execute(Task{Job: j, Key: j.Key(), Build: func() (sim.Config, error) { return env.Config(j) }}, store, 0)
+	return execute(j, j.Key(), func() (sim.Config, error) { return env.Config(j) }, store)
 }

@@ -220,6 +220,54 @@ func TestQueueConcurrent(t *testing.T) {
 	}
 }
 
+// TestQueuePendingWhileClaiming: Pending takes no lock, so it is read
+// here while claimers drain a batch; with no requeue it only falls, never
+// leaves [0, jobs], and ends at 0 with every job claimed once.
+func TestQueuePendingWhileClaiming(t *testing.T) {
+	const jobs, claimers = 400, 4
+	q := NewQueue()
+	b := mkBatch("A", jobs)
+	q.Submit(b)
+	var wg sync.WaitGroup
+	for range claimers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				b, idx, err := q.Claim(false)
+				if err != nil || b == nil {
+					return
+				}
+				b.Sink.Finish(idx, JobResult{})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	last := jobs
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // one more read: the final count
+		default:
+		}
+		n := q.Pending()
+		if n < 0 || n > last {
+			t.Fatalf("pending %d after %d", n, last)
+		}
+		last = n
+	}
+	s := b.Sink.(*countSink)
+	for idx := range s.finished {
+		if n := s.finished[idx].Load(); n != 1 {
+			t.Errorf("job %d claimed %d times", idx, n)
+		}
+	}
+	if n := q.Pending(); n != 0 || s.claims.Load() != jobs {
+		t.Errorf("pending %d, claims %d; want 0 and %d", n, s.claims.Load(), jobs)
+	}
+}
+
 // TestRunJobsCancelSkipped: with one worker, cancelling from OnDone
 // after the fifth result drains the queue before any further claim, so
 // exactly five jobs ran and the rest are Skipped. A context cancelled

@@ -76,8 +76,17 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("sweep: spec %q: %w", s.Name, err)
 		}
 	}
-	for _, l := range s.Loads {
-		if err := (scenario.Spec{Load: l, Sim: s.Sim}).CheckLimits(); err != nil {
+	// The sim block and its collector names are the same for every load:
+	// the first load is checked with them, each later one alone (with the
+	// default block, which always passes). sim.Config.Check checks the load
+	// before the block, so the first error is the one a check of every
+	// load with the block would give.
+	for i, l := range s.Loads {
+		js := scenario.Spec{Load: l}
+		if i == 0 {
+			js.Sim = s.Sim
+		}
+		if err := js.CheckLimits(); err != nil {
 			return fmt.Errorf("sweep: spec %q: %w", s.Name, err)
 		}
 	}
@@ -90,9 +99,31 @@ func (s *Spec) Validate() error {
 // incompatible. Two calls on the same spec always yield the same list in
 // the same order.
 func (s *Spec) Expand() ([]Job, error) {
+	return ExpandAll([]*Spec{s})
+}
+
+// size validates the spec and counts its jobs: every compatible
+// topology/algorithm pair once per pattern, load and seed.
+func (s *Spec) size() (int, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
+	pairs := 0
+	for _, t := range s.Topos {
+		for _, a := range s.Algos {
+			if scenario.Compatible(t, a) {
+				pairs++
+			}
+		}
+	}
+	if pairs == 0 {
+		return 0, fmt.Errorf("sweep: spec %q expands to no compatible jobs", s.Name)
+	}
+	return pairs * max(len(s.Patterns), 1) * len(s.Loads) * max(len(s.Seeds), 1), nil
+}
+
+// appendJobs appends the spec's jobs to jobs, in Expand's order.
+func (s *Spec) appendJobs(jobs []Job) []Job {
 	patterns := s.Patterns
 	if len(patterns) == 0 {
 		patterns = []string{"uniform"}
@@ -101,7 +132,6 @@ func (s *Spec) Expand() ([]Job, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
-	var jobs []Job
 	for _, t := range s.Topos {
 		for _, p := range patterns {
 			for _, a := range s.Algos {
@@ -118,10 +148,7 @@ func (s *Spec) Expand() ([]Job, error) {
 			}
 		}
 	}
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("sweep: spec %q expands to no compatible jobs", s.Name)
-	}
-	return jobs, nil
+	return jobs
 }
 
 // ParseSpec decodes a JSON sweep spec and validates it. Unknown fields are
@@ -134,10 +161,25 @@ func ParseSpec(r io.Reader) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep: parsing spec: %w", err)
 	}
+	if err := checkEnd(dec); err != nil {
+		return nil, err
+	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// checkEnd returns an error unless dec's input holds nothing but
+// whitespace after the value it decoded: a second spec or stray bytes
+// after the first would otherwise be dropped without a word, and only
+// part of the file swept.
+func checkEnd(dec *json.Decoder) error {
+	off := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("sweep: parsing spec: data after the top-level value at offset %d", off)
+	}
+	return nil
 }
 
 // ParseSpecs decodes either a single JSON spec object or a JSON array of
@@ -160,6 +202,9 @@ func ParseSpecs(r io.Reader) ([]*Spec, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&specs); err != nil {
 			return nil, fmt.Errorf("sweep: parsing spec list: %w", err)
+		}
+		if err := checkEnd(dec); err != nil {
+			return nil, err
 		}
 	case '{':
 		s, err := ParseSpec(bytes.NewReader(data))
@@ -185,15 +230,24 @@ func ParseSpecs(r io.Reader) ([]*Spec, error) {
 }
 
 // ExpandAll concatenates the deterministic expansions of several specs,
-// in order.
+// in order. Every spec is validated and its jobs counted first, so the
+// list is made once at its exact size; the first spec that fails is the
+// error, as Expand would give it.
 func ExpandAll(specs []*Spec) ([]Job, error) {
-	var jobs []Job
+	n := 0
 	for _, s := range specs {
-		js, err := s.Expand()
+		c, err := s.size()
 		if err != nil {
 			return nil, err
 		}
-		jobs = append(jobs, js...)
+		n += c
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	jobs := make([]Job, 0, n)
+	for _, s := range specs {
+		jobs = s.appendJobs(jobs)
 	}
 	return jobs, nil
 }

@@ -189,4 +189,17 @@ func TestParseSpecsRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseSpecs(strings.NewReader(`[` + valid + `, null]`)); err == nil {
 		t.Fatal("null trailing element accepted")
 	}
+	// Anything but whitespace after the one top-level value is refused:
+	// it used to be dropped, and only the first spec swept.
+	for _, in := range []string{valid + valid, valid + ` garbage`, `[` + valid + `] [` + valid + `]`, `[` + valid + `] }`} {
+		_, err := ParseSpecs(strings.NewReader(in))
+		if err == nil || !strings.HasPrefix(err.Error(), "sweep: parsing spec: ") {
+			t.Errorf("%s: ParseSpecs = %v, want a parsing error for the trailing data", in, err)
+		}
+	}
+	for _, in := range []string{valid + "\n", "[" + valid + "]\r\n\t \n"} {
+		if specs, err := ParseSpecs(strings.NewReader(in)); err != nil || len(specs) != 1 {
+			t.Errorf("%q: ParseSpecs = %d specs, %v; want 1 spec", in, len(specs), err)
+		}
+	}
 }

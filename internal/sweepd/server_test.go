@@ -231,6 +231,28 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitTrailingData: a body holding a second spec, or anything but
+// whitespace after the first, is a 400; it used to queue the first spec
+// alone. A trailing newline is fine.
+func TestSubmitTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spec := specJSON("trailing", 1)
+	for _, body := range []string{spec + spec, spec + " }"} {
+		if code, ae := postForError(t, ts.URL+"/api/v1/sweeps", body); code != http.StatusBadRequest || ae.Kind != "bad_spec" ||
+			!strings.Contains(ae.Error, "data after the top-level value") {
+			t.Errorf("%q: status %d, %+v", body, code, ae)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/sweeps", "application/json", strings.NewReader(spec+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("spec with a trailing newline: status %d, want %d", resp.StatusCode, http.StatusAccepted)
+	}
+}
+
 // TestSubmitJobLimit: a grid that fits the body limit but not the job
 // limit is refused before it is expanded (60 000 x 60 000 points would
 // not fit in memory, let alone in a second), while the example spec the
