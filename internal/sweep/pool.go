@@ -90,18 +90,6 @@ type Task struct {
 	Build func() (sim.Config, error)
 }
 
-// Run expands the spec and executes it: the one-call API for a single
-// spec (examples/sweep). Jobs are resolved lazily through a fresh Env, so
-// a fully cached sweep builds no topologies and executes no simulator
-// cycles.
-func Run(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, error) {
-	jobs, err := spec.Expand()
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return RunJobs(ctx, jobs, NewEnv(), opts)
-}
-
 // RunJobs executes an already expanded job list against env: a Queue
 // holding this one sweep, served by opts.Workers workers and no leases.
 // Results are positional: results[i] corresponds to jobs[i]. Cancelling

@@ -25,6 +25,16 @@ func e2eSpec() *Spec {
 	}
 }
 
+// runSpec expands spec and runs its jobs through a fresh Env, so a fully
+// cached sweep builds no topologies and executes no simulator cycles.
+func runSpec(ctx context.Context, spec *Spec, opts Options) ([]JobResult, Stats, error) {
+	jobs, err := spec.Expand()
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return RunJobs(ctx, jobs, NewEnv(), opts)
+}
+
 // TestSweepEndToEnd drives the acceptance scenario: a >= 24-job sweep runs
 // in parallel, results are deterministic given fixed seeds, and a second
 // invocation of the same spec against the same cache completes with 100%
@@ -40,7 +50,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 	spec := e2eSpec()
 
-	run1, st1, err := Run(context.Background(), spec, Options{Store: cache})
+	run1, st1, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +63,7 @@ func TestSweepEndToEnd(t *testing.T) {
 
 	// Second invocation: same spec, same cache, fresh Env. Every point is
 	// served from the cache and nothing is simulated.
-	run2, st2, err := Run(context.Background(), spec, Options{Store: cache})
+	run2, st2, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +80,7 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 
 	// Determinism: an uncached rerun reproduces the results bit-for-bit.
-	run3, _, err := Run(context.Background(), spec, Options{})
+	run3, _, err := runSpec(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +106,7 @@ func TestSweepResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var done int32
-	_, st1, runErr := Run(ctx, spec, Options{
+	_, st1, runErr := runSpec(ctx, spec, Options{
 		Store:   cache,
 		Workers: 2,
 		OnDone: func(int, JobResult) {
@@ -115,7 +125,7 @@ func TestSweepResume(t *testing.T) {
 		t.Fatal("nothing executed before cancellation")
 	}
 
-	_, st2, err := Run(context.Background(), spec, Options{Store: cache})
+	_, st2, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +156,7 @@ func TestSweepFailedJob(t *testing.T) {
 		Loads: []float64{0.1, 0.2},
 		Sim:   SimParams{Warmup: 10, Measure: 20, Drain: 100},
 	}
-	results, st, err := Run(context.Background(), spec, Options{Store: cache})
+	results, st, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,21 +315,21 @@ func TestSweepMetricsPayload(t *testing.T) {
 		return string(data)
 	}
 
-	run1, st1, err := Run(context.Background(), spec, Options{Store: cache})
+	run1, st1, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1.Executed != st1.Total {
 		t.Fatalf("first run stats = %+v", st1)
 	}
-	run2, st2, err := Run(context.Background(), spec, Options{Store: cache})
+	run2, st2, err := runSpec(context.Background(), spec, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st2.Cached != st2.Total {
 		t.Fatalf("second run stats = %+v, want all cached", st2)
 	}
-	fresh, _, err := Run(context.Background(), spec, Options{})
+	fresh, _, err := runSpec(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +347,7 @@ func TestSweepMetricsPayload(t *testing.T) {
 	// collectors occupies different cache slots and carries no payload.
 	plain := *spec
 	plain.Sim.Metrics = ""
-	run4, st4, err := Run(context.Background(), &plain, Options{Store: cache})
+	run4, st4, err := runSpec(context.Background(), &plain, Options{Store: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

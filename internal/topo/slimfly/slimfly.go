@@ -347,28 +347,6 @@ func ValidOrders(lo, hi int) []int {
 	return qs
 }
 
-// ForRadix returns the largest valid q whose balanced Slim Fly fits router
-// radix k (k' + p <= k), or ok=false if none exists. This answers the
-// "network architects must adjust to existing routers" question of
-// Section VII-A.
-func ForRadix(k int) (q int, ok bool) {
-	best := 0
-	for cand := 3; ; cand++ {
-		kp, _, _, valid := Params(cand)
-		if valid {
-			if kp+BalancedConcentration(kp) <= k {
-				best = cand
-			} else if kp > k {
-				break
-			}
-		}
-		if cand > 4*k {
-			break
-		}
-	}
-	return best, best != 0
-}
-
 // WorstCase implements the scenario WorstCaser capability: the diameter-2
 // adversarial permutation of Section V-C, maximising load on single
 // inter-router links. rt must answer for Graph(); seed determinises the

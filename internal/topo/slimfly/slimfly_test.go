@@ -242,6 +242,28 @@ func TestValidOrders(t *testing.T) {
 	}
 }
 
+// ForRadix returns the largest valid q whose balanced Slim Fly fits router
+// radix k (k' + p <= k), or ok=false if none exists. This answers the
+// "network architects must adjust to existing routers" question of
+// Section VII-A.
+func ForRadix(k int) (q int, ok bool) {
+	best := 0
+	for cand := 3; ; cand++ {
+		kp, _, _, valid := Params(cand)
+		if valid {
+			if kp+BalancedConcentration(kp) <= k {
+				best = cand
+			} else if kp > k {
+				break
+			}
+		}
+		if cand > 4*k {
+			break
+		}
+	}
+	return best, best != 0
+}
+
 func TestForRadix(t *testing.T) {
 	// A radix-44 router fits the q=19 network (k' = 29, p = 15).
 	q, ok := ForRadix(44)
