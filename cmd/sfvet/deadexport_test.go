@@ -21,17 +21,21 @@ import (
 
 // TestNoTestOnlyExports is the dead-export gate: every exported
 // package-level func, type, var and const of a non-main package must be
-// referenced by a non-test file of some package (its own included) or by
-// a test file of another package. An export only its own tests reach is
-// test code living in the program; an export nothing reaches is dead.
+// referenced by a non-test file of some package (its own included, and any
+// main package). A test file counts as a user only of a test-support
+// package's exports, and only from another package: a test-support
+// package is one whose name ends in "test" (analysistest, graphtest,
+// musttest, storetest), and a package becomes one by that name alone. An
+// export only tests reach is test code living in the program; an export
+// nothing reaches is dead.
 //
 // Exported methods of exported named types are judged too, by a rule that
 // may miss a dead method but never flags a live one: a method is live
 // when a non-test file refers to it (through Origin for generic types),
 // when its name is a method of an interface the module declares or uses,
-// or of one the runtime checks dynamically (dynamicMethods), or when
-// another package's test file selects its name. Struct fields are out of
-// scope.
+// or of one the runtime checks dynamically (dynamicMethods), or, for a
+// test-support package's type, when another package's test file selects
+// its name. Struct fields are out of scope.
 //
 // It is a test and not an analyzer because judging a package needs every
 // importer of it, while analysis.Run visits one package at a time in
@@ -45,7 +49,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range dead {
-		t.Errorf("%s is exported but reached only by its own package's tests, or by nothing: delete it or move it into a _test.go file", d)
+		t.Errorf("%s is exported but no program file reaches it, only tests or nothing: delete it, or move it into a _test.go file or a test-support (*test) package", d)
 	}
 }
 
@@ -56,7 +60,8 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.OwnTestOnly", "lib.T.Method", "lib.T.OwnTestMethod", "lib.Unused", "lib.XTestOnly"}
+	want := []string{"lib.OtherTestUsed", "lib.OwnTestOnly", "lib.T.Method", "lib.T.OtherTestMethod",
+		"lib.T.OwnTestMethod", "lib.Unused", "lib.XTestOnly", "libtest.OwnTestOnly"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Fatalf("reported %q, want %q", dead, want)
 	}
@@ -74,9 +79,9 @@ var dynamicMethods = map[string]bool{
 }
 
 // testOnlyExports loads every package of the module at dir and returns,
-// sorted, the exports of its non-main packages that no non-test file and
-// no other package's test file references, as "pkgname.Name" or
-// "pkgname.Type.Method".
+// sorted, the exports of its non-main packages that no non-test file
+// references, and for a test-support package no other package's test file
+// either, as "pkgname.Name" or "pkgname.Type.Method".
 func testOnlyExports(dir string) ([]string, error) {
 	loader := analysis.NewLoader(dir)
 	pkgs, err := loader.Load("./...")
@@ -102,8 +107,8 @@ func testOnlyExports(dir string) ([]string, error) {
 	}
 
 	// Test files are parsed but not type-checked: a reference is a
-	// selector pkg.Name whose pkg is one of the file's imports, and any
-	// selector x.Name may call a method Name.
+	// selector pkg.Name whose pkg is one of the file's test-support
+	// imports, and any selector x.Name may call a method Name.
 	tested, err := listTestFiles(dir)
 	if err != nil {
 		return nil, err
@@ -122,8 +127,8 @@ func testOnlyExports(dir string) ([]string, error) {
 			for _, spec := range f.Imports {
 				path, _ := strconv.Unquote(spec.Path.Value)
 				pkg := byPath[path]
-				if pkg == nil || path == tp.ImportPath {
-					continue // not module code, or the package's own tests
+				if pkg == nil || path == tp.ImportPath || !isTestSupport(pkg) {
+					continue // not module code, the package's own tests, or not test-support
 				}
 				local := pkg.Name()
 				if spec.Name != nil {
@@ -175,7 +180,7 @@ func testOnlyExports(dir string) ([]string, error) {
 			}
 			for m := range named.Methods() {
 				if m.Exported() && !used[m] && !ifaceMethods[m.Name()] && !dynamicMethods[m.Name()] &&
-					!otherTestSelects(p.ImportPath, m.Name()) {
+					!(isTestSupport(p.Pkg) && otherTestSelects(p.ImportPath, m.Name())) {
 					dead = append(dead, p.Pkg.Name()+"."+name+"."+m.Name())
 				}
 			}
@@ -235,3 +240,8 @@ func listTestFiles(dir string) ([]testedPkg, error) {
 		pkgs = append(pkgs, tp)
 	}
 }
+
+// isTestSupport reports whether pkg is a test-support package, one whose
+// name ends in "test": its exports serve other packages' tests, so such a
+// test counts as their user.
+func isTestSupport(pkg *types.Package) bool { return strings.HasSuffix(pkg.Name(), "test") }

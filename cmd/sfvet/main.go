@@ -8,7 +8,8 @@
 // Two module-wide rules are tests rather than analyzers: every
 // scenario.Spec field enters Spec.Key or is a pinned exclusion
 // (TestSpecKeyFields in internal/scenario), and no export is reached only
-// by its own package's tests (TestNoTestOnlyExports here).
+// by tests, except a test-support (*test) package's
+// (TestNoTestOnlyExports here).
 //
 // Usage (the first line is the CI gate):
 //

@@ -19,7 +19,8 @@ func ProdUsed() SelfUsed { return 0 }
 // MainUsed is referenced only by package main.
 func MainUsed() {}
 
-// OtherTestUsed is referenced only by another package's test.
+// OtherTestUsed is referenced only by another package's test, and lib is
+// not a test-support package: reported.
 func OtherTestUsed() {}
 
 // Generic is referenced, instantiated, by another package.
@@ -35,7 +36,7 @@ func (T) Method() {}
 // OwnTestMethod is called only by lib's in-package test: reported.
 func (T) OwnTestMethod() {}
 
-// OtherTestMethod is called only by another package's test.
+// OtherTestMethod is called only by another package's test: reported.
 func (T) OtherTestMethod() {}
 
 // Shape is an interface the module declares.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"slimfly/internal/layout"
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo/dragonfly"
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/topo/torus"
@@ -58,12 +59,12 @@ func TestTableIVSlimFly(t *testing.T) {
 // ~25% cost and power advantage over a comparable Dragonfly (Section
 // VI-B4: DF with comparable N and k uses 990 routers vs SF's 722).
 func TestSlimFlyCheaperThanDragonfly(t *testing.T) {
-	sf := slimfly.MustNew(19)   // N=10830, k=44
-	df := dragonfly.MustNew(11) // a=22,h=11,g=243 -> N=58806: too big; use comparable-N below
+	sf := slimfly.MustNew(19)              // N=10830, k=44
+	df := musttest.Must(dragonfly.New(11)) // a=22,h=11,g=243 -> N=58806: too big; use comparable-N below
 	_ = df
 	// Balanced DF with N closest to 10830: p=7 gives N=9702 (the paper's
 	// simulated DF).
-	df7 := dragonfly.MustNew(7)
+	df7 := musttest.Must(dragonfly.New(7))
 	m := FDR10()
 	sfB := m.Network(sf, layout.For(sf))
 	dfB := m.Network(df7, layout.For(df7))
@@ -85,7 +86,7 @@ func TestSlimFlyCheaperThanDragonfly(t *testing.T) {
 // p=1 concentration.
 func TestLowRadixTopologiesMoreExpensive(t *testing.T) {
 	sf := slimfly.MustNew(19)
-	tor := torus.MustNew([]int{22, 22, 22}, 1) // N=10648 ~ comparable
+	tor := musttest.Must(torus.New([]int{22, 22, 22}, 1)) // N=10648 ~ comparable
 	m := FDR10()
 	sfB := m.Network(sf, layout.For(sf))
 	torB := m.Network(tor, layout.For(tor))

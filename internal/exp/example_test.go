@@ -2,7 +2,6 @@ package exp_test
 
 import (
 	"fmt"
-	"strings"
 
 	"slimfly/internal/exp"
 	"slimfly/internal/moore"
@@ -33,10 +32,7 @@ func Example_designSpace() {
 			kind, t.Endpoints(), exp.AvgEndpointHops(t), t.DesignDiameter())
 	}
 
-	// The table pads its last column; an Output block keeps no trailing space.
-	for _, line := range strings.Split(strings.TrimSpace(exp.Fig5b(40).String()), "\n") {
-		fmt.Println(strings.TrimRight(line, " "))
-	}
+	fmt.Print(exp.Fig5b(40))
 	// Output:
 	// q  k'  p   k   routers N      MB2
 	// 3  5   3   8   18      54     69.2%

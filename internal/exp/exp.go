@@ -9,6 +9,7 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -35,7 +36,8 @@ func (t *Table) Add(cells ...interface{}) {
 	t.Rows = append(t.Rows, row)
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns. No line ends in blanks:
+// the last column is not padded.
 func (t *Table) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "## %s\n", t.Title)
@@ -50,13 +52,16 @@ func (t *Table) String() string {
 			}
 		}
 	}
+	var line []byte
 	writeRow := func(cells []string) {
+		line = line[:0]
 		for i, c := range cells {
 			if i > 0 {
-				b.WriteString("  ")
+				line = append(line, "  "...)
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			line = fmt.Appendf(line, "%-*s", widths[i], c)
 		}
+		b.Write(bytes.TrimRight(line, " "))
 		b.WriteByte('\n')
 	}
 	writeRow(t.Columns)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slimfly/internal/cost"
+	"slimfly/internal/musttest"
 	"slimfly/internal/roster"
 )
 
@@ -34,7 +35,7 @@ func TestSortRowsNumeric(t *testing.T) {
 }
 
 func TestAvgEndpointHopsSlimFly(t *testing.T) {
-	sf := roster.MustNear(roster.SF, 300, 1)
+	sf := musttest.Must(roster.Near(roster.SF, 300, 1))
 	h := AvgEndpointHops(sf)
 	// Diameter-2 network: average in (1, 2).
 	if h <= 1 || h >= 2 {
@@ -45,7 +46,7 @@ func TestAvgEndpointHopsSlimFly(t *testing.T) {
 // TestFig1Ordering verifies the headline of Figure 1: at comparable sizes
 // Slim Fly has the lowest average hop count of all compared topologies.
 func TestFig1Ordering(t *testing.T) {
-	sfHops := AvgEndpointHops(roster.MustNear(roster.SF, 1000, 1))
+	sfHops := AvgEndpointHops(musttest.Must(roster.Near(roster.SF, 1000, 1)))
 	for _, kind := range []roster.Kind{roster.DF, roster.FT3, roster.T3D, roster.HC, roster.DLN} {
 		tp, err := roster.Near(kind, 1000, 1)
 		if err != nil {

@@ -119,10 +119,10 @@ func TestFigureTablesPinned(t *testing.T) {
 		name, want string
 		table      func(context.Context) (*Table, error)
 	}{
-		{"fig6-uniform-21", "599712f917d14850695c2e3ca12297fb973c5f2e6a38f81d45a7fd7442c707d2", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "uniform", microScale(), 21) }},
-		{"fig6-worstcase-22", "d241946b9c494d8d377b91a9e3164cd2d4920e91d543830d90248aa5c7201d23", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "worstcase", microScale(), 22) }},
-		{"fig8a-23", "a9f393958f5ebeb09ef5d07beacab72ad5664479a0e0506f7103ee097bb489c4", func(ctx context.Context) (*Table, error) { return Fig8a(ctx, microScale(), 23) }},
-		{"fig8be-24", "df6286a275a297a59aef0fef8ab40b0080977777c52d6d5de77169aa4f26f85d", func(ctx context.Context) (*Table, error) { return Fig8be(ctx, microScale(), 24) }},
+		{"fig6-uniform-21", "30a60d4fa51fda37cf2efd9e89cdc2f986426747e1ced920fc0d7bf3d497f60a", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "uniform", microScale(), 21) }},
+		{"fig6-worstcase-22", "7f7f7d77d512f6b71659b73d08cb3c4f58cb51a1c3da8cbfc57e918e15689c7c", func(ctx context.Context) (*Table, error) { return Fig6(ctx, "worstcase", microScale(), 22) }},
+		{"fig8a-23", "b752055185fcc0f61f8f913264061430a7bc0b98f1603b3b23d6d0271d5df4a9", func(ctx context.Context) (*Table, error) { return Fig8a(ctx, microScale(), 23) }},
+		{"fig8be-24", "ecf5d99e826a64fb4c7911841dac6449016f407bdbec1000ab664f3cf5bcd0d9", func(ctx context.Context) (*Table, error) { return Fig8be(ctx, microScale(), 24) }},
 	} {
 		tb, err := c.table(context.Background())
 		if err != nil {

@@ -32,11 +32,11 @@ var fig6Protocols = []struct {
 }
 
 // Figure 8a sweeps per-port buffering over moderate worst-case loads. The
-// grid names the requested flits per port; the engine gives each VC
-// ⌊buf/VCs⌋ of them, and UGAL-L resolves 4 VCs on a Slim Fly, so the
-// depths it buffers are 8, 16, 32, 60, 128 and 252 flits per port.
+// grid names the flits per port the engine buffers: it gives each VC
+// ⌊buf/VCs⌋ of them, and UGAL-L resolves 4 VCs on a Slim Fly, so every
+// entry is a multiple of 4 and each row's label is the depth it ran at.
 var (
-	fig8aBuffers = []int{9, 18, 33, 63, 129, 255}
+	fig8aBuffers = []int{8, 16, 32, 60, 128, 252}
 	fig8aLoads   = []float64{0.25, 0.3, 0.35, 0.4, 0.45, 0.5}
 )
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo/fattree"
 	"slimfly/internal/topo/slimfly"
 )
@@ -27,7 +28,7 @@ func TestDescribeFatTreeMapping(t *testing.T) {
 	// Fat-tree endpoints live only on edge switches, but those are the
 	// first p^2 router ids, so the uniform rule e/p still applies and the
 	// explicit map is omitted.
-	ft := fattree.MustNew(3)
+	ft := musttest.Must(fattree.New(3))
 	d := Describe(ft)
 	if d.EndpointRouter != nil {
 		t.Error("fat tree mapping is uniform over edge switches; map should be omitted")

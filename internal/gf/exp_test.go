@@ -1,6 +1,10 @@
 package gf
 
-import "testing"
+import (
+	"testing"
+
+	"slimfly/internal/musttest"
+)
 
 // TestDoubledExpMatchesModFormula cross-checks the reduction-free Mul, Inv
 // and Div (which index the doubled exp table directly) against the
@@ -9,7 +13,7 @@ import "testing"
 // change of cost.
 func TestDoubledExpMatchesModFormula(t *testing.T) {
 	for _, q := range []int{4, 5, 7, 8, 9, 16, 25, 27} {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		order := q - 1
 		if len(f.exp) != 2*order {
 			t.Fatalf("GF(%d): exp has %d entries, want %d", q, len(f.exp), 2*order)
@@ -41,7 +45,7 @@ func TestDoubledExpMatchesModFormula(t *testing.T) {
 }
 
 func TestDivByZeroPanics(t *testing.T) {
-	f := MustNew(7)
+	f := musttest.Must(New(7))
 	for _, a := range []int{0, 3} {
 		func() {
 			defer func() {

@@ -3,16 +3,9 @@ package gf
 import (
 	"testing"
 	"testing/quick"
-)
 
-// MustNew is New but panics on error.
-func MustNew(q int) *Field {
-	f, err := New(q)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
+	"slimfly/internal/musttest"
+)
 
 func TestPrimePower(t *testing.T) {
 	cases := []struct {
@@ -48,7 +41,7 @@ var fieldOrders = []int{2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29,
 
 func TestFieldAxioms(t *testing.T) {
 	for _, q := range fieldOrders {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		if f.Q != q {
 			t.Fatalf("GF(%d): Q = %d", q, f.Q)
 		}
@@ -85,7 +78,7 @@ func TestFieldAxioms(t *testing.T) {
 func TestFieldAssociativityAndDistributivity(t *testing.T) {
 	// Exhaustive on small fields, sampled on the larger ones.
 	for _, q := range []int{4, 5, 8, 9, 16, 25, 27} {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		for a := 0; a < q; a++ {
 			for b := 0; b < q; b++ {
 				for c := 0; c < q; c++ {
@@ -106,7 +99,7 @@ func TestFieldAssociativityAndDistributivity(t *testing.T) {
 
 func TestPrimitiveElement(t *testing.T) {
 	for _, q := range fieldOrders {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		xi := f.PrimitiveElement()
 		seen := make(map[int]bool)
 		v := 1
@@ -128,7 +121,7 @@ func TestPrimitiveElement(t *testing.T) {
 
 func TestPrimitiveElementHoffmanSingleton(t *testing.T) {
 	// The paper's worked example (Section II-B1d): q = 5, xi = 2.
-	f := MustNew(5)
+	f := musttest.Must(New(5))
 	xi := f.PrimitiveElement()
 	// Any generator is acceptable mathematically, but Z_5 has generators
 	// {2, 3}; check ours is one of them and that 2 is a generator.
@@ -149,7 +142,7 @@ func TestPrimitiveElementHoffmanSingleton(t *testing.T) {
 
 func TestPowAndOrder(t *testing.T) {
 	for _, q := range []int{5, 9, 16, 27, 49} {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		for a := 1; a < q; a++ {
 			ord := f.Order(a)
 			if f.Pow(a, ord) != 1 {
@@ -168,7 +161,7 @@ func TestPowAndOrder(t *testing.T) {
 }
 
 func TestDivIsInverseOfMul(t *testing.T) {
-	f := MustNew(49)
+	f := musttest.Must(New(49))
 	cfg := &quick.Config{MaxCount: 500}
 	err := quick.Check(func(ai, bi uint8) bool {
 		a := int(ai) % 49
@@ -184,7 +177,7 @@ func TestFrobeniusOnExtensionFields(t *testing.T) {
 	// In GF(p^n), (a+b)^p = a^p + b^p (freshman's dream). This is a strong
 	// structural check that the extension-field tables are consistent.
 	for _, q := range []int{4, 8, 9, 16, 25, 27, 32, 49} {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		for a := 0; a < q; a++ {
 			for b := 0; b < q; b++ {
 				lhs := f.Pow(f.Add(a, b), f.P)
@@ -200,7 +193,7 @@ func TestFrobeniusOnExtensionFields(t *testing.T) {
 func TestCharacteristic(t *testing.T) {
 	// p * a = 0 for every a (adding a to itself p times).
 	for _, q := range []int{9, 25, 27, 32} {
-		f := MustNew(q)
+		f := musttest.Must(New(q))
 		for a := 0; a < q; a++ {
 			s := 0
 			for i := 0; i < f.P; i++ {
@@ -219,7 +212,7 @@ func TestInvZeroPanics(t *testing.T) {
 			t.Fatal("Inv(0) did not panic")
 		}
 	}()
-	MustNew(7).Inv(0)
+	musttest.Must(New(7)).Inv(0)
 }
 
 func BenchmarkFieldConstruction49(b *testing.B) {
@@ -231,7 +224,7 @@ func BenchmarkFieldConstruction49(b *testing.B) {
 }
 
 func BenchmarkMul(b *testing.B) {
-	f := MustNew(43)
+	f := musttest.Must(New(43))
 	b.ResetTimer()
 	s := 0
 	for i := 0; i < b.N; i++ {

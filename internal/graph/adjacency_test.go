@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/musttest"
 	"slimfly/internal/roster"
 	"slimfly/internal/topo/diam3"
 	"slimfly/internal/topo/sfdf"
@@ -52,7 +53,7 @@ func builtGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 	gs["SF-DF-q5-g6"] = s.Graph()
 	for _, dims := range [][]int{{2, 2, 2}, {2, 5}, {3, 3}} {
-		gs[fmt.Sprint("T", dims)] = torus.MustNew(dims, 1).Graph()
+		gs[fmt.Sprint("T", dims)] = musttest.Must(torus.New(dims, 1)).Graph()
 	}
 	for _, u := range []int{3, 4, 5} {
 		g, err := diam3.PolarityGraph(u)

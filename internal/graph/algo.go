@@ -187,22 +187,3 @@ func (g *Graph) IsConnected() bool {
 	}
 	return true
 }
-
-// ShortestPathDAGFrom returns, for a BFS from src, the distance array and
-// for every vertex the list of predecessors on shortest paths. Routing-table
-// construction uses this to enumerate equal-cost minimal paths.
-func (g *Graph) ShortestPathDAGFrom(src int) (dist []int32, preds [][]int32) {
-	dist = g.BFS(src)
-	preds = make([][]int32, g.n)
-	for u := 0; u < g.n; u++ {
-		if dist[u] <= 0 {
-			continue
-		}
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == dist[u]-1 {
-				preds[u] = append(preds[u], v)
-			}
-		}
-	}
-	return dist, preds
-}

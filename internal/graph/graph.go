@@ -116,21 +116,6 @@ func (g *Graph) MaxDegree() int {
 	return m
 }
 
-// IsRegular reports whether all vertices have the same degree, returning
-// that degree when true.
-func (g *Graph) IsRegular() (int, bool) {
-	if g.n == 0 {
-		return 0, true
-	}
-	d := g.Degree(0)
-	for u := 1; u < g.n; u++ {
-		if g.Degree(u) != d {
-			return 0, false
-		}
-	}
-	return d, true
-}
-
 // EdgeCount returns the number of undirected edges.
 func (g *Graph) EdgeCount() int { return len(g.nbr) / 2 }
 

@@ -116,9 +116,6 @@ func TestHasEdgeAndDegree(t *testing.T) {
 	if g.HasEdge(0, 2) {
 		t.Error("ring has chord 0-2")
 	}
-	if d, reg := g.IsRegular(); !reg || d != 2 {
-		t.Errorf("ring IsRegular = (%d,%v), want (2,true)", d, reg)
-	}
 }
 
 func TestEdgeCountAndEdges(t *testing.T) {
@@ -220,18 +217,6 @@ func TestSurvivorGraph(t *testing.T) {
 	}
 	if sub.IsConnected() {
 		t.Error("ring minus two edges should disconnect")
-	}
-}
-
-func TestShortestPathDAG(t *testing.T) {
-	// 4-cycle: two shortest paths between opposite corners.
-	g := ring(4)
-	dist, preds := g.ShortestPathDAGFrom(0)
-	if dist[2] != 2 {
-		t.Fatalf("dist[2] = %d", dist[2])
-	}
-	if len(preds[2]) != 2 {
-		t.Errorf("preds[2] = %v, want two predecessors", preds[2])
 	}
 }
 

@@ -3,6 +3,7 @@ package layout
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo/dragonfly"
 	"slimfly/internal/topo/fattree"
 	"slimfly/internal/topo/fbutterfly"
@@ -44,7 +45,7 @@ func TestSlimFlyLayout(t *testing.T) {
 }
 
 func TestDragonflyLayout(t *testing.T) {
-	df := dragonfly.MustNew(2)
+	df := musttest.Must(dragonfly.New(2))
 	l := For(df)
 	if l.Racks != df.Gn {
 		t.Fatalf("racks = %d, want %d groups", l.Racks, df.Gn)
@@ -61,7 +62,7 @@ func TestDragonflyLayout(t *testing.T) {
 }
 
 func TestTorusAllElectric(t *testing.T) {
-	tor := torus.MustNew([]int{8, 8, 8}, 1)
+	tor := musttest.Must(torus.New([]int{8, 8, 8}, 1))
 	l := For(tor)
 	if l.Fiber() != 0 {
 		t.Errorf("folded torus has %d fiber cables, want 0", l.Fiber())
@@ -72,7 +73,7 @@ func TestTorusAllElectric(t *testing.T) {
 }
 
 func TestFatTreeLayout(t *testing.T) {
-	ft := fattree.MustNew(4)
+	ft := musttest.Must(fattree.New(4))
 	l := For(ft)
 	// Pods 0..3 plus ceil(4/2)=2 core racks.
 	if l.Racks != 6 {
@@ -88,7 +89,7 @@ func TestFatTreeLayout(t *testing.T) {
 }
 
 func TestFBFLayout(t *testing.T) {
-	fb := fbutterfly.MustNew(3)
+	fb := musttest.Must(fbutterfly.New(3))
 	l := For(fb)
 	if l.Racks != 9 {
 		t.Fatalf("racks = %d, want c^2 = 9", l.Racks)

@@ -187,9 +187,6 @@ func SetOf(cs ...Collector) *Set {
 	return s
 }
 
-// Collectors exposes the set's instances in order.
-func (s *Set) Collectors() []Collector { return s.cs }
-
 // ObservesHops reports whether any collector consumes Hop observations.
 // The engine calls Hop once per network grant, its hottest observe site, so
 // it skips the call (a single flag test) when nothing would listen.

@@ -108,9 +108,6 @@ type TraceEvent struct {
 // Src recovers the injecting endpoint from the packed ID.
 func (e TraceEvent) Src() int32 { return int32(e.ID >> 32) }
 
-// Birth recovers the injection cycle from the packed ID.
-func (e TraceEvent) Birth() int64 { return int64(uint32(e.ID)) }
-
 // Trace records sampled per-packet event streams into a bounded ring
 // buffer. Sampling is deterministic in the packet id -- a packet is
 // traced iff the low shift bits of a mixed hash of its id are zero -- so

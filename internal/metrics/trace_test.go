@@ -127,8 +127,8 @@ func TestTraceEventJSON(t *testing.T) {
 	if back != e {
 		t.Errorf("round trip: %+v != %+v", back, e)
 	}
-	if e.Src() != 3 || e.Birth() != 20 {
-		t.Errorf("id unpacking: src %d birth %d", e.Src(), e.Birth())
+	if birth := uint32(e.ID); e.Src() != 3 || birth != 20 {
+		t.Errorf("id unpacking: src %d birth %d", e.Src(), birth)
 	}
 	var probe struct {
 		Kind string `json:"kind"`

@@ -28,12 +28,6 @@ import (
 // ready to use.
 type Counter struct{ v atomic.Int64 }
 
-// Add increments the counter by d (d must be >= 0 for the monotonic
-// reading to hold; this is not enforced).
-//
-//sf:hotpath
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
 // Inc increments the counter by one.
 //
 //sf:hotpath
@@ -79,9 +73,6 @@ func (t *Timer) Observe(d time.Duration) {
 // Start opens a span against the timer. The returned Span is a value
 // (no allocation); call End to record it.
 func (t *Timer) Start() Span { return Span{t: t, start: time.Now()} }
-
-// Count returns the number of observed spans.
-func (t *Timer) Count() int64 { return t.count.Load() }
 
 // Total returns the summed duration of observed spans.
 func (t *Timer) Total() time.Duration { return time.Duration(t.total.Load()) }

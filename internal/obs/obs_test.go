@@ -13,8 +13,9 @@ import (
 
 func TestInstrumentsAndSnapshot(t *testing.T) {
 	c := NewCounter("test.counter")
-	c.Inc()
-	c.Add(4)
+	for range 5 {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
 	}
@@ -41,8 +42,8 @@ func TestInstrumentsAndSnapshot(t *testing.T) {
 	if sp.End() < 0 {
 		t.Error("span duration negative")
 	}
-	if tm.Count() != 3 {
-		t.Errorf("span not recorded: count %d", tm.Count())
+	if n := tm.Stats().Count; n != 3 {
+		t.Errorf("span not recorded: count %d", n)
 	}
 
 	Publish("test.computed", func() any { return map[string]int{"x": 1} })
@@ -88,8 +89,8 @@ func TestZeroValueUsable(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Value() != 800 || g.Value() != 800 || tm.Count() != 800 {
-		t.Errorf("concurrent updates lost: %d %d %d", c.Value(), g.Value(), tm.Count())
+	if c.Value() != 800 || g.Value() != 800 || tm.Stats().Count != 800 {
+		t.Errorf("concurrent updates lost: %d %d %d", c.Value(), g.Value(), tm.Stats().Count)
 	}
 	if tm.Stats().MaxNS != 99 {
 		t.Errorf("max = %d, want 99", tm.Stats().MaxNS)
@@ -97,7 +98,7 @@ func TestZeroValueUsable(t *testing.T) {
 }
 
 func TestServeDebug(t *testing.T) {
-	NewCounter("test.served").Add(42)
+	NewCounter("test.served").Inc()
 	d, err := ServeDebug("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestServeDebug(t *testing.T) {
 	if _, ok := all["slimfly"]; !ok {
 		t.Error("/debug/vars missing the slimfly instrument map")
 	}
-	if !strings.Contains(string(all["slimfly"]), `"test.served":42`) {
+	if !strings.Contains(string(all["slimfly"]), `"test.served":1`) {
 		t.Errorf("slimfly map missing registered counter: %s", all["slimfly"])
 	}
 
@@ -145,7 +146,7 @@ func TestServeDebug(t *testing.T) {
 // sfsweepd pattern) and serves the same surfaces as the standalone
 // listener.
 func TestDebugHandler(t *testing.T) {
-	NewCounter("test.mounted").Add(7)
+	NewCounter("test.mounted").Inc()
 	mux := http.NewServeMux()
 	mux.Handle("/debug/", DebugHandler())
 	srv := httptest.NewServer(mux)
@@ -163,7 +164,7 @@ func TestDebugHandler(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !json.Valid(body) {
 		t.Fatalf("GET /debug/vars: status %d, valid-json %v", resp.StatusCode, json.Valid(body))
 	}
-	if !strings.Contains(string(body), `"test.mounted":7`) {
+	if !strings.Contains(string(body), `"test.mounted":1`) {
 		t.Errorf("mounted handler missing registered counter: %s", body)
 	}
 	pp, err := http.Get(srv.URL + "/debug/pprof/")

@@ -5,6 +5,7 @@ import (
 
 	"slimfly/internal/graph"
 	"slimfly/internal/graphtest"
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo/hypercube"
 	"slimfly/internal/topo/torus"
 )
@@ -43,7 +44,7 @@ func TestBisectTwoCliques(t *testing.T) {
 
 func TestBisectHypercube(t *testing.T) {
 	// The minimum bisection of the n-cube is exactly 2^(n-1) = N/2.
-	hc := hypercube.MustNew(6)
+	hc := musttest.Must(hypercube.New(6))
 	res := Bisect(hc.Graph(), 12, 2)
 	want := 32
 	if res.Cut < want {
@@ -59,7 +60,7 @@ func TestBisectHypercube(t *testing.T) {
 
 func TestBisectTorus(t *testing.T) {
 	// 8x8 torus: optimal bisection cuts 2 rows of wraparound rings = 16.
-	tor := torus.MustNew([]int{8, 8}, 1)
+	tor := musttest.Must(torus.New([]int{8, 8}, 1))
 	res := Bisect(tor.Graph(), 16, 3)
 	if res.Cut < 16 {
 		t.Fatalf("cut %d below optimum 16", res.Cut)
@@ -101,7 +102,7 @@ func TestBisectOddVertexCount(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	hc := hypercube.MustNew(5)
+	hc := musttest.Must(hypercube.New(5))
 	a := Bisect(hc.Graph(), 6, 9)
 	b := Bisect(hc.Graph(), 6, 9)
 	if a.Cut != b.Cut {
@@ -115,7 +116,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func BenchmarkBisectHypercube8(b *testing.B) {
-	hc := hypercube.MustNew(8)
+	hc := musttest.Must(hypercube.New(8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Bisect(hc.Graph(), 4, uint64(i))

@@ -5,6 +5,7 @@ import (
 
 	"slimfly/internal/graph"
 	"slimfly/internal/graphtest"
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo/dragonfly"
 	"slimfly/internal/topo/slimfly"
 	"slimfly/internal/topo/torus"
@@ -67,7 +68,7 @@ func TestSlimFlyBeatsTorusOnDisconnection(t *testing.T) {
 	// Table III's relative ordering: SF is far more resilient than T3D at
 	// comparable size.
 	sf := slimfly.MustNew(5) // 50 routers
-	tor := torus.MustNew([]int{4, 4, 3}, 1)
+	tor := musttest.Must(torus.New([]int{4, 4, 3}, 1))
 	cfg := Config{Samples: 24, Seed: 3}
 	sfRes := Analyze(sf.Graph(), Connected, cfg)
 	torRes := Analyze(tor.Graph(), Connected, cfg)
@@ -78,8 +79,8 @@ func TestSlimFlyBeatsTorusOnDisconnection(t *testing.T) {
 
 func TestSlimFlyAtLeastAsResilientAsDragonfly(t *testing.T) {
 	// Section III-D1: SF is more link-failure tolerant than comparable DF.
-	sf := slimfly.MustNew(5)   // 50 routers, k'=7
-	df := dragonfly.MustNew(2) // 72 routers, degree 5
+	sf := slimfly.MustNew(5)              // 50 routers, k'=7
+	df := musttest.Must(dragonfly.New(2)) // 72 routers, degree 5
 	cfg := Config{Samples: 24, Seed: 4}
 	sfRes := Analyze(sf.Graph(), Connected, cfg)
 	dfRes := Analyze(df.Graph(), Connected, cfg)

@@ -124,15 +124,6 @@ func Near(kind Kind, n int, seed uint64) (topo.Topology, error) {
 	}
 }
 
-// MustNear is Near but panics on error.
-func MustNear(kind Kind, n int, seed uint64) topo.Topology {
-	t, err := Near(kind, n, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // BalancedSizes returns the endpoint counts of the kind's balanced ladder
 // within [lo, hi] -- the x-axis of Figures 1, 5c, 11c and 11d.
 func BalancedSizes(kind Kind, lo, hi int) []int {

@@ -6,6 +6,8 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+
+	"slimfly/internal/musttest"
 )
 
 func TestNearAllKinds(t *testing.T) {
@@ -30,15 +32,15 @@ func TestNearAllKinds(t *testing.T) {
 
 func TestNearPaperConfigs(t *testing.T) {
 	// The Section V triple: SF N=10830, DF N=9702, FT-3 N=10648.
-	sf := MustNear(SF, 10500, 0)
+	sf := musttest.Must(Near(SF, 10500, 0))
 	if sf.Endpoints() != 10830 {
 		t.Errorf("SF near 10500 = %d, want 10830 (q=19)", sf.Endpoints())
 	}
-	df := MustNear(DF, 9700, 0)
+	df := musttest.Must(Near(DF, 9700, 0))
 	if df.Endpoints() != 9702 {
 		t.Errorf("DF near 9700 = %d, want 9702 (p=7)", df.Endpoints())
 	}
-	ft := MustNear(FT3, 10648, 0)
+	ft := musttest.Must(Near(FT3, 10648, 0))
 	if ft.Endpoints() != 10648 {
 		t.Errorf("FT near 10648 = %d, want 10648 (p=22)", ft.Endpoints())
 	}

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/stats"
 	"slimfly/internal/topo/fattree"
@@ -160,21 +161,21 @@ func TestComputedUsesPortOracle(t *testing.T) {
 
 func TestComputedMatchesTablesHypercube(t *testing.T) {
 	for _, dim := range []int{1, 3, 5, 7} {
-		hc := hypercube.MustNew(dim)
+		hc := musttest.Must(hypercube.New(dim))
 		checkParity(t, hc.Graph(), hc)
 	}
 }
 
 func TestComputedMatchesTablesTorus(t *testing.T) {
 	for _, dims := range [][]int{{4}, {2, 2}, {4, 3, 2}, {5, 4, 3}, {3, 3, 3, 3, 3}, {7, 2}} {
-		tt := torus.MustNew(dims, 1)
+		tt := musttest.Must(torus.New(dims, 1))
 		checkParity(t, tt.Graph(), tt)
 	}
 }
 
 func TestComputedMatchesTablesFatTree(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 6} {
-		ft := fattree.MustNew(p)
+		ft := musttest.Must(fattree.New(p))
 		checkParity(t, ft.Graph(), ft)
 	}
 }

@@ -233,7 +233,7 @@ func TestQ43EndToEnd(t *testing.T) {
 		if cfg.Router.Backend() != "computed" {
 			t.Fatalf("backend %q, want computed", cfg.Router.Backend())
 		}
-		res, err = sim.Run(cfg)
+		res, _, err = sim.RunSummary(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +255,12 @@ func TestQ43EndToEnd(t *testing.T) {
 func TestBuildRouteTelemetry(t *testing.T) {
 	span, levels := obs.NewTimer("scenario.build_route"), obs.NewGauge("route.tables_levels")
 	for _, ts := range []scenario.TopoSpec{{Kind: "SF", Q: 5}, {Kind: "T3D", N: 64}} {
-		before := span.Count()
+		before := span.Stats().Count
 		_, rt, err := scenario.BuildRouting(ts, route.PolicyTables, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := span.Count() - before; got != 1 {
+		if got := span.Stats().Count - before; got != 1 {
 			t.Errorf("%s: scenario.build_route observed %d times by one BuildRouting", ts, got)
 		}
 		if got := levels.Value(); got != int64(rt.MaxDistance()) || got < 2 {

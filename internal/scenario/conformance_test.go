@@ -93,7 +93,7 @@ func TestRegistryConformance(t *testing.T) {
 						t.Errorf("config %s/%s/%s: %v", kind, algoName, patName, err)
 						continue
 					}
-					res, err := sim.Run(cfg)
+					res, _, err := sim.RunSummary(cfg)
 					if err != nil {
 						t.Errorf("run %s/%s/%s: %v", kind, algoName, patName, err)
 						continue

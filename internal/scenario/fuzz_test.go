@@ -89,9 +89,9 @@ func FuzzTargetPortContract(f *testing.F) {
 				t.Fatalf("panic outside the misroute guard (silent-corruption path?): %s", msg)
 			}
 		}()
-		res, err := sim.Run(cfg)
+		res, _, err := sim.RunSummary(cfg)
 		if err != nil {
-			t.Fatalf("sim.Run: %v", err)
+			t.Fatalf("sim.RunSummary: %v", err)
 		}
 		if res.Delivered < 0 || res.Injected < 0 || res.Delivered > res.Injected {
 			t.Fatalf("inconsistent result: delivered %d of %d", res.Delivered, res.Injected)

@@ -18,6 +18,20 @@ import (
 // stream is byte-identical from run to run.
 const allCollectors = "latency,channels,series,fairness,trace"
 
+// stockWith is the stock collectors named by spec, each built by
+// metrics.New as NewSet builds them, followed by extra.
+func stockWith(t testing.TB, spec string, extra metrics.Collector) *metrics.Set {
+	var cs []metrics.Collector
+	for _, name := range metrics.ParseNames(spec) {
+		c, err := metrics.New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	return metrics.SetOf(append(cs, extra)...)
+}
+
 // hookHash is an order-sensitive collector: a running FNV-1a hash over
 // every hook call and its arguments, in call order. Two runs agree on it
 // only if the engine made the same calls in the same sequence.
@@ -67,12 +81,8 @@ func TestCollectorParityParallel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				stock, err := metrics.NewSet(allCollectors)
-				if err != nil {
-					t.Fatal(err)
-				}
 				seq := &hookHash{}
-				s.initMetrics(metrics.SetOf(append(stock.Collectors(), seq)...))
+				s.initMetrics(stockWith(t, allCollectors, seq))
 				res := s.Run()
 				data, err := json.Marshal(s.MetricsSummary())
 				if err != nil {
@@ -125,12 +135,8 @@ func TestHopDeparturesPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stock, err := metrics.NewSet("channels")
-			if err != nil {
-				t.Fatal(err)
-			}
 			log := &hopLog{}
-			s.initMetrics(metrics.SetOf(append(stock.Collectors(), log)...))
+			s.initMetrics(stockWith(t, "channels", log))
 			s.Run()
 			lo, hi := int64(cfg.Warmup), int64(cfg.Warmup+cfg.Measure)
 			for _, call := range log.calls {

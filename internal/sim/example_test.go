@@ -3,6 +3,7 @@ package sim_test
 import (
 	"fmt"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/roster"
 	"slimfly/internal/route"
 	"slimfly/internal/sim"
@@ -17,8 +18,8 @@ import (
 // short (150 warm-up and 300 measured cycles), so a saturated run's
 // latency only says that it saturated.
 func ExampleSim_Run() {
-	sf := roster.MustNear(roster.SF, 600, 1)
-	df := roster.MustNear(roster.DF, 600, 1)
+	sf := musttest.Must(roster.Near(roster.SF, 600, 1))
+	df := musttest.Must(roster.Near(roster.DF, 600, 1))
 	sfTb := route.Build(sf.Graph())
 	dfTb := route.Build(df.Graph())
 	fmt.Println(topo.Summary(sf))

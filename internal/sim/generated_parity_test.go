@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"slimfly/internal/metrics"
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/stats"
 	"slimfly/internal/topo"
@@ -39,7 +40,7 @@ func generatedScenarios() []genScenario {
 		rt    route.Router
 		algos []Algo
 	}
-	sf5, sf7, ft := slimfly.MustNew(5), slimfly.MustNew(7), fattree.MustNew(4)
+	sf5, sf7, ft := slimfly.MustNew(5), slimfly.MustNew(7), musttest.Must(fattree.New(4))
 	sfAlgos := []Algo{MIN{}, VAL{}, VAL3{}, UGALL{}, UGALG{}}
 	nets := []network{
 		{"SF5", sf5, route.Build(sf5.Graph()), sfAlgos},

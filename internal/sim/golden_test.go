@@ -8,7 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"slimfly/internal/metrics"
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/fattree"
@@ -50,7 +50,7 @@ func goldenCases(t testing.TB) []goldenCase {
 	t.Helper()
 	sf := slimfly.MustNew(5)
 	sfTb := route.Build(sf.Graph())
-	ft := fattree.MustNew(6)
+	ft := musttest.Must(fattree.New(6))
 	ftTb := route.Build(ft.Graph())
 
 	return []goldenCase{
@@ -238,12 +238,8 @@ func TestShortestDelaysPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			stock, err := metrics.NewSet("latency,channels,fairness")
-			if err != nil {
-				t.Fatal(err)
-			}
 			seq := &hookHash{}
-			s.initMetrics(metrics.SetOf(append(stock.Collectors(), seq)...))
+			s.initMetrics(stockWith(t, "latency,channels,fairness", seq))
 			got := s.Run()
 			data, err := json.Marshal(s.MetricsSummary())
 			if err != nil {

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/fattree"
@@ -164,7 +165,7 @@ func checkConservation(t *testing.T, s *Sim, visit func(r, q int, slot int32)) (
 func TestRingConservation(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	sfTables := route.Build(sf.Graph())
-	ft := fattree.MustNew(4)
+	ft := musttest.Must(fattree.New(4))
 	ftTables := route.Build(ft.Graph())
 	for _, c := range []struct {
 		name    string

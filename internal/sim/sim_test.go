@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"slimfly/internal/graph"
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/dragonfly"
@@ -101,7 +102,7 @@ func TestConfigValidation(t *testing.T) {
 func TestSingleRouterNetwork(t *testing.T) {
 	g := graph.MustFromEdges(1, nil)
 	one := &topo.Base{TopoName: "one", G: g, N: 4, P: 4}
-	res, err := Run(Config{Topo: one, Router: route.Build(g), Algo: MIN{}, Pattern: traffic.Uniform{N: 4},
+	res, _, err := RunSummary(Config{Topo: one, Router: route.Build(g), Algo: MIN{}, Pattern: traffic.Uniform{N: 4},
 		Load: 0.3, Warmup: 50, Measure: 100, Drain: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +246,7 @@ func TestUGALGWorstCaseBeatsMIN(t *testing.T) {
 }
 
 func TestFatTreeANCA(t *testing.T) {
-	ft := fattree.MustNew(6) // 216 endpoints
+	ft := musttest.Must(fattree.New(6)) // 216 endpoints
 	tb := route.Build(ft.Graph())
 	res := run(t, ft, tb, FTANCA{FT: ft}, traffic.Uniform{N: ft.Endpoints()}, 0.4)
 	if res.Saturated {
@@ -261,7 +262,7 @@ func TestFatTreeANCA(t *testing.T) {
 }
 
 func TestDragonflyUGAL(t *testing.T) {
-	df := dragonfly.MustNew(2) // 144 endpoints
+	df := musttest.Must(dragonfly.New(2)) // 144 endpoints
 	tb := route.Build(df.Graph())
 	res := run(t, df, tb, UGALL{}, traffic.Uniform{N: df.Endpoints()}, 0.3)
 	if res.Saturated {
@@ -278,7 +279,7 @@ func TestDragonflyUGAL(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	tb := route.Build(sf.Graph())
-	ft := fattree.MustNew(4)
+	ft := musttest.Must(fattree.New(4))
 	for _, cfg := range []Config{
 		{
 			Topo: sf, Router: tb, Algo: UGALL{}, Pattern: traffic.Uniform{N: sf.Endpoints()},

@@ -68,6 +68,7 @@ func TestTraceFullSampling(t *testing.T) {
 	injected := make(map[uint64]bool)
 	ends := cfg.Topo.Endpoints()
 	for _, e := range st.Events {
+		birth := int64(uint32(e.ID)) // the low word of the packed ID
 		if src := e.Src(); src < 0 || int(src) >= ends {
 			t.Fatalf("event id packs bad source %d: %+v", src, e)
 		}
@@ -77,8 +78,8 @@ func TestTraceFullSampling(t *testing.T) {
 				t.Fatalf("packet %x injected twice", e.ID)
 			}
 			injected[e.ID] = true
-			if e.Cycle != e.Birth() {
-				t.Fatalf("inject cycle %d != birth %d", e.Cycle, e.Birth())
+			if e.Cycle != birth {
+				t.Fatalf("inject cycle %d != birth %d", e.Cycle, birth)
 			}
 			if e.Tag != metrics.TagMinimal {
 				t.Fatalf("MIN run produced a %v-tagged packet", e.Tag)
@@ -98,8 +99,8 @@ func TestTraceFullSampling(t *testing.T) {
 			if e.Hops != hops[e.ID] {
 				t.Fatalf("deliver hops %d != observed hop events %d for packet %x", e.Hops, hops[e.ID], e.ID)
 			}
-			if e.Latency != e.Cycle-e.Birth() {
-				t.Fatalf("deliver latency %d != cycle %d - birth %d", e.Latency, e.Cycle, e.Birth())
+			if e.Latency != e.Cycle-birth {
+				t.Fatalf("deliver latency %d != cycle %d - birth %d", e.Latency, e.Cycle, birth)
 			}
 		}
 	}

@@ -271,17 +271,6 @@ func isStored(data []byte) bool {
 	return bytes.HasPrefix(data, storedPrefix) && json.Valid(data)
 }
 
-// Has reports whether an entry for key is present on disk, without
-// reading or validating it. (A corrupt entry counts as present here; Get
-// detects and deletes it, so the job still recomputes.)
-func (c *Cache) Has(key string) bool {
-	if !ValidKey(key) {
-		return false
-	}
-	_, err := os.Stat(c.path(key))
-	return err == nil
-}
-
 // Put stores entry under key atomically. The temp file lives in the cache
 // root (same filesystem as the final path) so the rename is atomic. A
 // malformed key is a *KeyError.

@@ -100,14 +100,6 @@ func TestCacheHitMiss(t *testing.T) {
 	if _, ok := c.Get(testJobWithLoad(0.9).Key()); ok {
 		t.Error("hit for a job never stored")
 	}
-	// Has is the cheap existence probe the resume heuristic sizes the
-	// pending tail with: present after Put, absent for unknown keys.
-	if !c.Has(key) {
-		t.Error("Has false after Put")
-	}
-	if c.Has(testJobWithLoad(0.9).Key()) {
-		t.Error("Has true for a job never stored")
-	}
 }
 
 func testJobWithLoad(l float64) Job {

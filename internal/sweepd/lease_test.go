@@ -70,7 +70,7 @@ func TestTokenAuth(t *testing.T) {
 	if err := good.Put(key, sweep.Entry{Job: job, Result: sim.Result{Delivered: 7}}); err != nil {
 		t.Fatalf("authenticated Put: %v", err)
 	}
-	if !cache.Has(key) {
+	if _, ok := cache.Get(key); !ok {
 		t.Fatal("authenticated Put did not land in the server's store")
 	}
 
@@ -155,7 +155,7 @@ func TestJobLeaseLifecycle(t *testing.T) {
 	}
 	waitState(t, ts, st.ID, StateDone)
 	for k := range keys {
-		if !cache.Has(k) {
+		if _, ok := cache.Get(k); !ok {
 			t.Errorf("result %s never landed in the server's store", k)
 		}
 	}
@@ -335,7 +335,7 @@ func TestPutEntryKeyMismatch(t *testing.T) {
 	if jr.StoreErr != "" {
 		t.Fatalf("worker upload refused: %s", jr.StoreErr)
 	}
-	if !cache.Has(grant.Job.Key()) {
+	if _, ok := cache.Get(grant.Job.Key()); !ok {
 		t.Fatal("worker upload did not land in the store")
 	}
 }

@@ -88,15 +88,6 @@ func New(p int) (*Dragonfly, error) {
 	return df, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(p int) *Dragonfly {
-	df, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return df
-}
-
 // Group returns the group index of router r.
 func (df *Dragonfly) Group(r int) int { return r / df.A }
 

@@ -3,6 +3,7 @@ package dragonfly
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
 
@@ -22,15 +23,16 @@ func TestInvalid(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4} {
-		df := MustNew(p)
+		df := musttest.Must(New(p))
 		g := df.Graph()
 		a, h, grps, nr, _, _ := Params(p)
 		if g.N() != nr {
 			t.Fatalf("p=%d: Nr=%d, want %d", p, g.N(), nr)
 		}
-		// Every router: a-1 local + h global channels.
-		if d, reg := g.IsRegular(); !reg || d != a-1+h {
-			t.Fatalf("p=%d: degree=%d regular=%v, want %d", p, d, reg, a-1+h)
+		// Every router: a-1 local + h global channels. A graph is
+		// d-regular when no degree exceeds d and the degrees sum to n*d.
+		if d := a - 1 + h; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+			t.Fatalf("p=%d: not %d-regular: max degree %d, %d edges", p, d, g.MaxDegree(), g.EdgeCount())
 		}
 		// Exactly one global channel between every pair of groups.
 		counts := make(map[[2]int]int)
@@ -57,7 +59,7 @@ func TestStructure(t *testing.T) {
 
 func TestDiameter(t *testing.T) {
 	for _, p := range []int{2, 3} {
-		df := MustNew(p)
+		df := musttest.Must(New(p))
 		st := df.Graph().AllPairsStats()
 		if !st.Connected {
 			t.Fatalf("p=%d disconnected", p)
@@ -69,8 +71,8 @@ func TestDiameter(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(2)
-	df := MustNew(2)
+	var _ topo.Topology = musttest.Must(New(2))
+	df := musttest.Must(New(2))
 	if df.Radix() != 7 { // 4p-1
 		t.Errorf("radix = %d, want 7", df.Radix())
 	}

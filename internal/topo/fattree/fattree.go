@@ -79,15 +79,6 @@ func New(p int) (*FatTree, error) {
 	return ft, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(p int) *FatTree {
-	ft, err := New(p)
-	if err != nil {
-		panic(err)
-	}
-	return ft
-}
-
 // Level returns 0 for edge, 1 for aggregation, 2 for core switches.
 func (ft *FatTree) Level(r int) int { return r / (ft.Arity * ft.Arity) }
 

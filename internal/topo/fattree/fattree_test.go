@@ -3,6 +3,7 @@ package fattree
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
 
@@ -22,7 +23,7 @@ func TestInvalid(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	for _, p := range []int{2, 3, 4, 6} {
-		ft := MustNew(p)
+		ft := musttest.Must(New(p))
 		g := ft.Graph()
 		if g.N() != 3*p*p {
 			t.Fatalf("p=%d: Nr=%d", p, g.N())
@@ -41,7 +42,7 @@ func TestStructure(t *testing.T) {
 }
 
 func TestDiameterIs4(t *testing.T) {
-	ft := MustNew(4)
+	ft := musttest.Must(New(4))
 	st := ft.Graph().AllPairsStats()
 	if !st.Connected || st.Diameter != 4 {
 		t.Errorf("stats = %+v, want connected diameter 4", st)
@@ -49,7 +50,7 @@ func TestDiameterIs4(t *testing.T) {
 }
 
 func TestEndpointsOnlyOnEdgeSwitches(t *testing.T) {
-	ft := MustNew(3)
+	ft := musttest.Must(New(3))
 	for e := 0; e < ft.Endpoints(); e++ {
 		r := ft.EndpointRouter(e)
 		if ft.Level(r) != 0 {
@@ -71,7 +72,7 @@ func TestEndpointsOnlyOnEdgeSwitches(t *testing.T) {
 }
 
 func TestPod(t *testing.T) {
-	ft := MustNew(3)
+	ft := musttest.Must(New(3))
 	if ft.Pod(0) != 0 || ft.Pod(3) != 1 {
 		t.Error("edge pod mapping wrong")
 	}
@@ -81,5 +82,5 @@ func TestPod(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(2)
+	var _ topo.Topology = musttest.Must(New(2))
 }

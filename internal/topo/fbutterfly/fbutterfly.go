@@ -68,15 +68,6 @@ func New(c int) (*FBF3, error) {
 	return fb, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(c int) *FBF3 {
-	fb, err := New(c)
-	if err != nil {
-		panic(err)
-	}
-	return fb
-}
-
 // Coords returns the 3-dimensional coordinates of router r.
 func (fb *FBF3) Coords(r int) (x, y, z int) {
 	c := fb.C

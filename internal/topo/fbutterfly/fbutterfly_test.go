@@ -3,6 +3,7 @@ package fbutterfly
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
 
@@ -21,13 +22,13 @@ func TestInvalid(t *testing.T) {
 
 func TestStructureAndDiameter(t *testing.T) {
 	for _, c := range []int{2, 3, 5} {
-		fb := MustNew(c)
+		fb := musttest.Must(New(c))
 		g := fb.Graph()
 		if g.N() != c*c*c {
 			t.Fatalf("c=%d: Nr=%d", c, g.N())
 		}
-		if d, reg := g.IsRegular(); !reg || d != 3*(c-1) {
-			t.Fatalf("c=%d: degree=%d regular=%v", c, d, reg)
+		if d := 3 * (c - 1); g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+			t.Fatalf("c=%d: not %d-regular: max degree %d, %d edges", c, d, g.MaxDegree(), g.EdgeCount())
 		}
 		st := g.AllPairsStats()
 		if !st.Connected {
@@ -44,7 +45,7 @@ func TestStructureAndDiameter(t *testing.T) {
 }
 
 func TestDimensionCliques(t *testing.T) {
-	fb := MustNew(4)
+	fb := musttest.Must(New(4))
 	g := fb.Graph()
 	// Any two routers differing in exactly one coordinate are adjacent.
 	for u := 0; u < g.N(); u++ {
@@ -69,5 +70,5 @@ func TestDimensionCliques(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(2)
+	var _ topo.Topology = musttest.Must(New(2))
 }

@@ -44,15 +44,6 @@ func New(n int) (*Hypercube, error) {
 	return hc, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(n int) *Hypercube {
-	hc, err := New(n)
-	if err != nil {
-		panic(err)
-	}
-	return hc
-}
-
 // RouterDistance implements route.Oracle: router ids are coordinate bit
 // vectors, so the hop distance is the Hamming distance u XOR d.
 func (hc *Hypercube) RouterDistance(u, d int) int {

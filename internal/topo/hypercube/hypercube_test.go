@@ -3,6 +3,7 @@ package hypercube
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
 
@@ -16,13 +17,13 @@ func TestInvalid(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	for n := 1; n <= 8; n++ {
-		hc := MustNew(n)
+		hc := musttest.Must(New(n))
 		g := hc.Graph()
 		if g.N() != 1<<n {
 			t.Fatalf("n=%d: N=%d", n, g.N())
 		}
-		if d, reg := g.IsRegular(); !reg || d != n {
-			t.Fatalf("n=%d: degree=%d", n, d)
+		if d := n; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+			t.Fatalf("n=%d: not %d-regular: max degree %d, %d edges", n, d, g.MaxDegree(), g.EdgeCount())
 		}
 		if g.EdgeCount() != n*(1<<n)/2 {
 			t.Fatalf("n=%d: edges=%d", n, g.EdgeCount())
@@ -32,7 +33,7 @@ func TestStructure(t *testing.T) {
 
 func TestDiameter(t *testing.T) {
 	for _, n := range []int{3, 5, 7} {
-		hc := MustNew(n)
+		hc := musttest.Must(New(n))
 		st := hc.Graph().AllPairsStats()
 		if !st.Connected || st.Diameter != n {
 			t.Errorf("n=%d: stats=%+v", n, st)
@@ -46,5 +47,5 @@ func TestDiameter(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(3)
+	var _ topo.Topology = musttest.Must(New(3))
 }

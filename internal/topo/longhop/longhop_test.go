@@ -3,17 +3,9 @@ package longhop
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
-
-// MustNew is New but panics on error.
-func MustNew(n, extra int) *LongHop {
-	lh, err := New(n, extra)
-	if err != nil {
-		panic(err)
-	}
-	return lh
-}
 
 func TestInvalid(t *testing.T) {
 	if _, err := New(2, 1); err == nil {
@@ -29,13 +21,13 @@ func TestInvalid(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	for _, tc := range []struct{ n, extra int }{{8, 4}, {10, 5}, {13, 6}} {
-		lh := MustNew(tc.n, tc.extra)
+		lh := musttest.Must(New(tc.n, tc.extra))
 		g := lh.Graph()
 		if g.N() != 1<<tc.n {
 			t.Fatalf("n=%d: N=%d", tc.n, g.N())
 		}
-		if d, reg := g.IsRegular(); !reg || d != tc.n+tc.extra {
-			t.Fatalf("n=%d extra=%d: degree=%d regular=%v", tc.n, tc.extra, d, reg)
+		if d := tc.n + tc.extra; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+			t.Fatalf("n=%d extra=%d: not %d-regular: max degree %d, %d edges", tc.n, tc.extra, d, g.MaxDegree(), g.EdgeCount())
 		}
 		if len(lh.Masks) != tc.extra {
 			t.Fatalf("masks=%v, want %d", lh.Masks, tc.extra)
@@ -46,7 +38,7 @@ func TestStructure(t *testing.T) {
 func TestDiameterShrinks(t *testing.T) {
 	// The paper reports LH-HC diameters 4-6 over 2^8..2^13 endpoints.
 	for _, tc := range []struct{ n, extra int }{{8, 4}, {10, 5}, {12, 6}} {
-		lh := MustNew(tc.n, tc.extra)
+		lh := musttest.Must(New(tc.n, tc.extra))
 		if lh.DesignDiameter() >= tc.n {
 			t.Errorf("n=%d: diameter %d did not shrink below hypercube's %d",
 				tc.n, lh.DesignDiameter(), tc.n)
@@ -59,7 +51,7 @@ func TestDiameterShrinks(t *testing.T) {
 
 func TestPaperRadixExample(t *testing.T) {
 	// Table IV: LH-HC with N=8192 has k=19, i.e. n=13 and L=6 extra links.
-	lh := MustNew(13, DefaultExtra(13))
+	lh := musttest.Must(New(13, DefaultExtra(13)))
 	// Radix() = k' + p = (13+7) + 1 = 21 with DefaultExtra(13) = 7 long
 	// links and p = 1 endpoint port. The paper's 19 counts only 13+6
 	// network ports; pin ours.
@@ -75,5 +67,5 @@ func TestPaperRadixExample(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(8, 4)
+	var _ topo.Topology = musttest.Must(New(8, 4))
 }

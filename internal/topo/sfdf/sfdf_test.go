@@ -3,18 +3,10 @@ package sfdf
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 	"slimfly/internal/topo/slimfly"
 )
-
-// MustNew is New but panics on error.
-func MustNew(q, groups, h, p int) *SFDF {
-	s, err := New(q, groups, h, p)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 func TestInvalid(t *testing.T) {
 	if _, err := New(5, 1, 1, 0); err == nil {
@@ -32,7 +24,7 @@ func TestInvalid(t *testing.T) {
 }
 
 func TestStructure(t *testing.T) {
-	s := MustNew(5, 9, 1, 0)
+	s := musttest.Must(New(5, 9, 1, 0))
 	if s.Routers() != 9*50 {
 		t.Fatalf("routers = %d", s.Routers())
 	}
@@ -65,7 +57,7 @@ func TestStructure(t *testing.T) {
 func TestDiameterBound(t *testing.T) {
 	// Worst case: 2 local hops + global + 2 local hops = 5; in practice
 	// the measured diameter is often smaller for few groups.
-	s := MustNew(5, 6, 1, 0)
+	s := musttest.Must(New(5, 6, 1, 0))
 	st := s.Graph().AllPairsStats()
 	if !st.Connected {
 		t.Fatal("disconnected")
@@ -79,7 +71,7 @@ func TestDiameterBound(t *testing.T) {
 // SF group of 50 routers offers the same global connectivity as a clique
 // group while using far fewer local links per router (7 vs 49).
 func TestRadixAdvantageOverCliqueDF(t *testing.T) {
-	s := MustNew(5, 9, 1, 0)
+	s := musttest.Must(New(5, 9, 1, 0))
 	sf := slimfly.MustNew(5)
 	localDegree := sf.NetworkRadix() // 7
 	cliqueDegree := sf.Routers() - 1 // 49 for a same-size DF group
@@ -93,5 +85,5 @@ func TestRadixAdvantageOverCliqueDF(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew(3, 4, 1, 0)
+	var _ topo.Topology = musttest.Must(New(3, 4, 1, 0))
 }

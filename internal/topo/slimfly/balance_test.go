@@ -154,12 +154,18 @@ func (sf *SlimFly) PathDiversity() float64 {
 		srcs = 64
 	}
 	for s := 0; s < srcs; s++ {
-		dist, preds := g.ShortestPathDAGFrom(s)
+		// A router at distance 2 has one minimal path per neighbour at
+		// distance 1.
+		dist := g.BFS(s)
 		for t := 0; t < n; t++ {
 			if dist[t] != 2 {
 				continue
 			}
-			sum += int64(len(preds[t]))
+			for _, v := range g.Neighbors(t) {
+				if dist[v] == 1 {
+					sum++
+				}
+			}
 			pairs++
 		}
 	}

@@ -58,8 +58,9 @@ func TestStructuralInvariants(t *testing.T) {
 			if g.N() != nr {
 				t.Fatalf("q=%d: Nr = %d, want %d", q, g.N(), nr)
 			}
-			if d, reg := g.IsRegular(); !reg || d != kp {
-				t.Fatalf("q=%d: not %d-regular (degree %d, regular=%v)", q, kp, d, reg)
+			// k'-regular: no degree above k', and the degrees sum to Nr*k'.
+			if d := kp; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+				t.Fatalf("q=%d: not %d-regular: max degree %d, %d edges", q, d, g.MaxDegree(), g.EdgeCount())
 			}
 			st := g.AllPairsStats()
 			if !st.Connected {
@@ -90,8 +91,8 @@ func TestHoffmanSingleton(t *testing.T) {
 	if g.EdgeCount() != 175 {
 		t.Fatalf("edges = %d, want 175", g.EdgeCount())
 	}
-	if d, reg := g.IsRegular(); !reg || d != 7 {
-		t.Fatalf("degree = %d (regular=%v), want 7-regular", d, reg)
+	if d := 7; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+		t.Fatalf("not %d-regular: max degree %d, %d edges", d, g.MaxDegree(), g.EdgeCount())
 	}
 	// Girth 5: no triangles, no 4-cycles. A Moore graph of degree k and
 	// diameter 2 has exactly 1 + k + k(k-1) vertices = 50 for k=7, and

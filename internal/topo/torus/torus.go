@@ -80,15 +80,6 @@ func New(dims []int, p int) (*Torus, error) {
 	return t, nil
 }
 
-// MustNew is New but panics on error.
-func MustNew(dims []int, p int) *Torus {
-	t, err := New(dims, p)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // RouterDistance implements route.Oracle: per-dimension shortest wrap,
 // summed. Coordinates are decoded last-dimension-first, mirroring the id
 // encoding used by New.

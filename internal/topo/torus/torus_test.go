@@ -3,6 +3,7 @@ package torus
 import (
 	"testing"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/topo"
 )
 
@@ -20,24 +21,24 @@ func TestInvalid(t *testing.T) {
 
 func TestRingDegenerate(t *testing.T) {
 	// Size-2 dimensions give a single edge, not a double edge.
-	tor := MustNew([]int{2, 2}, 1)
+	tor := musttest.Must(New([]int{2, 2}, 1))
 	g := tor.Graph()
 	if g.N() != 4 || g.EdgeCount() != 4 {
 		t.Errorf("2x2 torus: N=%d E=%d, want 4,4", g.N(), g.EdgeCount())
 	}
-	if d, reg := g.IsRegular(); !reg || d != 2 {
-		t.Errorf("2x2 torus degree=%d", d)
+	if d := 2; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+		t.Errorf("2x2 torus not %d-regular: max degree %d, %d edges", d, g.MaxDegree(), g.EdgeCount())
 	}
 }
 
 func Test3DStructure(t *testing.T) {
-	tor := MustNew([]int{4, 4, 4}, 1)
+	tor := musttest.Must(New([]int{4, 4, 4}, 1))
 	g := tor.Graph()
 	if g.N() != 64 {
 		t.Fatalf("N=%d", g.N())
 	}
-	if d, reg := g.IsRegular(); !reg || d != 6 {
-		t.Fatalf("degree=%d regular=%v, want 6", d, reg)
+	if d := 6; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+		t.Fatalf("not %d-regular: max degree %d, %d edges", d, g.MaxDegree(), g.EdgeCount())
 	}
 	st := g.AllPairsStats()
 	if !st.Connected || st.Diameter != 6 { // 3 * floor(4/2)
@@ -49,13 +50,13 @@ func Test3DStructure(t *testing.T) {
 }
 
 func Test5D(t *testing.T) {
-	tor := MustNew([]int{3, 3, 3, 3, 3}, 1)
+	tor := musttest.Must(New([]int{3, 3, 3, 3, 3}, 1))
 	g := tor.Graph()
 	if g.N() != 243 {
 		t.Fatalf("N=%d", g.N())
 	}
-	if d, reg := g.IsRegular(); !reg || d != 10 {
-		t.Fatalf("degree=%d", d)
+	if d := 10; g.MaxDegree() != d || 2*g.EdgeCount() != g.N()*d {
+		t.Fatalf("not %d-regular: max degree %d, %d edges", d, g.MaxDegree(), g.EdgeCount())
 	}
 	st := g.AllPairsStats()
 	if st.Diameter != 5 {
@@ -64,7 +65,7 @@ func Test5D(t *testing.T) {
 }
 
 func TestMixedDims(t *testing.T) {
-	tor := MustNew([]int{5, 3, 2}, 2)
+	tor := musttest.Must(New([]int{5, 3, 2}, 2))
 	g := tor.Graph()
 	if g.N() != 30 {
 		t.Fatalf("N=%d", g.N())
@@ -107,5 +108,5 @@ func TestForEndpoints(t *testing.T) {
 }
 
 func TestInterface(t *testing.T) {
-	var _ topo.Topology = MustNew([]int{3, 3}, 1)
+	var _ topo.Topology = musttest.Must(New([]int{3, 3}, 1))
 }

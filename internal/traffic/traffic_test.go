@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"slimfly/internal/musttest"
 	"slimfly/internal/route"
 	"slimfly/internal/stats"
 	"slimfly/internal/topo"
@@ -330,7 +331,7 @@ func BenchmarkWorstCaseSF(b *testing.B) {
 }
 
 func TestWorstCaseDF(t *testing.T) {
-	df := dragonfly.MustNew(2)
+	df := musttest.Must(dragonfly.New(2))
 	p := traffic.WorstCaseDF(df.Group, df, df.Gn)
 	if err := validate(p); err != nil {
 		t.Fatal(err)
@@ -346,7 +347,7 @@ func TestWorstCaseDF(t *testing.T) {
 }
 
 func TestWorstCaseFT(t *testing.T) {
-	ft := fattree.MustNew(4)
+	ft := musttest.Must(fattree.New(4))
 	p := traffic.WorstCaseFT(ft.Arity, ft)
 	if err := validate(p); err != nil {
 		t.Fatal(err)
