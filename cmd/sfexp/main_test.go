@@ -1,11 +1,19 @@
 package main
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 )
 
 // TestMain lets the test binary stand in for sfexp: re-executed with
@@ -63,5 +71,83 @@ func TestUsageErrorsExit2(t *testing.T) {
 		if exit != 2 || !strings.Contains(errOut, c.want) || out != "" {
 			t.Errorf("sfexp %q: exit %d, stdout %q, stderr %q; want exit 2 and %q", c.args, exit, out, errOut, c.want)
 		}
+	}
+}
+
+// TestFig8aTinyPinned pins the tiny-scale Figure 8a table by hash. The
+// pin was re-recorded once, when the buffer grid came to name the depths
+// the engine buffers (8, 16, 32, 60, 128, 252 flits, not 9, 18, 33, 63,
+// 129, 255) and tables stopped padding their last column: every numeric
+// cell stayed the same, and the old table with trailing blanks stripped
+// equals the new one but for the buffer_flits labels.
+func TestFig8aTinyPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator-backed; skipped in -short")
+	}
+	const want = "c171cafb39c453245175993c7d0987ba3667e59cc80f2361e2db03a09199f294"
+	out, errOut, exit := sfexp(t, "-exp", "fig8a", "-scale", "tiny", "-seed", "1")
+	sum := sha256.Sum256([]byte(out))
+	if got := hex.EncodeToString(sum[:]); exit != 0 || got != want {
+		t.Errorf("sfexp -exp fig8a -scale tiny -seed 1: exit %d, sha256 %s, want %s; stderr %q, stdout:\n%s", exit, got, want, errOut, out)
+	}
+}
+
+// TestInterruptExits130: SIGINT while a figure's sweep has jobs in flight
+// cancels the pool; sfexp reports "sfexp: interrupted" and exits 130,
+// with no goroutine dump. The signal is sent once /debug/vars shows a job
+// in flight.
+func TestInterruptExits130(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator-backed; skipped in -short")
+	}
+	cmd := exec.Command(os.Args[0], "-exp", "fig6a", "-scale", "small", "-debug-addr", "127.0.0.1:0")
+	cmd.Env = append(os.Environ(), "SFEXP_TEST_MAIN=1")
+	pipe, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	stderr := bufio.NewReader(pipe)
+	line, err := stderr.ReadString('\n')
+	vars, ok := strings.CutPrefix(strings.TrimSpace(line), "sfexp: debug listener on ")
+	if err != nil || !ok {
+		t.Fatalf("no debug listener line: %q, %v", line, err)
+	}
+	deadline := time.Now().Add(time.Minute)
+	for inflight := int64(0); inflight == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no job in flight within a minute")
+		}
+		var page struct {
+			Slimfly struct {
+				Inflight int64 `json:"sweep.jobs_inflight"`
+			}
+		}
+		resp, err := http.Get(vars)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inflight = page.Slimfly.Inflight; inflight == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	cmd.Process.Signal(syscall.SIGINT)
+	// The in-flight jobs finish before the pool returns; a figure that
+	// ignores the signal runs on for minutes.
+	timer := time.AfterFunc(30*time.Second, func() { cmd.Process.Kill() })
+	rest, _ := io.ReadAll(stderr)
+	timer.Stop()
+	cmd.Wait()
+	exit := cmd.ProcessState.ExitCode()
+	if exit != 130 || !strings.Contains("\n"+string(rest), "\nsfexp: interrupted\n") || strings.Contains(string(rest), "goroutine") {
+		t.Errorf("SIGINT mid-figure: exit %d, stderr after the debug line:\n%s", exit, rest)
 	}
 }

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
+
+	"slimfly/internal/export"
 )
 
 // TestMain lets the test binary stand in for sfsim: re-executed with
@@ -65,5 +69,34 @@ func TestCPUProfile(t *testing.T) {
 	}
 	if out, exit := sfsim(t, "-q", "5", "-sweep", "-cpuprofile", prof); exit != 2 || !strings.Contains(out, "-sweep") {
 		t.Errorf("sfsim -sweep -cpuprofile: exit %d, output:\n%s", exit, out)
+	}
+}
+
+// TestChromeTraceOut: -trace-out with -trace-format chrome writes the
+// golden scenario's sampled trace (the export package's goldenTrace: SF
+// q=5, UGAL-L at load 0.3, seed 12345) as a Chrome trace that holds
+// events and passes export.ValidateChromeTrace, so it loads in Perfetto.
+// sfsim's default -vcs 0 runs UGAL-L on one VC per hop of its longest
+// path (twice the diameter), 4 VCs here.
+func TestChromeTraceOut(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulator-backed; skipped in -short")
+	}
+	path := t.TempDir() + "/chrome-trace.json"
+	out, exit := sfsim(t, "-q", "5", "-algo", "ugal-l", "-load", "0.3", "-warmup", "300", "-measure", "800",
+		"-seed", "12345", "-trace-out", path, "-trace-format", "chrome")
+	if exit != 0 {
+		t.Fatalf("sfsim -trace-out: exit %d, output:\n%s", exit, out)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := export.ValidateChromeTrace(bytes.NewReader(raw)); err != nil {
+		t.Errorf("trace fails the schema: %v", err)
+	}
+	var doc struct{ TraceEvents []json.RawMessage }
+	if err := json.Unmarshal(raw, &doc); err != nil || len(doc.TraceEvents) == 0 {
+		t.Errorf("trace holds no events (%v)", err)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -67,20 +68,25 @@ func main() {
 		}
 		cfg.Store = cache // assigned only when non-nil: Store is an interface
 	}
+	// Bind before reporting: the line names the bound address, so with
+	// -addr 127.0.0.1:0 it carries the port the kernel picked.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fail(err)
+	}
 	srv := sweepd.New(cfg)
 	srv.Start()
 
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
+	go func() { errc <- hs.Serve(ln) }()
 	if cache != nil {
-		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, cache %s\n", *addr, cache.Dir())
+		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, cache %s\n", ln.Addr(), cache.Dir())
 	} else {
-		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, NO cache (results are not resumable)\n", *addr)
+		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, NO cache (results are not resumable)\n", ln.Addr())
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

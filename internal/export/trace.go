@@ -115,9 +115,9 @@ var validPhases = map[string]bool{"X": true, "i": true, "b": true, "e": true, "M
 // the subset of the trace-event schema this package emits: a traceEvents
 // array whose entries carry a known phase, a name, non-negative
 // timestamps, non-negative durations on complete events, and balanced
-// async begin/end pairs per (cat, id). CI runs it against a trace
-// generated from a golden scenario so the export format cannot drift
-// into something Perfetto rejects.
+// async begin/end pairs per (cat, id). Tests run it against traces of a
+// golden scenario, written in process and by `sfsim -trace-out`, so the
+// export format cannot drift into something Perfetto rejects.
 func ValidateChromeTrace(r io.Reader) error {
 	var doc struct {
 		TraceEvents []map[string]json.RawMessage `json:"traceEvents"`

@@ -414,7 +414,8 @@ func TestSweepLifecycle(t *testing.T) {
 // For every entry of a small grid (two algorithms, three collector
 // selections) the body is both the indented encoding of the decoded
 // entry and the stored file, each plus a trailing newline; HEAD answers
-// 200 with no body.
+// 200 with no body. Reads then follow the files: an entry renamed over
+// is served as its new file, a deleted one is a 404 not_found.
 func TestEntryServedAsStored(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-backed; skipped in -short")
@@ -438,12 +439,12 @@ func TestEntryServedAsStored(t *testing.T) {
 		waitState(t, ts, postSpec(t, ts, spec).ID, StateDone)
 	}
 
-	n := 0
+	var keys []string
 	for key, err := range cache.Keys() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n++
+		keys = append(keys, key)
 		stored, ok := cache.Get(key)
 		if !ok {
 			t.Fatalf("%s: Get missed a stored entry", key)
@@ -486,8 +487,48 @@ func TestEntryServedAsStored(t *testing.T) {
 			t.Errorf("HEAD %s: status %d, %d body bytes, read error %v", key, resp.StatusCode, len(body), err)
 		}
 	}
-	if n != 6 {
-		t.Fatalf("grid stored %d entries, want 6", n)
+	if len(keys) != 6 {
+		t.Fatalf("grid stored %d entries, want 6", len(keys))
+	}
+
+	// Reads follow a change made behind the server's back, after every
+	// entry was read above: an entry renamed over by a new file is served
+	// as the new file, and a deleted one is a 404 not_found.
+	path := func(key string) string { return filepath.Join(cache.Dir(), key[:2], key+".json") }
+	e, _ := cache.Get(keys[0])
+	e.Elapsed++
+	doc, err := json.MarshalIndent(e, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(t.TempDir(), "entry.json")
+	if err := os.WriteFile(tmp, doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(tmp, path(keys[0])); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(path(keys[1])); err != nil {
+		t.Fatal(err)
+	}
+	read := func(key string) (int, []byte) {
+		resp, err := http.Get(ts.URL + "/api/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	if code, body := read(keys[0]); code != http.StatusOK || !bytes.Equal(body, append(doc, '\n')) {
+		t.Errorf("GET %s: status %d, renamed-over entry not served as its new file:\n%s", keys[0], code, body)
+	}
+	var ae apiError
+	if code, body := read(keys[1]); code != http.StatusNotFound || json.Unmarshal(body, &ae) != nil || ae.Kind != "not_found" {
+		t.Errorf("GET %s: deleted entry answered %d %s, want 404 not_found", keys[1], code, body)
 	}
 }
 
