@@ -1,13 +1,14 @@
-// Command sfgen constructs a topology and prints its structural properties
-// or exports its edge list.
+// Command sfgen constructs a topology and prints its structural properties,
+// its Section VI cost and power, or exports its edge list.
 //
 // Usage:
 //
-//	sfgen -topo SF -n 10830            # balanced config near N endpoints
+//	sfgen -topo SF -n 10830            # balanced config near N endpoints, priced
+//	sfgen -topo DF -n 9702 -cables sfp10g
 //	sfgen -topo SF -q 19 -p 18         # Slim Fly by field order (oversubscribed p)
 //	sfgen -topo DF -n 9702 -edges      # dump router edge list
 //	sfgen -orders                      # list valid Slim Fly orders
-//	sfgen -list                        # registered topology kinds
+//	sfgen -list                        # registered scenario names
 package main
 
 import (
@@ -15,7 +16,9 @@ import (
 	"fmt"
 	"os"
 
+	"slimfly/internal/cost"
 	"slimfly/internal/export"
+	"slimfly/internal/layout"
 	"slimfly/internal/route"
 	"slimfly/internal/scenario"
 	"slimfly/internal/topo"
@@ -29,21 +32,16 @@ func main() {
 		q      = flag.Int("q", 0, "Slim Fly field order (overrides -n for SF)")
 		p      = flag.Int("p", 0, "Slim Fly concentration override (needs -q)")
 		seed   = flag.Uint64("seed", 1, "seed for randomized topologies")
+		cables = flag.String("cables", "fdr10", "cable model for the cost and power lines: fdr10 sfp10g qdr56")
 		edges  = flag.Bool("edges", false, "print the router edge list")
 		asJSON = flag.Bool("json", false, "print the full topology description as JSON")
 		orders = flag.Bool("orders", false, "list valid Slim Fly orders up to 128")
-		list   = flag.Bool("list", false, "list registered topology kinds")
+		list   = flag.Bool("list", false, "list registered topologies, algos and patterns")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, in := range scenario.Describe(scenario.Topologies) {
-			suffix := ""
-			if in.Algebraic {
-				suffix = " [algebraic routing]"
-			}
-			fmt.Printf("%-10s %s%s\n", in.Name, in.Desc, suffix)
-		}
+		fmt.Print(scenario.ListText())
 		return
 	}
 
@@ -55,6 +53,12 @@ func main() {
 				qq, delta, kp, p, kp+p, nr, p*nr)
 		}
 		return
+	}
+
+	model, ok := map[string]func() cost.Model{"fdr10": cost.FDR10, "sfp10g": cost.SFPPlus10G, "qdr56": cost.QDR56}[*cables]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "sfgen: unknown cable model %q (fdr10, sfp10g or qdr56)\n", *cables)
+		os.Exit(2)
 	}
 
 	ts := scenario.TopoSpec{Kind: *kind, N: *n, Q: *q, P: *p, Seed: *seed}.Canonical()
@@ -86,4 +90,14 @@ func main() {
 	nr := t.Graph().N()
 	fmt.Printf("routing:  table_bytes=%d (9*n*n, n=%d routers) algebraic=%v\n",
 		route.EstimateTableBytes(nr), nr, scenario.Algebraic(ts.Kind))
+
+	l := layout.For(t)
+	b := model().Network(t, l)
+	fmt.Printf("racks:            %d\n", l.Racks)
+	fmt.Printf("electric cables:  %d (incl. %d endpoint uplinks)\n", b.Electric, l.EndpointCables)
+	fmt.Printf("fiber cables:     %d\n", b.Fiber)
+	fmt.Printf("router cost:      $%.0f\n", b.RouterCost)
+	fmt.Printf("cable cost:       $%.0f\n", b.CableCost)
+	fmt.Printf("total cost:       $%.0f  ($%.0f per endpoint)\n", b.Total, b.CostPerNode)
+	fmt.Printf("power:            %.0f W  (%.2f W per endpoint)\n", b.PowerWatts, b.PowerPerNode)
 }

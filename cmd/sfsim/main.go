@@ -54,16 +54,10 @@ func main() {
 		traceFmt   = flag.String("trace-format", "chrome", "trace file format: chrome (Perfetto-loadable trace-event JSON) or jsonl")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of Sim.Run (set-up and printing excluded) to this file; single load point only")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address while running")
-		backend    = flag.String("route-backend", "auto", "routing backend: auto (tables while they fit memory), tables, or computed (algebraic, for kinds marked [algebraic routing] in -list)")
 		seed       = flag.Uint64("seed", 1, "seed")
 		list       = flag.Bool("list", false, "list registered topologies, algos, patterns and collectors")
 	)
 	flag.Parse()
-
-	policy, err := route.ParsePolicy(*backend)
-	if err != nil {
-		usage(err)
-	}
 
 	if *debugAddr != "" {
 		d, err := obs.ServeDebug(*debugAddr)
@@ -120,8 +114,9 @@ func main() {
 	hasChan := slices.Contains(selected, "channels")
 
 	// The memoised Env shares the topology, routing backend and pattern
-	// across the load sweep; only the load differs per run.
-	env := scenario.NewEnv(scenario.WithRouteBackend(policy))
+	// across the load sweep; only the load differs per run. Its auto policy
+	// keeps the BFS tables while they fit the budget, computed above it.
+	env := scenario.NewEnv()
 	t, rt, err := env.Topo(spec.Topo)
 	if err != nil {
 		fail(err)

@@ -45,13 +45,17 @@ func TestNaNLoadRejected(t *testing.T) {
 }
 
 // TestRoutingLineEnginePorts: the routing line says which lookup path the
-// engine takes -- its own byte table over a flat-table backend, the backend
-// itself when that is computed.
+// engine takes -- its own byte table over the flat BFS tables auto keeps
+// while they fit the budget, the backend itself when auto goes computed.
+// At q=37 the tables would take 9*2738^2 = 67 469 796 bytes, over 64 MiB.
 func TestRoutingLineEnginePorts(t *testing.T) {
-	for backend, want := range map[string]string{"tables": "engine_ports=table", "computed": "engine_ports=backend"} {
-		out, exit := sfsim(t, "-q", "5", "-load", "0.1", "-warmup", "10", "-measure", "10", "-route-backend", backend)
-		if exit != 0 || !strings.Contains(out, "backend="+backend) || !strings.Contains(out, want) {
-			t.Errorf("sfsim -route-backend %s: exit %d, want %q on the routing line:\n%s", backend, exit, want, out)
+	for _, c := range []struct{ q, backend, ports string }{
+		{"5", "backend=tables ", "engine_ports=table\n"},
+		{"37", "backend=computed ", "engine_ports=backend\n"},
+	} {
+		out, exit := sfsim(t, "-q", c.q, "-load", "0.1", "-warmup", "10", "-measure", "10")
+		if exit != 0 || !strings.Contains(out, c.backend) || !strings.Contains(out, c.ports) {
+			t.Errorf("sfsim -q %s: exit %d, want %q and %q on the routing line:\n%s", c.q, exit, c.backend, c.ports, out)
 		}
 	}
 }

@@ -29,7 +29,6 @@ import (
 	"slimfly/internal/export"
 	"slimfly/internal/metrics"
 	"slimfly/internal/obs"
-	"slimfly/internal/route"
 	"slimfly/internal/scenario"
 	"slimfly/internal/sweep"
 )
@@ -45,17 +44,11 @@ func main() {
 		metricsSel = flag.String("metrics", "", "streaming collectors for every job, comma-separated (overrides the specs' sim.metrics; \"all\" selects every collector)")
 		interval   = flag.Duration("progress-every", 2*time.Second, "progress report interval (0 disables)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof on this address while the sweep runs")
-		backend    = flag.String("route-backend", "auto", "routing backend: auto (tables while they fit memory), tables, or computed; backends are bit-identical, so cache keys are unaffected")
 		dryRun     = flag.Bool("dry-run", false, "print the expanded job list and exit")
 		noCache    = flag.Bool("no-cache", false, "execute every job, ignoring and not writing the cache")
 		list       = flag.Bool("list", false, "list registered topologies, algos, patterns and collectors")
 	)
 	flag.Parse()
-	policy, err := route.ParsePolicy(*backend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sfsweep:", err)
-		os.Exit(2)
-	}
 	if *debugAddr != "" {
 		d, err := obs.ServeDebug(*debugAddr)
 		if err != nil {
@@ -164,7 +157,7 @@ func main() {
 
 	// prog is the sweep's ledger: the pool records every claim and result
 	// in it, and everything below reads the outcome from it.
-	_, _, runErr := sweep.RunJobs(ctx, jobs, sweep.NewEnv(scenario.WithRouteBackend(policy)), sweep.Options{
+	_, _, runErr := sweep.RunJobs(ctx, jobs, sweep.NewEnv(), sweep.Options{
 		Workers:  nw,
 		Store:    store,
 		Progress: prog,

@@ -83,14 +83,16 @@ func main() {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
-	if cache != nil {
-		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, cache %s\n", ln.Addr(), cache.Dir())
-	} else {
-		fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, NO cache (results are not resumable)\n", ln.Addr())
-	}
-
+	// Catch signals before announcing the address: a client that reads
+	// the line may stop the server at once, and that must drain too.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	where, kept := "NO cache (results are not resumable)", "NO cache, so no finished point was kept"
+	if cache != nil {
+		where, kept = "cache "+cache.Dir(), "finished points are cached, resubmit to resume"
+	}
+	fmt.Fprintf(os.Stderr, "sfsweepd: listening on %s, %s\n", ln.Addr(), where)
+
 	select {
 	case err := <-errc:
 		fail(err)
@@ -117,7 +119,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sfsweepd: drain abandoned: %v\n", drainErr)
 		os.Exit(130)
 	}
-	fmt.Fprintln(os.Stderr, "sfsweepd: drained; finished points are cached, resubmit to resume")
+	fmt.Fprintln(os.Stderr, "sfsweepd: drained;", kept)
 }
 
 func fail(err error) {

@@ -342,6 +342,15 @@ func TestAddressTakenExits1(t *testing.T) {
 	first.stop(t)
 }
 
+// TestDrainWithoutCache: with -cache "" SIGTERM exits 0, and the closing
+// line does not promise a resume that nothing was kept for.
+func TestDrainWithoutCache(t *testing.T) {
+	p, _ := sfsweepd(t, "-cache", "")
+	if stderr := p.stop(t); strings.Contains(stderr, "cached, resubmit") || !strings.Contains(stderr, "drained; NO cache") {
+		t.Errorf("sfsweepd -cache \"\" after SIGTERM:\n%s", stderr)
+	}
+}
+
 // TestServedCSVMatchesSfsweep: a sweep submitted to sfsweepd streams its
 // eight results and a closing done event, and the CSV the server serves
 // is byte-identical to the results.csv of a single-box sfsweep run of the

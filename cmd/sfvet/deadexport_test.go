@@ -11,6 +11,7 @@ import (
 	"io"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,10 +33,12 @@ import (
 // Exported methods of exported named types are judged too, by a rule that
 // may miss a dead method but never flags a live one: a method is live
 // when a non-test file refers to it (through Origin for generic types),
-// when its name is a method of an interface the module declares or uses,
-// or of one the runtime checks dynamically (dynamicMethods), or, for a
-// test-support package's type, when another package's test file selects
-// its name. Struct fields are out of scope.
+// when its type or a pointer to it implements an interface with that
+// method which the module declares or uses (any such interface, for a
+// generic type), when its name is a method of one the runtime checks
+// dynamically (dynamicMethods), or, for a test-support package's type,
+// when another package's test file selects its name. Struct fields are
+// out of scope.
 //
 // It is a test and not an analyzer because judging a package needs every
 // importer of it, while analysis.Run visits one package at a time in
@@ -60,7 +63,7 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"lib.OtherTestUsed", "lib.OwnTestOnly", "lib.T.Method", "lib.T.OtherTestMethod",
+	want := []string{"lib.Bag.Len", "lib.OtherTestUsed", "lib.OwnTestOnly", "lib.T.Method", "lib.T.OtherTestMethod",
 		"lib.T.OwnTestMethod", "lib.Unused", "lib.XTestOnly", "libtest.OwnTestOnly"}
 	if strings.Join(dead, " ") != strings.Join(want, " ") {
 		t.Fatalf("reported %q, want %q", dead, want)
@@ -69,13 +72,13 @@ func TestNoTestOnlyExportsFixture(t *testing.T) {
 
 // dynamicMethods are the methods of standard-library interfaces that the
 // runtime finds by a dynamic type check (fmt, encoding/json, errors,
-// net/http, io, sort), so a type may satisfy them without the module
-// naming the interface.
+// net/http, io), so a type may satisfy them without the module naming
+// the interface. sort.Sort's sort.Interface is not among them: its
+// parameter names the interface.
 var dynamicMethods = map[string]bool{
 	"String": true, "Error": true, "Format": true,
 	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
 	"Unwrap": true, "ServeHTTP": true, "Read": true, "Write": true, "Close": true,
-	"Len": true, "Less": true, "Swap": true,
 }
 
 // testOnlyExports loads every package of the module at dir and returns,
@@ -89,7 +92,7 @@ func testOnlyExports(dir string) ([]string, error) {
 		return nil, err
 	}
 	used := map[types.Object]bool{}
-	ifaceMethods := map[string]bool{}
+	ifaces := map[string][]*types.Interface{} // method name -> interfaces declaring it
 	byPath := map[string]*types.Package{}
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p.Pkg
@@ -102,7 +105,7 @@ func testOnlyExports(dir string) ([]string, error) {
 		// Every expression's type: the interfaces the module declares,
 		// names or hands values to.
 		for _, tv := range p.Info.Types {
-			addIfaceMethods(ifaceMethods, tv.Type)
+			addIfaces(ifaces, tv.Type)
 		}
 	}
 
@@ -160,6 +163,19 @@ func testOnlyExports(dir string) ([]string, error) {
 		return false
 	}
 
+	// viaIface reports whether a method name of named is live through an
+	// interface. The pointer's method set holds the value's too.
+	// Implements is unspecified on uninstantiated generic types, so for
+	// those the name alone decides.
+	viaIface := func(named *types.Named, name string) bool {
+		for _, iface := range ifaces[name] {
+			if named.TypeParams().Len() > 0 || types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
+	}
+
 	var dead []string
 	for _, p := range pkgs {
 		if p.Pkg.Name() == "main" {
@@ -179,7 +195,7 @@ func testOnlyExports(dir string) ([]string, error) {
 				continue // not a type, or an alias
 			}
 			for m := range named.Methods() {
-				if m.Exported() && !used[m] && !ifaceMethods[m.Name()] && !dynamicMethods[m.Name()] &&
+				if m.Exported() && !used[m] && !viaIface(named, m.Name()) && !dynamicMethods[m.Name()] &&
 					!(isTestSupport(p.Pkg) && otherTestSelects(p.ImportPath, m.Name())) {
 					dead = append(dead, p.Pkg.Name()+"."+name+"."+m.Name())
 				}
@@ -190,22 +206,24 @@ func testOnlyExports(dir string) ([]string, error) {
 	return dead, nil
 }
 
-// addIfaceMethods records the method names of t when t is an interface
-// (or a type parameter constrained by one), and of the interfaces among
-// the parameters and results when t is a function: passing a value to an
-// io.Writer parameter uses io.Writer.
-func addIfaceMethods(names map[string]bool, t types.Type) {
+// addIfaces records t under each of its method names when t is an
+// interface (or a type parameter constrained by one), and the interfaces
+// among the parameters and results when t is a function: passing a value
+// to an io.Writer parameter uses io.Writer.
+func addIfaces(byName map[string][]*types.Interface, t types.Type) {
 	if sig, ok := t.(*types.Signature); ok {
 		for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
 			for v := range tuple.Variables() {
-				addIfaceMethods(names, v.Type())
+				addIfaces(byName, v.Type())
 			}
 		}
 		return
 	}
 	if iface, ok := t.Underlying().(*types.Interface); ok {
 		for m := range iface.Methods() {
-			names[m.Name()] = true
+			if !slices.Contains(byName[m.Name()], iface) {
+				byName[m.Name()] = append(byName[m.Name()], iface)
+			}
 		}
 	}
 }

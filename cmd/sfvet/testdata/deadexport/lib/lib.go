@@ -68,3 +68,10 @@ func (l *Level) Set(s string) error { *l = Level(len(s)); return nil }
 
 // String is found by fmt and flag at run time.
 func (l *Level) String() string { return "level" }
+
+// Bag has a Len, and the module uses sort.Interface, which declares Len;
+// Bag does not implement it.
+type Bag []int
+
+// Len is called only by lib's in-package test: reported.
+func (b Bag) Len() int { return len(b) }

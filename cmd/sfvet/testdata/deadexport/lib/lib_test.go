@@ -7,4 +7,7 @@ func TestOwn(t *testing.T) {
 		t.Fatal(OwnTestOnly)
 	}
 	T{}.OwnTestMethod()
+	if (Bag{}).Len() != 0 {
+		t.Fatal("Bag")
+	}
 }

@@ -4,13 +4,16 @@ package other
 import (
 	"flag"
 	"fmt"
+	"sort"
 
 	"fixture/lib"
 )
 
-// Use calls lib from a non-test file.
+// Use calls lib from a non-test file, and hands a value to sort.Sort,
+// whose parameter is a sort.Interface.
 func Use() int {
 	var s lib.Shape = lib.Square(2)
+	sort.Sort(sort.IntSlice(lib.Bag{}))
 	return int(lib.ProdUsed()) + lib.Generic(1) + s.Area() + lib.Box[int]{}.Get()
 }
 

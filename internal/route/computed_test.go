@@ -226,21 +226,6 @@ func TestSelectPolicies(t *testing.T) {
 	}
 }
 
-func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]route.Policy{
-		"": route.PolicyAuto, "auto": route.PolicyAuto,
-		"tables": route.PolicyTables, "computed": route.PolicyComputed,
-	} {
-		got, err := route.ParsePolicy(in)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := route.ParsePolicy("bfs"); err == nil {
-		t.Fatal("ParsePolicy(bfs): want error")
-	}
-}
-
 func TestTablesRouterViews(t *testing.T) {
 	sf := slimfly.MustNew(5)
 	var rt route.Router = route.Build(sf.Graph())

@@ -194,19 +194,6 @@ const (
 	PolicyComputed Policy = "computed"
 )
 
-// ParsePolicy validates a policy string ("" means auto).
-func ParsePolicy(s string) (Policy, error) {
-	switch Policy(s) {
-	case "", PolicyAuto:
-		return PolicyAuto, nil
-	case PolicyTables:
-		return PolicyTables, nil
-	case PolicyComputed:
-		return PolicyComputed, nil
-	}
-	return "", fmt.Errorf("route: unknown backend policy %q (auto, tables or computed)", s)
-}
-
 // DefaultTableBudget is the memory ceiling PolicyAuto allows the n*n
 // tables before switching to a computed backend: 64 MiB covers every
 // topology of the paper's study (SF q=17 costs ~1 MiB, the largest roster

@@ -11,7 +11,6 @@ import "slimfly/internal/scenario"
 // experiment suite use.
 type Env = scenario.Env
 
-// NewEnv returns an empty resolver environment. Options (e.g.
-// scenario.WithRouteBackend) select the routing-backend policy the Env
-// resolves topologies under.
-func NewEnv(opts ...scenario.EnvOption) *Env { return scenario.NewEnv(opts...) }
+// NewEnv returns an empty resolver environment under the auto
+// routing-backend policy.
+func NewEnv() *Env { return scenario.NewEnv() }

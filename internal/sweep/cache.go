@@ -346,16 +346,3 @@ func (c *Cache) Keys() iter.Seq2[string, error] {
 		}
 	}
 }
-
-// Len counts the entries on disk (via Keys; entries are not decoded).
-// Intended for tooling and tests.
-func (c *Cache) Len() (int, error) {
-	n := 0
-	for _, err := range c.Keys() {
-		if err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
-}

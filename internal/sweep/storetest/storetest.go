@@ -426,6 +426,9 @@ func Run(t *testing.T, b Backend) {
 	})
 }
 
+// Count counts the keys s yields, failing t on a listing error.
+func Count(t *testing.T, s sweep.Store) int { return len(collectKeys(t, s)) }
+
 func collectKeys(t *testing.T, s sweep.Store) []string {
 	t.Helper()
 	var keys []string

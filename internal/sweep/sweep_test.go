@@ -168,8 +168,8 @@ func TestSweepFailedJob(t *testing.T) {
 			t.Errorf("failed job carries no error: %+v", r)
 		}
 	}
-	if n, err := cache.Len(); err != nil || n != 0 {
-		t.Errorf("failures were cached: %d entries (err %v)", n, err)
+	if n := storedCount(t, cache); n != 0 {
+		t.Errorf("failures were cached: %d entries", n)
 	}
 }
 

@@ -323,8 +323,8 @@ func TestPutEntryKeyMismatch(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || err != nil || ae.Kind != "key_mismatch" {
 		t.Fatalf("entry A under B's key: status %d kind %q (%v)", resp.StatusCode, ae.Kind, err)
 	}
-	if n, err := cache.Len(); err != nil || n != 0 {
-		t.Fatalf("refused upload changed the store: %d entries (%v)", n, err)
+	if n := storetest.Count(t, cache); n != 0 {
+		t.Fatalf("refused upload changed the store: %d entries", n)
 	}
 
 	grant, ok, err := rs.ClaimJob("w", time.Minute)

@@ -22,6 +22,7 @@ import (
 	"slimfly/internal/export"
 	"slimfly/internal/obs"
 	"slimfly/internal/sweep"
+	"slimfly/internal/sweep/storetest"
 )
 
 // specJSON renders a tiny sweep spec: nloads loads on an SF q=5 network
@@ -890,11 +891,7 @@ func TestDrainResume(t *testing.T) {
 	if done < 1 || done >= 6 {
 		t.Fatalf("drain finished %d jobs, want mid-sweep (1..5)", done)
 	}
-	cached, err := cache.Len()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached != done {
+	if cached := storetest.Count(t, cache); cached != done {
 		t.Errorf("cache has %d entries, %d jobs finished: drain lost committed work", cached, done)
 	}
 
